@@ -6,9 +6,9 @@ pass predicates are derived from the configured initial state rather than
 hard-coded, which settles the sign conventions for the singlet in the dual
 basis automatically.
 
-Detection probabilities come in two flavours: analytic (fail-projector
-expectation against the exact post-coupling ensemble) and empirical
-(seeded Monte Carlo over control cycles, with a Wilson interval).
+Detection uses one Born table P(alice, bob) per menu basis of the coupled
+state: analytic p_det is the menu-weighted sum of the failing cells, and the
+empirical estimate (Wilson interval) is seeded Monte Carlo over the same tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .protocol import (
     ProtocolConfig,
     make_initial_state,
 )
-from .qstate import Basis, Operator, StateVector, SubsystemLayout, partial_trace
+from .qstate import Basis, Operator, StateVector, SubsystemLayout
 from .rand import PDET_TAG, stream
 
 # Joint probabilities above this are treated as support of the clean state
@@ -88,11 +88,8 @@ class DetectionReport:
 
 def _allowed_pairs(init: StateVector, basis: Basis) -> frozenset[tuple[int, int]]:
     """Outcome pairs with support when both parties measure the clean state."""
-    coeffs = basis.matrix.conj().T @ init.reshaped() @ basis.matrix.conj()
-    probs = np.abs(coeffs) ** 2  # [bob, alice]
-    return frozenset(
-        (int(a), int(b)) for b, a in zip(*np.nonzero(probs > _SUPPORT_CUTOFF))
-    )
+    table = _joint_outcome_table([(1.0, init)], basis, basis.dim)
+    return frozenset((int(a), int(b)) for a, b in zip(*np.nonzero(table > _SUPPORT_CUTOFF)))
 
 
 def computational_control(cfg: ProtocolConfig) -> ControlModeHandle:
@@ -132,7 +129,8 @@ def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
 
 
 def fail_projector(entry: ControlBasis, dim: int) -> Operator:
-    """Projector onto the outcome pairs the pass predicate rejects."""
+    """Projector onto the outcome pairs the pass predicate rejects; tests use
+    its expectation as the independent reference for the Born tables."""
     passing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     for alice, bob in entry.allowed:
         b_vec = entry.basis.state(bob)
@@ -141,24 +139,11 @@ def fail_projector(entry: ControlBasis, dim: int) -> Operator:
     return Operator.projector(np.eye(dim * dim) - passing)
 
 
-def _check_dims(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig):
-    if eve.dim != cfg.dim or control.dim != cfg.dim:
-        raise ValueError(
-            f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {cfg.dim}"
-        )
-
-
-def analytic_pdet(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig) -> float:
-    """Menu-weighted fail-projector expectation on the coupled control state."""
-    _check_dims(eve, control, cfg)
-    init = make_initial_state(cfg)
-    total = 0.0
-    projectors = [(cb.weight, fail_projector(cb, cfg.dim)) for cb in control.bases]
-    for prob, state in eve.coupled_branches(init):
-        rho = partial_trace(state, (HOME, TRAVEL))
-        for weight, proj in projectors:
-            total += prob * weight * rho.expectation(proj)
-    return float(total)
+def _basis_coefficients(amps: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
+    """Amplitudes of an (h, t, rest) state in basis (x) basis, as [home, travel, rest]."""
+    conj = basis.matrix.conj()
+    step = np.einsum("hi,htr->itr", conj, amps.reshape(dim, dim, -1))
+    return np.einsum("tj,itr->ijr", conj, step)
 
 
 def _joint_outcome_table(
@@ -166,13 +151,37 @@ def _joint_outcome_table(
 ) -> np.ndarray:
     """P(alice, bob) for one basis, marginalized over Eve's subsystems."""
     table = np.zeros((dim, dim))
-    conj = basis.matrix.conj()
     for prob, state in branches:
-        arr = state.amps.reshape(dim, dim, -1)
-        step = np.einsum("hi,htr->itr", conj, arr)
-        coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
+        coeffs = _basis_coefficients(state.amps, basis, dim)  # [bob, alice, eve]
         table += prob * np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
     return np.clip(table, 0.0, None)
+
+
+def _born_tables(
+    eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per menu basis: weight, P(alice, bob) of the coupled state, failing-cell mask."""
+    if eve.dim != cfg.dim or control.dim != cfg.dim:
+        raise ValueError(
+            f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {cfg.dim}"
+        )
+    branches = eve.coupled_branches(make_initial_state(cfg))
+    tables = []
+    for cb in control.bases:
+        fail = np.ones((cfg.dim, cfg.dim), dtype=bool)
+        for alice, bob in cb.allowed:
+            fail[alice, bob] = False
+        tables.append((cb.weight, _joint_outcome_table(branches, cb.basis, cfg.dim), fail))
+    return tables
+
+
+def _failing_mass(tables: list[tuple[float, np.ndarray, np.ndarray]]) -> float:
+    return float(sum(weight * table[fail].sum() for weight, table, fail in tables))
+
+
+def analytic_pdet(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig) -> float:
+    """Menu-weighted Born probability of the failing outcome pairs."""
+    return _failing_mass(_born_tables(eve, control, cfg))
 
 
 def empirical_pdet(
@@ -183,34 +192,27 @@ def empirical_pdet(
 ) -> DetectionReport:
     """Seeded Monte Carlo over independent control cycles.
 
-    The coupled ensemble and the per-basis Born tables are computed once;
-    each trial samples a basis and an outcome pair from the exact joint
-    distribution. Deterministic for a fixed cfg.seed.
+    The per-basis Born tables are computed once; each trial samples a basis
+    and an outcome pair from the exact joint distribution, and the analytic
+    value is read off the same tables. Deterministic for a fixed cfg.seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_dims(eve, control, cfg)
-    init = make_initial_state(cfg)
-    branches = eve.coupled_branches(init)
+    tables = _born_tables(eve, control, cfg)
     rng = stream(cfg.seed, PDET_TAG)
     weights = np.array([cb.weight for cb in control.bases])
     chosen = rng.choice(len(control.bases), size=trials, p=weights / weights.sum())
     failures = 0
-    for b_idx, cb in enumerate(control.bases):
+    for b_idx, (_, table, fail) in enumerate(tables):
         n_b = int(np.sum(chosen == b_idx))
         if n_b == 0:
             continue
-        table = _joint_outcome_table(branches, cb.basis, cfg.dim)
         flat = table.reshape(-1)
-        flat = flat / flat.sum()
-        outcomes = rng.choice(cfg.dim * cfg.dim, size=n_b, p=flat)
-        fail_mask = np.array(
-            [(a, b) not in cb.allowed for a in range(cfg.dim) for b in range(cfg.dim)]
-        )
-        failures += int(np.sum(fail_mask[outcomes]))
+        outcomes = rng.choice(cfg.dim * cfg.dim, size=n_b, p=flat / flat.sum())
+        failures += int(np.sum(fail.reshape(-1)[outcomes]))
     low, high = wilson_interval(failures, trials)
     return DetectionReport(
-        p_analytic=analytic_pdet(eve, control, cfg),
+        p_analytic=_failing_mass(tables),
         p_empirical=failures / trials,
         failures=failures,
         trials=trials,
@@ -253,10 +255,7 @@ def dual_basis_expand(state: StateVector) -> DualBasisDecomposition:
     labels = state.layout.labels
     if labels[:2] != (HOME, TRAVEL) or state.layout.dims[:2] != (2, 2):
         raise ValueError("dual-basis expansion expects a qubit state on (h, t, ancilla)")
-    conj = Basis.dual().matrix.conj()
-    arr = state.amps.reshape(2, 2, -1)
-    step = np.einsum("hi,htr->itr", conj, arr)
-    coeffs = np.einsum("tj,itr->ijr", conj, step)  # [home_sign, travel_sign, eve]
+    coeffs = _basis_coefficients(state.amps, Basis.dual(), 2)  # [home_sign, travel_sign, eve]
     signs = ("+", "-")
     components = {
         (signs[i], signs[j]): np.ascontiguousarray(coeffs[i, j, :]) for i in range(2) for j in range(2)

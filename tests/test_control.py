@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import qubit_cfg, qudit_cfg, rand_family
 from pingpong.attacks import cnot_attack, intercept_resend, no_attack, pavicic_circuit, qudit_shift_attack
+from pingpong.attacks import from_name as attack_from_name
 from pingpong.attacks import generic_coupling
 from pingpong.control import (
     ControlModeHandle,
@@ -18,7 +19,8 @@ from pingpong.control import (
     two_basis_control,
     wilson_interval,
 )
-from pingpong.protocol import make_initial_state, run_session
+from pingpong.protocol import HOME, TRAVEL, make_initial_state, run_session
+from pingpong.qstate import partial_trace
 
 
 class TestPassPredicates:
@@ -141,6 +143,74 @@ class TestAnalyticPdet:
         assert values[0.0] == pytest.approx(0.0, abs=1e-12)
         assert values[1.0] == pytest.approx(0.5, abs=1e-12)
         assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
+
+
+def projector_pdet(eve, control, cfg) -> float:
+    """Reference route: fail-projector expectation on the reduced (h, t) state."""
+    total = 0.0
+    for prob, state in eve.coupled_branches(make_initial_state(cfg)):
+        rho = partial_trace(state, (HOME, TRAVEL))
+        for entry in control.bases:
+            total += prob * entry.weight * rho.expectation(fail_projector(entry, cfg.dim))
+    return total
+
+
+def _generic_d3():
+    rng = np.random.default_rng(5)
+    return generic_coupling(3, rand_family(rng, 4, 3), rand_family(rng, 4, 3))
+
+
+# (attack, control, cfg): every paper-matrix row, then qudit-shift and
+# intercept-resend on the correlated pair up to D=6.
+REFERENCE_CASES = [
+    ("none", "computational", qubit_cfg()),
+    ("none", "two-basis", qubit_cfg()),
+    ("cnot", "computational", qubit_cfg()),
+    ("cnot", "two-basis", qubit_cfg()),
+    ("pavicic", "computational", qubit_cfg()),
+    ("pavicic", "two-basis", qubit_cfg()),
+    ("generic", "computational", qudit_cfg(3)),
+    ("intercept-resend", "computational", qubit_cfg()),
+    ("intercept-resend", "two-basis", qubit_cfg()),
+] + [
+    (attack, "computational", qudit_cfg(dim))
+    for attack in ("qudit-shift", "intercept-resend")
+    for dim in range(2, 7)
+]
+
+
+class TestBornTableReference:
+    @pytest.fixture(
+        params=REFERENCE_CASES,
+        ids=lambda c: f"{c[0]}-{c[1]}-{c[2].initial_state_kind}-d{c[2].dim}",
+    )
+    def case(self, request):
+        attack, control, cfg = request.param
+        eve = _generic_d3() if attack == "generic" else attack_from_name(attack, cfg.dim)
+        return eve, from_name(control, cfg), cfg
+
+    def test_analytic_matches_projector_route(self, case):
+        eve, control, cfg = case
+        assert abs(analytic_pdet(eve, control, cfg) - projector_pdet(eve, control, cfg)) < 1e-12
+
+    def test_empirical_reports_the_same_analytic_value(self, case):
+        eve, control, cfg = case
+        assert empirical_pdet(eve, control, cfg, 500).p_analytic == analytic_pdet(eve, control, cfg)
+
+    @pytest.mark.parametrize("make_eve", [cnot_attack, lambda: intercept_resend(2)])
+    def test_empirical_builds_the_coupled_ensemble_once(self, make_eve, monkeypatch):
+        eve = make_eve()
+        original = type(eve).coupled_branches
+        calls = []
+
+        def counting(self, init):
+            calls.append(init)
+            return original(self, init)
+
+        monkeypatch.setattr(type(eve), "coupled_branches", counting)
+        cfg = qubit_cfg()
+        empirical_pdet(eve, two_basis_control(cfg), cfg, 500)
+        assert len(calls) == 1
 
 
 class TestEmpiricalPdet:
