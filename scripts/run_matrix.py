@@ -83,13 +83,12 @@ def main() -> int:
     parser.add_argument("--cycles", type=int, default=2000)
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20160706)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = build_specs(out_dir, args.cycles, args.trials, args.seed)
-    rows = run_experiments(specs, jobs=args.jobs)
+    rows = run_experiments(specs)
     emit(rows, "json", out_dir / "matrix.json")
     emit(rows, "csv", out_dir / "matrix.csv")
     print_table(rows)

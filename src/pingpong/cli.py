@@ -1,8 +1,7 @@
 """Experiment runner and report emitter.
 
 Runs are configured either from a JSON spec file or from single-run flags,
-executed (optionally in parallel), and written as JSON or CSV with a stable
-schema. Every run carries its own seed; reports echo it so any row can be
+executed in order, and written as JSON or CSV with a stable schema. Every run carries its own seed; reports echo it so any row can be
 replayed exactly.
 """
 
@@ -12,9 +11,9 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,6 +47,22 @@ REPORT_FIELDS = (
 )
 
 _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": "auto"}
+
+
+def _integer(field: str, value) -> int:
+    """A spec integer: integral floats such as 1e5 pass; bools, strings and
+    fractional values are rejected rather than truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _real(field: str, value) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def sig12(value: float) -> float:
@@ -98,16 +113,18 @@ class RunSpec:
         merged = {**_RUN_DEFAULTS, **raw}
         message = merged.get("message")
         if message is not None:
-            message = tuple((int(mu), int(nu)) for mu, nu in message)
+            message = tuple(
+                (_integer("message", mu), _integer("message", nu)) for mu, nu in message
+            )
         return cls(
             attack=str(merged["attack"]),
             control=str(merged["control"]),
-            dim=int(merged["dim"]),
+            dim=_integer("dim", merged["dim"]),
             kind=str(merged["kind"]),
-            cycles=int(merged["cycles"]),
-            control_prob=float(merged["control_prob"]),
-            trials=int(merged["trials"]),
-            seed=int(merged["seed"]),
+            cycles=_integer("cycles", merged["cycles"]),
+            control_prob=_real("control_prob", merged["control_prob"]),
+            trials=_integer("trials", merged["trials"]),
+            seed=_integer("seed", merged["seed"]),
             message=message,
         )
 
@@ -175,7 +192,7 @@ def execute_run(spec: RunSpec) -> dict:
         cfg = ProtocolConfig(
             dim=spec.dim,
             control_prob=spec.control_prob,
-            n_cycles=max(spec.cycles, 1),
+            n_cycles=spec.cycles,
             seed=spec.seed,
             initial_state_kind=spec.resolved_kind,
         )
@@ -203,12 +220,9 @@ def execute_run(spec: RunSpec) -> dict:
     return row
 
 
-def run_experiments(specs: Sequence[RunSpec], jobs: int = 1) -> list[dict]:
-    """Execute runs, in parallel up to `jobs`; rows keep the spec order."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [execute_run(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(execute_run, specs))
+def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
+    """Execute runs one after another; rows keep the spec order."""
+    return [execute_run(s) for s in specs]
 
 
 def emit(rows: list[dict], fmt: str, path: str | Path | None) -> str:
@@ -258,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--message", default=None, help="fixed symbols, e.g. '01,10,23' (digit pairs)")
     parser.add_argument("--output", default=None, help="report path (stdout when omitted)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -305,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raw["message"] = _parse_message(args.message)
         specs = [RunSpec.from_dict(raw)]
 
-    rows = run_experiments(specs, jobs=args.jobs)
+    rows = run_experiments(specs)
     text = emit(rows, args.format, args.output)
     if args.output is None:
         sys.stdout.write(text)

@@ -53,8 +53,8 @@ class ProtocolConfig:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ValueError(f"control_prob must be in [0, 1], got {self.control_prob}")
-        if self.n_cycles < 1:
-            raise ValueError(f"n_cycles must be positive, got {self.n_cycles}")
+        if self.n_cycles < 0:
+            raise ValueError(f"n_cycles must be non-negative, got {self.n_cycles}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.initial_state_kind not in KINDS:

@@ -30,7 +30,7 @@ class TestConfig:
                            initial_state_kind="qubit_psi_minus")
 
     @pytest.mark.parametrize("bad", [
-        dict(dim=1), dict(control_prob=1.5), dict(n_cycles=0), dict(seed=-1),
+        dict(dim=1), dict(control_prob=1.5), dict(n_cycles=-1), dict(seed=-1),
         dict(initial_state_kind="bogus"),
     ])
     def test_invalid_fields(self, bad):
@@ -172,6 +172,10 @@ class TestRunSession:
         records = run_session(cfg, [(0, 0)] * 400, no_attack(2), computational_control(cfg))
         n_ctrl = sum(r.mode == "control" for r in records)
         assert 120 < n_ctrl < 280
+
+    def test_zero_cycles_give_empty_transcript(self):
+        cfg = qubit_cfg(control_prob=0.25, n_cycles=0)
+        assert run_session(cfg, [], cnot_attack(), computational_control(cfg)) == []
 
     def test_message_exhaustion(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=3)
