@@ -1,8 +1,8 @@
 """Experiment runner and report emitter.
 
 Runs are configured either from a JSON spec file or from single-run flags,
-executed in order, and written as JSON or CSV with a stable schema. Every run carries its own seed; reports echo it so any row can be
-replayed exactly.
+executed in order, and written as JSON or CSV with a stable schema. Every
+run carries its own seed; reports echo it so any row can be replayed exactly.
 """
 
 from __future__ import annotations
