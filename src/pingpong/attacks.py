@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .protocol import TRAVEL, algebra
+from .protocol import TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, run_leg
 from .qstate import (
     ATOL_BASIS,
     Basis,
@@ -26,9 +27,7 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
-    apply,
     complete_isometry,
-    measure,
     orthonormal_completion,
     tensor,
 )
@@ -99,35 +98,37 @@ class CouplingReport:
 
 
 @dataclass(frozen=True)
-class EavesdropperHandle:
-    """Eve's per-cycle actions: ancilla prep, coupling, decoupling, readout.
+class EavesdropperHandle(ABC):
+    """Eve's part of a cycle, described as branch edges.
 
-    Handles are immutable; per-cycle scratch lives in the `notes` dict owned
-    by the running session. `coupling` acts on travel (x) ancilla with the
-    travel axis first; `detection` is the readout family (None: abstain).
+    An implementation gives three legs, each a tuple of edges from
+    `protocol` (`UnitaryEdge`, `MeasureEdge`, `DrawEdge`): `forward_leg` on
+    the way to Alice, `backward_leg` on the way back and `readout_leg`
+    before Bob's decode. `guess(notes)` is Eve's shift-symbol guess from
+    the outcomes the edges recorded (None: abstain). The session engine
+    only follows these edges; `forward`, `backward` and `readout` take them
+    on one state, with per-cycle outcomes in the caller's `notes` dict.
+    Handles are immutable.
     """
 
     name: str
     dim: int
     initial_ancilla: StateVector
-    coupling: Operator | None
-    detection: StateFamily | None = None
-    _readout_basis: Basis | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
-        anc_dim = self.initial_ancilla.layout.dim
-        if self.coupling is not None:
-            if self.coupling.kind != "unitary":
-                raise ValueError("coupling must be a unitary-tagged operator")
-            if self.coupling.dim != self.dim * anc_dim:
-                raise ValueError(
-                    f"coupling dim {self.coupling.dim} != travel*ancilla {self.dim * anc_dim}"
-                )
-        if self.detection is not None:
-            if len(self.detection) != self.dim:
-                raise ValueError("detection family must hold one state per travel level")
-            completed = orthonormal_completion(self.detection.columns, anc_dim)
-            object.__setattr__(self, "_readout_basis", Basis(completed, "detection"))
+    @property
+    @abstractmethod
+    def forward_leg(self) -> tuple: ...
+
+    @property
+    @abstractmethod
+    def backward_leg(self) -> tuple: ...
+
+    @property
+    @abstractmethod
+    def readout_leg(self) -> tuple: ...
+
+    @abstractmethod
+    def guess(self, notes: dict) -> int | None: ...
 
     @property
     def ancilla_layout(self) -> SubsystemLayout:
@@ -141,23 +142,69 @@ class EavesdropperHandle:
         return tensor(state, self.initial_ancilla)
 
     def forward(self, state: StateVector, rng, notes: dict) -> StateVector:
-        return apply(state, self.coupling, (TRAVEL,) + self.ancilla_labels)
+        return run_leg(self.forward_leg, state, rng, notes)
 
     def backward(self, state: StateVector, rng, notes: dict) -> StateVector:
-        return apply(state, self.coupling.inverse, (TRAVEL,) + self.ancilla_labels)
+        return run_leg(self.backward_leg, state, rng, notes)
 
     def readout(self, state: StateVector, rng, notes: dict) -> tuple[int | None, StateVector]:
-        """Measure the ancilla in the detection family and undo the index shift."""
-        if self.detection is None:
-            return None, state
-        out = measure(state, self.ancilla_labels, self._readout_basis, rng)
-        if out.outcome >= self.dim:  # outside the family; unreachable in a clean run
-            return None, out.state
-        return (-out.outcome) % self.dim, out.state
+        state = run_leg(self.readout_leg, state, rng, notes)
+        return self.guess(notes), state
 
     def coupled_branches(self, init: StateVector) -> list[tuple[float, StateVector]]:
-        """Post-forward ensemble for exact detectability computations."""
+        """Post-forward ensemble for exact detectability computations; one
+        branch when the forward leg draws nothing."""
         return [(1.0, self.forward(self.attach(init), None, {}))]
+
+
+@dataclass(frozen=True)
+class CouplingHandle(EavesdropperHandle):
+    """Coupling attack: Q on the forward leg, Q^-1 on the return leg, then a
+    readout of the ancilla.
+
+    `coupling` acts on travel (x) ancilla with the travel axis first;
+    `detection` is the readout family (None: abstain).
+    """
+
+    coupling: Operator
+    detection: StateFamily | None = None
+    _readout_basis: Basis | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        anc_dim = self.initial_ancilla.layout.dim
+        if self.coupling.kind != "unitary":
+            raise ValueError("coupling must be a unitary-tagged operator")
+        if self.coupling.dim != self.dim * anc_dim:
+            raise ValueError(
+                f"coupling dim {self.coupling.dim} != travel*ancilla {self.dim * anc_dim}"
+            )
+        if self.detection is not None:
+            if len(self.detection) != self.dim:
+                raise ValueError("detection family must hold one state per travel level")
+            completed = orthonormal_completion(self.detection.columns, anc_dim)
+            object.__setattr__(self, "_readout_basis", Basis(completed, "detection"))
+
+    @property
+    def forward_leg(self) -> tuple:
+        return (UnitaryEdge(self.coupling, (TRAVEL,) + self.ancilla_labels),)
+
+    @property
+    def backward_leg(self) -> tuple:
+        return (UnitaryEdge(self.coupling.inverse, (TRAVEL,) + self.ancilla_labels),)
+
+    @property
+    def readout_leg(self) -> tuple:
+        """Measure the ancilla in the detection family."""
+        if self.detection is None:
+            return ()
+        return (MeasureEdge(self.ancilla_labels, self._readout_basis, "readout"),)
+
+    def guess(self, notes: dict) -> int | None:
+        """Undo the index shift of the readout outcome."""
+        got = notes.get("readout")
+        if got is None or got >= self.dim:  # outside the family; unreachable in a clean run
+            return None
+        return (-got) % self.dim
 
 
 @lru_cache(maxsize=None)
@@ -181,26 +228,28 @@ class InterceptResendHandle(EavesdropperHandle):
     back so Bob receives something.
     """
 
-    def forward(self, state, rng, notes):
-        label = self.ancilla_labels[0]
-        state = apply(state, _swap_operator(self.dim), (TRAVEL, label))
-        got = measure(state, label, Basis.computational(self.dim), rng)
-        notes["genuine"] = got.outcome
-        fake = int(rng.integers(self.dim))
-        notes["fake"] = fake
-        state = got.state
-        if fake:
-            state = apply(state, algebra(self.dim).encoding(fake, 0), TRAVEL)
-        return state
+    @property
+    def _swap(self) -> UnitaryEdge:
+        return UnitaryEdge(_swap_operator(self.dim), (TRAVEL, self.ancilla_labels[0]))
 
-    def backward(self, state, rng, notes):
-        got = measure(state, TRAVEL, Basis.computational(self.dim), rng)
-        notes["returned"] = got.outcome
-        return apply(got.state, _swap_operator(self.dim), (TRAVEL, self.ancilla_labels[0]))
+    @property
+    def forward_leg(self) -> tuple:
+        shifts = (None,) + tuple(algebra(self.dim).encoding(f, 0) for f in range(1, self.dim))
+        return (
+            self._swap,
+            MeasureEdge(self.ancilla_labels[:1], Basis.computational(self.dim), "genuine"),
+            DrawEdge("fake", shifts, (TRAVEL,)),
+        )
 
-    def readout(self, state, rng, notes):
-        mu_hat = (notes["returned"] - notes["fake"]) % self.dim
-        return mu_hat, state
+    @property
+    def backward_leg(self) -> tuple:
+        return (MeasureEdge((TRAVEL,), Basis.computational(self.dim), "returned"), self._swap)
+
+    readout_leg = ()  # the guess needs no measurement beyond the two legs'
+
+    def guess(self, notes: dict) -> int:
+        """The returned substitute's shift from its prepared value."""
+        return (notes["returned"] - notes["fake"]) % self.dim
 
     def coupled_branches(self, init):
         dim = self.dim
@@ -222,11 +271,10 @@ class InterceptResendHandle(EavesdropperHandle):
                 branches.append((p / dim, StateVector(layout, amps)))
         return branches
 
-
 def no_attack(dim: int = 2) -> EavesdropperHandle:
     """Baseline handle: one-dimensional scratch ancilla, identity coupling."""
     layout = SubsystemLayout.of(("e", 1))
-    return EavesdropperHandle(
+    return CouplingHandle(
         name="none",
         dim=dim,
         initial_ancilla=StateVector.basis(layout, (0,)),
@@ -243,8 +291,6 @@ def intercept_resend(dim: int) -> EavesdropperHandle:
         name="intercept-resend",
         dim=dim,
         initial_ancilla=StateVector.basis(layout, (0,)),
-        coupling=None,
-        detection=None,
     )
 
 
@@ -260,7 +306,7 @@ def cnot_attack() -> EavesdropperHandle:
         ],
         dtype=np.complex128,
     )
-    return EavesdropperHandle(
+    return CouplingHandle(
         name="cnot",
         dim=2,
         initial_ancilla=StateVector.basis(layout, (0,)),
@@ -278,7 +324,7 @@ def qudit_shift_attack(dim: int) -> EavesdropperHandle:
     for k in range(dim):
         for a in range(dim):
             m[k * dim + (a + k) % dim, k * dim + a] = 1.0
-    return EavesdropperHandle(
+    return CouplingHandle(
         name="qudit-shift",
         dim=dim,
         initial_ancilla=StateVector.basis(layout, (0,)),
@@ -341,7 +387,7 @@ def pavicic_circuit() -> EavesdropperHandle:
         _travel_rail_basis(0, d_state),
         _travel_rail_basis(1, a_state),
     ]
-    return EavesdropperHandle(
+    return CouplingHandle(
         name="pavicic",
         dim=2,
         initial_ancilla=chi0,
@@ -411,7 +457,7 @@ def generic_coupling(
         raise ArithmeticError(
             f"constructed coupling violates the shift conditions: {report.failures()[:3]}"
         )
-    return EavesdropperHandle(
+    return CouplingHandle(
         name=name,
         dim=dim,
         initial_ancilla=detection.states[0],
@@ -470,23 +516,36 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
     return build(raw_det), build(raw_prb)
 
 
+def _qubit_only(name: str, build):
+    """A registry builder for an attack defined on qubits only."""
+
+    def make(dim: int) -> EavesdropperHandle:
+        if dim != 2:
+            raise ValueError(f"{name} attack requires dim = 2")
+        return build()
+
+    return make
+
+
+# Attack builders by CLI name; each takes the travel dimension.
+ATTACKS = {
+    "none": no_attack,
+    "intercept-resend": intercept_resend,
+    "cnot": _qubit_only("cnot", cnot_attack),
+    "pavicic": _qubit_only("pavicic", pavicic_circuit),
+    "qudit-shift": qudit_shift_attack,
+}
+# A name with this prefix builds the generic coupling from the family file
+# named after it (see `family_from_json`).
+GENERIC_PREFIX = "generic:"
+ATTACK_NAMES = (*ATTACKS, GENERIC_PREFIX + "<file>")
+
+
 def from_name(name: str, dim: int) -> EavesdropperHandle:
     """Resolve an attack by its CLI name."""
-    if name == "none":
-        return no_attack(dim)
-    if name == "intercept-resend":
-        return intercept_resend(dim)
-    if name == "cnot":
-        if dim != 2:
-            raise ValueError("cnot attack requires dim = 2")
-        return cnot_attack()
-    if name == "pavicic":
-        if dim != 2:
-            raise ValueError("pavicic attack requires dim = 2")
-        return pavicic_circuit()
-    if name == "qudit-shift":
-        return qudit_shift_attack(dim)
-    if name.startswith("generic:"):
-        detection, probes = family_from_json(name.split(":", 1)[1])
+    if name.startswith(GENERIC_PREFIX):
+        detection, probes = family_from_json(name[len(GENERIC_PREFIX):])
         return generic_coupling(dim, detection, probes)
-    raise ValueError(f"unknown attack name {name!r}")
+    if name not in ATTACKS:
+        raise ValueError(f"unknown attack name {name!r}; choose from {' | '.join(ATTACK_NAMES)}")
+    return ATTACKS[name](dim)

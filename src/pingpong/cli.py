@@ -48,6 +48,12 @@ REPORT_FIELDS = (
 
 _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": "auto"}
 
+# Upper bounds on a run's size. At D = 32 a coupling on travel (x) ancilla is
+# a 16 MB matrix; 10^7 trials make an 80 MB array of sampled bases.
+MAX_DIM = 32
+MAX_CYCLES = 10**6
+MAX_TRIALS = 10**7
+
 
 def _integer(field: str, value) -> int:
     """A spec integer: integral floats such as 1e5 pass; bools, strings and
@@ -85,10 +91,16 @@ class RunSpec:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dim must be <= {MAX_DIM}, got {self.dim}")
         if self.cycles < 0:
             raise ValueError("cycles must be >= 0")
+        if self.cycles > MAX_CYCLES:
+            raise ValueError(f"cycles must be <= {MAX_CYCLES}, got {self.cycles}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         kind = self.resolved_kind
@@ -261,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run ping-pong protocol eavesdropping experiments.",
     )
     parser.add_argument("--spec", help="JSON experiment spec file (excludes single-run flags)")
-    parser.add_argument("--attack", help="none | intercept-resend | cnot | pavicic | qudit-shift | generic:<file>")
-    parser.add_argument("--control", help="computational | two-basis")
+    parser.add_argument("--attack", help=" | ".join(attacks.ATTACK_NAMES))
+    parser.add_argument("--control", help=" | ".join(control_mode.CONTROL_MODES))
     parser.add_argument("--dim", type=int)
     parser.add_argument("--kind", choices=("auto",) + KINDS, default=None)
     parser.add_argument("--cycles", type=int, default=None)

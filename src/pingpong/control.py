@@ -120,12 +120,18 @@ def two_basis_control(cfg: ProtocolConfig) -> ControlModeHandle:
     )
 
 
+# Control-mode builders by CLI name; each takes the protocol configuration.
+CONTROL_MODES = {
+    "computational": computational_control,
+    "two-basis": two_basis_control,
+}
+
+
 def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
-    if name == "computational":
-        return computational_control(cfg)
-    if name == "two-basis":
-        return two_basis_control(cfg)
-    raise ValueError(f"unknown control mode {name!r}")
+    """Resolve a control mode by its CLI name."""
+    if name not in CONTROL_MODES:
+        raise ValueError(f"unknown control mode {name!r}; choose from {' | '.join(CONTROL_MODES)}")
+    return CONTROL_MODES[name](cfg)
 
 
 def fail_projector(entry: ControlBasis, dim: int) -> Operator:

@@ -3,7 +3,8 @@
 Bob keeps the home qudit (label "h") and sends the travel qudit ("t") to
 Alice, who either dense-codes a symbol pair onto it (message mode) or
 measures it for a correlation check (control mode). An eavesdropper handle
-acts on the travel leg in both directions.
+acts on the travel leg in both directions, described as the branch edges
+defined here; `run_session` follows them through a per-session branch tree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,18 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .qstate import Basis, Operator, StateVector, SubsystemLayout, apply, factor, measure
+from .qstate import (
+    Basis,
+    Operator,
+    StateVector,
+    SubsystemLayout,
+    apply,
+    born_table,
+    collapse,
+    factor,
+    measure,
+    pick,
+)
 from .rand import SESSION_TAG, stream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,6 +202,126 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
     return divmod(best, cfg.dim)
 
 
+# --- branch edges ---------------------------------------------------------------
+#
+# An eavesdropper handle describes each leg of its attack as a tuple of edges.
+# `run` takes an edge on one state; `follow` takes it from a node of a
+# session's branch tree, building the node's successors on the first visit
+# and afterwards only drawing. Both make the same draws from `rng`.
+
+
+class _Node:
+    """A state of a session's branch tree and the nodes it leads to.
+
+    Each node is left by one edge only, except the post-forward node, whose
+    successors `run_session` keys by control basis and by symbol pair. A node
+    gives up its state once its successors or its leaf record are built.
+    """
+
+    __slots__ = ("state", "notes", "next", "probs", "cum", "leaf")
+
+    def __init__(self, state: StateVector, notes: dict):
+        self.state = state
+        self.notes = notes  # outcomes recorded on the path to this node
+        self.next: dict = {}
+        self.probs = self.cum = self.leaf = None
+
+    def grow(self, states: dict, key: Optional[str] = None) -> None:
+        """One successor per outcome; `key` records the outcome in its notes."""
+        self.next = {
+            outcome: _Node(state, self.notes if key is None else {**self.notes, key: outcome})
+            for outcome, state in states.items()
+        }
+        self.state = None
+
+    def child(self, key, make) -> "_Node":
+        """The successor under `key`, from `make(state)` on first use."""
+        node = self.next.get(key)
+        if node is None:
+            node = self.next[key] = _Node(make(self.state), self.notes)
+        return node
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryEdge:
+    """A fixed unitary on the target registers; draws nothing."""
+
+    op: Operator
+    targets: tuple[str, ...]
+
+    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
+        return apply(state, self.op, self.targets)
+
+    def follow(self, node: _Node, rng) -> _Node:
+        if not node.next:
+            node.grow({None: apply(node.state, self.op, self.targets)})
+        return node.next[None]
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureEdge:
+    """A projective measurement of `labels` in `basis`; one uniform draw.
+
+    `key` records the outcome in the notes.
+    """
+
+    labels: tuple[str, ...]
+    basis: Basis
+    key: str
+
+    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
+        got = measure(state, self.labels, self.basis, rng)
+        notes[self.key] = got.outcome
+        return got.state
+
+    def follow(self, node: _Node, rng) -> _Node:
+        if node.probs is None:
+            table = born_table(node.state, self.labels, self.basis)
+            node.probs, node.cum = table.probs, table.cum
+            support = np.flatnonzero(table.probs > 0.0).tolist()
+            node.grow({o: collapse(table, o).state for o in support}, self.key)
+        return node.next[pick(node.probs, node.cum, rng.random())]
+
+
+@dataclass(frozen=True, eq=False)
+class DrawEdge:
+    """One uniform draw f of `integers(len(ops))`, then ops[f] on the targets.
+
+    None in `ops` applies nothing. `key` records f in the notes.
+    """
+
+    key: str
+    ops: tuple[Optional[Operator], ...]
+    targets: tuple[str, ...]
+
+    def _take(self, state: StateVector, f: int) -> StateVector:
+        op = self.ops[f]
+        return state if op is None else apply(state, op, self.targets)
+
+    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
+        f = int(rng.integers(len(self.ops)))
+        notes[self.key] = f
+        return self._take(state, f)
+
+    def follow(self, node: _Node, rng) -> _Node:
+        if not node.next:
+            node.grow({f: self._take(node.state, f) for f in range(len(self.ops))}, self.key)
+        return node.next[int(rng.integers(len(self.ops)))]
+
+
+def run_leg(leg: Sequence, state: StateVector, rng, notes: dict) -> StateVector:
+    """Take the edges of one handle leg on `state`, in order."""
+    for edge in leg:
+        state = edge.run(state, rng, notes)
+    return state
+
+
+def _follow(leg: Sequence, node: _Node, rng) -> _Node:
+    for edge in leg:
+        node = edge.follow(node, rng)
+    return node
+
+
 def run_session(
     cfg: ProtocolConfig,
     message: Sequence[tuple[int, int]],
@@ -199,49 +331,64 @@ def run_session(
     """Run n_cycles of the protocol and return the per-cycle transcript.
 
     Each cycle draws from its own derived stream, so transcripts are
-    reproducible cycle-by-cycle. Message symbols are consumed from `message`
-    in order; running out raises. A coherence break in Bob's decoder
-    propagates.
+    reproducible cycle-by-cycle. The states a cycle can reach form a branch
+    tree: Eve's forward leg; then per control basis Alice's and Bob's
+    measurements, or per symbol pair the encoded state, Eve's backward and
+    readout legs and Bob's decode. A node builds its Born table and its
+    successors on the first cycle that reaches it; later cycles only draw.
+    Message symbols are consumed from `message` in order; running out
+    raises. A coherence break in Bob's decoder propagates from the first
+    cycle that reaches the disturbed state.
     """
     for mu, nu in message:
         if not (0 <= mu < cfg.dim and 0 <= nu < cfg.dim):
             raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {cfg.dim}")
     alg = algebra(cfg.dim)
-    init = make_initial_state(cfg)
+    root = _Node(eve.attach(make_initial_state(cfg)), {})
+    forward, backward, readout = eve.forward_leg, eve.backward_leg, eve.readout_leg
+    checks = {
+        cb.basis_id: (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
+        for cb in control.bases
+    }
     records: list[CycleRecord] = []
     msg_idx = 0
     for k in range(cfg.n_cycles):
         rng = stream(cfg.seed, SESSION_TAG, k)
-        notes: dict = {}
-        state = eve.attach(init)
-        state = eve.forward(state, rng, notes)
+        sent = _follow(forward, root, rng)
         if rng.random() < cfg.control_prob:
             chosen = control.draw(rng)
-            alice = measure(state, TRAVEL, chosen.basis, rng)
-            bob = measure(alice.state, HOME, chosen.basis, rng)
-            outcome = ControlOutcome(
-                basis_id=chosen.basis_id,
-                alice_outcome=alice.outcome,
-                bob_outcome=bob.outcome,
-                passed=control.passes(chosen.basis_id, alice.outcome, bob.outcome),
-            )
-            records.append(CycleRecord(index=k, mode="control", control=outcome))
+            alice, bob = checks[chosen.basis_id]
+            node = sent.child(chosen.basis_id, lambda state: state)
+            node = bob.follow(alice.follow(node, rng), rng)
+            if node.leaf is None:
+                a, b = node.notes["alice"], node.notes["bob"]
+                node.leaf = ControlOutcome(
+                    basis_id=chosen.basis_id,
+                    alice_outcome=a,
+                    bob_outcome=b,
+                    passed=control.passes(chosen.basis_id, a, b),
+                )
+                node.state = None
+            records.append(CycleRecord(index=k, mode="control", control=node.leaf))
         else:
             if msg_idx >= len(message):
                 raise ValueError("message exhausted before the session finished")
             mu, nu = message[msg_idx]
             msg_idx += 1
-            state = dense_encode(state, mu, nu, alg)
-            state = eve.backward(state, rng, notes)
-            mu_hat, state = eve.readout(state, rng, notes)
-            decoded = bob_decode(factor(state, (HOME, TRAVEL)), cfg)
+            node = sent.child((mu, nu), lambda state: dense_encode(state, mu, nu, alg))
+            node = _follow(readout, _follow(backward, node, rng), rng)
+            if node.leaf is None:
+                decoded = bob_decode(factor(node.state, (HOME, TRAVEL)), cfg)
+                node.leaf = (decoded, eve.guess(node.notes))
+                node.state = None
+            decoded, guess = node.leaf
             records.append(
                 CycleRecord(
                     index=k,
                     mode="message",
                     alice_symbols=(mu, nu),
                     bob_decoded=decoded,
-                    eve_guess=mu_hat,
+                    eve_guess=guess,
                 )
             )
     return records

@@ -313,12 +313,26 @@ def expectation(state: StateVector, op: Operator, targets) -> complex:
     return complex(np.vdot(mat, op.matrix @ mat))
 
 
-def measure(state: StateVector, labels, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of the given subsystems in `basis`.
+@dataclass(frozen=True, eq=False)
+class BornTable:
+    """Outcome probabilities of one projective measurement of a fixed state.
 
-    The outcome is sampled from the Born probabilities using one uniform
-    draw from `rng`; the returned state is renormalized.
+    `coeffs` holds one row of basis coefficients per outcome, taken over the
+    amplitudes with the measured axes moved to the front.
     """
+
+    state: StateVector
+    labels: tuple[str, ...]
+    basis: Basis
+    axes: list[int]
+    coeffs: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray
+
+
+def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
+    """Born probabilities and their normalized running sum for measuring
+    `labels` of `state` in `basis`."""
     labels = _normalize_labels(labels)
     mat, axes, front = _to_front(state, labels)
     if basis.dim != front:
@@ -327,18 +341,40 @@ def measure(state: StateVector, labels, basis: Basis, rng: np.random.Generator) 
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
-    outcome = int(np.searchsorted(cum, rng.random(), side="right"))
-    if outcome >= front or probs[outcome] <= 0.0:
+    return BornTable(state, labels, basis, axes, coeffs, probs, cum)
+
+
+def pick(probs: np.ndarray, cum: np.ndarray, u: float) -> int:
+    """The outcome a uniform draw `u` selects from a Born table; never one
+    without support."""
+    outcome = int(cum.searchsorted(u, side="right"))
+    if outcome >= len(probs) or probs[outcome] <= 0.0:
         # float-precision edge: land on the last outcome with support
         outcome = int(np.flatnonzero(probs > 0.0)[-1])
-    prob = float(probs[outcome])
-    post = np.outer(basis.matrix[:, outcome], coeffs[outcome] / math.sqrt(prob))
+    return outcome
+
+
+def collapse(table: BornTable, outcome: int) -> MeasurementOutcome:
+    """The renormalized post-measurement state for one outcome with support."""
+    state = table.state
+    prob = float(table.probs[outcome])
+    post = np.outer(table.basis.matrix[:, outcome], table.coeffs[outcome] / math.sqrt(prob))
     return MeasurementOutcome(
-        labels=labels,
+        labels=table.labels,
         outcome=outcome,
-        state=StateVector(state.layout, _from_front(post, state, axes)),
+        state=StateVector(state.layout, _from_front(post, state, table.axes)),
         probability=prob,
     )
+
+
+def measure(state: StateVector, labels, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
+    """Projective measurement of the given subsystems in `basis`.
+
+    The outcome is sampled from the Born probabilities using one uniform
+    draw from `rng`; the returned state is renormalized.
+    """
+    table = born_table(state, labels, basis)
+    return collapse(table, pick(table.probs, table.cum, rng.random()))
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:

@@ -1,12 +1,27 @@
 """Independent oracles used to pin expected values before the simulator existed.
 
-Everything here is exhaustive enumeration over measurement branches with exact
-rational probabilities. No imports from the package under test, on purpose:
-these results must stay independent of the code paths they validate.
+The enumeration oracles are exhaustive over measurement branches with exact
+rational probabilities and use nothing from the package under test, on
+purpose: these results must stay independent of the code paths they validate.
+`stepwise_session` is the one reference built from the package: a per-cycle
+state-vector loop that `run_session`'s transcripts are compared with.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from pingpong.protocol import (
+    HOME,
+    TRAVEL,
+    ControlOutcome,
+    CycleRecord,
+    algebra,
+    bob_decode,
+    dense_encode,
+    make_initial_state,
+)
+from pingpong.qstate import factor, measure
+from pingpong.rand import SESSION_TAG, stream
 
 
 def _branches_after_interception(dim, kind):
@@ -94,3 +109,55 @@ def wilson_interval(failures, trials, z=1.959963984540054):
     center = (phat + z * z / (2 * trials)) / denom
     half = z * ((phat * (1 - phat) / trials + z * z / (4 * trials * trials)) ** 0.5) / denom
     return center - half, center + half
+
+
+def stepwise_session(cfg, message, eve, control):
+    """Reference for `run_session`: every cycle evolves fresh state vectors.
+
+    Each cycle draws from its own `stream(seed, SESSION_TAG, k)` and takes
+    the handle's legs, Alice's and Bob's measurements, the encoding and Bob's
+    decode on new states, so the engine's branch tree must give the same
+    transcript and raise the same errors.
+    """
+    for mu, nu in message:
+        if not (0 <= mu < cfg.dim and 0 <= nu < cfg.dim):
+            raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {cfg.dim}")
+    alg = algebra(cfg.dim)
+    init = make_initial_state(cfg)
+    records = []
+    msg_idx = 0
+    for k in range(cfg.n_cycles):
+        rng = stream(cfg.seed, SESSION_TAG, k)
+        notes = {}
+        state = eve.attach(init)
+        state = eve.forward(state, rng, notes)
+        if rng.random() < cfg.control_prob:
+            chosen = control.draw(rng)
+            alice = measure(state, TRAVEL, chosen.basis, rng)
+            bob = measure(alice.state, HOME, chosen.basis, rng)
+            outcome = ControlOutcome(
+                basis_id=chosen.basis_id,
+                alice_outcome=alice.outcome,
+                bob_outcome=bob.outcome,
+                passed=control.passes(chosen.basis_id, alice.outcome, bob.outcome),
+            )
+            records.append(CycleRecord(index=k, mode="control", control=outcome))
+        else:
+            if msg_idx >= len(message):
+                raise ValueError("message exhausted before the session finished")
+            mu, nu = message[msg_idx]
+            msg_idx += 1
+            state = dense_encode(state, mu, nu, alg)
+            state = eve.backward(state, rng, notes)
+            mu_hat, state = eve.readout(state, rng, notes)
+            decoded = bob_decode(factor(state, (HOME, TRAVEL)), cfg)
+            records.append(
+                CycleRecord(
+                    index=k,
+                    mode="message",
+                    alice_symbols=(mu, nu),
+                    bob_decoded=decoded,
+                    eve_guess=mu_hat,
+                )
+            )
+    return records

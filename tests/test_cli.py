@@ -3,10 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rand_family
+from conftest import qubit_cfg, rand_family
+from pingpong import attacks
+from pingpong import control as control_mode
 from pingpong.cli import (
+    MAX_CYCLES,
+    MAX_DIM,
+    MAX_TRIALS,
     REPORT_FIELDS,
     RunSpec,
+    _build_parser,
     emit,
     execute_run,
     load_spec,
@@ -63,6 +69,15 @@ class TestRunSpec:
         assert spec.message == ((1, 0),)
         assert all(type(v) is int for v in (spec.dim, spec.cycles, spec.trials, spec.seed))
 
+    @pytest.mark.parametrize("field, bound", [
+        ("dim", MAX_DIM), ("cycles", MAX_CYCLES), ("trials", MAX_TRIALS),
+    ])
+    def test_size_bounds(self, field, bound):
+        at_bound = spec_dict(attack="qudit-shift", control="computational", **{field: bound})
+        assert getattr(RunSpec.from_dict(at_bound), field) == bound
+        with pytest.raises(ValueError, match=f"^{field} must be <= {bound}, got {bound + 1}$"):
+            RunSpec.from_dict({**at_bound, field: bound + 1})
+
     def test_load_spec_accepts_both_shapes(self, tmp_path):
         runs = [spec_dict(trials=50)]
         for payload in (runs, {"runs": runs}):
@@ -70,6 +85,28 @@ class TestRunSpec:
             path.write_text(json.dumps(payload))
             loaded = load_spec(path)
             assert len(loaded) == 1 and loaded[0].trials == 50
+
+
+class TestNameRegistries:
+    def _help(self, dest):
+        return next(a.help for a in _build_parser()._actions if a.dest == dest)
+
+    def test_every_attack_name_resolves_and_is_listed(self):
+        for name in attacks.ATTACKS:
+            assert attacks.from_name(name, 2).name == name
+        listed = self._help("attack").split(" | ")
+        assert listed == [*attacks.ATTACKS, "generic:<file>"]
+        with pytest.raises(ValueError, match="choose from " + " [|] ".join(listed)):
+            attacks.from_name("bogus", 2)
+
+    def test_every_control_name_resolves_and_is_listed(self):
+        cfg = qubit_cfg()
+        for name in control_mode.CONTROL_MODES:
+            assert control_mode.from_name(name, cfg).name == name
+        listed = self._help("control").split(" | ")
+        assert listed == list(control_mode.CONTROL_MODES)
+        with pytest.raises(ValueError, match="choose from " + " [|] ".join(listed)):
+            control_mode.from_name("bogus", cfg)
 
 
 class TestExecuteRun:

@@ -17,6 +17,7 @@ from pingpong.qstate import (
     factor,
     measure,
     partial_trace,
+    pick,
     tensor,
     trace_distance,
 )
@@ -173,6 +174,13 @@ class TestMeasure:
         out = measure(state, ("x", "y"), Basis.computational(9), np.random.default_rng(1))
         assert out.outcome in (2, 3)
         assert out.probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_pick_never_lands_without_support(self):
+        # a running sum that stops short of 1 or ends on empty outcomes
+        short = 1 - 2**-52
+        assert pick(np.array([0.5, 0.5, 0.0]), np.array([0.5, short, short]), 1 - 2**-53) == 1
+        assert pick(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5, 1.0]), 0.5) == 2
+        assert pick(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5, 1.0]), 0.25) == 0
 
 
 class TestPartialTrace:
