@@ -16,10 +16,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .protocol import TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, run_leg
+from .protocol import TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, run_leg, walk_leg
 from .qstate import (
     ATOL_BASIS,
     Basis,
@@ -106,9 +107,10 @@ class EavesdropperHandle(ABC):
     the way to Alice, `backward_leg` on the way back and `readout_leg`
     before Bob's decode. `guess(notes)` is Eve's shift-symbol guess from
     the outcomes the edges recorded (None: abstain). The session engine
-    only follows these edges; `forward`, `backward` and `readout` take them
-    on one state, with per-cycle outcomes in the caller's `notes` dict.
-    Handles are immutable.
+    only follows these edges, and detection reads the exact post-forward
+    ensemble off the forward leg's edges (`coupled_branches`); `forward`,
+    `backward` and `readout` take them on one state, with per-cycle
+    outcomes in the caller's `notes` dict. Handles are immutable.
     """
 
     name: str
@@ -151,10 +153,10 @@ class EavesdropperHandle(ABC):
         state = run_leg(self.readout_leg, state, rng, notes)
         return self.guess(notes), state
 
-    def coupled_branches(self, init: StateVector) -> list[tuple[float, StateVector]]:
-        """Post-forward ensemble for exact detectability computations; one
-        branch when the forward leg draws nothing."""
-        return [(1.0, self.forward(self.attach(init), None, {}))]
+    def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:
+        """The exact post-forward ensemble of `init`: (probability, state) per
+        branch of the forward leg, walked lazily and depth-first."""
+        return walk_leg(self.forward_leg, self.attach(init))
 
 
 @dataclass(frozen=True)
@@ -251,25 +253,6 @@ class InterceptResendHandle(EavesdropperHandle):
         """The returned substitute's shift from its prepared value."""
         return (notes["returned"] - notes["fake"]) % self.dim
 
-    def coupled_branches(self, init):
-        dim = self.dim
-        coeffs = init.reshaped()  # (home, travel)
-        branches = []
-        layout = init.layout.concat(self.ancilla_layout)
-        for m1 in range(dim):
-            column = coeffs[:, m1]
-            p = float(np.vdot(column, column).real)
-            if p <= 0.0:
-                continue
-            home = column / math.sqrt(p)
-            for fake in range(dim):
-                travel = np.zeros(dim)
-                travel[fake] = 1.0
-                stored = np.zeros(dim)
-                stored[m1] = 1.0
-                amps = np.kron(np.kron(home, travel), stored)
-                branches.append((p / dim, StateVector(layout, amps)))
-        return branches
 
 def no_attack(dim: int = 2) -> EavesdropperHandle:
     """Baseline handle: one-dimensional scratch ancilla, identity coupling."""

@@ -263,10 +263,6 @@ def _csv_cell(value):
     return value
 
 
-def parse_report(text: str) -> list[dict]:
-    return json.loads(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pingpong-sim",

@@ -9,6 +9,9 @@ basis automatically.
 Detection uses one Born table P(alice, bob) per menu basis of the coupled
 state: analytic p_det is the menu-weighted sum of the failing cells, and the
 empirical estimate (Wilson interval) is seeded Monte Carlo over the same tables.
+The coupled state is the ensemble Eve's forward leg leaves behind, walked
+branch by branch from the handle's edges (`coupled_branches`), so an attack
+that measures or draws needs no second description of its forward leg.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import EavesdropperHandle
-from .protocol import (
-    HOME,
-    QUBIT_SINGLET,
-    TRAVEL,
-    ProtocolConfig,
-    make_initial_state,
-)
-from .qstate import Basis, Operator, StateVector, SubsystemLayout
+from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state
+from .qstate import Basis, Operator, StateVector
 from .rand import PDET_TAG, stream
 
 # Joint probabilities above this are treated as support of the clean state
@@ -88,7 +85,7 @@ class DetectionReport:
 
 def _allowed_pairs(init: StateVector, basis: Basis) -> frozenset[tuple[int, int]]:
     """Outcome pairs with support when both parties measure the clean state."""
-    table = _joint_outcome_table([(1.0, init)], basis, basis.dim)
+    table = _joint_probs(init, basis, basis.dim)
     return frozenset((int(a), int(b)) for a, b in zip(*np.nonzero(table > _SUPPORT_CUTOFF)))
 
 
@@ -145,39 +142,37 @@ def fail_projector(entry: ControlBasis, dim: int) -> Operator:
     return Operator.projector(np.eye(dim * dim) - passing)
 
 
-def _basis_coefficients(amps: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
-    """Amplitudes of an (h, t, rest) state in basis (x) basis, as [home, travel, rest]."""
+def _joint_probs(state: StateVector, basis: Basis, dim: int) -> np.ndarray:
+    """P(alice, bob) of an (h, t, rest) state measured in basis (x) basis,
+    marginalized over the rest."""
     conj = basis.matrix.conj()
-    step = np.einsum("hi,htr->itr", conj, amps.reshape(dim, dim, -1))
-    return np.einsum("tj,itr->ijr", conj, step)
-
-
-def _joint_outcome_table(
-    branches: list[tuple[float, StateVector]], basis: Basis, dim: int
-) -> np.ndarray:
-    """P(alice, bob) for one basis, marginalized over Eve's subsystems."""
-    table = np.zeros((dim, dim))
-    for prob, state in branches:
-        coeffs = _basis_coefficients(state.amps, basis, dim)  # [bob, alice, eve]
-        table += prob * np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
-    return np.clip(table, 0.0, None)
+    step = np.einsum("hi,htr->itr", conj, state.amps.reshape(dim, dim, -1))
+    coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
+    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
 
 
 def _born_tables(
     eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Per menu basis: weight, P(alice, bob) of the coupled state, failing-cell mask."""
+    """Per menu basis: weight, P(alice, bob) of the coupled state, failing-cell mask.
+
+    Each branch of the coupled ensemble is taken once, as the walk yields it,
+    and added to every basis's table.
+    """
     if eve.dim != cfg.dim or control.dim != cfg.dim:
         raise ValueError(
             f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {cfg.dim}"
         )
-    branches = eve.coupled_branches(make_initial_state(cfg))
+    sums = [np.zeros((cfg.dim, cfg.dim)) for _ in control.bases]
+    for prob, state in eve.coupled_branches(make_initial_state(cfg)):
+        for table, cb in zip(sums, control.bases):
+            table += prob * _joint_probs(state, cb.basis, cfg.dim)
     tables = []
-    for cb in control.bases:
+    for table, cb in zip(sums, control.bases):
         fail = np.ones((cfg.dim, cfg.dim), dtype=bool)
         for alice, bob in cb.allowed:
             fail[alice, bob] = False
-        tables.append((cb.weight, _joint_outcome_table(branches, cb.basis, cfg.dim), fail))
+        tables.append((cb.weight, np.clip(table, 0.0, None), fail))
     return tables
 
 
@@ -236,35 +231,3 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) ->
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return center - half, center + half
-
-
-@dataclass(frozen=True, eq=False)
-class DualBasisDecomposition:
-    """Coefficients of a coupled qubit control state in the |+->(x)|+-> frame.
-
-    components[(home_sign, travel_sign)] is the unnormalized ancilla vector
-    multiplying that product term.
-    """
-
-    ancilla_layout: SubsystemLayout
-    components: dict[tuple[str, str], np.ndarray]
-
-    def component(self, home_sign: str, travel_sign: str) -> np.ndarray:
-        return self.components[(home_sign, travel_sign)]
-
-    def norm(self, home_sign: str, travel_sign: str) -> float:
-        return float(np.linalg.norm(self.components[(home_sign, travel_sign)]))
-
-
-def dual_basis_expand(state: StateVector) -> DualBasisDecomposition:
-    """Expand a coupled (h, t, ancilla) qubit state over the dual basis."""
-    labels = state.layout.labels
-    if labels[:2] != (HOME, TRAVEL) or state.layout.dims[:2] != (2, 2):
-        raise ValueError("dual-basis expansion expects a qubit state on (h, t, ancilla)")
-    coeffs = _basis_coefficients(state.amps, Basis.dual(), 2)  # [home_sign, travel_sign, eve]
-    signs = ("+", "-")
-    components = {
-        (signs[i], signs[j]): np.ascontiguousarray(coeffs[i, j, :]) for i in range(2) for j in range(2)
-    }
-    anc_entries = state.layout.entries[2:] or (("e", 1),)
-    return DualBasisDecomposition(SubsystemLayout(tuple(anc_entries)), components)

@@ -4,7 +4,8 @@ Bob keeps the home qudit (label "h") and sends the travel qudit ("t") to
 Alice, who either dense-codes a symbol pair onto it (message mode) or
 measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
-defined here; `run_session` follows them through a per-session branch tree.
+defined here; `run_session` follows them through a per-session branch tree,
+and `walk_leg` yields the exact ensemble a leg leaves behind.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .qstate import (
     Basis,
+    BornTable,
     Operator,
     StateVector,
     SubsystemLayout,
@@ -205,9 +207,12 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 # --- branch edges ---------------------------------------------------------------
 #
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
-# `run` takes an edge on one state; `follow` takes it from a node of a
-# session's branch tree, building the node's successors on the first visit
-# and afterwards only drawing. Both make the same draws from `rng`.
+# `branches` lists an edge's outcomes from one state as (outcome, probability,
+# post-state), lazily: `walk_leg` reads it for the exact ensemble a leg leaves
+# behind, and `follow` for the successors of a node of a session's branch
+# tree, which it builds on the first visit and afterwards only draws among.
+# `run` takes the edge on one state, the per-cycle reference; `run` and
+# `follow` make the same draws from `rng`.
 
 
 class _Node:
@@ -226,11 +231,11 @@ class _Node:
         self.next: dict = {}
         self.probs = self.cum = self.leaf = None
 
-    def grow(self, states: dict, key: Optional[str] = None) -> None:
-        """One successor per outcome; `key` records the outcome in its notes."""
+    def grow(self, branches: Iterable, key: Optional[str] = None) -> None:
+        """One successor per edge branch; `key` records the outcome in its notes."""
         self.next = {
             outcome: _Node(state, self.notes if key is None else {**self.notes, key: outcome})
-            for outcome, state in states.items()
+            for outcome, _, state in branches
         }
         self.state = None
 
@@ -249,12 +254,15 @@ class UnitaryEdge:
     op: Operator
     targets: tuple[str, ...]
 
+    def branches(self, state: StateVector) -> Iterator:
+        yield None, 1.0, apply(state, self.op, self.targets)
+
     def run(self, state: StateVector, rng, notes: dict) -> StateVector:
         return apply(state, self.op, self.targets)
 
     def follow(self, node: _Node, rng) -> _Node:
         if not node.next:
-            node.grow({None: apply(node.state, self.op, self.targets)})
+            node.grow(self.branches(node.state))
         return node.next[None]
 
 
@@ -269,6 +277,15 @@ class MeasureEdge:
     basis: Basis
     key: str
 
+    def branches(self, state: StateVector) -> Iterator:
+        return self._collapses(born_table(state, self.labels, self.basis))
+
+    @staticmethod
+    def _collapses(table: BornTable) -> Iterator:
+        """Each outcome with support, its Born probability and collapsed state."""
+        for outcome in np.flatnonzero(table.probs > 0.0).tolist():
+            yield outcome, float(table.probs[outcome]), collapse(table, outcome).state
+
     def run(self, state: StateVector, rng, notes: dict) -> StateVector:
         got = measure(state, self.labels, self.basis, rng)
         notes[self.key] = got.outcome
@@ -278,8 +295,7 @@ class MeasureEdge:
         if node.probs is None:
             table = born_table(node.state, self.labels, self.basis)
             node.probs, node.cum = table.probs, table.cum
-            support = np.flatnonzero(table.probs > 0.0).tolist()
-            node.grow({o: collapse(table, o).state for o in support}, self.key)
+            node.grow(self._collapses(table), self.key)
         return node.next[pick(node.probs, node.cum, rng.random())]
 
 
@@ -298,6 +314,11 @@ class DrawEdge:
         op = self.ops[f]
         return state if op is None else apply(state, op, self.targets)
 
+    def branches(self, state: StateVector) -> Iterator:
+        n = len(self.ops)
+        for f in range(n):
+            yield f, 1.0 / n, self._take(state, f)
+
     def run(self, state: StateVector, rng, notes: dict) -> StateVector:
         f = int(rng.integers(len(self.ops)))
         notes[self.key] = f
@@ -305,7 +326,7 @@ class DrawEdge:
 
     def follow(self, node: _Node, rng) -> _Node:
         if not node.next:
-            node.grow({f: self._take(node.state, f) for f in range(len(self.ops))}, self.key)
+            node.grow(self.branches(node.state), self.key)
         return node.next[int(rng.integers(len(self.ops)))]
 
 
@@ -314,6 +335,16 @@ def run_leg(leg: Sequence, state: StateVector, rng, notes: dict) -> StateVector:
     for edge in leg:
         state = edge.run(state, rng, notes)
     return state
+
+
+def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
+    """Every branch one handle leg makes of `state`, as (probability, state),
+    depth-first and one at a time."""
+    if not leg:
+        yield prob, state
+        return
+    for _, p, post in leg[0].branches(state):
+        yield from walk_leg(leg[1:], post, prob * p)
 
 
 def _follow(leg: Sequence, node: _Node, rng) -> _Node:

@@ -252,10 +252,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def expectation(self, op: Operator) -> float:
         return float(np.trace(op.matrix @ self.matrix).real)
 
@@ -304,13 +300,6 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     if op.kind == "unitary" and abs(out.norm - state.norm) > ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
     return out
-
-
-def expectation(state: StateVector, op: Operator, targets) -> complex:
-    """<psi| op_targets (x) identity |psi> without building the full operator."""
-    targets = _normalize_labels(targets)
-    mat, _, _ = _to_front(state, targets)
-    return complex(np.vdot(mat, op.matrix @ mat))
 
 
 @dataclass(frozen=True, eq=False)

@@ -330,13 +330,34 @@ class TestInterceptResend:
         # over the exact branch ensemble, P(alice, bob) is uniform
         eve = intercept_resend(3)
         cfg = qudit_cfg(3)
-        branches = eve.coupled_branches(make_initial_state(cfg))
+        branches = list(eve.coupled_branches(make_initial_state(cfg)))
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-12
         joint = np.zeros((3, 3))
         for p, state in branches:
             rho = partial_trace(state, ("h", "t")).matrix
             joint += p * np.diag(rho).real.reshape(3, 3)
         assert np.allclose(joint, np.full((3, 3), 1 / 9), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim,kind", [(2, "qubit_psi_minus")] + [(dim, "qudit_beta00") for dim in range(2, 7)]
+    )
+    def test_coupled_ensemble_matches_branch_oracle(self, dim, kind):
+        # each branch is the product state |home, fake, stored>, keyed by its levels
+        cfg = qubit_cfg() if kind == "qubit_psi_minus" else qudit_cfg(dim)
+        found = {}
+        for prob, state in intercept_resend(dim).coupled_branches(make_initial_state(cfg)):
+            amps = state.reshaped()  # (home, travel, stored)
+            levels = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(amps)), amps.shape))
+            assert abs(abs(amps[levels]) - 1.0) < 1e-12
+            assert levels not in found
+            found[levels] = prob
+        expected = {
+            (home, fake, stored): float(p)
+            for p, home, fake, stored in oracles._branches_after_interception(dim, kind)
+        }
+        assert abs(sum(found.values()) - 1.0) < 1e-12
+        assert found.keys() == expected.keys()
+        assert all(abs(found[levels] - p) < 1e-12 for levels, p in expected.items())
 
 
 class TestHandleInvariants:
@@ -355,7 +376,8 @@ class TestHandleInvariants:
         for eve, cfg in coupling_zoo():
             for mu, nu in all_pairs(cfg.dim):
                 state, _ = drive_message_cycle(eve, cfg, mu, nu, None)
-                purity = partial_trace(state, ("h", "t")).purity
+                rho = partial_trace(state, ("h", "t")).matrix
+                purity = np.trace(rho @ rho).real
                 assert purity > 1 - 1e-10
 
     def test_detection_state_indexing(self):

@@ -13,7 +13,6 @@ from pingpong.qstate import (
     SubsystemLayout,
     apply,
     complete_isometry,
-    expectation,
     factor,
     measure,
     partial_trace,
@@ -202,7 +201,7 @@ class TestPartialTrace:
         state = singlet()
         rho = partial_trace(state, ("h", "t"))
         assert np.allclose(rho.matrix, np.outer(state.amps, state.amps.conj()), atol=1e-12)
-        assert rho.purity == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_and_hermiticity(self):
         rng = np.random.default_rng(9)
@@ -264,14 +263,6 @@ def _circuit_mappings(layout):
 
 
 class TestHelpers:
-    def test_expectation_matches_dense(self):
-        rng = np.random.default_rng(2)
-        state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 2)))
-        proj = Operator.projector(np.diag([1.0, 0.0]))
-        dense = np.kron(np.eye(2), proj.matrix)
-        expected = state.amps.conj() @ dense @ state.amps
-        assert expectation(state, proj, "b") == pytest.approx(expected, abs=1e-12)
-
     def test_factor_extracts_pure_component(self):
         rng = np.random.default_rng(4)
         a = rand_state(rng, SubsystemLayout.of(("a", 3)))
