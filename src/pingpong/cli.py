@@ -20,7 +20,15 @@ from typing import Optional, Sequence
 
 from . import attacks
 from . import control as control_mode
-from .protocol import KINDS, ProtocolConfig, QUBIT_SINGLET, QUDIT_CORRELATED, run_session
+from .protocol import (
+    KINDS,
+    MAX_CYCLES,
+    MAX_DIM,
+    QUBIT_SINGLET,
+    QUDIT_CORRELATED,
+    ProtocolConfig,
+    run_session,
+)
 from .rand import MESSAGE_TAG, SCORE_TAG, stream
 
 REPORT_FIELDS = (
@@ -48,10 +56,8 @@ REPORT_FIELDS = (
 
 _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": "auto"}
 
-# Upper bounds on a run's size. At D = 32 a coupling on travel (x) ancilla is
-# a 16 MB matrix; 10^7 trials make an 80 MB array of sampled bases.
-MAX_DIM = 32
-MAX_CYCLES = 10**6
+# Upper bound on a run's detection trials: 10^7 trials make an 80 MB array of
+# sampled bases. MAX_DIM and MAX_CYCLES come from `protocol`.
 MAX_TRIALS = 10**7
 
 
@@ -149,9 +155,8 @@ def load_spec(path: str | Path) -> list[RunSpec]:
 
 def draw_message(dim: int, length: int, seed: int) -> list[tuple[int, int]]:
     """Uniform symbol pairs from the dedicated message stream."""
-    rng = stream(seed, MESSAGE_TAG)
-    pairs = rng.integers(0, dim, size=(length, 2))
-    return [(int(mu), int(nu)) for mu, nu in pairs]
+    pairs = stream(seed, MESSAGE_TAG).integers(0, dim, size=(length, 2))
+    return list(map(tuple, pairs.tolist()))
 
 
 def score_session(records, dim: int, seed: int) -> dict:
@@ -160,19 +165,18 @@ def score_session(records, dim: int, seed: int) -> dict:
     Abstaining readouts and the phase symbol are scored with uniform guesses
     drawn from the scoring stream.
     """
-    rng = stream(seed, SCORE_TAG)
-    n_msg = n_ctrl = 0
+    messages = [record for record in records if record.mode == "message"]
+    n_msg, n_ctrl = len(messages), len(records) - len(messages)
+    n_draws = n_msg + sum(record.eve_guess is None for record in messages)
+    # one batched draw, consumed in the order of one draw per guess
+    guesses = iter(stream(seed, SCORE_TAG).integers(dim, size=n_draws).tolist())
     mu_hits = nu_hits = intact = 0
-    for record in records:
-        if record.mode == "control":
-            n_ctrl += 1
-            continue
-        n_msg += 1
+    for record in messages:
         mu, nu = record.alice_symbols
         mu_hat = record.eve_guess
         if mu_hat is None:
-            mu_hat = int(rng.integers(dim))
-        nu_hat = int(rng.integers(dim))
+            mu_hat = next(guesses)
+        nu_hat = next(guesses)
         mu_hits += mu_hat == mu
         nu_hits += nu_hat == nu
         intact += record.bob_decoded == record.alice_symbols

@@ -30,7 +30,7 @@ from .qstate import (
     measure,
     pick,
 )
-from .rand import SESSION_TAG, stream
+from .rand import SESSION_TAG, cycle_streams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import EavesdropperHandle
@@ -45,6 +45,12 @@ KINDS = (QUBIT_SINGLET, QUDIT_CORRELATED)
 
 # Bell-basis match threshold for Bob's decoder.
 DECODE_ATOL = 1e-9
+
+# Upper bounds on a session's size. At D = 32 a coupling on travel (x) ancilla
+# is a 16 MB matrix. The cycle bound keeps each cycle index within the one
+# 32-bit word `rand.cycle_keys` hashes.
+MAX_DIM = 32
+MAX_CYCLES = 10**6
 
 
 class CoherenceBreakError(RuntimeError):
@@ -65,10 +71,14 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dim must be <= {MAX_DIM}, got {self.dim}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ValueError(f"control_prob must be in [0, 1], got {self.control_prob}")
         if self.n_cycles < 0:
             raise ValueError(f"n_cycles must be non-negative, got {self.n_cycles}")
+        if self.n_cycles > MAX_CYCLES:
+            raise ValueError(f"n_cycles must be <= {MAX_CYCLES}, got {self.n_cycles}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.initial_state_kind not in KINDS:
@@ -361,8 +371,9 @@ def run_session(
 ) -> list[CycleRecord]:
     """Run n_cycles of the protocol and return the per-cycle transcript.
 
-    Each cycle draws from its own derived stream, so transcripts are
-    reproducible cycle-by-cycle. The states a cycle can reach form a branch
+    Each cycle draws from its own derived stream, the draws of
+    `stream(seed, SESSION_TAG, k)` (see `rand.cycle_streams`), so transcripts
+    are reproducible cycle-by-cycle. The states a cycle can reach form a branch
     tree: Eve's forward leg; then per control basis Alice's and Bob's
     measurements, or per symbol pair the encoded state, Eve's backward and
     readout legs and Bob's decode. A node builds its Born table and its
@@ -383,8 +394,7 @@ def run_session(
     }
     records: list[CycleRecord] = []
     msg_idx = 0
-    for k in range(cfg.n_cycles):
-        rng = stream(cfg.seed, SESSION_TAG, k)
+    for k, rng in enumerate(cycle_streams(cfg.seed, SESSION_TAG, cfg.n_cycles)):
         sent = _follow(forward, root, rng)
         if rng.random() < cfg.control_prob:
             chosen = control.draw(rng)

@@ -11,6 +11,9 @@ from pingpong.protocol import (
     CoherenceBreakError,
     ControlOutcome,
     CycleRecord,
+    MAX_CYCLES,
+    MAX_DIM,
+    QUDIT_CORRELATED,
     ProtocolConfig,
     algebra,
     bell_states,
@@ -38,6 +41,14 @@ class TestConfig:
         params.update(bad)
         with pytest.raises(ValueError):
             ProtocolConfig(**params)
+
+    @pytest.mark.parametrize("field, bound", [("dim", MAX_DIM), ("n_cycles", MAX_CYCLES)])
+    def test_size_bounds(self, field, bound):
+        params = dict(dim=3, control_prob=0.5, n_cycles=1, seed=0,
+                      initial_state_kind=QUDIT_CORRELATED)
+        assert getattr(ProtocolConfig(**{**params, field: bound}), field) == bound
+        with pytest.raises(ValueError, match=f"^{field} must be <= {bound}, got {bound + 1}$"):
+            ProtocolConfig(**{**params, field: bound + 1})
 
 
 class TestInitialState:
