@@ -7,8 +7,12 @@ hard-coded, which settles the sign conventions for the singlet in the dual
 basis automatically.
 
 Detection uses one Born table P(alice, bob) per menu basis of the coupled
-state: analytic p_det is the menu-weighted sum of the failing cells, and the
-empirical estimate (Wilson interval) is seeded Monte Carlo over the same tables.
+state, built per branch with two matmuls: analytic p_det is the menu-weighted
+sum of the failing cells, and the empirical estimate (Wilson interval) is
+seeded Monte Carlo over the same tables. The sampler draws the uniforms
+per-trial `Generator.choice` would, in bounded chunks, and counts the hits
+in the failing cells' intervals of each table's running sum, so its failure
+count is choice's without materializing an outcome per trial.
 The coupled state is the ensemble Eve's forward leg leaves behind, walked
 branch by branch from the handle's edges (`coupled_branches`), so an attack
 that measures or draws needs no second description of its forward leg.
@@ -29,6 +33,10 @@ from .rand import PDET_TAG, stream
 # Joint probabilities above this are treated as support of the clean state
 # when deriving pass predicates; clean zeros sit at squared float error.
 _SUPPORT_CUTOFF = 1e-9
+
+# Uniforms the empirical sampler draws per call, which bounds its memory at
+# any trial count; consecutive draws equal one draw of their total size.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,9 @@ def fail_projector(entry: ControlBasis, dim: int) -> Operator:
 def _joint_probs(state: StateVector, basis: Basis, dim: int) -> np.ndarray:
     """P(alice, bob) of an (h, t, rest) state measured in basis (x) basis,
     marginalized over the rest."""
-    conj = basis.matrix.conj()
-    step = np.einsum("hi,htr->itr", conj, state.amps.reshape(dim, dim, -1))
-    coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
+    proj = basis.matrix.conj().T
+    step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, eve]
+    coeffs = np.matmul(proj, step)  # [bob, alice, eve]
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
 
 
@@ -185,6 +193,51 @@ def analytic_pdet(eve: EavesdropperHandle, control: ControlModeHandle, cfg: Prot
     return _failing_mass(_born_tables(eve, control, cfg))
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized running sum `Generator.choice` searches for weights `probs`."""
+    if np.isnan(probs).any():
+        raise ValueError("Probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> np.ndarray:
+    """Draw n uniforms, _CHUNK at a time; per edge, how many fall below it."""
+    counts = np.zeros(len(edges), dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        u = rng.random(min(_CHUNK, n - start))
+        counts += np.array([np.count_nonzero(u < edge) for edge in edges], dtype=np.int64)
+    return counts
+
+
+def _sample_failures(
+    rng: np.random.Generator, tables: list[tuple[float, np.ndarray, np.ndarray]], trials: int
+) -> int:
+    """Failing outcomes among `trials` control cycles drawn from `tables`.
+
+    `rng.choice(n, size, p)` draws cell i exactly when cdf[i-1] <= u < cdf[i].
+    With C(i) the number of uniforms below cdf[i], the failing count is
+    sum_i fail[i] * (C(i) - C(i-1)) = sum_i (fail[i] - fail[i+1]) * C(i),
+    which needs C only where the mask changes. The uniforms are choice's, in
+    its order: `trials` for the basis, then `n_b` per basis drawn at least once.
+    """
+    weights = np.array([weight for weight, _, _ in tables])
+    below = np.append(_hits(rng, trials, _cdf(weights / weights.sum())[:-1]), trials)
+    failures = 0
+    for n_b, (_, table, fail) in zip(np.diff(below, prepend=0), tables):
+        if n_b == 0:
+            continue
+        flat = table.reshape(-1)
+        mask = fail.reshape(-1).astype(np.int64)
+        sign = mask - np.append(mask[1:], 0)
+        at = np.flatnonzero(sign)
+        failures += int(sign[at] @ _hits(rng, int(n_b), _cdf(flat / flat.sum())[at]))
+    return failures
+
+
 def empirical_pdet(
     eve: EavesdropperHandle,
     control: ControlModeHandle,
@@ -195,22 +248,16 @@ def empirical_pdet(
 
     The per-basis Born tables are computed once; each trial samples a basis
     and an outcome pair from the exact joint distribution, and the analytic
-    value is read off the same tables. Deterministic for a fixed cfg.seed.
+    value is read off the same tables. The sampler draws the uniforms
+    per-trial `rng.choice` would, in bounded chunks, and counts those that
+    land in the failing cells' intervals of each table's running sum, so
+    the failure count is choice's with no outcome array. Deterministic for
+    a fixed cfg.seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tables = _born_tables(eve, control, cfg)
-    rng = stream(cfg.seed, PDET_TAG)
-    weights = np.array([cb.weight for cb in control.bases])
-    chosen = rng.choice(len(control.bases), size=trials, p=weights / weights.sum())
-    failures = 0
-    for b_idx, (_, table, fail) in enumerate(tables):
-        n_b = int(np.sum(chosen == b_idx))
-        if n_b == 0:
-            continue
-        flat = table.reshape(-1)
-        outcomes = rng.choice(cfg.dim * cfg.dim, size=n_b, p=flat / flat.sum())
-        failures += int(np.sum(fail.reshape(-1)[outcomes]))
+    failures = _sample_failures(stream(cfg.seed, PDET_TAG), tables, trials)
     low, high = wilson_interval(failures, trials)
     return DetectionReport(
         p_analytic=_failing_mass(tables),

@@ -5,10 +5,15 @@ rational probabilities and use nothing from the package under test, on
 purpose: these results must stay independent of the code paths they validate.
 `stepwise_session` is the one reference built from the package: a per-cycle
 state-vector loop that `run_session`'s transcripts are compared with.
+`einsum_joint_probs` and `choice_failures` are the detection path's earlier
+formulas, kept as references the matmul tables and the counting sampler
+must equal exactly.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from pingpong.protocol import (
     HOME,
@@ -161,3 +166,29 @@ def stepwise_session(cfg, message, eve, control):
                 )
             )
     return records
+
+
+def einsum_joint_probs(state, basis, dim):
+    """P(alice, bob) of an (h, t, rest) state measured in basis (x) basis,
+    marginalized over the rest, by three `einsum` contractions."""
+    conj = basis.matrix.conj()
+    step = np.einsum("hi,htr->itr", conj, state.amps.reshape(dim, dim, -1))
+    coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
+    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+
+
+def choice_failures(rng, tables, trials):
+    """Failing outcomes among `trials` control cycles, each drawn with
+    `Generator.choice`: a basis per trial by weight, then an outcome pair per
+    trial from that basis's (weight, P(alice, bob), failing mask) table."""
+    weights = np.array([weight for weight, _, _ in tables])
+    chosen = rng.choice(len(tables), size=trials, p=weights / weights.sum())
+    failures = 0
+    for b_idx, (_, table, fail) in enumerate(tables):
+        n_b = int(np.sum(chosen == b_idx))
+        if n_b == 0:
+            continue
+        flat = table.reshape(-1)
+        outcomes = rng.choice(flat.size, size=n_b, p=flat / flat.sum())
+        failures += int(np.sum(fail.reshape(-1)[outcomes]))
+    return failures

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+import pingpong.control as control_module
 from conftest import qubit_cfg, qudit_cfg, rand_family
 from pingpong.attacks import cnot_attack, intercept_resend, no_attack, pavicic_circuit, qudit_shift_attack
 from pingpong.attacks import from_name as attack_from_name
@@ -19,8 +21,10 @@ from pingpong.control import (
     two_basis_control,
     wilson_interval,
 )
+from pingpong.cli import MAX_TRIALS
 from pingpong.protocol import HOME, TRAVEL, make_initial_state, run_session
 from pingpong.qstate import Basis, born_table, partial_trace
+from pingpong.rand import PDET_TAG, stream
 
 
 class TestPassPredicates:
@@ -160,6 +164,17 @@ def _generic_d3():
     return generic_coupling(3, rand_family(rng, 4, 3), rand_family(rng, 4, 3))
 
 
+def _build(case):
+    """(eve, control handle, cfg) for an (attack, control, cfg) case."""
+    attack, control, cfg = case
+    eve = _generic_d3() if attack == "generic" else attack_from_name(attack, cfg.dim)
+    return eve, from_name(control, cfg), cfg
+
+
+def _case_id(case):
+    return f"{case[0]}-{case[1]}-{case[2].initial_state_kind}-d{case[2].dim}"
+
+
 # (attack, control, cfg): every paper-matrix row, then qudit-shift and
 # intercept-resend on the correlated pair up to D=6.
 REFERENCE_CASES = [
@@ -180,14 +195,9 @@ REFERENCE_CASES = [
 
 
 class TestBornTableReference:
-    @pytest.fixture(
-        params=REFERENCE_CASES,
-        ids=lambda c: f"{c[0]}-{c[1]}-{c[2].initial_state_kind}-d{c[2].dim}",
-    )
+    @pytest.fixture(params=REFERENCE_CASES, ids=_case_id)
     def case(self, request):
-        attack, control, cfg = request.param
-        eve = _generic_d3() if attack == "generic" else attack_from_name(attack, cfg.dim)
-        return eve, from_name(control, cfg), cfg
+        return _build(request.param)
 
     def test_analytic_matches_projector_route(self, case):
         eve, control, cfg = case
@@ -262,6 +272,109 @@ class TestEmpiricalPdet:
         assert all(f.basis_id == "dual" for f in failures)
         comp = [r.control for r in records if r.control.basis_id == "computational"]
         assert all(c.passed for c in comp)
+
+
+# (attack, control, cfg): every paper-matrix row, then qudit-shift and
+# intercept-resend on the correlated pair at every dimension up to 16.
+TABLE_CASES = REFERENCE_CASES[:10] + [
+    (attack, "computational", qudit_cfg(dim))
+    for attack in ("qudit-shift", "intercept-resend")
+    for dim in range(2, 17)
+]
+
+
+class TestMatmulTables:
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=_case_id)
+    def test_tables_equal_the_einsum_route(self, case):
+        eve, control, cfg = _build(case)
+        for _, state in eve.coupled_branches(make_initial_state(cfg)):
+            for cb in control.bases:
+                assert np.array_equal(
+                    control_module._joint_probs(state, cb.basis, cfg.dim),
+                    oracles.einsum_joint_probs(state, cb.basis, cfg.dim),
+                )
+
+
+def _table(flat, fail):
+    """A (weight 1, table, failing mask) entry over len(flat) = D^2 cells."""
+    dim = math.isqrt(len(flat))
+    return (1.0, np.array(flat, dtype=float).reshape(dim, dim), np.array(fail, dtype=bool).reshape(dim, dim))
+
+
+# Zero-probability cells open, close and sit inside failing runs; one run
+# starts at the first cell and one ends at the last.
+_RAGGED = _table(
+    [0.1, 0.0, 0.2, 0.0, 0.15, 0.0, 0.05, 0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.1, 0.1, 0.05],
+    [1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1],
+)
+_ALL_FAIL = _table([0.4, 0.1, 0.3, 0.2], [1, 1, 1, 1])
+_NO_FAIL = _table([0.0, 0.5, 0.5, 0.0], [0, 0, 0, 0])
+
+SAMPLER_MENUS = {
+    "ragged": [_RAGGED],
+    "all-fail": [_ALL_FAIL],
+    "no-fail": [_NO_FAIL],
+    "three-bases": [(0.2, *_RAGGED[1:]), (0.5, *_ALL_FAIL[1:]), (0.3, *_NO_FAIL[1:])],
+    "first-basis-unchosen": [(0.0, *_ALL_FAIL[1:]), (1.0, *_RAGGED[1:])],
+    "last-basis-unchosen": [(1.0, *_RAGGED[1:]), (0.0, *_ALL_FAIL[1:])],
+}
+SAMPLER_TRIALS = (1, 17, control_module._CHUNK, 3 * control_module._CHUNK + 17)
+
+
+class TestCountingSampler:
+    """The counting sampler against per-trial `Generator.choice`."""
+
+    @pytest.mark.parametrize("trials", SAMPLER_TRIALS)
+    @pytest.mark.parametrize("menu", SAMPLER_MENUS)
+    def test_failures_equal_choice_sampler(self, menu, trials):
+        for seed in (1, 7, 2**32 + 5):
+            counted, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+            failures = control_module._sample_failures(counted, SAMPLER_MENUS[menu], trials)
+            assert failures == oracles.choice_failures(chosen, SAMPLER_MENUS[menu], trials)
+            # the same number of uniforms was drawn
+            assert counted.random() == chosen.random()
+
+    def test_edge_menus_give_their_trivial_counts(self):
+        rng = np.random.default_rng(3)
+        assert control_module._sample_failures(rng, SAMPLER_MENUS["all-fail"], 1000) == 1000
+        assert control_module._sample_failures(rng, SAMPLER_MENUS["no-fail"], 1000) == 0
+        assert control_module._sample_failures(rng, SAMPLER_MENUS["first-basis-unchosen"], 1000) < 1000
+
+    @pytest.mark.parametrize(
+        "menu,message",
+        [
+            ([(1.0, np.full((2, 2), np.nan), np.ones((2, 2), dtype=bool))], "contain NaN"),
+            ([(-0.5, *_ALL_FAIL[1:]), (1.5, *_NO_FAIL[1:])], "not non-negative"),
+        ],
+        ids=["nan-table", "negative-weight"],
+    )
+    def test_rejects_what_choice_rejects(self, menu, message):
+        with pytest.raises(ValueError, match=message):
+            oracles.choice_failures(np.random.default_rng(0), menu, 100)
+        with pytest.raises(ValueError, match=message):
+            control_module._sample_failures(np.random.default_rng(0), menu, 100)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+    def test_empirical_failures_equal_choice_sampler(self, case):
+        eve, control, cfg = _build(case)
+        tables = control_module._born_tables(eve, control, cfg)
+        for seed in (3, 19):
+            report = empirical_pdet(eve, control, replace(cfg, seed=seed), 20_000)
+            assert report.failures == oracles.choice_failures(stream(seed, PDET_TAG), tables, 20_000)
+
+    def test_memory_bounded_at_max_trials(self):
+        # per-trial outcome arrays took ~190 MiB here
+        cfg = qubit_cfg(seed=1)
+        eve, control = cnot_attack(), two_basis_control(cfg)
+        tracemalloc.start()
+        try:
+            report = empirical_pdet(eve, control, cfg, MAX_TRIALS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.trials == MAX_TRIALS
+        assert abs(report.p_empirical - 0.25) < 0.001
+        assert peak < 8 * 2**20
 
 
 class TestWilson:

@@ -16,9 +16,11 @@ from pingpong.qstate import (
     StateVector,
     SubsystemLayout,
     apply,
+    born_table,
     complete_isometry,
     measure,
     partial_trace,
+    pick,
     tensor,
 )
 
@@ -112,20 +114,31 @@ def test_partial_trace_of_product_is_rank_one(seed):
 def test_born_frequencies_match_probabilities(seed):
     n = 20_000
     band = 4 / math.sqrt(n)
-    rng = np.random.default_rng(seed)
+    uniforms = np.random.default_rng(seed).random(2 * n)
 
     init = make_initial_state(qubit_cfg())
-    counts = np.zeros(2)
-    for _ in range(n):
-        counts[measure(init, "t", Basis.computational(2), rng).outcome] += 1
+    outcomes = _born_draws(init, "t", 2, uniforms[:n], seed, skip=0)
+    counts = np.bincount(outcomes, minlength=2)
     assert np.max(np.abs(counts / n - 0.5)) < band
 
     layout = SubsystemLayout.of(("q", 3))
     biased = StateVector(layout, np.sqrt([0.5, 0.3, 0.2]).astype(complex))
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[measure(biased, "q", Basis.computational(3), rng).outcome] += 1
+    outcomes = _born_draws(biased, "q", 3, uniforms[n:], seed, skip=n)
+    counts = np.bincount(outcomes, minlength=3)
     assert np.max(np.abs(counts / n - [0.5, 0.3, 0.2])) < band
+
+
+def _born_draws(state, label, dim, uniforms, seed, skip):
+    """Computational outcomes of `label` picked from one Born table by the
+    given uniforms; the first ones must be what `measure` draws from a
+    `seed` generator after `skip` uniforms."""
+    basis = Basis.computational(dim)
+    table = born_table(state, label, basis)
+    outcomes = [pick(table.probs, table.cum, u) for u in uniforms.tolist()]
+    rng = np.random.default_rng(seed)
+    rng.random(skip)
+    assert outcomes[:1000] == [measure(state, label, basis, rng).outcome for _ in range(1000)]
+    return outcomes
 
 
 def test_coupling_zoo_unitarity(seed):
