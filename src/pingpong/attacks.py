@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .protocol import TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, run_leg, walk_leg
+from .protocol import MAX_DIM, TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, walk_leg
 from .qstate import (
     ATOL_BASIS,
     Basis,
@@ -107,10 +107,9 @@ class EavesdropperHandle(ABC):
     the way to Alice, `backward_leg` on the way back and `readout_leg`
     before Bob's decode. `guess(notes)` is Eve's shift-symbol guess from
     the outcomes the edges recorded (None: abstain). The session engine
-    only follows these edges, and detection reads the exact post-forward
-    ensemble off the forward leg's edges (`coupled_branches`); `forward`,
-    `backward` and `readout` take them on one state, with per-cycle
-    outcomes in the caller's `notes` dict. Handles are immutable.
+    walks these legs with `protocol.follow`, and detection reads the exact
+    post-forward ensemble off the forward leg's edges (`coupled_branches`).
+    Handles are immutable.
     """
 
     name: str
@@ -142,16 +141,6 @@ class EavesdropperHandle(ABC):
 
     def attach(self, state: StateVector) -> StateVector:
         return tensor(state, self.initial_ancilla)
-
-    def forward(self, state: StateVector, rng, notes: dict) -> StateVector:
-        return run_leg(self.forward_leg, state, rng, notes)
-
-    def backward(self, state: StateVector, rng, notes: dict) -> StateVector:
-        return run_leg(self.backward_leg, state, rng, notes)
-
-    def readout(self, state: StateVector, rng, notes: dict) -> tuple[int | None, StateVector]:
-        state = run_leg(self.readout_leg, state, rng, notes)
-        return self.guess(notes), state
 
     def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:
         """The exact post-forward ensemble of `init`: (probability, state) per
@@ -479,7 +468,8 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
 
     Schema: {"detection": [state, ...], "probes": [state, ...]} where each
     state is an array of [re, im] amplitude pairs. All states must share one
-    length, which becomes the dimension of a single ancilla register "e".
+    length, at most `protocol.MAX_DIM`, which becomes the dimension of a
+    single ancilla register "e".
     """
     payload = json.loads(Path(path).read_text())
     try:
@@ -489,11 +479,14 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
         raise ValueError("family file needs 'detection' and 'probes' arrays") from exc
 
     def build(raw) -> StateFamily:
-        vectors = [np.array([complex(re, im) for re, im in state]) for state in raw]
-        lengths = {len(v) for v in vectors}
+        lengths = {len(state) for state in raw}
         if len(lengths) != 1:
             raise ValueError("all family states must have the same length")
-        layout = SubsystemLayout.of(("e", lengths.pop()))
+        length = lengths.pop()
+        if length > MAX_DIM:
+            raise ValueError(f"family states must have at most {MAX_DIM} amplitudes, got {length}")
+        vectors = [np.array([complex(re, im) for re, im in state]) for state in raw]
+        layout = SubsystemLayout.of(("e", length))
         return StateFamily(tuple(StateVector.from_amps(layout, v) for v in vectors))
 
     return build(raw_det), build(raw_prb)

@@ -56,8 +56,10 @@ REPORT_FIELDS = (
 
 _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": "auto"}
 
-# Upper bound on a run's detection trials: 10^7 trials make an 80 MB array of
-# sampled bases. MAX_DIM and MAX_CYCLES come from `protocol`.
+# Upper bound on a run's detection trials. The sampler draws its uniforms in
+# fixed-size chunks, so memory stays bounded while time grows with the count:
+# a CLI run at the bound takes ~0.5 s on a 2-core machine. MAX_DIM and
+# MAX_CYCLES come from `protocol`.
 MAX_TRIALS = 10**7
 
 
@@ -75,6 +77,15 @@ def _real(field: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{field} must be a number, got {value!r}")
+
+
+def _message(value) -> tuple[tuple[int, int], ...]:
+    """A spec message: a list of [mu, nu] pairs of spec integers."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
+    ):
+        raise ValueError("message must be a list of [mu, nu] integer pairs")
+    return tuple((_integer("message", mu), _integer("message", nu)) for mu, nu in value)
 
 
 def sig12(value: float) -> float:
@@ -131,9 +142,7 @@ class RunSpec:
         merged = {**_RUN_DEFAULTS, **raw}
         message = merged.get("message")
         if message is not None:
-            message = tuple(
-                (_integer("message", mu), _integer("message", nu)) for mu, nu in message
-            )
+            message = _message(message)
         return cls(
             attack=str(merged["attack"]),
             control=str(merged["control"]),
@@ -148,8 +157,12 @@ class RunSpec:
 
 
 def load_spec(path: str | Path) -> list[RunSpec]:
+    """Runs from a JSON spec: a list of run objects, or an object whose
+    'runs' field is one."""
     payload = json.loads(Path(path).read_text())
-    runs = payload["runs"] if isinstance(payload, dict) else payload
+    runs = payload.get("runs") if isinstance(payload, dict) else payload
+    if not isinstance(runs, list) or not all(isinstance(raw, dict) for raw in runs):
+        raise ValueError("spec must be a list of run objects or an object with a 'runs' list")
     return [RunSpec.from_dict(raw) for raw in runs]
 
 
@@ -297,38 +310,41 @@ def _parse_message(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _specs(args: argparse.Namespace) -> list[RunSpec]:
+    """The runs the parsed flags ask for; usage errors raise ValueError."""
     single_flags = (args.attack, args.control, args.dim, args.seed)
     if args.spec is not None:
         if any(v is not None for v in single_flags) or args.message is not None:
-            print("error: --spec excludes single-run flags", file=sys.stderr)
-            return 2
-        specs = load_spec(args.spec)
-    else:
-        if any(v is None for v in single_flags):
-            print(
-                "error: single-run mode requires --attack, --control, --dim and --seed",
-                file=sys.stderr,
-            )
-            return 2
-        raw = {
-            "attack": args.attack,
-            "control": args.control,
-            "dim": args.dim,
-            "seed": args.seed,
-        }
-        if args.kind is not None:
-            raw["kind"] = args.kind
-        if args.cycles is not None:
-            raw["cycles"] = args.cycles
-        if args.control_prob is not None:
-            raw["control_prob"] = args.control_prob
-        if args.trials is not None:
-            raw["trials"] = args.trials
-        if args.message is not None:
-            raw["message"] = _parse_message(args.message)
-        specs = [RunSpec.from_dict(raw)]
+            raise ValueError("--spec excludes single-run flags")
+        return load_spec(args.spec)
+    if any(v is None for v in single_flags):
+        raise ValueError("single-run mode requires --attack, --control, --dim and --seed")
+    raw = {
+        "attack": args.attack,
+        "control": args.control,
+        "dim": args.dim,
+        "seed": args.seed,
+    }
+    if args.kind is not None:
+        raw["kind"] = args.kind
+    if args.cycles is not None:
+        raw["cycles"] = args.cycles
+    if args.control_prob is not None:
+        raw["control_prob"] = args.control_prob
+    if args.trials is not None:
+        raw["trials"] = args.trials
+    if args.message is not None:
+        raw["message"] = _parse_message(args.message)
+    return [RunSpec.from_dict(raw)]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        specs = _specs(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = run_experiments(specs)
     text = emit(rows, args.format, args.output)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .qstate import (
     Basis,
-    BornTable,
     Operator,
     StateVector,
     SubsystemLayout,
@@ -27,8 +26,8 @@ from .qstate import (
     born_table,
     collapse,
     factor,
-    measure,
     pick,
+    running_sum,
 )
 from .rand import SESSION_TAG, cycle_streams
 
@@ -46,9 +45,10 @@ KINDS = (QUBIT_SINGLET, QUDIT_CORRELATED)
 # Bell-basis match threshold for Bob's decoder.
 DECODE_ATOL = 1e-9
 
-# Upper bounds on a session's size. At D = 32 a coupling on travel (x) ancilla
-# is a 16 MB matrix. The cycle bound keeps each cycle index within the one
-# 32-bit word `rand.cycle_keys` hashes.
+# Upper bounds on a session's size. MAX_DIM also bounds the length of a generic
+# family's ancilla states, so a coupling on travel (x) ancilla is at most a
+# 16 MB matrix. The cycle bound keeps each cycle index within the one 32-bit
+# word `rand.cycle_keys` hashes.
 MAX_DIM = 32
 MAX_CYCLES = 10**6
 
@@ -217,12 +217,14 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 # --- branch edges ---------------------------------------------------------------
 #
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
-# `branches` lists an edge's outcomes from one state as (outcome, probability,
-# post-state), lazily: `walk_leg` reads it for the exact ensemble a leg leaves
-# behind, and `follow` for the successors of a node of a session's branch
-# tree, which it builds on the first visit and afterwards only draws among.
-# `run` takes the edge on one state, the per-cycle reference; `run` and
-# `follow` make the same draws from `rng`.
+# An edge states two things. `branches` lists its outcomes from one state as
+# (outcome, probability, post-state), lazily; `walk_leg` reads them for the
+# exact ensemble a leg leaves behind. `draw` picks one outcome with the
+# edge's draws from a cycle's `rng` (None: the edge draws nothing and has one
+# outcome, None); `key` names the notes entry that records it. `follow` walks
+# a leg's edges through a session's branch tree: a node's first visit grows
+# its successors from the edge's `branches`, and every visit picks one by the
+# edge's `draw`. The per-cycle stepwise reference is `tests/oracles.py::step`.
 
 
 class _Node:
@@ -233,21 +235,14 @@ class _Node:
     gives up its state once its successors or its leaf record are built.
     """
 
-    __slots__ = ("state", "notes", "next", "probs", "cum", "leaf")
+    __slots__ = ("state", "notes", "prob", "next", "draw", "probs", "cum", "leaf")
 
-    def __init__(self, state: StateVector, notes: dict):
+    def __init__(self, state: StateVector, notes: dict, prob: float = 1.0):
         self.state = state
         self.notes = notes  # outcomes recorded on the path to this node
+        self.prob = prob  # probability of the branch from the parent
         self.next: dict = {}
-        self.probs = self.cum = self.leaf = None
-
-    def grow(self, branches: Iterable, key: Optional[str] = None) -> None:
-        """One successor per edge branch; `key` records the outcome in its notes."""
-        self.next = {
-            outcome: _Node(state, self.notes if key is None else {**self.notes, key: outcome})
-            for outcome, _, state in branches
-        }
-        self.state = None
+        self.draw = self.probs = self.cum = self.leaf = None
 
     def child(self, key, make) -> "_Node":
         """The successor under `key`, from `make(state)` on first use."""
@@ -257,23 +252,37 @@ class _Node:
         return node
 
 
+def follow(leg: Sequence, node: _Node, rng) -> _Node:
+    """The node the edges of `leg` lead to from `node`, each edge's draw from
+    `rng` selecting a successor.
+
+    A node's first visit grows one successor per branch of the edge that
+    leaves it, with the outcome recorded under `edge.key`, keeps the edge's
+    draw and drops the node's state.
+    """
+    for edge in leg:
+        if not node.next:
+            key, notes = edge.key, node.notes
+            node.next = {
+                outcome: _Node(state, notes if key is None else {**notes, key: outcome}, p)
+                for outcome, p, state in edge.branches(node.state)
+            }
+            node.draw, node.state = edge.draw, None
+        draw = node.draw
+        node = node.next[None if draw is None else draw(rng, node)]
+    return node
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryEdge:
     """A fixed unitary on the target registers; draws nothing."""
 
     op: Operator
     targets: tuple[str, ...]
+    key = draw = None
 
     def branches(self, state: StateVector) -> Iterator:
         yield None, 1.0, apply(state, self.op, self.targets)
-
-    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
-        return apply(state, self.op, self.targets)
-
-    def follow(self, node: _Node, rng) -> _Node:
-        if not node.next:
-            node.grow(self.branches(node.state))
-        return node.next[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,25 +297,21 @@ class MeasureEdge:
     key: str
 
     def branches(self, state: StateVector) -> Iterator:
-        return self._collapses(born_table(state, self.labels, self.basis))
-
-    @staticmethod
-    def _collapses(table: BornTable) -> Iterator:
         """Each outcome with support, its Born probability and collapsed state."""
+        table = born_table(state, self.labels, self.basis)
         for outcome in np.flatnonzero(table.probs > 0.0).tolist():
             yield outcome, float(table.probs[outcome]), collapse(table, outcome).state
 
-    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
-        got = measure(state, self.labels, self.basis, rng)
-        notes[self.key] = got.outcome
-        return got.state
-
-    def follow(self, node: _Node, rng) -> _Node:
-        if node.probs is None:
-            table = born_table(node.state, self.labels, self.basis)
-            node.probs, node.cum = table.probs, table.cum
-            node.grow(self._collapses(table), self.key)
-        return node.next[pick(node.probs, node.cum, rng.random())]
+    def draw(self, rng, node: _Node) -> int:
+        """The outcome one uniform picks from the node's Born table. The first
+        draw rebuilds the table over every outcome, zeros included, from the
+        successors' probabilities, so it equals `born_table`'s bit for bit."""
+        if node.cum is None:
+            node.probs = np.zeros(self.basis.dim)
+            for outcome, succ in node.next.items():
+                node.probs[outcome] = succ.prob
+            node.cum = running_sum(node.probs)
+        return pick(node.probs, node.cum, rng.random())
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,31 +325,14 @@ class DrawEdge:
     ops: tuple[Optional[Operator], ...]
     targets: tuple[str, ...]
 
-    def _take(self, state: StateVector, f: int) -> StateVector:
-        op = self.ops[f]
-        return state if op is None else apply(state, op, self.targets)
-
     def branches(self, state: StateVector) -> Iterator:
         n = len(self.ops)
-        for f in range(n):
-            yield f, 1.0 / n, self._take(state, f)
+        for f, op in enumerate(self.ops):
+            yield f, 1.0 / n, state if op is None else apply(state, op, self.targets)
 
-    def run(self, state: StateVector, rng, notes: dict) -> StateVector:
-        f = int(rng.integers(len(self.ops)))
-        notes[self.key] = f
-        return self._take(state, f)
-
-    def follow(self, node: _Node, rng) -> _Node:
-        if not node.next:
-            node.grow(self.branches(node.state), self.key)
-        return node.next[int(rng.integers(len(self.ops)))]
-
-
-def run_leg(leg: Sequence, state: StateVector, rng, notes: dict) -> StateVector:
-    """Take the edges of one handle leg on `state`, in order."""
-    for edge in leg:
-        state = edge.run(state, rng, notes)
-    return state
+    def draw(self, rng, node: _Node) -> int:
+        """f from one `integers` draw; reads no table."""
+        return int(rng.integers(len(self.ops)))
 
 
 def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
@@ -355,12 +343,6 @@ def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
         return
     for _, p, post in leg[0].branches(state):
         yield from walk_leg(leg[1:], post, prob * p)
-
-
-def _follow(leg: Sequence, node: _Node, rng) -> _Node:
-    for edge in leg:
-        node = edge.follow(node, rng)
-    return node
 
 
 def run_session(
@@ -387,7 +369,7 @@ def run_session(
             raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {cfg.dim}")
     alg = algebra(cfg.dim)
     root = _Node(eve.attach(make_initial_state(cfg)), {})
-    forward, backward, readout = eve.forward_leg, eve.backward_leg, eve.readout_leg
+    forward, returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
     checks = {
         cb.basis_id: (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
         for cb in control.bases
@@ -395,12 +377,11 @@ def run_session(
     records: list[CycleRecord] = []
     msg_idx = 0
     for k, rng in enumerate(cycle_streams(cfg.seed, SESSION_TAG, cfg.n_cycles)):
-        sent = _follow(forward, root, rng)
+        sent = follow(forward, root, rng)
         if rng.random() < cfg.control_prob:
             chosen = control.draw(rng)
-            alice, bob = checks[chosen.basis_id]
             node = sent.child(chosen.basis_id, lambda state: state)
-            node = bob.follow(alice.follow(node, rng), rng)
+            node = follow(checks[chosen.basis_id], node, rng)
             if node.leaf is None:
                 a, b = node.notes["alice"], node.notes["bob"]
                 node.leaf = ControlOutcome(
@@ -417,7 +398,7 @@ def run_session(
             mu, nu = message[msg_idx]
             msg_idx += 1
             node = sent.child((mu, nu), lambda state: dense_encode(state, mu, nu, alg))
-            node = _follow(readout, _follow(backward, node, rng), rng)
+            node = follow(returned, node, rng)
             if node.leaf is None:
                 decoded = bob_decode(factor(node.state, (HOME, TRAVEL)), cfg)
                 node.leaf = (decoded, eve.guess(node.notes))

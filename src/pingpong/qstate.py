@@ -329,8 +329,14 @@ def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
     coeffs = basis.matrix.conj().T @ mat
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
-    cum = np.cumsum(probs / probs.sum())
-    return BornTable(state, labels, basis, axes, coeffs, probs, cum)
+    return BornTable(state, labels, basis, axes, coeffs, probs, running_sum(probs))
+
+
+def running_sum(probs: np.ndarray) -> np.ndarray:
+    """The normalized running sum `pick` searches. It is taken over every cell
+    of a table: over the cells with support only, the sum can differ in the
+    last bit."""
+    return np.cumsum(probs / probs.sum())
 
 
 def pick(probs: np.ndarray, cum: np.ndarray, u: float) -> int:

@@ -4,7 +4,10 @@ The enumeration oracles are exhaustive over measurement branches with exact
 rational probabilities and use nothing from the package under test, on
 purpose: these results must stay independent of the code paths they validate.
 `stepwise_session` is the one reference built from the package: a per-cycle
-state-vector loop that `run_session`'s transcripts are compared with.
+state-vector loop that `run_session`'s transcripts are compared with. It takes
+a handle's legs with `step`, which applies or measures one edge on one state
+(`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
+`protocol.follow` must agree with draw for draw.
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
 must equal exactly.
@@ -20,12 +23,14 @@ from pingpong.protocol import (
     TRAVEL,
     ControlOutcome,
     CycleRecord,
+    MeasureEdge,
+    UnitaryEdge,
     algebra,
     bob_decode,
     dense_encode,
     make_initial_state,
 )
-from pingpong.qstate import factor, measure
+from pingpong.qstate import apply, factor, measure
 from pingpong.rand import SESSION_TAG, stream
 
 
@@ -116,6 +121,43 @@ def wilson_interval(failures, trials, z=1.959963984540054):
     return center - half, center + half
 
 
+def step(edge, state, rng, notes):
+    """Take one branch edge on one state: a unitary is applied, a measurement
+    draws one uniform and a `DrawEdge` one integer from `rng`; the outcome is
+    recorded in `notes` under the edge's key."""
+    if isinstance(edge, UnitaryEdge):
+        return apply(state, edge.op, edge.targets)
+    if isinstance(edge, MeasureEdge):
+        got = measure(state, edge.labels, edge.basis, rng)
+        notes[edge.key] = got.outcome
+        return got.state
+    f = int(rng.integers(len(edge.ops)))
+    notes[edge.key] = f
+    op = edge.ops[f]
+    return state if op is None else apply(state, op, edge.targets)
+
+
+def run_leg(leg, state, rng, notes):
+    """Take the edges of one handle leg on `state`, in order."""
+    for edge in leg:
+        state = step(edge, state, rng, notes)
+    return state
+
+
+def forward(eve, state, rng, notes):
+    return run_leg(eve.forward_leg, state, rng, notes)
+
+
+def backward(eve, state, rng, notes):
+    return run_leg(eve.backward_leg, state, rng, notes)
+
+
+def readout(eve, state, rng, notes):
+    """Eve's guess and the state after her readout leg."""
+    state = run_leg(eve.readout_leg, state, rng, notes)
+    return eve.guess(notes), state
+
+
 def stepwise_session(cfg, message, eve, control):
     """Reference for `run_session`: every cycle evolves fresh state vectors.
 
@@ -135,7 +177,7 @@ def stepwise_session(cfg, message, eve, control):
         rng = stream(cfg.seed, SESSION_TAG, k)
         notes = {}
         state = eve.attach(init)
-        state = eve.forward(state, rng, notes)
+        state = forward(eve, state, rng, notes)
         if rng.random() < cfg.control_prob:
             chosen = control.draw(rng)
             alice = measure(state, TRAVEL, chosen.basis, rng)
@@ -153,8 +195,8 @@ def stepwise_session(cfg, message, eve, control):
             mu, nu = message[msg_idx]
             msg_idx += 1
             state = dense_encode(state, mu, nu, alg)
-            state = eve.backward(state, rng, notes)
-            mu_hat, state = eve.readout(state, rng, notes)
+            state = backward(eve, state, rng, notes)
+            mu_hat, state = readout(eve, state, rng, notes)
             decoded = bob_decode(factor(state, (HOME, TRAVEL)), cfg)
             records.append(
                 CycleRecord(

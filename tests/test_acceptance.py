@@ -171,12 +171,12 @@ def test_criterion_5_circuit_truth_tables():
         ("phase flip", (0, 1), chi0, 0),
         ("bit flip", (1, 0), chi1, 1),
     ):
-        state = eve.forward(eve.attach(init), None, {})
+        state = oracles.forward(eve, eve.attach(init), None, {})
         state = dense_encode(state, mu, nu, algebra(2))
-        state = eve.backward(state, None, {})
+        state = oracles.backward(eve, state, None, {})
         expected = tensor(dense_encode(init, mu, nu, algebra(2)), target_anc)
         residual = float(np.max(np.abs(state.amps - expected.amps)))
-        mu_hat, _ = eve.readout(state, np.random.default_rng(0), {})
+        mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         _check(
             5,
             f"{label} end state and ancilla outcome",
@@ -192,9 +192,9 @@ def test_criterion_6_circuit_and_gate_attacks_equivalent():
     for mu, nu in all_pairs(2):
         reduced = []
         for eve in (pavicic_circuit(), cnot_attack()):
-            state = eve.forward(eve.attach(init), None, {})
+            state = oracles.forward(eve, eve.attach(init), None, {})
             state = dense_encode(state, mu, nu, algebra(2))
-            state = eve.backward(state, None, {})
+            state = oracles.backward(eve, state, None, {})
             reduced.append(partial_trace(state, ("h", "t")))
         worst = max(worst, trace_distance(reduced[0], reduced[1]))
     _check(6, "post-decoupling states identical for all 4 symbol pairs", worst < 1e-12,

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family
+from pingpong import attacks
 from pingpong.attacks import (
     H_POL,
     V_POL,
@@ -27,6 +28,7 @@ from pingpong.attacks import (
 )
 from pingpong.control import analytic_pdet, computational_control, empirical_pdet
 from pingpong.protocol import (
+    MAX_DIM,
     CoherenceBreakError,
     algebra,
     dense_encode,
@@ -48,9 +50,9 @@ def drive_message_cycle(eve, cfg, mu, nu, rng):
     """One forward/encode/return pass; returns the pre-readout state and notes."""
     notes = {}
     state = eve.attach(make_initial_state(cfg))
-    state = eve.forward(state, rng, notes)
+    state = oracles.forward(eve, state, rng, notes)
     state = dense_encode(state, mu, nu, algebra(cfg.dim))
-    state = eve.backward(state, rng, notes)
+    state = oracles.backward(eve, state, rng, notes)
     return state, notes
 
 
@@ -132,7 +134,7 @@ class TestPavicicCircuit:
         state, _ = drive_message_cycle(eve, cfg, 0, 1, None)
         expected = tensor(dense_encode(make_initial_state(cfg), 0, 1, algebra(2)), chi0)
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
-        mu_hat, _ = eve.readout(state, np.random.default_rng(0), {})
+        mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         assert mu_hat == 0
 
     def test_bit_flip_moves_ancilla(self):
@@ -142,7 +144,7 @@ class TestPavicicCircuit:
         state, _ = drive_message_cycle(eve, cfg, 1, 0, None)
         expected = tensor(dense_encode(make_initial_state(cfg), 1, 0, algebra(2)), chi1)
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
-        mu_hat, _ = eve.readout(state, np.random.default_rng(0), {})
+        mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         assert mu_hat == 1
 
     def test_shift_conditions_with_rail_families(self):
@@ -163,14 +165,14 @@ class TestPavicicCircuit:
         proj = span @ span.conj().T
         for mu, nu in all_pairs(2):
             notes = {}
-            state = eve.forward(eve.attach(make_initial_state(cfg)), None, notes)
+            state = oracles.forward(eve, eve.attach(make_initial_state(cfg)), None, notes)
             for stage in range(2):
                 arr = state.amps.reshape(4, 9)
                 residual = np.linalg.norm(arr @ proj.T - arr)
                 assert residual < 1e-10
                 if stage == 0:
                     state = dense_encode(state, mu, nu, algebra(2))
-                    state = eve.backward(state, None, notes)
+                    state = oracles.backward(eve, state, None, notes)
 
 
 class TestCpbs:
@@ -223,7 +225,7 @@ class TestQuditShift:
         state, _ = drive_message_cycle(eve, cfg, 1, 0, None)
         anc = factor(state, ("e",))
         assert abs(abs(anc.amps[2]) - 1.0) < 1e-12  # ancilla sits at |2>
-        mu_hat, _ = eve.readout(state, np.random.default_rng(0), {})
+        mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         assert mu_hat == 1
 
     def test_dim_two_is_cnot(self):
@@ -318,7 +320,7 @@ class TestInterceptResend:
             rng = stream(91, trial)
             mu, nu = int(rng.integers(dim)), int(rng.integers(dim))
             state, notes = drive_message_cycle(eve, cfg, mu, nu, rng)
-            mu_hat, _ = eve.readout(state, rng, notes)
+            mu_hat, _ = oracles.readout(eve, state, rng, notes)
             assert mu_hat == mu
 
     def test_message_mode_breaks_coherence(self):
@@ -369,7 +371,7 @@ class TestHandleInvariants:
     def test_forward_backward_restores_state(self):
         for eve, cfg in coupling_zoo():
             state = eve.attach(make_initial_state(cfg))
-            roundtrip = eve.backward(eve.forward(state, None, {}), None, {})
+            roundtrip = oracles.backward(eve, oracles.forward(eve, state, None, {}), None, {})
             assert np.max(np.abs(roundtrip.amps - state.amps)) < 1e-12
 
     def test_post_decoupling_state_factorizes(self):
@@ -453,6 +455,19 @@ class TestResolution:
         path.write_text(json.dumps({"detection": [[[1, 0]]]}))
         with pytest.raises(ValueError):
             family_from_json(path)
+
+    def test_family_length_bounded_before_coupling(self, tmp_path, monkeypatch):
+        def no_coupling(*args):
+            raise AssertionError("a coupling was built")
+
+        monkeypatch.setattr(attacks, "complete_isometry", no_coupling)
+        rng = np.random.default_rng(4)
+        family = rand_family(rng, MAX_DIM + 1, 2)
+        states = [[[z.real, z.imag] for z in s.amps] for s in family.states]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"detection": states, "probes": states}))
+        with pytest.raises(ValueError, match=f"at most {MAX_DIM} amplitudes, got {MAX_DIM + 1}"):
+            from_name(f"generic:{path}", 2)
 
     def test_rail_state_index_convention(self):
         assert np.argmax(np.abs(rail_state(VACUUM, H_POL).amps)) == 1

@@ -56,6 +56,7 @@ class TestRunSpec:
         ("seed", "7"), ("seed", 7.5), ("seed", None),
         ("control_prob", True), ("control_prob", "0.5"),
         ("message", [[0, True]]), ("message", [[0.5, 1]]), ("message", [["0", "1"]]),
+        ("message", [1, 2]), ("message", [[0, 1, 1]]),
     ])
     def test_non_integral_or_non_numeric_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -273,6 +274,34 @@ class TestMain:
 
     def test_missing_required_flags(self):
         assert main(["--attack", "cnot"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dim", "40"], "dim must be <= 32, got 40"),
+        (["--dim", "2", "--message", "0x"], "message chunk '0x' is not a digit pair"),
+    ])
+    def test_bad_single_run_input_is_a_usage_error(self, flags, message, capsys):
+        code = main(["--attack", "cnot", "--control", "two-basis", "--seed", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"run": []}, "'runs'"),
+        ({"runs": [spec_dict(message=[1, 2])]}, "message must be"),
+        ([spec_dict(trials=0)], "trials must be >= 1"),
+    ])
+    def test_bad_spec_file_is_a_usage_error(self, tmp_path, capsys, payload, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        code = main(["--spec", str(spec_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_missing_spec_file_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["--spec", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_failing_run_sets_exit_code(self, tmp_path, capsys):
         out = tmp_path / "row.json"

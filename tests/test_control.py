@@ -403,7 +403,7 @@ class TestDualBasisExpand:
     def test_cnot_branches_are_uniform(self):
         cfg = qubit_cfg()
         eve = cnot_attack()
-        coupled = eve.forward(eve.attach(make_initial_state(cfg)), None, {})
+        coupled = oracles.forward(eve, eve.attach(make_initial_state(cfg)), None, {})
         coeffs = dual_components(coupled)
         for home_sign in range(2):
             for travel_sign in range(2):
@@ -412,7 +412,7 @@ class TestDualBasisExpand:
     def test_no_attack_cross_terms_vanish(self):
         cfg = qubit_cfg()
         eve = no_attack(2)
-        coupled = eve.forward(eve.attach(make_initial_state(cfg)), None, {})
+        coupled = oracles.forward(eve, eve.attach(make_initial_state(cfg)), None, {})
         norms = np.linalg.norm(dual_components(coupled), axis=2)
         assert norms[0, 0] < 1e-12
         assert norms[1, 1] < 1e-12
@@ -425,7 +425,7 @@ class TestDualBasisExpand:
         probes = rand_family(rng, 3, 2)
         eve = generic_coupling(2, detection, probes)
         cfg = qubit_cfg()
-        coupled = eve.forward(eve.attach(make_initial_state(cfg)), None, {})
+        coupled = oracles.forward(eve, eve.attach(make_initial_state(cfg)), None, {})
         component = dual_components(coupled)[0, 0]
         a_vec = probes.states[0].amps
         d_vec = probes.states[1].amps

@@ -3,20 +3,32 @@
 `run_session` builds each node of a session's branch tree once and then only
 samples; `oracles.stepwise_session` evolves fresh state vectors on every
 cycle. Both draw from the same per-cycle streams, so their transcripts, and
-the errors they raise, must be identical.
+the errors they raise, must be identical. Edge by edge, `protocol.follow`
+from a fresh node must give what `oracles.step` gives on the node's state.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import rand_family
+from conftest import rand_family, rand_state, rand_unitary
 from pingpong import attacks
 from pingpong import control as control_mode
 from pingpong import protocol
 from pingpong.attacks import generic_coupling
 from pingpong.cli import draw_message
-from pingpong.protocol import CoherenceBreakError, ProtocolConfig, run_session
+from pingpong.protocol import (
+    CoherenceBreakError,
+    DrawEdge,
+    MeasureEdge,
+    ProtocolConfig,
+    UnitaryEdge,
+    algebra,
+    follow,
+    run_session,
+)
+from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, pick
+from pingpong.rand import SESSION_TAG, stream
 
 CYCLES = 100
 SEEDS = (1, 2, 99)
@@ -120,3 +132,78 @@ def test_states_evolve_only_when_a_node_is_built(monkeypatch):
         run_session(cfg, draw_message(2, cycles, 5), eve, mode)
         counts.append(len(calls))
     assert counts[0] == counts[1] < 20
+
+
+# A 12-outcome measurement whose zero-probability outcomes sit between the
+# supported ones; with this seed a running sum over the supported outcomes
+# alone differs from the full table's in the last bit.
+SPARSE_SUPPORT = (0, 2, 3, 6, 7, 9, 11)
+SPARSE_SEED = 2
+
+
+def _sparse_state():
+    rng = np.random.default_rng(SPARSE_SEED)
+    amps = np.zeros((12, 2), dtype=np.complex128)
+    amps[list(SPARSE_SUPPORT)] = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    layout = SubsystemLayout.of(("t", 12), ("e", 2))
+    return StateVector(layout, amps.reshape(-1) / np.linalg.norm(amps))
+
+
+def _edge_case(kind):
+    """An edge of the given kind and a state to take it on."""
+    rng = np.random.default_rng(3)
+    layout = SubsystemLayout.of(("h", 3), ("t", 3), ("e", 2))
+    state = rand_state(rng, layout)
+    if kind == "unitary":
+        return UnitaryEdge(Operator.unitary(rand_unitary(rng, 6)), ("t", "e")), state
+    if kind == "measure":
+        return MeasureEdge(("t", "e"), Basis(rand_unitary(rng, 6)), "alice"), state
+    if kind == "draw":
+        shifts = (None,) + tuple(algebra(3).encoding(f, 0) for f in (1, 2))
+        return DrawEdge("fake", shifts, ("t",)), state
+    return MeasureEdge(("t",), Basis.computational(12), "genuine"), _sparse_state()
+
+
+class _Uniform:
+    """A stand-in generator whose `random()` returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ("unitary", "measure", "draw", "measure-sparse"))
+def test_follow_from_a_fresh_node_matches_step(kind, seed):
+    edge, state = _edge_case(kind)
+    for k in range(20):
+        rng_follow, rng_step = stream(seed, SESSION_TAG, k), stream(seed, SESSION_TAG, k)
+        node = protocol._Node(state, {"earlier": 1})
+        succ = follow((edge,), node, rng_follow)
+        notes = {"earlier": 1}
+        post = oracles.step(edge, state, rng_step, notes)
+        assert np.array_equal(succ.state.amps, post.amps)
+        assert succ.notes == notes
+        assert rng_follow.random() == rng_step.random()
+
+
+def test_measure_follow_picks_from_the_full_born_table():
+    """At every running-sum boundary of a sparse table, and one ulp to either
+    side, `follow` picks the outcome `step` picks."""
+    edge, state = _edge_case("measure-sparse")
+    table = born_table(state, edge.labels, edge.basis)
+    uniforms = [u for c in table.cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    for u in uniforms:
+        succ = follow((edge,), protocol._Node(state, {}), _Uniform(u))
+        notes = {}
+        oracles.step(edge, state, _Uniform(u), notes)
+        assert succ.notes == notes
+    # the boundaries tell the full table from one over the supported outcomes
+    support = np.array(SPARSE_SUPPORT)
+    supported = table.probs[support]
+    short_cum = np.cumsum(supported / supported.sum())
+    assert any(
+        support[pick(supported, short_cum, u)] != pick(table.probs, table.cum, u) for u in uniforms
+    )
