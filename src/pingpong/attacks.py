@@ -2,19 +2,21 @@
 
 Coupling attacks entangle the travel qudit with an ancilla through a unitary
 Q on the forward leg, undo it with Q^-1 on the return leg, and read the
-bit-flip symbol off the ancilla. The generic builder constructs Q from any
-orthonormal detection/probe families; the controlled-shift, CNOT and
-beam-splitter-circuit attacks are concrete instances. Intercept-resend is
-the procedural baseline that control mode exists to defeat.
+bit-flip symbol off the ancilla. `generic_coupling` builds Q from any
+orthonormal detection/probe families, one ancilla block per travel level;
+the CNOT, controlled-shift and beam-splitter-circuit attacks are that one
+builder called with their own named families. Intercept-resend is the
+procedural baseline that control mode exists to defeat.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from .protocol import MAX_DIM, TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, walk_leg
 from .qstate import (
+    ATOL_ALGEBRA,
     ATOL_BASIS,
     Basis,
     BasisError,
@@ -71,9 +74,11 @@ class StateFamily:
     def layout(self) -> SubsystemLayout:
         return self.states[0].layout
 
-    @property
+    @cached_property
     def columns(self) -> np.ndarray:
-        return np.column_stack([s.amps for s in self.states])
+        mat = np.column_stack([s.amps for s in self.states])
+        mat.flags.writeable = False
+        return mat
 
     def __len__(self) -> int:
         return len(self.states)
@@ -267,42 +272,19 @@ def intercept_resend(dim: int) -> EavesdropperHandle:
 
 
 def cnot_attack() -> EavesdropperHandle:
-    """Single-qubit-ancilla attack with Q = CNOT, travel as control."""
-    layout = SubsystemLayout.of(("x", 2))
-    cnot = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ],
-        dtype=np.complex128,
-    )
-    return CouplingHandle(
-        name="cnot",
-        dim=2,
-        initial_ancilla=StateVector.basis(layout, (0,)),
-        coupling=Operator.unitary(cnot),
-        detection=StateFamily.computational(layout, 2),
-    )
+    """Single-qubit-ancilla attack: the generic coupling with computational
+    families on one qubit, which is Q = CNOT with the travel qubit as control."""
+    family = StateFamily.computational(SubsystemLayout.of(("x", 2)), 2)
+    return generic_coupling(2, family, family, "cnot")
 
 
 def qudit_shift_attack(dim: int) -> EavesdropperHandle:
-    """Controlled-shift attack: Q|k_t, m_e> = |k_t, (m+k mod D)_e>."""
+    """Controlled-shift attack, Q|k_t, m_e> = |k_t, (m+k mod D)_e>: the generic
+    coupling with computational families on one qudit."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    layout = SubsystemLayout.of(("e", dim))
-    m = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for k in range(dim):
-        for a in range(dim):
-            m[k * dim + (a + k) % dim, k * dim + a] = 1.0
-    return CouplingHandle(
-        name="qudit-shift",
-        dim=dim,
-        initial_ancilla=StateVector.basis(layout, (0,)),
-        coupling=Operator.unitary(m),
-        detection=StateFamily.computational(layout, dim),
-    )
+    family = StateFamily.computational(SubsystemLayout.of(("e", dim)), dim)
+    return generic_coupling(dim, family, family, "qudit-shift")
 
 
 # --- photonic rail machinery -------------------------------------------------
@@ -332,40 +314,16 @@ def probe_states() -> tuple[StateVector, StateVector]:
     return a_state, d_state
 
 
-def _travel_rail_basis(t: int, rails: StateVector) -> StateVector:
-    travel = StateVector.basis(SubsystemLayout.of((TRAVEL, 2)), (t,))
-    return tensor(travel, rails)
-
-
 def pavicic_circuit() -> EavesdropperHandle:
-    """Beam-splitter-circuit attack on two trinary rails.
+    """Beam-splitter-circuit attack on two trinary rails: the generic coupling
+    from the chi states onto the equal superpositions.
 
-    The unitary is pinned by its four specified actions (each chi state maps
-    onto one of the equal superpositions, swapped when the travel qubit is
-    set) and completed deterministically; protocol evolution never leaves
+    Each chi state maps onto one of the superpositions, swapped when the
+    travel qubit is set. The rest of each travel level's 9-dimensional rail
+    block is completed deterministically; protocol evolution never leaves
     the specified subspace, so the completion is unobservable.
     """
-    chi0, chi1 = chi_states()
-    a_state, d_state = probe_states()
-    domain = [
-        _travel_rail_basis(0, chi0),
-        _travel_rail_basis(1, chi0),
-        _travel_rail_basis(0, chi1),
-        _travel_rail_basis(1, chi1),
-    ]
-    image = [
-        _travel_rail_basis(0, a_state),
-        _travel_rail_basis(1, d_state),
-        _travel_rail_basis(0, d_state),
-        _travel_rail_basis(1, a_state),
-    ]
-    return CouplingHandle(
-        name="pavicic",
-        dim=2,
-        initial_ancilla=chi0,
-        coupling=complete_isometry(domain, image),
-        detection=StateFamily((chi0, chi1)),
-    )
+    return generic_coupling(2, StateFamily(chi_states()), StateFamily(probe_states()), "pavicic")
 
 
 def cpbs() -> Operator:
@@ -408,22 +366,34 @@ def generic_coupling(
 ) -> EavesdropperHandle:
     """Build Eve's unitary from arbitrary detection/probe families.
 
-    Q maps |k_t>|detection_m> to |k_t>|probe_{m+k mod D}> for every k, m;
-    the remainder of the space is filled in by deterministic completion.
-    The result is checked with validate_coupling before it is returned.
+    Q maps |k_t>|detection_m> to |k_t>|probe_{m+k mod D}> for every k, m, so
+    it is block-diagonal in the travel level: Q = sum_k |k><k| (x) U_k with
+    U_k = [p_{m+k} | C_p][d_m | C_d]^dagger on the ancilla, where C_d and C_p
+    complete each family deterministically (`orthonormal_completion`). This
+    is the canonical completion of the whole travel (x) ancilla space,
+    which is block-diagonal with exactly these blocks. The result is checked
+    with validate_coupling before it is returned.
     """
     if len(detection) != dim or len(probes) != dim:
         raise ValueError("need exactly one detection and one probe state per travel level")
     if detection.layout != probes.layout:
         raise ValueError("detection and probe families must share the ancilla layout")
-    travel_layout = SubsystemLayout.of((TRAVEL, dim))
-    domain, image = [], []
-    for k in range(dim):
-        travel = StateVector.basis(travel_layout, (k,))
-        for m in range(dim):
-            domain.append(tensor(travel, detection.states[m]))
-            image.append(tensor(travel, probes.states[(m + k) % dim]))
-    coupling = complete_isometry(domain, image)
+    anc_dim = detection.layout.dim
+    det = orthonormal_completion(detection.columns, anc_dim)
+    prb = orthonormal_completion(probes.columns, anc_dim)
+    levels = np.arange(dim)
+    shift = (levels[:, None] + levels) % dim  # shift[k, m] = m + k mod D
+    # Row k of `picks` selects block k's image columns [p_{m+k} | C_p].
+    picks = np.hstack([shift, np.broadcast_to(np.arange(dim, anc_dim), (dim, anc_dim - dim))])
+    blocks = prb[:, picks].transpose(1, 0, 2) @ det.conj().T
+    # Checked per block: the off-diagonal blocks of Q^dagger Q are exactly
+    # zero, so this is the deviation Operator.unitary computes on all of Q.
+    dev = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(anc_dim)))
+    if dev >= ATOL_ALGEBRA:
+        raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
+    matrix = np.zeros((dim * anc_dim, dim * anc_dim), dtype=np.complex128)
+    matrix.reshape(dim, anc_dim, dim, anc_dim)[levels, :, levels, :] = blocks
+    coupling = Operator(dim * anc_dim, matrix, "unitary")
     report = validate_coupling(coupling, detection, probes, dim)
     if not report.passed:
         raise ArithmeticError(
@@ -441,25 +411,31 @@ def generic_coupling(
 def validate_coupling(
     coupling: Operator, detection: StateFamily, probes: StateFamily, dim: int
 ) -> CouplingReport:
-    """Residuals of Q|k, d_m> = |k, p_{m+k}> and the inverse condition."""
+    """Residuals of Q|k, d_m> = |k, p_{m+k}> and the inverse condition.
+
+    Every residual is taken over the whole travel (x) ancilla space, so a
+    dense coupling that leaks out of the travel level's block fails too.
+    """
     anc_dim = detection.layout.dim
     if coupling.dim != dim * anc_dim:
         raise ValueError("coupling dimension does not match travel * ancilla")
     det = detection.columns
     prb = probes.columns
-    inv = coupling.matrix.conj().T
-    rows = []
-    for k in range(dim):
-        e_k = np.zeros(dim)
-        e_k[k] = 1.0
-        for m in range(dim):
-            fwd_in = np.kron(e_k, det[:, m])
-            fwd_out = np.kron(e_k, prb[:, (m + k) % dim])
-            fwd = float(np.linalg.norm(coupling.matrix @ fwd_in - fwd_out))
-            bwd_in = np.kron(e_k, prb[:, m])
-            bwd_out = np.kron(e_k, det[:, (m - k) % dim])
-            bwd = float(np.linalg.norm(inv @ bwd_in - bwd_out))
-            rows.append((k, m, fwd, bwd))
+    q = coupling.matrix
+    levels = np.arange(dim)
+    shift = (levels[:, None] + levels) % dim  # shift[k, m] = m + k mod D
+    # Q|k, d_m> as [row level, row ancilla, k, m]; its target sits on row level k.
+    fwd = (q.reshape(-1, anc_dim) @ det).reshape(dim, anc_dim, dim, dim)
+    fwd[levels, :, levels, :] -= prb[:, shift].transpose(1, 0, 2)
+    fwd_res = np.linalg.norm(fwd.reshape(-1, dim * dim), axis=0).reshape(dim, dim)
+    del fwd  # freed before the backward array, which is as large
+    # The conjugate of Q^-1|k, p_m> as [k, m, column level, column ancilla],
+    # read off Q without copying Q^dagger; p_m's target is d_{m-k}.
+    bwd = (prb.conj().T @ q.reshape(dim, anc_dim, -1)).reshape(dim, dim, dim, anc_dim)
+    bwd[levels, :, levels, :] -= det.conj().T[(levels - levels[:, None]) % dim]
+    bwd_res = np.linalg.norm(bwd.reshape(dim, dim, -1), axis=2)
+    ks, ms = np.divmod(np.arange(dim * dim), dim)
+    rows = zip(ks.tolist(), ms.tolist(), fwd_res.ravel().tolist(), bwd_res.ravel().tolist())
     return CouplingReport(tuple(rows))
 
 
@@ -478,7 +454,14 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
     except (TypeError, KeyError) as exc:
         raise ValueError("family file needs 'detection' and 'probes' arrays") from exc
 
-    def build(raw) -> StateFamily:
+    def build(key: str, raw) -> StateFamily:
+        if not isinstance(raw, list) or not all(
+            isinstance(state, list) and all(map(_is_number_pair, state)) for state in raw
+        ):
+            raise ValueError(
+                f"family file field {key!r} must be a list of states, "
+                "each a list of [re, im] number pairs"
+            )
         lengths = {len(state) for state in raw}
         if len(lengths) != 1:
             raise ValueError("all family states must have the same length")
@@ -489,7 +472,15 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
         layout = SubsystemLayout.of(("e", length))
         return StateFamily(tuple(StateVector.from_amps(layout, v) for v in vectors))
 
-    return build(raw_det), build(raw_prb)
+    return build("detection", raw_det), build("probes", raw_prb)
+
+
+def _is_number_pair(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)
+    )
 
 
 def _qubit_only(name: str, build):

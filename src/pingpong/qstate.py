@@ -263,18 +263,21 @@ def _normalize_labels(labels) -> tuple[str, ...]:
 
 
 def _to_front(state: StateVector, labels: tuple[str, ...]) -> tuple[np.ndarray, list[int], int]:
-    """Reshape amplitudes with the target axes moved to the front, in order."""
+    """Reshape amplitudes with the target axes moved to the front, in order.
+
+    The returned axis order is the target axes, then the rest in layout
+    order; `_from_front` undoes it."""
     axes = [state.layout.position(lbl) for lbl in labels]
-    psi = np.moveaxis(state.reshaped(), axes, range(len(axes)))
+    order = axes + [i for i in range(len(state.layout.entries)) if i not in axes]
+    psi = state.reshaped().transpose(order)
     front = math.prod(state.layout.dim_of(lbl) for lbl in labels)
-    return psi.reshape(front, -1), axes, front
+    return psi.reshape(front, -1), order, front
 
 
-def _from_front(mat: np.ndarray, state: StateVector, axes: list[int]) -> np.ndarray:
+def _from_front(mat: np.ndarray, state: StateVector, order: list[int]) -> np.ndarray:
     dims = state.layout.dims
-    shape = [dims[a] for a in axes] + [d for i, d in enumerate(dims) if i not in axes]
-    psi = np.moveaxis(mat.reshape(shape), range(len(axes)), axes)
-    return psi.reshape(-1)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return mat.reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -295,8 +298,8 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
         raise ValueError(f"operator dim {op.dim} does not match target dim {target_dim}")
     if op.kind not in ("unitary", "projector"):
         raise ValueError("apply requires a unitary- or projector-tagged operator")
-    mat, axes, _ = _to_front(state, targets)
-    out = StateVector(state.layout, _from_front(op.matrix @ mat, state, axes))
+    mat, order, _ = _to_front(state, targets)
+    out = StateVector(state.layout, _from_front(op.matrix @ mat, state, order))
     if op.kind == "unitary" and abs(out.norm - state.norm) > ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
     return out
@@ -307,13 +310,13 @@ class BornTable:
     """Outcome probabilities of one projective measurement of a fixed state.
 
     `coeffs` holds one row of basis coefficients per outcome, taken over the
-    amplitudes with the measured axes moved to the front.
+    amplitudes with their axes in `order`, the measured axes first.
     """
 
     state: StateVector
     labels: tuple[str, ...]
     basis: Basis
-    axes: list[int]
+    order: list[int]
     coeffs: np.ndarray
     probs: np.ndarray
     cum: np.ndarray
@@ -323,13 +326,13 @@ def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
     """Born probabilities and their normalized running sum for measuring
     `labels` of `state` in `basis`."""
     labels = _normalize_labels(labels)
-    mat, axes, front = _to_front(state, labels)
+    mat, order, front = _to_front(state, labels)
     if basis.dim != front:
         raise ValueError(f"basis dim {basis.dim} does not match measured dim {front}")
     coeffs = basis.matrix.conj().T @ mat
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
-    return BornTable(state, labels, basis, axes, coeffs, probs, running_sum(probs))
+    return BornTable(state, labels, basis, order, coeffs, probs, running_sum(probs))
 
 
 def running_sum(probs: np.ndarray) -> np.ndarray:
@@ -357,7 +360,7 @@ def collapse(table: BornTable, outcome: int) -> MeasurementOutcome:
     return MeasurementOutcome(
         labels=table.labels,
         outcome=outcome,
-        state=StateVector(state.layout, _from_front(post, state, table.axes)),
+        state=StateVector(state.layout, _from_front(post, state, table.order)),
         probability=prob,
     )
 
@@ -405,21 +408,20 @@ def orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     Deterministic: candidate directions are the canonical basis vectors in
     ascending index order, Gram-Schmidt-projected against the current set.
     """
-    cols = [np.ascontiguousarray(columns[:, j], dtype=np.complex128) for j in range(columns.shape[1])]
+    cols = np.array(columns, dtype=np.complex128)
     for j in range(dim):
-        if len(cols) == dim:
+        if cols.shape[1] == dim:
             break
         v = np.zeros(dim, dtype=np.complex128)
         v[j] = 1.0
         for _ in range(2):  # twice for numerical hygiene
-            basis_mat = np.column_stack(cols)
-            v = v - basis_mat @ (basis_mat.conj().T @ v)
+            v = v - cols @ (cols.conj().T @ v)
         n = np.linalg.norm(v)
         if n > _COMPLETION_CUTOFF:
-            cols.append(v / n)
-    if len(cols) != dim:
+            cols = np.column_stack([cols, v / n])
+    if cols.shape[1] != dim:
         raise ArithmeticError("orthonormal completion failed to span the space")
-    return np.column_stack(cols)
+    return cols
 
 
 def complete_isometry(domain_basis, image_basis) -> Operator:

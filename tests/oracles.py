@@ -11,6 +11,12 @@ a handle's legs with `step`, which applies or measures one edge on one state
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
 must equal exactly.
+`shift_permutation`, `full_space_coupling` and `coupling_residual_rows` are
+the coupling builder's earlier routes: the controlled-shift permutation
+filled entry by entry, the unitary completion of the whole travel (x)
+ancilla space, and one pair of dense matrix-vector products per (k, m).
+The blockwise `generic_coupling` and the vectorized `validate_coupling`
+must agree with them.
 """
 
 from fractions import Fraction
@@ -30,7 +36,15 @@ from pingpong.protocol import (
     dense_encode,
     make_initial_state,
 )
-from pingpong.qstate import apply, factor, measure
+from pingpong.qstate import (
+    StateVector,
+    SubsystemLayout,
+    apply,
+    complete_isometry,
+    factor,
+    measure,
+    tensor,
+)
 from pingpong.rand import SESSION_TAG, stream
 
 
@@ -234,3 +248,44 @@ def choice_failures(rng, tables, trials):
         outcomes = rng.choice(flat.size, size=n_b, p=flat / flat.sum())
         failures += int(np.sum(fail.reshape(-1)[outcomes]))
     return failures
+
+
+def shift_permutation(dim):
+    """The controlled-shift coupling Q|k, a> = |k, a+k mod D> on a qudit
+    ancilla, filled entry by entry."""
+    m = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for k in range(dim):
+        for a in range(dim):
+            m[k * dim + (a + k) % dim, k * dim + a] = 1.0
+    return m
+
+
+def full_space_coupling(dim, detection, probes):
+    """The generic coupling matrix as one `complete_isometry` of the partial
+    isometry |k, d_m> -> |k, p_{m+k}> on the whole travel (x) ancilla space."""
+    travel_layout = SubsystemLayout.of((TRAVEL, dim))
+    domain, image = [], []
+    for k in range(dim):
+        travel = StateVector.basis(travel_layout, (k,))
+        for m in range(dim):
+            domain.append(tensor(travel, detection.states[m]))
+            image.append(tensor(travel, probes.states[(m + k) % dim]))
+    return complete_isometry(domain, image).matrix
+
+
+def coupling_residual_rows(matrix, detection, probes, dim):
+    """(k, m, forward, backward) residuals of Q|k, d_m> = |k, p_{m+k}> and
+    Q^dagger|k, p_m> = |k, d_{m-k}>, one dense matrix-vector product each."""
+    det, prb = detection.columns, probes.columns
+    inv = matrix.conj().T
+    rows = []
+    for k in range(dim):
+        e_k = np.zeros(dim)
+        e_k[k] = 1.0
+        for m in range(dim):
+            fwd_in, fwd_out = np.kron(e_k, det[:, m]), np.kron(e_k, prb[:, (m + k) % dim])
+            bwd_in, bwd_out = np.kron(e_k, prb[:, m]), np.kron(e_k, det[:, (m - k) % dim])
+            fwd = float(np.linalg.norm(matrix @ fwd_in - fwd_out))
+            bwd = float(np.linalg.norm(inv @ bwd_in - bwd_out))
+            rows.append((k, m, fwd, bwd))
+    return rows

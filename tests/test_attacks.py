@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family
+from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family, rand_unitary
 from pingpong import attacks
 from pingpong.attacks import (
     H_POL,
@@ -36,6 +37,7 @@ from pingpong.protocol import (
     run_session,
 )
 from pingpong.qstate import (
+    Operator,
     StateVector,
     SubsystemLayout,
     factor,
@@ -229,9 +231,11 @@ class TestQuditShift:
         assert mu_hat == 1
 
     def test_dim_two_is_cnot(self):
-        assert np.allclose(
-            qudit_shift_attack(2).coupling.matrix, cnot_attack().coupling.matrix, atol=1e-15
-        )
+        assert np.array_equal(cnot_attack().coupling.matrix, oracles.shift_permutation(2))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_equals_permutation_reference(self, dim):
+        assert np.array_equal(qudit_shift_attack(dim).coupling.matrix, oracles.shift_permutation(dim))
 
 
 class TestGenericCoupling:
@@ -240,25 +244,37 @@ class TestGenericCoupling:
             layout = SubsystemLayout.of(("e", dim))
             family = StateFamily.computational(layout, dim)
             built = generic_coupling(dim, family, family)
-            assert np.allclose(
-                built.coupling.matrix, qudit_shift_attack(dim).coupling.matrix, atol=1e-12
-            )
+            assert np.array_equal(built.coupling.matrix, oracles.shift_permutation(dim))
 
-    def test_rail_families_reproduce_circuit_on_protocol_subspace(self):
-        detection = StateFamily(chi_states())
-        probes = StateFamily(probe_states())
-        built = generic_coupling(2, detection, probes)
-        circuit = pavicic_circuit()
-        chi0, chi1 = chi_states()
-        a_state, d_state = probe_states()
-        for t in range(2):
-            travel = np.zeros(2)
-            travel[t] = 1.0
-            for anc in (chi0, chi1, a_state, d_state):
-                v = np.kron(travel, anc.amps)
-                assert np.linalg.norm(
-                    built.coupling.matrix @ v - circuit.coupling.matrix @ v
-                ) < 1e-12
+    def test_rail_families_reproduce_full_space_circuit(self):
+        reference = oracles.full_space_coupling(
+            2, StateFamily(chi_states()), StateFamily(probe_states())
+        )
+        assert np.max(np.abs(pavicic_circuit().coupling.matrix - reference)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "dim, anc_dim", [(d, a) for d in range(2, 6) for a in (d, d + 1, 9)]
+    )
+    def test_blocks_match_full_space_completion(self, dim, anc_dim):
+        rng = np.random.default_rng(100 * dim + anc_dim)
+        detection, probes = rand_family(rng, anc_dim, dim), rand_family(rng, anc_dim, dim)
+        built = generic_coupling(dim, detection, probes).coupling.matrix
+        reference = oracles.full_space_coupling(dim, detection, probes)
+        assert np.max(np.abs(built - reference)) < 1e-12
+
+    def test_memory_bounded_at_max_dim(self):
+        # The full-space completion peaked at 113 MiB here; the blockwise
+        # build holds Q and one D^3*A residual array at a time (~48 MiB).
+        rng = np.random.default_rng(32)
+        detection = rand_family(rng, MAX_DIM, MAX_DIM)
+        probes = rand_family(rng, MAX_DIM, MAX_DIM)
+        tracemalloc.start()
+        try:
+            generic_coupling(MAX_DIM, detection, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_random_families_full_session(self):
         rng = np.random.default_rng(21)
@@ -287,6 +303,22 @@ class TestValidateCoupling:
         assert not report.passed
         bad_rows = {(k, m) for k, m, f, b in report.rows if max(f, b) >= report.tolerance}
         assert bad_rows == {(k, m) for k in range(1, dim) for m in range(dim)}
+
+    @pytest.mark.parametrize("case", ["identity", "dense", "generic"])
+    def test_rows_match_per_pair_reference(self, case):
+        rng = np.random.default_rng(9)
+        dim, anc_dim = 3, 4
+        detection, probes = rand_family(rng, anc_dim, dim), rand_family(rng, anc_dim, dim)
+        coupling = {
+            "identity": lambda: Operator.unitary(np.eye(dim * anc_dim)),
+            "dense": lambda: Operator.unitary(rand_unitary(rng, dim * anc_dim)),
+            "generic": lambda: generic_coupling(dim, detection, probes).coupling,
+        }[case]()
+        report = validate_coupling(coupling, detection, probes, dim)
+        reference = oracles.coupling_residual_rows(coupling.matrix, detection, probes, dim)
+        assert [row[:2] for row in report.rows] == [row[:2] for row in reference]
+        assert np.max(np.abs(np.array(report.rows) - np.array(reference))) < 1e-12
+        assert report.passed == (case == "generic")
 
     def test_report_lists_every_pair(self):
         eve = qudit_shift_attack(4)
@@ -450,17 +482,29 @@ class TestResolution:
         assert np.allclose(loaded_det.columns, detection.columns)
         assert np.allclose(loaded_prb.columns, probes.columns)
 
-    def test_family_file_schema_errors(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"detection": [[[1, 0]]]}, "needs 'detection' and 'probes'"),
+            ({"detection": 5, "probes": 5}, "'detection' must be a list of states"),
+            ({"detection": [[1, 2]], "probes": [[1, 2]]}, "'detection' must be a list of states"),
+            (
+                {"detection": [[[1, 0]]], "probes": [[["a", "b"]]]},
+                r"'probes' must be a list of states, each a list of \[re, im\] number pairs",
+            ),
+        ],
+    )
+    def test_family_file_schema_errors(self, tmp_path, payload, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"detection": [[[1, 0]]]}))
-        with pytest.raises(ValueError):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
             family_from_json(path)
 
     def test_family_length_bounded_before_coupling(self, tmp_path, monkeypatch):
         def no_coupling(*args):
             raise AssertionError("a coupling was built")
 
-        monkeypatch.setattr(attacks, "complete_isometry", no_coupling)
+        monkeypatch.setattr(attacks, "orthonormal_completion", no_coupling)
         rng = np.random.default_rng(4)
         family = rand_family(rng, MAX_DIM + 1, 2)
         states = [[[z.real, z.imag] for z in s.amps] for s in family.states]
