@@ -184,8 +184,9 @@ class CouplingHandle(EavesdropperHandle):
     def forward_leg(self) -> tuple:
         return (UnitaryEdge(self.coupling, (TRAVEL,) + self.ancilla_labels),)
 
-    @property
+    @cached_property
     def backward_leg(self) -> tuple:
+        """Q^-1, built once per handle."""
         return (UnitaryEdge(self.coupling.inverse, (TRAVEL,) + self.ancilla_labels),)
 
     @property
@@ -205,10 +206,10 @@ class CouplingHandle(EavesdropperHandle):
 
 @lru_cache(maxsize=None)
 def _swap_operator(dim: int) -> Operator:
+    """|a, b> -> |b, a> on two qudits: a permutation of the levels."""
+    a, b = np.divmod(np.arange(dim * dim), dim)
     m = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for a in range(dim):
-        for b in range(dim):
-            m[b * dim + a, a * dim + b] = 1.0
+    m[b * dim + a, a * dim + b] = 1.0
     return Operator.unitary(m)
 
 

@@ -97,18 +97,25 @@ class QuditAlgebra:
     phase: Operator
 
     def encoding(self, mu: int, nu: int) -> Operator:
-        """Dense-coding unitary X^mu Z^nu (phase first, then shift)."""
+        """Dense-coding unitary X^mu Z^nu (phase first, then shift), built in
+        closed form: |k> goes to exp(2 pi i ((nu k) mod D) / D) |k + mu mod D>.
+        It is monomial, so `apply` moves amplitudes instead of multiplying by
+        the matrix."""
         if not (0 <= mu < self.dim and 0 <= nu < self.dim):
             raise ValueError(f"symbols ({mu}, {nu}) out of range for dim {self.dim}")
         return _encoding_operator(self.dim, mu, nu)
 
 
+def _weyl_phases(dim: int, nu) -> np.ndarray:
+    """exp(2 pi i ((nu k) mod D) / D) over the levels k, for each nu given."""
+    return np.exp(2j * np.pi * (np.multiply.outer(nu, np.arange(dim)) % dim) / dim)
+
+
 @lru_cache(maxsize=None)
 def _encoding_operator(dim: int, mu: int, nu: int) -> Operator:
-    alg = algebra(dim)
-    m = np.linalg.matrix_power(alg.shift.matrix, mu) @ np.linalg.matrix_power(
-        alg.phase.matrix, nu
-    )
+    levels = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[(levels + mu) % dim, levels] = _weyl_phases(dim, nu)
     return Operator.unitary(m)
 
 
@@ -116,12 +123,8 @@ def _encoding_operator(dim: int, mu: int, nu: int) -> Operator:
 def algebra(dim: int) -> QuditAlgebra:
     if dim < 2:
         raise ValueError("algebra requires dim >= 2")
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(dim):
-        shift[(k + 1) % dim, k] = 1.0
-    phase = np.diag(omega ** np.arange(dim))
-    return QuditAlgebra(dim, complex(omega), Operator.unitary(shift), Operator.unitary(phase))
+    omega = complex(np.exp(2j * np.pi / dim))
+    return QuditAlgebra(dim, omega, _encoding_operator(dim, 1, 0), _encoding_operator(dim, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -175,20 +178,29 @@ def dense_encode(state: StateVector, mu: int, nu: int, alg: QuditAlgebra) -> Sta
     return apply(state, alg.encoding(mu, nu), TRAVEL)
 
 
-@lru_cache(maxsize=None)
 def _bell_matrix(dim: int, kind: str) -> np.ndarray:
-    """Columns are the encoded Bell states, ordered by mu*dim + nu."""
+    """Columns are the encoded Bell states, ordered by mu*dim + nu: the pair
+    with its travel axis phased by nu, then rolled by mu."""
     cfg = ProtocolConfig(dim=dim, control_prob=0.0, n_cycles=1, seed=0, initial_state_kind=kind)
-    init = make_initial_state(cfg)
-    alg = algebra(dim)
-    cols = [
-        dense_encode(init, mu, nu, alg).amps
-        for mu in range(dim)
-        for nu in range(dim)
-    ]
-    mat = np.column_stack(cols)
-    mat.flags.writeable = False
-    return mat
+    pair = make_initial_state(cfg).amps.reshape(dim, dim)
+    h, t = np.nonzero(pair)
+    levels = np.arange(dim)
+    # X^mu Z^nu takes each |h, t> of the pair's support to
+    # exp(2 pi i ((nu t) mod D) / D) |h, t + mu>; as [h, t + mu, mu, nu].
+    mat = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
+    amps = (pair[h, t] * _weyl_phases(dim, levels)[:, t]).T  # [support, nu]
+    mat[h[:, None], (t[:, None] + levels) % dim, levels] = amps[:, None, :]
+    return mat.reshape(dim * dim, dim * dim)
+
+
+@lru_cache(maxsize=None)
+def _decoder_matrix(dim: int, kind: str) -> np.ndarray:
+    """The conjugate transpose of `_bell_matrix`, kept per (dim, kind) in
+    place of the Bell matrix: row mu*dim + nu gives an encoded Bell state's
+    overlap with a pair."""
+    dec = _bell_matrix(dim, kind).conj().T
+    dec.flags.writeable = False
+    return dec
 
 
 def bell_states(cfg: ProtocolConfig) -> Basis:
@@ -205,7 +217,7 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
     """
     if state.layout.labels != (HOME, TRAVEL):
         raise ValueError(f"decoder expects labels (h, t), got {state.layout.labels}")
-    overlaps = np.abs(_bell_matrix(cfg.dim, cfg.initial_state_kind).conj().T @ state.amps)
+    overlaps = np.abs(_decoder_matrix(cfg.dim, cfg.initial_state_kind) @ state.amps)
     best = int(np.argmax(overlaps))
     if overlaps[best] <= 1.0 - DECODE_ATOL:
         raise CoherenceBreakError(

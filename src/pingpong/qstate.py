@@ -4,6 +4,12 @@ Subsystems are named and may have different dimensions; amplitudes live in a
 flat complex vector with row-major mixed-radix indexing following the layout
 order. Everything is immutable: operations return new values.
 
+An operator with exactly one nonzero entry per column, in distinct rows (a
+permutation times phases: the Weyl encodings, CNOT, the controlled shift, the
+swap), carries that monomial form beside its matrix, read off once when it is
+built. `apply` moves amplitudes to their rows for it, O(N) where a dense
+matmul is O(N*d); every other operator is applied by the matmul.
+
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
 orthonormality of user-supplied bases and state families.
 """
@@ -11,8 +17,8 @@ orthonormality of user-supplied bases and state families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -141,11 +147,18 @@ class Operator:
     The `kind` tag records what the constructor verified: `unitary` operators
     satisfy max|U^dag U - I| < 1e-12, `projector` operators satisfy P^2 = P
     and P^dag = P within 1e-12.
+
+    The monomial form is read off the matrix at construction. When every
+    column j holds one nonzero entry, in row `rows[j]`, and the rows form a
+    permutation, `rows` is that permutation and `phases[j]` the entry (None
+    when every entry is exactly 1); otherwise both are None.
     """
 
     dim: int
     matrix: np.ndarray
     kind: str = "general"
+    rows: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    phases: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -153,6 +166,20 @@ class Operator:
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        nonzero = m != 0
+        # n nonzero entries reaching every column and every row: one per
+        # column, in distinct rows.
+        if np.count_nonzero(nonzero) != self.dim or not (
+            nonzero.any(axis=0).all() and nonzero.any(axis=1).all()
+        ):
+            return
+        rows = np.nonzero(nonzero.T)[1]  # column by column, the row of its entry
+        entries = m[rows, np.arange(self.dim)]
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        if np.any(entries != 1):
+            entries.flags.writeable = False
+            object.__setattr__(self, "phases", entries)
 
     @classmethod
     def unitary(cls, matrix) -> "Operator":
@@ -171,8 +198,11 @@ class Operator:
             raise ValueError("matrix is not idempotent")
         return cls(m.shape[0], m, "projector")
 
-    @property
+    @cached_property
     def inverse(self) -> "Operator":
+        """U^dagger, built once per operator. A monomial U's inverse is the
+        inverse permutation with conjugated phases, which the read-off of
+        U^dagger finds."""
         if self.kind != "unitary":
             raise ValueError("inverse is defined for unitary operators only")
         return Operator(self.dim, self.matrix.conj().T, "unitary")
@@ -290,7 +320,9 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
 
     Unitary application preserves the norm within 1e-12 (verified). Applying
     a projector yields the unnormalized projected vector, whose squared norm
-    is the associated outcome probability.
+    is the associated outcome probability. A monomial operator moves each
+    target row of amplitudes to its image row, times its phase; any other
+    is a dense matmul.
     """
     targets = _normalize_labels(targets)
     target_dim = math.prod(state.layout.dim_of(lbl) for lbl in targets)
@@ -299,7 +331,12 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     if op.kind not in ("unitary", "projector"):
         raise ValueError("apply requires a unitary- or projector-tagged operator")
     mat, order, _ = _to_front(state, targets)
-    out = StateVector(state.layout, _from_front(op.matrix @ mat, state, order))
+    if op.rows is None:
+        new = op.matrix @ mat
+    else:
+        new = np.empty_like(mat)
+        new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
+    out = StateVector(state.layout, _from_front(new, state, order))
     if op.kind == "unitary" and abs(out.norm - state.norm) > ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
     return out

@@ -17,6 +17,11 @@ filled entry by entry, the unitary completion of the whole travel (x)
 ancilla space, and one pair of dense matrix-vector products per (k, m).
 The blockwise `generic_coupling` and the vectorized `validate_coupling`
 must agree with them.
+`matrix_power_encodings`, `dense_apply`, `dense_encode_bell_matrix` and
+`swap_permutation` are the earlier routes to the Weyl operators, the Bell
+basis and the swap: X^mu Z^nu as two `matrix_power`s, every operator applied
+by a dense matmul, one encoding per Bell column, and the swap filled entry
+by entry. The closed forms and the monomial `apply` must agree with them.
 """
 
 from fractions import Fraction
@@ -30,6 +35,7 @@ from pingpong.protocol import (
     ControlOutcome,
     CycleRecord,
     MeasureEdge,
+    ProtocolConfig,
     UnitaryEdge,
     algebra,
     bob_decode,
@@ -39,6 +45,8 @@ from pingpong.protocol import (
 from pingpong.qstate import (
     StateVector,
     SubsystemLayout,
+    _from_front,
+    _to_front,
     apply,
     complete_isometry,
     factor,
@@ -289,3 +297,43 @@ def coupling_residual_rows(matrix, detection, probes, dim):
             bwd = float(np.linalg.norm(inv @ bwd_in - bwd_out))
             rows.append((k, m, fwd, bwd))
     return rows
+
+
+def matrix_power_encodings(dim):
+    """X^mu Z^nu as [mu, nu, row, column]: `matrix_power`s of the cyclic
+    shift, filled entry by entry, times those of the phase gate diag(omega^k)."""
+    shift = np.zeros((dim, dim), dtype=np.complex128)
+    for k in range(dim):
+        shift[(k + 1) % dim, k] = 1.0
+    phase = np.diag(np.exp(2j * np.pi / dim) ** np.arange(dim))
+    shifts = np.array([np.linalg.matrix_power(shift, mu) for mu in range(dim)])
+    phases = np.array([np.linalg.matrix_power(phase, nu) for nu in range(dim)])
+    return shifts[:, None] @ phases[None, :]
+
+
+def dense_apply(state, matrix, targets):
+    """`matrix` on the ordered target registers by one dense matmul."""
+    mat, order, _ = _to_front(state, tuple(targets))
+    return StateVector(state.layout, _from_front(matrix @ mat, state, order))
+
+
+def dense_encode_bell_matrix(dim, kind):
+    """The encoded Bell states as columns ordered by mu*dim + nu, each the
+    pair with its `matrix_power_encodings` entry applied densely to the
+    travel qudit."""
+    cfg = ProtocolConfig(dim=dim, control_prob=0.0, n_cycles=1, seed=0, initial_state_kind=kind)
+    init = make_initial_state(cfg)
+    encodings = matrix_power_encodings(dim)
+    return np.column_stack([
+        dense_apply(init, encodings[mu, nu], (TRAVEL,)).amps
+        for mu, nu in product(range(dim), repeat=2)
+    ])
+
+
+def swap_permutation(dim):
+    """The two-qudit swap |a, b> -> |b, a>, filled entry by entry."""
+    m = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for a in range(dim):
+        for b in range(dim):
+            m[b * dim + a, a * dim + b] = 1.0
+    return m

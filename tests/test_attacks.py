@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family, rand_unitary
+from conftest import (
+    all_pairs,
+    coupling_zoo,
+    qubit_cfg,
+    qudit_cfg,
+    rand_family,
+    rand_state,
+    rand_unitary,
+)
 from pingpong import attacks
 from pingpong.attacks import (
     H_POL,
@@ -40,6 +48,7 @@ from pingpong.qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
+    apply,
     factor,
     partial_trace,
     tensor,
@@ -392,6 +401,67 @@ class TestInterceptResend:
         assert abs(sum(found.values()) - 1.0) < 1e-12
         assert found.keys() == expected.keys()
         assert all(abs(found[levels] - p) < 1e-12 for levels, p in expected.items())
+
+
+class TestMonomialApply:
+    """Permutations moved by the monomial `apply` equal the dense matmul bit
+    for bit; phased ones agree within 1e-15."""
+
+    @staticmethod
+    def _check(op, layout, targets, exact):
+        state = rand_state(np.random.default_rng(op.dim), layout)
+        got = apply(state, op, targets).amps
+        want = oracles.dense_apply(state, op.matrix, targets).amps
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) < 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_swap(self, dim):
+        op = attacks._swap_operator(dim)
+        assert np.array_equal(op.matrix, oracles.swap_permutation(dim))
+        assert op.phases is None
+        layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim))
+        self._check(op, layout, ("t", "e"), exact=True)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_shifts(self, dim):
+        layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim))
+        for f in range(dim):
+            self._check(algebra(dim).encoding(f, 0), layout, ("t",), exact=True)
+
+    def test_cnot(self):
+        q = cnot_attack().coupling
+        assert q.rows is not None and q.phases is None
+        layout = SubsystemLayout.of(("h", 2), ("t", 2), ("x", 2))
+        self._check(q, layout, ("t", "x"), exact=True)
+        self._check(q.inverse, layout, ("t", "x"), exact=True)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_qudit_shift_coupling(self, dim):
+        q = qudit_shift_attack(dim).coupling
+        assert q.rows is not None and q.phases is None
+        layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim))
+        self._check(q, layout, ("t", "e"), exact=True)
+        self._check(q.inverse, layout, ("t", "e"), exact=True)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_phased_encodings(self, dim):
+        layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim))
+        for mu, nu in all_pairs(dim):
+            op = algebra(dim).encoding(mu, nu)
+            self._check(op, layout, ("t",), exact=nu == 0)
+
+    def test_dense_couplings_keep_the_matmul(self):
+        assert pavicic_circuit().coupling.rows is None
+        rng = np.random.default_rng(4)
+        assert generic_coupling(3, rand_family(rng, 4, 3), rand_family(rng, 4, 3)).coupling.rows is None
+
+    def test_backward_edge_built_once_per_handle(self):
+        eve = qudit_shift_attack(4)
+        assert eve.backward_leg is eve.backward_leg
+        assert eve.backward_leg[0].op is eve.coupling.inverse
 
 
 class TestHandleInvariants:

@@ -13,8 +13,12 @@ from pingpong.protocol import (
     CycleRecord,
     MAX_CYCLES,
     MAX_DIM,
+    QUBIT_SINGLET,
     QUDIT_CORRELATED,
     ProtocolConfig,
+    _bell_matrix,
+    _decoder_matrix,
+    _encoding_operator,
     algebra,
     bell_states,
     bob_decode,
@@ -86,6 +90,21 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             algebra(3).encoding(3, 0)
 
+    @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+    def test_closed_form_encodings_match_matrix_power(self, dim):
+        want = oracles.matrix_power_encodings(dim)
+        # the uncached builder: every D's encodings together would hold ~100 MB
+        for mu, nu in all_pairs(dim):
+            got = _encoding_operator.__wrapped__(dim, mu, nu)
+            assert np.max(np.abs(got.matrix - want[mu, nu])) < 1e-12
+            assert np.array_equal(got.rows, (np.arange(dim) + mu) % dim)
+            assert (got.phases is None) == (nu == 0)
+
+    def test_shift_and_phase_are_the_unit_encodings(self):
+        alg = algebra(5)
+        assert alg.shift is alg.encoding(1, 0)
+        assert alg.phase is alg.encoding(0, 1)
+
 
 class TestDenseEncode:
     def test_identity_symbols(self):
@@ -110,7 +129,7 @@ class TestDenseEncode:
 
 
 class TestBobDecode:
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16, MAX_DIM])
     def test_roundtrip_exhaustive(self, dim):
         cfg = qudit_cfg(dim)
         init = make_initial_state(cfg)
@@ -130,6 +149,28 @@ class TestBobDecode:
         assert max(table.values()) == oracles.Fraction(1, 2)
         with pytest.raises(CoherenceBreakError):
             bob_decode(collapsed, cfg)
+
+    @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+    def test_bell_matrix_matches_dense_encodings(self, dim):
+        got = _bell_matrix(dim, QUDIT_CORRELATED)
+        want = oracles.dense_encode_bell_matrix(dim, QUDIT_CORRELATED)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_qubit_bell_matrix_matches_dense_encodings(self):
+        want = oracles.dense_encode_bell_matrix(2, QUBIT_SINGLET)
+        assert np.max(np.abs(_bell_matrix(2, QUBIT_SINGLET) - want)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg", [qubit_cfg(), qudit_cfg(3), qudit_cfg(8), qudit_cfg(MAX_DIM)], ids=["qubit", "d3", "d8", "d32"]
+    )
+    def test_cached_decoder_equals_per_call_conjugate(self, cfg):
+        rng = np.random.default_rng(5)
+        dec = _decoder_matrix(cfg.dim, cfg.initial_state_kind)
+        assert dec is _decoder_matrix(cfg.dim, cfg.initial_state_kind)
+        assert not dec.flags.writeable
+        amps = rng.normal(size=cfg.dim**2) + 1j * rng.normal(size=cfg.dim**2)
+        per_call = _bell_matrix(cfg.dim, cfg.initial_state_kind).conj().T @ amps
+        assert np.array_equal(dec @ amps, per_call)
 
     def test_bell_basis_orthonormal(self):
         for cfg in (qubit_cfg(), qudit_cfg(3), qudit_cfg(5)):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import rand_state, rand_unitary
 from pingpong.qstate import (
     Basis,
@@ -133,6 +134,54 @@ class TestApply:
         op = Operator(2, np.eye(2))
         with pytest.raises(ValueError):
             apply(singlet(), op, "t")
+
+
+class TestMonomialForm:
+    def test_permutation_read_off_without_phases(self):
+        cnot = Operator.unitary(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+        assert cnot.rows.tolist() == [0, 1, 3, 2]
+        assert cnot.phases is None
+
+    def test_phases_kept_when_an_entry_is_not_one(self):
+        op = Operator.unitary(np.array([[0, 1j], [-1, 0]]))
+        assert op.rows.tolist() == [1, 0]
+        assert op.phases.tolist() == [-1, 1j]
+        assert not op.rows.flags.writeable and not op.phases.flags.writeable
+
+    def test_repeated_row_has_no_monomial_form(self):
+        # one nonzero entry per column, but both in row 0
+        op = Operator(2, np.array([[1, 1], [0, 0]]))
+        assert op.rows is None and op.phases is None
+
+    def test_dense_operators_have_no_monomial_form(self):
+        rng = np.random.default_rng(3)
+        assert Operator.unitary(rand_unitary(rng, 4)).rows is None
+        assert Operator.projector(np.diag([1.0, 0.0])).rows is None
+        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        assert Operator.unitary(hadamard).rows is None
+
+    def test_inverse_is_inverse_permutation_with_conjugate_phases(self):
+        rng = np.random.default_rng(8)
+        perm = rng.permutation(6)
+        phases = np.exp(2j * np.pi * rng.random(6))
+        m = np.zeros((6, 6), dtype=complex)
+        m[perm, np.arange(6)] = phases
+        op = Operator.unitary(m)
+        inv = op.inverse
+        assert inv is op.inverse  # built once
+        assert np.array_equal(inv.rows, np.argsort(perm))
+        assert np.array_equal(inv.phases, phases.conj()[np.argsort(perm)])
+
+    def test_monomial_apply_on_inner_targets(self):
+        # the rows move on the target axes brought to the front, in target order
+        rng = np.random.default_rng(21)
+        state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
+        m = np.zeros((6, 6), dtype=complex)
+        m[rng.permutation(6), np.arange(6)] = np.exp(2j * np.pi * rng.random(6))
+        op = Operator.unitary(m)
+        for targets in (("c", "b"), ("b", "a"), ("a", "b")):
+            want = oracles.dense_apply(state, m, targets).amps
+            assert np.max(np.abs(apply(state, op, targets).amps - want)) < 1e-15
 
 
 class TestMeasure:
