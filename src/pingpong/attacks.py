@@ -16,7 +16,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -272,9 +272,11 @@ def intercept_resend(dim: int) -> EavesdropperHandle:
     )
 
 
+@cache
 def cnot_attack() -> EavesdropperHandle:
     """Single-qubit-ancilla attack: the generic coupling with computational
-    families on one qubit, which is Q = CNOT with the travel qubit as control."""
+    families on one qubit, which is Q = CNOT with the travel qubit as control.
+    Built once per process, like `pavicic_circuit`; handles are immutable."""
     family = StateFamily.computational(SubsystemLayout.of(("x", 2)), 2)
     return generic_coupling(2, family, family, "cnot")
 
@@ -315,6 +317,7 @@ def probe_states() -> tuple[StateVector, StateVector]:
     return a_state, d_state
 
 
+@cache
 def pavicic_circuit() -> EavesdropperHandle:
     """Beam-splitter-circuit attack on two trinary rails: the generic coupling
     from the chi states onto the equal superpositions.

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import attacks
 from . import control as control_mode
 from .protocol import (
@@ -27,6 +29,7 @@ from .protocol import (
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
     ProtocolConfig,
+    Transcript,
     run_session,
 )
 from .rand import MESSAGE_TAG, SCORE_TAG, stream
@@ -166,36 +169,33 @@ def load_spec(path: str | Path) -> list[RunSpec]:
     return [RunSpec.from_dict(raw) for raw in runs]
 
 
-def draw_message(dim: int, length: int, seed: int) -> list[tuple[int, int]]:
-    """Uniform symbol pairs from the dedicated message stream."""
-    pairs = stream(seed, MESSAGE_TAG).integers(0, dim, size=(length, 2))
-    return list(map(tuple, pairs.tolist()))
+def draw_message(dim: int, length: int, seed: int) -> np.ndarray:
+    """Uniform symbol pairs from the dedicated message stream, as a
+    (length, 2) integer array."""
+    return stream(seed, MESSAGE_TAG).integers(0, dim, size=(length, 2))
 
 
-def score_session(records, dim: int, seed: int) -> dict:
+def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
     """Per-symbol eavesdropper accuracy and message integrity of a transcript.
 
     Abstaining readouts and the phase symbol are scored with uniform guesses
-    drawn from the scoring stream.
+    drawn from the scoring stream, one per guess in cycle order: a message
+    cycle takes the mu guess first when Eve abstains, then the nu guess.
     """
-    messages = [record for record in records if record.mode == "message"]
-    n_msg, n_ctrl = len(messages), len(records) - len(messages)
-    n_draws = n_msg + sum(record.eve_guess is None for record in messages)
-    # one batched draw, consumed in the order of one draw per guess
-    guesses = iter(stream(seed, SCORE_TAG).integers(dim, size=n_draws).tolist())
-    mu_hits = nu_hits = intact = 0
-    for record in messages:
-        mu, nu = record.alice_symbols
-        mu_hat = record.eve_guess
-        if mu_hat is None:
-            mu_hat = next(guesses)
-        nu_hat = next(guesses)
-        mu_hits += mu_hat == mu
-        nu_hits += nu_hat == nu
-        intact += record.bob_decoded == record.alice_symbols
+    n_msg = len(transcript.guess)
+    abstain = transcript.guess < 0
+    takes = 1 + abstain  # scoring draws per message cycle
+    draws = stream(seed, SCORE_TAG).integers(dim, size=n_msg + int(abstain.sum()))
+    first = np.cumsum(takes) - takes
+    mu_hat = np.where(abstain, draws[first], transcript.guess)
+    nu_hat = draws[first + abstain]
+    sent = transcript.symbols
+    mu_hits = int(np.count_nonzero(mu_hat == sent[:, 0]))
+    nu_hits = int(np.count_nonzero(nu_hat == sent[:, 1]))
+    intact = int(np.count_nonzero((transcript.decoded == sent).all(axis=1)))
     return {
         "n_message_cycles": n_msg,
-        "n_control_cycles": n_ctrl,
+        "n_control_cycles": len(transcript) - n_msg,
         "eve_mu_accuracy": sig12(mu_hits / n_msg) if n_msg else None,
         "eve_nu_accuracy": sig12(nu_hits / n_msg) if n_msg else None,
         "message_integrity": sig12(intact / n_msg) if n_msg else None,
@@ -236,12 +236,12 @@ def execute_run(spec: RunSpec) -> dict:
         )
         if spec.cycles > 0:
             message = (
-                list(spec.message)
+                spec.message
                 if spec.message is not None
                 else draw_message(spec.dim, spec.cycles, spec.seed)
             )
-            records = run_session(cfg, message, eve, mode)
-            row.update(score_session(records, spec.dim, spec.seed))
+            transcript = run_session(cfg, message, eve, mode)
+            row.update(score_session(transcript, spec.dim, spec.seed))
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,14 +65,14 @@ class ControlModeHandle:
             if b.basis.dim != self.dim:
                 raise ValueError("every menu basis must match the travel dimension")
 
-    def draw(self, rng: np.random.Generator) -> ControlBasis:
-        u = rng.random()
-        acc = 0.0
-        for b in self.bases:
-            acc += b.weight
-            if u < acc:
-                return b
-        return self.bases[-1]
+    @cached_property
+    def _running_weights(self) -> np.ndarray:
+        return np.array(list(accumulate(b.weight for b in self.bases)))
+
+    def choose(self, u):
+        """The menu index each uniform in `u` selects: the first basis whose
+        running weight exceeds it, else the last."""
+        return np.minimum(self._running_weights.searchsorted(u, side="right"), len(self.bases) - 1)
 
     def passes(self, basis_id: str, alice: int, bob: int) -> bool:
         for b in self.bases:

@@ -4,8 +4,14 @@ Bob keeps the home qudit (label "h") and sends the travel qudit ("t") to
 Alice, who either dense-codes a symbol pair onto it (message mode) or
 measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
-defined here; `run_session` follows them through a per-session branch tree,
-and `walk_leg` yields the exact ensemble a leg leaves behind.
+defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
+
+`run_session` follows the edges through a per-session branch tree for a
+chunk of cycles at a time: each tree level's draws come from the cycles'
+streams in one vectorized call (`rand.CycleDraws`), each node splits its
+cycles among its successors with array operations, and the session comes
+back as a columnar `Transcript`, which yields a `CycleRecord` per cycle
+when iterated.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .qstate import (
     pick,
     running_sum,
 )
-from .rand import SESSION_TAG, cycle_streams
+from .rand import SESSION_TAG, cycle_draws
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import EavesdropperHandle
@@ -229,14 +235,18 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 # --- branch edges ---------------------------------------------------------------
 #
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
-# An edge states two things. `branches` lists its outcomes from one state as
-# (outcome, probability, post-state), lazily; `walk_leg` reads them for the
-# exact ensemble a leg leaves behind. `draw` picks one outcome with the
-# edge's draws from a cycle's `rng` (None: the edge draws nothing and has one
-# outcome, None); `key` names the notes entry that records it. `follow` walks
-# a leg's edges through a session's branch tree: a node's first visit grows
-# its successors from the edge's `branches`, and every visit picks one by the
-# edge's `draw`. The per-cycle stepwise reference is `tests/oracles.py::step`.
+# An edge states three things. `branches` lists its outcomes from one state
+# as (outcome, probability, post-state), lazily; `walk_leg` reads them for
+# the exact ensemble a leg leaves behind. `draw` takes the edge's draw for
+# each of a group of cycles from a `rand.CycleDraws` (None: the edge draws
+# nothing and has one outcome, None), and `outcomes` maps those draws to
+# outcomes at one node; `key` names the notes entry that records the
+# outcome. `draw_leg` takes a leg's draws for a group of cycles one edge, so
+# one tree level, at a time, and `follow` walks the leg's edges through a
+# session's branch tree with them: a node's first visit grows its successors
+# from the edge's `branches`, and each node splits its cycles among its
+# successors by their outcomes. The per-cycle stepwise reference is
+# `tests/oracles.py::step`.
 
 
 class _Node:
@@ -244,17 +254,17 @@ class _Node:
 
     Each node is left by one edge only, except the post-forward node, whose
     successors `run_session` keys by control basis and by symbol pair. A node
-    gives up its state once its successors or its leaf record are built.
+    gives up its state once its successors or its leaf values are built.
     """
 
-    __slots__ = ("state", "notes", "prob", "next", "draw", "probs", "cum", "leaf")
+    __slots__ = ("state", "notes", "prob", "next", "probs", "cum", "leaf")
 
     def __init__(self, state: StateVector, notes: dict, prob: float = 1.0):
         self.state = state
         self.notes = notes  # outcomes recorded on the path to this node
         self.prob = prob  # probability of the branch from the parent
         self.next: dict = {}
-        self.draw = self.probs = self.cum = self.leaf = None
+        self.probs = self.cum = self.leaf = None
 
     def child(self, key, make) -> "_Node":
         """The successor under `key`, from `make(state)` on first use."""
@@ -264,25 +274,64 @@ class _Node:
         return node
 
 
-def follow(leg: Sequence, node: _Node, rng) -> _Node:
-    """The node the edges of `leg` lead to from `node`, each edge's draw from
-    `rng` selecting a successor.
+def _split(cycles: np.ndarray, values: np.ndarray) -> list:
+    """(value, cycles) for each distinct value, smallest first, keeping the
+    cycles in order."""
+    if len(values) == 0:
+        return []
+    if len(values) == 1 or values.min() == values.max():
+        return [(int(values[0]), cycles)]
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(cycles)]
+    return [(int(ranked[lo]), cycles[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def draw_leg(leg: Sequence, draws, cycles: np.ndarray) -> list:
+    """Each edge's draw for every listed cycle, one call per edge in leg
+    order, as columns indexed by the chunk's cycles (None for an edge that
+    draws nothing). Every cycle takes every edge of a leg, so its draws do
+    not depend on the outcomes."""
+    taken = []
+    for edge in leg:
+        if edge.draw is None:
+            taken.append(None)
+            continue
+        values = edge.draw(draws, cycles)
+        column = np.empty(len(draws), dtype=values.dtype)
+        column[cycles] = values
+        taken.append(column)
+    return taken
+
+
+def follow(leg: Sequence, node: _Node, cycles: np.ndarray, taken: list) -> Iterator:
+    """Each (node, cycles) the edges of `leg` lead the given cycles to from
+    `node`, depth-first, with the draws `draw_leg` took for them.
 
     A node's first visit grows one successor per branch of the edge that
-    leaves it, with the outcome recorded under `edge.key`, keeps the edge's
-    draw and drops the node's state.
+    leaves it, with the outcome recorded under `edge.key`, and drops the
+    node's state; a node's cycles are split among its successors by their
+    outcomes. Going depth-first, a caller that consumes each end node before
+    asking for the next holds the states of one path and its siblings, not
+    of a whole tree level.
     """
-    for edge in leg:
-        if not node.next:
-            key, notes = edge.key, node.notes
-            node.next = {
-                outcome: _Node(state, notes if key is None else {**notes, key: outcome}, p)
-                for outcome, p, state in edge.branches(node.state)
-            }
-            node.draw, node.state = edge.draw, None
-        draw = node.draw
-        node = node.next[None if draw is None else draw(rng, node)]
-    return node
+    if not leg:
+        yield node, cycles
+        return
+    edge, rest = leg[0], leg[1:]
+    if not node.next:
+        key, notes = edge.key, node.notes
+        node.next = {
+            outcome: _Node(state, notes if key is None else {**notes, key: outcome}, p)
+            for outcome, p, state in edge.branches(node.state)
+        }
+        node.state = None
+    if len(node.next) == 1:  # every draw picks the one successor
+        [succ] = node.next.values()
+        yield from follow(rest, succ, cycles, taken[1:])
+        return
+    for outcome, sub in _split(cycles, edge.outcomes(node, taken[0][cycles])):
+        yield from follow(rest, node.next[outcome], sub, taken[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,16 +363,21 @@ class MeasureEdge:
         for outcome in np.flatnonzero(table.probs > 0.0).tolist():
             yield outcome, float(table.probs[outcome]), collapse(table, outcome).state
 
-    def draw(self, rng, node: _Node) -> int:
-        """The outcome one uniform picks from the node's Born table. The first
-        draw rebuilds the table over every outcome, zeros included, from the
-        successors' probabilities, so it equals `born_table`'s bit for bit."""
+    def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
+        """One uniform per cycle."""
+        return draws.random(cycles)
+
+    def outcomes(self, node: _Node, uniforms: np.ndarray) -> np.ndarray:
+        """The outcome each uniform picks from the node's Born table. The
+        first pick rebuilds the table over every outcome, zeros included,
+        from the successors' probabilities, so it equals `born_table`'s bit
+        for bit."""
         if node.cum is None:
             node.probs = np.zeros(self.basis.dim)
             for outcome, succ in node.next.items():
                 node.probs[outcome] = succ.prob
             node.cum = running_sum(node.probs)
-        return pick(node.probs, node.cum, rng.random())
+        return pick(node.probs, node.cum, uniforms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +396,13 @@ class DrawEdge:
         for f, op in enumerate(self.ops):
             yield f, 1.0 / n, state if op is None else apply(state, op, self.targets)
 
-    def draw(self, rng, node: _Node) -> int:
-        """f from one `integers` draw; reads no table."""
-        return int(rng.integers(len(self.ops)))
+    def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
+        """One `integers(len(ops))` per cycle."""
+        return draws.integers(cycles, len(self.ops))
+
+    def outcomes(self, node: _Node, fs: np.ndarray) -> np.ndarray:
+        """f itself; reads no table."""
+        return fs
 
 
 def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
@@ -357,72 +415,181 @@ def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
         yield from walk_leg(leg[1:], post, prob * p)
 
 
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """A session's cycles as columns.
+
+    `control` marks each cycle's mode. Message cycles, in order, have
+    Alice's `symbols`, Bob's `decoded` pair and Eve's shift `guess` (-1:
+    she abstains); control cycles, in order, have the menu index `basis`
+    into `basis_ids`, Alice's and Bob's `outcomes` and whether they
+    `passed`. Iterating yields one `CycleRecord` per cycle; a transcript
+    equals another, or a list, with the same records.
+    """
+
+    control: np.ndarray
+    symbols: np.ndarray
+    decoded: np.ndarray
+    guess: np.ndarray
+    basis_ids: tuple[str, ...]
+    basis: np.ndarray
+    outcomes: np.ndarray
+    passed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.control)
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        messages = zip(self.symbols.tolist(), self.decoded.tolist(), self.guess.tolist())
+        controls = zip(self.basis.tolist(), self.outcomes.tolist(), self.passed.tolist())
+        for k, is_control in enumerate(self.control.tolist()):
+            if is_control:
+                basis, (alice, bob), passed = next(controls)
+                outcome = ControlOutcome(self.basis_ids[basis], alice, bob, passed)
+                yield CycleRecord(index=k, mode="control", control=outcome)
+            else:
+                sent, decoded, guess = next(messages)
+                yield CycleRecord(
+                    index=k,
+                    mode="message",
+                    alice_symbols=tuple(sent),
+                    bob_decoded=tuple(decoded),
+                    eve_guess=None if guess < 0 else guess,
+                )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Transcript, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _message_pairs(message, dim: int) -> np.ndarray:
+    """`message` as an (m, 2) integer array of symbols below `dim`."""
+    pairs = np.asarray(message, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("message must be a sequence of (mu, nu) pairs")
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= dim)).any(axis=1))
+    if bad.size:
+        mu, nu = pairs[bad[0]].tolist()
+        raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {dim}")
+    return pairs
+
+
+def _columns(n_msg: int, n_ctrl: int) -> tuple:
+    """Unfilled `Transcript` columns for n_msg message and n_ctrl control
+    cycles: decoded, guess, basis, outcomes, passed."""
+    return (
+        np.empty((n_msg, 2), dtype=np.int64),
+        np.empty(n_msg, dtype=np.int64),
+        np.empty(n_ctrl, dtype=np.int64),
+        np.empty((n_ctrl, 2), dtype=np.int64),
+        np.empty(n_ctrl, dtype=bool),
+    )
+
+
 def run_session(
     cfg: ProtocolConfig,
-    message: Sequence[tuple[int, int]],
+    message,
     eve: "EavesdropperHandle",
     control: "ControlModeHandle",
-) -> list[CycleRecord]:
-    """Run n_cycles of the protocol and return the per-cycle transcript.
+) -> Transcript:
+    """Run n_cycles of the protocol and return the transcript as columns.
 
     Each cycle draws from its own derived stream, the draws of
-    `stream(seed, SESSION_TAG, k)` (see `rand.cycle_streams`), so transcripts
-    are reproducible cycle-by-cycle. The states a cycle can reach form a branch
-    tree: Eve's forward leg; then per control basis Alice's and Bob's
+    `stream(seed, SESSION_TAG, k)` (see `rand.cycle_draws`), so transcripts
+    are reproducible cycle-by-cycle. The states a cycle can reach form a
+    branch tree: Eve's forward leg; then per control basis Alice's and Bob's
     measurements, or per symbol pair the encoded state, Eve's backward and
-    readout legs and Bob's decode. A node builds its Born table and its
-    successors on the first cycle that reaches it; later cycles only draw.
-    Message symbols are consumed from `message` in order; running out
-    raises. A coherence break in Bob's decoder propagates from the first
-    cycle that reaches the disturbed state.
+    readout legs and Bob's decode. The cycles are walked through the tree a
+    chunk at a time (`rand.CHUNK`): the chunk's cycles take each tree
+    level's draws in one call, the tree is walked depth-first, and a node
+    builds its Born table and successors on its first visit. Message
+    symbols, an (m, 2) array or sequence of pairs, are consumed in order;
+    running out raises. A coherence break in Bob's decoder is raised by the
+    first cycle that reaches the disturbed state. A session raises the error
+    of its earliest failing cycle, and builds no node in the chunks after
+    that cycle's.
     """
-    for mu, nu in message:
-        if not (0 <= mu < cfg.dim and 0 <= nu < cfg.dim):
-            raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {cfg.dim}")
+    message = _message_pairs(message, cfg.dim)
     alg = algebra(cfg.dim)
     root = _Node(eve.attach(make_initial_state(cfg)), {})
     forward, returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
-    checks = {
-        cb.basis_id: (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
+    checks = [
+        (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
         for cb in control.bases
-    }
-    records: list[CycleRecord] = []
-    msg_idx = 0
-    for k, rng in enumerate(cycle_streams(cfg.seed, SESSION_TAG, cfg.n_cycles)):
-        sent = follow(forward, root, rng)
-        if rng.random() < cfg.control_prob:
-            chosen = control.draw(rng)
-            node = sent.child(chosen.basis_id, lambda state: state)
-            node = follow(checks[chosen.basis_id], node, rng)
-            if node.leaf is None:
-                a, b = node.notes["alice"], node.notes["bob"]
-                node.leaf = ControlOutcome(
-                    basis_id=chosen.basis_id,
-                    alice_outcome=a,
-                    bob_outcome=b,
-                    passed=control.passes(chosen.basis_id, a, b),
-                )
-                node.state = None
-            records.append(CycleRecord(index=k, mode="control", control=node.leaf))
-        else:
-            if msg_idx >= len(message):
-                raise ValueError("message exhausted before the session finished")
-            mu, nu = message[msg_idx]
-            msg_idx += 1
-            node = sent.child((mu, nu), lambda state: dense_encode(state, mu, nu, alg))
-            node = follow(returned, node, rng)
-            if node.leaf is None:
-                decoded = bob_decode(factor(node.state, (HOME, TRAVEL)), cfg)
-                node.leaf = (decoded, eve.guess(node.notes))
-                node.state = None
-            decoded, guess = node.leaf
-            records.append(
-                CycleRecord(
-                    index=k,
-                    mode="message",
-                    alice_symbols=(mu, nu),
-                    bob_decoded=decoded,
-                    eve_guess=guess,
-                )
-            )
-    return records
+    ]
+    chunks = [(np.zeros(0, dtype=bool), *_columns(0, 0))]
+    n_sent = 0  # message pairs consumed by earlier chunks
+    n_pairs = cfg.dim * cfg.dim
+    for draws in cycle_draws(cfg.seed, SESSION_TAG, cfg.n_cycles):
+        n = len(draws)
+        everyone = np.arange(n)
+        sent = list(follow(forward, root, everyone, draw_leg(forward, draws, everyone)))
+        at = np.empty(n, dtype=np.int64)  # each cycle's post-forward node in `sent`
+        for i, (_, cycles) in enumerate(sent):
+            at[cycles] = i
+        is_control = draws.random(everyone) < cfg.control_prob
+        ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
+        rank = np.empty(n, dtype=np.int64)  # each cycle's place among its mode's
+        rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
+        decoded, guess, basis, outcomes, passed = _columns(len(msg), len(ctrl))
+        limit, error = n, None  # the chunk's first failing cycle and its error
+        if n_sent + len(msg) > len(message):
+            limit = int(msg[len(message) - n_sent])
+            error = ValueError("message exhausted before the session finished")
+
+        cycles = msg[msg < limit]
+        taken = draw_leg(returned, draws, cycles)
+        pairs = message[n_sent + rank[cycles]]
+        for key, group in _split(cycles, at[cycles] * n_pairs + pairs[:, 0] * cfg.dim + pairs[:, 1]):
+            if group[0] >= limit:  # every cycle here comes after a failure
+                continue
+            i, code = divmod(key, n_pairs)
+            mu, nu = divmod(code, cfg.dim)
+            node = sent[i][0].child((mu, nu), lambda state: dense_encode(state, mu, nu, alg))
+            for leaf, reached in follow(returned, node, group, taken):
+                if leaf.leaf is None:
+                    try:
+                        got = bob_decode(factor(leaf.state, (HOME, TRAVEL)), cfg)
+                    except CoherenceBreakError as exc:
+                        if reached[0] < limit:
+                            limit, error = int(reached[0]), exc
+                        continue
+                    mu_hat = eve.guess(leaf.notes)
+                    leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
+                    leaf.state = None
+                at_rank = rank[reached]
+                decoded[at_rank], guess[at_rank] = leaf.leaf
+
+        cycles = ctrl[ctrl < limit]
+        for b, group in _split(cycles, control.choose(draws.random(cycles))):
+            entry = control.bases[b]
+            taken = draw_leg(checks[b], draws, group)
+            for i, sub in _split(group, at[group]):
+                node = sent[i][0].child(entry.basis_id, lambda state: state)
+                for leaf, reached in follow(checks[b], node, sub, taken):
+                    if leaf.leaf is None:
+                        a, o = leaf.notes["alice"], leaf.notes["bob"]
+                        leaf.leaf = ((a, o), control.passes(entry.basis_id, a, o))
+                        leaf.state = None
+                    at_rank = rank[reached]
+                    basis[at_rank] = b
+                    outcomes[at_rank], passed[at_rank] = leaf.leaf
+        if error is not None:
+            raise error
+        chunks.append((is_control, decoded, guess, basis, outcomes, passed))
+        n_sent += len(msg)
+
+    is_control, decoded, guess, basis, outcomes, passed = map(np.concatenate, zip(*chunks))
+    return Transcript(
+        control=is_control,
+        symbols=message[:n_sent],
+        decoded=decoded,
+        guess=guess,
+        basis_ids=tuple(cb.basis_id for cb in control.bases),
+        basis=basis,
+        outcomes=outcomes,
+        passed=passed,
+    )

@@ -379,13 +379,14 @@ def running_sum(probs: np.ndarray) -> np.ndarray:
     return np.cumsum(probs / probs.sum())
 
 
-def pick(probs: np.ndarray, cum: np.ndarray, u: float) -> int:
-    """The outcome a uniform draw `u` selects from a Born table; never one
-    without support."""
-    outcome = int(cum.searchsorted(u, side="right"))
-    if outcome >= len(probs) or probs[outcome] <= 0.0:
+def pick(probs: np.ndarray, cum: np.ndarray, u):
+    """The outcome each uniform draw in `u` selects from a Born table (an
+    array of outcomes, or one for a scalar `u`); never one without support."""
+    outcome = np.minimum(cum.searchsorted(u, side="right"), len(probs) - 1)
+    edge = probs[outcome] <= 0.0
+    if edge.any():
         # float-precision edge: land on the last outcome with support
-        outcome = int(np.flatnonzero(probs > 0.0)[-1])
+        outcome = np.where(edge, np.flatnonzero(probs > 0.0)[-1], outcome)
     return outcome
 
 
@@ -409,7 +410,7 @@ def measure(state: StateVector, labels, basis: Basis, rng: np.random.Generator) 
     draw from `rng`; the returned state is renormalized.
     """
     table = born_table(state, labels, basis)
-    return collapse(table, pick(table.probs, table.cum, rng.random()))
+    return collapse(table, int(pick(table.probs, table.cum, rng.random())))
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:

@@ -7,13 +7,17 @@ what any other stream consumed.
 
 `stream(*key)` hashes its key with numpy's `SeedSequence` into the 128-bit
 Philox key. A session draws from one stream per cycle, `(seed, SESSION_TAG,
-k)`; `cycle_streams` gives the same streams without a `SeedSequence` per
-cycle. It computes the keys of a block of cycles in one vectorized pass of
+k)`; `cycle_draws` gives those draws for a chunk of cycles at a time, with no
+generator per cycle. It computes the chunk's keys in one vectorized pass of
 the `SeedSequence` hash (a fixed mixing function of 32-bit words, with
-numpy's constants and pool size) and resets one Philox generator to each key
-in turn, with its counter at 0 and its buffers empty, as a fresh generator
-starts. The generator it yields is therefore valid only until the next one
-is requested.
+numpy's constants and pool size), and their Philox4x64-10 output words in
+another: Philox output is a pure function of key and counter, and a fresh
+generator's block j is the one at counter j + 1. Blocks past the first are
+computed only for the cycles that reach them. The draws are decoded as
+numpy's `Generator` decodes them: `random()` is one 64-bit word w as
+(w >> 11) * 2**-53, and `integers(n)` is Lemire's bounded draw on 32-bit
+halves, a fresh word's low half first and its high half kept for the next
+`integers` (`random()` skips that buffer).
 """
 
 from __future__ import annotations
@@ -40,8 +44,16 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
-# Cycles whose keys are computed in one pass.
-_KEY_BLOCK = 1024
+# Cycles whose keys and words are computed in one pass.
+CHUNK = 4096
+
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter lanes 0 and
+# 2, and the key increments between rounds.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LOW = np.uint64(_MASK32)
+_HALF = np.uint64(32)
 
 
 def stream(*key: int) -> np.random.Generator:
@@ -122,17 +134,119 @@ def cycle_keys(seed: int, tag: int, ks) -> np.ndarray:
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def cycle_streams(seed: int, tag: int, n: int) -> Iterator[np.random.Generator]:
-    """Yield generators that draw as `stream(seed, tag, k)` for k = 0 .. n-1.
+def philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The Philox4x64-10 output block at counter (c, 0, 0, 0) under each key,
+    for (n, 2) uint64 keys and n counters, as an (n, 4) uint64 array.
 
-    The same generator object is yielded each time, reset to the next
-    cycle's key, so each one is valid only until the next is requested.
+    Block j of `stream(*key)`, that is words 4j .. 4j + 3 of
+    `bit_generator.random_raw`, is the block at counter j + 1.
     """
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty buffers
-    for start in range(0, n, _KEY_BLOCK):
-        for key in cycle_keys(seed, tag, np.arange(start, min(start + _KEY_BLOCK, n))):
-            fresh["state"]["key"] = key
-            bitgen.state = fresh
-            yield gen
+    key = np.array(keys, dtype=np.uint64).T  # (2, n), like each lane pair below
+    shape = key.shape
+    # Constants at full shape and results into buffers made once: a ufunc on
+    # equal shapes is cheaper than one that broadcasts a column, and
+    # allocating ~190 results per call would cost as much as computing them.
+    bump = np.broadcast_to(_PHILOX_W, shape).copy()
+    mult = np.broadcast_to(_PHILOX_M, shape).copy()
+    low, half = np.full(shape, _MASK32, dtype=np.uint64), np.full(shape, 32, dtype=np.uint64)
+    m_lo, m_hi = mult & low, mult >> half
+    even = np.zeros(shape, dtype=np.uint64)  # lanes 0 and 2
+    even[0] = counters
+    odd = np.zeros(shape, dtype=np.uint64)  # lanes 1 and 3
+    b_lo, b_hi, ll, hl, cross, hi, lo, tmp = np.empty((8, *shape), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            np.add(key, bump, out=key)
+        # hi and lo words of mult * even, from 32-bit limbs; cross < 2**64
+        np.bitwise_and(even, low, out=b_lo)
+        np.right_shift(even, half, out=b_hi)
+        np.multiply(m_lo, b_lo, out=ll)
+        np.multiply(m_hi, b_lo, out=hl)
+        np.right_shift(ll, half, out=cross)
+        np.add(cross, np.bitwise_and(hl, low, out=tmp), out=cross)
+        np.add(cross, np.multiply(m_lo, b_hi, out=tmp), out=cross)
+        np.multiply(m_hi, b_hi, out=hi)
+        np.add(hi, np.right_shift(hl, half, out=tmp), out=hi)
+        np.add(hi, np.right_shift(cross, half, out=tmp), out=hi)
+        np.multiply(mult, even, out=lo)  # wraps to the low word
+        # lane 0 takes lane 2's product and lane 2 lane 0's
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        np.bitwise_xor(even, key, out=even)
+        odd[:] = lo[::-1]
+    return np.stack((even, odd), axis=1).reshape(4, -1).T
+
+
+class CycleDraws:
+    """The draws of `stream(seed, tag, k)` for the cycles k of one chunk.
+
+    Cycles are named by their position in the chunk. Each call makes one draw
+    for every cycle it lists (each listed once), from wherever that cycle's
+    stream stands, and returns what the same call on each cycle's own
+    generator would.
+    """
+
+    def __init__(self, seed: int, tag: int, start: int, stop: int):
+        self.keys = cycle_keys(seed, tag, np.arange(start, stop))
+        n = stop - start
+        self.words = philox(self.keys, np.ones(n, dtype=np.uint64))
+        self.filled = np.full(n, 4)  # words computed per cycle
+        self.pos = np.zeros(n, dtype=np.int64)  # next word per cycle
+        self.half = np.zeros(n, dtype=np.uint64)  # a kept high half
+        self.has_half = np.zeros(n, dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def _next(self, cycles: np.ndarray) -> np.ndarray:
+        """Each listed cycle's next 64-bit word, computing its next block
+        when it has used up the ones it has."""
+        pos = self.pos[cycles]
+        self.pos[cycles] = pos + 1
+        late = pos >= self.filled[cycles]
+        if late.any():
+            rows = cycles[late]
+            block = self.filled[rows] // 4
+            short = 4 * (int(block.max()) + 1) - self.words.shape[1]
+            if short > 0:
+                self.words = np.pad(self.words, ((0, 0), (0, short)))
+            cols = 4 * block[:, None] + np.arange(4)
+            self.words[rows[:, None], cols] = philox(self.keys[rows], block + 1)
+            self.filled[rows] += 4
+        return self.words[cycles, pos]
+
+    def random(self, cycles: np.ndarray) -> np.ndarray:
+        """One `random()` per listed cycle."""
+        return (self._next(cycles) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+    def _uint32(self, cycles: np.ndarray) -> np.ndarray:
+        """One buffered 32-bit draw per listed cycle: a kept high half, or a
+        fresh word's low half, keeping its high half."""
+        out = self.half[cycles]
+        fresh = ~self.has_half[cycles]
+        self.has_half[cycles] = fresh
+        rows = cycles[fresh]
+        words = self._next(rows)
+        out[fresh] = words & _LOW
+        self.half[rows] = words >> _HALF
+        return out
+
+    def integers(self, cycles: np.ndarray, n: int) -> np.ndarray:
+        """One `integers(n)` per listed cycle, for 1 <= n < 2**32: Lemire's
+        multiply-shift of a 32-bit draw, drawing again while the product's
+        low half is under (2**32 - n) % n. A one-value range draws nothing."""
+        if not 1 <= n <= _MASK32:
+            raise ValueError(f"integers bound must be in [1, 2**32), got {n}")
+        out = np.zeros(len(cycles), dtype=np.int64)
+        threshold = (_MASK32 + 1 - n) % n
+        todo = np.arange(len(cycles) if n > 1 else 0)
+        while todo.size:
+            product = self._uint32(cycles[todo]) * np.uint64(n)
+            out[todo] = product >> _HALF
+            todo = todo[product & _LOW < threshold]
+        return out
+
+
+def cycle_draws(seed: int, tag: int, n: int) -> Iterator[CycleDraws]:
+    """The draws of cycles 0 .. n-1 in chunks of `CHUNK` cycles, in order."""
+    for start in range(0, n, CHUNK):
+        yield CycleDraws(seed, tag, start, min(start + CHUNK, n))

@@ -71,3 +71,13 @@ def coupling_zoo(seed: int = 5):
 @pytest.fixture(params=SEEDS)
 def seed(request) -> int:
     return request.param
+
+
+class FixedUniform:
+    """A stand-in generator whose `random()` returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u

@@ -7,7 +7,9 @@ purpose: these results must stay independent of the code paths they validate.
 state-vector loop that `run_session`'s transcripts are compared with. It takes
 a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
-`protocol.follow` must agree with draw for draw.
+`protocol.follow` must agree with draw for draw, and the menu loop
+`draw_basis`. `score_records` is the record-by-record scorer the columnar
+`cli.score_session` must equal.
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
 must equal exactly.
@@ -29,6 +31,7 @@ from itertools import product
 
 import numpy as np
 
+from pingpong.cli import sig12
 from pingpong.protocol import (
     HOME,
     TRAVEL,
@@ -53,7 +56,7 @@ from pingpong.qstate import (
     measure,
     tensor,
 )
-from pingpong.rand import SESSION_TAG, stream
+from pingpong.rand import SCORE_TAG, SESSION_TAG, stream
 
 
 def _branches_after_interception(dim, kind):
@@ -180,6 +183,19 @@ def readout(eve, state, rng, notes):
     return eve.guess(notes), state
 
 
+def draw_basis(control, rng):
+    """The control menu entry one uniform from `rng` selects: the first whose
+    running weight exceeds it, else the last. `ControlModeHandle.choose`
+    must agree for every uniform."""
+    u = rng.random()
+    acc = 0.0
+    for entry in control.bases:
+        acc += entry.weight
+        if u < acc:
+            return entry
+    return control.bases[-1]
+
+
 def stepwise_session(cfg, message, eve, control):
     """Reference for `run_session`: every cycle evolves fresh state vectors.
 
@@ -201,7 +217,7 @@ def stepwise_session(cfg, message, eve, control):
         state = eve.attach(init)
         state = forward(eve, state, rng, notes)
         if rng.random() < cfg.control_prob:
-            chosen = control.draw(rng)
+            chosen = draw_basis(control, rng)
             alice = measure(state, TRAVEL, chosen.basis, rng)
             bob = measure(alice.state, HOME, chosen.basis, rng)
             outcome = ControlOutcome(
@@ -230,6 +246,33 @@ def stepwise_session(cfg, message, eve, control):
                 )
             )
     return records
+
+
+def score_records(records, dim, seed):
+    """Reference for `cli.score_session`: the record-by-record scorer. Each
+    message record takes a uniform mu guess from the scoring stream when Eve
+    abstains, then a uniform nu guess, from one batched draw."""
+    messages = [record for record in records if record.mode == "message"]
+    n_msg, n_ctrl = len(messages), len(records) - len(messages)
+    n_draws = n_msg + sum(record.eve_guess is None for record in messages)
+    guesses = iter(stream(seed, SCORE_TAG).integers(dim, size=n_draws).tolist())
+    mu_hits = nu_hits = intact = 0
+    for record in messages:
+        mu, nu = record.alice_symbols
+        mu_hat = record.eve_guess
+        if mu_hat is None:
+            mu_hat = next(guesses)
+        nu_hat = next(guesses)
+        mu_hits += mu_hat == mu
+        nu_hits += nu_hat == nu
+        intact += record.bob_decoded == record.alice_symbols
+    return {
+        "n_message_cycles": n_msg,
+        "n_control_cycles": n_ctrl,
+        "eve_mu_accuracy": sig12(mu_hits / n_msg) if n_msg else None,
+        "eve_nu_accuracy": sig12(nu_hits / n_msg) if n_msg else None,
+        "message_integrity": sig12(intact / n_msg) if n_msg else None,
+    }
 
 
 def einsum_joint_probs(state, basis, dim):

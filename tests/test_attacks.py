@@ -80,8 +80,8 @@ class TestNoAttack:
 
     def test_readout_abstains(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=1)
-        records = run_session(cfg, [(1, 1)], no_attack(2), computational_control(cfg))
-        assert records[0].eve_guess is None
+        [record] = run_session(cfg, [(1, 1)], no_attack(2), computational_control(cfg))
+        assert record.eve_guess is None
 
 
 class TestCnot:

@@ -187,7 +187,12 @@ class TestScoreSession:
         assert stats["message_integrity"] == 1.0
 
     def test_no_message_cycles(self):
-        stats = score_session([], 2, seed=1)
+        from pingpong.attacks import no_attack
+        from pingpong.control import computational_control
+        from pingpong.protocol import ProtocolConfig, run_session
+
+        cfg = ProtocolConfig(dim=2, control_prob=0.25, n_cycles=0, seed=1)
+        stats = score_session(run_session(cfg, [], no_attack(2), computational_control(cfg)), 2, seed=1)
         assert stats["eve_mu_accuracy"] is None
         assert stats["n_message_cycles"] == 0
 

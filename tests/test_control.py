@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import pingpong.control as control_module
-from conftest import qubit_cfg, qudit_cfg, rand_family
+from conftest import FixedUniform, qubit_cfg, qudit_cfg, rand_family
 from pingpong.attacks import cnot_attack, intercept_resend, no_attack, pavicic_circuit, qudit_shift_attack
 from pingpong.attacks import from_name as attack_from_name
 from pingpong.attacks import generic_coupling
@@ -69,6 +69,27 @@ class TestPassPredicates:
         handle = two_basis_control(qubit_cfg())
         with pytest.raises(ValueError):
             ControlModeHandle("bad", 2, (handle.bases[0],) )
+
+    def test_choose_agrees_with_the_menu_loop(self):
+        """At each running weight, one ulp to either side and the ends of
+        [0, 1), with a zero-weight entry and weights whose running sum falls
+        short of 1 by rounding."""
+        handle = two_basis_control(qubit_cfg())
+        comp, dual = handle.bases
+        menus = [
+            handle,
+            ControlModeHandle("four", 2, (replace(comp, weight=0.7), replace(dual, weight=0.0),
+                                          replace(comp, weight=0.2), replace(dual, weight=0.1))),
+        ]
+        for menu in menus:
+            running = np.cumsum([b.weight for b in menu.bases])
+            uniforms = [0.0, 1 - 2**-53] + [
+                u for r in running for u in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)) if u < 1.0
+            ]
+            assert menu is handle or running[-1] < 1.0
+            chosen = menu.choose(np.array(uniforms))
+            expected = [oracles.draw_basis(menu, FixedUniform(u)) for u in uniforms]
+            assert [menu.bases[i] for i in chosen.tolist()] == expected
 
     def test_name_resolution(self):
         cfg = qubit_cfg()
