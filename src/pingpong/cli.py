@@ -29,6 +29,7 @@ from .protocol import (
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
     ProtocolConfig,
+    SessionTree,
     Transcript,
     run_session,
 )
@@ -202,8 +203,25 @@ def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
     }
 
 
-def execute_run(spec: RunSpec) -> dict:
-    """Execute one run; errors are reported in the row, not raised."""
+def _group_key(spec: RunSpec) -> tuple:
+    """A run's configuration: the attack (and a digest of a generic family
+    file's contents), the control, dim and kind. A key lives for one call,
+    so the process's 64-bit hash of the contents serves as the digest."""
+    digest = None
+    if spec.attack.startswith(attacks.GENERIC_PREFIX):
+        family = Path(spec.attack[len(attacks.GENERIC_PREFIX):])
+        try:
+            digest = hash(family.read_bytes())
+        except OSError:
+            pass  # each run reports the error when it loads the file
+    return (spec.attack, digest, spec.control, spec.dim, spec.resolved_kind)
+
+
+def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
+    """Execute one run; errors are reported in the row, not raised. `group`
+    keeps what the run builds (handles, detection tables and session tree)
+    for the later runs of its configuration; a build that fails is not kept."""
+    group = {} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
         attack=spec.attack,
@@ -225,9 +243,12 @@ def execute_run(spec: RunSpec) -> dict:
             seed=spec.seed,
             initial_state_kind=spec.resolved_kind,
         )
-        eve = attacks.from_name(spec.attack, spec.dim)
-        mode = control_mode.from_name(spec.control, cfg)
-        detection = control_mode.empirical_pdet(eve, mode, cfg, spec.trials)
+        if "tables" not in group:
+            eve = attacks.from_name(spec.attack, spec.dim)
+            mode = control_mode.from_name(spec.control, cfg)
+            group.update(eve=eve, mode=mode, tables=control_mode._born_tables(eve, mode, cfg))
+        eve, mode = group["eve"], group["mode"]
+        detection = control_mode.empirical_pdet(eve, mode, cfg, spec.trials, group["tables"])
         row.update(
             p_det_analytic=sig12(detection.p_analytic),
             p_det_empirical=sig12(detection.p_empirical),
@@ -240,7 +261,9 @@ def execute_run(spec: RunSpec) -> dict:
                 if spec.message is not None
                 else draw_message(spec.dim, spec.cycles, spec.seed)
             )
-            transcript = run_session(cfg, message, eve, mode)
+            if "tree" not in group:
+                group["tree"] = SessionTree(cfg, eve, mode)
+            transcript = run_session(cfg, message, eve, mode, group["tree"])
             row.update(score_session(transcript, spec.dim, spec.seed))
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
         row["status"] = "error"
@@ -250,8 +273,19 @@ def execute_run(spec: RunSpec) -> dict:
 
 
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
-    """Execute runs one after another; rows keep the spec order."""
-    return [execute_run(s) for s in specs]
+    """Execute runs one after another; rows keep the spec order. Runs of one
+    configuration (`_group_key`) share one group, which is dropped after its
+    last run: only groups with runs to come are held, none past the call."""
+    keys = [_group_key(spec) for spec in specs]
+    last = {key: i for i, key in enumerate(keys)}
+    groups: dict = {}
+    rows = []
+    for i, (spec, key) in enumerate(zip(specs, keys)):
+        group = groups.pop(key, {})
+        if last[key] > i:
+            groups[key] = group
+        rows.append(execute_run(spec, group))
+    return rows
 
 
 def emit(rows: list[dict], fmt: str, path: str | Path | None) -> str:

@@ -245,10 +245,12 @@ def empirical_pdet(
     control: ControlModeHandle,
     cfg: ProtocolConfig,
     trials: int,
+    tables: list | None = None,
 ) -> DetectionReport:
     """Seeded Monte Carlo over independent control cycles.
 
-    The per-basis Born tables are computed once; each trial samples a basis
+    The per-basis Born tables are computed once, or given as `tables` (from
+    `_born_tables` for the same handles and config); each trial samples a basis
     and an outcome pair from the exact joint distribution, and the analytic
     value is read off the same tables. The sampler draws the uniforms
     per-trial `rng.choice` would, in bounded chunks, and counts those that
@@ -258,7 +260,8 @@ def empirical_pdet(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = _born_tables(eve, control, cfg)
+    if tables is None:
+        tables = _born_tables(eve, control, cfg)
     failures = _sample_failures(stream(cfg.seed, PDET_TAG), tables, trials)
     low, high = wilson_interval(failures, trials)
     return DetectionReport(

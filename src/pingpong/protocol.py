@@ -6,7 +6,8 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_session` follows the edges through a per-session branch tree for a
+`run_session` follows the edges through a configuration's branch tree
+(`SessionTree`), which every session of that configuration may share, for a
 chunk of cycles at a time: each tree level's draws come from the cycles'
 streams in one vectorized call (`rand.CycleDraws`), each node splits its
 cycles among its successors with array operations, and the session comes
@@ -243,21 +244,21 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 # outcomes at one node; `key` names the notes entry that records the
 # outcome. `draw_leg` takes a leg's draws for a group of cycles one edge, so
 # one tree level, at a time, and `follow` walks the leg's edges through a
-# session's branch tree with them: a node's first visit grows its successors
+# configuration's branch tree with them: a node's first visit grows its successors
 # from the edge's `branches`, and each node splits its cycles among its
 # successors by their outcomes. The per-cycle stepwise reference is
 # `tests/oracles.py::step`.
 
 
 class _Node:
-    """A state of a session's branch tree and the nodes it leads to.
+    """A state of a configuration's branch tree and the nodes it leads to.
 
     Each node is left by one edge only, except the post-forward node, whose
     successors `run_session` keys by control basis and by symbol pair. A node
     gives up its state once its successors or its leaf values are built.
     """
 
-    __slots__ = ("state", "notes", "prob", "next", "probs", "cum", "leaf")
+    __slots__ = ("state", "notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
 
     def __init__(self, state: StateVector, notes: dict, prob: float = 1.0):
         self.state = state
@@ -350,18 +351,21 @@ class UnitaryEdge:
 class MeasureEdge:
     """A projective measurement of `labels` in `basis`; one uniform draw.
 
-    `key` records the outcome in the notes.
+    `key` records the outcome in the notes; with `collapses` off, branches
+    carry no post-measurement state (for a last edge read only by the notes).
     """
 
     labels: tuple[str, ...]
     basis: Basis
     key: str
+    collapses: bool = True
 
     def branches(self, state: StateVector) -> Iterator:
         """Each outcome with support, its Born probability and collapsed state."""
         table = born_table(state, self.labels, self.basis)
         for outcome in np.flatnonzero(table.probs > 0.0).tolist():
-            yield outcome, float(table.probs[outcome]), collapse(table, outcome).state
+            post = collapse(table, outcome).state if self.collapses else None
+            yield outcome, float(table.probs[outcome]), post
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
         """One uniform per cycle."""
@@ -489,37 +493,56 @@ def _columns(n_msg: int, n_ctrl: int) -> tuple:
     )
 
 
+class SessionTree:
+    """The states a cycle can reach: from `root`, Eve's forward leg; then per
+    control basis Alice's and Bob's measurements (`checks`), or per symbol
+    pair the encoded state, Eve's `returned` legs and Bob's decode. Nodes
+    depend on Eve's handle, the control mode, `dim` and `kind` only, so the
+    sessions of that configuration may share (and grow) one tree."""
+
+    def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle", control: "ControlModeHandle"):
+        self.eve, self.control = eve, control
+        self.dim, self.kind = cfg.dim, cfg.initial_state_kind
+        self.root = _Node(eve.attach(make_initial_state(cfg)), {})
+        self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
+        self.checks = [
+            (MeasureEdge((TRAVEL,), cb.basis, "alice"),
+             MeasureEdge((HOME,), cb.basis, "bob", collapses=False))
+            for cb in control.bases
+        ]
+
+
 def run_session(
     cfg: ProtocolConfig,
     message,
     eve: "EavesdropperHandle",
     control: "ControlModeHandle",
+    tree: Optional[SessionTree] = None,
 ) -> Transcript:
     """Run n_cycles of the protocol and return the transcript as columns.
 
     Each cycle draws from its own derived stream, the draws of
     `stream(seed, SESSION_TAG, k)` (see `rand.cycle_draws`), so transcripts
-    are reproducible cycle-by-cycle. The states a cycle can reach form a
-    branch tree: Eve's forward leg; then per control basis Alice's and Bob's
-    measurements, or per symbol pair the encoded state, Eve's backward and
-    readout legs and Bob's decode. The cycles are walked through the tree a
+    are reproducible cycle-by-cycle. The cycles are walked through the
+    configuration's branch tree, `tree` when given (it must have been built
+    for `eve`, `control` and the dim and kind of `cfg`) or else a new one, a
     chunk at a time (`rand.CHUNK`): the chunk's cycles take each tree
     level's draws in one call, the tree is walked depth-first, and a node
-    builds its Born table and successors on its first visit. Message
-    symbols, an (m, 2) array or sequence of pairs, are consumed in order;
-    running out raises. A coherence break in Bob's decoder is raised by the
-    first cycle that reaches the disturbed state. A session raises the error
-    of its earliest failing cycle, and builds no node in the chunks after
-    that cycle's.
+    builds its Born table and successors on its first visit in any session.
+    Message symbols, an (m, 2) array or sequence of pairs, are consumed in
+    order; running out raises. A coherence break in Bob's decoder is raised
+    by the first cycle that reaches the disturbed state. A session raises the
+    error of its earliest failing cycle, and builds no node in the chunks
+    after that cycle's.
     """
     message = _message_pairs(message, cfg.dim)
+    if tree is None:
+        tree = SessionTree(cfg, eve, control)
+    elif (tree.eve is not eve or tree.control is not control
+          or (tree.dim, tree.kind) != (cfg.dim, cfg.initial_state_kind)):
+        raise ValueError("session tree was built for another configuration")
     alg = algebra(cfg.dim)
-    root = _Node(eve.attach(make_initial_state(cfg)), {})
-    forward, returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
-    checks = [
-        (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
-        for cb in control.bases
-    ]
+    root, forward, returned, checks = tree.root, tree.forward, tree.returned, tree.checks
     chunks = [(np.zeros(0, dtype=bool), *_columns(0, 0))]
     n_sent = 0  # message pairs consumed by earlier chunks
     n_pairs = cfg.dim * cfg.dim
@@ -578,7 +601,10 @@ def run_session(
                     basis[at_rank] = b
                     outcomes[at_rank], passed[at_rank] = leaf.leaf
         if error is not None:
-            raise error
+            try:
+                raise error
+            finally:  # no reference cycle through the traceback keeps the tree alive
+                error = None
         chunks.append((is_control, decoded, guess, basis, outcomes, passed))
         n_sent += len(msg)
 

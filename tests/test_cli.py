@@ -1,10 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import qubit_cfg, rand_family
-from pingpong import attacks
+from pingpong import attacks, cli
 from pingpong import control as control_mode
 from pingpong.cli import (
     MAX_CYCLES,
@@ -170,6 +171,117 @@ class TestExecuteRun:
             if key == "wall_clock_s":
                 continue
             assert first[key] == second[key], key
+
+
+def _family_file(path, seed, orthonormal=True):
+    """A generic family file on a 4-dimensional ancilla for D=3, whose probe
+    family repeats a state unless `orthonormal`."""
+    rng = np.random.default_rng(seed)
+    families = {
+        key: [[[z.real, z.imag] for z in s.amps] for s in rand_family(rng, 4, 3).states]
+        for key in ("detection", "probes")
+    }
+    if not orthonormal:
+        families["probes"][1] = families["probes"][0]
+    path.write_text(json.dumps(families))
+    return f"generic:{path}"
+
+
+def _stable(rows):
+    return [{k: v for k, v in row.items() if k != "wall_clock_s"} for row in rows]
+
+
+def _grouped_specs(generic):
+    """Runs in six configurations, three of them interleaved groups of
+    several runs."""
+    raw = [
+        # message cycles break Bob's decoder part-way through the shared tree
+        dict(attack="intercept-resend", control="computational", cycles=30, control_prob=0.25, seed=1),
+        dict(attack=generic, control="computational", dim=3, cycles=40, seed=2),
+        dict(attack="intercept-resend", control="computational", cycles=40, control_prob=1.0, seed=3),
+        dict(attack="cnot", cycles=20, message=[[0, 1]] * 3, seed=4),  # message exhausted
+        dict(attack=generic, control="computational", dim=3, cycles=25, control_prob=0.5, seed=5),
+        dict(attack="intercept-resend", control="computational", cycles=0, seed=6),
+        dict(attack="cnot", cycles=50, seed=7),
+        dict(attack="intercept-resend", control="computational", cycles=35, control_prob=1.0, seed=8),
+        dict(attack="cnot", cycles=30, control_prob=0.5, seed=9),
+        dict(attack=generic, control="computational", dim=3, cycles=0, seed=10),
+        # configurations that differ from another in the kind or the control only
+        dict(attack="qudit-shift", control="computational", kind="qudit_beta00", cycles=30, seed=11),
+        dict(attack="qudit-shift", control="computational", cycles=30, seed=12),
+        dict(attack="cnot", control="computational", cycles=20, seed=13),
+    ]
+    return [RunSpec.from_dict(spec_dict(trials=500, **run)) for run in raw]
+
+
+class TestConfigurationGroups:
+    def test_rows_do_not_depend_on_grouping_or_order(self, tmp_path):
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        rows = _stable(run_experiments(specs))
+        errors = [row["error"] for row in rows if row["status"] == "error"]
+        assert len(errors) == 2
+        assert errors[0].startswith("CoherenceBreakError")
+        assert errors[1] == "ValueError: message exhausted before the session finished"
+        assert rows == _stable(execute_run(spec) for spec in specs)
+        assert rows == _stable(run_experiments(specs[::-1]))[::-1]
+        order = np.random.default_rng(0).permutation(len(specs))
+        shuffled = _stable(run_experiments([specs[i] for i in order]))
+        assert [shuffled[list(order).index(i)] for i in range(len(specs))] == rows
+
+    def test_a_group_is_freed_after_its_last_run(self, tmp_path, monkeypatch):
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        keys = [cli._group_key(spec) for spec in specs]
+        last = {key: i for i, key in enumerate(keys)}
+        trees = {}  # key -> weak reference to its tree's root
+        original = cli.execute_run
+
+        def checking(spec, group):
+            i = specs.index(spec)
+            # at its start, a run sees the trees of the groups with runs to come only
+            alive = {key for key, ref in trees.items() if ref() is not None}
+            assert alive == {key for key in trees if last[key] >= i}
+            row = original(spec, group)
+            if "tree" in group:
+                trees.setdefault(keys[i], weakref.ref(group["tree"].root))
+            return row
+
+        monkeypatch.setattr(cli, "execute_run", checking)
+        run_experiments(specs)
+        assert len(trees) == 6 and all(ref() is None for ref in trees.values())
+
+    def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch):
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        calls = {"attach": 0, "tables": 0}
+        attach, tables = attacks.EavesdropperHandle.attach, control_mode._born_tables
+
+        def counting_attach(self, state):
+            calls["attach"] += 1
+            return attach(self, state)
+
+        def counting_tables(*args):
+            calls["tables"] += 1
+            return tables(*args)
+
+        monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting_attach)
+        monkeypatch.setattr(control_mode, "_born_tables", counting_tables)
+        per_call = []
+        for _ in range(2):
+            calls.update(attach=0, tables=0)
+            run_experiments(specs)
+            per_call.append(dict(calls))
+        # six groups: one attach for detection and one for the session tree each
+        assert per_call == [{"attach": 12, "tables": 6}] * 2
+
+    def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path):
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3, orthonormal=False))
+        rows = _stable(run_experiments(specs))
+        broken = [row for row, spec in zip(rows, specs) if spec.attack.startswith("generic:")]
+        assert len(broken) == 3
+        assert all(row["status"] == "error" for row in broken)
+        [error] = {row["error"] for row in broken}
+        assert error.startswith("BasisError: family is not orthonormal")
+        others = [spec for spec in specs if not spec.attack.startswith("generic:")]
+        assert [row for row in rows if row not in broken] == _stable(run_experiments(others))
 
 
 class TestScoreSession:

@@ -1,6 +1,6 @@
 """The session engine's branch tree against the per-cycle reference stepper.
 
-`run_session` builds each node of a session's branch tree once and walks
+`run_session` builds each node of a configuration's branch tree once and walks
 each chunk of cycles through it one level at a time; `oracles.stepwise_session`
 evolves fresh state vectors on every cycle. Both draw from the same per-cycle
 streams, so the iterated transcript and the errors they raise, with the
@@ -26,8 +26,11 @@ from pingpong.cli import draw_message, score_session
 from pingpong.protocol import (
     CoherenceBreakError,
     DrawEdge,
+    HOME,
+    TRAVEL,
     MeasureEdge,
     ProtocolConfig,
+    SessionTree,
     Transcript,
     UnitaryEdge,
     algebra,
@@ -372,3 +375,58 @@ def test_session_holds_the_states_of_one_path_not_of_a_tree_level():
     finally:
         tracemalloc.stop()
     assert peak < 32 * dim**3 * np.dtype(np.complex128).itemsize
+
+
+# Sessions of one configuration that differ in everything else: seed, cycle
+# count and control probability.
+SESSIONS = [(1, 60, 0.25), (2, 25, 1.0), (3, 90, 0.0), (4, 45, 0.5)]
+
+
+@pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
+def test_sessions_sharing_a_tree_match_stepper(case):
+    """Sessions that walk and grow one tree in turn each give the stepwise
+    transcript or error, as with a tree of their own. Intercept-resend's
+    message cycles leave a coherence break part-way through the tree."""
+    cfg, eve, mode = _setup(case, 0.0, 0)
+    tree = SessionTree(cfg, eve, mode)
+    for seed, cycles, control_prob in SESSIONS:
+        session = replace(cfg, seed=seed, n_cycles=cycles, control_prob=control_prob)
+        message = draw_message(cfg.dim, cycles, seed)
+        shared = _result(lambda *args: run_session(*args, tree), session, message, eve, mode)
+        assert shared == _both(session, message, eve, mode)
+
+
+def test_a_tree_walks_only_its_own_configuration():
+    cfg, eve, mode = _setup(("qudit-shift", "computational", 2, "qudit_beta00"), 0.25, 1)
+    tree = SessionTree(cfg, eve, mode)
+    message = draw_message(2, CYCLES, 1)
+    assert run_session(cfg, message, eve, mode, tree) == run_session(cfg, message, eve, mode)
+    other_cfg, other_eve, other_mode = _setup(("qudit-shift", "computational", 3, "qudit_beta00"), 0.25, 1)
+    qubit_cfg = replace(cfg, initial_state_kind="qubit_psi_minus")
+    for args in [
+        (cfg, message, attacks.qudit_shift_attack(2), mode),  # an equal handle, not the same one
+        (cfg, message, eve, control_mode.from_name("computational", cfg)),
+        (qubit_cfg, message, eve, control_mode.from_name("computational", qubit_cfg)),
+        (other_cfg, draw_message(3, CYCLES, 1), other_eve, other_mode),
+    ]:
+        with pytest.raises(ValueError, match="another configuration"):
+            run_session(*args, tree)
+
+
+@pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
+def test_control_legs_collapse_no_state_of_bob(case, monkeypatch):
+    """Bob's control measurement ends its leg, and a control leaf reads only
+    the two outcomes, so it builds no post-measurement state; Alice's does.
+    Picks still come from the full Born table, so transcripts do not move."""
+    collapsed = []
+    original = protocol.collapse
+
+    def counting(table, outcome):
+        collapsed.append(table.labels)
+        return original(table, outcome)
+
+    monkeypatch.setattr(protocol, "collapse", counting)  # the stepper collapses through qstate's
+    cfg, eve, mode = _setup(case, 1.0, 6)
+    assert len(_both(cfg, [], eve, mode)) == CYCLES
+    assert collapsed.count((TRAVEL,)) > 0
+    assert (HOME,) not in collapsed
