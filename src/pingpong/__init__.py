@@ -4,18 +4,12 @@ and control-mode detection statistics."""
 
 from .qstate import (
     Basis,
-    DensityMatrix,
-    MeasurementOutcome,
     Operator,
     StateVector,
     SubsystemLayout,
     apply,
-    complete_isometry,
     factor,
-    measure,
-    partial_trace,
     tensor,
-    trace_distance,
 )
 from .protocol import (
     CoherenceBreakError,
@@ -33,7 +27,6 @@ from .attacks import (
     EavesdropperHandle,
     StateFamily,
     cnot_attack,
-    cpbs,
     generic_coupling,
     intercept_resend,
     no_attack,
@@ -57,10 +50,8 @@ __all__ = [
     "CoherenceBreakError",
     "ControlModeHandle",
     "CycleRecord",
-    "DensityMatrix",
     "DetectionReport",
     "EavesdropperHandle",
-    "MeasurementOutcome",
     "Operator",
     "ProtocolConfig",
     "QuditAlgebra",
@@ -73,23 +64,18 @@ __all__ = [
     "apply",
     "bob_decode",
     "cnot_attack",
-    "complete_isometry",
     "computational_control",
-    "cpbs",
     "dense_encode",
     "empirical_pdet",
     "factor",
     "generic_coupling",
     "intercept_resend",
     "make_initial_state",
-    "measure",
     "no_attack",
-    "partial_trace",
     "pavicic_circuit",
     "qudit_shift_attack",
     "run_session",
     "tensor",
-    "trace_distance",
     "two_basis_control",
     "validate_coupling",
 ]

@@ -31,7 +31,6 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
-    complete_isometry,
     orthonormal_completion,
     tensor,
 )
@@ -330,38 +329,6 @@ def pavicic_circuit() -> EavesdropperHandle:
     return generic_coupling(2, StateFamily(chi_states()), StateFamily(probe_states()), "pavicic")
 
 
-def cpbs() -> Operator:
-    """Controlled polarization beam splitter on the travel qubit and two rails.
-
-    With the control at 0 the horizontal photon hops rails and the vertical
-    one stays; with the control at 1 the roles are exchanged. All basis
-    states outside the eight-row truth table are left untouched.
-    """
-    table = {
-        (0, VACUUM, H_POL): (0, H_POL, VACUUM),
-        (0, H_POL, VACUUM): (0, VACUUM, H_POL),
-        (0, VACUUM, V_POL): (0, VACUUM, V_POL),
-        (0, V_POL, VACUUM): (0, V_POL, VACUUM),
-        (1, VACUUM, H_POL): (1, VACUUM, H_POL),
-        (1, H_POL, VACUUM): (1, H_POL, VACUUM),
-        (1, VACUUM, V_POL): (1, V_POL, VACUUM),
-        (1, V_POL, VACUUM): (1, VACUUM, V_POL),
-    }
-    layout = SubsystemLayout.of((TRAVEL, 2), ("x", RAIL_DIM), ("y", RAIL_DIM))
-    domain, image = [], []
-    for src, dst in table.items():
-        domain.append(StateVector.basis(layout, src))
-        image.append(StateVector.basis(layout, dst))
-    for t in range(2):
-        for x in range(RAIL_DIM):
-            for y in range(RAIL_DIM):
-                if (t, x, y) not in table:
-                    fixed = StateVector.basis(layout, (t, x, y))
-                    domain.append(fixed)
-                    image.append(fixed)
-    return complete_isometry(domain, image)
-
-
 def generic_coupling(
     dim: int,
     detection: StateFamily,
@@ -466,6 +433,8 @@ def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
                 f"family file field {key!r} must be a list of states, "
                 "each a list of [re, im] number pairs"
             )
+        if not all(math.isfinite(x) for state in raw for pair in state for x in pair):
+            raise ValueError(f"family file field {key!r} holds a non-finite amplitude")
         lengths = {len(state) for state in raw}
         if len(lengths) != 1:
             raise ValueError("all family states must have the same length")

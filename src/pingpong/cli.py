@@ -118,6 +118,8 @@ class RunSpec:
             raise ValueError("cycles must be >= 0")
         if self.cycles > MAX_CYCLES:
             raise ValueError(f"cycles must be <= {MAX_CYCLES}, got {self.cycles}")
+        if not 0.0 <= self.control_prob <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"control_prob must be in [0, 1], got {self.control_prob}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials > MAX_TRIALS:

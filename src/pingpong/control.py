@@ -29,7 +29,7 @@ import numpy as np
 
 from .attacks import EavesdropperHandle
 from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state
-from .qstate import Basis, Operator, StateVector
+from .qstate import Basis, StateVector
 from .rand import PDET_TAG, stream
 
 # Joint probabilities above this are treated as support of the clean state
@@ -139,17 +139,6 @@ def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
     if name not in CONTROL_MODES:
         raise ValueError(f"unknown control mode {name!r}; choose from {' | '.join(CONTROL_MODES)}")
     return CONTROL_MODES[name](cfg)
-
-
-def fail_projector(entry: ControlBasis, dim: int) -> Operator:
-    """Projector onto the outcome pairs the pass predicate rejects; tests use
-    its expectation as the independent reference for the Born tables."""
-    passing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for alice, bob in entry.allowed:
-        b_vec = entry.basis.state(bob)
-        a_vec = entry.basis.state(alice)
-        passing += np.kron(np.outer(b_vec, b_vec.conj()), np.outer(a_vec, a_vec.conj()))
-    return Operator.projector(np.eye(dim * dim) - passing)
 
 
 def _joint_probs(state: StateVector, basis: Basis, dim: int) -> np.ndarray:

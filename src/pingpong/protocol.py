@@ -364,7 +364,7 @@ class MeasureEdge:
         """Each outcome with support, its Born probability and collapsed state."""
         table = born_table(state, self.labels, self.basis)
         for outcome in np.flatnonzero(table.probs > 0.0).tolist():
-            post = collapse(table, outcome).state if self.collapses else None
+            post = collapse(table, outcome) if self.collapses else None
             yield outcome, float(table.probs[outcome]), post
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:

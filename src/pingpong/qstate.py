@@ -31,7 +31,7 @@ _COMPLETION_CUTOFF = 1e-7
 
 
 class LayoutError(ValueError):
-    """Label collision, unknown label, or empty label selection."""
+    """Label collision or unknown label."""
 
 
 class BasisError(ValueError):
@@ -145,8 +145,7 @@ class Operator:
     """Square matrix acting on a factor of the composite space.
 
     The `kind` tag records what the constructor verified: `unitary` operators
-    satisfy max|U^dag U - I| < 1e-12, `projector` operators satisfy P^2 = P
-    and P^dag = P within 1e-12.
+    satisfy max|U^dag U - I| < 1e-12.
 
     The monomial form is read off the matrix at construction. When every
     column j holds one nonzero entry, in row `rows[j]`, and the rows form a
@@ -188,15 +187,6 @@ class Operator:
         if dev >= ATOL_ALGEBRA:
             raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
         return cls(m.shape[0], m, "unitary")
-
-    @classmethod
-    def projector(cls, matrix) -> "Operator":
-        m = np.asarray(matrix, dtype=np.complex128)
-        if np.max(np.abs(m - m.conj().T)) >= ATOL_ALGEBRA:
-            raise ValueError("matrix is not hermitian")
-        if np.max(np.abs(m @ m - m)) >= ATOL_ALGEBRA:
-            raise ValueError("matrix is not idempotent")
-        return cls(m.shape[0], m, "projector")
 
     @cached_property
     def inverse(self) -> "Operator":
@@ -254,38 +244,6 @@ def _dual_basis() -> Basis:
     return Basis(m, "dual")
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of a projective measurement on named subsystems."""
-
-    labels: tuple[str, ...]
-    outcome: int
-    state: StateVector
-    probability: float
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced state over the kept subsystems."""
-
-    layout: SubsystemLayout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if m.shape != (self.layout.dim, self.layout.dim):
-            raise LayoutError("density matrix shape does not match layout")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def expectation(self, op: Operator) -> float:
-        return float(np.trace(op.matrix @ self.matrix).real)
-
-
 def _normalize_labels(labels) -> tuple[str, ...]:
     if isinstance(labels, str):
         return (labels,)
@@ -318,18 +276,16 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 def apply(state: StateVector, op: Operator, targets) -> StateVector:
     """Apply `op` on the ordered target subsystems, identity elsewhere.
 
-    Unitary application preserves the norm within 1e-12 (verified). Applying
-    a projector yields the unnormalized projected vector, whose squared norm
-    is the associated outcome probability. A monomial operator moves each
-    target row of amplitudes to its image row, times its phase; any other
-    is a dense matmul.
+    Application preserves the norm within 1e-12 (verified). A monomial
+    operator moves each target row of amplitudes to its image row, times its
+    phase; any other is a dense matmul.
     """
     targets = _normalize_labels(targets)
     target_dim = math.prod(state.layout.dim_of(lbl) for lbl in targets)
     if op.dim != target_dim:
         raise ValueError(f"operator dim {op.dim} does not match target dim {target_dim}")
-    if op.kind not in ("unitary", "projector"):
-        raise ValueError("apply requires a unitary- or projector-tagged operator")
+    if op.kind != "unitary":
+        raise ValueError("apply requires a unitary-tagged operator")
     mat, order, _ = _to_front(state, targets)
     if op.rows is None:
         new = op.matrix @ mat
@@ -337,7 +293,7 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
         new = np.empty_like(mat)
         new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
     out = StateVector(state.layout, _from_front(new, state, order))
-    if op.kind == "unitary" and abs(out.norm - state.norm) > ATOL_ALGEBRA:
+    if abs(out.norm - state.norm) > ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
     return out
 
@@ -390,36 +346,12 @@ def pick(probs: np.ndarray, cum: np.ndarray, u):
     return outcome
 
 
-def collapse(table: BornTable, outcome: int) -> MeasurementOutcome:
+def collapse(table: BornTable, outcome: int) -> StateVector:
     """The renormalized post-measurement state for one outcome with support."""
     state = table.state
-    prob = float(table.probs[outcome])
-    post = np.outer(table.basis.matrix[:, outcome], table.coeffs[outcome] / math.sqrt(prob))
-    return MeasurementOutcome(
-        labels=table.labels,
-        outcome=outcome,
-        state=StateVector(state.layout, _from_front(post, state, table.order)),
-        probability=prob,
-    )
-
-
-def measure(state: StateVector, labels, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of the given subsystems in `basis`.
-
-    The outcome is sampled from the Born probabilities using one uniform
-    draw from `rng`; the returned state is renormalized.
-    """
-    table = born_table(state, labels, basis)
-    return collapse(table, int(pick(table.probs, table.cum, rng.random())))
-
-
-def partial_trace(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix over `keep` (in the order given)."""
-    keep = _normalize_labels(keep)
-    if not keep:
-        raise LayoutError("empty keep list")
-    mat, _, _ = _to_front(state, keep)
-    return DensityMatrix(state.layout.select(keep), mat @ mat.conj().T)
+    amps = table.coeffs[outcome] / math.sqrt(table.probs[outcome])
+    post = np.outer(table.basis.matrix[:, outcome], amps)
+    return StateVector(state.layout, _from_front(post, state, table.order))
 
 
 def factor(state: StateVector, keep) -> StateVector:
@@ -460,36 +392,3 @@ def orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     if cols.shape[1] != dim:
         raise ArithmeticError("orthonormal completion failed to span the space")
     return cols
-
-
-def complete_isometry(domain_basis, image_basis) -> Operator:
-    """Unitary extension of the partial isometry domain_k -> image_k.
-
-    Both lists must be orthonormal within 1e-10 and of equal length; the
-    completion maps the canonical Gram-Schmidt complements of the two sides
-    onto each other in order, so the result is deterministic.
-    """
-    if len(domain_basis) != len(image_basis):
-        raise ValueError("domain and image lists must have equal length")
-    if not domain_basis:
-        raise ValueError("empty partial isometry")
-    dim = domain_basis[0].layout.dim
-    if any(s.layout.dim != dim for s in list(domain_basis) + list(image_basis)):
-        raise ValueError("all vectors must share one total dimension")
-
-    def stack(states):
-        m = np.column_stack([s.amps for s in states])
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
-        if dev > ATOL_BASIS:
-            raise BasisError(f"input list is not orthonormal (Gram deviation {dev:.3e})")
-        return m
-
-    dom = orthonormal_completion(stack(domain_basis), dim)
-    img = orthonormal_completion(stack(image_basis), dim)
-    return Operator.unitary(img @ dom.conj().T)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2)||a - b||_1 via the spectrum of the hermitian difference."""
-    diff = a.matrix - b.matrix
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

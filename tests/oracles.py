@@ -3,13 +3,21 @@
 The enumeration oracles are exhaustive over measurement branches with exact
 rational probabilities and use nothing from the package under test, on
 purpose: these results must stay independent of the code paths they validate.
-`stepwise_session` is the one reference built from the package: a per-cycle
+`stepwise_session` is the session reference built from the package: a per-cycle
 state-vector loop that `run_session`'s transcripts are compared with. It takes
 a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
 `protocol.follow` must agree with draw for draw, and the menu loop
-`draw_basis`. `score_records` is the record-by-record scorer the columnar
-`cli.score_session` must equal.
+`draw_basis`. `measure` is its one measurement on one uniform, built from
+`born_table`, `pick` and `collapse`. `score_records` is the record-by-record
+scorer the columnar `cli.score_session` must equal.
+`partial_trace` and `trace_distance` compare reduced states as plain
+matrices. `fail_projector` is the projector onto a control basis's failing
+outcome pairs; its expectation on the reduced pair is the reference route
+`analytic_pdet`'s Born tables must agree with.
+`complete_isometry` extends a partial isometry to a unitary. `cpbs`, the
+controlled polarization beam splitter of Pavicic's explicit circuit, is
+built with it from its truth table.
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
 must equal exactly.
@@ -45,15 +53,21 @@ from pingpong.protocol import (
     dense_encode,
     make_initial_state,
 )
+from pingpong.attacks import H_POL, RAIL_DIM, V_POL, VACUUM
 from pingpong.qstate import (
+    ATOL_BASIS,
+    BasisError,
+    Operator,
     StateVector,
     SubsystemLayout,
     _from_front,
     _to_front,
     apply,
-    complete_isometry,
+    born_table,
+    collapse,
     factor,
-    measure,
+    orthonormal_completion,
+    pick,
     tensor,
 )
 from pingpong.rand import SCORE_TAG, SESSION_TAG, stream
@@ -146,6 +160,26 @@ def wilson_interval(failures, trials, z=1.959963984540054):
     return center - half, center + half
 
 
+def measure(state, labels, basis, rng):
+    """A projective measurement of `labels` in `basis` on one uniform from
+    `rng`: the outcome and the renormalized post-measurement state."""
+    table = born_table(state, labels, basis)
+    outcome = int(pick(table.probs, table.cum, rng.random()))
+    return outcome, collapse(table, outcome)
+
+
+def partial_trace(state, keep):
+    """The reduced density matrix over the registers in `keep`, in order."""
+    mat, _, _ = _to_front(state, tuple(keep))
+    return mat @ mat.conj().T
+
+
+def trace_distance(a, b):
+    """(1/2)||a - b||_1 of two density matrices, from the spectrum of the
+    hermitian difference."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def step(edge, state, rng, notes):
     """Take one branch edge on one state: a unitary is applied, a measurement
     draws one uniform and a `DrawEdge` one integer from `rng`; the outcome is
@@ -153,9 +187,8 @@ def step(edge, state, rng, notes):
     if isinstance(edge, UnitaryEdge):
         return apply(state, edge.op, edge.targets)
     if isinstance(edge, MeasureEdge):
-        got = measure(state, edge.labels, edge.basis, rng)
-        notes[edge.key] = got.outcome
-        return got.state
+        notes[edge.key], state = measure(state, edge.labels, edge.basis, rng)
+        return state
     f = int(rng.integers(len(edge.ops)))
     notes[edge.key] = f
     op = edge.ops[f]
@@ -218,13 +251,13 @@ def stepwise_session(cfg, message, eve, control):
         state = forward(eve, state, rng, notes)
         if rng.random() < cfg.control_prob:
             chosen = draw_basis(control, rng)
-            alice = measure(state, TRAVEL, chosen.basis, rng)
-            bob = measure(alice.state, HOME, chosen.basis, rng)
+            alice, state = measure(state, TRAVEL, chosen.basis, rng)
+            bob, _ = measure(state, HOME, chosen.basis, rng)
             outcome = ControlOutcome(
                 basis_id=chosen.basis_id,
-                alice_outcome=alice.outcome,
-                bob_outcome=bob.outcome,
-                passed=control.passes(chosen.basis_id, alice.outcome, bob.outcome),
+                alice_outcome=alice,
+                bob_outcome=bob,
+                passed=control.passes(chosen.basis_id, alice, bob),
             )
             records.append(CycleRecord(index=k, mode="control", control=outcome))
         else:
@@ -322,6 +355,70 @@ def full_space_coupling(dim, detection, probes):
             domain.append(tensor(travel, detection.states[m]))
             image.append(tensor(travel, probes.states[(m + k) % dim]))
     return complete_isometry(domain, image).matrix
+
+
+def complete_isometry(domain_basis, image_basis):
+    """Unitary extension of the partial isometry domain_k -> image_k.
+
+    Both lists must be orthonormal within 1e-10 and of equal length; the
+    completion maps the canonical Gram-Schmidt complements of the two sides
+    onto each other in order, so the result is deterministic.
+    """
+    if len(domain_basis) != len(image_basis):
+        raise ValueError("domain and image lists must have equal length")
+    if not domain_basis:
+        raise ValueError("empty partial isometry")
+    dim = domain_basis[0].layout.dim
+    if any(s.layout.dim != dim for s in list(domain_basis) + list(image_basis)):
+        raise ValueError("all vectors must share one total dimension")
+
+    def stack(states):
+        m = np.column_stack([s.amps for s in states])
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
+        if dev > ATOL_BASIS:
+            raise BasisError(f"input list is not orthonormal (Gram deviation {dev:.3e})")
+        return m
+
+    dom = orthonormal_completion(stack(domain_basis), dim)
+    img = orthonormal_completion(stack(image_basis), dim)
+    return Operator.unitary(img @ dom.conj().T)
+
+
+def cpbs():
+    """Controlled polarization beam splitter on the travel qubit and two
+    rails, the element of Pavicic's explicit circuit.
+
+    With the control at 0 the horizontal photon hops rails and the vertical
+    one stays; with the control at 1 the roles are exchanged. All basis
+    states outside the eight-row truth table are left untouched.
+    """
+    table = {
+        (0, VACUUM, H_POL): (0, H_POL, VACUUM),
+        (0, H_POL, VACUUM): (0, VACUUM, H_POL),
+        (0, VACUUM, V_POL): (0, VACUUM, V_POL),
+        (0, V_POL, VACUUM): (0, V_POL, VACUUM),
+        (1, VACUUM, H_POL): (1, VACUUM, H_POL),
+        (1, H_POL, VACUUM): (1, H_POL, VACUUM),
+        (1, VACUUM, V_POL): (1, V_POL, VACUUM),
+        (1, V_POL, VACUUM): (1, VACUUM, V_POL),
+    }
+    layout = SubsystemLayout.of((TRAVEL, 2), ("x", RAIL_DIM), ("y", RAIL_DIM))
+    levels = list(product(range(2), range(RAIL_DIM), range(RAIL_DIM)))
+    domain = [StateVector.basis(layout, src) for src in levels]
+    image = [StateVector.basis(layout, table.get(src, src)) for src in levels]
+    return complete_isometry(domain, image)
+
+
+def fail_projector(entry, dim):
+    """Projector onto the (alice, bob) outcome pairs a control menu entry's
+    pass predicate rejects, on the (h, t) pair; its expectation on the
+    reduced pair state is the reference for the detection Born tables."""
+    passing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for alice, bob in entry.allowed:
+        b_vec = entry.basis.state(bob)
+        a_vec = entry.basis.state(alice)
+        passing += np.kron(np.outer(b_vec, b_vec.conj()), np.outer(a_vec, a_vec.conj()))
+    return np.eye(dim * dim) - passing
 
 
 def coupling_residual_rows(matrix, detection, probes, dim):

@@ -19,7 +19,6 @@ from pingpong.attacks import (
     StateFamily,
     chi_states,
     cnot_attack,
-    cpbs,
     intercept_resend,
     pavicic_circuit,
     probe_states,
@@ -41,12 +40,8 @@ from pingpong.qstate import (
     SubsystemLayout,
     apply,
     born_table,
-    complete_isometry,
-    measure,
-    partial_trace,
     pick,
     tensor,
-    trace_distance,
 )
 
 
@@ -133,7 +128,7 @@ def test_criterion_4_dual_basis_detects_at_one_quarter():
 
 def test_criterion_5_circuit_truth_tables():
     layout = SubsystemLayout.of(("t", 2), ("x", 3), ("y", 3))
-    beam_splitter = cpbs().matrix
+    beam_splitter = oracles.cpbs().matrix
     rows = {
         (0, VACUUM, H_POL): (0, H_POL, VACUUM),
         (0, H_POL, VACUUM): (0, VACUUM, H_POL),
@@ -195,8 +190,8 @@ def test_criterion_6_circuit_and_gate_attacks_equivalent():
             state = oracles.forward(eve, eve.attach(init), None, {})
             state = dense_encode(state, mu, nu, algebra(2))
             state = oracles.backward(eve, state, None, {})
-            reduced.append(partial_trace(state, ("h", "t")))
-        worst = max(worst, trace_distance(reduced[0], reduced[1]))
+            reduced.append(oracles.partial_trace(state, ("h", "t")))
+        worst = max(worst, oracles.trace_distance(reduced[0], reduced[1]))
     _check(6, "post-decoupling states identical for all 4 symbol pairs", worst < 1e-12,
            f"worst trace distance {worst:.2e}")
 
@@ -255,10 +250,10 @@ def test_criterion_8_property_suites_across_seeds():
         table = born_table(init, "t", Basis.computational(2))
         uniforms = np.random.default_rng(seed).random(n).tolist()
         outcomes = [pick(table.probs, table.cum, u) for u in uniforms]
-        # the same outcomes `measure` draws from a same-seeded generator
+        # the same outcomes one-uniform measurements draw from a same-seeded generator
         measure_rng = np.random.default_rng(seed)
         _check(8, f"seed {seed}: batched Born draws match measure", outcomes[:1000] == [
-            measure(init, "t", Basis.computational(2), measure_rng).outcome for _ in range(1000)
+            oracles.measure(init, "t", Basis.computational(2), measure_rng)[0] for _ in range(1000)
         ])
         counts = np.bincount(outcomes, minlength=2)
         deviation = float(np.max(np.abs(counts / n - 0.5)))
@@ -271,7 +266,7 @@ def test_criterion_8_property_suites_across_seeds():
         lay = SubsystemLayout.of(("q", dim))
         dom = rand_unitary(rng, dim)[:, :k]
         img = rand_unitary(rng, dim)[:, :k]
-        op = complete_isometry(
+        op = oracles.complete_isometry(
             [StateVector(lay, dom[:, j]) for j in range(k)],
             [StateVector(lay, img[:, j]) for j in range(k)],
         )

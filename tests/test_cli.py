@@ -56,6 +56,7 @@ class TestRunSpec:
         ("trials", False), ("trials", 1.5), ("trials", float("nan")),
         ("seed", "7"), ("seed", 7.5), ("seed", None),
         ("control_prob", True), ("control_prob", "0.5"),
+        ("control_prob", 2), ("control_prob", -0.1), ("control_prob", float("nan")),
         ("message", [[0, True]]), ("message", [[0.5, 1]]), ("message", [["0", "1"]]),
         ("message", [1, 2]), ("message", [[0, 1, 1]]),
     ])
@@ -394,6 +395,8 @@ class TestMain:
 
     @pytest.mark.parametrize("flags, message", [
         (["--dim", "40"], "dim must be <= 32, got 40"),
+        (["--dim", "2", "--control-prob", "2"], "control_prob must be in [0, 1], got 2.0"),
+        (["--dim", "2", "--control-prob", "nan"], "control_prob must be in [0, 1], got nan"),
         (["--dim", "2", "--message", "0x"], "message chunk '0x' is not a digit pair"),
     ])
     def test_bad_single_run_input_is_a_usage_error(self, flags, message, capsys):

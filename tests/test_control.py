@@ -16,14 +16,13 @@ from pingpong.control import (
     analytic_pdet,
     computational_control,
     empirical_pdet,
-    fail_projector,
     from_name,
     two_basis_control,
     wilson_interval,
 )
 from pingpong.cli import MAX_TRIALS
 from pingpong.protocol import HOME, TRAVEL, make_initial_state, run_session
-from pingpong.qstate import Basis, born_table, partial_trace
+from pingpong.qstate import Basis, born_table
 from pingpong.rand import PDET_TAG, stream
 
 
@@ -99,28 +98,6 @@ class TestPassPredicates:
             from_name("bogus", cfg)
 
 
-class TestFailProjector:
-    @pytest.mark.parametrize("make_cfg", [qubit_cfg, lambda: qudit_cfg(3)])
-    def test_annihilates_legitimate_state(self, make_cfg):
-        cfg = make_cfg()
-        init = make_initial_state(cfg)
-        for entry in computational_control(cfg).bases:
-            proj = fail_projector(entry, cfg.dim)
-            assert np.linalg.norm(proj.matrix @ init.amps) < 1e-12
-
-    def test_dual_basis_projector_annihilates_singlet(self):
-        cfg = qubit_cfg()
-        init = make_initial_state(cfg)
-        for entry in two_basis_control(cfg).bases:
-            proj = fail_projector(entry, 2)
-            assert np.linalg.norm(proj.matrix @ init.amps) < 1e-12
-
-    def test_is_projector(self):
-        entry = two_basis_control(qubit_cfg()).bases[1]
-        proj = fail_projector(entry, 2)
-        assert proj.kind == "projector"
-
-
 class TestAnalyticPdet:
     def test_cnot_computational_zero(self):
         cfg = qubit_cfg()
@@ -174,9 +151,9 @@ def projector_pdet(eve, control, cfg) -> float:
     """Reference route: fail-projector expectation on the reduced (h, t) state."""
     total = 0.0
     for prob, state in eve.coupled_branches(make_initial_state(cfg)):
-        rho = partial_trace(state, (HOME, TRAVEL))
+        rho = oracles.partial_trace(state, (HOME, TRAVEL))
         for entry in control.bases:
-            total += prob * entry.weight * rho.expectation(fail_projector(entry, cfg.dim))
+            total += prob * entry.weight * np.trace(oracles.fail_projector(entry, cfg.dim) @ rho).real
     return total
 
 

@@ -3,9 +3,9 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family, rand_state, rand_unitary
 from pingpong.attacks import no_attack, validate_coupling
 from pingpong.control import computational_control
@@ -17,9 +17,7 @@ from pingpong.qstate import (
     SubsystemLayout,
     apply,
     born_table,
-    complete_isometry,
-    measure,
-    partial_trace,
+    collapse,
     pick,
     tensor,
 )
@@ -71,30 +69,20 @@ def test_decode_ignores_global_phase(seed, theta):
 
 @settings(max_examples=40, deadline=None)
 @given(rng_seeds)
-def test_completion_extends_partial_isometry(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(3, 9))
-    k = int(rng.integers(1, dim))
-    layout = SubsystemLayout.of(("q", dim))
-    dom_mat = rand_unitary(rng, dim)[:, :k]
-    img_mat = rand_unitary(rng, dim)[:, :k]
-    domain = [StateVector(layout, dom_mat[:, j]) for j in range(k)]
-    image = [StateVector(layout, img_mat[:, j]) for j in range(k)]
-    op = complete_isometry(domain, image)
-    assert np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(dim))) < 1e-12
-    for d, i in zip(domain, image):
-        assert np.linalg.norm(op.matrix @ d.amps - i.amps) < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(rng_seeds)
 def test_measurement_probability_matches_amplitudes(seed):
     rng = np.random.default_rng(seed)
     layout = SubsystemLayout.of(("a", 3), ("b", 2))
     state = rand_state(rng, layout)
-    out = measure(state, "a", Basis.computational(3), rng)
+    table = born_table(state, "a", Basis.computational(3))
     marginal = np.sum(np.abs(state.reshaped()) ** 2, axis=1)
-    assert out.probability == pytest.approx(marginal[out.outcome], abs=1e-12)
+    assert np.max(np.abs(table.probs - marginal)) < 1e-12
+    outcome = int(pick(table.probs, table.cum, rng.random()))
+    assert marginal[outcome] > 0
+    # the collapsed state is the renormalized outcome row, zero elsewhere
+    post = collapse(table, outcome).reshaped()
+    expected = state.reshaped()[outcome] / math.sqrt(marginal[outcome])
+    assert np.max(np.abs(post[outcome] - expected)) < 1e-12
+    assert np.max(np.abs(np.delete(post, outcome, axis=0))) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,8 +91,8 @@ def test_partial_trace_of_product_is_rank_one(seed):
     rng = np.random.default_rng(seed)
     a = rand_state(rng, SubsystemLayout.of(("a", 3)))
     b = rand_state(rng, SubsystemLayout.of(("b", 4)))
-    rho = partial_trace(tensor(a, b), "a")
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    rho = oracles.partial_trace(tensor(a, b), "a")
+    eigs = np.linalg.eigvalsh(rho)
     assert abs(eigs[-1] - 1.0) < 1e-10
 
 
@@ -130,14 +118,14 @@ def test_born_frequencies_match_probabilities(seed):
 
 def _born_draws(state, label, dim, uniforms, seed, skip):
     """Computational outcomes of `label` picked from one Born table by the
-    given uniforms; the first ones must be what `measure` draws from a
-    `seed` generator after `skip` uniforms."""
+    given uniforms; the first ones must be what one-uniform measurements
+    (`oracles.measure`) draw from a `seed` generator after `skip` uniforms."""
     basis = Basis.computational(dim)
     table = born_table(state, label, basis)
     outcomes = [pick(table.probs, table.cum, u) for u in uniforms.tolist()]
     rng = np.random.default_rng(seed)
     rng.random(skip)
-    assert outcomes[:1000] == [measure(state, label, basis, rng).outcome for _ in range(1000)]
+    assert outcomes[:1000] == [oracles.measure(state, label, basis, rng)[0] for _ in range(1000)]
     return outcomes
 
 

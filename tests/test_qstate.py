@@ -13,13 +13,11 @@ from pingpong.qstate import (
     StateVector,
     SubsystemLayout,
     apply,
-    complete_isometry,
+    born_table,
+    collapse,
     factor,
-    measure,
-    partial_trace,
     pick,
     tensor,
-    trace_distance,
 )
 
 HT = SubsystemLayout.of(("h", 2), ("t", 2))
@@ -43,9 +41,7 @@ def rail_vec(*index_weight_pairs) -> np.ndarray:
 # index map for a trinary rail pair: vacuum=0, horizontal=1, vertical=2,
 # flat index = 3*x + y
 CHI0 = rail_vec((1, 1.0))                                      # |v_x 0_y>
-CHI1 = rail_vec((3, 1.0))                                      # |0_x v_y>
 A_VEC = rail_vec((3, 1 / math.sqrt(2)), (2, 1 / math.sqrt(2)))  # (|0_x v_y>+|v_x 1_y>)/sqrt2
-D_VEC = rail_vec((1, 1 / math.sqrt(2)), (6, 1 / math.sqrt(2)))  # (|v_x 0_y>+|1_x v_y>)/sqrt2
 
 
 class TestLayout:
@@ -156,7 +152,7 @@ class TestMonomialForm:
     def test_dense_operators_have_no_monomial_form(self):
         rng = np.random.default_rng(3)
         assert Operator.unitary(rand_unitary(rng, 4)).rows is None
-        assert Operator.projector(np.diag([1.0, 0.0])).rows is None
+        assert Operator(2, np.diag([1.0, 0.0])).rows is None
         hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert Operator.unitary(hadamard).rows is None
 
@@ -185,33 +181,38 @@ class TestMonomialForm:
 
 
 class TestMeasure:
+    """A measurement as the run path takes it: a Born table, a pick from its
+    running sum and a collapse onto the picked outcome."""
+
     def test_deterministic_outcome(self):
         state = StateVector.basis(SubsystemLayout.of(("q", 2)), (0,))
-        out = measure(state, "q", Basis.computational(2), np.random.default_rng(0))
-        assert out.outcome == 0
-        assert out.probability == pytest.approx(1.0, abs=1e-12)
+        table = born_table(state, "q", Basis.computational(2))
+        assert table.probs.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert pick(table.probs, table.cum, np.random.default_rng(0).random()) == 0
+        assert np.allclose(collapse(table, 0).amps, state.amps, atol=1e-12)
 
     def test_singlet_travel_is_unbiased(self):
-        seen = set()
-        for seed in range(30):
-            out = measure(singlet(), "t", Basis.computational(2), np.random.default_rng(seed))
-            assert out.probability == pytest.approx(0.5, abs=1e-12)
-            seen.add(out.outcome)
-        assert seen == {0, 1}
+        table = born_table(singlet(), "t", Basis.computational(2))
+        assert table.probs.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
+        uniforms = np.random.default_rng(0).random(30)
+        assert {int(pick(table.probs, table.cum, u)) for u in uniforms} == {0, 1}
 
     def test_singlet_anticorrelation(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            first = measure(singlet(), "h", Basis.computational(2), rng)
-            second = measure(first.state, "t", Basis.computational(2), rng)
-            assert first.outcome != second.outcome
-            assert second.probability == pytest.approx(1.0, abs=1e-12)
+        first = born_table(singlet(), "h", Basis.computational(2))
+        for outcome in range(2):
+            post = collapse(first, outcome)
+            expected = StateVector.basis(HT, (outcome, 1 - outcome))
+            assert abs(post.overlap(expected)) == pytest.approx(1.0, abs=1e-12)
+            second = born_table(post, "t", Basis.computational(2))
+            assert second.probs[1 - outcome] == pytest.approx(1.0, abs=1e-12)
+            assert second.probs[outcome] == pytest.approx(0.0, abs=1e-12)
 
     def test_post_state_renormalized(self):
         rng = np.random.default_rng(5)
         state = rand_state(rng, SubsystemLayout.of(("a", 3), ("b", 2)))
-        out = measure(state, "a", Basis.computational(3), rng)
-        assert abs(out.state.norm - 1.0) < 1e-12
+        table = born_table(state, "a", Basis.computational(3))
+        for outcome in range(3):
+            assert abs(collapse(table, outcome).norm - 1.0) < 1e-12
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(BasisError):
@@ -219,9 +220,10 @@ class TestMeasure:
 
     def test_multi_label_measurement(self):
         state = tensor(singlet(), StateVector(RAILS, A_VEC))
-        out = measure(state, ("x", "y"), Basis.computational(9), np.random.default_rng(1))
-        assert out.outcome in (2, 3)
-        assert out.probability == pytest.approx(0.5, abs=1e-12)
+        table = born_table(state, ("x", "y"), Basis.computational(9))
+        assert np.flatnonzero(table.probs > 1e-12).tolist() == [2, 3]
+        assert table.probs[[2, 3]].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert pick(table.probs, table.cum, np.random.default_rng(1).random()) in (2, 3)
 
     def test_pick_never_lands_without_support(self):
         # a running sum that stops short of 1 or ends on empty outcomes
@@ -229,86 +231,6 @@ class TestMeasure:
         assert pick(np.array([0.5, 0.5, 0.0]), np.array([0.5, short, short]), 1 - 2**-53) == 1
         assert pick(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5, 1.0]), 0.5) == 2
         assert pick(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5, 1.0]), 0.25) == 0
-
-
-class TestPartialTrace:
-    def test_singlet_marginal_is_maximally_mixed(self):
-        rho = partial_trace(singlet(), "h")
-        assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_coupled_control_state_marginal(self):
-        # (|0_h 1_t>|d> + |1_h 0_t>|a>)/sqrt2 traced over the rails
-        layout = HT.concat(RAILS)
-        amps = (
-            np.kron(StateVector.basis(HT, (0, 1)).amps, D_VEC)
-            + np.kron(StateVector.basis(HT, (1, 0)).amps, A_VEC)
-        ) / math.sqrt(2)
-        rho = partial_trace(StateVector(layout, amps), ("h", "t"))
-        assert np.allclose(rho.matrix, np.diag([0, 0.5, 0.5, 0]), atol=1e-12)
-
-    def test_full_keep_is_projector_onto_state(self):
-        state = singlet()
-        rho = partial_trace(state, ("h", "t"))
-        assert np.allclose(rho.matrix, np.outer(state.amps, state.amps.conj()), atol=1e-12)
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_trace_and_hermiticity(self):
-        rng = np.random.default_rng(9)
-        state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3)))
-        rho = partial_trace(state, "b")
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(rho.matrix, rho.matrix.conj().T, atol=1e-12)
-        assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-12
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(LayoutError):
-            partial_trace(singlet(), ())
-
-
-class TestCompleteIsometry:
-    def test_identity_case(self):
-        layout = SubsystemLayout.of(("q", 2))
-        basis = [StateVector.basis(layout, (k,)) for k in range(2)]
-        op = complete_isometry(basis, basis)
-        assert np.allclose(op.matrix, np.eye(2), atol=1e-12)
-
-    def test_circuit_mappings_give_unitary(self):
-        layout = SubsystemLayout.of(("t", 2)).concat(RAILS)
-        domain, image = _circuit_mappings(layout)
-        op = complete_isometry(domain, image)
-        dev = np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(18)))
-        assert dev < 1e-12
-
-    def test_extends_partial_isometry(self):
-        layout = SubsystemLayout.of(("t", 2)).concat(RAILS)
-        domain, image = _circuit_mappings(layout)
-        op = complete_isometry(domain, image)
-        for d, i in zip(domain, image):
-            assert np.linalg.norm(op.matrix @ d.amps - i.amps) < 1e-12
-
-    def test_non_orthonormal_rejected(self):
-        layout = SubsystemLayout.of(("q", 2))
-        skew = StateVector(layout, np.array([1, 1]) / math.sqrt(2))
-        zero = StateVector.basis(layout, (0,))
-        with pytest.raises(BasisError):
-            complete_isometry([zero, skew], [zero, skew])
-
-    def test_length_mismatch_rejected(self):
-        layout = SubsystemLayout.of(("q", 2))
-        zero = StateVector.basis(layout, (0,))
-        with pytest.raises(ValueError):
-            complete_isometry([zero], [])
-
-
-def _circuit_mappings(layout):
-    def lift(t, anc):
-        travel = np.zeros(2)
-        travel[t] = 1.0
-        return StateVector(layout, np.kron(travel, anc))
-
-    domain = [lift(0, CHI0), lift(1, CHI0), lift(0, CHI1), lift(1, CHI1)]
-    image = [lift(0, A_VEC), lift(1, D_VEC), lift(0, D_VEC), lift(1, A_VEC)]
-    return domain, image
 
 
 class TestHelpers:
@@ -324,13 +246,6 @@ class TestHelpers:
         with pytest.raises(ValueError):
             factor(singlet(), "h")
 
-    def test_trace_distance_of_orthogonal_pure_states(self):
-        rho0 = partial_trace(StateVector.basis(HT, (0, 0)), ("h", "t"))
-        rho1 = partial_trace(StateVector.basis(HT, (1, 1)), ("h", "t"))
-        assert trace_distance(rho0, rho1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_projector_tag_validation(self):
-        with pytest.raises(ValueError):
-            Operator.projector(np.array([[0.5, 0.5], [0.5, 0.6]]))
+    def test_unitary_tag_validation(self):
         with pytest.raises(ValueError):
             Operator.unitary(np.array([[1, 0], [0, 2]]))
