@@ -55,7 +55,7 @@ class StateFamily:
             raise ValueError("family states must share one ancilla layout")
         mat = self.columns
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(self.states))))
-        if dev > ATOL_BASIS:
+        if not dev <= ATOL_BASIS:
             raise BasisError(f"family is not orthonormal (Gram deviation {dev:.3e})")
 
     @classmethod
@@ -96,10 +96,10 @@ class CouplingReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tolerance
+        return not self.failures()
 
     def failures(self) -> list[tuple[int, int, float, float]]:
-        return [row for row in self.rows if max(row[2], row[3]) >= self.tolerance]
+        return [row for row in self.rows if not all(r < self.tolerance for r in row[2:])]
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ def generic_coupling(
     # Checked per block: the off-diagonal blocks of Q^dagger Q are exactly
     # zero, so this is the deviation Operator.unitary computes on all of Q.
     dev = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(anc_dim)))
-    if dev >= ATOL_ALGEBRA:
+    if not dev < ATOL_ALGEBRA:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
     matrix = np.zeros((dim * anc_dim, dim * anc_dim), dtype=np.complex128)
     matrix.reshape(dim, anc_dim, dim, anc_dim)[levels, :, levels, :] = blocks

@@ -59,7 +59,7 @@ class ControlModeHandle:
 
     def __post_init__(self):
         total = sum(b.weight for b in self.bases)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"basis weights sum to {total}, expected 1")
         for b in self.bases:
             if b.basis.dim != self.dim:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -226,7 +226,7 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
         raise ValueError(f"decoder expects labels (h, t), got {state.layout.labels}")
     overlaps = np.abs(_decoder_matrix(cfg.dim, cfg.initial_state_kind) @ state.amps)
     best = int(np.argmax(overlaps))
-    if overlaps[best] <= 1.0 - DECODE_ATOL:
+    if not overlaps[best] > 1.0 - DECODE_ATOL:
         raise CoherenceBreakError(
             f"no Bell state matches (best overlap {overlaps[best]:.6f}); pair was disturbed"
         )
@@ -237,42 +237,43 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 #
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
 # An edge states three things. `branches` lists its outcomes from one state
-# as (outcome, probability, post-state), lazily; `walk_leg` reads them for
-# the exact ensemble a leg leaves behind. `draw` takes the edge's draw for
-# each of a group of cycles from a `rand.CycleDraws` (None: the edge draws
-# nothing and has one outcome, None), and `outcomes` maps those draws to
-# outcomes at one node; `key` names the notes entry that records the
-# outcome. `draw_leg` takes a leg's draws for a group of cycles one edge, so
-# one tree level, at a time, and `follow` walks the leg's edges through a
-# configuration's branch tree with them: a node's first visit grows its successors
-# from the edge's `branches`, and each node splits its cycles among its
-# successors by their outcomes. The per-cycle stepwise reference is
-# `tests/oracles.py::step`.
+# as (outcome, probability, post-state thunk), lazily; `walk_leg` calls the
+# thunks for the exact ensemble a leg leaves behind. `draw` takes the edge's
+# draw for each of a group of cycles from a `rand.CycleDraws` (None: the edge
+# draws nothing and has one outcome, None), and `outcomes` maps those draws
+# to outcomes at one node; `key` names the notes entry that records the
+# outcome. `draw_leg` takes a leg's draws one edge, so one tree level, at a
+# time, and `follow` walks the leg's edges through a configuration's branch
+# tree with them. The per-cycle stepwise reference is `tests/oracles.py::step`.
 
 
 class _Node:
-    """A state of a configuration's branch tree and the nodes it leads to.
+    """A branch of a configuration's tree and the nodes it leads to; no state.
 
     Each node is left by one edge only, except the post-forward node, whose
-    successors `run_session` keys by control basis and by symbol pair. A node
-    gives up its state once its successors or its leaf values are built.
+    successors `run_session` keys by control basis and by symbol pair.
     """
 
-    __slots__ = ("state", "notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
+    __slots__ = ("notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
 
-    def __init__(self, state: StateVector, notes: dict, prob: float = 1.0):
-        self.state = state
+    def __init__(self, notes: dict, prob: float = 1.0):
         self.notes = notes  # outcomes recorded on the path to this node
         self.prob = prob  # probability of the branch from the parent
         self.next: dict = {}
         self.probs = self.cum = self.leaf = None
 
-    def child(self, key, make) -> "_Node":
-        """The successor under `key`, from `make(state)` on first use."""
+    def child(self, key) -> "_Node":
+        """The successor under `key`, made with this node's notes on first use."""
         node = self.next.get(key)
         if node is None:
-            node = self.next[key] = _Node(make(self.state), self.notes)
+            node = self.next[key] = _Node(self.notes)
         return node
+
+
+def _memo(make):
+    """`make` as a zero-argument function that calls it at most once."""
+    kept = []
+    return lambda: kept[0] if kept else kept.append(make()) or kept[0]
 
 
 def _split(cycles: np.ndarray, values: np.ndarray) -> list:
@@ -305,34 +306,40 @@ def draw_leg(leg: Sequence, draws, cycles: np.ndarray) -> list:
     return taken
 
 
-def follow(leg: Sequence, node: _Node, cycles: np.ndarray, taken: list) -> Iterator:
-    """Each (node, cycles) the edges of `leg` lead the given cycles to from
-    `node`, depth-first, with the draws `draw_leg` took for them.
+def follow(leg: Sequence, node: _Node, state, cycles: np.ndarray, taken: list) -> Iterator:
+    """Each (node, state, cycles) the edges of `leg` lead the given cycles to
+    from `node`, depth-first, with the draws `draw_leg` took for them. Each
+    `state` is a zero-argument function for its node's state, called at most
+    once here.
 
     A node's first visit grows one successor per branch of the edge that
-    leaves it, with the outcome recorded under `edge.key`, and drops the
-    node's state; a node's cycles are split among its successors by their
-    outcomes. Going depth-first, a caller that consumes each end node before
-    asking for the next holds the states of one path and its siblings, not
-    of a whole tree level.
+    leaves it, recording the outcome under `edge.key`; its cycles are split
+    among its successors by their outcomes. A state is built only where a
+    node has no successors yet or the caller asks, so a caller that consumes
+    each end node before the next holds the states of one path.
     """
     if not leg:
-        yield node, cycles
+        yield node, state, cycles
         return
     edge, rest = leg[0], leg[1:]
+    posts = {}  # this visit's post-state thunks by outcome
+
+    def post(outcome):
+        if not posts:
+            posts.update((o, make) for o, _, make in edge.branches(state()))
+        return posts[outcome]()
+
     if not node.next:
         key, notes = edge.key, node.notes
-        node.next = {
-            outcome: _Node(state, notes if key is None else {**notes, key: outcome}, p)
-            for outcome, p, state in edge.branches(node.state)
-        }
-        node.state = None
+        for outcome, p, make in edge.branches(state()):
+            node.next[outcome] = _Node(notes if key is None else {**notes, key: outcome}, p)
+            posts[outcome] = make
     if len(node.next) == 1:  # every draw picks the one successor
-        [succ] = node.next.values()
-        yield from follow(rest, succ, cycles, taken[1:])
-        return
-    for outcome, sub in _split(cycles, edge.outcomes(node, taken[0][cycles])):
-        yield from follow(rest, node.next[outcome], sub, taken[1:])
+        groups = [(next(iter(node.next)), cycles)]
+    else:
+        groups = _split(cycles, edge.outcomes(node, taken[0][cycles]))
+    for outcome, sub in groups:
+        yield from follow(rest, node.next[outcome], partial(post, outcome), sub, taken[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,28 +351,24 @@ class UnitaryEdge:
     key = draw = None
 
     def branches(self, state: StateVector) -> Iterator:
-        yield None, 1.0, apply(state, self.op, self.targets)
+        yield None, 1.0, partial(apply, state, self.op, self.targets)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureEdge:
     """A projective measurement of `labels` in `basis`; one uniform draw.
-
-    `key` records the outcome in the notes; with `collapses` off, branches
-    carry no post-measurement state (for a last edge read only by the notes).
-    """
+    `key` records the outcome in the notes."""
 
     labels: tuple[str, ...]
     basis: Basis
     key: str
-    collapses: bool = True
 
     def branches(self, state: StateVector) -> Iterator:
-        """Each outcome with support, its Born probability and collapsed state."""
+        """Each outcome with support, its Born probability and a thunk for
+        its collapsed state."""
         table = born_table(state, self.labels, self.basis)
         for outcome in np.flatnonzero(table.probs > 0.0).tolist():
-            post = collapse(table, outcome) if self.collapses else None
-            yield outcome, float(table.probs[outcome]), post
+            yield outcome, float(table.probs[outcome]), partial(collapse, table, outcome)
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
         """One uniform per cycle."""
@@ -398,7 +401,7 @@ class DrawEdge:
     def branches(self, state: StateVector) -> Iterator:
         n = len(self.ops)
         for f, op in enumerate(self.ops):
-            yield f, 1.0 / n, state if op is None else apply(state, op, self.targets)
+            yield f, 1.0 / n, (lambda: state) if op is None else partial(apply, state, op, self.targets)
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
         """One `integers(len(ops))` per cycle."""
@@ -416,7 +419,7 @@ def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
         yield prob, state
         return
     for _, p, post in leg[0].branches(state):
-        yield from walk_leg(leg[1:], post, prob * p)
+        yield from walk_leg(leg[1:], post(), prob * p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,20 +497,20 @@ def _columns(n_msg: int, n_ctrl: int) -> tuple:
 
 
 class SessionTree:
-    """The states a cycle can reach: from `root`, Eve's forward leg; then per
-    control basis Alice's and Bob's measurements (`checks`), or per symbol
-    pair the encoded state, Eve's `returned` legs and Bob's decode. Nodes
-    depend on Eve's handle, the control mode, `dim` and `kind` only, so the
-    sessions of that configuration may share (and grow) one tree."""
+    """The branches a cycle can take from the attached pair `state` at `root`:
+    Eve's forward leg; then per control basis Alice's and Bob's measurements
+    (`checks`), or per symbol pair the encoding, Eve's `returned` legs and
+    Bob's decode. Nodes depend on Eve's handle, the control mode, `dim` and
+    `kind` only, so the sessions of that configuration may share one tree."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle", control: "ControlModeHandle"):
         self.eve, self.control = eve, control
         self.dim, self.kind = cfg.dim, cfg.initial_state_kind
-        self.root = _Node(eve.attach(make_initial_state(cfg)), {})
+        self.state = eve.attach(make_initial_state(cfg))
+        self.root = _Node({})
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
         self.checks = [
-            (MeasureEdge((TRAVEL,), cb.basis, "alice"),
-             MeasureEdge((HOME,), cb.basis, "bob", collapses=False))
+            (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
             for cb in control.bases
         ]
 
@@ -526,14 +529,13 @@ def run_session(
     are reproducible cycle-by-cycle. The cycles are walked through the
     configuration's branch tree, `tree` when given (it must have been built
     for `eve`, `control` and the dim and kind of `cfg`) or else a new one, a
-    chunk at a time (`rand.CHUNK`): the chunk's cycles take each tree
-    level's draws in one call, the tree is walked depth-first, and a node
-    builds its Born table and successors on its first visit in any session.
-    Message symbols, an (m, 2) array or sequence of pairs, are consumed in
-    order; running out raises. A coherence break in Bob's decoder is raised
-    by the first cycle that reaches the disturbed state. A session raises the
-    error of its earliest failing cycle, and builds no node in the chunks
-    after that cycle's.
+    chunk at a time (`rand.CHUNK`): the chunk takes all its draws, a tree
+    level's in one call, then walks the tree depth-first, one post-forward
+    node with its message and control cycles at a time. Message symbols, an
+    (m, 2) array or sequence of pairs, are consumed in order; running out
+    raises. A coherence break in Bob's decoder is raised by the first cycle
+    that reaches the disturbed state. A session raises the error of its
+    earliest failing cycle, and builds no node in the chunks after that cycle's.
     """
     message = _message_pairs(message, cfg.dim)
     if tree is None:
@@ -542,19 +544,19 @@ def run_session(
           or (tree.dim, tree.kind) != (cfg.dim, cfg.initial_state_kind)):
         raise ValueError("session tree was built for another configuration")
     alg = algebra(cfg.dim)
-    root, forward, returned, checks = tree.root, tree.forward, tree.returned, tree.checks
+    attached, forward, returned, checks = tree.state, tree.forward, tree.returned, tree.checks
     chunks = [(np.zeros(0, dtype=bool), *_columns(0, 0))]
     n_sent = 0  # message pairs consumed by earlier chunks
-    n_pairs = cfg.dim * cfg.dim
     for draws in cycle_draws(cfg.seed, SESSION_TAG, cfg.n_cycles):
         n = len(draws)
         everyone = np.arange(n)
-        sent = list(follow(forward, root, everyone, draw_leg(forward, draws, everyone)))
-        at = np.empty(n, dtype=np.int64)  # each cycle's post-forward node in `sent`
-        for i, (_, cycles) in enumerate(sent):
-            at[cycles] = i
+        there = draw_leg(forward, draws, everyone)
         is_control = draws.random(everyone) < cfg.control_prob
         ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
+        back = draw_leg(returned, draws, msg)
+        chosen = np.empty(n, dtype=np.int64)  # each control cycle's menu index
+        chosen[ctrl] = control.choose(draws.random(ctrl))
+        checked = {b: draw_leg(checks[b], draws, group) for b, group in _split(ctrl, chosen[ctrl])}
         rank = np.empty(n, dtype=np.int64)  # each cycle's place among its mode's
         rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
         decoded, guess, basis, outcomes, passed = _columns(len(msg), len(ctrl))
@@ -563,40 +565,37 @@ def run_session(
             limit = int(msg[len(message) - n_sent])
             error = ValueError("message exhausted before the session finished")
 
-        cycles = msg[msg < limit]
-        taken = draw_leg(returned, draws, cycles)
-        pairs = message[n_sent + rank[cycles]]
-        for key, group in _split(cycles, at[cycles] * n_pairs + pairs[:, 0] * cfg.dim + pairs[:, 1]):
-            if group[0] >= limit:  # every cycle here comes after a failure
-                continue
-            i, code = divmod(key, n_pairs)
-            mu, nu = divmod(code, cfg.dim)
-            node = sent[i][0].child((mu, nu), lambda state: dense_encode(state, mu, nu, alg))
-            for leaf, reached in follow(returned, node, group, taken):
-                if leaf.leaf is None:
-                    try:
-                        got = bob_decode(factor(leaf.state, (HOME, TRAVEL)), cfg)
-                    except CoherenceBreakError as exc:
-                        if reached[0] < limit:
-                            limit, error = int(reached[0]), exc
-                        continue
-                    mu_hat = eve.guess(leaf.notes)
-                    leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
-                    leaf.state = None
-                at_rank = rank[reached]
-                decoded[at_rank], guess[at_rank] = leaf.leaf
+        for node, state, group in follow(forward, tree.root, lambda: attached, everyone, there):
+            state, group = _memo(state), group[group < limit]  # the state is shared below
+            mode = is_control[group]
+            cycles = group[~mode]
+            pairs = message[n_sent + rank[cycles]]
+            for code, sub in _split(cycles, pairs[:, 0] * cfg.dim + pairs[:, 1]):
+                if sub[0] >= limit:  # every cycle here comes after a failure
+                    continue
+                mu, nu = divmod(code, cfg.dim)
+                walk = follow(returned, node.child((mu, nu)),
+                              lambda: dense_encode(state(), mu, nu, alg), sub, back)
+                for leaf, final, reached in walk:
+                    if leaf.leaf is None:
+                        try:
+                            got = bob_decode(factor(final(), (HOME, TRAVEL)), cfg)
+                        except CoherenceBreakError as exc:
+                            if reached[0] < limit:
+                                limit, error = int(reached[0]), exc
+                            continue
+                        mu_hat = eve.guess(leaf.notes)
+                        leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
+                    at_rank = rank[reached]
+                    decoded[at_rank], guess[at_rank] = leaf.leaf
 
-        cycles = ctrl[ctrl < limit]
-        for b, group in _split(cycles, control.choose(draws.random(cycles))):
-            entry = control.bases[b]
-            taken = draw_leg(checks[b], draws, group)
-            for i, sub in _split(group, at[group]):
-                node = sent[i][0].child(entry.basis_id, lambda state: state)
-                for leaf, reached in follow(checks[b], node, sub, taken):
+            cycles = group[mode]
+            for b, sub in _split(cycles, chosen[cycles]):
+                entry = control.bases[b]
+                for leaf, _, reached in follow(checks[b], node.child(entry.basis_id), state, sub, checked[b]):
                     if leaf.leaf is None:
                         a, o = leaf.notes["alice"], leaf.notes["bob"]
                         leaf.leaf = ((a, o), control.passes(entry.basis_id, a, o))
-                        leaf.state = None
                     at_rank = rank[reached]
                     basis[at_rank] = b
                     outcomes[at_rank], passed[at_rank] = leaf.leaf

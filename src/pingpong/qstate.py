@@ -11,7 +11,8 @@ built. `apply` moves amplitudes to their rows for it, O(N) where a dense
 matmul is O(N*d); every other operator is applied by the matmul.
 
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
-orthonormality of user-supplied bases and state families.
+orthonormality of user-supplied bases and state families. Each check asks
+that a deviation be within its tolerance, so a NaN deviation fails it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class StateVector:
     def from_amps(cls, layout: SubsystemLayout, amps) -> "StateVector":
         """Construct and require unit norm (within 1e-9)."""
         state = cls(layout, np.asarray(amps, dtype=np.complex128))
-        if abs(state.norm - 1.0) > 1e-9:
+        if not abs(state.norm - 1.0) <= 1e-9:
             raise ValueError(f"state vector is not normalized (norm {state.norm})")
         return state
 
@@ -184,7 +185,7 @@ class Operator:
     def unitary(cls, matrix) -> "Operator":
         m = np.asarray(matrix, dtype=np.complex128)
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev >= ATOL_ALGEBRA:
+        if not dev < ATOL_ALGEBRA:
             raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
         return cls(m.shape[0], m, "unitary")
 
@@ -211,7 +212,7 @@ class Basis:
             raise BasisError(f"basis matrix must be square, got {m.shape}")
         gram = m.conj().T @ m
         dev = np.max(np.abs(gram - np.eye(m.shape[0])))
-        if dev > ATOL_BASIS:
+        if not dev <= ATOL_BASIS:
             raise BasisError(f"basis is not orthonormal (Gram deviation {dev:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -293,7 +294,7 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
         new = np.empty_like(mat)
         new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
     out = StateVector(state.layout, _from_front(new, state, order))
-    if abs(out.norm - state.norm) > ATOL_ALGEBRA:
+    if not abs(out.norm - state.norm) <= ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
     return out
 
@@ -367,7 +368,7 @@ def factor(state: StateVector, keep) -> StateVector:
     j = int(np.argmax(col_norms))
     u = mat[:, j] / col_norms[j]
     residual = np.linalg.norm(mat - np.outer(u, u.conj() @ mat))
-    if residual > 1e-9:
+    if not residual <= 1e-9:
         raise ValueError(f"state does not factorize over {keep} (residual {residual:.3e})")
     return StateVector(state.layout.select(keep), u)
 

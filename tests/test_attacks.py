@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,9 @@ from pingpong.protocol import (
     run_session,
 )
 from pingpong.qstate import (
+    BasisError,
     Operator,
+    StateVector,
     SubsystemLayout,
     apply,
     factor,
@@ -258,6 +261,19 @@ class TestGenericCoupling:
         with pytest.raises(ValueError):
             generic_coupling(3, rand_family(rng, 4, 2), rand_family(rng, 4, 3))
 
+    @pytest.mark.parametrize("where", ["family", "blocks"])
+    def test_nan_fails_the_orthonormality_checks(self, where, monkeypatch):
+        family = rand_family(np.random.default_rng(1), 3, 3)
+        if where == "family":
+            amps = family.columns.T.copy()
+            amps[1, 0] = math.nan
+            with pytest.raises(BasisError, match="family is not orthonormal"):
+                StateFamily(tuple(StateVector(family.layout, a) for a in amps))
+        else:  # a completion gone wrong reaches the block-unitarity check
+            monkeypatch.setattr(attacks, "orthonormal_completion", lambda cols, dim: np.full((dim, dim), math.nan))
+            with pytest.raises(ValueError, match="matrix is not unitary"):
+                generic_coupling(3, family, family)
+
 
 class TestValidateCoupling:
     def test_identity_fails_for_shifting_rows(self):
@@ -292,6 +308,10 @@ class TestValidateCoupling:
         report = validate_coupling(eve.coupling, eve.detection, eve.detection, 4)
         assert len(report.rows) == 16
         assert report.passed
+        # a NaN residual fails, wherever it sits in its row
+        for row in ((3, 3, 0.0, math.nan), (3, 3, math.nan, 0.0)):
+            broken = replace(report, rows=report.rows[:-1] + (row,))
+            assert not broken.passed and [bad[:2] for bad in broken.failures()] == [(3, 3)]
 
 
 class TestInterceptResend:

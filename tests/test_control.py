@@ -68,6 +68,8 @@ class TestPassPredicates:
         handle = two_basis_control(qubit_cfg())
         with pytest.raises(ValueError):
             ControlModeHandle("bad", 2, (handle.bases[0],) )
+        with pytest.raises(ValueError):
+            ControlModeHandle("bad", 2, (replace(handle.bases[0], weight=math.nan), handle.bases[1]))
 
     def test_choose_agrees_with_the_menu_loop(self):
         """At each running weight, one ulp to either side and the ends of

@@ -261,22 +261,25 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     n = 20
     for k in range(n):
         draws, rng_step = CycleDraws(seed, SESSION_TAG, 0, n), stream(seed, SESSION_TAG, k)
-        node, cycles = protocol._Node(state, {"earlier": 1}), np.array([k])
-        [(succ, cycles)] = follow((edge,), node, cycles, draw_leg((edge,), draws, cycles))
+        node, cycles = protocol._Node({"earlier": 1}), np.array([k])
+        taken = draw_leg((edge,), draws, cycles)
+        [(succ, built, cycles)] = follow((edge,), node, lambda: state, cycles, taken)
         notes = {"earlier": 1}
         post = oracles.step(edge, state, rng_step, notes)
-        assert np.array_equal(succ.state.amps, post.amps)
+        assert np.array_equal(built().amps, post.amps)
         assert succ.notes == notes and cycles.tolist() == [k]
         assert draws.random(cycles)[0] == rng_step.random()
     # all cycles from one fresh node at once: each goes where `step` takes it
     draws, cycles = CycleDraws(seed, SESSION_TAG, 0, n), np.arange(n)
-    reached = list(follow((edge,), protocol._Node(state, {}), cycles, draw_leg((edge,), draws, cycles)))
-    assert sorted(k for _, cycles in reached for k in cycles.tolist()) == list(range(n))
-    for succ, cycles in reached:
+    taken = draw_leg((edge,), draws, cycles)
+    reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
+    assert sorted(k for _, _, cycles in reached for k in cycles.tolist()) == list(range(n))
+    for succ, post, cycles in reached:
         for k in cycles.tolist():
             notes = {}
-            oracles.step(edge, state, stream(seed, SESSION_TAG, k), notes)
+            stepped = oracles.step(edge, state, stream(seed, SESSION_TAG, k), notes)
             assert succ.notes == notes
+            assert np.array_equal(post().amps, stepped.amps)
 
 
 def test_measure_follow_picks_from_the_full_born_table():
@@ -287,13 +290,14 @@ def test_measure_follow_picks_from_the_full_born_table():
     uniforms = [u for c in table.cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
     cycles = np.arange(len(uniforms))
     taken = draw_leg((edge,), _Uniforms(uniforms), cycles)
-    reached = list(follow((edge,), protocol._Node(state, {}), cycles, taken))
-    assert sum(len(cycles) for _, cycles in reached) == len(uniforms)
-    for succ, cycles in reached:
+    reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
+    assert sum(len(cycles) for _, _, cycles in reached) == len(uniforms)
+    for succ, post, cycles in reached:
         for k in cycles.tolist():
             notes = {}
-            oracles.step(edge, state, FixedUniform(uniforms[k]), notes)
+            stepped = oracles.step(edge, state, FixedUniform(uniforms[k]), notes)
             assert succ.notes == notes
+            assert np.array_equal(post().amps, stepped.amps)
     # the boundaries tell the full table from one over the supported outcomes
     support = np.array(SPARSE_SUPPORT)
     supported = table.probs[support]
@@ -377,6 +381,64 @@ def test_session_holds_the_states_of_one_path_not_of_a_tree_level():
     assert peak < 32 * dim**3 * np.dtype(np.complex128).itemsize
 
 
+def _traced_peak(run):
+    """The tracemalloc peak of `run()`, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _nodes(node):
+    """Every node of the tree under `node`, itself included."""
+    todo, seen = [node], []
+    while todo:
+        seen.append(todo.pop())
+        todo.extend(seen[-1].next.values())
+    return seen
+
+
+def test_a_longer_session_grows_nodes_not_states():
+    """A D=16 generic session with a 16-level ancilla reaches more symbol
+    pairs and readout outcomes at 300 cycles than at 50, and its peak grows
+    by those nodes' notes and tables only, under 1 KiB a node: no node keeps
+    one of its 64 KiB states."""
+    dim = anc = 16
+    rng = np.random.default_rng(0)
+    eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
+    grown = []
+    for cycles in (50, 300):
+        cfg = ProtocolConfig(dim, 0.0, cycles, 5, "qudit_beta00")
+        mode = control_mode.from_name("computational", cfg)
+        message = draw_message(dim, cycles, 5)
+        run_session(replace(cfg, n_cycles=1), message, eve, mode)  # build the cached operators first
+        tree = SessionTree(cfg, eve, mode)
+        grown.append((_traced_peak(lambda: run_session(cfg, message, eve, mode, tree)), len(_nodes(tree.root))))
+    (short_peak, short_nodes), (long_peak, long_nodes) = grown
+    assert long_nodes > short_nodes + 1500
+    assert long_peak - short_peak < 1024 * (long_nodes - short_nodes)
+
+
+def test_all_control_intercept_resend_peaks_near_detection():
+    """An all-control D=16 intercept-resend session reaches all D^2 = 256
+    post-forward nodes, each with its own D^3-amplitude state, and peaks
+    within a few dozen states of the detection walk over the same branches,
+    which holds one branch at a time (keeping the 256 states is ~16 MiB)."""
+    dim = 16
+    cfg, eve, mode = _setup(("intercept-resend", "computational", dim, "qudit_beta00"), 1.0, 5, cycles=2000)
+    state_bytes = dim**3 * np.dtype(np.complex128).itemsize
+    control_mode.analytic_pdet(eve, mode, cfg)  # build the cached operators first
+    detection = _traced_peak(lambda: control_mode.analytic_pdet(eve, mode, cfg))
+    tree = SessionTree(cfg, eve, mode)
+    session = _traced_peak(lambda: run_session(cfg, [], eve, mode, tree))
+    [swapped] = tree.root.next.values()
+    sent = [node for genuine in swapped.next.values() for node in genuine.next.values()]
+    assert len(sent) == dim**2 and all("computational" in node.next for node in sent)
+    assert session < detection + 32 * state_bytes
+
+
 # Sessions of one configuration that differ in everything else: seed, cycle
 # count and control probability.
 SESSIONS = [(1, 60, 0.25), (2, 25, 1.0), (3, 90, 0.0), (4, 45, 0.5)]
@@ -417,7 +479,10 @@ def test_a_tree_walks_only_its_own_configuration():
 def test_control_legs_collapse_no_state_of_bob(case, monkeypatch):
     """Bob's control measurement ends its leg, and a control leaf reads only
     the two outcomes, so it builds no post-measurement state; Alice's does.
-    Picks still come from the full Born table, so transcripts do not move."""
+    Picks still come from the full Born table, so transcripts do not move.
+    A measurement collapses only the outcomes its walk goes on from: a short
+    session leaves some of Alice's (and intercept-resend's `genuine`)
+    outcomes unreached, and none of those is collapsed."""
     collapsed = []
     original = protocol.collapse
 
@@ -430,3 +495,10 @@ def test_control_legs_collapse_no_state_of_bob(case, monkeypatch):
     assert len(_both(cfg, [], eve, mode)) == CYCLES
     assert collapsed.count((TRAVEL,)) > 0
     assert (HOME,) not in collapsed
+
+    collapsed.clear()
+    tree = SessionTree(cfg, eve, mode)
+    run_session(replace(cfg, n_cycles=5), [], eve, mode, tree)
+    for labels, key in (((TRAVEL,), "alice"), (eve.ancilla_labels[:1], "genuine")):
+        went_on = [node for node in _nodes(tree.root) if node.next and list(node.notes)[-1:] == [key]]
+        assert collapsed.count(labels) == len(went_on)

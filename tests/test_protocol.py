@@ -149,6 +149,9 @@ class TestBobDecode:
         assert max(table.values()) == oracles.Fraction(1, 2)
         with pytest.raises(CoherenceBreakError):
             bob_decode(collapsed, cfg)
+        # a NaN overlap matches nothing; it must not decode to index 0
+        with pytest.raises(CoherenceBreakError):
+            bob_decode(StateVector(pair_layout(2), [math.nan] * 4), cfg)
 
     @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
     def test_bell_matrix_matches_dense_encodings(self, dim):

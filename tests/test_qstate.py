@@ -217,6 +217,8 @@ class TestMeasure:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(BasisError):
             Basis(np.array([[1, 1], [0, 1]], dtype=complex))
+        with pytest.raises(BasisError):
+            Basis(np.array([[math.nan, 0], [0, 1]], dtype=complex))
 
     def test_multi_label_measurement(self):
         state = tensor(singlet(), StateVector(RAILS, A_VEC))
@@ -245,7 +247,20 @@ class TestHelpers:
     def test_factor_rejects_entangled_cut(self):
         with pytest.raises(ValueError):
             factor(singlet(), "h")
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            factor(StateVector(HT, [math.nan, 0, 0, 0]), "h")
 
     def test_unitary_tag_validation(self):
         with pytest.raises(ValueError):
             Operator.unitary(np.array([[1, 0], [0, 2]]))
+        with pytest.raises(ValueError):
+            Operator.unitary(np.array([[math.nan, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("amps", [[1, 1, 0, 0], [math.nan, 0, 0, 0]], ids=["norm-2", "nan"])
+    def test_from_amps_requires_unit_norm(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector.from_amps(HT, amps)
+
+    def test_apply_rejects_a_nan_norm(self):
+        with pytest.raises(ArithmeticError, match="drifted the norm"):
+            apply(StateVector(HT, [math.nan, 0, 0, 0]), Operator.unitary(np.eye(2)), "t")
