@@ -22,7 +22,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .protocol import MAX_DIM, TRAVEL, DrawEdge, MeasureEdge, UnitaryEdge, algebra, walk_leg
+from .protocol import (
+    HOME,
+    MAX_DIM,
+    TRAVEL,
+    DrawEdge,
+    MeasureEdge,
+    UnitaryEdge,
+    algebra,
+    deferred,
+    walk_leg,
+)
 from .qstate import (
     ATOL_ALGEBRA,
     ATOL_BASIS,
@@ -111,8 +121,9 @@ class EavesdropperHandle(ABC):
     the way to Alice, `backward_leg` on the way back and `readout_leg`
     before Bob's decode. `guess(notes)` is Eve's shift-symbol guess from
     the outcomes the edges recorded (None: abstain). The session engine
-    walks these legs with `protocol.follow`, and detection reads the exact
-    post-forward ensemble off the forward leg's edges (`coupled_branches`).
+    walks these legs with `protocol.follow`, and detection reads the
+    post-forward ensemble off the forward leg's edges (`coupled_branches`),
+    without branching on a measurement that only the later legs read.
     Handles are immutable.
     """
 
@@ -147,9 +158,13 @@ class EavesdropperHandle(ABC):
         return tensor(state, self.initial_ancilla)
 
     def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:
-        """The exact post-forward ensemble of `init`: (probability, state) per
-        branch of the forward leg, walked lazily and depth-first."""
-        return walk_leg(self.forward_leg, self.attach(init))
+        """The post-forward ensemble of `init` as (probability, state) per
+        branch, walked lazily and depth-first; exact for the (home, travel)
+        marginal detection reads. A measurement that only Eve's later legs
+        read is not branched on (`protocol.deferred`), so intercept-resend's
+        ensemble has D branches, one per substitute, not D^2. Sessions
+        still branch on it: each cycle's draws pick its outcome."""
+        return walk_leg(deferred(self.forward_leg, (HOME, TRAVEL)), self.attach(init))
 
 
 @dataclass(frozen=True)

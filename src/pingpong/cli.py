@@ -378,6 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         specs = _specs(args)
+        if args.output is not None and not Path(args.output).parent.is_dir():
+            raise ValueError(f"no directory {str(Path(args.output).parent)!r} for --output")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,10 @@ in the failing cells' intervals of each table's running sum, so its failure
 count is choice's without materializing an outcome per trial.
 The coupled state is the ensemble Eve's forward leg leaves behind, walked
 branch by branch from the handle's edges (`coupled_branches`), so an attack
-that measures or draws needs no second description of its forward leg.
+that measures or draws needs no second description of its forward leg. A
+measurement that only Eve's later legs read is not branched on: averaged
+over, it leaves the (home, travel) marginal unchanged, so intercept-resend
+walks D branches, not D^2.
 """
 
 from __future__ import annotations

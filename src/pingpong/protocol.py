@@ -238,7 +238,8 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
 # An edge states three things. `branches` lists its outcomes from one state
 # as (outcome, probability, post-state thunk), lazily; `walk_leg` calls the
-# thunks for the exact ensemble a leg leaves behind. `draw` takes the edge's
+# thunks for the exact ensemble a leg leaves behind (`deferred` first drops
+# the measurements a marginal does not need). `draw` takes the edge's
 # draw for each of a group of cycles from a `rand.CycleDraws` (None: the edge
 # draws nothing and has one outcome, None), and `outcomes` maps those draws
 # to outcomes at one node; `key` names the notes entry that records the
@@ -420,6 +421,30 @@ def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
         return
     for _, p, post in leg[0].branches(state):
         yield from walk_leg(leg[1:], post(), prob * p)
+
+
+def deferred(leg: Sequence, keep: Sequence[str]) -> tuple:
+    """`leg` without each measurement of registers outside `keep` that no
+    later edge of the leg acts on.
+
+    The branches `walk_leg` yields for the result are exact for the marginal
+    on `keep`. No edge conditions on an earlier outcome, since outcomes only
+    go to the notes, so a dropped measurement is averaged over where it
+    stands. Its registers are left alone from there on, so the average
+    commutes to the end of the leg and goes in the trace over them
+    (deferred measurement).
+    """
+
+    def acts(edge) -> set:
+        return set(edge.labels if isinstance(edge, MeasureEdge) else edge.targets)
+
+    return tuple(
+        edge
+        for i, edge in enumerate(leg)
+        if not isinstance(edge, MeasureEdge)
+        or acts(edge) & set(keep)
+        or any(acts(edge) & acts(later) for later in leg[i + 1:])
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,10 @@ controlled polarization beam splitter of Pavicic's explicit circuit, is
 built with it from its truth table.
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
-must equal exactly.
+must equal exactly. `exact_born_tables` is the detection tables' earlier
+route: a sum over every branch of Eve's forward leg as written, her
+measurements that only her later legs read included, which the tables
+walked over the deferred leg must agree with.
 `shift_permutation`, `full_space_coupling` and `coupling_residual_rows` are
 the coupling builder's earlier routes: the controlled-shift permutation
 filled entry by entry, the unitary completion of the whole travel (x)
@@ -52,6 +55,7 @@ from pingpong.protocol import (
     bob_decode,
     dense_encode,
     make_initial_state,
+    walk_leg,
 )
 from pingpong.attacks import H_POL, RAIL_DIM, V_POL, VACUUM
 from pingpong.qstate import (
@@ -315,6 +319,23 @@ def einsum_joint_probs(state, basis, dim):
     step = np.einsum("hi,htr->itr", conj, state.amps.reshape(dim, dim, -1))
     coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+
+
+def exact_born_tables(eve, control, cfg):
+    """Per menu basis: (weight, P(alice, bob), failing mask), with P summed
+    over every branch `walk_leg` yields for Eve's forward leg as written."""
+    dim = cfg.dim
+    sums = [np.zeros((dim, dim)) for _ in control.bases]
+    for prob, state in walk_leg(eve.forward_leg, eve.attach(make_initial_state(cfg))):
+        for table, entry in zip(sums, control.bases):
+            table += prob * einsum_joint_probs(state, entry.basis, dim)
+    tables = []
+    for table, entry in zip(sums, control.bases):
+        fail = np.ones((dim, dim), dtype=bool)
+        for alice, bob in entry.allowed:
+            fail[alice, bob] = False
+        tables.append((entry.weight, np.clip(table, 0.0, None), fail))
+    return tables
 
 
 def choice_failures(rng, tables, trials):

@@ -42,6 +42,7 @@ from pingpong.protocol import (
     dense_encode,
     make_initial_state,
     run_session,
+    walk_leg,
 )
 from pingpong.qstate import (
     BasisError,
@@ -347,11 +348,15 @@ class TestInterceptResend:
         with pytest.raises(CoherenceBreakError):
             run_session(cfg, [(0, 0)], intercept_resend(2), computational_control(cfg))
 
-    def test_substitute_is_uncorrelated_with_home(self):
-        # over the exact branch ensemble, P(alice, bob) is uniform
+    @pytest.mark.parametrize("walk", ["deferred", "exact"])
+    def test_substitute_is_uncorrelated_with_home(self, walk):
+        # over either branch ensemble, P(alice, bob) is uniform
         eve = intercept_resend(3)
-        cfg = qudit_cfg(3)
-        branches = list(eve.coupled_branches(make_initial_state(cfg)))
+        init = make_initial_state(qudit_cfg(3))
+        if walk == "deferred":
+            branches = list(eve.coupled_branches(init))
+        else:
+            branches = list(walk_leg(eve.forward_leg, eve.attach(init)))
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-12
         joint = np.zeros((3, 3))
         for p, state in branches:
@@ -363,10 +368,13 @@ class TestInterceptResend:
         "dim,kind", [(2, "qubit_psi_minus")] + [(dim, "qudit_beta00") for dim in range(2, 7)]
     )
     def test_coupled_ensemble_matches_branch_oracle(self, dim, kind):
-        # each branch is the product state |home, fake, stored>, keyed by its levels
+        # each branch of the forward leg as written, Eve's measurement of the
+        # genuine qudit included, is the product state |home, fake, stored>,
+        # keyed by its levels
         cfg = qubit_cfg() if kind == "qubit_psi_minus" else qudit_cfg(dim)
+        eve = intercept_resend(dim)
         found = {}
-        for prob, state in intercept_resend(dim).coupled_branches(make_initial_state(cfg)):
+        for prob, state in walk_leg(eve.forward_leg, eve.attach(make_initial_state(cfg))):
             amps = state.reshaped()  # (home, travel, stored)
             levels = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(amps)), amps.shape))
             assert abs(abs(amps[levels]) - 1.0) < 1e-12

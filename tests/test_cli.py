@@ -398,6 +398,7 @@ class TestMain:
         (["--dim", "2", "--control-prob", "2"], "control_prob must be in [0, 1], got 2.0"),
         (["--dim", "2", "--control-prob", "nan"], "control_prob must be in [0, 1], got nan"),
         (["--dim", "2", "--message", "0x"], "message chunk '0x' is not a digit pair"),
+        (["--dim", "2", "--output", "no-such-dir/report.json"], "no directory 'no-such-dir' for --output"),
     ])
     def test_bad_single_run_input_is_a_usage_error(self, flags, message, capsys):
         code = main(["--attack", "cnot", "--control", "two-basis", "--seed", "1", *flags])

@@ -20,7 +20,7 @@ from pingpong.control import (
     two_basis_control,
     wilson_interval,
 )
-from pingpong.cli import MAX_TRIALS
+from pingpong.cli import MAX_TRIALS, sig12
 from pingpong.protocol import HOME, TRAVEL, make_initial_state, run_session
 from pingpong.qstate import Basis, born_table
 from pingpong.rand import PDET_TAG, stream
@@ -223,7 +223,9 @@ class TestBornTableReference:
         assert len(calls) == 1
 
     def test_intercept_resend_ensemble_is_walked_one_branch_at_a_time(self):
-        # all D^2 branch states at once would take D^5 amplitudes (16 MiB at D=16)
+        # the walk holds a few of its D branch states of D^3 amplitudes at
+        # once; the D^2 branch states of the leg as written, all held at
+        # once, would take D^5 amplitudes (16 MiB at D=16)
         cfg = qudit_cfg(16)
         eve, control = intercept_resend(16), computational_control(cfg)
         tracemalloc.start()
@@ -293,6 +295,29 @@ class TestMatmulTables:
                     control_module._joint_probs(state, cb.basis, cfg.dim),
                     oracles.einsum_joint_probs(state, cb.basis, cfg.dim),
                 )
+
+
+# Every case of either list once, by id.
+DETECTION_CASES = list({_case_id(case): case for case in REFERENCE_CASES + TABLE_CASES}.values())
+
+
+class TestDeferredEnsemble:
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_intercept_resend_has_one_branch_per_substitute(self, dim):
+        branches = list(intercept_resend(dim).coupled_branches(make_initial_state(qudit_cfg(dim))))
+        assert len(branches) == dim
+
+    @pytest.mark.parametrize("case", DETECTION_CASES, ids=_case_id)
+    def test_tables_agree_with_the_exact_walk(self, case):
+        eve, control, cfg = _build(case)
+        got = control_module._born_tables(eve, control, cfg)
+        want = oracles.exact_born_tables(eve, control, cfg)
+        assert len(got) == len(want)
+        for (weight, table, fail), (exact_weight, exact_table, exact_fail) in zip(got, want):
+            assert weight == exact_weight
+            assert np.max(np.abs(table - exact_table)) < 1e-12
+            assert np.array_equal(fail, exact_fail)
+        assert sig12(analytic_pdet(eve, control, cfg)) == sig12(control_module._failing_mass(want))
 
 
 def _table(flat, fail):

@@ -5,29 +5,35 @@ import pytest
 
 import oracles
 from conftest import all_pairs, qubit_cfg, qudit_cfg
-from pingpong.attacks import cnot_attack, no_attack
+from pingpong.attacks import cnot_attack, intercept_resend, no_attack, qudit_shift_attack
 from pingpong.control import computational_control
 from pingpong.protocol import (
+    HOME,
+    TRAVEL,
     CoherenceBreakError,
     ControlOutcome,
     CycleRecord,
+    DrawEdge,
     MAX_CYCLES,
     MAX_DIM,
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
+    MeasureEdge,
     ProtocolConfig,
+    UnitaryEdge,
     _bell_matrix,
     _decoder_matrix,
     _encoding_operator,
     algebra,
     bell_states,
     bob_decode,
+    deferred,
     dense_encode,
     make_initial_state,
     pair_layout,
     run_session,
 )
-from pingpong.qstate import StateVector, SubsystemLayout
+from pingpong.qstate import Basis, StateVector, SubsystemLayout
 
 
 class TestConfig:
@@ -241,6 +247,47 @@ class TestRunSession:
         cfg = qubit_cfg(control_prob=0.0, n_cycles=1)
         with pytest.raises(ValueError):
             run_session(cfg, [(2, 0)], no_attack(2), computational_control(cfg))
+
+
+class TestDeferred:
+    KEEP = (HOME, TRAVEL)
+
+    @staticmethod
+    def _measure(*labels):
+        return MeasureEdge(labels, Basis.computational(2), "m")
+
+    def test_intercept_resend_drops_its_genuine_measurement(self):
+        leg = intercept_resend(3).forward_leg
+        assert [edge.key for edge in leg if isinstance(edge, MeasureEdge)] == ["genuine"]
+        assert deferred(leg, self.KEEP) == (leg[0], leg[2])
+
+    @pytest.mark.parametrize("labels", [(HOME,), (TRAVEL,), ("e", TRAVEL)])
+    def test_measurement_meeting_keep_is_kept(self, labels):
+        leg = (self._measure(*labels),)
+        assert deferred(leg, self.KEEP) == leg
+
+    @pytest.mark.parametrize("later", [
+        UnitaryEdge(algebra(2).shift, ("e",)),
+        DrawEdge("f", (None, algebra(2).shift), ("e",)),
+    ], ids=["unitary", "draw"])
+    def test_measurement_acted_on_later_is_kept(self, later):
+        leg = (self._measure("e"), later)
+        assert deferred(leg, self.KEEP) == leg
+
+    def test_measurement_measured_again_is_kept(self):
+        # the later measurement, which nothing follows, is the one dropped
+        first, again = self._measure("e"), MeasureEdge(("e",), Basis.dual(), "again")
+        assert deferred((first, again), self.KEEP) == (first,)
+
+    def test_later_edge_on_another_register_does_not_keep_it(self):
+        first, later = self._measure("e"), UnitaryEdge(algebra(2).shift, ("x",))
+        assert deferred((first, later), self.KEEP) == (later,)
+
+    @pytest.mark.parametrize("eve", [cnot_attack(), qudit_shift_attack(3), no_attack(2)],
+                             ids=lambda eve: eve.name)
+    def test_leg_without_measurements_comes_back_equal(self, eve):
+        leg = eve.forward_leg
+        assert deferred(leg, self.KEEP) == leg
 
 
 class TestCycleRecord:
