@@ -147,10 +147,6 @@ class EavesdropperHandle(ABC):
     def guess(self, notes: dict) -> int | None: ...
 
     @property
-    def ancilla_layout(self) -> SubsystemLayout:
-        return self.initial_ancilla.layout
-
-    @property
     def ancilla_labels(self) -> tuple[str, ...]:
         return self.initial_ancilla.layout.labels
 

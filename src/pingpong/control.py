@@ -1,14 +1,15 @@
 """Control-mode strategies and detection-probability computation.
 
-A control mode is a weighted menu of measurement bases plus, per basis, the
-set of (alice, bob) outcome pairs that an undisturbed pair can produce. The
-pass predicates are derived from the configured initial state rather than
-hard-coded, which settles the sign conventions for the singlet in the dual
-basis automatically.
+A control mode is a weighted menu of measurement bases plus, per basis, a
+read-only [alice, bob] mask of the outcome pairs that an undisturbed pair
+cannot produce (`ControlBasis.fail`). The masks are read off the configured
+initial state's joint table rather than hard-coded, which settles the sign
+conventions for the singlet in the dual basis automatically.
 
 Detection uses one Born table P(alice, bob) per menu basis of the coupled
-state, built per branch with two matmuls: analytic p_det is the menu-weighted
-sum of the failing cells, and the empirical estimate (Wilson interval) is
+state, built per branch by `protocol.pair_probs`, the table a session's
+control cycle reads: analytic p_det is the menu-weighted sum of the cells
+the mask fails, and the empirical estimate (Wilson interval) is
 seeded Monte Carlo over the same tables. The sampler draws the uniforms
 per-trial `Generator.choice` would, in bounded chunks, and counts the hits
 in the failing cells' intervals of each table's running sum, so its failure
@@ -31,12 +32,12 @@ from itertools import accumulate
 import numpy as np
 
 from .attacks import EavesdropperHandle
-from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state
-from .qstate import Basis, StateVector
+from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state, pair_probs
+from .qstate import Basis
 from .rand import PDET_TAG, stream
 
 # Joint probabilities above this are treated as support of the clean state
-# when deriving pass predicates; clean zeros sit at squared float error.
+# when deriving the failing-pair masks; clean zeros sit at squared float error.
 _SUPPORT_CUTOFF = 1e-9
 
 # Uniforms the empirical sampler draws per call, which bounds its memory at
@@ -46,12 +47,17 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class ControlBasis:
-    """One menu entry: a basis, its selection weight, and the passing pairs."""
+    """One menu entry: a basis, its selection weight, and the failing pairs."""
 
     basis_id: str
     basis: Basis
     weight: float
-    allowed: frozenset[tuple[int, int]]  # (alice_outcome, bob_outcome)
+    fail: np.ndarray  # bool [alice_outcome, bob_outcome]; kept as a read-only copy
+
+    def __post_init__(self):
+        fail = np.array(self.fail, dtype=bool)
+        fail.flags.writeable = False
+        object.__setattr__(self, "fail", fail)
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,8 @@ class ControlModeHandle:
         for b in self.bases:
             if b.basis.dim != self.dim:
                 raise ValueError("every menu basis must match the travel dimension")
+            if b.fail.shape != (self.dim, self.dim):
+                raise ValueError(f"failing-pair mask of {b.basis_id!r} must be {self.dim}x{self.dim}")
 
     @cached_property
     def _running_weights(self) -> np.ndarray:
@@ -76,12 +84,6 @@ class ControlModeHandle:
         """The menu index each uniform in `u` selects: the first basis whose
         running weight exceeds it, else the last."""
         return np.minimum(self._running_weights.searchsorted(u, side="right"), len(self.bases) - 1)
-
-    def passes(self, basis_id: str, alice: int, bob: int) -> bool:
-        for b in self.bases:
-            if b.basis_id == basis_id:
-                return (alice, bob) in b.allowed
-        raise ValueError(f"unknown basis id {basis_id!r}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,14 @@ class DetectionReport:
     ci_high: float
 
 
-def _allowed_pairs(init: StateVector, basis: Basis) -> frozenset[tuple[int, int]]:
-    """Outcome pairs with support when both parties measure the clean state."""
-    table = _joint_probs(init, basis, basis.dim)
-    return frozenset((int(a), int(b)) for a, b in zip(*np.nonzero(table > _SUPPORT_CUTOFF)))
-
-
 def computational_control(cfg: ProtocolConfig) -> ControlModeHandle:
-    """Single-basis menu; the pass predicate follows the configured state."""
+    """Single-basis menu; the failing pairs follow the configured state."""
     basis = Basis.computational(cfg.dim)
-    allowed = _allowed_pairs(make_initial_state(cfg), basis)
+    fail = pair_probs(make_initial_state(cfg), basis) <= _SUPPORT_CUTOFF
     return ControlModeHandle(
         name="computational",
         dim=cfg.dim,
-        bases=(ControlBasis("computational", basis, 1.0, allowed),),
+        bases=(ControlBasis("computational", basis, 1.0, fail),),
     )
 
 
@@ -124,8 +120,8 @@ def two_basis_control(cfg: ProtocolConfig) -> ControlModeHandle:
         name="two-basis",
         dim=2,
         bases=(
-            ControlBasis("computational", comp, 0.5, _allowed_pairs(init, comp)),
-            ControlBasis("dual", dual, 0.5, _allowed_pairs(init, dual)),
+            ControlBasis("computational", comp, 0.5, pair_probs(init, comp) <= _SUPPORT_CUTOFF),
+            ControlBasis("dual", dual, 0.5, pair_probs(init, dual) <= _SUPPORT_CUTOFF),
         ),
     )
 
@@ -144,15 +140,6 @@ def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
     return CONTROL_MODES[name](cfg)
 
 
-def _joint_probs(state: StateVector, basis: Basis, dim: int) -> np.ndarray:
-    """P(alice, bob) of an (h, t, rest) state measured in basis (x) basis,
-    marginalized over the rest."""
-    proj = basis.matrix.conj().T
-    step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, eve]
-    coeffs = np.matmul(proj, step)  # [bob, alice, eve]
-    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
-
-
 def _born_tables(
     eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -168,14 +155,8 @@ def _born_tables(
     sums = [np.zeros((cfg.dim, cfg.dim)) for _ in control.bases]
     for prob, state in eve.coupled_branches(make_initial_state(cfg)):
         for table, cb in zip(sums, control.bases):
-            table += prob * _joint_probs(state, cb.basis, cfg.dim)
-    tables = []
-    for table, cb in zip(sums, control.bases):
-        fail = np.ones((cfg.dim, cfg.dim), dtype=bool)
-        for alice, bob in cb.allowed:
-            fail[alice, bob] = False
-        tables.append((cb.weight, np.clip(table, 0.0, None), fail))
-    return tables
+            table += prob * pair_probs(state, cb.basis)
+    return [(cb.weight, np.clip(table, 0.0, None), cb.fail) for table, cb in zip(sums, control.bases)]
 
 
 def _failing_mass(tables: list[tuple[float, np.ndarray, np.ndarray]]) -> float:

@@ -12,7 +12,10 @@ chunk of cycles at a time: each tree level's draws come from the cycles'
 streams in one vectorized call (`rand.CycleDraws`), each node splits its
 cycles among its successors with array operations, and the session comes
 back as a columnar `Transcript`, which yields a `CycleRecord` per cycle
-when iterated.
+when iterated. A control cycle reads the joint table P(alice, bob) of its
+post-forward node (`pair_probs`, the table detection sums), picks Alice's
+outcome from its marginal and Bob's from her row, and is judged by the
+menu basis's failing-pair mask; it collapses no state.
 """
 
 from __future__ import annotations
@@ -180,6 +183,16 @@ def make_initial_state(cfg: ProtocolConfig) -> StateVector:
     return StateVector(layout, amps)
 
 
+def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
+    """P(alice, bob) of an (h, t, rest) state when Alice measures travel and
+    Bob home, both in `basis`, marginalized over the rest."""
+    dim = basis.dim
+    proj = basis.matrix.conj().T
+    step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, rest]
+    coeffs = np.matmul(proj, step)  # [bob, alice, rest]
+    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+
+
 def dense_encode(state: StateVector, mu: int, nu: int, alg: QuditAlgebra) -> StateVector:
     """Alice's dense coding: apply X^mu Z^nu on the travel register only."""
     return apply(state, alg.encoding(mu, nu), TRAVEL)
@@ -252,7 +265,10 @@ class _Node:
     """A branch of a configuration's tree and the nodes it leads to; no state.
 
     Each node is left by one edge only, except the post-forward node, whose
-    successors `run_session` keys by control basis and by symbol pair.
+    successors `run_session` keys by control basis and by symbol pair. A
+    control basis's node is an end node: its `leaf` is the joint table
+    P(alice, bob), and `probs` and `cum` are Alice's marginal and its
+    running sum.
     """
 
     __slots__ = ("notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
@@ -523,8 +539,8 @@ def _columns(n_msg: int, n_ctrl: int) -> tuple:
 
 class SessionTree:
     """The branches a cycle can take from the attached pair `state` at `root`:
-    Eve's forward leg; then per control basis Alice's and Bob's measurements
-    (`checks`), or per symbol pair the encoding, Eve's `returned` legs and
+    Eve's forward leg; then per control basis the joint table of Alice's and
+    Bob's outcomes, or per symbol pair the encoding, Eve's `returned` legs and
     Bob's decode. Nodes depend on Eve's handle, the control mode, `dim` and
     `kind` only, so the sessions of that configuration may share one tree."""
 
@@ -534,10 +550,6 @@ class SessionTree:
         self.state = eve.attach(make_initial_state(cfg))
         self.root = _Node({})
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
-        self.checks = [
-            (MeasureEdge((TRAVEL,), cb.basis, "alice"), MeasureEdge((HOME,), cb.basis, "bob"))
-            for cb in control.bases
-        ]
 
 
 def run_session(
@@ -569,7 +581,7 @@ def run_session(
           or (tree.dim, tree.kind) != (cfg.dim, cfg.initial_state_kind)):
         raise ValueError("session tree was built for another configuration")
     alg = algebra(cfg.dim)
-    attached, forward, returned, checks = tree.state, tree.forward, tree.returned, tree.checks
+    attached, forward, returned = tree.state, tree.forward, tree.returned
     chunks = [(np.zeros(0, dtype=bool), *_columns(0, 0))]
     n_sent = 0  # message pairs consumed by earlier chunks
     for draws in cycle_draws(cfg.seed, SESSION_TAG, cfg.n_cycles):
@@ -581,7 +593,9 @@ def run_session(
         back = draw_leg(returned, draws, msg)
         chosen = np.empty(n, dtype=np.int64)  # each control cycle's menu index
         chosen[ctrl] = control.choose(draws.random(ctrl))
-        checked = {b: draw_leg(checks[b], draws, group) for b, group in _split(ctrl, chosen[ctrl])}
+        alice_u, bob_u = np.empty(n), np.empty(n)  # each control cycle's two uniforms
+        alice_u[ctrl] = draws.random(ctrl)
+        bob_u[ctrl] = draws.random(ctrl)
         rank = np.empty(n, dtype=np.int64)  # each cycle's place among its mode's
         rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
         decoded, guess, basis, outcomes, passed = _columns(len(msg), len(ctrl))
@@ -617,13 +631,17 @@ def run_session(
             cycles = group[mode]
             for b, sub in _split(cycles, chosen[cycles]):
                 entry = control.bases[b]
-                for leaf, _, reached in follow(checks[b], node.child(entry.basis_id), state, sub, checked[b]):
-                    if leaf.leaf is None:
-                        a, o = leaf.notes["alice"], leaf.notes["bob"]
-                        leaf.leaf = ((a, o), control.passes(entry.basis_id, a, o))
+                check = node.child(entry.basis_id)
+                if check.leaf is None:
+                    check.leaf = pair_probs(state(), entry.basis)
+                    check.probs = check.leaf.sum(axis=1)
+                    check.cum = running_sum(check.probs)
+                for a, reached in _split(sub, pick(check.probs, check.cum, alice_u[sub])):
+                    row = check.leaf[a]
+                    bob = pick(row, running_sum(row), bob_u[reached])
                     at_rank = rank[reached]
-                    basis[at_rank] = b
-                    outcomes[at_rank], passed[at_rank] = leaf.leaf
+                    basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
+                    passed[at_rank] = ~entry.fail[a, bob]
         if error is not None:
             try:
                 raise error

@@ -313,12 +313,10 @@ class BornTable:
     order: list[int]
     coeffs: np.ndarray
     probs: np.ndarray
-    cum: np.ndarray
 
 
 def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
-    """Born probabilities and their normalized running sum for measuring
-    `labels` of `state` in `basis`."""
+    """Born probabilities for measuring `labels` of `state` in `basis`."""
     labels = _normalize_labels(labels)
     mat, order, front = _to_front(state, labels)
     if basis.dim != front:
@@ -326,7 +324,7 @@ def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
     coeffs = basis.matrix.conj().T @ mat
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
-    return BornTable(state, labels, basis, order, coeffs, probs, running_sum(probs))
+    return BornTable(state, labels, basis, order, coeffs, probs)
 
 
 def running_sum(probs: np.ndarray) -> np.ndarray:

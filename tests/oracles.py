@@ -9,8 +9,10 @@ a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
 `protocol.follow` must agree with draw for draw, and the menu loop
 `draw_basis`. `measure` is its one measurement on one uniform, built from
-`born_table`, `pick` and `collapse`. `score_records` is the record-by-record
-scorer the columnar `cli.score_session` must equal.
+`born_table`, `running_sum`, `pick` and `collapse`; a control cycle measures
+Alice and then Bob this way and is judged by the basis's failing-pair mask.
+`score_records` is the record-by-record scorer the columnar
+`cli.score_session` must equal.
 `partial_trace` and `trace_distance` compare reduced states as plain
 matrices. `fail_projector` is the projector onto a control basis's failing
 outcome pairs; its expectation on the reduced pair is the reference route
@@ -72,6 +74,7 @@ from pingpong.qstate import (
     factor,
     orthonormal_completion,
     pick,
+    running_sum,
     tensor,
 )
 from pingpong.rand import SCORE_TAG, SESSION_TAG, stream
@@ -168,7 +171,7 @@ def measure(state, labels, basis, rng):
     """A projective measurement of `labels` in `basis` on one uniform from
     `rng`: the outcome and the renormalized post-measurement state."""
     table = born_table(state, labels, basis)
-    outcome = int(pick(table.probs, table.cum, rng.random()))
+    outcome = int(pick(table.probs, running_sum(table.probs), rng.random()))
     return outcome, collapse(table, outcome)
 
 
@@ -261,7 +264,7 @@ def stepwise_session(cfg, message, eve, control):
                 basis_id=chosen.basis_id,
                 alice_outcome=alice,
                 bob_outcome=bob,
-                passed=control.passes(chosen.basis_id, alice, bob),
+                passed=not chosen.fail[alice, bob],
             )
             records.append(CycleRecord(index=k, mode="control", control=outcome))
         else:
@@ -329,13 +332,7 @@ def exact_born_tables(eve, control, cfg):
     for prob, state in walk_leg(eve.forward_leg, eve.attach(make_initial_state(cfg))):
         for table, entry in zip(sums, control.bases):
             table += prob * einsum_joint_probs(state, entry.basis, dim)
-    tables = []
-    for table, entry in zip(sums, control.bases):
-        fail = np.ones((dim, dim), dtype=bool)
-        for alice, bob in entry.allowed:
-            fail[alice, bob] = False
-        tables.append((entry.weight, np.clip(table, 0.0, None), fail))
-    return tables
+    return [(entry.weight, np.clip(table, 0.0, None), entry.fail) for table, entry in zip(sums, control.bases)]
 
 
 def choice_failures(rng, tables, trials):
@@ -432,14 +429,14 @@ def cpbs():
 
 def fail_projector(entry, dim):
     """Projector onto the (alice, bob) outcome pairs a control menu entry's
-    pass predicate rejects, on the (h, t) pair; its expectation on the
+    failing-pair mask marks, on the (h, t) pair; its expectation on the
     reduced pair state is the reference for the detection Born tables."""
-    passing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for alice, bob in entry.allowed:
+    failing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for alice, bob in zip(*np.nonzero(entry.fail)):
         b_vec = entry.basis.state(bob)
         a_vec = entry.basis.state(alice)
-        passing += np.kron(np.outer(b_vec, b_vec.conj()), np.outer(a_vec, a_vec.conj()))
-    return np.eye(dim * dim) - passing
+        failing += np.kron(np.outer(b_vec, b_vec.conj()), np.outer(a_vec, a_vec.conj()))
+    return failing
 
 
 def coupling_residual_rows(matrix, detection, probes, dim):

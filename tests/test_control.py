@@ -12,6 +12,7 @@ from pingpong.attacks import cnot_attack, intercept_resend, no_attack, pavicic_c
 from pingpong.attacks import from_name as attack_from_name
 from pingpong.attacks import generic_coupling
 from pingpong.control import (
+    ControlBasis,
     ControlModeHandle,
     analytic_pdet,
     computational_control,
@@ -21,31 +22,45 @@ from pingpong.control import (
     wilson_interval,
 )
 from pingpong.cli import MAX_TRIALS, sig12
-from pingpong.protocol import HOME, TRAVEL, make_initial_state, run_session
+from pingpong.protocol import HOME, TRAVEL, make_initial_state, pair_probs, run_session
 from pingpong.qstate import Basis, born_table
 from pingpong.rand import PDET_TAG, stream
 
 
-class TestPassPredicates:
+class TestFailMasks:
     def test_qubit_kind_expects_anticorrelation(self):
-        handle = computational_control(qubit_cfg())
-        assert handle.passes("computational", 0, 1)
-        assert handle.passes("computational", 1, 0)
-        assert not handle.passes("computational", 0, 0)
-        assert not handle.passes("computational", 1, 1)
+        [entry] = computational_control(qubit_cfg()).bases
+        assert not entry.fail[0, 1]
+        assert not entry.fail[1, 0]
+        assert entry.fail[0, 0]
+        assert entry.fail[1, 1]
 
     def test_qudit_kind_expects_correlation(self):
-        handle = computational_control(qudit_cfg(3))
+        [entry] = computational_control(qudit_cfg(3)).bases
         for k in range(3):
-            assert handle.passes("computational", k, k)
-        assert not handle.passes("computational", 0, 1)
+            assert not entry.fail[k, k]
+        assert entry.fail[0, 1]
 
     def test_singlet_dual_basis_is_also_anticorrelated(self):
-        handle = two_basis_control(qubit_cfg())
-        assert handle.passes("dual", 0, 1)
-        assert handle.passes("dual", 1, 0)
-        assert not handle.passes("dual", 0, 0)
-        assert not handle.passes("dual", 1, 1)
+        _, entry = two_basis_control(qubit_cfg()).bases
+        assert entry.basis_id == "dual"
+        assert not entry.fail[0, 1]
+        assert not entry.fail[1, 0]
+        assert entry.fail[0, 0]
+        assert entry.fail[1, 1]
+
+    def test_mask_is_a_read_only_copy(self):
+        given = np.array([[True, False], [False, True]])
+        entry = ControlBasis("computational", Basis.computational(2), 1.0, given)
+        given[0, 0] = False
+        assert entry.fail[0, 0]
+        with pytest.raises(ValueError):
+            entry.fail[0, 0] = False
+
+    def test_mask_shape_validated(self):
+        entry = replace(computational_control(qubit_cfg()).bases[0], fail=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="must be 2x2"):
+            ControlModeHandle("bad", 2, (entry,))
 
     def test_clean_sessions_always_pass(self):
         for cfg in (qubit_cfg(control_prob=1.0, n_cycles=300),
@@ -138,10 +153,10 @@ class TestAnalyticPdet:
             entries = []
             if w < 1.0:
                 entries.append(
-                    type(comp)(comp.basis_id, comp.basis, 1.0 - w, comp.allowed)
+                    type(comp)(comp.basis_id, comp.basis, 1.0 - w, comp.fail)
                 )
             if w > 0.0:
-                entries.append(type(dual)(dual.basis_id, dual.basis, w, dual.allowed))
+                entries.append(type(dual)(dual.basis_id, dual.basis, w, dual.fail))
             handle = ControlModeHandle("mix", 2, tuple(entries))
             values[w] = analytic_pdet(eve, handle, cfg)
         assert values[0.0] == pytest.approx(0.0, abs=1e-12)
@@ -224,10 +239,11 @@ class TestBornTableReference:
 
     def test_intercept_resend_ensemble_is_walked_one_branch_at_a_time(self):
         # the walk holds a few of its D branch states of D^3 amplitudes at
-        # once; the D^2 branch states of the leg as written, all held at
-        # once, would take D^5 amplitudes (16 MiB at D=16)
-        cfg = qudit_cfg(16)
-        eve, control = intercept_resend(16), computational_control(cfg)
+        # once (about 3 MiB at D=32); all D of them held at once would take
+        # D^4 amplitudes (16 MiB at D=32)
+        cfg = qudit_cfg(32)
+        eve, control = intercept_resend(32), computational_control(cfg)
+        analytic_pdet(eve, control, cfg)  # build the cached 16 MiB swap operator first
         tracemalloc.start()
         try:
             analytic_pdet(eve, control, cfg)
@@ -292,7 +308,7 @@ class TestMatmulTables:
         for _, state in eve.coupled_branches(make_initial_state(cfg)):
             for cb in control.bases:
                 assert np.array_equal(
-                    control_module._joint_probs(state, cb.basis, cfg.dim),
+                    pair_probs(state, cb.basis),
                     oracles.einsum_joint_probs(state, cb.basis, cfg.dim),
                 )
 

@@ -26,8 +26,6 @@ from pingpong.cli import draw_message, score_session
 from pingpong.protocol import (
     CoherenceBreakError,
     DrawEdge,
-    HOME,
-    TRAVEL,
     MeasureEdge,
     ProtocolConfig,
     SessionTree,
@@ -38,7 +36,7 @@ from pingpong.protocol import (
     follow,
     run_session,
 )
-from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, pick
+from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, pick, running_sum
 from pingpong.rand import SESSION_TAG, CycleDraws, stream
 
 CYCLES = 100
@@ -287,7 +285,8 @@ def test_measure_follow_picks_from_the_full_born_table():
     side, `follow` picks the outcome `step` picks."""
     edge, state = _edge_case("measure-sparse")
     table = born_table(state, edge.labels, edge.basis)
-    uniforms = [u for c in table.cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    cum = running_sum(table.probs)
+    uniforms = [u for c in cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
     cycles = np.arange(len(uniforms))
     taken = draw_leg((edge,), _Uniforms(uniforms), cycles)
     reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
@@ -303,7 +302,7 @@ def test_measure_follow_picks_from_the_full_born_table():
     supported = table.probs[support]
     short_cum = np.cumsum(supported / supported.sum())
     assert any(
-        support[pick(supported, short_cum, u)] != pick(table.probs, table.cum, u) for u in uniforms
+        support[pick(supported, short_cum, u)] != pick(table.probs, cum, u) for u in uniforms
     )
 
 
@@ -476,29 +475,39 @@ def test_a_tree_walks_only_its_own_configuration():
 
 
 @pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
-def test_control_legs_collapse_no_state_of_bob(case, monkeypatch):
-    """Bob's control measurement ends its leg, and a control leaf reads only
-    the two outcomes, so it builds no post-measurement state; Alice's does.
-    Picks still come from the full Born table, so transcripts do not move.
-    A measurement collapses only the outcomes its walk goes on from: a short
-    session leaves some of Alice's (and intercept-resend's `genuine`)
-    outcomes unreached, and none of those is collapsed."""
-    collapsed = []
-    original = protocol.collapse
+def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeypatch):
+    """A control cycle picks Alice's and Bob's outcomes from its post-forward
+    node's joint table, so an all-control session collapses no state on a
+    control path: its only collapses are intercept-resend's `genuine`
+    measurements, one per outcome the walk goes on from (a short session
+    leaves some unreached). Each reached (post-forward node, basis) calls
+    `pair_probs` exactly once, also when a second session walks the tree,
+    and transcripts still equal the stepper's."""
+    collapsed, tabled = [], []
+    original_collapse, original_pair_probs = protocol.collapse, protocol.pair_probs
 
-    def counting(table, outcome):
+    def counting_collapse(table, outcome):
         collapsed.append(table.labels)
-        return original(table, outcome)
+        return original_collapse(table, outcome)
 
-    monkeypatch.setattr(protocol, "collapse", counting)  # the stepper collapses through qstate's
+    def counting_pair_probs(state, basis):
+        tabled.append(basis)
+        return original_pair_probs(state, basis)
+
+    # the stepper measures through qstate's own bindings
+    monkeypatch.setattr(protocol, "collapse", counting_collapse)
+    monkeypatch.setattr(protocol, "pair_probs", counting_pair_probs)
     cfg, eve, mode = _setup(case, 1.0, 6)
-    assert len(_both(cfg, [], eve, mode)) == CYCLES
-    assert collapsed.count((TRAVEL,)) > 0
-    assert (HOME,) not in collapsed
-
-    collapsed.clear()
     tree = SessionTree(cfg, eve, mode)
     run_session(replace(cfg, n_cycles=5), [], eve, mode, tree)
-    for labels, key in (((TRAVEL,), "alice"), (eve.ancilla_labels[:1], "genuine")):
-        went_on = [node for node in _nodes(tree.root) if node.next and list(node.notes)[-1:] == [key]]
-        assert collapsed.count(labels) == len(went_on)
+    genuine = [node for node in _nodes(tree.root) if node.next and list(node.notes)[-1:] == ["genuine"]]
+    assert collapsed == [eve.ancilla_labels[:1]] * len(genuine)
+    assert (case[0] == "intercept-resend") == bool(genuine)
+
+    session = replace(cfg, seed=7)
+    assert run_session(session, [], eve, mode, tree) == oracles.stepwise_session(session, [], eve, mode)
+    assert set(collapsed) <= {eve.ancilla_labels[:1]}
+    basis_ids = {cb.basis_id for cb in mode.bases}
+    checks = [succ for node in _nodes(tree.root) for key, succ in node.next.items() if key in basis_ids]
+    assert checks and all(check.leaf.shape == (cfg.dim, cfg.dim) for check in checks)
+    assert len(tabled) == len(checks)

@@ -19,6 +19,7 @@ from pingpong.qstate import (
     born_table,
     collapse,
     pick,
+    running_sum,
     tensor,
 )
 
@@ -76,7 +77,7 @@ def test_measurement_probability_matches_amplitudes(seed):
     table = born_table(state, "a", Basis.computational(3))
     marginal = np.sum(np.abs(state.reshaped()) ** 2, axis=1)
     assert np.max(np.abs(table.probs - marginal)) < 1e-12
-    outcome = int(pick(table.probs, table.cum, rng.random()))
+    outcome = int(pick(table.probs, running_sum(table.probs), rng.random()))
     assert marginal[outcome] > 0
     # the collapsed state is the renormalized outcome row, zero elsewhere
     post = collapse(table, outcome).reshaped()
@@ -122,7 +123,8 @@ def _born_draws(state, label, dim, uniforms, seed, skip):
     (`oracles.measure`) draw from a `seed` generator after `skip` uniforms."""
     basis = Basis.computational(dim)
     table = born_table(state, label, basis)
-    outcomes = [pick(table.probs, table.cum, u) for u in uniforms.tolist()]
+    cum = running_sum(table.probs)
+    outcomes = [pick(table.probs, cum, u) for u in uniforms.tolist()]
     rng = np.random.default_rng(seed)
     rng.random(skip)
     assert outcomes[:1000] == [oracles.measure(state, label, basis, rng)[0] for _ in range(1000)]

@@ -17,6 +17,7 @@ from pingpong.qstate import (
     collapse,
     factor,
     pick,
+    running_sum,
     tensor,
 )
 
@@ -188,14 +189,14 @@ class TestMeasure:
         state = StateVector.basis(SubsystemLayout.of(("q", 2)), (0,))
         table = born_table(state, "q", Basis.computational(2))
         assert table.probs.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert pick(table.probs, table.cum, np.random.default_rng(0).random()) == 0
+        assert pick(table.probs, running_sum(table.probs), np.random.default_rng(0).random()) == 0
         assert np.allclose(collapse(table, 0).amps, state.amps, atol=1e-12)
 
     def test_singlet_travel_is_unbiased(self):
         table = born_table(singlet(), "t", Basis.computational(2))
         assert table.probs.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
         uniforms = np.random.default_rng(0).random(30)
-        assert {int(pick(table.probs, table.cum, u)) for u in uniforms} == {0, 1}
+        assert {int(pick(table.probs, running_sum(table.probs), u)) for u in uniforms} == {0, 1}
 
     def test_singlet_anticorrelation(self):
         first = born_table(singlet(), "h", Basis.computational(2))
@@ -225,7 +226,7 @@ class TestMeasure:
         table = born_table(state, ("x", "y"), Basis.computational(9))
         assert np.flatnonzero(table.probs > 1e-12).tolist() == [2, 3]
         assert table.probs[[2, 3]].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert pick(table.probs, table.cum, np.random.default_rng(1).random()) in (2, 3)
+        assert pick(table.probs, running_sum(table.probs), np.random.default_rng(1).random()) in (2, 3)
 
     def test_pick_never_lands_without_support(self):
         # a running sum that stops short of 1 or ends on empty outcomes
