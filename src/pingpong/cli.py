@@ -62,8 +62,11 @@ _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": 
 
 # Upper bound on a run's detection trials. The sampler draws its uniforms in
 # fixed-size chunks, so memory stays bounded while time grows with the count:
-# a CLI run at the bound takes ~0.5 s on a 2-core machine. MAX_DIM and
-# MAX_CYCLES come from `protocol`.
+# a CLI run at the bound takes ~0.4-0.5 s on a 2-core machine, both for cnot
+# under two-basis control (2 x 10^7 uniforms drawn) and for qudit-shift at
+# D=32 under computational control (10^7 drawn, the one-basis menu's 10^7
+# basis uniforms skipped by counter). MAX_DIM and MAX_CYCLES come from
+# `protocol`.
 MAX_TRIALS = 10**7
 
 

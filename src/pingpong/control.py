@@ -13,7 +13,10 @@ the mask fails, and the empirical estimate (Wilson interval) is
 seeded Monte Carlo over the same tables. The sampler draws the uniforms
 per-trial `Generator.choice` would, in bounded chunks, and counts the hits
 in the failing cells' intervals of each table's running sum, so its failure
-count is choice's without materializing an outcome per trial.
+count is choice's without materializing an outcome per trial. Uniforms that
+no count reads (a one-basis menu's basis draws, a mask with no failing run)
+are skipped by Philox counter (`rand.skip`), not drawn, and the stream ends
+where choice would leave it.
 The coupled state is the ensemble Eve's forward leg leaves behind, walked
 branch by branch from the handle's edges (`coupled_branches`), so an attack
 that measures or draws needs no second description of its forward leg. A
@@ -34,7 +37,7 @@ import numpy as np
 from .attacks import EavesdropperHandle
 from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state, pair_probs
 from .qstate import Basis
-from .rand import PDET_TAG, stream
+from .rand import PDET_TAG, skip, stream
 
 # Joint probabilities above this are treated as support of the clean state
 # when deriving the failing-pair masks; clean zeros sit at squared float error.
@@ -180,8 +183,12 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> np.ndarray:
-    """Draw n uniforms, _CHUNK at a time; per edge, how many fall below it."""
+    """Draw n uniforms, _CHUNK at a time; per edge, how many fall below it.
+    With no edges nothing reads them, so they are skipped by counter."""
     counts = np.zeros(len(edges), dtype=np.int64)
+    if not len(edges):
+        skip(rng, n)
+        return counts
     for start in range(0, n, _CHUNK):
         u = rng.random(min(_CHUNK, n - start))
         counts += np.array([np.count_nonzero(u < edge) for edge in edges], dtype=np.int64)

@@ -56,9 +56,10 @@ KINDS = (QUBIT_SINGLET, QUDIT_CORRELATED)
 DECODE_ATOL = 1e-9
 
 # Upper bounds on a session's size. MAX_DIM also bounds the length of a generic
-# family's ancilla states, so a coupling on travel (x) ancilla is at most a
-# 16 MB matrix. The cycle bound keeps each cycle index within the one 32-bit
-# word `rand.cycle_keys` hashes.
+# family's ancilla states, so a coupling on travel (x) ancilla is at most D
+# blocks of 32x32, 512 KiB (its dense matrix, built only on request, would be
+# 16 MiB). The cycle bound keeps each cycle index within the one 32-bit word
+# `rand.cycle_keys` hashes.
 MAX_DIM = 32
 MAX_CYCLES = 10**6
 
@@ -109,8 +110,8 @@ class QuditAlgebra:
     def encoding(self, mu: int, nu: int) -> Operator:
         """Dense-coding unitary X^mu Z^nu (phase first, then shift), built in
         closed form: |k> goes to exp(2 pi i ((nu k) mod D) / D) |k + mu mod D>.
-        It is monomial, so `apply` moves amplitudes instead of multiplying by
-        the matrix."""
+        It is built monomial, so `apply` moves amplitudes instead of
+        multiplying by a matrix."""
         if not (0 <= mu < self.dim and 0 <= nu < self.dim):
             raise ValueError(f"symbols ({mu}, {nu}) out of range for dim {self.dim}")
         return _encoding_operator(self.dim, mu, nu)
@@ -123,10 +124,7 @@ def _weyl_phases(dim: int, nu) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _encoding_operator(dim: int, mu: int, nu: int) -> Operator:
-    levels = np.arange(dim)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[(levels + mu) % dim, levels] = _weyl_phases(dim, nu)
-    return Operator.unitary(m)
+    return Operator.monomial((np.arange(dim) + mu) % dim, _weyl_phases(dim, nu))
 
 
 @lru_cache(maxsize=None)

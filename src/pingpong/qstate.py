@@ -4,11 +4,14 @@ Subsystems are named and may have different dimensions; amplitudes live in a
 flat complex vector with row-major mixed-radix indexing following the layout
 order. Everything is immutable: operations return new values.
 
-An operator with exactly one nonzero entry per column, in distinct rows (a
-permutation times phases: the Weyl encodings, CNOT, the controlled shift, the
-swap), carries that monomial form beside its matrix, read off once when it is
-built. `apply` moves amplitudes to their rows for it, O(N) where a dense
-matmul is O(N*d); every other operator is applied by the matmul.
+An operator keeps the structure it is built with. A monomial one (a
+permutation times phases: the Weyl encodings, the swap, and the block
+couplings whose blocks are monomial, CNOT and the controlled shift) is
+applied by moving amplitudes to their rows, O(N) where a dense matmul is
+O(N*d). A block-diagonal one (a generic coupling, one ancilla block per
+travel level) is applied one block at a time, d/b times fewer flops than
+its dense matrix. Only a general operator is applied by the dense matmul;
+a structured one builds its matrix only when asked.
 
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
 orthonormality of user-supplied bases and state families. Each check asks
@@ -141,45 +144,52 @@ class StateVector:
         return complex(np.vdot(self.amps, other.amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Operator:
-    """Square matrix acting on a factor of the composite space.
+    """Square operator acting on a factor of the composite space, kept in
+    one of three forms:
 
-    The `kind` tag records what the constructor verified: `unitary` operators
-    satisfy max|U^dag U - I| < 1e-12.
+    - dense: a general matrix, given at construction;
+    - block-diagonal: `blocks[k]` acts where the first target level is k,
+      the operator is sum_k |k><k| (x) blocks[k];
+    - monomial: column j holds one entry, in row `rows[j]`, the rows a
+      permutation, and the entry is `phases[j]` (None when every entry is
+      exactly 1). A block-diagonal operator whose blocks are monomial keeps
+      this form beside its blocks.
 
-    The monomial form is read off the matrix at construction. When every
-    column j holds one nonzero entry, in row `rows[j]`, and the rows form a
-    permutation, `rows` is that permutation and `phases[j]` the entry (None
-    when every entry is exactly 1); otherwise both are None.
+    `matrix` is built from a structured form only on request. The `kind`
+    tag records what the constructor verified: `unitary` operators satisfy
+    max|U^dag U - I| < 1e-12, checked per block for blocks and as a
+    bijection with unit phases for a monomial operator.
     """
 
     dim: int
-    matrix: np.ndarray
-    kind: str = "general"
-    rows: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    phases: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    kind: str
+    blocks: np.ndarray | None = field(repr=False)
+    rows: np.ndarray | None = field(repr=False)
+    phases: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        nonzero = m != 0
-        # n nonzero entries reaching every column and every row: one per
-        # column, in distinct rows.
-        if np.count_nonzero(nonzero) != self.dim or not (
-            nonzero.any(axis=0).all() and nonzero.any(axis=1).all()
-        ):
-            return
-        rows = np.nonzero(nonzero.T)[1]  # column by column, the row of its entry
-        entries = m[rows, np.arange(self.dim)]
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        if np.any(entries != 1):
-            entries.flags.writeable = False
-            object.__setattr__(self, "phases", entries)
+    def __init__(self, dim: int, matrix=None, kind: str = "general", *, blocks=None, rows=None, phases=None):
+        """A dense operator from `matrix`, or a structured one from `blocks`
+        or from `rows` and `phases`; nothing is checked but the shapes."""
+        if (matrix is None) + (blocks is None) + (rows is None) != 2:
+            raise ValueError("give exactly one of matrix, blocks and rows")
+        if matrix is not None:
+            self.__dict__["matrix"] = _frozen(matrix, (dim, dim))
+        if blocks is not None:
+            b = np.shape(blocks)[-1]
+            blocks = _frozen(blocks, (dim // b, b, b) if dim % b == 0 else None)
+            nonzero = blocks != 0
+            # one nonzero entry per column, reaching every row: monomial blocks
+            if (nonzero.sum(axis=1) == 1).all() and nonzero.any(axis=2).all():
+                local = nonzero.argmax(axis=1)
+                rows = (local + b * np.arange(len(blocks))[:, None]).ravel()
+                phases = np.take_along_axis(blocks, local[:, None], axis=1).ravel()
+        if rows is not None:
+            rows = _frozen(rows, (dim,), np.intp)
+            phases = None if phases is None or np.all(np.equal(phases, 1)) else _frozen(phases, (dim,))
+        for name, value in (("dim", dim), ("kind", kind), ("blocks", blocks), ("rows", rows), ("phases", phases)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def unitary(cls, matrix) -> "Operator":
@@ -189,14 +199,66 @@ class Operator:
             raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
         return cls(m.shape[0], m, "unitary")
 
+    @classmethod
+    def block_unitary(cls, blocks) -> "Operator":
+        """sum_k |k><k| (x) blocks[k], checked one Gram product per block:
+        the off-diagonal blocks of U^dag U are exactly zero."""
+        b = np.asarray(blocks, dtype=np.complex128)
+        dev = np.max(np.abs(b.conj().transpose(0, 2, 1) @ b - np.eye(b.shape[-1])))
+        if not dev < ATOL_ALGEBRA:
+            raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
+        return cls(b.shape[0] * b.shape[1], blocks=b, kind="unitary")
+
+    @classmethod
+    def monomial(cls, rows, phases=None) -> "Operator":
+        """Column j to row rows[j] times phases[j]; unitary when the rows are
+        a bijection and every phase has unit modulus."""
+        rows = np.asarray(rows)
+        if not np.array_equal(np.sort(rows), np.arange(len(rows))):
+            raise ValueError("rows are not a permutation")
+        if phases is not None:
+            dev = np.max(np.abs(np.abs(phases) - 1.0))
+            if not dev < ATOL_ALGEBRA:
+                raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
+        return cls(len(rows), rows=rows, phases=phases, kind="unitary")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built once on request from a structured form."""
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        if self.blocks is not None:
+            n, b, _ = self.blocks.shape
+            levels = np.arange(n)
+            m.reshape(n, b, n, b)[levels, :, levels, :] = self.blocks
+        else:
+            m[self.rows, np.arange(self.dim)] = 1.0 if self.phases is None else self.phases
+        m.flags.writeable = False
+        return m
+
     @cached_property
     def inverse(self) -> "Operator":
-        """U^dagger, built once per operator. A monomial U's inverse is the
-        inverse permutation with conjugated phases, which the read-off of
-        U^dagger finds."""
+        """U^dagger in the form of U, built once per operator: the blocks'
+        conjugate transposes, or the inverse permutation with conjugated
+        phases."""
         if self.kind != "unitary":
             raise ValueError("inverse is defined for unitary operators only")
+        if self.blocks is not None:
+            blocks = self.blocks.conj().transpose(0, 2, 1)
+            return Operator(self.dim, blocks=np.ascontiguousarray(blocks), kind="unitary")
+        if self.rows is not None:
+            back = np.argsort(self.rows)
+            phases = None if self.phases is None else self.phases.conj()[back]
+            return Operator(self.dim, rows=back, phases=phases, kind="unitary")
         return Operator(self.dim, self.matrix.conj().T, "unitary")
+
+
+def _frozen(values, shape, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of `values`, which must have `shape`."""
+    a = np.array(values, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"expected an operator array of shape {shape}, got {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -288,11 +350,13 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     if op.kind != "unitary":
         raise ValueError("apply requires a unitary-tagged operator")
     mat, order, _ = _to_front(state, targets)
-    if op.rows is None:
-        new = op.matrix @ mat
-    else:
+    if op.rows is not None:
         new = np.empty_like(mat)
         new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
+    elif op.blocks is not None:
+        new = np.matmul(op.blocks, mat.reshape(len(op.blocks), op.blocks.shape[1], -1))
+    else:
+        new = op.matrix @ mat
     out = StateVector(state.layout, _from_front(new, state, order))
     if not abs(out.norm - state.norm) <= ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")

@@ -17,7 +17,9 @@ computed only for the cycles that reach them. The draws are decoded as
 numpy's `Generator` decodes them: `random()` is one 64-bit word w as
 (w >> 11) * 2**-53, and `integers(n)` is Lemire's bounded draw on 32-bit
 halves, a fresh word's low half first and its high half kept for the next
-`integers` (`random()` skips that buffer).
+`integers` (`random()` skips that buffer). Because a word depends on the
+counter only, `skip` moves a `stream` generator past draws that nothing reads
+by advancing its counter.
 """
 
 from __future__ import annotations
@@ -61,6 +63,30 @@ def stream(*key: int) -> np.random.Generator:
     if any(k < 0 for k in key):
         raise ValueError(f"stream key must be non-negative, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def skip(rng: np.random.Generator, n: int) -> None:
+    """Move a `stream` generator past n `random()` draws without making them.
+
+    Each draw is one 64-bit Philox word. The words left in the generator's
+    4-word buffer are drawn, whole blocks are skipped by advancing the
+    counter, and the last (n - head) % 4 words are drawn, so the generator
+    ends where n draws would leave it; the half word `integers` keeps, which
+    `advance` clears and `random()` never touches, is put back.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        raise TypeError(f"skip needs a Philox generator, got {type(bitgen).__name__}")
+    state = bitgen.state
+    head = min(n, 4 - state["buffer_pos"])
+    bitgen.random_raw(head)
+    blocks, tail = divmod(n - head, 4)
+    if blocks:
+        bitgen.advance(blocks)
+        after = bitgen.state
+        after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+        bitgen.state = after
+    bitgen.random_raw(tail)
 
 
 def _words(n: int) -> list[int]:

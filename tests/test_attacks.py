@@ -229,13 +229,17 @@ class TestGenericCoupling:
     def test_blocks_match_full_space_completion(self, dim, anc_dim):
         rng = np.random.default_rng(100 * dim + anc_dim)
         detection, probes = rand_family(rng, anc_dim, dim), rand_family(rng, anc_dim, dim)
-        built = generic_coupling(dim, detection, probes).coupling.matrix
+        q = generic_coupling(dim, detection, probes).coupling
+        assert q.blocks.shape == (dim, anc_dim, anc_dim) and q.rows is None
+        assert "matrix" not in q.__dict__  # no dense matrix until one is asked for
         reference = oracles.full_space_coupling(dim, detection, probes)
-        assert np.max(np.abs(built - reference)) < 1e-12
+        assert np.max(np.abs(q.matrix - reference)) < 1e-12
+        assert np.array_equal(q.inverse.matrix, q.matrix.conj().T)
 
     def test_memory_bounded_at_max_dim(self):
-        # The full-space completion peaked at 113 MiB here; the blockwise
-        # build holds Q and one D^3*A residual array at a time (~48 MiB).
+        # The full-space completion peaked at 113 MiB here, and a dense Q
+        # with its dense check at ~48 MiB. Q kept as D ancilla blocks and
+        # checked per block holds no (DA)^2 array: one would be 16 MiB.
         rng = np.random.default_rng(32)
         detection = rand_family(rng, MAX_DIM, MAX_DIM)
         probes = rand_family(rng, MAX_DIM, MAX_DIM)
@@ -245,7 +249,7 @@ class TestGenericCoupling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
 
     def test_random_families_full_session(self):
         rng = np.random.default_rng(21)
@@ -303,6 +307,19 @@ class TestValidateCoupling:
         assert [row[:2] for row in report.rows] == [row[:2] for row in reference]
         assert np.max(np.abs(np.array(report.rows) - np.array(reference))) < 1e-12
         assert report.passed == (case == "generic")
+
+    def test_block_breaking_the_shift_condition_rejected(self):
+        # a phase on block 1 keeps Q unitary but sends |1, d_m> to a multiple
+        # of |1, p_{m+1}>: exactly the pairs with k = 1 fail, both ways
+        rng = np.random.default_rng(10)
+        dim, anc_dim = 3, 4
+        detection, probes = rand_family(rng, anc_dim, dim), rand_family(rng, anc_dim, dim)
+        blocks = generic_coupling(dim, detection, probes).coupling.blocks.copy()
+        blocks[1] *= 1j
+        report = validate_coupling(Operator.block_unitary(blocks), detection, probes, dim)
+        assert not report.passed
+        assert [row[:2] for row in report.failures()] == [(1, m) for m in range(dim)]
+        assert all(min(f, b) > 1.0 for _, _, f, b in report.failures())
 
     def test_report_lists_every_pair(self):
         eve = qudit_shift_attack(4)
@@ -406,10 +423,22 @@ class TestMonomialApply:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_swap(self, dim):
         op = attacks._swap_operator(dim)
+        assert op.rows is not None and op.phases is None
         assert np.array_equal(op.matrix, oracles.swap_permutation(dim))
-        assert op.phases is None
         layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim))
         self._check(op, layout, ("t", "e"), exact=True)
+
+    def test_swap_at_max_dim_is_built_from_its_permutation(self):
+        # the dense D^2 x D^2 swap and its dense unitarity check peaked at
+        # 48 MiB here
+        tracemalloc.start()
+        try:
+            op = attacks._swap_operator.__wrapped__(MAX_DIM)  # cold, past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.rows is not None and "matrix" not in op.__dict__
+        assert peak < 2**20
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_shifts(self, dim):

@@ -134,20 +134,24 @@ class TestApply:
 
 
 class TestMonomialForm:
+    """Monomial operators: built from a permutation and phases, or read off
+    a block-diagonal operator whose blocks are monomial."""
+
     def test_permutation_read_off_without_phases(self):
-        cnot = Operator.unitary(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+        cnot = Operator.block_unitary([np.eye(2), [[0, 1], [1, 0]]])
         assert cnot.rows.tolist() == [0, 1, 3, 2]
         assert cnot.phases is None
+        assert np.array_equal(cnot.matrix, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
     def test_phases_kept_when_an_entry_is_not_one(self):
-        op = Operator.unitary(np.array([[0, 1j], [-1, 0]]))
+        op = Operator.block_unitary([[[0, 1j], [-1, 0]]])
         assert op.rows.tolist() == [1, 0]
         assert op.phases.tolist() == [-1, 1j]
         assert not op.rows.flags.writeable and not op.phases.flags.writeable
 
     def test_repeated_row_has_no_monomial_form(self):
         # one nonzero entry per column, but both in row 0
-        op = Operator(2, np.array([[1, 1], [0, 0]]))
+        op = Operator(2, blocks=[[[1, 1], [0, 0]]])
         assert op.rows is None and op.phases is None
 
     def test_dense_operators_have_no_monomial_form(self):
@@ -156,6 +160,7 @@ class TestMonomialForm:
         assert Operator(2, np.diag([1.0, 0.0])).rows is None
         hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert Operator.unitary(hadamard).rows is None
+        assert Operator.block_unitary([hadamard, np.eye(2)]).rows is None
 
     def test_inverse_is_inverse_permutation_with_conjugate_phases(self):
         rng = np.random.default_rng(8)
@@ -163,22 +168,88 @@ class TestMonomialForm:
         phases = np.exp(2j * np.pi * rng.random(6))
         m = np.zeros((6, 6), dtype=complex)
         m[perm, np.arange(6)] = phases
-        op = Operator.unitary(m)
+        op = Operator.monomial(perm, phases)
+        assert np.array_equal(op.matrix, m)
         inv = op.inverse
         assert inv is op.inverse  # built once
         assert np.array_equal(inv.rows, np.argsort(perm))
         assert np.array_equal(inv.phases, phases.conj()[np.argsort(perm)])
+        assert np.array_equal(inv.matrix, m.conj().T)
 
     def test_monomial_apply_on_inner_targets(self):
         # the rows move on the target axes brought to the front, in target order
         rng = np.random.default_rng(21)
         state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
+        perm, phases = rng.permutation(6), np.exp(2j * np.pi * rng.random(6))
         m = np.zeros((6, 6), dtype=complex)
-        m[rng.permutation(6), np.arange(6)] = np.exp(2j * np.pi * rng.random(6))
-        op = Operator.unitary(m)
+        m[perm, np.arange(6)] = phases
+        op = Operator.monomial(perm, phases)
         for targets in (("c", "b"), ("b", "a"), ("a", "b")):
             want = oracles.dense_apply(state, m, targets).amps
             assert np.max(np.abs(apply(state, op, targets).amps - want)) < 1e-15
+
+    def test_all_one_phases_are_dropped(self):
+        assert Operator.monomial([1, 2, 0], np.ones(3)).phases is None
+
+    @pytest.mark.parametrize(
+        "rows,phases",
+        [([0, 0, 2], None), ([0, 1, 3], None), ([0, 1, 2], [1, 1j, 1.5]), ([0, 1, 2], [1, 1, math.nan])],
+        ids=["repeated-row", "row-out-of-range", "phase-off-the-circle", "nan-phase"],
+    )
+    def test_monomial_rejects_what_is_not_unitary(self, rows, phases):
+        with pytest.raises(ValueError):
+            Operator.monomial(rows, phases)
+
+
+class TestBlockForm:
+    """Block-diagonal operators: sum_k |k><k| (x) blocks[k], checked and
+    applied block by block, their dense matrix built only on request."""
+
+    @staticmethod
+    def _blocks(rng, n, b):
+        return np.array([rand_unitary(rng, b) for _ in range(n)])
+
+    def test_matrix_is_built_on_request(self):
+        rng = np.random.default_rng(5)
+        blocks = self._blocks(rng, 3, 2)
+        op = Operator.block_unitary(blocks)
+        assert op.dim == 6 and op.rows is None
+        assert "matrix" not in op.__dict__
+        want = np.zeros((6, 6), dtype=complex)
+        for k in range(3):
+            want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blocks[k]
+        assert np.array_equal(op.matrix, want)
+        assert op.matrix is op.matrix and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("targets", [("b", "c"), ("c", "b"), ("b", "a")])
+    def test_apply_and_inverse_equal_the_dense_matmul(self, targets):
+        rng = np.random.default_rng(6)
+        state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
+        n = SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)).dim_of(targets[0])
+        op = Operator.block_unitary(self._blocks(rng, n, 6 // n))
+        for u in (op, op.inverse):
+            want = oracles.dense_apply(state, u.matrix, targets).amps
+            assert np.max(np.abs(apply(state, u, targets).amps - want)) < 1e-14
+        assert np.array_equal(op.inverse.matrix, op.matrix.conj().T)
+        back = apply(apply(state, op, targets), op.inverse, targets)
+        assert np.max(np.abs(back.amps - state.amps)) < 1e-12
+
+    def test_non_unitary_block_rejected(self):
+        blocks = self._blocks(np.random.default_rng(7), 3, 2)
+        blocks[1, 0, 0] += 1e-9
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            Operator.block_unitary(blocks)
+
+    def test_one_form_per_operator(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            Operator(2, np.eye(2), rows=[0, 1])
+        with pytest.raises(ValueError, match="exactly one"):
+            Operator(2)
+        for blocks in (np.zeros((2, 2, 2)), np.zeros((2, 3, 2)), np.zeros((2, 4, 4))):
+            with pytest.raises(ValueError, match="shape"):
+                Operator(6, blocks=blocks)
+        with pytest.raises(ValueError, match="shape"):
+            Operator(3, np.eye(2))
 
 
 class TestMeasure:
