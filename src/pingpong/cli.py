@@ -29,9 +29,8 @@ from .protocol import (
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
     ProtocolConfig,
-    SessionTree,
     Transcript,
-    run_session,
+    run_sessions,
 )
 from .rand import MESSAGE_TAG, SCORE_TAG, stream
 
@@ -222,10 +221,31 @@ def _group_key(spec: RunSpec) -> tuple:
     return (spec.attack, digest, spec.control, spec.dim, spec.resolved_kind)
 
 
+def _walk(specs: list[RunSpec], eve, mode) -> dict:
+    """Each run's session fields and seconds, for runs of one configuration
+    walked together: a transcript is scored as soon as it is yielded, and a
+    run is charged its scoring time plus its cycles' share of the walk."""
+    cfgs = [ProtocolConfig(s.dim, s.control_prob, s.cycles, s.seed, s.resolved_kind) for s in specs]
+    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for s in specs)
+    fields, start = {}, time.perf_counter()
+    for spec, result in zip(specs, run_sessions(cfgs, messages, eve, mode)):
+        tick = time.perf_counter()
+        done = (score_session(result, spec.dim, spec.seed) if isinstance(result, Transcript)
+                else {"status": "error", "error": f"{type(result).__name__}: {result}"})
+        fields[spec] = [done, time.perf_counter() - tick]
+    share = (time.perf_counter() - start - sum(t for _, t in fields.values())) / sum(s.cycles for s in specs)
+    for spec in specs:
+        fields[spec][1] += share * spec.cycles
+    return fields
+
+
 def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `group`
-    keeps what the run builds (handles, detection tables and session tree)
-    for the later runs of its configuration; a build that fails is not kept."""
+    keeps what the runs of one configuration, `group["runs"]`, share: the
+    handles and detection tables the first builds (a build that fails is not
+    kept), and the session fields of them all, which the first run with cycles
+    walks. `wall_clock_s` is the row's own detection and scoring time plus its
+    cycles' share of that walk."""
     group = {} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
@@ -241,13 +261,7 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     )
     start = time.perf_counter()
     try:
-        cfg = ProtocolConfig(
-            dim=spec.dim,
-            control_prob=spec.control_prob,
-            n_cycles=spec.cycles,
-            seed=spec.seed,
-            initial_state_kind=spec.resolved_kind,
-        )
+        cfg = ProtocolConfig(spec.dim, spec.control_prob, spec.cycles, spec.seed, spec.resolved_kind)
         if "tables" not in group:
             eve = attacks.from_name(spec.attack, spec.dim)
             mode = control_mode.from_name(spec.control, cfg)
@@ -261,15 +275,14 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
             ci_high=sig12(detection.ci_high),
         )
         if spec.cycles > 0:
-            message = (
-                spec.message
-                if spec.message is not None
-                else draw_message(spec.dim, spec.cycles, spec.seed)
-            )
-            if "tree" not in group:
-                group["tree"] = SessionTree(cfg, eve, mode)
-            transcript = run_session(cfg, message, eve, mode, group["tree"])
-            row.update(score_session(transcript, spec.dim, spec.seed))
+            if "sessions" not in group:
+                runs = dict.fromkeys(group.get("runs", [spec]))  # equal specs, equal sessions
+                tick = time.perf_counter()
+                group["sessions"] = _walk([run for run in runs if run.cycles > 0], eve, mode)
+                start += time.perf_counter() - tick  # the walk is charged to its runs by their shares
+            fields, spent = group["sessions"][spec]
+            row.update(fields)
+            start -= spent
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -279,17 +292,18 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
 
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     """Execute runs one after another; rows keep the spec order. Runs of one
-    configuration (`_group_key`) share one group, which is dropped after its
-    last run: only groups with runs to come are held, none past the call."""
+    configuration (`_group_key`) share one group, which lists them and is
+    dropped after their last: only groups with runs to come are held."""
     keys = [_group_key(spec) for spec in specs]
     last = {key: i for i, key in enumerate(keys)}
     groups: dict = {}
+    for spec, key in zip(specs, keys):
+        groups.setdefault(key, {"runs": []})["runs"].append(spec)
     rows = []
     for i, (spec, key) in enumerate(zip(specs, keys)):
-        group = groups.pop(key, {})
-        if last[key] > i:
-            groups[key] = group
-        rows.append(execute_run(spec, group))
+        rows.append(execute_run(spec, groups[key]))
+        if last[key] == i:
+            del groups[key]
     return rows
 
 

@@ -6,13 +6,13 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_session` follows the edges through a configuration's branch tree
-(`SessionTree`), which every session of that configuration may share, for a
-chunk of cycles at a time: each tree level's draws come from the cycles'
-streams in one vectorized call (`rand.CycleDraws`), each node splits its
-cycles among its successors with array operations, and the session comes
-back as a columnar `Transcript`, which yields a `CycleRecord` per cycle
-when iterated. A control cycle reads the joint table P(alice, bob) of its
+`run_sessions` walks the sessions of one configuration together through its
+branch tree (`SessionTree`), a chunk of their cycles at a time: each tree
+level's draws come from the cycles' streams in one vectorized call
+(`rand.CycleDraws`), each node splits its cycles among its successors with
+array operations, and each session comes back as a columnar `Transcript`,
+which yields a `CycleRecord` per cycle when iterated; `run_session` is the
+one-session call. A control cycle reads the joint table P(alice, bob) of its
 post-forward node (`pair_probs`, the table detection sums), picks Alice's
 outcome from its marginal and Bob's from her row, and is judged by the
 menu basis's failing-pair mask; it collapses no state.
@@ -39,7 +39,7 @@ from .qstate import (
     pick,
     running_sum,
 )
-from .rand import SESSION_TAG, cycle_draws
+from . import rand
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import EavesdropperHandle
@@ -550,43 +550,63 @@ class SessionTree:
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
 
 
-def run_session(
-    cfg: ProtocolConfig,
-    message,
-    eve: "EavesdropperHandle",
-    control: "ControlModeHandle",
-    tree: Optional[SessionTree] = None,
-) -> Transcript:
-    """Run n_cycles of the protocol and return the transcript as columns.
+def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHandle",
+                 control: "ControlModeHandle", tree: Optional[SessionTree] = None) -> Iterator:
+    """Walk sessions of one configuration through its branch tree together;
+    yield each session's `Transcript`, or the error that ends it, in order.
 
-    Each cycle draws from its own derived stream, the draws of
-    `stream(seed, SESSION_TAG, k)` (see `rand.cycle_draws`), so transcripts
-    are reproducible cycle-by-cycle. The cycles are walked through the
-    configuration's branch tree, `tree` when given (it must have been built
-    for `eve`, `control` and the dim and kind of `cfg`) or else a new one, a
-    chunk at a time (`rand.CHUNK`): the chunk takes all its draws, a tree
-    level's in one call, then walks the tree depth-first, one post-forward
-    node with its message and control cycles at a time. Message symbols, an
-    (m, 2) array or sequence of pairs, are consumed in order; running out
-    raises. A coherence break in Bob's decoder is raised by the first cycle
-    that reaches the disturbed state. A session raises the error of its
-    earliest failing cycle, and builds no node in the chunks after that cycle's.
-    """
-    message = _message_pairs(message, cfg.dim)
-    if tree is None:
-        tree = SessionTree(cfg, eve, control)
-    elif (tree.eve is not eve or tree.control is not control
-          or (tree.dim, tree.kind) != (cfg.dim, cfg.initial_state_kind)):
+    Sessions may differ in seed, n_cycles, control_prob and message (an (m, 2)
+    array or sequence of pairs, consumed in order); cycle k draws from
+    `stream(seed, SESSION_TAG, k)`. Their cycles, one session after another,
+    go through `tree` (built for `eve`, `control` and the configs' dim and
+    kind) or a new one a chunk (`rand.CHUNK`) at a time: a tree level's draws
+    in one call, then depth-first, one post-forward node at a time. A session
+    fails at its first cycle that runs out of message or reaches a coherence
+    break in Bob's decoder, and takes no cycles into later chunks; the others
+    go on. It is yielded once the chunk with its last cycle has been walked."""
+    if not cfgs:
+        return
+    tree = SessionTree(cfgs[0], eve, control) if tree is None else tree
+    if (tree.eve is not eve or tree.control is not control
+            or any((cfg.dim, cfg.initial_state_kind) != (tree.dim, tree.kind) for cfg in cfgs)):
         raise ValueError("session tree was built for another configuration")
-    alg = algebra(cfg.dim)
+    dim, alg = tree.dim, algebra(tree.dim)
     attached, forward, returned = tree.state, tree.forward, tree.returned
-    chunks = [(np.zeros(0, dtype=bool), *_columns(0, 0))]
-    n_sent = 0  # message pairs consumed by earlier chunks
-    for draws in cycle_draws(cfg.seed, SESSION_TAG, cfg.n_cycles):
-        n = len(draws)
+    errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
+    for s, message in enumerate(messages):
+        try:
+            pairs.append(_message_pairs(message, dim))
+        except ValueError as exc:
+            pairs.append(np.zeros((0, 2), dtype=np.int64))
+            errors[s] = exc.with_traceback(None)
+    n_pairs = np.array([len(p) for p in pairs])
+    message, first_pair = np.concatenate(pairs), np.cumsum(n_pairs) - n_pairs
+    seeds = np.array([cfg.seed for cfg in cfgs], dtype=object)
+    seeds = seeds.astype(np.int64) if seeds.max() < 2**63 else seeds  # numeric unless a seed is wider
+    prob = np.array([cfg.control_prob for cfg in cfgs])
+    counts = np.array([cfg.n_cycles for cfg in cfgs])
+    ends = np.cumsum(counts)  # each session's cycles, one session after another, end here
+    sent = np.zeros(len(cfgs), dtype=np.int64)  # message pairs consumed by earlier chunks
+    chunks = [[(np.zeros(0, dtype=bool), *_columns(0, 0))] for _ in cfgs]
+    basis_ids = tuple(cb.basis_id for cb in control.bases)
+    yielded = 0  # sessions yielded, each once the chunks before `start` hold all its cycles
+    for start in range(0, int(ends[-1]) + rand.CHUNK, rand.CHUNK):
+        while yielded < len(cfgs) and ends[yielded] <= start:
+            s, yielded = yielded, yielded + 1
+            is_control, decoded, guess, basis, outcomes, passed = map(np.concatenate, zip(*chunks[s]))
+            chunks[s] = None
+            symbols = pairs[s][: sent[s]]
+            yield errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed)
+        live = np.array([error is None for error in errors])
+        cycle = np.arange(start, min(start + rand.CHUNK, int(ends[-1])))
+        owner = np.searchsorted(ends, cycle, side="right")  # each cycle's session
+        cycle, owner = cycle[live[owner]], owner[live[owner]]
+        if not (n := len(owner)):
+            continue
+        draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner])
         everyone = np.arange(n)
         there = draw_leg(forward, draws, everyone)
-        is_control = draws.random(everyone) < cfg.control_prob
+        is_control = draws.random(everyone) < prob[owner]
         ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
         back = draw_leg(returned, draws, msg)
         chosen = np.empty(n, dtype=np.int64)  # each control cycle's menu index
@@ -594,32 +614,36 @@ def run_session(
         alice_u, bob_u = np.empty(n), np.empty(n)  # each control cycle's two uniforms
         alice_u[ctrl] = draws.random(ctrl)
         bob_u[ctrl] = draws.random(ctrl)
-        rank = np.empty(n, dtype=np.int64)  # each cycle's place among its mode's
+        rank = np.empty(n, dtype=np.int64)  # each cycle's place among the chunk's of its mode
         rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
+        # A session's message cycles are consecutive in `msg`, from `first` on.
+        per = np.bincount(owner[msg], minlength=len(cfgs))
+        first = np.cumsum(per) - per
+        at = (first_pair + sent - first)[owner] + rank  # each message cycle's pair in `message`
         decoded, guess, basis, outcomes, passed = _columns(len(msg), len(ctrl))
-        limit, error = n, None  # the chunk's first failing cycle and its error
-        if n_sent + len(msg) > len(message):
-            limit = int(msg[len(message) - n_sent])
-            error = ValueError("message exhausted before the session finished")
+        limit = np.full(len(cfgs), n)  # each session's first failing cycle in the chunk
+        for s in np.flatnonzero(live & (sent + per > n_pairs)).tolist():
+            limit[s] = msg[first[s] + n_pairs[s] - sent[s]]
+            errors[s] = ValueError("message exhausted before the session finished")
 
         for node, state, group in follow(forward, tree.root, lambda: attached, everyone, there):
-            state, group = _memo(state), group[group < limit]  # the state is shared below
+            state, group = _memo(state), group[group < limit[owner[group]]]  # the state is shared below
             mode = is_control[group]
             cycles = group[~mode]
-            pairs = message[n_sent + rank[cycles]]
-            for code, sub in _split(cycles, pairs[:, 0] * cfg.dim + pairs[:, 1]):
-                if sub[0] >= limit:  # every cycle here comes after a failure
-                    continue
-                mu, nu = divmod(code, cfg.dim)
+            codes = message[at[cycles]]
+            for code, sub in _split(cycles, codes[:, 0] * dim + codes[:, 1]):
+                mu, nu = divmod(code, dim)
                 walk = follow(returned, node.child((mu, nu)),
                               lambda: dense_encode(state(), mu, nu, alg), sub, back)
                 for leaf, final, reached in walk:
                     if leaf.leaf is None:
                         try:
-                            got = bob_decode(factor(final(), (HOME, TRAVEL)), cfg)
-                        except CoherenceBreakError as exc:
-                            if reached[0] < limit:
-                                limit, error = int(reached[0]), exc
+                            got = bob_decode(factor(final(), (HOME, TRAVEL)), cfgs[0])
+                        except CoherenceBreakError as exc:  # each session's first cycle here fails
+                            hit, where = np.unique(owner[reached], return_index=True)
+                            for s, k in zip(hit.tolist(), reached[where].tolist()):
+                                if k < limit[s]:
+                                    limit[s], errors[s] = k, exc.with_traceback(None)
                             continue
                         mu_hat = eve.guess(leaf.notes)
                         leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
@@ -640,22 +664,23 @@ def run_session(
                     at_rank = rank[reached]
                     basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
                     passed[at_rank] = ~entry.fail[a, bob]
-        if error is not None:
-            try:
-                raise error
-            finally:  # no reference cycle through the traceback keeps the tree alive
-                error = None
-        chunks.append((is_control, decoded, guess, basis, outcomes, passed))
-        n_sent += len(msg)
 
-    is_control, decoded, guess, basis, outcomes, passed = map(np.concatenate, zip(*chunks))
-    return Transcript(
-        control=is_control,
-        symbols=message[:n_sent],
-        decoded=decoded,
-        guess=guess,
-        basis_ids=tuple(cb.basis_id for cb in control.bases),
-        basis=basis,
-        outcomes=outcomes,
-        passed=passed,
-    )
+        present = np.flatnonzero(np.bincount(owner))  # each session's cycles are consecutive in every column
+        bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]
+        for i, s in enumerate(present.tolist()):
+            c, m, k = (slice(b[i], b[i + 1]) for b in bounds)
+            chunks[s].append((is_control[c], decoded[m], guess[m], basis[k], outcomes[k], passed[k]))
+        sent += per
+
+
+def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle", control: "ControlModeHandle",
+                tree: Optional[SessionTree] = None) -> Transcript:
+    """Run n_cycles of the protocol and return the transcript as columns:
+    `run_sessions` for this one session, raising the error that ends it."""
+    [result] = run_sessions([cfg], [message], eve, control, tree)
+    if isinstance(result, Transcript):
+        return result
+    try:
+        raise result
+    finally:  # no reference cycle through the traceback keeps the tree alive
+        del result

@@ -133,7 +133,7 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(np.vdot(self.amps, self.amps).real)
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.dims)

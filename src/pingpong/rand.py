@@ -7,11 +7,12 @@ what any other stream consumed.
 
 `stream(*key)` hashes its key with numpy's `SeedSequence` into the 128-bit
 Philox key. A session draws from one stream per cycle, `(seed, SESSION_TAG,
-k)`; `cycle_draws` gives those draws for a chunk of cycles at a time, with no
-generator per cycle. It computes the chunk's keys in one vectorized pass of
-the `SeedSequence` hash (a fixed mixing function of 32-bit words, with
-numpy's constants and pool size), and their Philox4x64-10 output words in
-another: Philox output is a pure function of key and counter, and a fresh
+k)`; `CycleDraws` gives those draws for a chunk of (seed, k) cycles of one or
+many sessions at a time, with no generator per cycle. It computes the chunk's
+keys in one vectorized pass of the `SeedSequence` hash (a fixed mixing
+function of 32-bit words, with numpy's constants and pool size) per seed word
+count, and their Philox4x64-10 output words in another: Philox output is a
+pure function of key and counter (Salmon et al., SC'11), and a fresh
 generator's block j is the one at counter j + 1. Blocks past the first are
 computed only for the cycles that reach them. The draws are decoded as
 numpy's `Generator` decodes them: `random()` is one 64-bit word w as
@@ -25,7 +26,6 @@ by advancing its counter.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -122,25 +122,39 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def cycle_keys(seed: int, tag: int, ks) -> np.ndarray:
-    """The Philox keys of `stream(seed, tag, k)` for each cycle index in
-    `ks` (each below 2**32), as a (len(ks), 2) uint64 array.
-
-    Equal to `SeedSequence((seed, tag, k)).generate_state(2, np.uint64)`.
-    """
-    if seed < 0 or tag < 0:
-        raise ValueError(f"stream key must be non-negative, got {(seed, tag)}")
+def cycle_keys(seeds, tag: int, ks) -> np.ndarray:
+    """The Philox keys of `stream(seed, tag, k)`, that is
+    `SeedSequence((seed, tag, k)).generate_state(2, np.uint64)`, for each k in
+    `ks` (below 2**32) and its seed in `seeds` (one int, or one per k; an
+    integer array, or of object dtype for ints of any size), as a (len(ks), 2)
+    uint64 array. Seeds of as many 32-bit words hash together."""
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    seeds = np.broadcast_to(seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object), ks.shape)
+    if tag < 0 or (ks.size and seeds.min() < 0):
+        raise ValueError(f"stream key must be non-negative, got seed {seeds.min()} and tag {tag}")
     if ks.size and not (0 <= ks.min() and ks.max() <= _MASK32):
         raise ValueError("cycle index must be in [0, 2**32)")
-    pool = _POOL_SIZE
-    prefix = _words(int(seed)) + _words(int(tag))
-    n_entropy = len(prefix) + 1
-    entropy = np.empty((max(n_entropy, pool), ks.size), dtype=np.uint32)
-    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[len(prefix)] = ks
-    entropy[n_entropy:] = 0  # the pool is longer than the entropy
+    width, top, bound = np.ones(ks.size, dtype=np.int64), 1, _MASK32  # 32-bit words per seed, and most
+    while (wide := seeds > bound).any():
+        width, top, bound = width + wide, top + 1, bound << 32 | _MASK32
+    suffix = _words(int(tag))
+    keys = np.empty((ks.size, 2), dtype=np.uint64)
+    for n_words in range(1, top + 1):  # a class may be empty
+        cols = np.flatnonzero(width == n_words) if top > 1 else slice(None)
+        rest, n_entropy = seeds[cols], n_words + len(suffix) + 1
+        entropy = np.zeros((max(n_entropy, _POOL_SIZE), len(rest)), dtype=np.uint32)
+        for row in range(n_words - 1):
+            entropy[row], rest = rest & _MASK32, rest >> 32
+        entropy[n_words - 1] = rest
+        entropy[n_words : n_entropy - 1] = np.array(suffix, dtype=np.uint32)[:, None]
+        entropy[n_entropy - 1] = ks[cols]
+        keys[cols] = _seed_sequence_keys(entropy, n_entropy)
+    return keys
 
+
+def _seed_sequence_keys(entropy: np.ndarray, n_entropy: int) -> np.ndarray:
+    """Each column's `SeedSequence(first n_entropy words).generate_state(2, np.uint64)`."""
+    pool = _POOL_SIZE
     n_extra = max(n_entropy - pool, 0)
     consts = _constants(_INIT_A, _MULT_A, pool * pool + pool * n_extra + 1)
     mixer = _hash(entropy[:pool], consts[: pool + 1])
@@ -203,7 +217,8 @@ def philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 class CycleDraws:
-    """The draws of `stream(seed, tag, k)` for the cycles k of one chunk.
+    """The draws of `stream(seed, tag, k)` for one chunk's cycles, k from `ks`
+    and its seed from `seeds` (one int for every cycle, or one per cycle).
 
     Cycles are named by their position in the chunk. Each call makes one draw
     for every cycle it lists (each listed once), from wherever that cycle's
@@ -211,9 +226,9 @@ class CycleDraws:
     generator would.
     """
 
-    def __init__(self, seed: int, tag: int, start: int, stop: int):
-        self.keys = cycle_keys(seed, tag, np.arange(start, stop))
-        n = stop - start
+    def __init__(self, seeds, tag: int, ks):
+        self.keys = cycle_keys(seeds, tag, ks)
+        n = len(self.keys)
         self.words = philox(self.keys, np.ones(n, dtype=np.uint64))
         self.filled = np.full(n, 4)  # words computed per cycle
         self.pos = np.zeros(n, dtype=np.int64)  # next word per cycle
@@ -270,9 +285,3 @@ class CycleDraws:
             out[todo] = product >> _HALF
             todo = todo[product & _LOW < threshold]
         return out
-
-
-def cycle_draws(seed: int, tag: int, n: int) -> Iterator[CycleDraws]:
-    """The draws of cycles 0 .. n-1 in chunks of `CHUNK` cycles, in order."""
-    for start in range(0, n, CHUNK):
-        yield CycleDraws(seed, tag, start, min(start + CHUNK, n))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import qubit_cfg, rand_family
-from pingpong import attacks, cli
+from pingpong import attacks, cli, protocol
 from pingpong import control as control_mode
 from pingpong.cli import (
     MAX_CYCLES,
@@ -233,27 +233,43 @@ class TestConfigurationGroups:
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         keys = [cli._group_key(spec) for spec in specs]
         last = {key: i for i, key in enumerate(keys)}
-        trees = {}  # key -> weak reference to its tree's root
+        groups = {}  # key -> weak reference to its group's control handle
+        trees = []  # weak references to each walk's tree root
+
+        class TrackedTree(protocol.SessionTree):
+            def __init__(self, *args):
+                super().__init__(*args)
+                trees.append(weakref.ref(self.root))
+
         original = cli.execute_run
 
         def checking(spec, group):
             i = specs.index(spec)
-            # at its start, a run sees the trees of the groups with runs to come only
-            alive = {key for key, ref in trees.items() if ref() is not None}
-            assert alive == {key for key in trees if last[key] >= i}
+            # at its start, a run sees the groups with runs to come only
+            alive = {key for key, ref in groups.items() if ref() is not None}
+            assert alive == {key for key in groups if last[key] >= i}
+            # a group holds its runs' session fields, and no transcript or tree
+            assert spec in group["runs"] and "tree" not in group
+            assert all(isinstance(fields, dict) for fields, _ in group.get("sessions", {}).values())
+            assert set(group.get("sessions", ())) <= set(group["runs"])
+            # a walk's tree is freed when the walk ends
+            assert all(ref() is None for ref in trees)
             row = original(spec, group)
-            if "tree" in group:
-                trees.setdefault(keys[i], weakref.ref(group["tree"].root))
+            if "mode" in group:
+                groups.setdefault(keys[i], weakref.ref(group["mode"]))
             return row
 
         monkeypatch.setattr(cli, "execute_run", checking)
+        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
         run_experiments(specs)
-        assert len(trees) == 6 and all(ref() is None for ref in trees.values())
+        assert len(groups) == 6 and all(ref() is None for ref in groups.values())
+        # one walk per configuration with cycles
+        assert len(trees) == 6 and all(ref() is None for ref in trees)
 
     def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "tables": 0}
-        attach, tables = attacks.EavesdropperHandle.attach, control_mode._born_tables
+        calls = {"attach": 0, "tables": 0, "walks": 0}
+        attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
 
         def counting_attach(self, state):
             calls["attach"] += 1
@@ -263,15 +279,21 @@ class TestConfigurationGroups:
             calls["tables"] += 1
             return tables(*args)
 
+        def counting_walk(*args):
+            calls["walks"] += 1
+            return walk(*args)
+
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting_attach)
         monkeypatch.setattr(control_mode, "_born_tables", counting_tables)
+        monkeypatch.setattr(cli, "run_sessions", counting_walk)
         per_call = []
         for _ in range(2):
-            calls.update(attach=0, tables=0)
+            calls.update(attach=0, tables=0, walks=0)
             run_experiments(specs)
             per_call.append(dict(calls))
-        # six groups: one attach for detection and one for the session tree each
-        assert per_call == [{"attach": 12, "tables": 6}] * 2
+        # six groups: one attach for detection and one for the session tree
+        # each, which one walk takes all the group's sessions through
+        assert per_call == [{"attach": 12, "tables": 6, "walks": 6}] * 2
 
     def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3, orthonormal=False))

@@ -35,6 +35,7 @@ from pingpong.protocol import (
     draw_leg,
     follow,
     run_session,
+    run_sessions,
 )
 from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, pick, running_sum
 from pingpong.rand import SESSION_TAG, CycleDraws, stream
@@ -258,7 +259,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     edge, state = _edge_case(kind)
     n = 20
     for k in range(n):
-        draws, rng_step = CycleDraws(seed, SESSION_TAG, 0, n), stream(seed, SESSION_TAG, k)
+        draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n)), stream(seed, SESSION_TAG, k)
         node, cycles = protocol._Node({"earlier": 1}), np.array([k])
         taken = draw_leg((edge,), draws, cycles)
         [(succ, built, cycles)] = follow((edge,), node, lambda: state, cycles, taken)
@@ -268,7 +269,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
         assert succ.notes == notes and cycles.tolist() == [k]
         assert draws.random(cycles)[0] == rng_step.random()
     # all cycles from one fresh node at once: each goes where `step` takes it
-    draws, cycles = CycleDraws(seed, SESSION_TAG, 0, n), np.arange(n)
+    draws, cycles = CycleDraws(seed, SESSION_TAG, np.arange(n)), np.arange(n)
     taken = draw_leg((edge,), draws, cycles)
     reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
     assert sorted(k for _, _, cycles in reached for k in cycles.tolist()) == list(range(n))
@@ -455,6 +456,111 @@ def test_sessions_sharing_a_tree_match_stepper(case):
         message = draw_message(cfg.dim, cycles, seed)
         shared = _result(lambda *args: run_session(*args, tree), session, message, eve, mode)
         assert shared == _both(session, message, eve, mode)
+
+
+def _together(cfgs, messages, eve, mode, tree=None):
+    """Each session's records from one `run_sessions` walk, or the type and
+    message of the error that ends it."""
+    return [
+        list(result) if isinstance(result, Transcript) else (type(result), str(result))
+        for result in run_sessions(cfgs, messages, eve, mode, tree)
+    ]
+
+
+def _apart(cfgs, messages, eve, mode):
+    """The same from the stepwise reference, one session at a time."""
+    return [_result(oracles.stepwise_session, cfg, msg, eve, mode) for cfg, msg in zip(cfgs, messages)]
+
+
+def _sessions(case, control_probs=None):
+    """`SESSIONS` of one configuration, with drawn messages."""
+    cfg, eve, mode = _setup(case, 0.0, 0)
+    cfgs = [replace(cfg, seed=seed, n_cycles=cycles, control_prob=p) for seed, cycles, p in SESSIONS]
+    if control_probs is not None:
+        cfgs = [replace(c, control_prob=p) for c, p in zip(cfgs, control_probs)]
+    return cfgs, [draw_message(cfg.dim, c.n_cycles, c.seed) for c in cfgs], eve, mode
+
+
+@pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
+def test_sessions_walked_together_match_stepper(case, monkeypatch):
+    """Sessions whose cycles share chunks (each straddles a chunk boundary)
+    each give the stepwise transcript or error. Intercept-resend's message
+    cycles break Bob's decoder; its all-control session is left intact."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cfgs, messages, eve, mode = _sessions(case)
+    together = _together(cfgs, messages, eve, mode)
+    assert together == _apart(cfgs, messages, eve, mode)
+    failed = [isinstance(result, tuple) for result in together]
+    assert failed == [case in INTERCEPT_RESEND and cfg.control_prob < 1.0 for cfg in cfgs]
+    assert [len(result) for result, bad in zip(together, failed) if not bad] == [
+        cfg.n_cycles for cfg, bad in zip(cfgs, failed) if not bad
+    ]
+
+
+def test_a_coherence_break_ends_only_its_own_session(monkeypatch):
+    """One intercept-resend session carries message cycles and breaks part-way
+    through a chunk it shares with the others, which run to their end."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cfgs, messages, eve, mode = _sessions(INTERCEPT_RESEND[2], (1.0, 0.5, 1.0, 1.0))
+    together = _together(cfgs, messages, eve, mode)
+    assert together == _apart(cfgs, messages, eve, mode)
+    assert together[1][0] is CoherenceBreakError
+    assert [len(together[i]) for i in (0, 2, 3)] == [cfgs[i].n_cycles for i in (0, 2, 3)]
+
+
+def test_a_message_that_runs_out_ends_only_its_own_session(monkeypatch):
+    """An explicit message too short for its session, and one with a symbol
+    out of range, end those sessions alone."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cfgs, messages, eve, mode = _sessions(COUPLINGS[3])
+    messages[2] = [(1, 0), (0, 1)] * 25  # 50 pairs for 90 message cycles
+    messages[3] = [(0, 0), (2, 1)]
+    together = _together(cfgs, messages, eve, mode)
+    assert together == _apart(cfgs, messages, eve, mode)
+    assert together[2] == (ValueError, "message exhausted before the session finished")
+    assert together[3] == (ValueError, "message symbols (2, 1) out of range for dim 2")
+    assert [len(together[i]) for i in (0, 1)] == [cfgs[i].n_cycles for i in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "case,control_prob,n_pairs,seed,error",
+    [
+        (INTERCEPT_RESEND[2], 0.97, 200, 2, CoherenceBreakError),
+        (COUPLINGS[10], 0.25, 40, 3, ValueError),
+    ],
+    ids=["coherence-break", "exhausted-message"],
+)
+def test_a_failed_session_grows_no_node_in_later_chunks(case, control_prob, n_pairs, seed, error, monkeypatch):
+    """A session that fails takes no cycles into the chunks after the one it
+    fails in: no later chunk keys its streams, and the tree grows as if the
+    session had ended with that chunk, while a session after it goes on."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cfg, eve, mode = _setup(case, control_prob, seed, cycles=300)
+    message = draw_message(cfg.dim, n_pairs, seed)
+    first = _first_failing_cycle(cfg, message, eve, mode)
+    assert SMALL_CHUNK <= first < cfg.n_cycles - SMALL_CHUNK
+    after = replace(cfg, seed=seed + 1, n_cycles=50, control_prob=1.0)
+    keyed = []  # the seeds each chunk keys streams for
+    original = rand.CycleDraws
+
+    def recording(seeds, tag, ks):
+        keyed.append(set(seeds.tolist()))
+        return original(seeds, tag, ks)
+
+    monkeypatch.setattr(rand, "CycleDraws", recording)
+    grown = []
+    for n in (cfg.n_cycles, (first // SMALL_CHUNK + 1) * SMALL_CHUNK):
+        tree = SessionTree(cfg, eve, mode)
+        cfgs, messages = [replace(cfg, n_cycles=n), after], [message, []]
+        keyed.clear()
+        together = _together(cfgs, messages, eve, mode, tree)
+        assert together == _apart(cfgs, messages, eve, mode)
+        assert together[0][0] is error and len(together[1]) == after.n_cycles
+        failing = first // SMALL_CHUNK
+        assert [seed in chunk for chunk in keyed] == [True] * (failing + 1) + [False] * (len(keyed) - failing - 1)
+        assert seed + 1 in keyed[-1]
+        grown.append(len(_nodes(tree.root)))
+    assert grown[0] == grown[1]
 
 
 def test_a_tree_walks_only_its_own_configuration():

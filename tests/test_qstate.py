@@ -336,3 +336,27 @@ class TestHelpers:
     def test_apply_rejects_a_nan_norm(self):
         with pytest.raises(ArithmeticError, match="drifted the norm"):
             apply(StateVector(HT, [math.nan, 0, 0, 0]), Operator.unitary(np.eye(2)), "t")
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Operator.unitary(np.eye(2)),
+            Operator.monomial(np.array([1, 0])),
+            Operator.block_unitary(np.array([[[1, 1], [1, -1]]]) / math.sqrt(2)),
+        ],
+        ids=["dense", "monomial", "block"],
+    )
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_apply_rejects_a_nan_amplitude_in_every_form(self, op, at):
+        """A NaN among unit-norm amplitudes fails the check whichever way the
+        operator moves it."""
+        amps = np.array([0.6, 0, 0.8, 0], dtype=complex)
+        amps[at] = complex(math.nan, 0)
+        with pytest.raises(ArithmeticError, match="drifted the norm"):
+            apply(StateVector(HT, amps), op, "t")
+
+    def test_norm_is_the_euclidean_norm(self):
+        rng = np.random.default_rng(6)
+        amps = rng.normal(size=32768) + 1j * rng.normal(size=32768)
+        state = StateVector(SubsystemLayout.of(("a", 32768)), amps)
+        assert state.norm == pytest.approx(np.linalg.norm(amps), rel=1e-14)

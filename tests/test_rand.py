@@ -15,7 +15,6 @@ from pingpong.rand import (
     SCORE_TAG,
     SESSION_TAG,
     CycleDraws,
-    cycle_draws,
     cycle_keys,
     philox,
     skip,
@@ -50,6 +49,8 @@ def test_keys_reject_out_of_range_indices():
         cycle_keys(-1, SESSION_TAG, [0])
     with pytest.raises(ValueError):
         cycle_keys(0, SESSION_TAG, [2**32])
+    with pytest.raises(ValueError):
+        cycle_keys([3, -1], SESSION_TAG, [0, 1])
 
 
 @pytest.mark.filterwarnings("error")
@@ -97,7 +98,7 @@ MIXED_CALLS = [
 @pytest.mark.parametrize("calls", MIXED_CALLS)
 def test_decoded_draws_equal_the_generators(seed, calls):
     start, stop = CHUNK - 40, CHUNK + 40
-    draws = CycleDraws(seed, SESSION_TAG, start, stop)
+    draws = CycleDraws(seed, SESSION_TAG, np.arange(start, stop))
     got = _chunk_draws(draws, np.arange(stop - start), calls)
     assert got.tolist() == _stream_draws(seed, start, stop, calls).tolist()
 
@@ -107,7 +108,7 @@ def test_lemire_rejection_takes_a_second_block_only_where_reached():
     run past their first block compute a second, and each still equals its
     generator."""
     n = 64
-    draws = CycleDraws(5, SESSION_TAG, 0, n)
+    draws = CycleDraws(5, SESSION_TAG, np.arange(n))
     calls = (2**31 + 1,) * 4
     got = _chunk_draws(draws, np.arange(n), calls)
     assert got.tolist() == _stream_draws(5, 0, n, calls).tolist()
@@ -119,7 +120,7 @@ def test_lemire_rejection_takes_a_second_block_only_where_reached():
 def test_draws_for_subsets_advance_only_those_cycles():
     """Each cycle's stream stands where its own calls left it."""
     n = 30
-    draws = CycleDraws(9, SESSION_TAG, 0, n)
+    draws = CycleDraws(9, SESSION_TAG, np.arange(n))
     evens, odds = np.arange(0, n, 2), np.arange(1, n, 2)
     first = draws.integers(evens, 6)
     second = draws.random(odds)
@@ -133,18 +134,52 @@ def test_draws_for_subsets_advance_only_those_cycles():
 
 
 def test_integers_bound_is_checked():
-    draws = CycleDraws(1, SESSION_TAG, 0, 2)
+    draws = CycleDraws(1, SESSION_TAG, np.arange(2))
     for n in (0, 2**32):
         with pytest.raises(ValueError):
             draws.integers(np.arange(2), n)
 
 
-def test_cycle_draws_cover_the_cycles_in_chunks():
-    chunks = list(cycle_draws(3, SESSION_TAG, 2 * CHUNK + 5))
-    assert [len(d) for d in chunks] == [CHUNK, CHUNK, 5]
-    assert list(cycle_draws(3, SESSION_TAG, 0)) == []
-    last = chunks[-1].random(np.arange(5))
-    assert last.tolist() == [stream(3, SESSION_TAG, 2 * CHUNK + k).random() for k in range(5)]
+# Seeds of one, two and three 32-bit words, each side of a word boundary: the
+# SeedSequence entropy is one word longer for each.
+MIXED_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", TAGS)
+def test_keys_with_a_seed_axis_equal_seed_sequence(tag):
+    """One call over every (seed, k) pair of mixed word counts, the seeds
+    interleaved, at the chunk edges."""
+    ks = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, MAX_CYCLES - 1]
+    pairs = [(seed, k) for k in ks for seed in MIXED_SEEDS]
+    seeds, cycles = zip(*pairs)
+    got = cycle_keys(list(seeds), tag, cycles)
+    assert got.dtype == np.uint64 and got.shape == (len(pairs), 2)
+    np.testing.assert_array_equal(got, [seed_sequence_key(seed, tag, k) for seed, k in pairs])
+    # a seed given once keys every index, as a seed per index does
+    np.testing.assert_array_equal(cycle_keys(2**32, tag, ks), cycle_keys([2**32] * len(ks), tag, ks))
+    # integer arrays take the same path as Python ints
+    for dtype, top in ((np.int64, 2**63 - 1), (np.uint64, 2**64 - 1)):
+        wide = [0, 1, 2**32 - 1, 2**32, top]
+        numeric = cycle_keys(np.repeat(np.array(wide, dtype=dtype), len(ks)), tag, ks * len(wide))
+        np.testing.assert_array_equal(numeric, [seed_sequence_key(s, tag, k) for s in wide for k in ks])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("calls", MIXED_CALLS)
+def test_draws_over_mixed_seeds_equal_each_seeds_own(calls):
+    """A chunk of several seeds' cycles, one seed after another as sessions
+    lay them out, draws what each seed's own chunk draws."""
+    lengths = (3, 40, 1, 25, 12)
+    seeds = np.repeat(np.array(MIXED_SEEDS, dtype=object), lengths)
+    ks = np.concatenate([np.arange(CHUNK - 20, CHUNK - 20 + n) for n in lengths])
+    mixed = _chunk_draws(CycleDraws(seeds, SESSION_TAG, ks), np.arange(len(ks)), calls)
+    own = [
+        _chunk_draws(CycleDraws(seed, SESSION_TAG, np.arange(CHUNK - 20, CHUNK - 20 + n)), np.arange(n), calls)
+        for seed, n in zip(MIXED_SEEDS, lengths)
+    ]
+    assert mixed.tolist() == np.concatenate(own).tolist()
+    assert mixed[:3].tolist() == _stream_draws(0, CHUNK - 20, CHUNK - 17, calls).tolist()
 
 
 def test_run_session_makes_no_stream_call(monkeypatch):
