@@ -13,7 +13,6 @@ from .qstate import (
 )
 from .protocol import (
     CoherenceBreakError,
-    CycleRecord,
     ProtocolConfig,
     QuditAlgebra,
     Transcript,
@@ -49,7 +48,6 @@ __all__ = [
     "Basis",
     "CoherenceBreakError",
     "ControlModeHandle",
-    "CycleRecord",
     "DetectionReport",
     "EavesdropperHandle",
     "Operator",

@@ -100,10 +100,6 @@ class CouplingReport:
     tolerance: float = 1e-10
 
     @property
-    def max_residual(self) -> float:
-        return max(max(f, b) for _, _, f, b in self.rows)
-
-    @property
     def passed(self) -> bool:
         return not self.failures()
 
@@ -385,36 +381,24 @@ def validate_coupling(
 ) -> CouplingReport:
     """Residuals of Q|k, d_m> = |k, p_{m+k}> and the inverse condition.
 
-    Every residual is taken over the whole travel (x) ancilla space. A
-    block-diagonal or monomial coupling cannot leave a travel level's
-    block, so its residuals are read off its D ancilla blocks; a dense
-    coupling's diagonal blocks are read off its matrix, and what it leaks out
-    of them counts too.
+    The coupling must be block-diagonal in the travel level, D blocks on the
+    ancilla, as every coupling the paper defines is: Q = sum_k |k><k| (x) U_k.
+    It then cannot leave a travel level's block, so each residual over the
+    whole travel (x) ancilla space is read off its block U_k.
     """
     anc_dim = detection.layout.dim
-    if coupling.dim != dim * anc_dim:
-        raise ValueError("coupling dimension does not match travel * ancilla")
+    blocks = coupling.blocks
+    if blocks is None or blocks.shape != (dim, anc_dim, anc_dim):
+        raise ValueError(f"coupling must be {dim} travel blocks of {anc_dim}x{anc_dim} on the ancilla")
     det = detection.columns
     prb = probes.columns
     levels = np.arange(dim)
-    fwd_leak = bwd_leak = 0.0
-    if coupling.blocks is not None:
-        blocks = coupling.blocks
-    else:
-        q = coupling.matrix.reshape(dim, anc_dim, dim, anc_dim)
-        blocks = q[levels, :, levels, :]
-        off = q.copy()
-        off[levels, :, levels, :] = 0
-        # Q|k, d_m> outside level k as [row, k, m], and Q^dagger|k, p_m>
-        # outside it, conjugated, as [k, m, column]
-        fwd_leak = np.linalg.norm(off.reshape(-1, dim, anc_dim) @ det, axis=0)
-        bwd_leak = np.linalg.norm(prb.conj().T @ off.reshape(dim, anc_dim, -1), axis=2)
     shift = (levels[:, None] + levels) % dim  # shift[k, m] = m + k mod D
     # U_k d_m - p_{m+k} as [k, ancilla, m], and (U_k^dagger p_m - d_{m-k})^* as [k, m, ancilla]
     fwd = blocks @ det - prb[:, shift].transpose(1, 0, 2)
     bwd = prb.conj().T @ blocks - det.conj().T[(levels - levels[:, None]) % dim]
-    fwd_res = np.hypot(np.linalg.norm(fwd, axis=1), fwd_leak)
-    bwd_res = np.hypot(np.linalg.norm(bwd, axis=2), bwd_leak)
+    fwd_res = np.linalg.norm(fwd, axis=1)
+    bwd_res = np.linalg.norm(bwd, axis=2)
     ks, ms = np.divmod(np.arange(dim * dim), dim)
     rows = zip(ks.tolist(), ms.tolist(), fwd_res.ravel().tolist(), bwd_res.ravel().tolist())
     return CouplingReport(tuple(rows))

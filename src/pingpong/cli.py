@@ -30,6 +30,7 @@ from .protocol import (
     QUDIT_CORRELATED,
     ProtocolConfig,
     Transcript,
+    as_integer,
     run_sessions,
 )
 from .rand import MESSAGE_TAG, SCORE_TAG, stream
@@ -69,16 +70,6 @@ _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": 
 MAX_TRIALS = 10**7
 
 
-def _integer(field: str, value) -> int:
-    """A spec integer: integral floats such as 1e5 pass; bools, strings and
-    fractional values are rejected rather than truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
-
-
 def _real(field: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
@@ -91,7 +82,7 @@ def _message(value) -> tuple[tuple[int, int], ...]:
         isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
     ):
         raise ValueError("message must be a list of [mu, nu] integer pairs")
-    return tuple((_integer("message", mu), _integer("message", nu)) for mu, nu in value)
+    return tuple((as_integer("message", mu), as_integer("message", nu)) for mu, nu in value)
 
 
 def sig12(value: float) -> float:
@@ -154,12 +145,12 @@ class RunSpec:
         return cls(
             attack=str(merged["attack"]),
             control=str(merged["control"]),
-            dim=_integer("dim", merged["dim"]),
+            dim=as_integer("dim", merged["dim"]),
             kind=str(merged["kind"]),
-            cycles=_integer("cycles", merged["cycles"]),
+            cycles=as_integer("cycles", merged["cycles"]),
             control_prob=_real("control_prob", merged["control_prob"]),
-            trials=_integer("trials", merged["trials"]),
-            seed=_integer("seed", merged["seed"]),
+            trials=as_integer("trials", merged["trials"]),
+            seed=as_integer("seed", merged["seed"]),
             message=message,
         )
 

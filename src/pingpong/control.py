@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .attacks import EavesdropperHandle
-from .protocol import QUBIT_SINGLET, ProtocolConfig, make_initial_state, pair_probs
+from .protocol import QUBIT_SINGLET, ProtocolConfig, check_dims, make_initial_state, pair_probs
 from .qstate import Basis
 from .rand import PDET_TAG, skip, stream
 
@@ -151,10 +151,7 @@ def _born_tables(
     Each branch of the coupled ensemble is taken once, as the walk yields it,
     and added to every basis's table.
     """
-    if eve.dim != cfg.dim or control.dim != cfg.dim:
-        raise ValueError(
-            f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {cfg.dim}"
-        )
+    check_dims(eve, control, cfg.dim)
     sums = [np.zeros((cfg.dim, cfg.dim)) for _ in control.bases]
     for prob, state in eve.coupled_branches(make_initial_state(cfg)):
         for table, cb in zip(sums, control.bases):

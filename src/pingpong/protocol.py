@@ -6,21 +6,22 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_sessions` walks the sessions of one configuration together through its
-branch tree (`SessionTree`), a chunk of their cycles at a time: each tree
-level's draws come from the cycles' streams in one vectorized call
-(`rand.CycleDraws`), each node splits its cycles among its successors with
-array operations, and each session comes back as a columnar `Transcript`,
-which yields a `CycleRecord` per cycle when iterated; `run_session` is the
-one-session call. A control cycle reads the joint table P(alice, bob) of its
-post-forward node (`pair_probs`, the table detection sums), picks Alice's
-outcome from its marginal and Bob's from her row, and is judged by the
-menu basis's failing-pair mask; it collapses no state.
+`run_sessions` walks the sessions of one configuration together through a
+branch tree (`SessionTree`) it builds for them, a chunk of their cycles at a
+time: each tree level's draws come from the cycles' streams in one vectorized
+call (`rand.CycleDraws`), each node splits its cycles among its successors
+with array operations, and each session comes back as a columnar
+`Transcript`; `run_session` is the one-session call. A control cycle reads
+the joint table P(alice, bob) of its post-forward node (`pair_probs`, the
+table detection sums), picks Alice's outcome from its marginal and Bob's
+from her row, and is judged by the menu basis's failing-pair mask; it
+collapses no state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -71,6 +72,16 @@ class CoherenceBreakError(RuntimeError):
     """
 
 
+def as_integer(field: str, value) -> int:
+    """An integer field: integral floats such as 1e5 pass; bools, strings and
+    fractional values are rejected rather than truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     dim: int
@@ -80,6 +91,8 @@ class ProtocolConfig:
     initial_state_kind: str = QUBIT_SINGLET
 
     def __post_init__(self):
+        for name in ("dim", "n_cycles", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.dim < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
         if self.dim > MAX_DIM:
@@ -133,34 +146,6 @@ def algebra(dim: int) -> QuditAlgebra:
         raise ValueError("algebra requires dim >= 2")
     omega = complex(np.exp(2j * np.pi / dim))
     return QuditAlgebra(dim, omega, _encoding_operator(dim, 1, 0), _encoding_operator(dim, 0, 1))
-
-
-@dataclass(frozen=True)
-class ControlOutcome:
-    basis_id: str
-    alice_outcome: int
-    bob_outcome: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CycleRecord:
-    index: int
-    mode: str  # "message" | "control"
-    alice_symbols: Optional[tuple[int, int]] = None
-    bob_decoded: Optional[tuple[int, int]] = None
-    control: Optional[ControlOutcome] = None
-    eve_guess: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode == "message":
-            if self.control is not None or self.alice_symbols is None:
-                raise ValueError("message record must carry symbols and no control outcome")
-        elif self.mode == "control":
-            if self.control is None or self.alice_symbols is not None or self.bob_decoded is not None:
-                raise ValueError("control record must carry a control outcome only")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def pair_layout(dim: int) -> SubsystemLayout:
@@ -469,8 +454,7 @@ class Transcript:
     Alice's `symbols`, Bob's `decoded` pair and Eve's shift `guess` (-1:
     she abstains); control cycles, in order, have the menu index `basis`
     into `basis_ids`, Alice's and Bob's `outcomes` and whether they
-    `passed`. Iterating yields one `CycleRecord` per cycle; a transcript
-    equals another, or a list, with the same records.
+    `passed`.
     """
 
     control: np.ndarray
@@ -485,42 +469,22 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.control)
 
-    def __iter__(self) -> Iterator[CycleRecord]:
-        messages = zip(self.symbols.tolist(), self.decoded.tolist(), self.guess.tolist())
-        controls = zip(self.basis.tolist(), self.outcomes.tolist(), self.passed.tolist())
-        for k, is_control in enumerate(self.control.tolist()):
-            if is_control:
-                basis, (alice, bob), passed = next(controls)
-                outcome = ControlOutcome(self.basis_ids[basis], alice, bob, passed)
-                yield CycleRecord(index=k, mode="control", control=outcome)
-            else:
-                sent, decoded, guess = next(messages)
-                yield CycleRecord(
-                    index=k,
-                    mode="message",
-                    alice_symbols=tuple(sent),
-                    bob_decoded=tuple(decoded),
-                    eve_guess=None if guess < 0 else guess,
-                )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Transcript, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
 
 def _message_pairs(message, dim: int) -> np.ndarray:
-    """`message` as an (m, 2) integer array of symbols below `dim`."""
-    pairs = np.asarray(message, dtype=np.int64)
+    """`message` as an (m, 2) integer array of symbols below `dim`; symbols
+    that are not integers are rejected, not truncated."""
+    pairs = np.asarray(message)
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
+        return np.zeros((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("message must be a sequence of (mu, nu) pairs")
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"message symbols must be integers, not {pairs.dtype}")
     bad = np.flatnonzero(((pairs < 0) | (pairs >= dim)).any(axis=1))
     if bad.size:
         mu, nu = pairs[bad[0]].tolist()
         raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {dim}")
-    return pairs
+    return pairs.astype(np.int64, copy=False)
 
 
 def _columns(n_msg: int, n_ctrl: int) -> tuple:
@@ -535,42 +499,51 @@ def _columns(n_msg: int, n_ctrl: int) -> tuple:
     )
 
 
+def check_dims(eve: "EavesdropperHandle", control: "ControlModeHandle", dim: int) -> None:
+    """Raise ValueError unless Eve's handle and the control mode act on `dim`."""
+    if eve.dim != dim or control.dim != dim:
+        raise ValueError(f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {dim}")
+
+
 class SessionTree:
     """The branches a cycle can take from the attached pair `state` at `root`:
     Eve's forward leg; then per control basis the joint table of Alice's and
     Bob's outcomes, or per symbol pair the encoding, Eve's `returned` legs and
     Bob's decode. Nodes depend on Eve's handle, the control mode, `dim` and
-    `kind` only, so the sessions of that configuration may share one tree."""
+    `kind` only, so the sessions of that configuration share one tree."""
 
-    def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle", control: "ControlModeHandle"):
-        self.eve, self.control = eve, control
-        self.dim, self.kind = cfg.dim, cfg.initial_state_kind
+    def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
         self.state = eve.attach(make_initial_state(cfg))
         self.root = _Node({})
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
 
 
 def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHandle",
-                 control: "ControlModeHandle", tree: Optional[SessionTree] = None) -> Iterator:
-    """Walk sessions of one configuration through its branch tree together;
+                 control: "ControlModeHandle") -> Iterator:
+    """Walk sessions of one configuration through one branch tree together;
     yield each session's `Transcript`, or the error that ends it, in order.
 
     Sessions may differ in seed, n_cycles, control_prob and message (an (m, 2)
-    array or sequence of pairs, consumed in order); cycle k draws from
-    `stream(seed, SESSION_TAG, k)`. Their cycles, one session after another,
-    go through `tree` (built for `eve`, `control` and the configs' dim and
-    kind) or a new one a chunk (`rand.CHUNK`) at a time: a tree level's draws
-    in one call, then depth-first, one post-forward node at a time. A session
-    fails at its first cycle that runs out of message or reaches a coherence
-    break in Bob's decoder, and takes no cycles into later chunks; the others
-    go on. It is yielded once the chunk with its last cycle has been walked."""
+    array or sequence of pairs, consumed in order; one per session); cycle k
+    draws from `stream(seed, SESSION_TAG, k)`. They must share dim and kind,
+    which `eve` and `control` must act on. Their cycles, one session after
+    another, go through a new tree a chunk (`rand.CHUNK`) at a time: a tree
+    level's draws in one call, then depth-first, one post-forward node at a
+    time. A session fails at its first cycle that runs out of message or
+    reaches a coherence break in Bob's decoder, and takes no cycles into later
+    chunks; the others go on. It is yielded once the chunk with its last cycle
+    has been walked."""
+    messages = list(messages)
+    if len(messages) != len(cfgs):
+        raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
+    for cfg in cfgs:
+        check_dims(eve, control, cfg.dim)
+    if len({cfg.initial_state_kind for cfg in cfgs}) > 1:
+        raise ValueError("sessions walked together must share one initial state kind")
     if not cfgs:
         return
-    tree = SessionTree(cfgs[0], eve, control) if tree is None else tree
-    if (tree.eve is not eve or tree.control is not control
-            or any((cfg.dim, cfg.initial_state_kind) != (tree.dim, tree.kind) for cfg in cfgs)):
-        raise ValueError("session tree was built for another configuration")
-    dim, alg = tree.dim, algebra(tree.dim)
+    tree = SessionTree(cfgs[0], eve)
+    dim, alg = cfgs[0].dim, algebra(cfgs[0].dim)
     attached, forward, returned = tree.state, tree.forward, tree.returned
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
     for s, message in enumerate(messages):
@@ -673,11 +646,11 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
         sent += per
 
 
-def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle", control: "ControlModeHandle",
-                tree: Optional[SessionTree] = None) -> Transcript:
+def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle",
+                control: "ControlModeHandle") -> Transcript:
     """Run n_cycles of the protocol and return the transcript as columns:
     `run_sessions` for this one session, raising the error that ends it."""
-    [result] = run_sessions([cfg], [message], eve, control, tree)
+    [result] = run_sessions([cfg], [message], eve, control)
     if isinstance(result, Transcript):
         return result
     try:

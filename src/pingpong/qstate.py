@@ -10,8 +10,8 @@ couplings whose blocks are monomial, CNOT and the controlled shift) is
 applied by moving amplitudes to their rows, O(N) where a dense matmul is
 O(N*d). A block-diagonal one (a generic coupling, one ancilla block per
 travel level) is applied one block at a time, d/b times fewer flops than
-its dense matrix. Only a general operator is applied by the dense matmul;
-a structured one builds its matrix only when asked.
+its dense matrix; a dense unitary is the block form with one block. An
+operator builds its dense matrix only when asked.
 
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
 orthonormality of user-supplied bases and state families. Each check asks
@@ -138,18 +138,12 @@ class StateVector:
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.dims)
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.layout != other.layout:
-            raise LayoutError("overlap requires identical layouts")
-        return complex(np.vdot(self.amps, other.amps))
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Operator:
     """Square operator acting on a factor of the composite space, kept in
-    one of three forms:
+    one of two forms:
 
-    - dense: a general matrix, given at construction;
     - block-diagonal: `blocks[k]` acts where the first target level is k,
       the operator is sum_k |k><k| (x) blocks[k];
     - monomial: column j holds one entry, in row `rows[j]`, the rows a
@@ -157,7 +151,7 @@ class Operator:
       exactly 1). A block-diagonal operator whose blocks are monomial keeps
       this form beside its blocks.
 
-    `matrix` is built from a structured form only on request. The `kind`
+    `matrix` is built from either form only on request. The `kind`
     tag records what the constructor verified: `unitary` operators satisfy
     max|U^dag U - I| < 1e-12, checked per block for blocks and as a
     bijection with unit phases for a monomial operator.
@@ -169,13 +163,11 @@ class Operator:
     rows: np.ndarray | None = field(repr=False)
     phases: np.ndarray | None = field(repr=False)
 
-    def __init__(self, dim: int, matrix=None, kind: str = "general", *, blocks=None, rows=None, phases=None):
-        """A dense operator from `matrix`, or a structured one from `blocks`
-        or from `rows` and `phases`; nothing is checked but the shapes."""
-        if (matrix is None) + (blocks is None) + (rows is None) != 2:
-            raise ValueError("give exactly one of matrix, blocks and rows")
-        if matrix is not None:
-            self.__dict__["matrix"] = _frozen(matrix, (dim, dim))
+    def __init__(self, dim: int, kind: str = "general", *, blocks=None, rows=None, phases=None):
+        """An operator from `blocks`, or from `rows` and `phases`; nothing is
+        checked but the shapes."""
+        if (blocks is None) == (rows is None):
+            raise ValueError("give exactly one of blocks and rows")
         if blocks is not None:
             b = np.shape(blocks)[-1]
             blocks = _frozen(blocks, (dim // b, b, b) if dim % b == 0 else None)
@@ -193,11 +185,8 @@ class Operator:
 
     @classmethod
     def unitary(cls, matrix) -> "Operator":
-        m = np.asarray(matrix, dtype=np.complex128)
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not dev < ATOL_ALGEBRA:
-            raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
-        return cls(m.shape[0], m, "unitary")
+        """A dense unitary: the block form with one block."""
+        return cls.block_unitary(np.asarray(matrix)[None])
 
     @classmethod
     def block_unitary(cls, blocks) -> "Operator":
@@ -224,7 +213,7 @@ class Operator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, built once on request from a structured form."""
+        """The dense matrix, built once on request."""
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
         if self.blocks is not None:
             n, b, _ = self.blocks.shape
@@ -245,11 +234,9 @@ class Operator:
         if self.blocks is not None:
             blocks = self.blocks.conj().transpose(0, 2, 1)
             return Operator(self.dim, blocks=np.ascontiguousarray(blocks), kind="unitary")
-        if self.rows is not None:
-            back = np.argsort(self.rows)
-            phases = None if self.phases is None else self.phases.conj()[back]
-            return Operator(self.dim, rows=back, phases=phases, kind="unitary")
-        return Operator(self.dim, self.matrix.conj().T, "unitary")
+        back = np.argsort(self.rows)
+        phases = None if self.phases is None else self.phases.conj()[back]
+        return Operator(self.dim, rows=back, phases=phases, kind="unitary")
 
 
 def _frozen(values, shape, dtype=np.complex128) -> np.ndarray:
@@ -291,10 +278,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def state(self, index: int) -> np.ndarray:
-        return self.matrix[:, index]
-
 
 @lru_cache(maxsize=None)
 def _computational_basis(dim: int) -> Basis:
@@ -341,7 +324,7 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
 
     Application preserves the norm within 1e-12 (verified). A monomial
     operator moves each target row of amplitudes to its image row, times its
-    phase; any other is a dense matmul.
+    phase; a block-diagonal one multiplies each block's rows by its block.
     """
     targets = _normalize_labels(targets)
     target_dim = math.prod(state.layout.dim_of(lbl) for lbl in targets)
@@ -353,10 +336,8 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     if op.rows is not None:
         new = np.empty_like(mat)
         new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
-    elif op.blocks is not None:
-        new = np.matmul(op.blocks, mat.reshape(len(op.blocks), op.blocks.shape[1], -1))
     else:
-        new = op.matrix @ mat
+        new = np.matmul(op.blocks, mat.reshape(len(op.blocks), op.blocks.shape[1], -1))
     out = StateVector(state.layout, _from_front(new, state, order))
     if not abs(out.norm - state.norm) <= ATOL_ALGEBRA:
         raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")

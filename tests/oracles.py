@@ -11,8 +11,10 @@ a handle's legs with `step`, which applies or measures one edge on one state
 `draw_basis`. `measure` is its one measurement on one uniform, built from
 `born_table`, `running_sum`, `pick` and `collapse`; a control cycle measures
 Alice and then Bob this way and is judged by the basis's failing-pair mask.
-`score_records` is the record-by-record scorer the columnar
-`cli.score_session` must equal.
+Both give each cycle as a record, a plain dict in the shape of
+`tests/golden/transcripts.json`; `records` reads the same dicts off a
+`run_session` transcript's columns. `score_records` is the record-by-record
+scorer the columnar `cli.score_session` must equal.
 `partial_trace` and `trace_distance` compare reduced states as plain
 matrices. `fail_projector` is the projector onto a control basis's failing
 outcome pairs; its expectation on the reduced pair is the reference route
@@ -48,8 +50,6 @@ from pingpong.cli import sig12
 from pingpong.protocol import (
     HOME,
     TRAVEL,
-    ControlOutcome,
-    CycleRecord,
     MeasureEdge,
     ProtocolConfig,
     UnitaryEdge,
@@ -260,13 +260,8 @@ def stepwise_session(cfg, message, eve, control):
             chosen = draw_basis(control, rng)
             alice, state = measure(state, TRAVEL, chosen.basis, rng)
             bob, _ = measure(state, HOME, chosen.basis, rng)
-            outcome = ControlOutcome(
-                basis_id=chosen.basis_id,
-                alice_outcome=alice,
-                bob_outcome=bob,
-                passed=not chosen.fail[alice, bob],
-            )
-            records.append(CycleRecord(index=k, mode="control", control=outcome))
+            passed = not chosen.fail[alice, bob]
+            records.append(control_record(k, chosen.basis_id, alice, bob, passed))
         else:
             if msg_idx >= len(message):
                 raise ValueError("message exhausted before the session finished")
@@ -276,36 +271,58 @@ def stepwise_session(cfg, message, eve, control):
             state = backward(eve, state, rng, notes)
             mu_hat, state = readout(eve, state, rng, notes)
             decoded = bob_decode(factor(state, (HOME, TRAVEL)), cfg)
-            records.append(
-                CycleRecord(
-                    index=k,
-                    mode="message",
-                    alice_symbols=(mu, nu),
-                    bob_decoded=decoded,
-                    eve_guess=mu_hat,
-                )
-            )
+            records.append(message_record(k, (mu, nu), decoded, mu_hat))
     return records
+
+
+def message_record(index, sent, decoded, guess):
+    """A message cycle's record: Alice's symbols, Bob's decoded pair and
+    Eve's shift guess (None: she abstains)."""
+    return {"index": index, "mode": "message", "alice_symbols": tuple(sent),
+            "bob_decoded": tuple(decoded), "control": None, "eve_guess": guess}
+
+
+def control_record(index, basis_id, alice, bob, passed):
+    """A control cycle's record: the menu basis, Alice's and Bob's outcomes
+    and whether they passed."""
+    outcome = {"basis_id": basis_id, "alice_outcome": alice, "bob_outcome": bob, "passed": passed}
+    return {"index": index, "mode": "control", "alice_symbols": None,
+            "bob_decoded": None, "control": outcome, "eve_guess": None}
+
+
+def records(transcript):
+    """A `Transcript`'s cycles as the records `stepwise_session` gives."""
+    messages = zip(transcript.symbols.tolist(), transcript.decoded.tolist(), transcript.guess.tolist())
+    controls = zip(transcript.basis.tolist(), transcript.outcomes.tolist(), transcript.passed.tolist())
+    out = []
+    for k, is_control in enumerate(transcript.control.tolist()):
+        if is_control:
+            basis, (alice, bob), passed = next(controls)
+            out.append(control_record(k, transcript.basis_ids[basis], alice, bob, passed))
+        else:
+            sent, decoded, guess = next(messages)
+            out.append(message_record(k, sent, decoded, None if guess < 0 else guess))
+    return out
 
 
 def score_records(records, dim, seed):
     """Reference for `cli.score_session`: the record-by-record scorer. Each
     message record takes a uniform mu guess from the scoring stream when Eve
     abstains, then a uniform nu guess, from one batched draw."""
-    messages = [record for record in records if record.mode == "message"]
+    messages = [record for record in records if record["mode"] == "message"]
     n_msg, n_ctrl = len(messages), len(records) - len(messages)
-    n_draws = n_msg + sum(record.eve_guess is None for record in messages)
+    n_draws = n_msg + sum(record["eve_guess"] is None for record in messages)
     guesses = iter(stream(seed, SCORE_TAG).integers(dim, size=n_draws).tolist())
     mu_hits = nu_hits = intact = 0
     for record in messages:
-        mu, nu = record.alice_symbols
-        mu_hat = record.eve_guess
+        mu, nu = record["alice_symbols"]
+        mu_hat = record["eve_guess"]
         if mu_hat is None:
             mu_hat = next(guesses)
         nu_hat = next(guesses)
         mu_hits += mu_hat == mu
         nu_hits += nu_hat == nu
-        intact += record.bob_decoded == record.alice_symbols
+        intact += record["bob_decoded"] == record["alice_symbols"]
     return {
         "n_message_cycles": n_msg,
         "n_control_cycles": n_ctrl,
@@ -433,8 +450,8 @@ def fail_projector(entry, dim):
     reduced pair state is the reference for the detection Born tables."""
     failing = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     for alice, bob in zip(*np.nonzero(entry.fail)):
-        b_vec = entry.basis.state(bob)
-        a_vec = entry.basis.state(alice)
+        b_vec = entry.basis.matrix[:, bob]
+        a_vec = entry.basis.matrix[:, alice]
         failing += np.kron(np.outer(b_vec, b_vec.conj()), np.outer(a_vec, a_vec.conj()))
     return failing
 

@@ -74,20 +74,20 @@ class TestNoAttack:
 
     def test_message_integrity(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=4)
-        records = run_session(cfg, all_pairs(2), no_attack(2), computational_control(cfg))
-        assert all(r.bob_decoded == r.alice_symbols for r in records)
+        transcript = run_session(cfg, all_pairs(2), no_attack(2), computational_control(cfg))
+        assert np.array_equal(transcript.decoded, all_pairs(2))
 
     def test_readout_abstains(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=1)
-        [record] = run_session(cfg, [(1, 1)], no_attack(2), computational_control(cfg))
-        assert record.eve_guess is None
+        transcript = run_session(cfg, [(1, 1)], no_attack(2), computational_control(cfg))
+        assert transcript.guess.tolist() == [-1]
 
 
 class TestCnot:
     def test_shift_conditions(self):
         eve = cnot_attack()
         report = validate_coupling(eve.coupling, eve.detection, eve.detection, 2)
-        assert report.max_residual < 1e-14
+        assert max(max(f, b) for _, _, f, b in report.rows) < 1e-14
 
     def test_explicit_actions(self):
         # chi=|0>, phi=|1> map onto probes a=|0>, d=|1> with the bit-dependent swap
@@ -110,8 +110,8 @@ class TestCnot:
 
     def test_recovers_bit_symbol_exactly(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=4)
-        records = run_session(cfg, all_pairs(2), cnot_attack(), computational_control(cfg))
-        assert [r.eve_guess for r in records] == [mu for mu, _ in all_pairs(2)]
+        transcript = run_session(cfg, all_pairs(2), cnot_attack(), computational_control(cfg))
+        assert transcript.guess.tolist() == [mu for mu, _ in all_pairs(2)]
 
 
 class TestPavicicCircuit:
@@ -190,7 +190,7 @@ class TestQuditShift:
     def test_shift_conditions(self, dim):
         eve = qudit_shift_attack(dim)
         report = validate_coupling(eve.coupling, eve.detection, eve.detection, dim)
-        assert report.max_residual < 1e-14
+        assert max(max(f, b) for _, _, f, b in report.rows) < 1e-14
 
     def test_qutrit_shift_symbol_lands_two_positions_back(self):
         cfg = qudit_cfg(3)
@@ -257,9 +257,9 @@ class TestGenericCoupling:
         cfg = qudit_cfg(3, control_prob=0.0, n_cycles=9)
         control = computational_control(cfg)
         assert abs(analytic_pdet(eve, control, cfg)) < 1e-12
-        records = run_session(cfg, all_pairs(3), eve, control)
-        assert all(r.eve_guess == r.alice_symbols[0] for r in records)
-        assert all(r.bob_decoded == r.alice_symbols for r in records)
+        transcript = run_session(cfg, all_pairs(3), eve, control)
+        assert np.array_equal(transcript.guess, transcript.symbols[:, 0])
+        assert np.array_equal(transcript.decoded, all_pairs(3))
 
     def test_family_size_checked(self):
         rng = np.random.default_rng(1)
@@ -282,24 +282,22 @@ class TestGenericCoupling:
 
 class TestValidateCoupling:
     def test_identity_fails_for_shifting_rows(self):
-        from pingpong.qstate import Operator
-
         dim = 3
         layout = SubsystemLayout.of(("e", dim))
         family = StateFamily.computational(layout, dim)
-        report = validate_coupling(Operator.unitary(np.eye(dim * dim)), family, family, dim)
+        report = validate_coupling(Operator.block_unitary([np.eye(dim)] * dim), family, family, dim)
         assert not report.passed
         bad_rows = {(k, m) for k, m, f, b in report.rows if max(f, b) >= report.tolerance}
         assert bad_rows == {(k, m) for k in range(1, dim) for m in range(dim)}
 
-    @pytest.mark.parametrize("case", ["identity", "dense", "generic"])
+    @pytest.mark.parametrize("case", ["identity", "blocks", "generic"])
     def test_rows_match_per_pair_reference(self, case):
         rng = np.random.default_rng(9)
         dim, anc_dim = 3, 4
         detection, probes = rand_family(rng, anc_dim, dim), rand_family(rng, anc_dim, dim)
         coupling = {
-            "identity": lambda: Operator.unitary(np.eye(dim * anc_dim)),
-            "dense": lambda: Operator.unitary(rand_unitary(rng, dim * anc_dim)),
+            "identity": lambda: Operator.block_unitary([np.eye(anc_dim)] * dim),
+            "blocks": lambda: Operator.block_unitary([rand_unitary(rng, anc_dim) for _ in range(dim)]),
             "generic": lambda: generic_coupling(dim, detection, probes).coupling,
         }[case]()
         report = validate_coupling(coupling, detection, probes, dim)
@@ -307,6 +305,20 @@ class TestValidateCoupling:
         assert [row[:2] for row in report.rows] == [row[:2] for row in reference]
         assert np.max(np.abs(np.array(report.rows) - np.array(reference))) < 1e-12
         assert report.passed == (case == "generic")
+
+    @pytest.mark.parametrize("case", ["one-dense-block", "monomial", "half-size-blocks", "other-ancilla"])
+    def test_a_coupling_that_is_not_travel_blocks_is_rejected(self, case):
+        rng = np.random.default_rng(9)
+        dim, anc_dim = 3, 4
+        family = rand_family(rng, anc_dim, dim)
+        coupling = {
+            "one-dense-block": lambda: Operator.unitary(rand_unitary(rng, dim * anc_dim)),
+            "monomial": lambda: Operator.monomial(np.arange(dim * anc_dim)),
+            "half-size-blocks": lambda: Operator.block_unitary([rand_unitary(rng, 2) for _ in range(2 * dim)]),
+            "other-ancilla": lambda: qudit_shift_attack(dim).coupling,
+        }[case]()
+        with pytest.raises(ValueError, match="must be 3 travel blocks of 4x4"):
+            validate_coupling(coupling, family, family, dim)
 
     def test_block_breaking_the_shift_condition_rejected(self):
         # a phase on block 1 keeps Q unitary but sends |1, d_m> to a multiple
@@ -534,9 +546,9 @@ class TestEquivalence:
     def test_symbol_recovery_agrees(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=4)
         control = computational_control(cfg)
-        rec_circuit = run_session(cfg, all_pairs(2), pavicic_circuit(), control)
-        rec_gate = run_session(cfg, all_pairs(2), cnot_attack(), control)
-        assert [r.eve_guess for r in rec_circuit] == [r.eve_guess for r in rec_gate]
+        circuit = run_session(cfg, all_pairs(2), pavicic_circuit(), control)
+        gate = run_session(cfg, all_pairs(2), cnot_attack(), control)
+        assert np.array_equal(circuit.guess, gate.guess)
 
 
 class TestResolution:

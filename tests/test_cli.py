@@ -315,8 +315,8 @@ class TestScoreSession:
 
         cfg = ProtocolConfig(dim=2, control_prob=0.0, n_cycles=4000, seed=3)
         message = [(int(a), int(b)) for a, b in np.random.default_rng(0).integers(0, 2, (4000, 2))]
-        records = run_session(cfg, message, no_attack(2), computational_control(cfg))
-        stats = score_session(records, 2, seed=3)
+        transcript = run_session(cfg, message, no_attack(2), computational_control(cfg))
+        stats = score_session(transcript, 2, seed=3)
         assert abs(stats["eve_mu_accuracy"] - 0.5) < 0.05
         assert abs(stats["eve_nu_accuracy"] - 0.5) < 0.05
         assert stats["message_integrity"] == 1.0

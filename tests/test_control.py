@@ -65,13 +65,13 @@ class TestFailMasks:
     def test_clean_sessions_always_pass(self):
         for cfg in (qubit_cfg(control_prob=1.0, n_cycles=300),
                     qudit_cfg(4, control_prob=1.0, n_cycles=300)):
-            records = run_session(cfg, [], no_attack(cfg.dim), computational_control(cfg))
-            assert all(r.control.passed for r in records)
+            transcript = run_session(cfg, [], no_attack(cfg.dim), computational_control(cfg))
+            assert transcript.passed.all()
 
     def test_shift_attack_passes_computational_control(self):
         cfg = qudit_cfg(4, control_prob=1.0, n_cycles=300)
-        records = run_session(cfg, [], qudit_shift_attack(4), computational_control(cfg))
-        assert all(r.control.passed for r in records)
+        transcript = run_session(cfg, [], qudit_shift_attack(4), computational_control(cfg))
+        assert transcript.passed.all()
 
     def test_two_basis_requires_qubit_singlet(self):
         with pytest.raises(ValueError):
@@ -284,12 +284,12 @@ class TestEmpiricalPdet:
 
     def test_failures_only_in_dual_basis(self):
         cfg = qubit_cfg(control_prob=1.0, n_cycles=2000, seed=41)
-        records = run_session(cfg, [], cnot_attack(), two_basis_control(cfg))
-        failures = [r.control for r in records if not r.control.passed]
-        assert failures, "the bit-flip coupling must be caught sometimes"
-        assert all(f.basis_id == "dual" for f in failures)
-        comp = [r.control for r in records if r.control.basis_id == "computational"]
-        assert all(c.passed for c in comp)
+        transcript = run_session(cfg, [], cnot_attack(), two_basis_control(cfg))
+        failed = transcript.basis[~transcript.passed]
+        assert len(failed), "the bit-flip coupling must be caught sometimes"
+        assert {transcript.basis_ids[b] for b in failed.tolist()} == {"dual"}
+        comp = transcript.basis == transcript.basis_ids.index("computational")
+        assert transcript.passed[comp].all()
 
 
 # (attack, control, cfg): every paper-matrix row, then qudit-shift and

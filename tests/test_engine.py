@@ -3,11 +3,11 @@
 `run_session` builds each node of a configuration's branch tree once and walks
 each chunk of cycles through it one level at a time; `oracles.stepwise_session`
 evolves fresh state vectors on every cycle. Both draw from the same per-cycle
-streams, so the iterated transcript and the errors they raise, with the
-cycle that raises them, must be identical. Edge by edge, `protocol.follow`
-from a fresh node must give what `oracles.step` gives on the node's state,
-and the columnar `cli.score_session` what the record-by-record
-`oracles.score_records` gives.
+streams, so the transcript's records (`oracles.records`) and the errors they
+raise, with the cycle that raises them, must be identical. Edge by edge,
+`protocol.follow` from a fresh node must give what `oracles.step` gives on
+the node's state, and the columnar `cli.score_session` what the
+record-by-record `oracles.score_records` gives.
 """
 
 import tracemalloc
@@ -74,15 +74,20 @@ def _setup(case, control_prob, seed, cycles=CYCLES):
 
 
 def _result(session, cfg, message, eve, mode):
-    """The transcript's records, or the type and message of the error raised."""
+    """The session's records, or the type and message of the error raised."""
     try:
-        return list(session(cfg, message, eve, mode))
+        return session(cfg, message, eve, mode)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
 
 
+def _records(*args):
+    """`run_session`'s transcript as records."""
+    return oracles.records(run_session(*args))
+
+
 def _both(cfg, message, eve, mode):
-    engine = _result(run_session, cfg, message, eve, mode)
+    engine = _result(_records, cfg, message, eve, mode)
     assert engine == _result(oracles.stepwise_session, cfg, message, eve, mode)
     return engine
 
@@ -317,7 +322,7 @@ def test_score_session_equals_the_record_scorer(case, control_prob):
     cfg, eve, mode = _setup(case, control_prob, 4)
     transcript = run_session(cfg, draw_message(cfg.dim, CYCLES, 4), eve, mode)
     for seed in (4, 2**32 + 5):
-        expected = oracles.score_records(list(transcript), cfg.dim, seed)
+        expected = oracles.score_records(oracles.records(transcript), cfg.dim, seed)
         assert score_session(transcript, cfg.dim, seed) == expected
 
 
@@ -337,7 +342,7 @@ def test_score_session_interleaves_abstentions_like_the_record_scorer():
         outcomes=rng.integers(0, 3, size=(n_ctrl, 2)),
         passed=rng.random(n_ctrl) < 0.9,
     )
-    assert score_session(transcript, 3, 6) == oracles.score_records(list(transcript), 3, 6)
+    assert score_session(transcript, 3, 6) == oracles.score_records(oracles.records(transcript), 3, 6)
 
 
 def test_long_session_memory_is_its_columns_and_one_chunk():
@@ -360,7 +365,7 @@ def test_long_session_memory_is_its_columns_and_one_chunk():
     )
     chunk_words = rand.CHUNK * 8 * 8  # two Philox blocks of four 64-bit words
     assert peak < 2 * columns + 8 * chunk_words
-    assert peak < 100 * cycles  # a CycleRecord per cycle takes several times this
+    assert peak < 100 * cycles  # a record object per cycle takes several times this
 
 
 def test_session_holds_the_states_of_one_path_not_of_a_tree_level():
@@ -391,6 +396,20 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def _built_trees(monkeypatch):
+    """The trees `run_sessions` builds from here on, in the order it builds
+    them; each is kept, so its nodes can be inspected after the walk."""
+    trees = []
+
+    class Kept(SessionTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trees.append(self)
+
+    monkeypatch.setattr(protocol, "SessionTree", Kept)
+    return trees
+
+
 def _nodes(node):
     """Every node of the tree under `node`, itself included."""
     todo, seen = [node], []
@@ -400,7 +419,7 @@ def _nodes(node):
     return seen
 
 
-def test_a_longer_session_grows_nodes_not_states():
+def test_a_longer_session_grows_nodes_not_states(monkeypatch):
     """A D=16 generic session with a 16-level ancilla reaches more symbol
     pairs and readout outcomes at 300 cycles than at 50, and its peak grows
     by those nodes' notes and tables only, under 1 KiB a node: no node keeps
@@ -408,20 +427,19 @@ def test_a_longer_session_grows_nodes_not_states():
     dim = anc = 16
     rng = np.random.default_rng(0)
     eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
-    grown = []
+    trees, grown = _built_trees(monkeypatch), []
     for cycles in (50, 300):
         cfg = ProtocolConfig(dim, 0.0, cycles, 5, "qudit_beta00")
         mode = control_mode.from_name("computational", cfg)
         message = draw_message(dim, cycles, 5)
         run_session(replace(cfg, n_cycles=1), message, eve, mode)  # build the cached operators first
-        tree = SessionTree(cfg, eve, mode)
-        grown.append((_traced_peak(lambda: run_session(cfg, message, eve, mode, tree)), len(_nodes(tree.root))))
+        grown.append((_traced_peak(lambda: run_session(cfg, message, eve, mode)), len(_nodes(trees[-1].root))))
     (short_peak, short_nodes), (long_peak, long_nodes) = grown
     assert long_nodes > short_nodes + 1500
     assert long_peak - short_peak < 1024 * (long_nodes - short_nodes)
 
 
-def test_all_control_intercept_resend_peaks_near_detection():
+def test_all_control_intercept_resend_peaks_near_detection(monkeypatch):
     """An all-control D=16 intercept-resend session reaches all D^2 = 256
     post-forward nodes, each with its own D^3-amplitude state, and peaks
     within a few dozen states of the detection walk over the same branches,
@@ -431,9 +449,9 @@ def test_all_control_intercept_resend_peaks_near_detection():
     state_bytes = dim**3 * np.dtype(np.complex128).itemsize
     control_mode.analytic_pdet(eve, mode, cfg)  # build the cached operators first
     detection = _traced_peak(lambda: control_mode.analytic_pdet(eve, mode, cfg))
-    tree = SessionTree(cfg, eve, mode)
-    session = _traced_peak(lambda: run_session(cfg, [], eve, mode, tree))
-    [swapped] = tree.root.next.values()
+    trees = _built_trees(monkeypatch)
+    session = _traced_peak(lambda: run_session(cfg, [], eve, mode))
+    [swapped] = trees[0].root.next.values()
     sent = [node for genuine in swapped.next.values() for node in genuine.next.values()]
     assert len(sent) == dim**2 and all("computational" in node.next for node in sent)
     assert session < detection + 32 * state_bytes
@@ -444,26 +462,12 @@ def test_all_control_intercept_resend_peaks_near_detection():
 SESSIONS = [(1, 60, 0.25), (2, 25, 1.0), (3, 90, 0.0), (4, 45, 0.5)]
 
 
-@pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
-def test_sessions_sharing_a_tree_match_stepper(case):
-    """Sessions that walk and grow one tree in turn each give the stepwise
-    transcript or error, as with a tree of their own. Intercept-resend's
-    message cycles leave a coherence break part-way through the tree."""
-    cfg, eve, mode = _setup(case, 0.0, 0)
-    tree = SessionTree(cfg, eve, mode)
-    for seed, cycles, control_prob in SESSIONS:
-        session = replace(cfg, seed=seed, n_cycles=cycles, control_prob=control_prob)
-        message = draw_message(cfg.dim, cycles, seed)
-        shared = _result(lambda *args: run_session(*args, tree), session, message, eve, mode)
-        assert shared == _both(session, message, eve, mode)
-
-
-def _together(cfgs, messages, eve, mode, tree=None):
+def _together(cfgs, messages, eve, mode):
     """Each session's records from one `run_sessions` walk, or the type and
     message of the error that ends it."""
     return [
-        list(result) if isinstance(result, Transcript) else (type(result), str(result))
-        for result in run_sessions(cfgs, messages, eve, mode, tree)
+        oracles.records(result) if isinstance(result, Transcript) else (type(result), str(result))
+        for result in run_sessions(cfgs, messages, eve, mode)
     ]
 
 
@@ -548,36 +552,18 @@ def test_a_failed_session_grows_no_node_in_later_chunks(case, control_prob, n_pa
         return original(seeds, tag, ks)
 
     monkeypatch.setattr(rand, "CycleDraws", recording)
-    grown = []
+    trees, grown = _built_trees(monkeypatch), []
     for n in (cfg.n_cycles, (first // SMALL_CHUNK + 1) * SMALL_CHUNK):
-        tree = SessionTree(cfg, eve, mode)
         cfgs, messages = [replace(cfg, n_cycles=n), after], [message, []]
         keyed.clear()
-        together = _together(cfgs, messages, eve, mode, tree)
+        together = _together(cfgs, messages, eve, mode)
         assert together == _apart(cfgs, messages, eve, mode)
         assert together[0][0] is error and len(together[1]) == after.n_cycles
         failing = first // SMALL_CHUNK
         assert [seed in chunk for chunk in keyed] == [True] * (failing + 1) + [False] * (len(keyed) - failing - 1)
         assert seed + 1 in keyed[-1]
-        grown.append(len(_nodes(tree.root)))
+        grown.append(len(_nodes(trees[-1].root)))
     assert grown[0] == grown[1]
-
-
-def test_a_tree_walks_only_its_own_configuration():
-    cfg, eve, mode = _setup(("qudit-shift", "computational", 2, "qudit_beta00"), 0.25, 1)
-    tree = SessionTree(cfg, eve, mode)
-    message = draw_message(2, CYCLES, 1)
-    assert run_session(cfg, message, eve, mode, tree) == run_session(cfg, message, eve, mode)
-    other_cfg, other_eve, other_mode = _setup(("qudit-shift", "computational", 3, "qudit_beta00"), 0.25, 1)
-    qubit_cfg = replace(cfg, initial_state_kind="qubit_psi_minus")
-    for args in [
-        (cfg, message, attacks.qudit_shift_attack(2), mode),  # an equal handle, not the same one
-        (cfg, message, eve, control_mode.from_name("computational", cfg)),
-        (qubit_cfg, message, eve, control_mode.from_name("computational", qubit_cfg)),
-        (other_cfg, draw_message(3, CYCLES, 1), other_eve, other_mode),
-    ]:
-        with pytest.raises(ValueError, match="another configuration"):
-            run_session(*args, tree)
 
 
 @pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
@@ -587,8 +573,8 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
     control path: its only collapses are intercept-resend's `genuine`
     measurements, one per outcome the walk goes on from (a short session
     leaves some unreached). Each reached (post-forward node, basis) calls
-    `pair_probs` exactly once, also when a second session walks the tree,
-    and transcripts still equal the stepper's."""
+    `pair_probs` exactly once, also when two sessions walk the tree
+    together, and transcripts still equal the stepper's."""
     collapsed, tabled = [], []
     original_collapse, original_pair_probs = protocol.collapse, protocol.pair_probs
 
@@ -604,16 +590,17 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
     monkeypatch.setattr(protocol, "collapse", counting_collapse)
     monkeypatch.setattr(protocol, "pair_probs", counting_pair_probs)
     cfg, eve, mode = _setup(case, 1.0, 6)
-    tree = SessionTree(cfg, eve, mode)
-    run_session(replace(cfg, n_cycles=5), [], eve, mode, tree)
-    genuine = [node for node in _nodes(tree.root) if node.next and list(node.notes)[-1:] == ["genuine"]]
+    trees = _built_trees(monkeypatch)
+    run_session(replace(cfg, n_cycles=5), [], eve, mode)
+    genuine = [node for node in _nodes(trees[-1].root) if node.next and list(node.notes)[-1:] == ["genuine"]]
     assert collapsed == [eve.ancilla_labels[:1]] * len(genuine)
     assert (case[0] == "intercept-resend") == bool(genuine)
 
-    session = replace(cfg, seed=7)
-    assert run_session(session, [], eve, mode, tree) == oracles.stepwise_session(session, [], eve, mode)
+    tabled.clear()
+    cfgs = [replace(cfg, n_cycles=5), replace(cfg, seed=7)]
+    assert _together(cfgs, [[], []], eve, mode) == _apart(cfgs, [[], []], eve, mode)
     assert set(collapsed) <= {eve.ancilla_labels[:1]}
     basis_ids = {cb.basis_id for cb in mode.bases}
-    checks = [succ for node in _nodes(tree.root) for key, succ in node.next.items() if key in basis_ids]
+    checks = [succ for node in _nodes(trees[-1].root) for key, succ in node.next.items() if key in basis_ids]
     assert checks and all(check.leaf.shape == (cfg.dim, cfg.dim) for check in checks)
     assert len(tabled) == len(checks)

@@ -15,11 +15,11 @@ import importlib.util
 import json
 import os
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+import oracles
 from conftest import rand_family
 from pingpong import attacks
 from pingpong import control as control_mode
@@ -69,8 +69,8 @@ def session_transcript(name: str) -> list[dict]:
     else:
         eve = attacks.from_name(attack, dim)
     message = draw_message(dim, SESSION_CYCLES, seed)
-    records = run_session(cfg, message, eve, control_mode.from_name(control, cfg))
-    return json.loads(json.dumps([asdict(r) for r in records]))
+    transcript = run_session(cfg, message, eve, control_mode.from_name(control, cfg))
+    return json.loads(json.dumps(oracles.records(transcript)))
 
 
 def _transcripts_json(transcripts: dict[str, list[dict]]) -> str:

@@ -175,9 +175,8 @@ def test_session_transcripts_deterministic(seed):
     cfg = qubit_cfg(control_prob=0.3, n_cycles=60, seed=seed)
     message = all_pairs(2) * 15
     control = computational_control(cfg)
-    assert run_session(cfg, message, no_attack(2), control) == run_session(
-        cfg, message, no_attack(2), control
-    )
+    first, second = (run_session(cfg, message, no_attack(2), control) for _ in range(2))
+    assert oracles.records(first) == oracles.records(second)
 
 
 def test_generic_families_keep_protocol_transparent(seed):
@@ -188,9 +187,9 @@ def test_generic_families_keep_protocol_transparent(seed):
     eve = generic_coupling(3, rand_family(rng, 5, 3), rand_family(rng, 5, 3))
     cfg = qudit_cfg(3, control_prob=0.0, n_cycles=9)
     assert abs(analytic_pdet(eve, computational_control(cfg), cfg)) < 1e-12
-    records = run_session(cfg, all_pairs(3), eve, computational_control(cfg))
-    assert all(r.bob_decoded == r.alice_symbols for r in records)
-    assert all(r.eve_guess == r.alice_symbols[0] for r in records)
+    transcript = run_session(cfg, all_pairs(3), eve, computational_control(cfg))
+    assert np.array_equal(transcript.decoded, all_pairs(3))
+    assert np.array_equal(transcript.guess, transcript.symbols[:, 0])
 
 
 def test_generic_couplings_invisible_for_every_dimension(seed):

@@ -11,8 +11,6 @@ from pingpong.protocol import (
     HOME,
     TRAVEL,
     CoherenceBreakError,
-    ControlOutcome,
-    CycleRecord,
     DrawEdge,
     MAX_CYCLES,
     MAX_DIM,
@@ -32,11 +30,25 @@ from pingpong.protocol import (
     make_initial_state,
     pair_layout,
     run_session,
+    run_sessions,
 )
 from pingpong.qstate import Basis, StateVector, SubsystemLayout
 
 
 class TestConfig:
+    @pytest.mark.parametrize("field", ["dim", "n_cycles", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_integer_fields_are_not_truncated(self, field, value):
+        params = dict(dim=3, control_prob=0.5, n_cycles=4, seed=1, initial_state_kind=QUDIT_CORRELATED)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ProtocolConfig(**{**params, field: value})
+
+    def test_integral_floats_become_integers(self):
+        cfg = ProtocolConfig(dim=3.0, control_prob=0.5, n_cycles=1e1, seed=np.int64(1),
+                             initial_state_kind=QUDIT_CORRELATED)
+        assert (cfg.dim, cfg.n_cycles, cfg.seed) == (3, 10, 1)
+        assert all(type(value) is int for value in (cfg.dim, cfg.n_cycles, cfg.seed))
+
     def test_qubit_kind_requires_dim_two(self):
         with pytest.raises(ValueError):
             ProtocolConfig(dim=3, control_prob=0.0, n_cycles=1, seed=0,
@@ -205,38 +217,37 @@ class TestRunSession:
     def test_all_message_cycles_decode(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=8)
         message = [(k % 2, (k // 2) % 2) for k in range(8)]
-        records = run_session(cfg, message, no_attack(2), computational_control(cfg))
-        assert all(r.mode == "message" for r in records)
-        assert [r.alice_symbols for r in records] == message
-        assert all(r.bob_decoded == r.alice_symbols for r in records)
+        transcript = run_session(cfg, message, no_attack(2), computational_control(cfg))
+        assert not transcript.control.any() and len(transcript) == 8
+        assert np.array_equal(transcript.symbols, message)
+        assert np.array_equal(transcript.decoded, message)
 
     def test_all_control_cycles_pass_clean(self):
         cfg = qubit_cfg(control_prob=1.0, n_cycles=200)
-        records = run_session(cfg, [], no_attack(2), computational_control(cfg))
-        assert all(r.mode == "control" for r in records)
-        assert all(r.control.passed for r in records)
+        transcript = run_session(cfg, [], no_attack(2), computational_control(cfg))
+        assert transcript.control.all() and len(transcript) == 200
+        assert transcript.passed.all()
 
     def test_coupled_attack_passes_computational_control(self):
         cfg = qubit_cfg(control_prob=1.0, n_cycles=200)
-        records = run_session(cfg, [], cnot_attack(), computational_control(cfg))
-        assert all(r.control.passed for r in records)
+        transcript = run_session(cfg, [], cnot_attack(), computational_control(cfg))
+        assert transcript.passed.all()
 
     def test_deterministic_transcript(self):
         cfg = qubit_cfg(control_prob=0.4, n_cycles=50, seed=99)
         message = [(1, 0)] * 50
         first = run_session(cfg, message, cnot_attack(), computational_control(cfg))
         second = run_session(cfg, message, cnot_attack(), computational_control(cfg))
-        assert first == second
+        assert oracles.records(first) == oracles.records(second)
 
     def test_mode_mix_follows_probability(self):
         cfg = qubit_cfg(control_prob=0.5, n_cycles=400, seed=13)
-        records = run_session(cfg, [(0, 0)] * 400, no_attack(2), computational_control(cfg))
-        n_ctrl = sum(r.mode == "control" for r in records)
-        assert 120 < n_ctrl < 280
+        transcript = run_session(cfg, [(0, 0)] * 400, no_attack(2), computational_control(cfg))
+        assert 120 < transcript.control.sum() < 280
 
     def test_zero_cycles_give_empty_transcript(self):
         cfg = qubit_cfg(control_prob=0.25, n_cycles=0)
-        assert run_session(cfg, [], cnot_attack(), computational_control(cfg)) == []
+        assert len(run_session(cfg, [], cnot_attack(), computational_control(cfg))) == 0
 
     def test_message_exhaustion(self):
         cfg = qubit_cfg(control_prob=0.0, n_cycles=3)
@@ -247,6 +258,33 @@ class TestRunSession:
         cfg = qubit_cfg(control_prob=0.0, n_cycles=1)
         with pytest.raises(ValueError):
             run_session(cfg, [(2, 0)], no_attack(2), computational_control(cfg))
+
+    @pytest.mark.parametrize("message", [[(1.9, 0.2)], [(0, 0), (1, 0.5)], [("1", "0")], [(True, False)]],
+                             ids=["fractional", "one-fractional", "strings", "bools"])
+    def test_symbols_that_are_not_integers_are_rejected(self, message):
+        cfg = qubit_cfg(control_prob=0.0, n_cycles=len(message))
+        with pytest.raises(ValueError, match="message symbols must be integers"):
+            run_session(cfg, message, no_attack(2), computational_control(cfg))
+
+    @pytest.mark.parametrize("n_messages", [0, 1, 3])
+    def test_one_message_per_session(self, n_messages):
+        cfgs = [qubit_cfg(control_prob=0.0, n_cycles=2, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match=f"one message per session, got {n_messages} for 2"):
+            list(run_sessions(cfgs, [[(0, 0)] * 2] * n_messages, no_attack(2), computational_control(cfgs[0])))
+
+    def test_handles_of_another_dimension_are_rejected(self):
+        cfg, other = qubit_cfg(n_cycles=4), qudit_cfg(3, n_cycles=4)
+        mismatch = "^dimension mismatch: attack {}, control {}, config {}$"
+        for eve, control, want in [
+            (qudit_shift_attack(3), computational_control(cfg), (3, 2, 2)),
+            (no_attack(2), computational_control(other), (2, 3, 2)),
+        ]:
+            with pytest.raises(ValueError, match=mismatch.format(*want)):
+                run_session(cfg, [(0, 0)] * 4, eve, control)
+        for cfgs, error in [([cfg, other], "dimension mismatch: attack 2, control 2, config 3"),
+                            ([cfg, qudit_cfg(2)], "sessions walked together must share one initial state kind")]:
+            with pytest.raises(ValueError, match=error):
+                list(run_sessions(cfgs, [[(0, 0)] * 4] * 2, no_attack(2), computational_control(cfg)))
 
 
 class TestDeferred:
@@ -288,18 +326,3 @@ class TestDeferred:
     def test_leg_without_measurements_comes_back_equal(self, eve):
         leg = eve.forward_leg
         assert deferred(leg, self.KEEP) == leg
-
-
-class TestCycleRecord:
-    def test_message_record_shape(self):
-        with pytest.raises(ValueError):
-            CycleRecord(index=0, mode="message")  # missing symbols
-
-    def test_control_record_shape(self):
-        outcome = ControlOutcome("computational", 0, 1, True)
-        with pytest.raises(ValueError):
-            CycleRecord(index=0, mode="control", control=outcome, alice_symbols=(0, 0))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            CycleRecord(index=0, mode="other")

@@ -128,7 +128,7 @@ class TestApply:
             apply(singlet(), op, "z")
 
     def test_untagged_operator_rejected(self):
-        op = Operator(2, np.eye(2))
+        op = Operator(2, blocks=[np.eye(2)])
         with pytest.raises(ValueError):
             apply(singlet(), op, "t")
 
@@ -157,7 +157,7 @@ class TestMonomialForm:
     def test_dense_operators_have_no_monomial_form(self):
         rng = np.random.default_rng(3)
         assert Operator.unitary(rand_unitary(rng, 4)).rows is None
-        assert Operator(2, np.diag([1.0, 0.0])).rows is None
+        assert Operator(2, blocks=[np.diag([1.0, 0.0])]).rows is None
         hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert Operator.unitary(hadamard).rows is None
         assert Operator.block_unitary([hadamard, np.eye(2)]).rows is None
@@ -242,14 +242,22 @@ class TestBlockForm:
 
     def test_one_form_per_operator(self):
         with pytest.raises(ValueError, match="exactly one"):
-            Operator(2, np.eye(2), rows=[0, 1])
+            Operator(2, blocks=[np.eye(2)], rows=[0, 1])
         with pytest.raises(ValueError, match="exactly one"):
             Operator(2)
         for blocks in (np.zeros((2, 2, 2)), np.zeros((2, 3, 2)), np.zeros((2, 4, 4))):
             with pytest.raises(ValueError, match="shape"):
                 Operator(6, blocks=blocks)
         with pytest.raises(ValueError, match="shape"):
-            Operator(3, np.eye(2))
+            Operator(3, blocks=[np.eye(2)])
+
+    def test_a_dense_unitary_is_one_block(self):
+        rng = np.random.default_rng(4)
+        u = rand_unitary(rng, 6)
+        op = Operator.unitary(u)
+        assert op.blocks.shape == (1, 6, 6) and op.dim == 6 and op.kind == "unitary"
+        assert np.array_equal(op.matrix, u)
+        assert np.array_equal(op.inverse.matrix, u.conj().T)
 
 
 class TestMeasure:
@@ -274,7 +282,7 @@ class TestMeasure:
         for outcome in range(2):
             post = collapse(first, outcome)
             expected = StateVector.basis(HT, (outcome, 1 - outcome))
-            assert abs(post.overlap(expected)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(post.amps, expected.amps)) == pytest.approx(1.0, abs=1e-12)
             second = born_table(post, "t", Basis.computational(2))
             assert second.probs[1 - outcome] == pytest.approx(1.0, abs=1e-12)
             assert second.probs[outcome] == pytest.approx(0.0, abs=1e-12)

@@ -196,10 +196,10 @@ def test_run_session_makes_no_stream_call(monkeypatch):
     cfg = qubit_cfg(n_cycles=200, seed=5, control_prob=0.3)
     message = [(k % 2, (k // 2) % 2) for k in range(200)]
     eve, control = cnot_attack(), two_basis_control(cfg)
-    records = run_session(cfg, message, eve, control)
+    transcript = run_session(cfg, message, eve, control)
     assert calls == []
     # the counter sees the reference's one stream per cycle
-    assert oracles.stepwise_session(cfg, message, eve, control) == records
+    assert oracles.stepwise_session(cfg, message, eve, control) == oracles.records(transcript)
     assert calls == [(5, SESSION_TAG, k) for k in range(200)]
 
 
