@@ -97,14 +97,14 @@ class CouplingReport:
     """Per-(k, m) residuals of the index-shift conditions on Q and Q^-1."""
 
     rows: tuple[tuple[int, int, float, float], ...]
-    tolerance: float = 1e-10
+    TOLERANCE = 1e-10  # a class constant, not a field: it has no annotation
 
     @property
     def passed(self) -> bool:
         return not self.failures()
 
     def failures(self) -> list[tuple[int, int, float, float]]:
-        return [row for row in self.rows if not all(r < self.tolerance for r in row[2:])]
+        return [row for row in self.rows if not all(r < self.TOLERANCE for r in row[2:])]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from . import control as control_mode
 from .protocol import (
     KINDS,
     MAX_CYCLES,
-    MAX_DIM,
+    MAX_DIM,  # noqa: F401 - re-exported beside MAX_CYCLES and MAX_TRIALS
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
     ProtocolConfig,
@@ -58,8 +58,6 @@ REPORT_FIELDS = (
     "error",
 )
 
-_RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": "auto"}
-
 # Upper bound on a run's detection trials. The sampler draws its uniforms in
 # fixed-size chunks, so memory stays bounded while time grows with the count:
 # a CLI run at the bound takes ~0.4-0.5 s on a 2-core machine, both for cnot
@@ -68,12 +66,6 @@ _RUN_DEFAULTS = {"cycles": 1000, "control_prob": 0.25, "trials": 10000, "kind": 
 # basis uniforms skipped by counter). MAX_DIM and MAX_CYCLES come from
 # `protocol`.
 MAX_TRIALS = 10**7
-
-
-def _real(field: str, value) -> float:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _message(value) -> tuple[tuple[int, int], ...]:
@@ -92,67 +84,57 @@ def sig12(value: float) -> float:
 
 @dataclass(frozen=True)
 class RunSpec:
+    """One run. `config` is its ProtocolConfig, built once here; that checks
+    dim, kind, control_prob and seed, and the spec checks the rest."""
+
     attack: str
     control: str
     dim: int
-    kind: str
-    cycles: int
-    control_prob: float
-    trials: int
     seed: int
+    kind: str = "auto"
+    cycles: int = 1000
+    control_prob: float = 0.25
+    trials: int = 10000
     message: Optional[tuple[tuple[int, int], ...]] = None
+    config: ProtocolConfig = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim must be <= {MAX_DIM}, got {self.dim}")
+        for name in ("attack", "control", "kind"):
+            object.__setattr__(self, name, str(getattr(self, name)))
+        for name in ("cycles", "trials"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.cycles < 0:
             raise ValueError("cycles must be >= 0")
         if self.cycles > MAX_CYCLES:
             raise ValueError(f"cycles must be <= {MAX_CYCLES}, got {self.cycles}")
-        if not 0.0 <= self.control_prob <= 1.0:  # NaN fails both comparisons
-            raise ValueError(f"control_prob must be in [0, 1], got {self.control_prob}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        kind = self.resolved_kind
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.message is not None:
+            object.__setattr__(self, "message", _message(self.message))
+        kind = self.kind
+        if kind == "auto":
+            kind = QUBIT_SINGLET if self.dim == 2 else QUDIT_CORRELATED
+        config = ProtocolConfig(self.dim, self.control_prob, self.cycles, self.seed, kind)
+        for name in ("dim", "control_prob", "seed"):
+            object.__setattr__(self, name, getattr(config, name))
+        object.__setattr__(self, "config", config)
 
     @property
     def resolved_kind(self) -> str:
-        if self.kind != "auto":
-            return self.kind
-        return QUBIT_SINGLET if self.dim == 2 else QUDIT_CORRELATED
+        return self.config.initial_state_kind
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
-        known = {"attack", "control", "dim", "seed", *_RUN_DEFAULTS, "message"}
-        unknown = set(raw) - known
+        names = [f for f in dataclasses.fields(cls) if f.init]
+        unknown = set(raw) - {f.name for f in names}
         if unknown:
             raise ValueError(f"unknown run fields: {sorted(unknown)}")
-        for required in ("attack", "control", "dim", "seed"):
-            if required not in raw:
-                raise ValueError(f"run is missing required field {required!r}")
-        merged = {**_RUN_DEFAULTS, **raw}
-        message = merged.get("message")
-        if message is not None:
-            message = _message(message)
-        return cls(
-            attack=str(merged["attack"]),
-            control=str(merged["control"]),
-            dim=as_integer("dim", merged["dim"]),
-            kind=str(merged["kind"]),
-            cycles=as_integer("cycles", merged["cycles"]),
-            control_prob=_real("control_prob", merged["control_prob"]),
-            trials=as_integer("trials", merged["trials"]),
-            seed=as_integer("seed", merged["seed"]),
-            message=message,
-        )
+        for f in names:
+            if f.default is dataclasses.MISSING and f.name not in raw:
+                raise ValueError(f"run is missing required field {f.name!r}")
+        return cls(**raw)
 
 
 def load_spec(path: str | Path) -> list[RunSpec]:
@@ -216,10 +198,9 @@ def _walk(specs: list[RunSpec], eve, mode) -> dict:
     """Each run's session fields and seconds, for runs of one configuration
     walked together: a transcript is scored as soon as it is yielded, and a
     run is charged its scoring time plus its cycles' share of the walk."""
-    cfgs = [ProtocolConfig(s.dim, s.control_prob, s.cycles, s.seed, s.resolved_kind) for s in specs]
     messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for s in specs)
     fields, start = {}, time.perf_counter()
-    for spec, result in zip(specs, run_sessions(cfgs, messages, eve, mode)):
+    for spec, result in zip(specs, run_sessions([s.config for s in specs], messages, eve, mode)):
         tick = time.perf_counter()
         done = (score_session(result, spec.dim, spec.seed) if isinstance(result, Transcript)
                 else {"status": "error", "error": f"{type(result).__name__}: {result}"})
@@ -252,7 +233,7 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     )
     start = time.perf_counter()
     try:
-        cfg = ProtocolConfig(spec.dim, spec.control_prob, spec.cycles, spec.seed, spec.resolved_kind)
+        cfg = spec.config
         if "tables" not in group:
             eve = attacks.from_name(spec.attack, spec.dim)
             mode = control_mode.from_name(spec.control, cfg)
@@ -356,29 +337,17 @@ def _parse_message(text: str) -> tuple[tuple[int, int], ...]:
 
 def _specs(args: argparse.Namespace) -> list[RunSpec]:
     """The runs the parsed flags ask for; usage errors raise ValueError."""
-    single_flags = (args.attack, args.control, args.dim, args.seed)
+    run_fields = [f for f in dataclasses.fields(RunSpec) if f.init]
+    raw = {f.name: getattr(args, f.name) for f in run_fields if getattr(args, f.name) is not None}
     if args.spec is not None:
-        if any(v is not None for v in single_flags) or args.message is not None:
+        if raw:
             raise ValueError("--spec excludes single-run flags")
         return load_spec(args.spec)
-    if any(v is None for v in single_flags):
-        raise ValueError("single-run mode requires --attack, --control, --dim and --seed")
-    raw = {
-        "attack": args.attack,
-        "control": args.control,
-        "dim": args.dim,
-        "seed": args.seed,
-    }
-    if args.kind is not None:
-        raw["kind"] = args.kind
-    if args.cycles is not None:
-        raw["cycles"] = args.cycles
-    if args.control_prob is not None:
-        raw["control_prob"] = args.control_prob
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.message is not None:
-        raw["message"] = _parse_message(args.message)
+    required = [f.name for f in run_fields if f.default is dataclasses.MISSING]
+    if not raw.keys() >= set(required):
+        raise ValueError("single-run mode requires " + ", ".join(f"--{name}" for name in required))
+    if "message" in raw:
+        raw["message"] = _parse_message(raw["message"])
     return [RunSpec.from_dict(raw)]
 
 

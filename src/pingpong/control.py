@@ -36,7 +36,7 @@ import numpy as np
 
 from .attacks import EavesdropperHandle
 from .protocol import QUBIT_SINGLET, ProtocolConfig, check_dims, make_initial_state, pair_probs
-from .qstate import Basis
+from .qstate import ATOL_ALGEBRA, Basis
 from .rand import PDET_TAG, skip, stream
 
 # Joint probabilities above this are treated as support of the clean state
@@ -46,6 +46,9 @@ _SUPPORT_CUTOFF = 1e-9
 # Uniforms the empirical sampler draws per call, which bounds its memory at
 # any trial count; consecutive draws equal one draw of their total size.
 _CHUNK = 1 << 16
+
+# The two-sided 95% quantile of the standard normal, for the Wilson interval.
+_WILSON_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class ControlModeHandle:
 
     def __post_init__(self):
         total = sum(b.weight for b in self.bases)
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"basis weights sum to {total}, expected 1")
         for b in self.bases:
             if b.basis.dim != self.dim:
@@ -251,8 +254,9 @@ def empirical_pdet(
     )
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval; well-behaved at zero failures."""
+    z = _WILSON_Z
     if trials < 1:
         raise ValueError("trials must be >= 1")
     phat = failures / trials

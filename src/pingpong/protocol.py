@@ -82,6 +82,14 @@ def as_integer(field: str, value) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def as_real(field: str, value) -> float:
+    """A real-number field: bools, strings and None are rejected rather than
+    coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{field} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     dim: int
@@ -93,11 +101,12 @@ class ProtocolConfig:
     def __post_init__(self):
         for name in ("dim", "n_cycles", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "control_prob", as_real("control_prob", self.control_prob))
         if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.dim > MAX_DIM:
             raise ValueError(f"dim must be <= {MAX_DIM}, got {self.dim}")
-        if not 0.0 <= self.control_prob <= 1.0:
+        if not 0.0 <= self.control_prob <= 1.0:  # NaN fails both comparisons
             raise ValueError(f"control_prob must be in [0, 1], got {self.control_prob}")
         if self.n_cycles < 0:
             raise ValueError(f"n_cycles must be non-negative, got {self.n_cycles}")
@@ -113,12 +122,10 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class QuditAlgebra:
-    """Generalized cyclic-shift X and phase Z gates for one qudit."""
+    """Dense-coding unitaries X^mu Z^nu of one qudit, built from the
+    generalized cyclic shift X and phase Z."""
 
     dim: int
-    omega: complex
-    shift: Operator
-    phase: Operator
 
     def encoding(self, mu: int, nu: int) -> Operator:
         """Dense-coding unitary X^mu Z^nu (phase first, then shift), built in
@@ -144,8 +151,7 @@ def _encoding_operator(dim: int, mu: int, nu: int) -> Operator:
 def algebra(dim: int) -> QuditAlgebra:
     if dim < 2:
         raise ValueError("algebra requires dim >= 2")
-    omega = complex(np.exp(2j * np.pi / dim))
-    return QuditAlgebra(dim, omega, _encoding_operator(dim, 1, 0), _encoding_operator(dim, 0, 1))
+    return QuditAlgebra(dim)
 
 
 def pair_layout(dim: int) -> SubsystemLayout:

@@ -14,7 +14,8 @@ its dense matrix; a dense unitary is the block form with one block. An
 operator builds its dense matrix only when asked.
 
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
-orthonormality of user-supplied bases and state families. Each check asks
+orthonormality of user-supplied bases and state families, 1e-9 for a
+supplied state's norm and a factored state's residual. Each check asks
 that a deviation be within its tolerance, so a NaN deviation fails it.
 """
 
@@ -28,6 +29,7 @@ import numpy as np
 
 ATOL_ALGEBRA = 1e-12
 ATOL_BASIS = 1e-10
+ATOL_STATE = 1e-9
 
 # Residual norm above which a canonical basis vector starts a new direction
 # during deterministic Gram-Schmidt completion.
@@ -110,9 +112,9 @@ class StateVector:
 
     @classmethod
     def from_amps(cls, layout: SubsystemLayout, amps) -> "StateVector":
-        """Construct and require unit norm (within 1e-9)."""
+        """Construct and require unit norm (within ATOL_STATE)."""
         state = cls(layout, np.asarray(amps, dtype=np.complex128))
-        if not abs(state.norm - 1.0) <= 1e-9:
+        if not abs(state.norm - 1.0) <= ATOL_STATE:
             raise ValueError(f"state vector is not normalized (norm {state.norm})")
         return state
 
@@ -402,7 +404,7 @@ def factor(state: StateVector, keep) -> StateVector:
     """Extract the pure factor on `keep`, requiring a product structure.
 
     Raises ValueError when the state is entangled across the cut (residual
-    above 1e-9). The returned factor carries the phase of its dominant
+    above ATOL_STATE). The returned factor carries the phase of its dominant
     component; callers that care about global phase should not factor.
     """
     keep = _normalize_labels(keep)
@@ -411,7 +413,7 @@ def factor(state: StateVector, keep) -> StateVector:
     j = int(np.argmax(col_norms))
     u = mat[:, j] / col_norms[j]
     residual = np.linalg.norm(mat - np.outer(u, u.conj() @ mat))
-    if not residual <= 1e-9:
+    if not residual <= ATOL_STATE:
         raise ValueError(f"state does not factorize over {keep} (residual {residual:.3e})")
     return StateVector(state.layout.select(keep), u)
 

@@ -287,7 +287,7 @@ class TestValidateCoupling:
         family = StateFamily.computational(layout, dim)
         report = validate_coupling(Operator.block_unitary([np.eye(dim)] * dim), family, family, dim)
         assert not report.passed
-        bad_rows = {(k, m) for k, m, f, b in report.rows if max(f, b) >= report.tolerance}
+        bad_rows = {(k, m) for k, m, f, b in report.rows if max(f, b) >= report.TOLERANCE}
         assert bad_rows == {(k, m) for k in range(1, dim) for m in range(dim)}
 
     @pytest.mark.parametrize("case", ["identity", "blocks", "generic"])

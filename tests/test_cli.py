@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -79,6 +80,15 @@ class TestRunSpec:
         assert getattr(RunSpec.from_dict(at_bound), field) == bound
         with pytest.raises(ValueError, match=f"^{field} must be <= {bound}, got {bound + 1}$"):
             RunSpec.from_dict({**at_bound, field: bound + 1})
+
+    def test_replace_rebuilds_the_config(self):
+        spec = RunSpec.from_dict(spec_dict(attack="qudit-shift", control="computational", dim=3))
+        short = dataclasses.replace(spec, cycles=20, trials=50)
+        assert short.trials == 50
+        assert short.config == dataclasses.replace(spec.config, n_cycles=20)
+        assert dataclasses.replace(spec, dim=2).config.initial_state_kind == "qubit_psi_minus"
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            dataclasses.replace(spec, trials=0)
 
     def test_load_spec_accepts_both_shapes(self, tmp_path):
         runs = [spec_dict(trials=50)]
@@ -411,6 +421,7 @@ class TestMain:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[]")
         assert main(["--spec", str(spec_path), "--attack", "cnot"]) == 2
+        assert main(["--spec", str(spec_path), "--cycles", "5"]) == 2
 
     def test_missing_required_flags(self):
         assert main(["--attack", "cnot"]) == 2
@@ -420,6 +431,7 @@ class TestMain:
         (["--dim", "2", "--control-prob", "2"], "control_prob must be in [0, 1], got 2.0"),
         (["--dim", "2", "--control-prob", "nan"], "control_prob must be in [0, 1], got nan"),
         (["--dim", "2", "--message", "0x"], "message chunk '0x' is not a digit pair"),
+        (["--dim", "3", "--kind", "qubit_psi_minus"], "qubit_psi_minus requires dim = 2"),
         (["--dim", "2", "--output", "no-such-dir/report.json"], "no directory 'no-such-dir' for --output"),
     ])
     def test_bad_single_run_input_is_a_usage_error(self, flags, message, capsys):
@@ -432,6 +444,7 @@ class TestMain:
         ({"run": []}, "'runs'"),
         ({"runs": [spec_dict(message=[1, 2])]}, "message must be"),
         ([spec_dict(trials=0)], "trials must be >= 1"),
+        ([spec_dict(dim=3, kind="qubit_psi_minus")], "qubit_psi_minus requires dim = 2"),
     ])
     def test_bad_spec_file_is_a_usage_error(self, tmp_path, capsys, payload, message):
         spec_path = tmp_path / "spec.json"

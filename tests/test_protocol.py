@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             ProtocolConfig(**{**params, field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_control_prob_must_be_a_number(self, value):
+        params = dict(dim=3, n_cycles=4, seed=1, initial_state_kind=QUDIT_CORRELATED)
+        with pytest.raises(ValueError, match=f"^control_prob must be a number, got {value!r}$"):
+            ProtocolConfig(control_prob=value, **params)
+
     def test_integral_floats_become_integers(self):
         cfg = ProtocolConfig(dim=3.0, control_prob=0.5, n_cycles=1e1, seed=np.int64(1),
                              initial_state_kind=QUDIT_CORRELATED)
@@ -89,20 +95,26 @@ class TestInitialState:
         assert np.allclose(state.amps, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)], atol=1e-15)
 
 
+def weyl(dim):
+    """The shift X = X^1 Z^0 and phase Z = X^0 Z^1 as matrices, and omega."""
+    alg = algebra(dim)
+    return alg.encoding(1, 0).matrix, alg.encoding(0, 1).matrix, np.exp(2j * np.pi / dim)
+
+
 class TestAlgebra:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_cyclic_orders(self, dim):
-        alg = algebra(dim)
+        shift, phase, _ = weyl(dim)
         eye = np.eye(dim)
-        assert np.max(np.abs(np.linalg.matrix_power(alg.shift.matrix, dim) - eye)) < 1e-12
-        assert np.max(np.abs(np.linalg.matrix_power(alg.phase.matrix, dim) - eye)) < 1e-12
+        assert np.max(np.abs(np.linalg.matrix_power(shift, dim) - eye)) < 1e-12
+        assert np.max(np.abs(np.linalg.matrix_power(phase, dim) - eye)) < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_commutation_phase(self, dim):
-        alg = algebra(dim)
-        zx = alg.phase.matrix @ alg.shift.matrix
-        xz = alg.shift.matrix @ alg.phase.matrix
-        assert np.max(np.abs(zx - alg.omega * xz)) < 1e-12
+        shift, phase, omega = weyl(dim)
+        zx = phase @ shift
+        xz = shift @ phase
+        assert np.max(np.abs(zx - omega * xz)) < 1e-12
 
     def test_symbol_range(self):
         with pytest.raises(ValueError):
@@ -119,9 +131,9 @@ class TestAlgebra:
             assert (got.phases is None) == (nu == 0)
 
     def test_shift_and_phase_are_the_unit_encodings(self):
-        alg = algebra(5)
-        assert alg.shift is alg.encoding(1, 0)
-        assert alg.phase is alg.encoding(0, 1)
+        shift, phase, omega = weyl(5)
+        assert np.array_equal(shift, np.roll(np.eye(5), 1, axis=0))  # X|k> = |k + 1>
+        assert np.max(np.abs(phase - np.diag(omega ** np.arange(5)))) < 1e-12  # Z|k> = omega^k |k>
 
 
 class TestDenseEncode:
@@ -305,8 +317,8 @@ class TestDeferred:
         assert deferred(leg, self.KEEP) == leg
 
     @pytest.mark.parametrize("later", [
-        UnitaryEdge(algebra(2).shift, ("e",)),
-        DrawEdge("f", (None, algebra(2).shift), ("e",)),
+        UnitaryEdge(algebra(2).encoding(1, 0), ("e",)),
+        DrawEdge("f", (None, algebra(2).encoding(1, 0)), ("e",)),
     ], ids=["unitary", "draw"])
     def test_measurement_acted_on_later_is_kept(self, later):
         leg = (self._measure("e"), later)
@@ -318,7 +330,7 @@ class TestDeferred:
         assert deferred((first, again), self.KEEP) == (first,)
 
     def test_later_edge_on_another_register_does_not_keep_it(self):
-        first, later = self._measure("e"), UnitaryEdge(algebra(2).shift, ("x",))
+        first, later = self._measure("e"), UnitaryEdge(algebra(2).encoding(1, 0), ("x",))
         assert deferred((first, later), self.KEEP) == (later,)
 
     @pytest.mark.parametrize("eve", [cnot_attack(), qudit_shift_attack(3), no_attack(2)],
