@@ -475,11 +475,17 @@ GENERIC_PREFIX = "generic:"
 ATTACK_NAMES = (*ATTACKS, GENERIC_PREFIX + "<file>")
 
 
+def check_name(name: str) -> None:
+    """Reject a name that is neither an `ATTACKS` key nor `generic:<file>`;
+    a generic attack's file is read only when its handle is built."""
+    if not name.startswith(GENERIC_PREFIX) and name not in ATTACKS:
+        raise ValueError(f"unknown attack name {name!r}; choose from {' | '.join(ATTACK_NAMES)}")
+
+
 def from_name(name: str, dim: int) -> EavesdropperHandle:
     """Resolve an attack by its CLI name."""
+    check_name(name)
     if name.startswith(GENERIC_PREFIX):
         detection, probes = family_from_json(name[len(GENERIC_PREFIX):])
         return generic_coupling(dim, detection, probes)
-    if name not in ATTACKS:
-        raise ValueError(f"unknown attack name {name!r}; choose from {' | '.join(ATTACK_NAMES)}")
     return ATTACKS[name](dim)

@@ -31,6 +31,7 @@ from .protocol import (
     ProtocolConfig,
     Transcript,
     as_integer,
+    message_pairs,
     run_sessions,
 )
 from .rand import MESSAGE_TAG, SCORE_TAG, stream
@@ -59,11 +60,13 @@ REPORT_FIELDS = (
 )
 
 # Upper bound on a run's detection trials. The sampler draws its uniforms in
-# fixed-size chunks, so memory stays bounded while time grows with the count:
-# a CLI run at the bound takes ~0.4-0.5 s on a 2-core machine, both for cnot
-# under two-basis control (2 x 10^7 uniforms drawn) and for qudit-shift at
-# D=32 under computational control (10^7 drawn, the one-basis menu's 10^7
-# basis uniforms skipped by counter). MAX_DIM and MAX_CYCLES come from
+# fixed-size chunks, so memory stays bounded while time grows with the count
+# of uniforms it reads: a CLI run at the bound of cnot under two-basis
+# control (10^7 basis uniforms and ~5 x 10^6 dual-basis outcome uniforms
+# drawn; the computational table's failing cells carry no mass) takes
+# ~0.5 s on a 2-core machine. Qudit-shift at D=32 under computational
+# control draws no uniform, all 2 x 10^7 being skipped by counter, and takes
+# ~0.4 s, most of it starting Python. MAX_DIM and MAX_CYCLES come from
 # `protocol`.
 MAX_TRIALS = 10**7
 
@@ -85,7 +88,11 @@ def sig12(value: float) -> float:
 @dataclass(frozen=True)
 class RunSpec:
     """One run. `config` is its ProtocolConfig, built once here; that checks
-    dim, kind, control_prob and seed, and the spec checks the rest."""
+    dim, kind, control_prob and seed, and the spec checks the rest: the
+    attack and control names against their registries (a `generic:<file>`
+    attack's file is read when the run builds it) and a fixed message's
+    symbols against dim. A message too short for the session's message
+    cycles, whose number depends on the draws, is an error of its run."""
 
     attack: str
     control: str
@@ -113,6 +120,8 @@ class RunSpec:
             raise ValueError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.message is not None:
             object.__setattr__(self, "message", _message(self.message))
+        attacks.check_name(self.attack)
+        control_mode.check_name(self.control)
         kind = self.kind
         if kind == "auto":
             kind = QUBIT_SINGLET if self.dim == 2 else QUDIT_CORRELATED
@@ -120,6 +129,8 @@ class RunSpec:
         for name in ("dim", "control_prob", "seed"):
             object.__setattr__(self, name, getattr(config, name))
         object.__setattr__(self, "config", config)
+        if self.message is not None:
+            message_pairs(self.message, self.dim)
 
     @property
     def resolved_kind(self) -> str:

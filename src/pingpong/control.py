@@ -14,9 +14,10 @@ seeded Monte Carlo over the same tables. The sampler draws the uniforms
 per-trial `Generator.choice` would, in bounded chunks, and counts the hits
 in the failing cells' intervals of each table's running sum, so its failure
 count is choice's without materializing an outcome per trial. Uniforms that
-no count reads (a one-basis menu's basis draws, a mask with no failing run)
-are skipped by Philox counter (`rand.skip`), not drawn, and the stream ends
-where choice would leave it.
+no count reads are skipped by Philox counter (`rand.skip`), not drawn, and
+the stream ends where choice would leave it: a one-basis menu's basis
+draws, and the outcome draws of a table whose failing runs all carry no
+mass (every table of an undetectable attack) or span the whole running sum.
 The coupled state is the ensemble Eve's forward leg leaves behind, walked
 branch by branch from the handle's edges (`coupled_branches`), so an attack
 that measures or draws needs no second description of its forward leg. A
@@ -139,10 +140,15 @@ CONTROL_MODES = {
 }
 
 
-def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
-    """Resolve a control mode by its CLI name."""
+def check_name(name: str) -> None:
+    """Reject a name that is not a `CONTROL_MODES` key."""
     if name not in CONTROL_MODES:
         raise ValueError(f"unknown control mode {name!r}; choose from {' | '.join(CONTROL_MODES)}")
+
+
+def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
+    """Resolve a control mode by its CLI name."""
+    check_name(name)
     return CONTROL_MODES[name](cfg)
 
 
@@ -201,22 +207,32 @@ def _sample_failures(
     """Failing outcomes among `trials` control cycles drawn from `tables`.
 
     `rng.choice(n, size, p)` draws cell i exactly when cdf[i-1] <= u < cdf[i].
-    With C(i) the number of uniforms below cdf[i], the failing count is
-    sum_i fail[i] * (C(i) - C(i-1)) = sum_i (fail[i] - fail[i+1]) * C(i),
-    which needs C only where the mask changes. The uniforms are choice's, in
-    its order: `trials` for the basis, then `n_b` per basis drawn at least once.
+    With C(e) the number of uniforms below e, the failing count is
+    sum_i fail[i] * (C(cdf[i]) - C(cdf[i-1])) = sum_i (fail[i] - fail[i+1]) * C(cdf[i]),
+    which needs C only where the mask changes. Equal edges have equal C, so
+    each distinct edge is taken once with its net sign: a failing run of no
+    mass, or of less than the running sum resolves, cancels. As 0 <= u < 1,
+    an edge at 1.0 counts all n_b uniforms and one at 0.0 none, so only the
+    edges in between read them; with none left they are skipped by counter.
+    The uniforms are choice's, in its order: `trials` for the basis, then
+    `n_b` per basis drawn at least once.
     """
     weights = np.array([weight for weight, _, _ in tables])
     below = np.append(_hits(rng, trials, _cdf(weights / weights.sum())[:-1]), trials)
     failures = 0
-    for n_b, (_, table, fail) in zip(np.diff(below, prepend=0), tables):
+    for n_b, (_, table, fail) in zip(np.diff(below, prepend=0).tolist(), tables):
         if n_b == 0:
             continue
         flat = table.reshape(-1)
         mask = fail.reshape(-1).astype(np.int64)
         sign = mask - np.append(mask[1:], 0)
         at = np.flatnonzero(sign)
-        failures += int(sign[at] @ _hits(rng, int(n_b), _cdf(flat / flat.sum())[at]))
+        net: dict[float, int] = {}
+        for edge, step in zip(_cdf(flat / flat.sum())[at].tolist(), sign[at].tolist()):
+            net[edge] = net.get(edge, 0) + step
+        live = [edge for edge, step in net.items() if step and 0.0 < edge < 1.0]
+        failures += n_b * sum(step for edge, step in net.items() if edge >= 1.0)
+        failures += sum(net[edge] * int(c) for edge, c in zip(live, _hits(rng, n_b, np.array(live))))
     return failures
 
 

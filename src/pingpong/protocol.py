@@ -476,7 +476,7 @@ class Transcript:
         return len(self.control)
 
 
-def _message_pairs(message, dim: int) -> np.ndarray:
+def message_pairs(message, dim: int) -> np.ndarray:
     """`message` as an (m, 2) integer array of symbols below `dim`; symbols
     that are not integers are rejected, not truncated."""
     pairs = np.asarray(message)
@@ -554,7 +554,7 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
     for s, message in enumerate(messages):
         try:
-            pairs.append(_message_pairs(message, dim))
+            pairs.append(message_pairs(message, dim))
         except ValueError as exc:
             pairs.append(np.zeros((0, 2), dtype=np.int64))
             errors[s] = exc.with_traceback(None)

@@ -65,6 +65,29 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=field):
             RunSpec.from_dict(spec_dict(**{field: value}))
 
+    @pytest.mark.parametrize("field, message", [
+        ("attack", "unknown attack name 'bogus'; choose from " + " | ".join(attacks.ATTACK_NAMES)),
+        ("control", "unknown control mode 'bogus'; choose from " + " | ".join(control_mode.CONTROL_MODES)),
+    ], ids=["attack", "control"])
+    def test_names_checked_against_their_registry(self, field, message):
+        with pytest.raises(ValueError) as raised:
+            RunSpec.from_dict(spec_dict(**{field: "bogus"}))
+        assert str(raised.value) == message
+
+    def test_generic_family_file_is_read_by_its_run(self, tmp_path):
+        spec = RunSpec.from_dict(spec_dict(attack=f"generic:{tmp_path / 'absent.json'}",
+                                           control="computational", dim=3, cycles=0, trials=10))
+        row = execute_run(spec)
+        assert row["status"] == "error" and row["error"].startswith("FileNotFoundError")
+
+    def test_message_symbols_checked_against_dim(self):
+        with pytest.raises(ValueError, match=r"^message symbols \(5, 5\) out of range for dim 2$"):
+            RunSpec.from_dict(spec_dict(message=[[0, 1], [5, 5]]))
+        spec = RunSpec.from_dict(spec_dict(attack="qudit-shift", control="computational", dim=6,
+                                           message=[[5, 5]]))
+        with pytest.raises(ValueError, match="out of range for dim 5"):
+            dataclasses.replace(spec, dim=5)
+
     def test_integral_floats_accepted(self):
         spec = RunSpec.from_dict(spec_dict(dim=2.0, cycles=1e3, trials=1e5, seed=7.0,
                                            message=[[1.0, 0]]))
@@ -431,6 +454,11 @@ class TestMain:
         (["--dim", "2", "--control-prob", "2"], "control_prob must be in [0, 1], got 2.0"),
         (["--dim", "2", "--control-prob", "nan"], "control_prob must be in [0, 1], got nan"),
         (["--dim", "2", "--message", "0x"], "message chunk '0x' is not a digit pair"),
+        (["--dim", "2", "--message", "55,00"], "message symbols (5, 5) out of range for dim 2"),
+        (["--dim", "2", "--attack", "bogus"],
+         "unknown attack name 'bogus'; choose from " + " | ".join(attacks.ATTACK_NAMES)),
+        (["--dim", "2", "--control", "bogus"],
+         "unknown control mode 'bogus'; choose from " + " | ".join(control_mode.CONTROL_MODES)),
         (["--dim", "3", "--kind", "qubit_psi_minus"], "qubit_psi_minus requires dim = 2"),
         (["--dim", "2", "--output", "no-such-dir/report.json"], "no directory 'no-such-dir' for --output"),
     ])
@@ -445,6 +473,8 @@ class TestMain:
         ({"runs": [spec_dict(message=[1, 2])]}, "message must be"),
         ([spec_dict(trials=0)], "trials must be >= 1"),
         ([spec_dict(dim=3, kind="qubit_psi_minus")], "qubit_psi_minus requires dim = 2"),
+        ([spec_dict(attack="bogus")], "unknown attack name 'bogus'"),
+        ([spec_dict(message=[[2, 0]])], "message symbols (2, 0) out of range for dim 2"),
     ])
     def test_bad_spec_file_is_a_usage_error(self, tmp_path, capsys, payload, message):
         spec_path = tmp_path / "spec.json"

@@ -348,11 +348,20 @@ _RAGGED = _table(
     [0.1, 0.0, 0.2, 0.0, 0.15, 0.0, 0.05, 0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.1, 0.1, 0.05],
     [1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1],
 )
+# The failing run at the first cell carries 1e-300, so its edge is above 0.0
+# and is read; the failing runs at cells 2-3 (no mass) and 5 (less than the
+# running sum resolves) close at the edge they open at; one run ends at the
+# last cell.
+_FAINT = _table(
+    [1e-300, 0.3, 0.0, 0.0, 0.2, 1e-20, 0.25, 0.1, 0.15],
+    [1, 0, 1, 1, 0, 1, 0, 1, 1],
+)
 _ALL_FAIL = _table([0.4, 0.1, 0.3, 0.2], [1, 1, 1, 1])
 _NO_FAIL = _table([0.0, 0.5, 0.5, 0.0], [0, 0, 0, 0])
 
 SAMPLER_MENUS = {
     "ragged": [_RAGGED],
+    "faint": [_FAINT],
     "all-fail": [_ALL_FAIL],
     "no-fail": [_NO_FAIL],
     "three-bases": [(0.2, *_RAGGED[1:]), (0.5, *_ALL_FAIL[1:]), (0.3, *_NO_FAIL[1:])],
@@ -380,6 +389,51 @@ class TestCountingSampler:
             assert failures == oracles.choice_failures(chosen, SAMPLER_MENUS[menu], trials)
             # the same number of uniforms was drawn
             assert counted.random() == chosen.random()
+
+    @pytest.mark.parametrize(
+        "case",
+        [("qudit-shift", "computational", qudit_cfg(dim)) for dim in range(2, 17)]
+        + [("generic", "computational", qudit_cfg(3))],
+        ids=_case_id,
+    )
+    def test_undetectable_tables_draw_no_uniform(self, case, monkeypatch):
+        eve, control, cfg = _build(case)
+        made = []
+
+        class CountingGenerator:
+            """A `stream` generator that counts the `random()` calls made on it."""
+
+            def __init__(self, rng):
+                self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+            def random(self, *args):
+                self.calls += 1
+                return self.rng.random(*args)
+
+        def counting_stream(*key):
+            made.append(CountingGenerator(stream(*key)))
+            return made[-1]
+
+        monkeypatch.setattr(control_module, "stream", counting_stream)
+        trials = 3 * control_module._CHUNK + 17
+        report = empirical_pdet(eve, control, cfg, trials)
+        chosen = stream(cfg.seed, PDET_TAG)
+        tables = control_module._born_tables(eve, control, cfg)
+        assert report.failures == oracles.choice_failures(chosen, tables, trials) == 0
+        assert made[0].calls == 0
+        # the stream was moved past every uniform choice drew
+        assert made[0].rng.random() == chosen.random()
+
+    def test_a_faint_first_cell_takes_a_zero_uniform(self):
+        # random() returns 0.0 with probability 2^-53, and choice then draws
+        # the first cell of mass above 0, here the failing 1e-300 one
+        class ZeroUniforms:
+            bit_generator = np.random.Philox(0)
+
+            def random(self, size):
+                return np.zeros(size)
+
+        assert control_module._sample_failures(ZeroUniforms(), SAMPLER_MENUS["faint"], 100) == 100
 
     def test_edge_menus_give_their_trivial_counts(self):
         rng = philox_rng(3)
