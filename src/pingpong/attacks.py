@@ -92,19 +92,32 @@ class StateFamily:
         return len(self.states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingReport:
-    """Per-(k, m) residuals of the index-shift conditions on Q and Q^-1."""
+    """Residuals of the index-shift conditions on Q and Q^-1, as [k, m]
+    arrays; `rows` lists them per (k, m), built on first use."""
 
-    rows: tuple[tuple[int, int, float, float], ...]
+    forward: np.ndarray
+    backward: np.ndarray
     TOLERANCE = 1e-10  # a class constant, not a field: it has no annotation
 
     @property
+    def _ok(self) -> np.ndarray:
+        """Per (k, m), both residuals below TOLERANCE; a NaN one is not."""
+        return (self.forward < self.TOLERANCE) & (self.backward < self.TOLERANCE)
+
+    @property
     def passed(self) -> bool:
-        return not self.failures()
+        return bool(self._ok.all())
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int, float, float], ...]:
+        dim = len(self.forward)
+        ks, ms = np.divmod(np.arange(dim * dim), dim)
+        return tuple(zip(ks.tolist(), ms.tolist(), self.forward.ravel().tolist(), self.backward.ravel().tolist()))
 
     def failures(self) -> list[tuple[int, int, float, float]]:
-        return [row for row in self.rows if not all(r < self.TOLERANCE for r in row[2:])]
+        return [self.rows[i] for i in np.flatnonzero(~self._ok.ravel()).tolist()]
 
 
 @dataclass(frozen=True)
@@ -397,11 +410,7 @@ def validate_coupling(
     # U_k d_m - p_{m+k} as [k, ancilla, m], and (U_k^dagger p_m - d_{m-k})^* as [k, m, ancilla]
     fwd = blocks @ det - prb[:, shift].transpose(1, 0, 2)
     bwd = prb.conj().T @ blocks - det.conj().T[(levels - levels[:, None]) % dim]
-    fwd_res = np.linalg.norm(fwd, axis=1)
-    bwd_res = np.linalg.norm(bwd, axis=2)
-    ks, ms = np.divmod(np.arange(dim * dim), dim)
-    rows = zip(ks.tolist(), ms.tolist(), fwd_res.ravel().tolist(), bwd_res.ravel().tolist())
-    return CouplingReport(tuple(rows))
+    return CouplingReport(np.linalg.norm(fwd, axis=1), np.linalg.norm(bwd, axis=2))
 
 
 def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:

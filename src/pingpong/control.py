@@ -17,7 +17,8 @@ count is choice's without materializing an outcome per trial. Uniforms that
 no count reads are skipped by Philox counter (`rand.skip`), not drawn, and
 the stream ends where choice would leave it: a one-basis menu's basis
 draws, and the outcome draws of a table whose failing runs all carry no
-mass (every table of an undetectable attack) or span the whole running sum.
+mass (every table of an undetectable attack) or span the whole running sum;
+when no table's failing runs carry mass, the basis draws of any menu too.
 The coupled state is the ensemble Eve's forward leg leaves behind, walked
 branch by branch from the handle's edges (`coupled_branches`), so an attack
 that measures or draws needs no second description of its forward leg. A
@@ -201,6 +202,19 @@ def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _net_edges(table: np.ndarray, fail: np.ndarray) -> dict[float, int]:
+    """Each distinct running-sum edge above 0.0 where the failing mask
+    changes, with its net sign (see `_sample_failures`)."""
+    flat = table.reshape(-1)
+    mask = fail.reshape(-1).astype(np.int64)
+    sign = mask - np.append(mask[1:], 0)
+    at = np.flatnonzero(sign)
+    net: dict[float, int] = {}
+    for edge, step in zip(_cdf(flat / flat.sum())[at].tolist(), sign[at].tolist()):
+        net[edge] = net.get(edge, 0) + step
+    return {edge: step for edge, step in net.items() if step and edge > 0.0}
+
+
 def _sample_failures(
     rng: np.random.Generator, tables: list[tuple[float, np.ndarray, np.ndarray]], trials: int
 ) -> int:
@@ -215,22 +229,22 @@ def _sample_failures(
     an edge at 1.0 counts all n_b uniforms and one at 0.0 none, so only the
     edges in between read them; with none left they are skipped by counter.
     The uniforms are choice's, in its order: `trials` for the basis, then
-    `n_b` per basis drawn at least once.
+    `n_b` per basis drawn at least once. When no table a basis of weight
+    above 0 selects has an edge above 0.0, the count is 0 whatever the
+    basis draws, and all 2 * trials uniforms are skipped.
     """
     weights = np.array([weight for weight, _, _ in tables])
-    below = np.append(_hits(rng, trials, _cdf(weights / weights.sum())[:-1]), trials)
+    edges = _cdf(weights / weights.sum())[:-1]
+    nets = [_net_edges(table, fail) if weight > 0 else {} for weight, table, fail in tables]
+    if not any(nets):
+        skip(rng, 2 * trials)
+        return 0
+    below = np.append(_hits(rng, trials, edges), trials)
     failures = 0
-    for n_b, (_, table, fail) in zip(np.diff(below, prepend=0).tolist(), tables):
+    for n_b, net in zip(np.diff(below, prepend=0).tolist(), nets):
         if n_b == 0:
             continue
-        flat = table.reshape(-1)
-        mask = fail.reshape(-1).astype(np.int64)
-        sign = mask - np.append(mask[1:], 0)
-        at = np.flatnonzero(sign)
-        net: dict[float, int] = {}
-        for edge, step in zip(_cdf(flat / flat.sum())[at].tolist(), sign[at].tolist()):
-            net[edge] = net.get(edge, 0) + step
-        live = [edge for edge, step in net.items() if step and 0.0 < edge < 1.0]
+        live = [edge for edge in net if edge < 1.0]
         failures += n_b * sum(step for edge, step in net.items() if edge >= 1.0)
         failures += sum(net[edge] * int(c) for edge, c in zip(live, _hits(rng, n_b, np.array(live))))
     return failures

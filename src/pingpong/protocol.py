@@ -11,7 +11,11 @@ branch tree (`SessionTree`) it builds for them, a chunk of their cycles at a
 time: each tree level's draws come from the cycles' streams in one vectorized
 call (`rand.CycleDraws`), each node splits its cycles among its successors
 with array operations, and each session comes back as a columnar
-`Transcript`; `run_session` is the one-session call. A control cycle reads
+`Transcript`; `run_session` is the one-session call. `follow` walks a leg a
+tree level at a time: the nodes of a level with nothing built below them
+take its edge together, their states stacked, so the symbol pairs a
+post-forward node's cycles reach take their encoding, Eve's return legs,
+`factor` and Bob's decode in a few kernel calls. A control cycle reads
 the joint table P(alice, bob) of its post-forward node (`pair_probs`, the
 table detection sums), picks Alice's outcome from its marginal and Bob's
 from her row, and is judged by the menu basis's failing-pair mask; it
@@ -23,8 +27,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +37,8 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
+    _from_front,
+    _to_front,
     apply,
     born_table,
     collapse,
@@ -182,9 +188,19 @@ def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
 
 
-def dense_encode(state: StateVector, mu: int, nu: int, alg: QuditAlgebra) -> StateVector:
-    """Alice's dense coding: apply X^mu Z^nu on the travel register only."""
-    return apply(state, alg.encoding(mu, nu), TRAVEL)
+def dense_encode(state: StateVector, mu, nu, alg: QuditAlgebra) -> StateVector:
+    """Alice's dense coding: X^mu Z^nu on the travel register only. Given
+    arrays of symbols, the stack of `state` encoded under each pair, from one
+    gather: each travel level's amplitudes times its phase move to the level
+    mu above it, the values `apply` gives for the monomial encoding."""
+    dim = alg.dim
+    mu, nu = np.asarray(mu), np.asarray(nu)
+    if not ((0 <= mu) & (mu < dim) & (0 <= nu) & (nu < dim)).all():
+        raise ValueError(f"symbols ({mu}, {nu}) out of range for dim {dim}")
+    mat, order, _ = _to_front(state, (TRAVEL,))
+    source = (np.arange(dim) - mu[..., None]) % dim  # the level each level's amplitudes come from
+    phases = np.take_along_axis(_weyl_phases(dim, nu), source, axis=-1)
+    return StateVector(state.layout, _from_front(phases[..., None] * mat[source], state.layout, order))
 
 
 def _bell_matrix(dim: int, kind: str) -> np.ndarray:
@@ -217,37 +233,52 @@ def bell_states(cfg: ProtocolConfig) -> Basis:
     return Basis(_bell_matrix(cfg.dim, cfg.initial_state_kind), "bell")
 
 
-def bob_decode(state: StateVector, cfg: ProtocolConfig) -> tuple[int, int]:
+def bob_decode(state: StateVector, cfg: ProtocolConfig):
     """Identify the symbol pair whose encoded Bell state matches `state`.
 
     The match is by squared overlap, so global phases are ignored. Raises
     CoherenceBreakError when no Bell-basis element reaches overlap
-    1 - 1e-9, which is how a disturbed pair shows up.
+    1 - 1e-9, which is how a disturbed pair shows up. For a stack of states,
+    returns each row's pair, or the CoherenceBreakError it would raise, in a
+    list.
     """
     if state.layout.labels != (HOME, TRAVEL):
         raise ValueError(f"decoder expects labels (h, t), got {state.layout.labels}")
-    overlaps = np.abs(_decoder_matrix(cfg.dim, cfg.initial_state_kind) @ state.amps)
-    best = int(np.argmax(overlaps))
-    if not overlaps[best] > 1.0 - DECODE_ATOL:
-        raise CoherenceBreakError(
-            f"no Bell state matches (best overlap {overlaps[best]:.6f}); pair was disturbed"
-        )
-    return divmod(best, cfg.dim)
+    overlaps = np.abs(np.atleast_2d(state.amps) @ _decoder_matrix(cfg.dim, cfg.initial_state_kind).T)
+    found = [  # a NaN overlap is the row's max and matches nothing
+        divmod(best, cfg.dim) if overlap > 1.0 - DECODE_ATOL else
+        CoherenceBreakError(f"no Bell state matches (best overlap {overlap:.6f}); pair was disturbed")
+        for best, overlap in zip(overlaps.argmax(axis=1).tolist(), overlaps.max(axis=1).tolist())
+    ]
+    if state.amps.ndim == 2:
+        return found
+    if isinstance(found[0], CoherenceBreakError):
+        raise found[0]
+    return found[0]
 
 
 # --- branch edges ---------------------------------------------------------------
 #
 # An eavesdropper handle describes each leg of its attack as a tuple of edges.
-# An edge states three things. `branches` lists its outcomes from one state
-# as (outcome, probability, post-state thunk), lazily; `walk_leg` calls the
-# thunks for the exact ensemble a leg leaves behind (`deferred` first drops
-# the measurements a marginal does not need). `draw` takes the edge's
-# draw for each of a group of cycles from a `rand.CycleDraws` (None: the edge
-# draws nothing and has one outcome, None), and `outcomes` maps those draws
-# to outcomes at one node; `key` names the notes entry that records the
-# outcome. `draw_leg` takes a leg's draws one edge, so one tree level, at a
-# time, and `follow` walks the leg's edges through a configuration's branch
-# tree with them. The per-cycle stepwise reference is `tests/oracles.py::step`.
+# An edge states three things. `branches` takes a state, or a stack of them,
+# over it: its table (the states with a unitary applied, or their Born table)
+# and the outcome probabilities, a row per state, and `post` gives listed
+# rows' post-states for listed outcomes from the table (for one state, rows
+# None and one outcome). `draw` takes the edge's draw for each of a group of
+# cycles from a `rand.CycleDraws` (None: the edge draws nothing and has one
+# outcome, None), and `outcomes` maps those draws to outcomes at one node;
+# `key` names the notes entry that records the outcome. `draw_leg` takes a
+# leg's draws a tree level at a time, and `follow` walks the leg's edges
+# through a configuration's branch tree with them; `walk_leg` gives the exact
+# ensemble a leg leaves behind (`deferred` first drops the measurements a
+# marginal does not need). The per-cycle stepwise reference is
+# `tests/oracles.py::step`.
+
+# Amplitudes a stack of states holds at most in `follow`; a stack holds at
+# least one state. The 25 symbol pairs of a qudit-shift post-forward node at
+# D = 5 fit in one stack of (h, t, e) states, those at D = 7 in five, and
+# from D = 16 a stack is one state.
+SLICE_AMPS = 1 << 12
 
 
 class _Node:
@@ -257,7 +288,8 @@ class _Node:
     successors `run_session` keys by control basis and by symbol pair. A
     control basis's node is an end node: its `leaf` is the joint table
     P(alice, bob), and `probs` and `cum` are Alice's marginal and its
-    running sum.
+    running sum. A message leaf's `leaf` is Bob's decoded pair and Eve's
+    guess. A node with successors or a leaf needs no state to walk.
     """
 
     __slots__ = ("notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
@@ -274,12 +306,6 @@ class _Node:
         if node is None:
             node = self.next[key] = _Node(self.notes)
         return node
-
-
-def _memo(make):
-    """`make` as a zero-argument function that calls it at most once."""
-    kept = []
-    return lambda: kept[0] if kept else kept.append(make()) or kept[0]
 
 
 def _split(cycles: np.ndarray, values: np.ndarray) -> list:
@@ -312,40 +338,96 @@ def draw_leg(leg: Sequence, draws, cycles: np.ndarray) -> list:
     return taken
 
 
-def follow(leg: Sequence, node: _Node, state, cycles: np.ndarray, taken: list) -> Iterator:
-    """Each (node, state, cycles) the edges of `leg` lead the given cycles to
-    from `node`, depth-first, with the draws `draw_leg` took for them. Each
-    `state` is a zero-argument function for its node's state, called at most
-    once here.
+def _replay(leg: Sequence, states: StateVector, nodes: list) -> StateVector:
+    """The stack of the states of `nodes`, each at the end of `leg` from its
+    row of `states`: every edge is taken with the outcome the node's notes
+    record."""
+    rows = np.arange(len(nodes))
+    for edge in leg:
+        outcomes = None if edge.key is None else np.array([node.notes[edge.key] for node in nodes])
+        states = edge.post(edge.branches(states)[0], rows, outcomes)
+    return states
 
-    A node's first visit grows one successor per branch of the edge that
-    leaves it, recording the outcome under `edge.key`; its cycles are split
-    among its successors by their outcomes. A state is built only where a
-    node has no successors yet or the caller asks, so a caller that consumes
-    each end node before the next holds the states of one path.
+
+def follow(leg: Sequence, starts: list, taken: list, source: Callable, width: int) -> Iterator:
+    """Walk the cycles of each (node, cycles) in `starts` through `leg` a
+    tree level at a time, with the draws `draw_leg` took for them; yield the
+    (node, cycles) ends they reach, a list at a time, with the stack of their
+    states, or None where none was needed.
+
+    A node with successors, or a leaf value, splits its cycles among its
+    successors with no state. The nodes of a level with neither grow
+    together: their stacked states take the edge in one kernel call, each
+    state's outcomes with support become successors, and those its cycles
+    reach go down with their post-states. A node reached without its
+    parent's state (an earlier chunk built the parent) has its path replayed
+    from its start state, which `source(indices)` stacks for indices into
+    `starts`. A stack holds at most SLICE_AMPS amplitudes of states of
+    `width` amplitudes, or one state, and reaches the end of the leg before
+    the next is built.
     """
-    if not leg:
-        yield node, state, cycles
-        return
-    edge, rest = leg[0], leg[1:]
-    posts = {}  # this visit's post-state thunks by outcome
+    walk = _Walk(leg, taken, source, max(1, SLICE_AMPS // width))
+    return walk.descend(0, [(node, cycles, i) for i, (node, cycles) in enumerate(starts)])
 
-    def post(outcome):
-        if not posts:
-            posts.update((o, make) for o, _, make in edge.branches(state()))
-        return posts[outcome]()
 
-    if not node.next:
-        key, notes = edge.key, node.notes
-        for outcome, p, make in edge.branches(state()):
-            node.next[outcome] = _Node(notes if key is None else {**notes, key: outcome}, p)
-            posts[outcome] = make
+@dataclass(frozen=True)
+class _Walk:
+    """One `follow` call; an entry is (node, cycles, start index). Methods,
+    not nested functions: recursive closures would form a reference cycle
+    that keeps `source`, and the states it holds, until the next collection."""
+
+    leg: Sequence
+    taken: list
+    source: Callable
+    per: int
+
+    def slices(self, entries: list) -> list:
+        return [entries[lo:lo + self.per] for lo in range(0, len(entries), self.per)]
+
+    def descend(self, level: int, bare: list) -> Iterator:
+        """Take entries with no state from `level` to the end of the leg."""
+        built = [entry for entry in bare if entry[0].next or entry[0].leaf is not None]
+        if built and level == len(self.leg):
+            yield [entry[:2] for entry in built], None
+        elif built:
+            yield from self.descend(level + 1, [(node.next[outcome], sub, start) for node, cycles, start in built
+                                                for outcome, sub in _route(self.leg[level], self.taken[level], node, cycles)])
+        for part in self.slices([entry for entry in bare if not (entry[0].next or entry[0].leaf is not None)]):
+            nodes = [node for node, *_ in part]
+            yield from self.grow(level, part, _replay(self.leg[:level], self.source([s for *_, s in part]), nodes))
+
+    def grow(self, level: int, entries: list, states: StateVector) -> Iterator:
+        """Grow the entries' successors from their stacked states and take
+        those their cycles reach down with their post-states."""
+        if level == len(self.leg):
+            yield [entry[:2] for entry in entries], states
+            return
+        edge = self.leg[level]
+        table, probs = edge.branches(states)
+        del states  # only the table is read from here on
+        rows, cols = np.nonzero(probs > 0.0)
+        for row, col, p in zip(rows.tolist(), cols.tolist(), probs[rows, cols].tolist()):
+            node, outcome = entries[row][0], None if edge.key is None else col
+            node.next[outcome] = _Node(node.notes if edge.key is None else {**node.notes, edge.key: col}, p)
+        reached = [(row, outcome, (node.next[outcome], sub, start)) for row, (node, cycles, start) in enumerate(entries)
+                   for outcome, sub in _route(edge, self.taken[level], node, cycles)]  # (row, outcome, successor entry)
+        if edge.key is not None:  # a stack of one outcome takes a `DrawEdge` in one `apply`
+            reached.sort(key=lambda item: item[1])
+        parts = self.slices(reached)
+        for i, part in enumerate(parts):
+            rows, outcomes, succ = zip(*part)
+            below = self.grow(level + 1, list(succ), edge.post(table, np.array(rows), np.array(outcomes)))
+            if i == len(parts) - 1:
+                del table  # not held while the last stack goes down
+            yield from below
+
+
+def _route(edge, column, node: _Node, cycles: np.ndarray) -> list:
+    """(outcome, cycles) for each successor of `node` the cycles reach by
+    their draws in `column`."""
     if len(node.next) == 1:  # every draw picks the one successor
-        groups = [(next(iter(node.next)), cycles)]
-    else:
-        groups = _split(cycles, edge.outcomes(node, taken[0][cycles]))
-    for outcome, sub in groups:
-        yield from follow(rest, node.next[outcome], partial(post, outcome), sub, taken[1:])
+        return [(next(iter(node.next)), cycles)]
+    return _split(cycles, edge.outcomes(node, column[cycles]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,8 +438,12 @@ class UnitaryEdge:
     targets: tuple[str, ...]
     key = draw = None
 
-    def branches(self, state: StateVector) -> Iterator:
-        yield None, 1.0, partial(apply, state, self.op, self.targets)
+    def branches(self, state: StateVector) -> tuple:
+        """The states with the unitary applied; one outcome, None, each."""
+        return apply(state, self.op, self.targets), np.ones(state.amps.shape[:-1] + (1,))
+
+    def post(self, table: StateVector, rows, outcomes) -> StateVector:
+        return table if rows is None else table.take(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,12 +455,14 @@ class MeasureEdge:
     basis: Basis
     key: str
 
-    def branches(self, state: StateVector) -> Iterator:
-        """Each outcome with support, its Born probability and a thunk for
-        its collapsed state."""
+    def branches(self, state: StateVector) -> tuple:
+        """The states' Born table, and its probabilities."""
         table = born_table(state, self.labels, self.basis)
-        for outcome in np.flatnonzero(table.probs > 0.0).tolist():
-            yield outcome, float(table.probs[outcome]), partial(collapse, table, outcome)
+        return table, table.probs
+
+    def post(self, table, rows, outcomes) -> StateVector:
+        """Row rows[i]'s collapsed state for outcomes[i]."""
+        return collapse(table, outcomes, rows)
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
         """One uniform per cycle."""
@@ -404,10 +492,21 @@ class DrawEdge:
     ops: tuple[Optional[Operator], ...]
     targets: tuple[str, ...]
 
-    def branches(self, state: StateVector) -> Iterator:
-        n = len(self.ops)
-        for f, op in enumerate(self.ops):
-            yield f, 1.0 / n, (lambda: state) if op is None else partial(apply, state, op, self.targets)
+    def branches(self, state: StateVector) -> tuple:
+        """The states themselves; each f with probability 1 / len(ops)."""
+        return state, np.full(state.amps.shape[:-1] + (len(self.ops),), 1.0 / len(self.ops))
+
+    def post(self, table: StateVector, rows, outcomes) -> StateVector:
+        """Row rows[i] with ops[outcomes[i]] applied, one `apply` per
+        distinct f."""
+        fs = [outcomes] if rows is None else sorted(set(outcomes.tolist()))  # np.unique would import numpy.ma
+        if len(fs) > 1:
+            amps = np.empty((len(rows), table.layout.dim), dtype=np.complex128)
+            for f in fs:
+                amps[outcomes == f] = self.post(table, rows[outcomes == f], outcomes[outcomes == f]).amps
+            return StateVector(table.layout, amps)
+        part, op = table if rows is None else table.take(rows), self.ops[fs[0]]
+        return part if op is None else apply(part, op, self.targets)
 
     def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
         """One `integers(len(ops))` per cycle."""
@@ -424,8 +523,10 @@ def walk_leg(leg: Sequence, state: StateVector, prob: float = 1.0) -> Iterator:
     if not leg:
         yield prob, state
         return
-    for _, p, post in leg[0].branches(state):
-        yield from walk_leg(leg[1:], post(), prob * p)
+    table, probs = leg[0].branches(state)
+    for outcome, p in enumerate(probs.tolist()):
+        if p > 0.0:
+            yield from walk_leg(leg[1:], leg[0].post(table, None, outcome), prob * p)
 
 
 def deferred(leg: Sequence, keep: Sequence[str]) -> tuple:
@@ -534,11 +635,12 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
     draws from `stream(seed, SESSION_TAG, k)`. They must share dim and kind,
     which `eve` and `control` must act on. Their cycles, one session after
     another, go through a new tree a chunk (`rand.CHUNK`) at a time: a tree
-    level's draws in one call, then depth-first, one post-forward node at a
-    time. A session fails at its first cycle that runs out of message or
-    reaches a coherence break in Bob's decoder, and takes no cycles into later
-    chunks; the others go on. It is yielded once the chunk with its last cycle
-    has been walked."""
+    level's draws in one call, then the forward leg from the root (`follow`),
+    then per post-forward node its control checks and the return legs of its
+    symbol pairs, walked together. A session fails at its first cycle that
+    runs out of message or reaches a coherence break in Bob's decoder, and
+    takes no cycles into later chunks; the others go on. It is yielded once
+    the chunk with its last cycle has been walked."""
     messages = list(messages)
     if len(messages) != len(cfgs):
         raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
@@ -551,6 +653,14 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
     tree = SessionTree(cfgs[0], eve)
     dim, alg = cfgs[0].dim, algebra(cfgs[0].dim)
     attached, forward, returned = tree.state, tree.forward, tree.returned
+    width = attached.layout.dim
+
+    def origin(starts):  # the forward walk's start state, the attached pair, once per start
+        return attached.take(np.zeros(len(starts), dtype=np.intp))
+
+    def replayed(node):  # a post-forward node's state, replayed from the attached pair
+        return _replay(forward, origin([0]), [node]).take(0)
+
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
     for s, message in enumerate(messages):
         try:
@@ -605,36 +715,48 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
             limit[s] = msg[first[s] + n_pairs[s] - sent[s]]
             errors[s] = ValueError("message exhausted before the session finished")
 
-        for node, state, group in follow(forward, tree.root, lambda: attached, everyone, there):
-            state, group = _memo(state), group[group < limit[owner[group]]]  # the state is shared below
+        def visit(node: _Node, group: np.ndarray, state: Optional[StateVector]) -> None:
+            """Take a post-forward node's cycles of this chunk through their
+            control checks and their symbol pairs' return walks; `state` is
+            the node's state, or None if the forward walk did not build it."""
+            group = group[group < limit[owner[group]]]
             mode = is_control[group]
+            cycles = group[mode]
+            checks = [(b, sub, node.child(control.bases[b].basis_id)) for b, sub in _split(cycles, chosen[cycles])]
             cycles = group[~mode]
             codes = message[at[cycles]]
-            for code, sub in _split(cycles, codes[:, 0] * dim + codes[:, 1]):
-                mu, nu = divmod(code, dim)
-                walk = follow(returned, node.child((mu, nu)),
-                              lambda: dense_encode(state(), mu, nu, alg), sub, back)
-                for leaf, final, reached in walk:
-                    if leaf.leaf is None:
-                        try:
-                            got = bob_decode(factor(final(), (HOME, TRAVEL)), cfgs[0])
-                        except CoherenceBreakError as exc:  # each session's first cycle here fails
+            by_pair = _split(cycles, codes[:, 0] * dim + codes[:, 1])
+            mu, nu = np.divmod(np.array([code for code, _ in by_pair], dtype=np.int64), dim)
+            starts = [(node.child(divmod(code, dim)), sub) for code, sub in by_pair]
+            if state is None and (any(check.leaf is None for *_, check in checks)
+                                  or not all(pair_node.next for pair_node, _ in starts)):
+                state = replayed(node)  # built in an earlier chunk
+
+            def encoded(rows):
+                """The listed pairs' encodings of the node's state, one gather."""
+                return dense_encode(state if state is not None else replayed(node), mu[rows], nu[rows], alg)
+
+            for leaves, finals in follow(returned, starts, back, encoded, width):
+                if finals is not None:  # dropped before the walk builds the next stack
+                    found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), cfgs[0]), None
+                    for (leaf, reached), got in zip(leaves, found):
+                        if isinstance(got, CoherenceBreakError):  # each session's first cycle here fails
                             hit, where = np.unique(owner[reached], return_index=True)
                             for s, k in zip(hit.tolist(), reached[where].tolist()):
                                 if k < limit[s]:
-                                    limit[s], errors[s] = k, exc.with_traceback(None)
+                                    limit[s], errors[s] = k, got
                             continue
                         mu_hat = eve.guess(leaf.notes)
                         leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
-                    at_rank = rank[reached]
-                    decoded[at_rank], guess[at_rank] = leaf.leaf
+                for leaf, reached in leaves:
+                    if leaf.leaf is not None:
+                        at_rank = rank[reached]
+                        decoded[at_rank], guess[at_rank] = leaf.leaf
 
-            cycles = group[mode]
-            for b, sub in _split(cycles, chosen[cycles]):
+            for b, sub, check in checks:
                 entry = control.bases[b]
-                check = node.child(entry.basis_id)
                 if check.leaf is None:
-                    check.leaf = pair_probs(state(), entry.basis)
+                    check.leaf = pair_probs(state, entry.basis)
                     check.probs = check.leaf.sum(axis=1)
                     check.cum = running_sum(check.probs)
                 for a, reached in _split(sub, pick(check.probs, check.cum, alice_u[sub])):
@@ -643,6 +765,11 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
                     at_rank = rank[reached]
                     basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
                     passed[at_rank] = ~entry.fail[a, bob]
+
+        for nodes, states in follow(forward, [(tree.root, everyone)], there, origin, width):
+            for i, (node, group) in enumerate(nodes):
+                visit(node, group, None if states is None else states.take(i))
+            del states  # not held while the walk builds the next stack
 
         present = np.flatnonzero(np.bincount(owner))  # each session's cycles are consecutive in every column
         bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]

@@ -2,7 +2,11 @@
 
 Subsystems are named and may have different dimensions; amplitudes live in a
 flat complex vector with row-major mixed-radix indexing following the layout
-order. Everything is immutable: operations return new values.
+order. Everything is immutable: operations return new values. A state may
+also be a stack of states on one layout, one per row of a (k, N) amplitude
+array; `apply`, `born_table`, `collapse` and `factor` act on every row in
+one call, and a single state is their one-row case. Each row's arithmetic
+does not depend on the rows beside it.
 
 An operator keeps the structure it is built with. A monomial one (a
 permutation times phases: the Weyl encodings, the swap, and the block
@@ -63,15 +67,15 @@ class SubsystemLayout:
     def of(cls, *entries: tuple[str, int]) -> "SubsystemLayout":
         return cls(tuple(entries))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.entries)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.entries)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
 
@@ -96,14 +100,15 @@ class SubsystemLayout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over a SubsystemLayout. Treated as immutable."""
+    """Complex amplitude vector over a SubsystemLayout, or a stack of them as
+    the rows of a (k, N) array. Treated as immutable."""
 
     layout: SubsystemLayout
     amps: np.ndarray
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        if a.shape != (self.layout.dim,):
+        if a.ndim not in (1, 2) or a.shape[-1] != self.layout.dim:
             raise LayoutError(
                 f"amplitude length {a.shape} does not match layout dimension {self.layout.dim}"
             )
@@ -134,11 +139,22 @@ class StateVector:
         return cls(layout, amps)
 
     @property
-    def norm(self) -> float:
-        return math.sqrt(np.vdot(self.amps, self.amps).real)
+    def norm(self):
+        """The norm, or for a stack each row's."""
+        if self.amps.ndim == 1:
+            return math.sqrt(np.vdot(self.amps, self.amps).real)
+        parts = self.amps.view(np.float64)  # real and imaginary parts, with no copy
+        return np.sqrt(np.matmul(parts[:, None, :], parts[:, :, None])[:, 0, 0])
 
     def reshaped(self) -> np.ndarray:
-        return self.amps.reshape(self.layout.dims)
+        return self.amps.reshape(self.amps.shape[:-1] + self.layout.dims)
+
+    def take(self, rows) -> "StateVector":
+        """Rows of a stack, a single state being its one row: a stack for an
+        array of rows (the stack itself for all of them in order), a single
+        state for one row."""
+        amps = np.atleast_2d(self.amps)
+        return StateVector(self.layout, amps if np.array_equal(rows, np.arange(len(amps))) else amps[rows])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -299,21 +315,24 @@ def _normalize_labels(labels) -> tuple[str, ...]:
 
 
 def _to_front(state: StateVector, labels: tuple[str, ...]) -> tuple[np.ndarray, list[int], int]:
-    """Reshape amplitudes with the target axes moved to the front, in order.
+    """Reshape amplitudes with the target axes moved to the front, in order,
+    behind a stack's row axis: (front, rest), or (k, front, rest).
 
     The returned axis order is the target axes, then the rest in layout
     order; `_from_front` undoes it."""
     axes = [state.layout.position(lbl) for lbl in labels]
     order = axes + [i for i in range(len(state.layout.entries)) if i not in axes]
-    psi = state.reshaped().transpose(order)
+    n = state.amps.ndim - 1  # 1 for a stack's row axis
+    psi = state.reshaped().transpose(list(range(n)) + [n + a for a in order])
     front = math.prod(state.layout.dim_of(lbl) for lbl in labels)
-    return psi.reshape(front, -1), order, front
+    return psi.reshape(state.amps.shape[:-1] + (front, -1)), order, front
 
 
-def _from_front(mat: np.ndarray, state: StateVector, order: list[int]) -> np.ndarray:
-    dims = state.layout.dims
+def _from_front(mat: np.ndarray, layout: SubsystemLayout, order: list[int]) -> np.ndarray:
+    dims, lead = layout.dims, mat.shape[:-2]
     inverse = sorted(range(len(order)), key=order.__getitem__)
-    return mat.reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
+    psi = mat.reshape(lead + tuple(dims[a] for a in order))
+    return psi.transpose(list(range(len(lead))) + [len(lead) + a for a in inverse]).reshape(lead + (-1,))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -322,11 +341,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def apply(state: StateVector, op: Operator, targets) -> StateVector:
-    """Apply `op` on the ordered target subsystems, identity elsewhere.
+    """Apply `op` on the ordered target subsystems, identity elsewhere, to a
+    state or to each row of a stack.
 
-    Application preserves the norm within 1e-12 (verified). A monomial
-    operator moves each target row of amplitudes to its image row, times its
-    phase; a block-diagonal one multiplies each block's rows by its block.
+    Application preserves the norm within 1e-12 (verified per row). A
+    monomial operator moves each target row of amplitudes to its image row,
+    times its phase; a block-diagonal one multiplies each block's rows by its
+    block, one matrix product per block and state.
     """
     targets = _normalize_labels(targets)
     target_dim = math.prod(state.layout.dim_of(lbl) for lbl in targets)
@@ -337,24 +358,28 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     mat, order, _ = _to_front(state, targets)
     if op.rows is not None:
         new = np.empty_like(mat)
-        new[op.rows] = mat if op.phases is None else op.phases[:, None] * mat
+        new[..., op.rows, :] = mat if op.phases is None else op.phases[:, None] * mat
     else:
-        new = np.matmul(op.blocks, mat.reshape(len(op.blocks), op.blocks.shape[1], -1))
-    out = StateVector(state.layout, _from_front(new, state, order))
-    if not abs(out.norm - state.norm) <= ATOL_ALGEBRA:
-        raise ArithmeticError(f"unitary application drifted the norm by {abs(out.norm - state.norm):.3e}")
+        new = np.matmul(op.blocks, mat.reshape(mat.shape[:-2] + op.blocks.shape[:2] + (-1,))).reshape(mat.shape)
+    out = StateVector(state.layout, _from_front(new, state.layout, order))
+    drift = np.abs(out.norm - state.norm)
+    if not np.all(drift <= ATOL_ALGEBRA):
+        raise ArithmeticError(f"unitary application drifted the norm by {np.max(drift):.3e}")
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class BornTable:
-    """Outcome probabilities of one projective measurement of a fixed state.
+    """Outcome probabilities of one projective measurement of a fixed state,
+    or of each row of a stack, on `layout`.
 
     `coeffs` holds one row of basis coefficients per outcome, taken over the
-    amplitudes with their axes in `order`, the measured axes first.
+    amplitudes with their axes in `order`, the measured axes first; for a
+    stack, `coeffs` and `probs` lead with the stack's row axis. The table
+    keeps no reference to the measured states.
     """
 
-    state: StateVector
+    layout: SubsystemLayout
     labels: tuple[str, ...]
     basis: Basis
     order: list[int]
@@ -369,9 +394,9 @@ def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
     if basis.dim != front:
         raise ValueError(f"basis dim {basis.dim} does not match measured dim {front}")
     coeffs = basis.matrix.conj().T @ mat
-    probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
+    probs = np.einsum("...ij,...ij->...i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
-    return BornTable(state, labels, basis, order, coeffs, probs)
+    return BornTable(state.layout, labels, basis, order, coeffs, probs)
 
 
 def running_sum(probs: np.ndarray) -> np.ndarray:
@@ -392,29 +417,34 @@ def pick(probs: np.ndarray, cum: np.ndarray, u):
     return outcome
 
 
-def collapse(table: BornTable, outcome: int) -> StateVector:
-    """The renormalized post-measurement state for one outcome with support."""
-    state = table.state
-    amps = table.coeffs[outcome] / math.sqrt(table.probs[outcome])
-    post = np.outer(table.basis.matrix[:, outcome], amps)
-    return StateVector(state.layout, _from_front(post, state, table.order))
+def collapse(table: BornTable, outcome, rows=None) -> StateVector:
+    """The renormalized post-measurement state for one outcome with support.
+    For a stack's table, the stack of row rows[i]'s state for outcome[i]."""
+    index = (outcome,) if rows is None else (rows, outcome)
+    amps = table.coeffs[index] / np.sqrt(table.probs[index])[..., None]
+    post = table.basis.matrix[:, outcome].T[..., :, None] * amps[..., None, :]
+    return StateVector(table.layout, _from_front(post, table.layout, table.order))
 
 
 def factor(state: StateVector, keep) -> StateVector:
-    """Extract the pure factor on `keep`, requiring a product structure.
+    """Extract the pure factor on `keep`, requiring a product structure, of
+    a state or of each row of a stack.
 
-    Raises ValueError when the state is entangled across the cut (residual
+    Raises ValueError when a state is entangled across the cut (residual
     above ATOL_STATE). The returned factor carries the phase of its dominant
     component; callers that care about global phase should not factor.
     """
     keep = _normalize_labels(keep)
     mat, _, _ = _to_front(state, keep)
-    col_norms = np.linalg.norm(mat, axis=0)
-    j = int(np.argmax(col_norms))
-    u = mat[:, j] / col_norms[j]
-    residual = np.linalg.norm(mat - np.outer(u, u.conj() @ mat))
-    if not residual <= ATOL_STATE:
-        raise ValueError(f"state does not factorize over {keep} (residual {residual:.3e})")
+    col_norms = np.linalg.norm(mat, axis=-2)
+    j = np.argmax(col_norms, axis=-1)[..., None]
+    u = np.take_along_axis(mat, j[..., None, :], axis=-1)[..., 0] / np.take_along_axis(col_norms, j, axis=-1)
+    rest = (u.conj()[..., None, :] @ mat)[..., 0, :]
+    off = u[..., :, None] * rest[..., None, :]
+    residual = np.linalg.norm(np.subtract(mat, off, out=off), axis=(-2, -1)).reshape(-1)
+    bad = residual[~(residual <= ATOL_STATE)]  # a NaN residual fails too
+    if bad.size:
+        raise ValueError(f"state does not factorize over {keep} (residual {bad[0]:.3e})")
     return StateVector(state.layout.select(keep), u)
 
 

@@ -8,7 +8,9 @@ state-vector loop that `run_session`'s transcripts are compared with. It takes
 a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
 `protocol.follow` must agree with draw for draw, and the menu loop
-`draw_basis`. `measure` is its one measurement on one uniform, built from
+`draw_basis`. `branches` and `take` give one edge's outcomes and one
+outcome's state from one state, the reference a grown tree node is checked
+against. `measure` is its one measurement on one uniform, built from
 `born_table`, `running_sum`, `pick` and `collapse`; a control cycle measures
 Alice and then Bob this way and is judged by the basis's failing-pair mask.
 Both give each cycle as a record, a plain dict in the shape of
@@ -199,6 +201,29 @@ def step(edge, state, rng, notes):
     f = int(rng.integers(len(edge.ops)))
     notes[edge.key] = f
     op = edge.ops[f]
+    return state if op is None else apply(state, op, edge.targets)
+
+
+def branches(edge, state):
+    """One branch edge's outcomes with support from one state and their
+    probabilities, by the reference routes: a unitary's one outcome, None; a
+    `DrawEdge`'s uniform f; a measurement's Born probabilities above 0."""
+    if isinstance(edge, UnitaryEdge):
+        return {None: 1.0}
+    if isinstance(edge, MeasureEdge):
+        probs = born_table(state, edge.labels, edge.basis).probs
+        return {outcome: float(probs[outcome]) for outcome in np.flatnonzero(probs > 0.0).tolist()}
+    return {f: 1.0 / len(edge.ops) for f in range(len(edge.ops))}
+
+
+def take(edge, state, outcome):
+    """One branch edge on one state with its outcome given: the state
+    `step` leaves when its draw picks `outcome`."""
+    if isinstance(edge, UnitaryEdge):
+        return apply(state, edge.op, edge.targets)
+    if isinstance(edge, MeasureEdge):
+        return collapse(born_table(state, edge.labels, edge.basis), outcome)
+    op = edge.ops[outcome]
     return state if op is None else apply(state, op, edge.targets)
 
 
@@ -489,7 +514,7 @@ def matrix_power_encodings(dim):
 def dense_apply(state, matrix, targets):
     """`matrix` on the ordered target registers by one dense matmul."""
     mat, order, _ = _to_front(state, tuple(targets))
-    return StateVector(state.layout, _from_front(matrix @ mat, state, order))
+    return StateVector(state.layout, _from_front(matrix @ mat, state.layout, order))
 
 
 def dense_encode_bell_matrix(dim, kind):

@@ -339,8 +339,10 @@ class TestValidateCoupling:
         assert len(report.rows) == 16
         assert report.passed
         # a NaN residual fails, wherever it sits in its row
-        for row in ((3, 3, 0.0, math.nan), (3, 3, math.nan, 0.0)):
-            broken = replace(report, rows=report.rows[:-1] + (row,))
+        for field in ("forward", "backward"):
+            residuals = getattr(report, field).copy()
+            residuals[3, 3] = math.nan
+            broken = replace(report, **{field: residuals})
             assert not broken.passed and [bad[:2] for bad in broken.failures()] == [(3, 3)]
 
 

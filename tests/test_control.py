@@ -393,7 +393,9 @@ class TestCountingSampler:
     @pytest.mark.parametrize(
         "case",
         [("qudit-shift", "computational", qudit_cfg(dim)) for dim in range(2, 17)]
-        + [("generic", "computational", qudit_cfg(3))],
+        + [("generic", "computational", qudit_cfg(3))]
+        # two bases, but no failing mass: no count reads the basis draws either
+        + [("none", "two-basis", qubit_cfg())],
         ids=_case_id,
     )
     def test_undetectable_tables_draw_no_uniform(self, case, monkeypatch):

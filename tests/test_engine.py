@@ -37,7 +37,7 @@ from pingpong.protocol import (
     run_session,
     run_sessions,
 )
-from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, pick, running_sum
+from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, factor, pick, running_sum
 from pingpong.rand import SESSION_TAG, CycleDraws, stream
 
 CYCLES = 100
@@ -258,6 +258,16 @@ class _Uniforms:
         return self.us[cycles]
 
 
+def _followed(edge, node, state, cycles, taken):
+    """`follow` over the one edge from `node`, whose state is `state`: each
+    (successor, its state, its cycles)."""
+    def source(starts):
+        return state.take(np.zeros(len(starts), dtype=np.intp))
+
+    walk = follow((edge,), [(node, cycles)], taken, source, state.layout.dim)
+    return [(succ, states.take(i), sub) for ends, states in walk for i, (succ, sub) in enumerate(ends)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kind", ("unitary", "measure", "draw", "measure-sparse"))
 def test_follow_from_a_fresh_node_matches_step(kind, seed):
@@ -267,23 +277,23 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
         draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n)), stream(seed, SESSION_TAG, k)
         node, cycles = protocol._Node({"earlier": 1}), np.array([k])
         taken = draw_leg((edge,), draws, cycles)
-        [(succ, built, cycles)] = follow((edge,), node, lambda: state, cycles, taken)
+        [(succ, built, cycles)] = _followed(edge, node, state, cycles, taken)
         notes = {"earlier": 1}
         post = oracles.step(edge, state, rng_step, notes)
-        assert np.array_equal(built().amps, post.amps)
+        assert np.array_equal(built.amps, post.amps)
         assert succ.notes == notes and cycles.tolist() == [k]
         assert draws.random(cycles)[0] == rng_step.random()
     # all cycles from one fresh node at once: each goes where `step` takes it
     draws, cycles = CycleDraws(seed, SESSION_TAG, np.arange(n)), np.arange(n)
     taken = draw_leg((edge,), draws, cycles)
-    reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
+    reached = _followed(edge, protocol._Node({}), state, cycles, taken)
     assert sorted(k for _, _, cycles in reached for k in cycles.tolist()) == list(range(n))
     for succ, post, cycles in reached:
         for k in cycles.tolist():
             notes = {}
             stepped = oracles.step(edge, state, stream(seed, SESSION_TAG, k), notes)
             assert succ.notes == notes
-            assert np.array_equal(post().amps, stepped.amps)
+            assert np.array_equal(post.amps, stepped.amps)
 
 
 def test_measure_follow_picks_from_the_full_born_table():
@@ -295,14 +305,14 @@ def test_measure_follow_picks_from_the_full_born_table():
     uniforms = [u for c in cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
     cycles = np.arange(len(uniforms))
     taken = draw_leg((edge,), _Uniforms(uniforms), cycles)
-    reached = list(follow((edge,), protocol._Node({}), lambda: state, cycles, taken))
+    reached = _followed(edge, protocol._Node({}), state, cycles, taken)
     assert sum(len(cycles) for _, _, cycles in reached) == len(uniforms)
     for succ, post, cycles in reached:
         for k in cycles.tolist():
             notes = {}
             stepped = oracles.step(edge, state, FixedUniform(uniforms[k]), notes)
             assert succ.notes == notes
-            assert np.array_equal(post().amps, stepped.amps)
+            assert np.array_equal(post.amps, stepped.amps)
     # the boundaries tell the full table from one over the supported outcomes
     support = np.array(SPARSE_SUPPORT)
     supported = table.probs[support]
@@ -369,9 +379,10 @@ def test_long_session_memory_is_its_columns_and_one_chunk():
 
 
 def test_session_holds_the_states_of_one_path_not_of_a_tree_level():
-    """The walk is depth-first: a D=16 session whose message cycles reach
-    ~250 of the 256 symbol pairs holds a few encoded states at a time, not
-    one per pair (256 states of D^3 amplitudes would be ~16 MiB)."""
+    """The walk takes each stack of at most `SLICE_AMPS` amplitudes to the
+    end of the leg before building the next: a D=16 session whose message
+    cycles reach ~250 of the 256 symbol pairs holds a few encoded states at
+    a time, not one per pair (256 states of D^3 amplitudes would be ~16 MiB)."""
     dim, cycles = 16, 1200
     cfg, eve, mode = _setup(("qudit-shift", "computational", dim, "qudit_beta00"), 0.0, 5, cycles=cycles)
     message = draw_message(dim, cycles, 5)
@@ -578,9 +589,9 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
     collapsed, tabled = [], []
     original_collapse, original_pair_probs = protocol.collapse, protocol.pair_probs
 
-    def counting_collapse(table, outcome):
-        collapsed.append(table.labels)
-        return original_collapse(table, outcome)
+    def counting_collapse(table, outcome, rows=None):
+        collapsed.extend([table.labels] * np.size(outcome))  # one entry per collapsed state
+        return original_collapse(table, outcome, rows)
 
     def counting_pair_probs(state, basis):
         tabled.append(basis)
@@ -604,3 +615,119 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
     checks = [succ for node in _nodes(trees[-1].root) for key, succ in node.next.items() if key in basis_ids]
     assert checks and all(check.leaf.shape == (cfg.dim, cfg.dim) for check in checks)
     assert len(tabled) == len(checks)
+
+
+def _reference_walk(node, state, leg):
+    """(node, state) at the end of `leg` for each grown path from `node`,
+    whose state is `state`, by the single-state reference routes; each grown
+    node on the way is checked: its successors are its state's outcomes with
+    support, with their probabilities, each recording its outcome."""
+    if not leg:
+        yield node, state
+        return
+    if not node.next:
+        return
+    edge = leg[0]
+    assert {outcome: succ.prob for outcome, succ in node.next.items()} == oracles.branches(edge, state)
+    for outcome, succ in node.next.items():
+        assert succ.notes == (node.notes if edge.key is None else {**node.notes, edge.key: outcome})
+        yield from _reference_walk(succ, oracles.take(edge, state, outcome), leg[1:])
+
+
+def _check_tree(tree, cfg, eve, mode):
+    """Every node the walk grew, against the reference routes: branch
+    probabilities and notes, each control node's joint table, and each
+    message leaf's decode and guess. Returns the message leaves' count of
+    readout outcomes with support."""
+    supports = []
+    for post, state in _reference_walk(tree.root, tree.state, tree.forward):
+        for key, succ in post.next.items():
+            if isinstance(key, str):
+                entry = next(entry for entry in mode.bases if entry.basis_id == key)
+                assert np.array_equal(succ.leaf, protocol.pair_probs(state, entry.basis))
+                continue
+            encoded = protocol.dense_encode(state, *key, algebra(cfg.dim))
+            ends = list(_reference_walk(succ, encoded, tree.returned))
+            for leaf, final in ends:
+                if leaf.leaf is not None:
+                    guess = eve.guess(leaf.notes)
+                    assert leaf.leaf == (protocol.bob_decode(factor(final, ("h", "t")), cfg), -1 if guess is None else guess)
+            supports.append(len(ends))
+    return supports
+
+
+def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(monkeypatch):
+    """A random generic family: each readout leaves several outcomes with
+    support (float leakage gives the unpicked ones tiny probabilities), so
+    stacked states grow different numbers of successors. Transcripts equal
+    the stepper's, and every grown node equals the single-state routes."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    trees = _built_trees(monkeypatch)
+    for dim, anc in ((3, 4), (4, 7)):
+        rng = np.random.default_rng(dim)
+        eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
+        cfg = ProtocolConfig(dim, 0.2, 3 * SMALL_CHUNK, 3, "qudit_beta00")
+        mode = control_mode.from_name("computational", cfg)
+        assert len(_both(cfg, draw_message(dim, cfg.n_cycles, 3), eve, mode)) == cfg.n_cycles
+        supports = _check_tree(trees[-1], cfg, eve, mode)
+        assert len(supports) > dim and max(supports) > 1
+
+
+@pytest.mark.parametrize("case", [COUPLINGS[8], INTERCEPT_RESEND[2]], ids=lambda c: f"{c[0]}-d{c[2]}")
+def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeypatch):
+    """2 x CHUNK cycles. A qudit-shift message of one pair for the first
+    chunk, then every pair: the second chunk reaches new symbol pairs of a
+    post-forward node the first chunk built. All-control intercept-resend
+    with a first chunk of few cycles: the second chunk reaches `genuine`
+    outcomes the first only grew. Either replays a path from its start
+    state; transcripts and nodes equal the references."""
+    chunk = 4
+    monkeypatch.setattr(rand, "CHUNK", chunk)
+    control_prob = 1.0 if case in INTERCEPT_RESEND else 0.0
+    cfg, eve, mode = _setup(case, control_prob, 2, cycles=2 * chunk)
+    pairs = [(mu, nu) for mu in range(cfg.dim) for nu in range(cfg.dim)]
+    message = [(0, 0)] * chunk + pairs[::-1][:chunk]
+    replays, original = [], protocol._replay
+
+    def recording(leg, states, nodes):
+        replays.append((len(leg), len(nodes)))
+        return original(leg, states, nodes)
+
+    monkeypatch.setattr(protocol, "_replay", recording)
+    trees = _built_trees(monkeypatch)
+    assert len(_both(cfg, message, eve, mode)) == cfg.n_cycles
+    _check_tree(trees[-1], cfg, eve, mode)
+    replays = [depth for depth, _ in replays if depth]  # past a start state
+    if case in INTERCEPT_RESEND:
+        # a `genuine` outcome (through the swap) and a post-forward node
+        assert sorted(replays) == [2, 3]
+    else:
+        # the post-forward node, for its new pairs
+        assert replays == [len(eve.forward_leg)]
+
+
+def test_no_stack_holds_more_than_the_slice_bound(monkeypatch):
+    """Every state a session's kernels take or give is one state, or a
+    stack of at most SLICE_AMPS amplitudes; stacks of several states do
+    occur."""
+    stacks = []
+
+    def recording(name):
+        original = getattr(protocol, name)
+
+        def kernel(*args):
+            out = original(*args)
+            for value in (*args, out):
+                if isinstance(value, StateVector) and value.amps.ndim == 2:
+                    stacks.append(value.amps.shape)
+            return out
+
+        monkeypatch.setattr(protocol, name, kernel)
+
+    for name in ("apply", "born_table", "collapse", "factor", "dense_encode", "bob_decode"):
+        recording(name)
+    for dim, cycles in ((7, 400), (16, 300)):
+        cfg, eve, mode = _setup(("qudit-shift", "computational", dim, "qudit_beta00"), 0.1, 4, cycles=cycles)
+        run_session(cfg, draw_message(dim, cycles, 4), eve, mode)
+    assert max(rows for rows, _ in stacks) > 1
+    assert all(rows == 1 or rows * size <= protocol.SLICE_AMPS for rows, size in stacks)
