@@ -28,9 +28,11 @@ from .protocol import (
     MAX_DIM,  # noqa: F401 - re-exported beside MAX_CYCLES and MAX_TRIALS
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
+    SLICE_AMPS,
     ProtocolConfig,
     Transcript,
     as_integer,
+    attached_width,
     message_pairs,
     run_sessions,
 )
@@ -192,9 +194,9 @@ def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
 
 
 def _group_key(spec: RunSpec) -> tuple:
-    """A run's configuration: the attack (and a digest of a generic family
-    file's contents), the control, dim and kind. A key lives for one call,
-    so the process's 64-bit hash of the contents serves as the digest."""
+    """A run's configuration: its attack (the name, a digest of a generic
+    family file's contents, and dim), the control and kind. A key lives for
+    one call, so the process's 64-bit hash of the contents serves as the digest."""
     digest = None
     if spec.attack.startswith(attacks.GENERIC_PREFIX):
         family = Path(spec.attack[len(attacks.GENERIC_PREFIX):])
@@ -202,34 +204,57 @@ def _group_key(spec: RunSpec) -> tuple:
             digest = hash(family.read_bytes())
         except OSError:
             pass  # each run reports the error when it loads the file
-    return (spec.attack, digest, spec.control, spec.dim, spec.resolved_kind)
+    return (spec.attack, digest, spec.dim, spec.control, spec.resolved_kind)
 
 
-def _walk(specs: list[RunSpec], eve, mode) -> dict:
-    """Each run's session fields and seconds, for runs of one configuration
-    walked together: a transcript is scored as soon as it is yielded, and a
-    run is charged its scoring time plus its cycles' share of the walk."""
-    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for s in specs)
-    fields, start = {}, time.perf_counter()
-    for spec, result in zip(specs, run_sessions([s.config for s in specs], messages, eve, mode)):
+def _handles(spec: RunSpec, group: dict) -> tuple:
+    """The group's Eve handle, in the slot its attack's groups share, and control mode."""
+    if "eve" not in group["attack"]:
+        group["attack"]["eve"] = attacks.from_name(spec.attack, spec.dim)
+    if "mode" not in group:
+        group["mode"] = control_mode.from_name(spec.control, spec.config)
+    return group["attack"]["eve"], group["mode"]
+
+
+def _walk_batch(group: dict) -> None:
+    """One `run_sessions` walk for `group` and the groups after it in `pending`
+    (first appearances with cycles) while their attached states' widths sum to
+    at most SLICE_AMPS; a run is charged its scoring time and its cycles' share."""
+    start, pending, batch, width, fields = time.perf_counter(), group.get("pending", [group]), [], 0, {}
+    while pending and (batch or pending[0] is group):  # else it walks alone: a walk or a build before it failed
+        spec = pending[0]["runs"][0]
+        if batch and width + spec.dim ** 2 > SLICE_AMPS:  # no room for its pair alone: nothing is built
+            break
+        try:
+            wide = attached_width(spec.dim, _handles(spec, pending[0])[0])
+        except Exception:  # noqa: BLE001 - its runs report it
+            break
+        if batch and width + wide > SLICE_AMPS:
+            break
+        batch.append(pending.pop(0))
+        width += wide
+    runs = [(member, run) for member in batch or [group] for run in dict.fromkeys(member["runs"]) if run.cycles]
+    eves, modes = zip(*(_handles(run, member) for member, run in runs))
+    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for _, s in runs)
+    for (_, spec), result in zip(runs, run_sessions([run.config for _, run in runs], messages, eves, modes)):
         tick = time.perf_counter()
         done = (score_session(result, spec.dim, spec.seed) if isinstance(result, Transcript)
                 else {"status": "error", "error": f"{type(result).__name__}: {result}"})
         fields[spec] = [done, time.perf_counter() - tick]
-    share = (time.perf_counter() - start - sum(t for _, t in fields.values())) / sum(s.cycles for s in specs)
-    for spec in specs:
+    share = (time.perf_counter() - start - sum(t for _, t in fields.values())) / sum(s.cycles for s in fields)
+    for member, spec in runs:
         fields[spec][1] += share * spec.cycles
-    return fields
+        member.setdefault("sessions", {})[spec] = fields[spec]
 
 
 def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `group`
     keeps what the runs of one configuration, `group["runs"]`, share: the
     handles and detection tables the first builds (a build that fails is not
-    kept), and the session fields of them all, which the first run with cycles
-    walks. `wall_clock_s` is the row's own detection and scoring time plus its
-    cycles' share of that walk."""
-    group = {} if group is None else group
+    kept), and the session fields of them all, which the first run with
+    cycles of its batch walks. `wall_clock_s` is the row's own detection and
+    scoring time plus its cycles' share of its batch's walk."""
+    group = {"runs": [spec], "attack": {}} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
         attack=spec.attack,
@@ -244,13 +269,10 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     )
     start = time.perf_counter()
     try:
-        cfg = spec.config
+        eve, mode = _handles(spec, group)
         if "tables" not in group:
-            eve = attacks.from_name(spec.attack, spec.dim)
-            mode = control_mode.from_name(spec.control, cfg)
-            group.update(eve=eve, mode=mode, tables=control_mode._born_tables(eve, mode, cfg))
-        eve, mode = group["eve"], group["mode"]
-        detection = control_mode.empirical_pdet(eve, mode, cfg, spec.trials, group["tables"])
+            group["tables"] = control_mode._born_tables(eve, mode, spec.config)
+        detection = control_mode.empirical_pdet(eve, mode, spec.config, spec.trials, group["tables"])
         row.update(
             p_det_analytic=sig12(detection.p_analytic),
             p_det_empirical=sig12(detection.p_empirical),
@@ -259,9 +281,8 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
         )
         if spec.cycles > 0:
             if "sessions" not in group:
-                runs = dict.fromkeys(group.get("runs", [spec]))  # equal specs, equal sessions
                 tick = time.perf_counter()
-                group["sessions"] = _walk([run for run in runs if run.cycles > 0], eve, mode)
+                _walk_batch(group)
                 start += time.perf_counter() - tick  # the walk is charged to its runs by their shares
             fields, spent = group["sessions"][spec]
             row.update(fields)
@@ -276,15 +297,21 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     """Execute runs one after another; rows keep the spec order. Runs of one
     configuration (`_group_key`) share one group, which lists them and is
-    dropped after their last: only groups with runs to come are held."""
+    dropped after their last: only groups with runs to come are held. Groups
+    of one attack share Eve's handle; groups with cycles walk in batches (`_walk_batch`)."""
     keys = [_group_key(spec) for spec in specs]
     last = {key: i for i, key in enumerate(keys)}
-    groups: dict = {}
+    groups, slots, pending = {}, {}, []
     for spec, key in zip(specs, keys):
-        groups.setdefault(key, {"runs": []})["runs"].append(spec)
+        groups.setdefault(key, {"runs": [], "attack": slots.setdefault(key[:3], {}), "pending": pending})
+        groups[key]["runs"].append(spec)
+    pending.extend(groups[key] for key in dict.fromkeys(k for s, k in zip(specs, keys) if s.cycles > 0))
+    del slots  # each group holds its attack's slot, and none outlives its last run
     rows = []
     for i, (spec, key) in enumerate(zip(specs, keys)):
         rows.append(execute_run(spec, groups[key]))
+        if spec.cycles:  # its group has walked, or failed before its walk
+            pending[:] = [group for group in pending if group is not groups[key]]
         if last[key] == i:
             del groups[key]
     return rows

@@ -6,11 +6,11 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_sessions` walks the sessions of one configuration together through a
-branch tree (`SessionTree`) it builds for them, a chunk of their cycles at a
-time: each tree level's draws come from the cycles' streams in one vectorized
-call (`rand.CycleDraws`), each node splits its cycles among its successors
-with array operations, and each session comes back as a columnar
+`run_sessions` walks the sessions of several configurations together, a
+chunk of their cycles at a time, those of one attack through one branch tree
+(`SessionTree`): each tree level's draws come from the cycles' streams in one
+vectorized call (`rand.CycleDraws`), each node splits its cycles among its
+successors with array operations, and each session comes back as a columnar
 `Transcript`; `run_session` is the one-session call. `follow` walks a leg a
 tree level at a time: the nodes of a level with nothing built below them
 take its edge together, their states stacked, so the symbol pairs a
@@ -282,7 +282,7 @@ SLICE_AMPS = 1 << 12
 
 
 class _Node:
-    """A branch of a configuration's tree and the nodes it leads to; no state.
+    """A branch of a `SessionTree` and the nodes it leads to; no state.
 
     Each node is left by one edge only, except the post-forward node, whose
     successors `run_session` keys by control basis and by symbol pair. A
@@ -360,7 +360,7 @@ def follow(leg: Sequence, starts: list, taken: list, source: Callable, width: in
     together: their stacked states take the edge in one kernel call, each
     state's outcomes with support become successors, and those its cycles
     reach go down with their post-states. A node reached without its
-    parent's state (an earlier chunk built the parent) has its path replayed
+    parent's state (an earlier walk built the parent) has its path replayed
     from its start state, which `source(indices)` stacks for indices into
     `starts`. A stack holds at most SLICE_AMPS amplitudes of states of
     `width` amplitudes, or one state, and reaches the end of the leg before
@@ -612,12 +612,17 @@ def check_dims(eve: "EavesdropperHandle", control: "ControlModeHandle", dim: int
         raise ValueError(f"dimension mismatch: attack {eve.dim}, control {control.dim}, config {dim}")
 
 
+def attached_width(dim: int, eve: "EavesdropperHandle") -> int:
+    """The amplitudes of a session tree's state: the pair at `dim` attached to Eve's ancilla."""
+    return dim * dim * eve.initial_ancilla.layout.dim
+
+
 class SessionTree:
     """The branches a cycle can take from the attached pair `state` at `root`:
     Eve's forward leg; then per control basis the joint table of Alice's and
     Bob's outcomes, or per symbol pair the encoding, Eve's `returned` legs and
-    Bob's decode. Nodes depend on Eve's handle, the control mode, `dim` and
-    `kind` only, so the sessions of that configuration share one tree."""
+    Bob's decode. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
+    only, so the sessions of one attack share one tree under any control mode."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
         self.state = eve.attach(make_initial_state(cfg))
@@ -625,46 +630,48 @@ class SessionTree:
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
 
 
-def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHandle",
-                 control: "ControlModeHandle") -> Iterator:
-    """Walk sessions of one configuration through one branch tree together;
+def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["EavesdropperHandle"],
+                 controls: Sequence["ControlModeHandle"]) -> Iterator:
+    """Walk sessions of several configurations through one chunk sequence;
     yield each session's `Transcript`, or the error that ends it, in order.
 
-    Sessions may differ in seed, n_cycles, control_prob and message (an (m, 2)
-    array or sequence of pairs, consumed in order; one per session); cycle k
-    draws from `stream(seed, SESSION_TAG, k)`. They must share dim and kind,
-    which `eve` and `control` must act on. Their cycles, one session after
-    another, go through a new tree a chunk (`rand.CHUNK`) at a time: a tree
-    level's draws in one call, then the forward leg from the root (`follow`),
-    then per post-forward node its control checks and the return legs of its
-    symbol pairs, walked together. A session fails at its first cycle that
-    runs out of message or reaches a coherence break in Bob's decoder, and
-    takes no cycles into later chunks; the others go on. It is yielded once
-    the chunk with its last cycle has been walked."""
+    Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
+    pairs, consumed in order), eves[s] and controls[s], which must act on its
+    dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. Sessions of one
+    Eve handle, dim and kind share a tree, dropped with their last session.
+    Their cycles, one session after another, go a chunk (`rand.CHUNK`) at a
+    time: one `rand.CycleDraws`; per configuration (a tree and a control
+    mode) its draws a tree level at a time; one ranking of the cycles by
+    mode; per configuration the forward leg from its root (`follow`), then
+    per post-forward node its control checks and its symbol pairs' return
+    legs, walked together. A session fails at its first cycle that runs out
+    of message or reaches a coherence break in Bob's decoder, and takes no
+    cycles into later chunks; an error raised in a configuration's tree
+    build, draws or walk ends its sessions. The others go on. A session is
+    yielded once the chunk with its last cycle has been walked."""
     messages = list(messages)
     if len(messages) != len(cfgs):
         raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
-    for cfg in cfgs:
+    for cfg, eve, control in zip(cfgs, eves, controls, strict=True):
         check_dims(eve, control, cfg.dim)
-    if len({cfg.initial_state_kind for cfg in cfgs}) > 1:
-        raise ValueError("sessions walked together must share one initial state kind")
     if not cfgs:
         return
-    tree = SessionTree(cfgs[0], eve)
-    dim, alg = cfgs[0].dim, algebra(cfgs[0].dim)
-    attached, forward, returned = tree.state, tree.forward, tree.returned
-    width = attached.layout.dim
-
-    def origin(starts):  # the forward walk's start state, the attached pair, once per start
-        return attached.take(np.zeros(len(starts), dtype=np.intp))
-
-    def replayed(node):  # a post-forward node's state, replayed from the attached pair
-        return _replay(forward, origin([0]), [node]).take(0)
+    keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]  # each session's tree
+    last, heads, trees = {key: s for s, key in enumerate(keys)}, {}, {}  # each tree's last, each configuration's first
+    config = np.array([heads.setdefault((key, id(c)), s) for s, (key, c) in enumerate(zip(keys, controls))])
 
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
+
+    def guarded(head: int, step: Callable, *args):  # an exception it raises ends configuration `head`'s sessions
+        try:
+            return step(head, *args)
+        except Exception as exc:  # noqa: BLE001 - the other configurations go on
+            for s in np.flatnonzero(config == head).tolist():
+                errors[s] = errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
+
     for s, message in enumerate(messages):
         try:
-            pairs.append(message_pairs(message, dim))
+            pairs.append(message_pairs(message, cfgs[s].dim))
         except ValueError as exc:
             pairs.append(np.zeros((0, 2), dtype=np.int64))
             errors[s] = exc.with_traceback(None)
@@ -677,14 +684,15 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
     ends = np.cumsum(counts)  # each session's cycles, one session after another, end here
     sent = np.zeros(len(cfgs), dtype=np.int64)  # message pairs consumed by earlier chunks
     chunks = [[(np.zeros(0, dtype=bool), *_columns(0, 0))] for _ in cfgs]
-    basis_ids = tuple(cb.basis_id for cb in control.bases)
     yielded = 0  # sessions yielded, each once the chunks before `start` hold all its cycles
     for start in range(0, int(ends[-1]) + rand.CHUNK, rand.CHUNK):
         while yielded < len(cfgs) and ends[yielded] <= start:
             s, yielded = yielded, yielded + 1
             is_control, decoded, guess, basis, outcomes, passed = map(np.concatenate, zip(*chunks[s]))
             chunks[s] = None
-            symbols = pairs[s][: sent[s]]
+            if last[keys[s]] == s:
+                trees.pop(keys[s], None)
+            symbols, basis_ids = pairs[s][: sent[s]], tuple(cb.basis_id for cb in controls[s].bases)
             yield errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed)
         live = np.array([error is None for error in errors])
         cycle = np.arange(start, min(start + rand.CHUNK, int(ends[-1])))
@@ -693,16 +701,22 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
         if not (n := len(owner)):
             continue
         draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner])
-        everyone = np.arange(n)
-        there = draw_leg(forward, draws, everyone)
-        is_control = draws.random(everyone) < prob[owner]
-        ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
-        back = draw_leg(returned, draws, msg)
-        chosen = np.empty(n, dtype=np.int64)  # each control cycle's menu index
-        chosen[ctrl] = control.choose(draws.random(ctrl))
+        is_control, chosen = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)  # chosen: a control cycle's menu index
         alice_u, bob_u = np.empty(n), np.empty(n)  # each control cycle's two uniforms
-        alice_u[ctrl] = draws.random(ctrl)
-        bob_u[ctrl] = draws.random(ctrl)
+
+        def drawn(head: int, sub: np.ndarray) -> tuple:  # a configuration's cycles, forward and return draws
+            tree = trees.get(keys[head]) or trees.setdefault(keys[head], SessionTree(cfgs[head], eves[head]))
+            there = draw_leg(tree.forward, draws, sub)
+            is_control[sub] = draws.random(sub) < prob[owner[sub]]
+            ctrl, msg = sub[is_control[sub]], sub[~is_control[sub]]
+            back = draw_leg(tree.returned, draws, msg)
+            chosen[ctrl] = controls[head].choose(draws.random(ctrl))
+            alice_u[ctrl], bob_u[ctrl] = draws.random(ctrl), draws.random(ctrl)
+            return sub, there, back
+
+        work = [(h, taken) for h, sub in _split(np.arange(n), config[owner]) if (taken := guarded(h, drawn, sub))]
+        del draws  # the words are not held through the walk
+        ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
         rank = np.empty(n, dtype=np.int64)  # each cycle's place among the chunk's of its mode
         rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
         # A session's message cycles are consecutive in `msg`, from `first` on.
@@ -713,63 +727,75 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eve: "EavesdropperHan
         limit = np.full(len(cfgs), n)  # each session's first failing cycle in the chunk
         for s in np.flatnonzero(live & (sent + per > n_pairs)).tolist():
             limit[s] = msg[first[s] + n_pairs[s] - sent[s]]
-            errors[s] = ValueError("message exhausted before the session finished")
+            errors[s] = errors[s] or ValueError("message exhausted before the session finished")
 
-        def visit(node: _Node, group: np.ndarray, state: Optional[StateVector]) -> None:
-            """Take a post-forward node's cycles of this chunk through their
-            control checks and their symbol pairs' return walks; `state` is
-            the node's state, or None if the forward walk did not build it."""
-            group = group[group < limit[owner[group]]]
-            mode = is_control[group]
-            cycles = group[mode]
-            checks = [(b, sub, node.child(control.bases[b].basis_id)) for b, sub in _split(cycles, chosen[cycles])]
-            cycles = group[~mode]
-            codes = message[at[cycles]]
-            by_pair = _split(cycles, codes[:, 0] * dim + codes[:, 1])
-            mu, nu = np.divmod(np.array([code for code, _ in by_pair], dtype=np.int64), dim)
-            starts = [(node.child(divmod(code, dim)), sub) for code, sub in by_pair]
-            if state is None and (any(check.leaf is None for *_, check in checks)
-                                  or not all(pair_node.next for pair_node, _ in starts)):
-                state = replayed(node)  # built in an earlier chunk
+        def walk(head: int, cycles, there, back) -> None:  # a configuration's cycles down its tree
+            tree, eve, control, cfg = trees[keys[head]], eves[head], controls[head], cfgs[head]
+            dim, alg, width = cfg.dim, algebra(cfg.dim), tree.state.layout.dim
 
-            def encoded(rows):
-                """The listed pairs' encodings of the node's state, one gather."""
-                return dense_encode(state if state is not None else replayed(node), mu[rows], nu[rows], alg)
+            def replayed(node):  # a post-forward node's state, replayed from the attached pair
+                return _replay(tree.forward, tree.state.take([0]), [node]).take(0)
 
-            for leaves, finals in follow(returned, starts, back, encoded, width):
-                if finals is not None:  # dropped before the walk builds the next stack
-                    found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), cfgs[0]), None
-                    for (leaf, reached), got in zip(leaves, found):
-                        if isinstance(got, CoherenceBreakError):  # each session's first cycle here fails
-                            hit, where = np.unique(owner[reached], return_index=True)
-                            for s, k in zip(hit.tolist(), reached[where].tolist()):
-                                if k < limit[s]:
-                                    limit[s], errors[s] = k, got
-                            continue
-                        mu_hat = eve.guess(leaf.notes)
-                        leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
-                for leaf, reached in leaves:
-                    if leaf.leaf is not None:
+            def visit(node: _Node, group: np.ndarray, state: Optional[StateVector]) -> None:
+                """Take a post-forward node's cycles of this chunk through their
+                control checks and their symbol pairs' return walks; `state` is
+                the node's state, or None if the forward walk did not build it."""
+                group = group[group < limit[owner[group]]]
+                mode = is_control[group]
+                cycles = group[mode]
+                checks = [(b, sub, node.child(control.bases[b].basis_id)) for b, sub in _split(cycles, chosen[cycles])]
+                cycles = group[~mode]
+                codes = message[at[cycles]]
+                by_pair = _split(cycles, codes[:, 0] * dim + codes[:, 1])
+                mu, nu = np.divmod(np.array([code for code, _ in by_pair], dtype=np.int64), dim)
+                starts = [(node.child(divmod(code, dim)), sub) for code, sub in by_pair]
+                if state is None and (any(check.leaf is None for *_, check in checks)
+                                      or not all(pair_node.next for pair_node, _ in starts)):
+                    state = replayed(node)  # built in an earlier chunk, or by another configuration
+
+                def encoded(rows):
+                    """The listed pairs' encodings of the node's state, one gather."""
+                    return dense_encode(state if state is not None else replayed(node), mu[rows], nu[rows], alg)
+
+                for leaves, finals in follow(tree.returned, starts, back, encoded, width):
+                    if finals is not None:  # dropped before the walk builds the next stack
+                        found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), cfg), None
+                        for (leaf, reached), got in zip(leaves, found):
+                            if isinstance(got, CoherenceBreakError):  # each session's first cycle here fails
+                                hit, where = np.unique(owner[reached], return_index=True)
+                                for s, k in zip(hit.tolist(), reached[where].tolist()):
+                                    if k < limit[s]:
+                                        limit[s], errors[s] = k, got
+                                continue
+                            mu_hat = eve.guess(leaf.notes)
+                            leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
+                    for leaf, reached in leaves:
+                        if leaf.leaf is not None:
+                            at_rank = rank[reached]
+                            decoded[at_rank], guess[at_rank] = leaf.leaf
+
+                for b, sub, check in checks:
+                    entry = control.bases[b]
+                    if check.leaf is None:
+                        check.leaf = pair_probs(state, entry.basis)
+                        check.probs = check.leaf.sum(axis=1)
+                        check.cum = running_sum(check.probs)
+                    for a, reached in _split(sub, pick(check.probs, check.cum, alice_u[sub])):
+                        row = check.leaf[a]
+                        bob = pick(row, running_sum(row), bob_u[reached])
                         at_rank = rank[reached]
-                        decoded[at_rank], guess[at_rank] = leaf.leaf
+                        basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
+                        passed[at_rank] = ~entry.fail[a, bob]
 
-            for b, sub, check in checks:
-                entry = control.bases[b]
-                if check.leaf is None:
-                    check.leaf = pair_probs(state, entry.basis)
-                    check.probs = check.leaf.sum(axis=1)
-                    check.cum = running_sum(check.probs)
-                for a, reached in _split(sub, pick(check.probs, check.cum, alice_u[sub])):
-                    row = check.leaf[a]
-                    bob = pick(row, running_sum(row), bob_u[reached])
-                    at_rank = rank[reached]
-                    basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
-                    passed[at_rank] = ~entry.fail[a, bob]
+            # the forward walk's one start is the attached pair: `take` stacks it once per index
+            for nodes, states in follow(tree.forward, [(tree.root, cycles)], there, tree.state.take, width):
+                for i, (node, group) in enumerate(nodes):
+                    visit(node, group, None if states is None else states.take(i))
+                del states  # not held while the walk builds the next stack
 
-        for nodes, states in follow(forward, [(tree.root, everyone)], there, origin, width):
-            for i, (node, group) in enumerate(nodes):
-                visit(node, group, None if states is None else states.take(i))
-            del states  # not held while the walk builds the next stack
+        for head, taken in work:
+            guarded(head, walk, *taken)
+        del work  # not held while the next chunk's draws are computed
 
         present = np.flatnonzero(np.bincount(owner))  # each session's cycles are consecutive in every column
         bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]
@@ -783,7 +809,7 @@ def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle",
                 control: "ControlModeHandle") -> Transcript:
     """Run n_cycles of the protocol and return the transcript as columns:
     `run_sessions` for this one session, raising the error that ends it."""
-    [result] = run_sessions([cfg], [message], eve, control)
+    [result] = run_sessions([cfg], [message], [eve], [control])
     if isinstance(result, Transcript):
         return result
     try:

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import qubit_cfg, rand_family
-from pingpong import attacks, cli, protocol
+from pingpong import attacks, cli, protocol, rand
 from pingpong import control as control_mode
 from pingpong.cli import (
     MAX_CYCLES,
@@ -267,66 +268,186 @@ class TestConfigurationGroups:
         keys = [cli._group_key(spec) for spec in specs]
         last = {key: i for i, key in enumerate(keys)}
         groups = {}  # key -> weak reference to its group's control handle
-        trees = []  # weak references to each walk's tree root
+        trees = []  # (tree key, weak reference to the tree's root) per tree built
+        walks = []  # the sessions' tree keys, per walk
 
         class TrackedTree(protocol.SessionTree):
-            def __init__(self, *args):
-                super().__init__(*args)
-                trees.append(weakref.ref(self.root))
+            def __init__(self, cfg, eve):
+                super().__init__(cfg, eve)
+                trees.append(((id(eve), cfg.dim, cfg.initial_state_kind), weakref.ref(self.root)))
 
-        original = cli.execute_run
+        original, walk = cli.execute_run, cli.run_sessions
 
         def checking(spec, group):
             i = specs.index(spec)
             # at its start, a run sees the groups with runs to come only
             alive = {key for key, ref in groups.items() if ref() is not None}
             assert alive == {key for key in groups if last[key] >= i}
-            # a group holds its runs' session fields, and no transcript or tree
+            # a group holds its own runs' session fields, and no transcript or tree
             assert spec in group["runs"] and "tree" not in group
             assert all(isinstance(fields, dict) for fields, _ in group.get("sessions", {}).values())
             assert set(group.get("sessions", ())) <= set(group["runs"])
-            # a walk's tree is freed when the walk ends
-            assert all(ref() is None for ref in trees)
+            # no tree outlives its walk
+            assert all(ref() is None for _, ref in trees)
             row = original(spec, group)
             if "mode" in group:
                 groups.setdefault(keys[i], weakref.ref(group["mode"]))
             return row
 
+        def tracking(cfgs, messages, eves, controls):
+            tree_keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]
+            walks.append(tree_keys)
+            ends = {key: s for s, key in enumerate(tree_keys)}
+            for s, result in enumerate(walk(cfgs, messages, eves, controls)):
+                # a tree is dropped before its last session is yielded
+                assert all(ref() is None for key, ref in trees if ends[key] <= s)
+                yield result
+
         monkeypatch.setattr(cli, "execute_run", checking)
+        monkeypatch.setattr(cli, "run_sessions", tracking)
         monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
         run_experiments(specs)
         assert len(groups) == 6 and all(ref() is None for ref in groups.values())
-        # one walk per configuration with cycles
-        assert len(trees) == 6 and all(ref() is None for ref in trees)
+        # one walk for the batch of all six configurations, whose two cnot
+        # configurations share a tree; every tree is freed
+        [walked] = walks
+        assert len(set(walked)) == len(trees) == 5 and all(ref() is None for _, ref in trees)
 
     def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "tables": 0, "walks": 0}
-        attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
+        calls = {"attach": 0, "tables": 0, "walks": 0, "attacks": 0}
+        attach, tables, walk, build = (attacks.EavesdropperHandle.attach, control_mode._born_tables,
+                                       cli.run_sessions, attacks.from_name)
 
-        def counting_attach(self, state):
-            calls["attach"] += 1
-            return attach(self, state)
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
 
-        def counting_tables(*args):
-            calls["tables"] += 1
-            return tables(*args)
-
-        def counting_walk(*args):
-            calls["walks"] += 1
-            return walk(*args)
-
-        monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting_attach)
-        monkeypatch.setattr(control_mode, "_born_tables", counting_tables)
-        monkeypatch.setattr(cli, "run_sessions", counting_walk)
+        monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
+        monkeypatch.setattr(control_mode, "_born_tables", counting("tables", tables))
+        monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
+        monkeypatch.setattr(attacks, "from_name", counting("attacks", build))
         per_call = []
         for _ in range(2):
-            calls.update(attach=0, tables=0, walks=0)
+            calls.update(attach=0, tables=0, walks=0, attacks=0)
             run_experiments(specs)
             per_call.append(dict(calls))
-        # six groups: one attach for detection and one for the session tree
-        # each, which one walk takes all the group's sessions through
-        assert per_call == [{"attach": 12, "tables": 6, "walks": 6}] * 2
+        # six groups of four attacks, each group's detection attaching once;
+        # one walk takes every session through five trees, one per attack,
+        # dim and kind, each attached once
+        assert per_call == [{"attach": 11, "tables": 6, "walks": 1, "attacks": 4}] * 2
+
+    def test_a_batch_gives_the_rows_of_one_call_per_configuration(self, tmp_path, monkeypatch):
+        """Sessions of six configurations share and straddle short chunks;
+        rows equal one call per configuration, which builds one tree each,
+        while the batch builds one per attack, dim and kind."""
+        monkeypatch.setattr(rand, "CHUNK", 37)
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        keys = [cli._group_key(spec) for spec in specs]
+        built, chunks, draws = [], [], rand.CycleDraws
+
+        class CountedTree(protocol.SessionTree):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def recording(seeds, tag, ks):
+            chunks.append(seeds.tolist())
+            return draws(seeds, tag, ks)
+
+        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
+        monkeypatch.setattr(rand, "CycleDraws", recording)
+        rows = _stable(run_experiments(specs))
+        assert len(built) == 5
+        config = {spec.seed: key for spec, key in zip(specs, keys)}
+        assert max(len({config[seed] for seed in chunk}) for chunk in chunks) > 1
+        straddle = [seed for seed in config if sum(seed in chunk for chunk in chunks) > 1]
+        assert len(straddle) > 3
+        errors = sorted(row["error"] for row in rows if row["status"] == "error")
+        assert errors[0].startswith("CoherenceBreakError")
+        assert errors[1] == "ValueError: message exhausted before the session finished"
+        built.clear()
+        apart = {}
+        for key in dict.fromkeys(keys):
+            mine = [spec for spec, k in zip(specs, keys) if k == key]
+            apart.update(zip(mine, _stable(run_experiments(mine))))
+        assert rows == [apart[spec] for spec in specs]
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("broken", ["branches", "draw"])
+    def test_an_error_in_one_configurations_walk_ends_its_sessions_alone(self, tmp_path, monkeypatch, broken):
+        """The generic handle's return leg cannot be walked, or cannot be drawn
+        (before any walk of the chunk): its runs report that error, and every
+        other row of the batch, whose walk the first intercept-resend run
+        starts, is its own."""
+        monkeypatch.setattr(rand, "CHUNK", 37)
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+
+        class Unwalkable:
+            key = None
+
+            def branches(self, states):
+                raise RuntimeError("no table for this edge")
+
+            def draw(self, draws, cycles):
+                raise RuntimeError("no table for this edge")
+
+        if broken == "branches":
+            Unwalkable.draw = None
+
+        build = attacks.from_name
+
+        def breaking(name, dim):
+            eve = build(name, dim)
+            if name.startswith(attacks.GENERIC_PREFIX):
+                object.__setattr__(eve, "backward_leg", (Unwalkable(),))  # in place of the cached leg
+            return eve
+
+        monkeypatch.setattr(attacks, "from_name", breaking)
+        rows = _stable(run_experiments(specs))
+        failed = [spec.attack.startswith(attacks.GENERIC_PREFIX) and spec.cycles > 0 for spec in specs]
+        assert sum(failed) == 2 and not failed[0]
+        for row, bad in zip(rows, failed):
+            assert (row["error"] == "RuntimeError: no table for this edge") == bad
+        others = [spec for spec, bad in zip(specs, failed) if not bad]
+        assert [row for row, bad in zip(rows, failed) if not bad] == _stable(run_experiments(others))
+
+    def test_wide_configurations_walk_one_at_a_time(self, tmp_path, monkeypatch):
+        """Four D=16 qudit-shift configurations (one family, four files), each
+        attaching a state of 16^3 = SLICE_AMPS amplitudes, walk in four
+        batches: the call's peak stays within a few percent of the largest
+        one-configuration call's (2-6% above it at 100-600 cycles, against
+        2.4-2.8 times with the four walked in one batch)."""
+        states = np.eye(16).tolist()
+        family = {key: [[[x, 0.0] for x in state] for state in states] for key in ("detection", "probes")}
+        runs = []
+        for indent in range(4):
+            path = tmp_path / f"shift{indent}.json"
+            path.write_text(json.dumps(family, indent=indent))
+            runs.append(RunSpec.from_dict(dict(attack=f"generic:{path}", control="computational", dim=16,
+                                               cycles=200, trials=100, seed=indent)))
+        assert len({cli._group_key(spec) for spec in runs}) == 4
+        run_experiments(runs)  # build the cached operators first
+
+        def peak(specs):
+            tracemalloc.start()
+            try:
+                run_experiments(specs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = max(peak([spec]) for spec in runs)
+        assert peak(runs) < 1.1 * one
+        # after a narrow configuration, whose width leaves room for a D=16
+        # pair but not for its ancilla, each is still walked alone
+        walked, walk = [], cli.run_sessions
+        monkeypatch.setattr(cli, "run_sessions", lambda cfgs, *args: walked.append(len(cfgs)) or walk(cfgs, *args))
+        run_experiments([RunSpec.from_dict(spec_dict(cycles=20, trials=100)), *runs])
+        assert walked == [1] * 5
+
 
     def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3, orthonormal=False))

@@ -478,7 +478,7 @@ def _together(cfgs, messages, eve, mode):
     message of the error that ends it."""
     return [
         oracles.records(result) if isinstance(result, Transcript) else (type(result), str(result))
-        for result in run_sessions(cfgs, messages, eve, mode)
+        for result in run_sessions(cfgs, messages, [eve] * len(cfgs), [mode] * len(cfgs))
     ]
 
 
@@ -521,6 +521,30 @@ def test_a_coherence_break_ends_only_its_own_session(monkeypatch):
     assert together == _apart(cfgs, messages, eve, mode)
     assert together[1][0] is CoherenceBreakError
     assert [len(together[i]) for i in (0, 2, 3)] == [cfgs[i].n_cycles for i in (0, 2, 3)]
+
+
+def test_sessions_of_several_configurations_walked_together_match_stepper(monkeypatch):
+    """Interleaved sessions of five configurations, two of them cnot under
+    either control mode with one handle, share and straddle chunks: each
+    gives the stepwise transcript or error, and the walk builds one tree per
+    handle, dim and kind, so the two cnot configurations share theirs."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cases = [COUPLINGS[2], COUPLINGS[3], COUPLINGS[8], COUPLINGS[-1], INTERCEPT_RESEND[2]]
+    setups = [_setup(case, 0.0, 0) for case in cases]
+    setups[1] = (setups[1][0], setups[0][1], setups[1][2])  # cnot's handle, under two-basis control
+    sessions = [(0, 1, 40, 0.25), (3, 2, 30, 0.5), (1, 3, 60, 0.25), (4, 4, 45, 1.0), (2, 5, 25, 0.0),
+                (0, 6, 35, 1.0), (4, 7, 50, 0.25), (1, 8, 20, 0.5)]  # (configuration, seed, cycles, control_prob)
+    cfgs = [replace(setups[c][0], seed=seed, n_cycles=cycles, control_prob=p) for c, seed, cycles, p in sessions]
+    messages = [draw_message(cfg.dim, cfg.n_cycles, cfg.seed) for cfg in cfgs]
+    eves, modes = [setups[c][1] for c, *_ in sessions], [setups[c][2] for c, *_ in sessions]
+    trees = _built_trees(monkeypatch)
+    together = [
+        oracles.records(result) if isinstance(result, Transcript) else (type(result), str(result))
+        for result in run_sessions(cfgs, messages, eves, modes)
+    ]
+    assert together == [_result(oracles.stepwise_session, *args) for args in zip(cfgs, messages, eves, modes)]
+    assert [isinstance(result, tuple) for result in together] == [False] * 6 + [True, False]
+    assert len(trees) == 4
 
 
 def test_a_message_that_runs_out_ends_only_its_own_session(monkeypatch):

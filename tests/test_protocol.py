@@ -281,8 +281,12 @@ class TestRunSession:
     @pytest.mark.parametrize("n_messages", [0, 1, 3])
     def test_one_message_per_session(self, n_messages):
         cfgs = [qubit_cfg(control_prob=0.0, n_cycles=2, seed=s) for s in (1, 2)]
+        messages, eves, controls = [[(0, 0)] * 2] * 2, [no_attack(2)] * 2, [computational_control(cfgs[0])] * 2
         with pytest.raises(ValueError, match=f"one message per session, got {n_messages} for 2"):
-            list(run_sessions(cfgs, [[(0, 0)] * 2] * n_messages, no_attack(2), computational_control(cfgs[0])))
+            list(run_sessions(cfgs, messages[:1] * n_messages, eves, controls))
+        for handles in ([eves[:1] * n_messages, controls], [eves, controls[:1] * n_messages]):
+            with pytest.raises(ValueError):  # one attack and one control mode per session too
+                list(run_sessions(cfgs, messages, *handles))
 
     def test_handles_of_another_dimension_are_rejected(self):
         cfg, other = qubit_cfg(n_cycles=4), qudit_cfg(3, n_cycles=4)
@@ -293,10 +297,8 @@ class TestRunSession:
         ]:
             with pytest.raises(ValueError, match=mismatch.format(*want)):
                 run_session(cfg, [(0, 0)] * 4, eve, control)
-        for cfgs, error in [([cfg, other], "dimension mismatch: attack 2, control 2, config 3"),
-                            ([cfg, qudit_cfg(2)], "sessions walked together must share one initial state kind")]:
-            with pytest.raises(ValueError, match=error):
-                list(run_sessions(cfgs, [[(0, 0)] * 4] * 2, no_attack(2), computational_control(cfg)))
+        with pytest.raises(ValueError, match="dimension mismatch: attack 2, control 2, config 3"):
+            list(run_sessions([cfg, other], [[(0, 0)] * 4] * 2, [no_attack(2)] * 2, [computational_control(cfg)] * 2))
 
 
 class TestDeferred:
