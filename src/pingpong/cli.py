@@ -67,9 +67,9 @@ REPORT_FIELDS = (
 # control (10^7 basis uniforms and ~5 x 10^6 dual-basis outcome uniforms
 # drawn; the computational table's failing cells carry no mass) takes
 # ~0.5 s on a 2-core machine. Qudit-shift at D=32 under computational
-# control draws no uniform, all 2 x 10^7 being skipped by counter, and takes
-# ~0.4 s, most of it starting Python. MAX_DIM and MAX_CYCLES come from
-# `protocol`.
+# control reads no uniform, so its run makes no detection stream, and
+# takes ~0.3-0.45 s, nearly all of it starting Python. MAX_DIM and
+# MAX_CYCLES come from `protocol`.
 MAX_TRIALS = 10**7
 
 
@@ -250,10 +250,11 @@ def _walk_batch(group: dict) -> None:
 def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `group`
     keeps what the runs of one configuration, `group["runs"]`, share: the
-    handles and detection tables the first builds (a build that fails is not
-    kept), and the session fields of them all, which the first run with
-    cycles of its batch walks. `wall_clock_s` is the row's own detection and
-    scoring time plus its cycles' share of its batch's walk."""
+    handles and the detection sampler plan the first builds (a build that
+    fails is not kept), so later runs only draw and count, and the session
+    fields of them all, which the first run with cycles of its batch walks.
+    `wall_clock_s` is the row's own detection and scoring time plus its
+    cycles' share of its batch's walk."""
     group = {"runs": [spec], "attack": {}} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
@@ -270,9 +271,9 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     start = time.perf_counter()
     try:
         eve, mode = _handles(spec, group)
-        if "tables" not in group:
-            group["tables"] = control_mode._born_tables(eve, mode, spec.config)
-        detection = control_mode.empirical_pdet(eve, mode, spec.config, spec.trials, group["tables"])
+        if "plan" not in group:
+            group["plan"] = control_mode.detection_plan(eve, mode, spec.config)
+        detection = control_mode.empirical_pdet(eve, mode, spec.config, spec.trials, group["plan"])
         row.update(
             p_det_analytic=sig12(detection.p_analytic),
             p_det_empirical=sig12(detection.p_empirical),

@@ -10,21 +10,24 @@ Detection uses one Born table P(alice, bob) per menu basis of the coupled
 state, built per branch by `protocol.pair_probs`, the table a session's
 control cycle reads: analytic p_det is the menu-weighted sum of the cells
 the mask fails, and the empirical estimate (Wilson interval) is
-seeded Monte Carlo over the same tables. The sampler draws the uniforms
-per-trial `Generator.choice` would, in bounded chunks, and counts the hits
-in the failing cells' intervals of each table's running sum, so its failure
+seeded Monte Carlo over the same tables. A configuration's tables become
+one `SamplerPlan`, built once and shared by its runs: p_det, the menu's
+running-sum edges, and per table the edges of its failing runs in the
+running sum, merged where equal, split into those at 1.0 and the live ones
+in between. A run draws the uniforms per-trial `Generator.choice` would, in
+bounded chunks, and counts the hits below the live edges, so its failure
 count is choice's without materializing an outcome per trial. Uniforms that
 no count reads are skipped by Philox counter (`rand.skip`), not drawn, and
 the stream ends where choice would leave it: a one-basis menu's basis
-draws, and the outcome draws of a table whose failing runs all carry no
-mass (every table of an undetectable attack) or span the whole running sum;
-when no table's failing runs carry mass, the basis draws of any menu too.
-The coupled state is the ensemble Eve's forward leg leaves behind, walked
-branch by branch from the handle's edges (`coupled_branches`), so an attack
-that measures or draws needs no second description of its forward leg. A
-measurement that only Eve's later legs read is not branched on: averaged
-over, it leaves the (home, travel) marginal unchanged, so intercept-resend
-walks D branches, not D^2.
+draws, the outcome draws of a table with no live edge (every table of an
+undetectable attack), and any menu's basis draws when no table has a live
+edge and every basis the menu can draw fails its trials alike. A plan that
+reads no uniform makes no stream. The coupled state is the ensemble Eve's
+forward leg leaves behind, walked branch by branch from the handle's edges
+(`coupled_branches`), so an attack that measures or draws needs no second
+description of its forward leg. A measurement that only Eve's later legs
+read is not branched on: averaged over, it leaves the (home, travel)
+marginal unchanged, so intercept-resend walks D branches, not D^2.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> np.ndarray:
 
 def _net_edges(table: np.ndarray, fail: np.ndarray) -> dict[float, int]:
     """Each distinct running-sum edge above 0.0 where the failing mask
-    changes, with its net sign (see `_sample_failures`)."""
+    changes, with its net sign (see `SamplerPlan`)."""
     flat = table.reshape(-1)
     mask = fail.reshape(-1).astype(np.int64)
     sign = mask - np.append(mask[1:], 0)
@@ -215,10 +218,10 @@ def _net_edges(table: np.ndarray, fail: np.ndarray) -> dict[float, int]:
     return {edge: step for edge, step in net.items() if step and edge > 0.0}
 
 
-def _sample_failures(
-    rng: np.random.Generator, tables: list[tuple[float, np.ndarray, np.ndarray]], trials: int
-) -> int:
-    """Failing outcomes among `trials` control cycles drawn from `tables`.
+@dataclass(frozen=True)
+class SamplerPlan:
+    """What the sampler reads of one configuration's Born tables, built once
+    per configuration (`detection_plan`); each run then only draws and counts.
 
     `rng.choice(n, size, p)` draws cell i exactly when cdf[i-1] <= u < cdf[i].
     With C(e) the number of uniforms below e, the failing count is
@@ -226,27 +229,58 @@ def _sample_failures(
     which needs C only where the mask changes. Equal edges have equal C, so
     each distinct edge is taken once with its net sign: a failing run of no
     mass, or of less than the running sum resolves, cancels. As 0 <= u < 1,
-    an edge at 1.0 counts all n_b uniforms and one at 0.0 none, so only the
-    edges in between read them; with none left they are skipped by counter.
-    The uniforms are choice's, in its order: `trials` for the basis, then
-    `n_b` per basis drawn at least once. When no table a basis of weight
-    above 0 selects has an edge above 0.0, the count is 0 whatever the
-    basis draws, and all 2 * trials uniforms are skipped.
+    an edge at 1.0 counts all n_b uniforms and one at 0.0 none, so per basis
+    `bases` holds the failures each of its trials adds for sure (the net
+    sign of its edges at 1.0), then its live edges, those in between, and
+    their net signs. `menu_edges` are the running-sum edges of the menu
+    weights that the basis draws are counted at. When every basis of weight
+    above 0 has no live edge and adds the same sure count, the basis draws
+    decide nothing: the plan has no menu edge and one basis, and reads no
+    uniform (`reads`).
     """
-    weights = np.array([weight for weight, _, _ in tables])
-    edges = _cdf(weights / weights.sum())[:-1]
-    nets = [_net_edges(table, fail) if weight > 0 else {} for weight, table, fail in tables]
-    if not any(nets):
-        skip(rng, 2 * trials)
-        return 0
-    below = np.append(_hits(rng, trials, edges), trials)
+
+    p_analytic: float
+    menu_edges: np.ndarray
+    bases: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def from_tables(cls, tables: list[tuple[float, np.ndarray, np.ndarray]]) -> "SamplerPlan":
+        weights = np.array([weight for weight, _, _ in tables])
+        menu_edges = _cdf(weights / weights.sum())[:-1]
+        bases = []
+        for weight, table, fail in tables:
+            net = _net_edges(table, fail) if weight > 0 else {}
+            live = [edge for edge in net if edge < 1.0]
+            sure = sum(step for edge, step in net.items() if edge >= 1.0)
+            bases.append((sure, np.array(live), np.array([net[edge] for edge in live], dtype=np.int64)))
+        chosen = [basis for weight, basis in zip(weights, bases) if weight > 0]
+        if not any(len(live) for _, live, _ in chosen) and len({sure for sure, _, _ in chosen}) == 1:
+            menu_edges, bases = menu_edges[:0], chosen[:1]
+        return cls(_failing_mass(tables), menu_edges, tuple(bases))
+
+    @property
+    def reads(self) -> bool:
+        """Whether any count reads a uniform."""
+        return bool(len(self.menu_edges)) or any(len(live) for _, live, _ in self.bases)
+
+
+def detection_plan(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig) -> SamplerPlan:
+    """The sampler plan of the configuration's Born tables (`_born_tables`)."""
+    return SamplerPlan.from_tables(_born_tables(eve, control, cfg))
+
+
+def _sample_failures(rng: np.random.Generator, plan: SamplerPlan, trials: int) -> int:
+    """Failing outcomes among `trials` control cycles drawn as `plan` reads them.
+
+    The uniforms are choice's, in its order: `trials` for the basis, then
+    `n_b` per basis drawn at least once. Those no count reads are skipped by
+    counter, so `rng` ends where choice would leave it.
+    """
+    below = np.append(_hits(rng, trials, plan.menu_edges), trials)
     failures = 0
-    for n_b, net in zip(np.diff(below, prepend=0).tolist(), nets):
-        if n_b == 0:
-            continue
-        live = [edge for edge in net if edge < 1.0]
-        failures += n_b * sum(step for edge, step in net.items() if edge >= 1.0)
-        failures += sum(net[edge] * int(c) for edge, c in zip(live, _hits(rng, n_b, np.array(live))))
+    for n_b, (sure, live, steps) in zip(np.diff(below, prepend=0).tolist(), plan.bases):
+        if n_b:
+            failures += n_b * sure + int(steps @ _hits(rng, n_b, live))
     return failures
 
 
@@ -255,27 +289,30 @@ def empirical_pdet(
     control: ControlModeHandle,
     cfg: ProtocolConfig,
     trials: int,
-    tables: list | None = None,
+    plan: SamplerPlan | None = None,
 ) -> DetectionReport:
     """Seeded Monte Carlo over independent control cycles.
 
-    The per-basis Born tables are computed once, or given as `tables` (from
-    `_born_tables` for the same handles and config); each trial samples a basis
-    and an outcome pair from the exact joint distribution, and the analytic
-    value is read off the same tables. The sampler draws the uniforms
-    per-trial `rng.choice` would, in bounded chunks, and counts those that
-    land in the failing cells' intervals of each table's running sum, so
-    the failure count is choice's with no outcome array. Deterministic for
-    a fixed cfg.seed.
+    The plan of the per-basis Born tables is built once, or given as `plan`
+    (from `detection_plan` for the same handles and config); each trial
+    samples a basis and an outcome pair from the exact joint distribution,
+    and the analytic value is read off the same tables. The sampler draws
+    the uniforms per-trial `rng.choice` would, in bounded chunks, and counts
+    those that land in the failing cells' intervals of each table's running
+    sum, so the failure count is choice's with no outcome array. A plan that
+    reads no uniform makes no stream. Deterministic for a fixed cfg.seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tables is None:
-        tables = _born_tables(eve, control, cfg)
-    failures = _sample_failures(stream(cfg.seed, PDET_TAG), tables, trials)
+    if plan is None:
+        plan = detection_plan(eve, control, cfg)
+    if plan.reads:
+        failures = _sample_failures(stream(cfg.seed, PDET_TAG), plan, trials)
+    else:
+        failures = trials * plan.bases[0][0]
     low, high = wilson_interval(failures, trials)
     return DetectionReport(
-        p_analytic=_failing_mass(tables),
+        p_analytic=plan.p_analytic,
         p_empirical=failures / trials,
         failures=failures,
         trials=trials,

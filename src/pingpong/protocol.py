@@ -180,11 +180,14 @@ def make_initial_state(cfg: ProtocolConfig) -> StateVector:
 
 def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
     """P(alice, bob) of an (h, t, rest) state when Alice measures travel and
-    Bob home, both in `basis`, marginalized over the rest."""
+    Bob home, both in `basis`, marginalized over the rest. In an identity
+    basis the coefficients are the amplitudes, with no matrix product."""
     dim = basis.dim
-    proj = basis.matrix.conj().T
-    step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, rest]
-    coeffs = np.matmul(proj, step)  # [bob, alice, rest]
+    coeffs = state.amps.reshape(dim, dim, -1)  # [bob, alice, rest]
+    if not basis.is_identity:
+        proj = basis.matrix.conj().T
+        step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, rest]
+        coeffs = np.matmul(proj, step)
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
 
 

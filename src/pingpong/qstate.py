@@ -297,6 +297,13 @@ class Basis:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether the basis is exactly the computational one, in order: its
+        coefficients of a state are then the state's amplitudes."""
+        return np.array_equal(self.matrix, np.eye(self.dim))
+
+
 @lru_cache(maxsize=None)
 def _computational_basis(dim: int) -> Basis:
     return Basis(np.eye(dim, dtype=np.complex128), "computational")
@@ -388,12 +395,14 @@ class BornTable:
 
 
 def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
-    """Born probabilities for measuring `labels` of `state` in `basis`."""
+    """Born probabilities for measuring `labels` of `state` in `basis`. In an
+    identity basis the coefficients are a copy of the amplitudes, with no
+    matrix product."""
     labels = _normalize_labels(labels)
     mat, order, front = _to_front(state, labels)
     if basis.dim != front:
         raise ValueError(f"basis dim {basis.dim} does not match measured dim {front}")
-    coeffs = basis.matrix.conj().T @ mat
+    coeffs = mat.copy() if basis.is_identity else basis.matrix.conj().T @ mat
     probs = np.einsum("...ij,...ij->...i", coeffs, coeffs.conj()).real
     probs = np.clip(probs, 0.0, None)
     return BornTable(state.layout, labels, basis, order, coeffs, probs)

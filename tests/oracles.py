@@ -26,7 +26,10 @@ controlled polarization beam splitter of Pavicic's explicit circuit, is
 built with it from its truth table.
 `einsum_joint_probs` and `choice_failures` are the detection path's earlier
 formulas, kept as references the matmul tables and the counting sampler
-must equal exactly. `exact_born_tables` is the detection tables' earlier
+must equal exactly. `matmul_pair_probs` and `matmul_born_table` are the
+joint table's and the Born table's matrix-product routes, which the
+identity-basis path that reads the amplitudes directly must equal bit for
+bit. `exact_born_tables` is the detection tables' earlier
 route: a sum over every branch of Eve's forward leg as written, her
 measurements that only her later legs read included, which the tables
 walked over the deferred leg must agree with.
@@ -364,6 +367,25 @@ def einsum_joint_probs(state, basis, dim):
     step = np.einsum("hi,htr->itr", conj, state.amps.reshape(dim, dim, -1))
     coeffs = np.einsum("tj,itr->ijr", conj, step)  # [bob, alice, eve]
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+
+
+def matmul_pair_probs(state, basis):
+    """`protocol.pair_probs` by its two matrix products with the conjugated
+    basis, whatever the basis."""
+    dim = basis.dim
+    proj = basis.matrix.conj().T
+    step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, rest]
+    coeffs = np.matmul(proj, step)  # [bob, alice, rest]
+    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+
+
+def matmul_born_table(state, labels, basis):
+    """`qstate.born_table`'s coefficients and probabilities by the matrix
+    product with the conjugated basis, whatever the basis."""
+    mat, _, _ = _to_front(state, (labels,) if isinstance(labels, str) else tuple(labels))
+    coeffs = basis.matrix.conj().T @ mat
+    probs = np.einsum("...ij,...ij->...i", coeffs, coeffs.conj()).real
+    return coeffs, np.clip(probs, 0.0, None)
 
 
 def exact_born_tables(eve, control, cfg):

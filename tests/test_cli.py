@@ -315,9 +315,9 @@ class TestConfigurationGroups:
 
     def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "tables": 0, "walks": 0, "attacks": 0}
-        attach, tables, walk, build = (attacks.EavesdropperHandle.attach, control_mode._born_tables,
-                                       cli.run_sessions, attacks.from_name)
+        calls = {"attach": 0, "plans": 0, "walks": 0, "attacks": 0}
+        attach, plan, walk, build = (attacks.EavesdropperHandle.attach, control_mode.detection_plan,
+                                     cli.run_sessions, attacks.from_name)
 
         def counting(name, function):
             def counted(*args):
@@ -326,18 +326,41 @@ class TestConfigurationGroups:
             return counted
 
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
-        monkeypatch.setattr(control_mode, "_born_tables", counting("tables", tables))
+        monkeypatch.setattr(control_mode, "detection_plan", counting("plans", plan))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
         monkeypatch.setattr(attacks, "from_name", counting("attacks", build))
         per_call = []
         for _ in range(2):
-            calls.update(attach=0, tables=0, walks=0, attacks=0)
+            calls.update(attach=0, plans=0, walks=0, attacks=0)
             run_experiments(specs)
             per_call.append(dict(calls))
-        # six groups of four attacks, each group's detection attaching once;
-        # one walk takes every session through five trees, one per attack,
-        # dim and kind, each attached once
-        assert per_call == [{"attach": 11, "tables": 6, "walks": 1, "attacks": 4}] * 2
+        # six groups of four attacks, each group's detection plan built once
+        # and attaching once; one walk takes every session through five
+        # trees, one per attack, dim and kind, each attached once
+        assert per_call == [{"attach": 11, "plans": 6, "walks": 1, "attacks": 4}] * 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(attack="cnot", control="two-basis", dim=2),
+            dict(attack="intercept-resend", control="computational", dim=3),
+            dict(attack="qudit-shift", control="computational", dim=4),  # a plan that reads no uniform
+        ],
+        ids=["cnot-two-basis", "intercept-resend-3", "qudit-shift-4"],
+    )
+    def test_a_groups_runs_share_one_plan(self, config, monkeypatch):
+        """One configuration at several seeds and trial counts builds its
+        sampler plan once; each row's detection fields are a one-run call's."""
+        runs = [(1, 500), (2, 20000), (3, 1), (2, 500), (4, 70000)]
+        specs = [RunSpec.from_dict(dict(config, cycles=0, seed=seed, trials=trials)) for seed, trials in runs]
+        fields = ("p_det_analytic", "p_det_empirical", "ci_low", "ci_high")
+        alone = [{k: execute_run(spec)[k] for k in fields} for spec in specs]
+        built = []
+        plan = control_mode.detection_plan
+        monkeypatch.setattr(control_mode, "detection_plan", lambda *args: built.append(args) or plan(*args))
+        rows = run_experiments(specs)
+        assert len(built) == 1
+        assert [{k: row[k] for k in fields} for row in rows] == alone
 
     def test_a_batch_gives_the_rows_of_one_call_per_configuration(self, tmp_path, monkeypatch):
         """Sessions of six configurations share and straddle short chunks;

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import pingpong.control as control_module
-from conftest import FixedUniform, qubit_cfg, qudit_cfg, rand_family
+from conftest import FixedUniform, qubit_cfg, qudit_cfg, rand_family, rand_state
 from pingpong.attacks import cnot_attack, intercept_resend, no_attack, pavicic_circuit, qudit_shift_attack
 from pingpong.attacks import from_name as attack_from_name
 from pingpong.attacks import generic_coupling
@@ -23,7 +23,7 @@ from pingpong.control import (
 )
 from pingpong.cli import MAX_TRIALS, sig12
 from pingpong.protocol import HOME, TRAVEL, make_initial_state, pair_probs, run_session
-from pingpong.qstate import Basis, born_table
+from pingpong.qstate import Basis, SubsystemLayout, born_table
 from pingpong.rand import PDET_TAG, stream
 
 
@@ -313,6 +313,27 @@ class TestMatmulTables:
                 )
 
 
+class TestIdentityTables:
+    """Computational control reads the joint table off the amplitudes."""
+
+    @pytest.mark.parametrize(
+        "eve", [cnot_attack(), qudit_shift_attack(2), qudit_shift_attack(5)], ids=["cnot", "shift-2", "shift-5"]
+    )
+    def test_coupling_readout_bases_are_the_identity(self, eve):
+        [edge] = eve.readout_leg
+        assert edge.basis.is_identity
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_pair_probs_equals_the_matmul_route(self, dim):
+        rng = np.random.default_rng(dim)
+        for ancilla in (1, 2, 3):
+            layout = SubsystemLayout.of((HOME, dim), (TRAVEL, dim), ("e", ancilla))
+            for _ in range(3):
+                state = rand_state(rng, layout)
+                basis = Basis.computational(dim)
+                assert np.array_equal(pair_probs(state, basis), oracles.matmul_pair_probs(state, basis))
+
+
 # Every case of either list once, by id.
 DETECTION_CASES = list({_case_id(case): case for case in REFERENCE_CASES + TABLE_CASES}.values())
 
@@ -367,12 +388,21 @@ SAMPLER_MENUS = {
     "three-bases": [(0.2, *_RAGGED[1:]), (0.5, *_ALL_FAIL[1:]), (0.3, *_NO_FAIL[1:])],
     "first-basis-unchosen": [(0.0, *_ALL_FAIL[1:]), (1.0, *_RAGGED[1:])],
     "last-basis-unchosen": [(1.0, *_RAGGED[1:]), (0.0, *_ALL_FAIL[1:])],
+    # every trial fails whichever basis it draws
+    "all-fail-twice": [(0.4, *_ALL_FAIL[1:]), (0.6, *_ALL_FAIL[1:])],
 }
+# The menus whose plans read no uniform: each basis a trial can draw fails
+# it, or passes it, for sure.
+UNREAD_MENUS = ("all-fail", "no-fail", "all-fail-twice")
 SAMPLER_TRIALS = (1, 17, control_module._CHUNK, 3 * control_module._CHUNK + 17)
 
 
 def philox_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def plan_of(menu):
+    return control_module.SamplerPlan.from_tables(menu)
 
 
 class TestCountingSampler:
@@ -381,14 +411,26 @@ class TestCountingSampler:
     @pytest.mark.parametrize("trials", SAMPLER_TRIALS)
     @pytest.mark.parametrize("menu", SAMPLER_MENUS)
     def test_failures_equal_choice_sampler(self, menu, trials):
+        plan = plan_of(SAMPLER_MENUS[menu])
         for seed in (1, 7, 2**32 + 5):
             # Philox, the generator `rand.stream` returns: unread uniforms are
             # skipped by its counter
             counted, chosen = philox_rng(seed), philox_rng(seed)
-            failures = control_module._sample_failures(counted, SAMPLER_MENUS[menu], trials)
+            failures = control_module._sample_failures(counted, plan, trials)
             assert failures == oracles.choice_failures(chosen, SAMPLER_MENUS[menu], trials)
             # the same number of uniforms was drawn
             assert counted.random() == chosen.random()
+
+    @pytest.mark.parametrize("menu", SAMPLER_MENUS)
+    def test_empirical_counts_equal_choice_sampler(self, menu):
+        """A plan is all `empirical_pdet` reads; one that reads no uniform
+        makes no stream and gives choice's count."""
+        plan = plan_of(SAMPLER_MENUS[menu])
+        assert plan.reads == (menu not in UNREAD_MENUS)
+        for seed in (3, 19):
+            report = empirical_pdet(None, None, qubit_cfg(seed=seed), 5000, plan)
+            assert report.failures == oracles.choice_failures(stream(seed, PDET_TAG), SAMPLER_MENUS[menu], 5000)
+            assert report.p_analytic == control_module._failing_mass(SAMPLER_MENUS[menu])
 
     @pytest.mark.parametrize(
         "case",
@@ -401,9 +443,16 @@ class TestCountingSampler:
     def test_undetectable_tables_draw_no_uniform(self, case, monkeypatch):
         eve, control, cfg = _build(case)
         made = []
+        monkeypatch.setattr(control_module, "stream", lambda *key: made.append(key))
+        trials = 3 * control_module._CHUNK + 17
+        report = empirical_pdet(eve, control, cfg, trials)
+        tables = control_module._born_tables(eve, control, cfg)
+        assert report.failures == oracles.choice_failures(stream(cfg.seed, PDET_TAG), tables, trials) == 0
+        assert not plan_of(tables).reads
+        assert made == []  # no PDET stream is made
 
         class CountingGenerator:
-            """A `stream` generator that counts the `random()` calls made on it."""
+            """A caller's Philox generator that counts the `random()` calls made on it."""
 
             def __init__(self, rng):
                 self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
@@ -412,19 +461,12 @@ class TestCountingSampler:
                 self.calls += 1
                 return self.rng.random(*args)
 
-        def counting_stream(*key):
-            made.append(CountingGenerator(stream(*key)))
-            return made[-1]
-
-        monkeypatch.setattr(control_module, "stream", counting_stream)
-        trials = 3 * control_module._CHUNK + 17
-        report = empirical_pdet(eve, control, cfg, trials)
-        chosen = stream(cfg.seed, PDET_TAG)
-        tables = control_module._born_tables(eve, control, cfg)
-        assert report.failures == oracles.choice_failures(chosen, tables, trials) == 0
-        assert made[0].calls == 0
-        # the stream was moved past every uniform choice drew
-        assert made[0].rng.random() == chosen.random()
+        counted, chosen = CountingGenerator(philox_rng(cfg.seed)), philox_rng(cfg.seed)
+        assert control_module._sample_failures(counted, plan_of(tables), trials) == 0
+        assert oracles.choice_failures(chosen, tables, trials) == 0
+        assert counted.calls == 0
+        # the caller's generator was moved past every uniform choice drew
+        assert counted.rng.random() == chosen.random()
 
     def test_a_faint_first_cell_takes_a_zero_uniform(self):
         # random() returns 0.0 with probability 2^-53, and choice then draws
@@ -435,13 +477,13 @@ class TestCountingSampler:
             def random(self, size):
                 return np.zeros(size)
 
-        assert control_module._sample_failures(ZeroUniforms(), SAMPLER_MENUS["faint"], 100) == 100
+        assert control_module._sample_failures(ZeroUniforms(), plan_of(SAMPLER_MENUS["faint"]), 100) == 100
 
     def test_edge_menus_give_their_trivial_counts(self):
         rng = philox_rng(3)
-        assert control_module._sample_failures(rng, SAMPLER_MENUS["all-fail"], 1000) == 1000
-        assert control_module._sample_failures(rng, SAMPLER_MENUS["no-fail"], 1000) == 0
-        assert control_module._sample_failures(rng, SAMPLER_MENUS["first-basis-unchosen"], 1000) < 1000
+        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["all-fail"]), 1000) == 1000
+        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["no-fail"]), 1000) == 0
+        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["first-basis-unchosen"]), 1000) < 1000
 
     @pytest.mark.parametrize(
         "menu,message",
@@ -455,7 +497,7 @@ class TestCountingSampler:
         with pytest.raises(ValueError, match=message):
             oracles.choice_failures(np.random.default_rng(0), menu, 100)
         with pytest.raises(ValueError, match=message):
-            control_module._sample_failures(philox_rng(0), menu, 100)
+            plan_of(menu)
 
     @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
     def test_empirical_failures_equal_choice_sampler(self, case):

@@ -315,6 +315,38 @@ class TestMeasure:
         assert pick(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5, 1.0]), 0.25) == 0
 
 
+class TestIdentityBasis:
+    """A basis that is exactly the computational one reads its coefficients
+    off the amplitudes, with no matrix product."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 32])
+    def test_computational_basis_is_the_identity(self, dim):
+        assert Basis.computational(dim).is_identity
+
+    def test_other_bases_are_not(self):
+        assert not Basis.dual().is_identity
+        assert not Basis(np.eye(3)[:, [1, 0, 2]]).is_identity
+        assert not Basis(np.diag([1, 1j, 1])).is_identity
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_born_table_equals_the_matmul_route(self, dim):
+        rng = np.random.default_rng(dim)
+        layout = SubsystemLayout.of(("h", dim), ("t", dim), ("e", 3))
+        single = rand_state(rng, layout)
+        stack = StateVector(layout, np.stack([rand_state(rng, layout).amps for _ in range(3)]))
+        for state in (single, stack):
+            for labels, front in (("h", dim), ("t", dim), ("e", 3), (("e", "h"), 3 * dim)):
+                table = born_table(state, labels, Basis.computational(front))
+                coeffs, probs = oracles.matmul_born_table(state, labels, Basis.computational(front))
+                assert np.array_equal(table.coeffs, coeffs) and np.array_equal(table.probs, probs)
+
+    @pytest.mark.parametrize("labels", ["h", "t", ("h", "t")])
+    def test_born_table_keeps_no_view_of_the_state(self, labels):
+        state = rand_state(np.random.default_rng(2), SubsystemLayout.of(("h", 3), ("t", 3)))
+        table = born_table(state, labels, Basis.computational(9 if labels == ("h", "t") else 3))
+        assert not np.shares_memory(table.coeffs, state.amps)
+
+
 class TestHelpers:
     def test_factor_extracts_pure_component(self):
         rng = np.random.default_rng(4)
