@@ -206,34 +206,33 @@ def dense_encode(state: StateVector, mu, nu, alg: QuditAlgebra) -> StateVector:
     return StateVector(state.layout, _from_front(phases[..., None] * mat[source], state.layout, order))
 
 
-def _bell_matrix(dim: int, kind: str) -> np.ndarray:
-    """Columns are the encoded Bell states, ordered by mu*dim + nu: the pair
-    with its travel axis phased by nu, then rolled by mu."""
-    cfg = ProtocolConfig(dim=dim, control_prob=0.0, n_cycles=1, seed=0, initial_state_kind=kind)
-    pair = make_initial_state(cfg).amps.reshape(dim, dim)
-    h, t = np.nonzero(pair)
-    levels = np.arange(dim)
-    # X^mu Z^nu takes each |h, t> of the pair's support to
-    # exp(2 pi i ((nu t) mod D) / D) |h, t + mu>; as [h, t + mu, mu, nu].
-    mat = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
-    amps = (pair[h, t] * _weyl_phases(dim, levels)[:, t]).T  # [support, nu]
-    mat[h[:, None], (t[:, None] + levels) % dim, levels] = amps[:, None, :]
-    return mat.reshape(dim * dim, dim * dim)
-
-
 @lru_cache(maxsize=None)
-def _decoder_matrix(dim: int, kind: str) -> np.ndarray:
-    """The conjugate transpose of `_bell_matrix`, kept per (dim, kind) in
-    place of the Bell matrix: row mu*dim + nu gives an encoded Bell state's
-    overlap with a pair."""
-    dec = _bell_matrix(dim, kind).conj().T
-    dec.flags.writeable = False
-    return dec
+def _bell_table(dim: int, kind: str) -> tuple:
+    """The encoded Bell states in closed form, kept per (dim, kind). X^mu Z^nu takes
+    each |h_s, t_s> of the pair's support to exp(2 pi i ((nu t_s) mod D) / D) |h_s, t_s + mu>:
+    entry s lands at pair index at[mu, s], its amplitude times that phase is coeffs[s, nu]."""
+    pair = make_initial_state(ProtocolConfig(dim, 0.0, 1, 0, kind)).amps.reshape(dim, dim)
+    h, t = np.nonzero(pair)
+    at = h * dim + (t + np.arange(dim)[:, None]) % dim
+    coeffs = (pair[h, t] * _weyl_phases(dim, np.arange(dim))[:, t]).T
+    at.flags.writeable = coeffs.flags.writeable = False
+    return at, coeffs
 
 
 def bell_states(cfg: ProtocolConfig) -> Basis:
-    """The generalized Bell basis used by Bob's collective measurement."""
-    return Basis(_bell_matrix(cfg.dim, cfg.initial_state_kind), "bell")
+    """Bob's generalized Bell basis: column mu*dim + nu is the pair encoded under (mu, nu)."""
+    dim = cfg.dim
+    at, coeffs = _bell_table(dim, cfg.initial_state_kind)
+    mat = np.zeros((dim * dim, dim, dim), dtype=np.complex128)  # [h*dim + t, mu, nu]
+    mat[at, np.arange(dim)[:, None]] = coeffs
+    return Basis(mat.reshape(dim * dim, dim * dim), "bell")
+
+
+def _bell_overlaps(amps: np.ndarray, dim: int, kind: str) -> np.ndarray:
+    """|overlap| of each row of `amps` with each encoded Bell state, one gather and one product:
+    column mu*dim + nu is |sum_s conj(coeffs[s, nu]) amps[at[mu, s]]| over the pair's support."""
+    at, coeffs = _bell_table(dim, kind)
+    return np.abs(amps.take(at, axis=1).reshape(-1, len(coeffs)) @ coeffs.conj()).reshape(len(amps), -1)
 
 
 def bob_decode(state: StateVector, cfg: ProtocolConfig):
@@ -247,7 +246,7 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig):
     """
     if state.layout.labels != (HOME, TRAVEL):
         raise ValueError(f"decoder expects labels (h, t), got {state.layout.labels}")
-    overlaps = np.abs(np.atleast_2d(state.amps) @ _decoder_matrix(cfg.dim, cfg.initial_state_kind).T)
+    overlaps = _bell_overlaps(np.atleast_2d(state.amps), cfg.dim, cfg.initial_state_kind)
     found = [  # a NaN overlap is the row's max and matches nothing
         divmod(best, cfg.dim) if overlap > 1.0 - DECODE_ATOL else
         CoherenceBreakError(f"no Bell state matches (best overlap {overlap:.6f}); pair was disturbed")

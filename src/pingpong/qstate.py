@@ -344,7 +344,7 @@ def _from_front(mat: np.ndarray, layout: SubsystemLayout, order: list[int]) -> n
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product state on the concatenated layout."""
-    return StateVector(a.layout.concat(b.layout), np.kron(a.amps, b.amps))
+    return StateVector(a.layout.concat(b.layout), np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply(state: StateVector, op: Operator, targets) -> StateVector:

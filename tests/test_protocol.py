@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import pingpong
 from conftest import all_pairs, qubit_cfg, qudit_cfg
 from pingpong.attacks import cnot_attack, intercept_resend, no_attack, qudit_shift_attack
 from pingpong.control import computational_control
@@ -19,8 +23,7 @@ from pingpong.protocol import (
     MeasureEdge,
     ProtocolConfig,
     UnitaryEdge,
-    _bell_matrix,
-    _decoder_matrix,
+    _bell_overlaps,
     _encoding_operator,
     algebra,
     bell_states,
@@ -185,25 +188,67 @@ class TestBobDecode:
 
     @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
     def test_bell_matrix_matches_dense_encodings(self, dim):
-        got = _bell_matrix(dim, QUDIT_CORRELATED)
+        got = bell_states(qudit_cfg(dim)).matrix
         want = oracles.dense_encode_bell_matrix(dim, QUDIT_CORRELATED)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_qubit_bell_matrix_matches_dense_encodings(self):
         want = oracles.dense_encode_bell_matrix(2, QUBIT_SINGLET)
-        assert np.max(np.abs(_bell_matrix(2, QUBIT_SINGLET) - want)) < 1e-12
+        assert np.max(np.abs(bell_states(qubit_cfg()).matrix - want)) < 1e-12
 
-    @pytest.mark.parametrize(
+    CFGS = pytest.mark.parametrize(
         "cfg", [qubit_cfg(), qudit_cfg(3), qudit_cfg(8), qudit_cfg(MAX_DIM)], ids=["qubit", "d3", "d8", "d32"]
     )
-    def test_cached_decoder_equals_per_call_conjugate(self, cfg):
+
+    @CFGS
+    def test_overlaps_match_dense_encodings(self, cfg):
+        # random states, then a few encoded Bell states, as one stack and one at a time
+        dim, kind = cfg.dim, cfg.initial_state_kind
+        bell = oracles.dense_encode_bell_matrix(dim, kind)
         rng = np.random.default_rng(5)
-        dec = _decoder_matrix(cfg.dim, cfg.initial_state_kind)
-        assert dec is _decoder_matrix(cfg.dim, cfg.initial_state_kind)
-        assert not dec.flags.writeable
-        amps = rng.normal(size=cfg.dim**2) + 1j * rng.normal(size=cfg.dim**2)
-        per_call = _bell_matrix(cfg.dim, cfg.initial_state_kind).conj().T @ amps
-        assert np.array_equal(dec @ amps, per_call)
+        amps = rng.normal(size=(6, dim**2)) + 1j * rng.normal(size=(6, dim**2))
+        amps = np.vstack([amps / np.linalg.norm(amps, axis=1, keepdims=True), bell[:, [0, dim**2 // 2, -1]].T])
+        want = np.abs(amps @ bell.conj())
+        assert np.max(np.abs(_bell_overlaps(amps, dim, kind) - want)) < 1e-12
+        for row, want_row in zip(amps, want):
+            assert np.max(np.abs(_bell_overlaps(row[None], dim, kind)[0] - want_row)) < 1e-12
+
+    @CFGS
+    def test_each_row_of_a_stack_decodes_as_alone(self, cfg):
+        dim, layout = cfg.dim, pair_layout(cfg.dim)
+        rng = np.random.default_rng(6)
+        codes = rng.integers(dim, size=(4, 2))
+        encoded = dense_encode(make_initial_state(cfg), codes[:, 0], codes[:, 1], algebra(dim)).amps
+        noise = rng.normal(size=(2, dim**2)) + 1j * rng.normal(size=(2, dim**2))
+        noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+        stack = np.vstack([encoded[:2], noise[:1], encoded[2:], np.full((1, dim**2), np.nan), noise[1:]])
+        found = bob_decode(StateVector(layout, stack), cfg)
+        assert len(found) == len(stack)
+        assert [found[i] for i in (0, 1, 3, 4)] == [tuple(code) for code in codes.tolist()]
+        for row, got in zip(stack, found):
+            try:
+                alone = bob_decode(StateVector(layout, row), cfg)
+            except CoherenceBreakError as exc:
+                assert isinstance(got, CoherenceBreakError) and str(got) == str(exc)
+            else:
+                assert got == alone
+
+    def test_first_decode_at_max_dim_allocates_under_a_mebibyte(self):
+        # in a fresh process, so the decode builds what it caches; a dense
+        # D^2 x D^2 decoder would be 16 MiB at D=32
+        code = (
+            "import tracemalloc\n"
+            "from pingpong.protocol import MAX_DIM, ProtocolConfig, algebra, bob_decode, dense_encode, make_initial_state\n"
+            "cfg = ProtocolConfig(MAX_DIM, 0.0, 1, 0, 'qudit_beta00')\n"
+            "state = dense_encode(make_initial_state(cfg), 3, 5, algebra(MAX_DIM))\n"
+            "tracemalloc.start()\n"
+            "print(bob_decode(state, cfg), tracemalloc.get_traced_memory()[1])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pingpong.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        found, peak = done.stdout.rsplit(maxsplit=1)
+        assert found == "(3, 5)"
+        assert int(peak) < 2**20
 
     def test_bell_basis_orthonormal(self):
         for cfg in (qubit_cfg(), qudit_cfg(3), qudit_cfg(5)):

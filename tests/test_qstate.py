@@ -82,6 +82,15 @@ class TestTensor:
         b = rand_state(rng, SubsystemLayout.of(("b", 4)))
         assert abs(tensor(a, b).norm - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 5, 32])
+    @pytest.mark.parametrize("levels", [1, 2, 9, None], ids=["1", "2", "9", "D"])
+    def test_equals_kron_bit_for_bit(self, dim, levels):
+        # a pair attached to an ancilla of 1, 2, 9 or D levels
+        rng = np.random.default_rng(dim)
+        pair = rand_state(rng, SubsystemLayout.of(("h", dim), ("t", dim)))
+        ancilla = rand_state(rng, SubsystemLayout.of(("e", levels or dim)))
+        assert np.array_equal(tensor(pair, ancilla).amps, np.kron(pair.amps, ancilla.amps))
+
     def test_label_collision(self):
         a = StateVector.basis(SubsystemLayout.of(("a", 2)), (0,))
         with pytest.raises(LayoutError):
