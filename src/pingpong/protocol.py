@@ -15,7 +15,9 @@ successors with array operations, and each session comes back as a columnar
 tree level at a time: the nodes of a level with nothing built below them
 take its edge together, their states stacked, so the symbol pairs a
 post-forward node's cycles reach take their encoding, Eve's return legs,
-`factor` and Bob's decode in a few kernel calls. A control cycle reads
+`factor` and Bob's decode in a few kernel calls; a return leg that ends in
+Eve's readout of all her registers (`ReadoutEdge`) hands Bob the (home,
+travel) pairs with no collapse. A control cycle reads
 the joint table P(alice, bob) of its post-forward node (`pair_probs`, the
 table detection sums), picks Alice's outcome from its marginal and Bob's
 from her row, and is judged by the menu basis's failing-pair mask; it
@@ -37,8 +39,6 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
-    _from_front,
-    _to_front,
     apply,
     born_table,
     collapse,
@@ -160,6 +160,7 @@ def algebra(dim: int) -> QuditAlgebra:
     return QuditAlgebra(dim)
 
 
+@lru_cache(maxsize=None)
 def pair_layout(dim: int) -> SubsystemLayout:
     return SubsystemLayout.of((HOME, dim), (TRAVEL, dim))
 
@@ -180,30 +181,34 @@ def make_initial_state(cfg: ProtocolConfig) -> StateVector:
 
 def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
     """P(alice, bob) of an (h, t, rest) state when Alice measures travel and
-    Bob home, both in `basis`, marginalized over the rest. In an identity
-    basis the coefficients are the amplitudes, with no matrix product."""
+    Bob home, both in `basis`, marginalized over the rest, as a real array
+    of its own. In an identity basis the coefficients are the amplitudes,
+    with no matrix product."""
     dim = basis.dim
     coeffs = state.amps.reshape(dim, dim, -1)  # [bob, alice, rest]
     if not basis.is_identity:
         proj = basis.matrix.conj().T
         step = (proj @ state.amps.reshape(dim, -1)).reshape(dim, dim, -1)  # [bob, t, rest]
         coeffs = np.matmul(proj, step)
-    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real
+    return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real.copy()
 
 
 def dense_encode(state: StateVector, mu, nu, alg: QuditAlgebra) -> StateVector:
     """Alice's dense coding: X^mu Z^nu on the travel register only. Given
     arrays of symbols, the stack of `state` encoded under each pair, from one
-    gather: each travel level's amplitudes times its phase move to the level
-    mu above it, the values `apply` gives for the monomial encoding."""
+    gather on a (lead, travel, trail) view of the amplitudes: each travel
+    level's amplitudes times its phase move to the level mu above it, the
+    values `apply` gives for the monomial encoding."""
     dim = alg.dim
     mu, nu = np.asarray(mu), np.asarray(nu)
     if not ((0 <= mu) & (mu < dim) & (0 <= nu) & (nu < dim)).all():
         raise ValueError(f"symbols ({mu}, {nu}) out of range for dim {dim}")
-    mat, order, _ = _to_front(state, (TRAVEL,))
+    at = state.layout.position(TRAVEL)
+    mat = state.amps.reshape(math.prod(state.layout.dims[:at]), dim, -1)
     source = (np.arange(dim) - mu[..., None]) % dim  # the level each level's amplitudes come from
     phases = np.take_along_axis(_weyl_phases(dim, nu), source, axis=-1)
-    return StateVector(state.layout, _from_front(phases[..., None] * mat[source], state.layout, order))
+    moved = mat[np.arange(len(mat))[:, None], source[..., None, :]]  # [..., lead, travel, trail]
+    return StateVector(state.layout, (phases[..., None, :, None] * moved).reshape(source.shape[:-1] + (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -484,6 +489,19 @@ class MeasureEdge:
 
 
 @dataclass(frozen=True, eq=False)
+class ReadoutEdge(MeasureEdge):
+    """A measurement of every register but home and travel, ending a return
+    leg. It leaves a product state, so each post-state is the (home, travel)
+    pair alone: its outcome's coefficient row, normalized. `factor` would
+    give the same pair, up to a global phase, from `collapse`'s state."""
+
+    def post(self, table, rows, outcomes) -> StateVector:
+        index = (outcomes,) if rows is None else (rows, outcomes)
+        pair = table.coeffs[index] / np.sqrt(table.probs[index])[..., None]
+        return StateVector(pair_layout(table.layout.dim_of(HOME)), pair)
+
+
+@dataclass(frozen=True, eq=False)
 class DrawEdge:
     """One uniform draw f of `integers(len(ops))`, then ops[f] on the targets.
 
@@ -623,13 +641,17 @@ class SessionTree:
     """The branches a cycle can take from the attached pair `state` at `root`:
     Eve's forward leg; then per control basis the joint table of Alice's and
     Bob's outcomes, or per symbol pair the encoding, Eve's `returned` legs and
-    Bob's decode. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
+    Bob's decode. A readout of all of Eve's registers ending `returned` is
+    taken as a `ReadoutEdge`. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
     only, so the sessions of one attack share one tree under any control mode."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
         self.state = eve.attach(make_initial_state(cfg))
         self.root = _Node({})
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
+        last = self.returned[-1] if self.returned else None
+        if isinstance(last, MeasureEdge) and set(last.labels) == set(self.state.layout.labels) - {HOME, TRAVEL}:
+            self.returned = self.returned[:-1] + (ReadoutEdge(last.labels, last.basis, last.key),)
 
 
 def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["EavesdropperHandle"],

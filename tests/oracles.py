@@ -44,6 +44,9 @@ must agree with them.
 basis and the swap: X^mu Z^nu as two `matrix_power`s, every operator applied
 by a dense matmul, one encoding per Bell column, and the swap filled entry
 by entry. The closed forms and the monomial `apply` must agree with them.
+`transpose_apply` and `transpose_dense_encode` are `apply`'s and
+`dense_encode`'s routes through the target axes moved to the front and
+back, which the in-place view routes must equal.
 """
 
 from fractions import Fraction
@@ -58,6 +61,7 @@ from pingpong.protocol import (
     MeasureEdge,
     ProtocolConfig,
     UnitaryEdge,
+    _weyl_phases,
     algebra,
     bob_decode,
     dense_encode,
@@ -537,6 +541,30 @@ def dense_apply(state, matrix, targets):
     """`matrix` on the ordered target registers by one dense matmul."""
     mat, order, _ = _to_front(state, tuple(targets))
     return StateVector(state.layout, _from_front(matrix @ mat, state.layout, order))
+
+
+def transpose_apply(state, op, targets):
+    """`qstate.apply`'s earlier route: the target axes moved to the front and
+    back by `_to_front` and `_from_front`, a monomial operator's rows
+    scattered to their images, a block operator's blocks multiplied one per
+    block and state."""
+    mat, order, _ = _to_front(state, tuple(targets))
+    if op.rows is not None:
+        new = np.empty_like(mat)
+        new[..., op.rows, :] = mat if op.phases is None else op.phases[:, None] * mat
+    else:
+        new = np.matmul(op.blocks, mat.reshape(mat.shape[:-2] + op.blocks.shape[:2] + (-1,))).reshape(mat.shape)
+    return StateVector(state.layout, _from_front(new, state.layout, order))
+
+
+def transpose_dense_encode(state, mu, nu, dim):
+    """`protocol.dense_encode`'s earlier route: the travel axis moved to the
+    front, gathered there for each symbol pair, and moved back."""
+    mu, nu = np.asarray(mu), np.asarray(nu)
+    mat, order, _ = _to_front(state, (TRAVEL,))
+    source = (np.arange(dim) - mu[..., None]) % dim
+    phases = np.take_along_axis(_weyl_phases(dim, nu), source, axis=-1)
+    return StateVector(state.layout, _from_front(phases[..., None] * mat[source], state.layout, order))
 
 
 def dense_encode_bell_matrix(dim, kind):

@@ -28,6 +28,7 @@ from pingpong.protocol import (
     DrawEdge,
     MeasureEdge,
     ProtocolConfig,
+    ReadoutEdge,
     SessionTree,
     Transcript,
     UnitaryEdge,
@@ -679,6 +680,73 @@ def _check_tree(tree, cfg, eve, mode):
             supports.append(len(ends))
     return supports
 
+
+
+# (attack, dim, kind): every coupling attack whose readout measures all of Eve's registers.
+READOUTS = [
+    *[(attack, 2, kind) for attack in ("cnot", "pavicic", "qudit-shift", "generic") for kind in protocol.KINDS],
+    *[("qudit-shift", d, "qudit_beta00") for d in range(3, 8)],
+    ("generic", 3, "qudit_beta00"),
+]
+
+
+@pytest.mark.parametrize("case", READOUTS, ids=lambda c: f"{c[0]}-d{c[1]}-{c[2]}")
+def test_the_readout_pair_is_the_factor_of_the_collapsed_state(case):
+    """A coupling attack's return leg ends in a `ReadoutEdge`, whose
+    post-states are (home, travel) pairs equal, up to a global phase, to
+    `factor` of `collapse`'s state: for each symbol pair after Q^-1 (one
+    outcome with support) and before it (several), every outcome with
+    support."""
+    attack, dim, kind = case
+    cfg, eve, _ = _setup((attack, "computational", dim, kind), 0.0, 5)
+    tree = SessionTree(cfg, eve)
+    readout = tree.returned[-1]
+    assert type(readout) is ReadoutEdge and tree.returned[:-1] == eve.backward_leg
+    assert (readout.labels, readout.basis, readout.key) == (eve.readout_leg[0].labels, eve.readout_leg[0].basis, "readout")
+    mu, nu = np.divmod(np.arange(dim * dim), dim)
+    encoded = protocol.dense_encode(oracles.run_leg(tree.forward, tree.state, None, {}), mu, nu, algebra(dim))
+    returned = oracles.run_leg(eve.backward_leg, encoded, None, {})
+    states = StateVector(encoded.layout, np.concatenate([returned.amps, encoded.amps]))
+    table = born_table(states, readout.labels, readout.basis)
+    rows, outcomes = np.nonzero(table.probs > 0.0)
+    assert len(rows) > len(states.amps)
+    pairs = readout.post(table, rows, outcomes)
+    want = factor(protocol.collapse(table, outcomes, rows), ("h", "t"))
+    assert pairs.layout == want.layout == protocol.pair_layout(dim)
+    assert np.min(np.abs(np.sum(pairs.amps.conj() * want.amps, axis=1))) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("case", [COUPLINGS[0], COUPLINGS[2], COUPLINGS[4], COUPLINGS[9], COUPLINGS[-1], INTERCEPT_RESEND[2]],
+                         ids=lambda c: f"{c[0]}-d{c[2]}")
+def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, monkeypatch):
+    """A coupling attack's message leaves take their pairs off the readout
+    table: no `collapse`, and `factor` returns each stack it is given as it
+    is. No attack (no readout) and intercept-resend (a return leg that ends
+    in the swap) still factor the full state, and intercept-resend still
+    collapses. Transcripts equal the stepper's either way."""
+    collapsed, factored = [], []
+    original_collapse, original_factor = protocol.collapse, protocol.factor
+
+    def counting_collapse(table, outcome, rows=None):
+        collapsed.append(table.labels)
+        return original_collapse(table, outcome, rows)
+
+    def counting_factor(state, keep):
+        got = original_factor(state, keep)
+        factored.append((state.layout.labels, got is state))
+        return got
+
+    monkeypatch.setattr(protocol, "collapse", counting_collapse)
+    monkeypatch.setattr(protocol, "factor", counting_factor)
+    cfg, eve, mode = _setup(case, 0.0, 4, cycles=30)
+    _both(cfg, draw_message(cfg.dim, 30, 4), eve, mode)
+    assert factored
+    if case in INTERCEPT_RESEND:
+        assert collapsed and set(factored) == {(("h", "t", "e"), False)}
+    elif eve.readout_leg:
+        assert collapsed == [] and set(factored) == {(("h", "t"), True)}
+    else:
+        assert collapsed == [] and set(factored) == {(("h", "t", "e"), False)}
 
 def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(monkeypatch):
     """A random generic family: each readout leaves several outcomes with

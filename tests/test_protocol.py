@@ -161,6 +161,22 @@ class TestDenseEncode:
         assert np.max(np.abs(out.amps - expected)) < 1e-12
 
 
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_view_route_matches_the_transpose_route_bit_for_bit(self, dim):
+        """On the pair, the session layout (h, t, e) and the rail layout
+        (t, x, y), for one symbol pair and for a stack of them."""
+        rng = np.random.default_rng(dim)
+        alg = algebra(dim)
+        layouts = (pair_layout(dim), SubsystemLayout.of((HOME, dim), (TRAVEL, dim), ("e", 3)),
+                   SubsystemLayout.of((TRAVEL, dim), ("x", 3), ("y", 3)))
+        for layout in layouts:
+            v = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+            state = StateVector(layout, v / np.linalg.norm(v))
+            mu, nu = rng.integers(dim, size=(2, 5))
+            for symbols in ((mu[0], nu[0]), (mu, nu)):
+                want = oracles.transpose_dense_encode(state, *symbols, dim).amps
+                assert np.array_equal(dense_encode(state, *symbols, alg).amps, want), layout.labels
+
 class TestBobDecode:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16, MAX_DIM])
     def test_roundtrip_exhaustive(self, dim):

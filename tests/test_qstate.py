@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import rand_state, rand_unitary
+from pingpong.protocol import algebra
 from pingpong.qstate import (
     Basis,
     BasisError,
@@ -208,6 +209,57 @@ class TestMonomialForm:
     def test_monomial_rejects_what_is_not_unitary(self, rows, phases):
         with pytest.raises(ValueError):
             Operator.monomial(rows, phases)
+
+
+def _runs(labels):
+    """Every set of consecutive labels, in order."""
+    return [labels[i:j] for i in range(len(labels)) for j in range(i + 1, len(labels) + 1)]
+
+
+def _view_layouts(dim):
+    """The session layout (h, t, e) and the rail layout (t, x, y) at `dim`."""
+    return SubsystemLayout.of(("h", dim), ("t", dim), ("e", dim)), SubsystemLayout.of(("t", dim), ("x", 3), ("y", 3))
+
+
+class TestViewRoute:
+    """`apply` on consecutive targets acts on a reshape view of the
+    amplitudes; it equals the transpose route it replaced
+    (`oracles.transpose_apply`) on single states and stacks."""
+
+    @staticmethod
+    def _states(rng, layout):
+        stack = np.array([rand_state(rng, layout).amps for _ in range(3)])
+        return rand_state(rng, layout), StateVector(layout, stack)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_monomial_operators_match_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for layout in _view_layouts(dim):
+            for targets in _runs(layout.labels):
+                n = math.prod(layout.dim_of(lbl) for lbl in targets)
+                perm = rng.permutation(n)
+                ops = [Operator.monomial(perm), Operator.monomial(perm, np.exp(2j * np.pi * rng.random(n)))]
+                if targets == ("t",):
+                    ops += [algebra(dim).encoding(*rng.integers(dim, size=2)) for _ in range(3)]
+                for state in self._states(rng, layout):
+                    for op in ops:
+                        want = oracles.transpose_apply(state, op, targets).amps
+                        assert np.array_equal(apply(state, op, targets).amps, want), (layout.labels, targets)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_block_operators_match_within_1e_14(self, dim):
+        rng = np.random.default_rng(dim)
+        for layout in _view_layouts(dim):
+            for targets in _runs(layout.labels):
+                n = layout.dim_of(targets[0])
+                b = math.prod(layout.dim_of(lbl) for lbl in targets) // n
+                if b > 64:  # (h, t, e) at D > 8: D blocks of D^2 levels, checked on the smaller runs
+                    continue
+                op = Operator.block_unitary(np.array([rand_unitary(rng, b) for _ in range(n)]))
+                for state in self._states(rng, layout):
+                    for u in (op, op.inverse):
+                        want = oracles.transpose_apply(state, u, targets).amps
+                        assert np.max(np.abs(apply(state, u, targets).amps - want)) < 1e-14, (layout.labels, targets)
 
 
 class TestBlockForm:
