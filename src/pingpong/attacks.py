@@ -288,11 +288,10 @@ def intercept_resend(dim: int) -> EavesdropperHandle:
     )
 
 
-@cache
 def cnot_attack() -> EavesdropperHandle:
     """Single-qubit-ancilla attack: the generic coupling with computational
     families on one qubit, which is Q = CNOT with the travel qubit as control.
-    Built once per process, like `pavicic_circuit`; handles are immutable."""
+    Like every builder, it builds a new handle; `from_name` keeps one."""
     family = StateFamily.computational(SubsystemLayout.of(("x", 2)), 2)
     return generic_coupling(2, family, family, "cnot")
 
@@ -333,10 +332,9 @@ def probe_states() -> tuple[StateVector, StateVector]:
     return a_state, d_state
 
 
-@cache
 def pavicic_circuit() -> EavesdropperHandle:
     """Beam-splitter-circuit attack on two trinary rails: the generic coupling
-    from the chi states onto the equal superpositions.
+    from the chi states onto the equal superpositions; `from_name` keeps one.
 
     Each chi state maps onto one of the superpositions, swapped when the
     travel qubit is set. The rest of each travel level's 9-dimensional rail
@@ -413,15 +411,15 @@ def validate_coupling(
     return CouplingReport(np.linalg.norm(fwd, axis=1), np.linalg.norm(bwd, axis=2))
 
 
-def family_from_json(path: str | Path) -> tuple[StateFamily, StateFamily]:
-    """Load detection/probe families from a JSON description.
+def family_from_json(contents: bytes) -> tuple[StateFamily, StateFamily]:
+    """Load detection/probe families from a JSON file's contents.
 
     Schema: {"detection": [state, ...], "probes": [state, ...]} where each
     state is an array of [re, im] amplitude pairs. All states must share one
     length, at most `protocol.MAX_DIM`, which becomes the dimension of a
     single ancilla register "e".
     """
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(contents)
     try:
         raw_det = payload["detection"]
         raw_prb = payload["probes"]
@@ -470,17 +468,19 @@ def _qubit_only(name: str, build):
     return make
 
 
-# Attack builders by CLI name; each takes the travel dimension.
-ATTACKS = {
+# Attack builders by CLI name; each takes the travel dimension and keeps its
+# handle at each for the process (a build that raises is not kept).
+ATTACKS = {name: cache(build) for name, build in {
     "none": no_attack,
     "intercept-resend": intercept_resend,
     "cnot": _qubit_only("cnot", cnot_attack),
     "pavicic": _qubit_only("pavicic", pavicic_circuit),
     "qudit-shift": qudit_shift_attack,
-}
+}.items()}
 # A name with this prefix builds the generic coupling from the family file
-# named after it (see `family_from_json`).
-GENERIC_PREFIX = "generic:"
+# named after it (see `family_from_json`); the handles of this many family
+# file contents are kept.
+GENERIC_PREFIX, GENERIC_KEPT = "generic:", 8
 ATTACK_NAMES = (*ATTACKS, GENERIC_PREFIX + "<file>")
 
 
@@ -492,9 +492,16 @@ def check_name(name: str) -> None:
 
 
 def from_name(name: str, dim: int) -> EavesdropperHandle:
-    """Resolve an attack by its CLI name."""
+    """Resolve an attack by its CLI name. A handle depends only on what builds
+    it, so each is built once per process and shared: a registry attack's per
+    (name, dim), a generic one's per (family file contents, dim), the
+    `GENERIC_KEPT` last used kept. A build that raises is not kept."""
     check_name(name)
     if name.startswith(GENERIC_PREFIX):
-        detection, probes = family_from_json(name[len(GENERIC_PREFIX):])
-        return generic_coupling(dim, detection, probes)
+        return _generic(Path(name[len(GENERIC_PREFIX):]).read_bytes(), dim)
     return ATTACKS[name](dim)
+
+
+@lru_cache(maxsize=GENERIC_KEPT)
+def _generic(contents: bytes, dim: int) -> EavesdropperHandle:
+    return generic_coupling(dim, *family_from_json(contents))

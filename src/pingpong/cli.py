@@ -194,26 +194,15 @@ def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
 
 
 def _group_key(spec: RunSpec) -> tuple:
-    """A run's configuration: its attack (the name, a digest of a generic
-    family file's contents, and dim), the control and kind. A key lives for
-    one call, so the process's 64-bit hash of the contents serves as the digest."""
-    digest = None
-    if spec.attack.startswith(attacks.GENERIC_PREFIX):
-        family = Path(spec.attack[len(attacks.GENERIC_PREFIX):])
-        try:
-            digest = hash(family.read_bytes())
-        except OSError:
-            pass  # each run reports the error when it loads the file
-    return (spec.attack, digest, spec.dim, spec.control, spec.resolved_kind)
+    """A run's configuration: its attack name and dim, the control and kind.
+    Family files of equal contents at two paths are two configurations that
+    share Eve's handle (`attacks.from_name`)."""
+    return (spec.attack, spec.dim, spec.control, spec.resolved_kind)
 
 
-def _handles(spec: RunSpec, group: dict) -> tuple:
-    """The group's Eve handle, in the slot its attack's groups share, and control mode."""
-    if "eve" not in group["attack"]:
-        group["attack"]["eve"] = attacks.from_name(spec.attack, spec.dim)
-    if "mode" not in group:
-        group["mode"] = control_mode.from_name(spec.control, spec.config)
-    return group["attack"]["eve"], group["mode"]
+def _handles(spec: RunSpec) -> tuple:
+    """The run's Eve handle and control mode, which their registries build once per process."""
+    return attacks.from_name(spec.attack, spec.dim), control_mode.from_name(spec.control, spec.config)
 
 
 def _walk_batch(group: dict) -> None:
@@ -226,7 +215,7 @@ def _walk_batch(group: dict) -> None:
         if batch and width + spec.dim ** 2 > SLICE_AMPS:  # no room for its pair alone: nothing is built
             break
         try:
-            wide = attached_width(spec.dim, _handles(spec, pending[0])[0])
+            wide = attached_width(spec.dim, attacks.from_name(spec.attack, spec.dim))
         except Exception:  # noqa: BLE001 - its runs report it
             break
         if batch and width + wide > SLICE_AMPS:
@@ -234,7 +223,7 @@ def _walk_batch(group: dict) -> None:
         batch.append(pending.pop(0))
         width += wide
     runs = [(member, run) for member in batch or [group] for run in dict.fromkeys(member["runs"]) if run.cycles]
-    eves, modes = zip(*(_handles(run, member) for member, run in runs))
+    eves, modes = zip(*(_handles(run) for _, run in runs))
     messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for _, s in runs)
     for (_, spec), result in zip(runs, run_sessions([run.config for _, run in runs], messages, eves, modes)):
         tick = time.perf_counter()
@@ -250,12 +239,12 @@ def _walk_batch(group: dict) -> None:
 def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `group`
     keeps what the runs of one configuration, `group["runs"]`, share: the
-    handles and the detection sampler plan the first builds (a build that
-    fails is not kept), so later runs only draw and count, and the session
-    fields of them all, which the first run with cycles of its batch walks.
-    `wall_clock_s` is the row's own detection and scoring time plus its
-    cycles' share of its batch's walk."""
-    group = {"runs": [spec], "attack": {}} if group is None else group
+    detection sampler plan the first builds (a build that fails is not
+    kept), so later runs only draw and count, and the session fields of them
+    all, which the first run with cycles of its batch walks. The handles are
+    the registries' (`_handles`). `wall_clock_s` is the row's own detection
+    and scoring time plus its cycles' share of its batch's walk."""
+    group = {"runs": [spec]} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
         attack=spec.attack,
@@ -270,7 +259,7 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     )
     start = time.perf_counter()
     try:
-        eve, mode = _handles(spec, group)
+        eve, mode = _handles(spec)
         if "plan" not in group:
             group["plan"] = control_mode.detection_plan(eve, mode, spec.config)
         detection = control_mode.empirical_pdet(eve, mode, spec.config, spec.trials, group["plan"])
@@ -298,16 +287,15 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     """Execute runs one after another; rows keep the spec order. Runs of one
     configuration (`_group_key`) share one group, which lists them and is
-    dropped after their last: only groups with runs to come are held. Groups
-    of one attack share Eve's handle; groups with cycles walk in batches (`_walk_batch`)."""
+    dropped after their last: only groups with runs to come are held. Handles
+    come from the registries, which build each once per process, so a later
+    call builds none; groups with cycles walk in batches (`_walk_batch`)."""
     keys = [_group_key(spec) for spec in specs]
     last = {key: i for i, key in enumerate(keys)}
-    groups, slots, pending = {}, {}, []
+    groups, pending = {}, []
     for spec, key in zip(specs, keys):
-        groups.setdefault(key, {"runs": [], "attack": slots.setdefault(key[:3], {}), "pending": pending})
-        groups[key]["runs"].append(spec)
+        groups.setdefault(key, {"runs": [], "pending": pending})["runs"].append(spec)
     pending.extend(groups[key] for key in dict.fromkeys(k for s, k in zip(specs, keys) if s.cycles > 0))
-    del slots  # each group holds its attack's slot, and none outlives its last run
     rows = []
     for i, (spec, key) in enumerate(zip(specs, keys)):
         rows.append(execute_run(spec, groups[key]))

@@ -88,13 +88,13 @@ class ControlModeHandle:
                 raise ValueError(f"failing-pair mask of {b.basis_id!r} must be {self.dim}x{self.dim}")
 
     @cached_property
-    def _running_weights(self) -> np.ndarray:
-        return np.array(list(accumulate(b.weight for b in self.bases)))
+    def _running_weights(self) -> tuple[float, ...]:
+        return tuple(accumulate(b.weight for b in self.bases))
 
     def choose(self, u):
         """The menu index each uniform in `u` selects: the first basis whose
         running weight exceeds it, else the last."""
-        return np.minimum(self._running_weights.searchsorted(u, side="right"), len(self.bases) - 1)
+        return np.minimum(np.searchsorted(self._running_weights, u, side="right"), len(self.bases) - 1)
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,7 @@ CONTROL_MODES = {
     "computational": computational_control,
     "two-basis": two_basis_control,
 }
+_BUILT: dict[tuple[str, int, str], ControlModeHandle] = {}  # what `from_name` has built
 
 
 def check_name(name: str) -> None:
@@ -151,9 +152,13 @@ def check_name(name: str) -> None:
 
 
 def from_name(name: str, cfg: ProtocolConfig) -> ControlModeHandle:
-    """Resolve a control mode by its CLI name."""
+    """Resolve a control mode by its CLI name. A mode reads only the config's
+    dim and kind, so each (name, dim, kind) is built once per process and
+    shared; a build that raises is not kept."""
     check_name(name)
-    return CONTROL_MODES[name](cfg)
+    if (key := (name, cfg.dim, cfg.initial_state_kind)) not in _BUILT:
+        _BUILT[key] = CONTROL_MODES[name](cfg)
+    return _BUILT[key]
 
 
 def _born_tables(

@@ -1,8 +1,12 @@
 """Shared fixtures and builders for the test suite."""
 
+from functools import cache, lru_cache
+
 import numpy as np
 import pytest
 
+from pingpong import attacks
+from pingpong import control as control_mode
 from pingpong.attacks import (
     StateFamily,
     cnot_attack,
@@ -81,3 +85,26 @@ class FixedUniform:
 
     def random(self):
         return self.u
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The handles `attacks.from_name` and `control.from_name` build from here
+    on, one (registry, name) per build, a failing one included; both
+    registries start with no handle kept."""
+    built = []
+
+    def counted(registry, name, build):
+        def counting(*args):
+            built.append((registry, name))
+            return build(*args)
+        return counting
+
+    monkeypatch.setattr(attacks, "_generic", lru_cache(attacks.GENERIC_KEPT)(attacks._generic.__wrapped__))
+    monkeypatch.setattr(control_mode, "_BUILT", {})
+    for name, build in list(attacks.ATTACKS.items()):
+        monkeypatch.setitem(attacks.ATTACKS, name, cache(counted("attack", name, build.__wrapped__)))
+    for name, build in list(control_mode.CONTROL_MODES.items()):
+        monkeypatch.setitem(control_mode.CONTROL_MODES, name, counted("control", name, build))
+    monkeypatch.setattr(attacks, "family_from_json", counted("attack", "generic", attacks.family_from_json))
+    return built

@@ -17,9 +17,12 @@ from conftest import (
     rand_unitary,
 )
 from pingpong import attacks
+from pingpong import control as control_mode
 from pingpong.attacks import (
+    GENERIC_KEPT,
     H_POL,
     VACUUM,
+    CouplingHandle,
     StateFamily,
     chi_states,
     cnot_attack,
@@ -579,7 +582,7 @@ class TestResolution:
         path.write_text(json.dumps(payload))
         eve = from_name(f"generic:{path}", 3)
         assert eve.name == "generic"
-        loaded_det, loaded_prb = family_from_json(path)
+        loaded_det, loaded_prb = family_from_json(path.read_bytes())
         assert np.allclose(loaded_det.columns, detection.columns)
         assert np.allclose(loaded_prb.columns, probes.columns)
 
@@ -609,7 +612,7 @@ class TestResolution:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
-            family_from_json(path)
+            family_from_json(path.read_bytes())
 
     def test_family_length_bounded_before_coupling(self, tmp_path, monkeypatch):
         def no_coupling(*args):
@@ -627,3 +630,81 @@ class TestResolution:
     def test_rail_state_index_convention(self):
         assert np.argmax(np.abs(rail_state(VACUUM, H_POL).amps)) == 1
         assert np.argmax(np.abs(rail_state(H_POL, VACUUM).amps)) == 3
+
+
+def _family_file(path, seed, anc=4, size=3):
+    """A generic attack name for a random family file of `size` states on
+    an `anc`-level ancilla."""
+    rng = np.random.default_rng(seed)
+    path.write_text(json.dumps({
+        key: [[[z.real, z.imag] for z in s.amps] for s in rand_family(rng, anc, size).states]
+        for key in ("detection", "probes")
+    }))
+    return f"generic:{path}"
+
+
+def _arrays(value, seen):
+    """Every array reachable from `value` through attributes (lazily built
+    ones that are built), tuples and lists."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _arrays(item, seen)
+
+
+class TestSharedHandles:
+    """`from_name` builds each handle once per process and shares it."""
+
+    NAMES = [("none", 3), ("intercept-resend", 3), ("cnot", 2), ("pavicic", 2), ("qudit-shift", 4)]
+
+    def test_a_handle_is_built_once_per_name_and_dim(self, tmp_path, builds):
+        for name, dim in self.NAMES:
+            assert from_name(name, dim) is from_name(name, dim)
+        assert from_name("qudit-shift", 5) is not from_name("qudit-shift", 4)
+        generic = _family_file(tmp_path / "a.json", 3)
+        copy = tmp_path / "b.json"
+        copy.write_bytes((tmp_path / "a.json").read_bytes())
+        assert from_name(generic, 3) is from_name(f"generic:{copy}", 3)
+        assert from_name(_family_file(tmp_path / "c.json", 4), 3) is not from_name(generic, 3)
+        assert sorted(builds) == sorted([("attack", name) for name, _ in self.NAMES]
+                                        + [("attack", "qudit-shift"), ("attack", "generic"), ("attack", "generic")])
+
+    def test_the_last_generic_families_used_are_kept(self, tmp_path, builds):
+        names = [_family_file(tmp_path / f"{seed}.json", seed, anc=2, size=2) for seed in range(GENERIC_KEPT + 1)]
+        first = [from_name(name, 2) for name in names[:GENERIC_KEPT]]
+        assert all(from_name(name, 2) is eve for name, eve in zip(names, first))
+        from_name(names[-1], 2)  # drops the least recently used, the first
+        assert all(from_name(name, 2) is eve for name, eve in zip(names[1:], first[1:]))
+        assert from_name(names[0], 2) is not first[0]
+        assert len(builds) == GENERIC_KEPT + 2
+
+    def test_every_array_a_shared_handle_holds_is_read_only(self, tmp_path):
+        generic = _family_file(tmp_path / "fam.json", 3)
+        eves = [from_name(name, dim) for name, dim in self.NAMES + [(generic, 3)]]
+        modes = [control_mode.from_name(name, cfg) for name, cfg in
+                 (("computational", qubit_cfg()), ("two-basis", qubit_cfg()), ("computational", qudit_cfg(3)))]
+        named = []
+        for eve in eves:
+            eve.forward_leg, eve.backward_leg, eve.readout_leg  # build the lazy parts
+            named.append(eve.initial_ancilla.amps)
+            if isinstance(eve, CouplingHandle):
+                coupling = eve.coupling
+                named += [coupling.matrix, *coupling.inverse.__dict__.values()]
+                named += [a for a in (coupling.blocks, coupling.rows, coupling.phases) if a is not None]
+                if eve.detection is not None:
+                    named.append(eve.detection.columns)
+        for mode in modes:
+            mode.choose(np.array([0.3]))
+            named += [a for basis in mode.bases for a in (basis.basis.matrix, basis.fail)]
+        held = [a for handle in eves + modes for a in _arrays(handle, set())]
+        assert all(any(a is b for b in held) for a in named if isinstance(a, np.ndarray))
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0

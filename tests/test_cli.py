@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import tracemalloc
@@ -267,7 +268,7 @@ class TestConfigurationGroups:
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         keys = [cli._group_key(spec) for spec in specs]
         last = {key: i for i, key in enumerate(keys)}
-        groups = {}  # key -> weak reference to its group's control handle
+        groups = {}  # key -> weak reference to its group's sampler plan, which only the group holds
         trees = []  # (tree key, weak reference to the tree's root) per tree built
         walks = []  # the sessions' tree keys, per walk
 
@@ -290,8 +291,8 @@ class TestConfigurationGroups:
             # no tree outlives its walk
             assert all(ref() is None for _, ref in trees)
             row = original(spec, group)
-            if "mode" in group:
-                groups.setdefault(keys[i], weakref.ref(group["mode"]))
+            if "plan" in group:
+                groups.setdefault(keys[i], weakref.ref(group["plan"]))
             return row
 
         def tracking(cfgs, messages, eves, controls):
@@ -313,11 +314,10 @@ class TestConfigurationGroups:
         [walked] = walks
         assert len(set(walked)) == len(trees) == 5 and all(ref() is None for _, ref in trees)
 
-    def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch):
+    def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "plans": 0, "walks": 0, "attacks": 0}
-        attach, plan, walk, build = (attacks.EavesdropperHandle.attach, control_mode.detection_plan,
-                                     cli.run_sessions, attacks.from_name)
+        calls = {"attach": 0, "plans": 0, "walks": 0}
+        attach, plan, walk = attacks.EavesdropperHandle.attach, control_mode.detection_plan, cli.run_sessions
 
         def counting(name, function):
             def counted(*args):
@@ -328,16 +328,41 @@ class TestConfigurationGroups:
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
         monkeypatch.setattr(control_mode, "detection_plan", counting("plans", plan))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
-        monkeypatch.setattr(attacks, "from_name", counting("attacks", build))
-        per_call = []
+        per_call, rows = [], []
         for _ in range(2):
-            calls.update(attach=0, plans=0, walks=0, attacks=0)
-            run_experiments(specs)
-            per_call.append(dict(calls))
+            calls.update(attach=0, plans=0, walks=0)
+            builds.clear()
+            rows.append(_stable(run_experiments(specs)))
+            per_call.append(dict(calls, built=sorted(builds)))
         # six groups of four attacks, each group's detection plan built once
         # and attaching once; one walk takes every session through five
-        # trees, one per attack, dim and kind, each attached once
-        assert per_call == [{"attach": 11, "plans": 6, "walks": 1, "attacks": 4}] * 2
+        # trees, one per attack, dim and kind, each attached once. Only the
+        # first call builds handles: four attacks (all but the generic family
+        # at D=2) and four control modes, computational at (2, singlet),
+        # (3, beta00) and (2, beta00).
+        built = [("attack", "cnot"), ("attack", "generic"), ("attack", "intercept-resend"),
+                 ("attack", "qudit-shift"), *[("control", "computational")] * 3, ("control", "two-basis")]
+        groups = {"attach": 11, "plans": 6, "walks": 1}
+        assert per_call == [dict(groups, built=built), dict(groups, built=[])]
+        assert rows[1] == rows[0]
+
+    def test_a_rewritten_family_file_gives_the_new_familys_rows(self, tmp_path, builds):
+        """Every orthonormal family gives the same rows, so the file is
+        rewritten with a family that fails to build, and then back."""
+        path = tmp_path / "fam.json"
+        specs = [spec for spec in _grouped_specs(_family_file(path, 3)) if spec.attack.startswith("generic:")]
+        old = _stable(run_experiments(specs))
+        assert {row["status"] for row in old} == {"ok"}
+        _family_file(path, 3, orthonormal=False)
+        new = _stable(run_experiments(specs))
+        assert {row["error"] for row in new} == {"BasisError: family is not orthonormal (Gram deviation 1.000e+00)"}
+        elsewhere = _family_file(tmp_path / "copy.json", 3, orthonormal=False)
+        copied = _stable(run_experiments([dataclasses.replace(spec, attack=elsewhere) for spec in specs]))
+        assert new == [dict(row, attack=spec.attack) for row, spec in zip(copied, specs)]
+        builds.clear()
+        _family_file(path, 3)
+        assert _stable(run_experiments(specs)) == old
+        assert builds == []  # the first contents' handle is still kept
 
     @pytest.mark.parametrize(
         "config",
@@ -420,16 +445,26 @@ class TestConfigurationGroups:
         if broken == "branches":
             Unwalkable.draw = None
 
-        build = attacks.from_name
+        build, broken_eves, walk, trees = attacks.from_name, {}, cli.run_sessions, []
 
         def breaking(name, dim):
-            eve = build(name, dim)
-            if name.startswith(attacks.GENERIC_PREFIX):
+            if not name.startswith(attacks.GENERIC_PREFIX):
+                return build(name, dim)
+            if (name, dim) not in broken_eves:  # one broken handle, as the registry keeps one
+                eve = broken_eves[name, dim] = copy.copy(build(name, dim))  # the registry's is shared: break a copy
                 object.__setattr__(eve, "backward_leg", (Unwalkable(),))  # in place of the cached leg
-            return eve
+            return broken_eves[name, dim]
+
+        def tracking(cfgs, messages, eves, controls):
+            trees.extend((id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)
+                         if any(eve is broken for broken in broken_eves.values()))
+            return walk(cfgs, messages, eves, controls)
 
         monkeypatch.setattr(attacks, "from_name", breaking)
+        monkeypatch.setattr(cli, "run_sessions", tracking)
         rows = _stable(run_experiments(specs))
+        # the two generic sessions with cycles walk as one configuration
+        assert len(trees) == 2 and len(set(trees)) == 1
         failed = [spec.attack.startswith(attacks.GENERIC_PREFIX) and spec.cycles > 0 for spec in specs]
         assert sum(failed) == 2 and not failed[0]
         for row, bad in zip(rows, failed):
@@ -472,9 +507,13 @@ class TestConfigurationGroups:
         assert walked == [1] * 5
 
 
-    def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path):
+    def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3, orthonormal=False))
         rows = _stable(run_experiments(specs))
+        tried = builds.count(("attack", "generic"))
+        # a failed build is not kept: the next call tries it again and fails alike
+        assert _stable(run_experiments(specs)) == rows
+        assert builds.count(("attack", "generic")) == 2 * tried and tried >= 3
         broken = [row for row, spec in zip(rows, specs) if spec.attack.startswith("generic:")]
         assert len(broken) == 3
         assert all(row["status"] == "error" for row in broken)

@@ -66,9 +66,10 @@ def _setup(case, control_prob, seed, cycles=CYCLES):
     attack, control, dim, kind = case
     cfg = ProtocolConfig(dim=dim, control_prob=control_prob, n_cycles=cycles, seed=seed,
                          initial_state_kind=kind)
-    if attack == "generic":
+    if attack == "generic":  # a random family on max(4, D) ancilla levels
         rng = np.random.default_rng(seed)
-        eve = generic_coupling(dim, rand_family(rng, 4, dim), rand_family(rng, 4, dim))
+        anc = max(4, dim)
+        eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
     else:
         eve = attacks.from_name(attack, dim)
     return cfg, eve, control_mode.from_name(control, cfg)
@@ -108,6 +109,35 @@ def test_all_control_intercept_resend_matches_stepper(case, seed):
     cfg, eve, mode = _setup(case, 1.0, seed)
     records = _both(cfg, [], eve, mode)
     assert len(records) == CYCLES
+
+
+# Large dimensions, where no golden report or workload hash runs sessions.
+LARGE = [(attack, "computational", dim, "qudit_beta00")
+         for dim in (16, 32) for attack in ("qudit-shift", "generic", "intercept-resend")]
+
+
+@pytest.mark.parametrize("case", LARGE, ids=lambda c: f"{c[0]}-d{c[2]}")
+def test_large_dimension_transcripts_match_stepper(case):
+    """40 cycles at seed 5: qudit-shift, a generic family with A = D, and
+    all-control intercept-resend."""
+    cfg, eve, mode = _setup(case, 1.0 if case[0] == "intercept-resend" else 0.25, 5, cycles=40)
+    assert len(_both(cfg, draw_message(cfg.dim, 40, 5), eve, mode)) == 40
+
+
+def test_a_d32_session_replays_across_chunks_with_the_shared_handle(monkeypatch):
+    """Chunks of 4 cycles: each later chunk reaches new symbol pairs of the
+    post-forward node the first built, and replays the path to it. Run twice,
+    the second session gets the same handles and the same records."""
+    monkeypatch.setattr(rand, "CHUNK", 4)
+    replays, original = [], protocol._replay
+    monkeypatch.setattr(protocol, "_replay", lambda leg, *args: replays.append(len(leg)) or original(leg, *args))
+    runs = []
+    for _ in range(2):
+        cfg, eve, mode = _setup(("qudit-shift", "computational", 32, "qudit_beta00"), 0.25, 5, cycles=40)
+        runs.append((eve, mode, _both(cfg, draw_message(32, 40, 5), eve, mode)))
+    (eve, mode, records), again = runs
+    assert again[0] is eve and again[1] is mode and again[2] == records and len(records) == 40
+    assert len(eve.forward_leg) in replays
 
 
 @pytest.mark.parametrize("seed", SEEDS)
