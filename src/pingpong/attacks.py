@@ -161,6 +161,11 @@ class EavesdropperHandle(ABC):
     def attach(self, state: StateVector) -> StateVector:
         return tensor(state, self.initial_ancilla)
 
+    @cached_property
+    def detection_plans(self) -> dict:
+        """The sampler plans `control.detection_plan` keeps for this handle."""
+        return {}
+
     def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:
         """The post-forward ensemble of `init` as (probability, state) per
         branch, walked lazily and depth-first; exact for the (home, travel)

@@ -239,11 +239,12 @@ def _walk_batch(group: dict) -> None:
 def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `group`
     keeps what the runs of one configuration, `group["runs"]`, share: the
-    detection sampler plan the first builds (a build that fails is not
-    kept), so later runs only draw and count, and the session fields of them
-    all, which the first run with cycles of its batch walks. The handles are
-    the registries' (`_handles`). `wall_clock_s` is the row's own detection
-    and scoring time plus its cycles' share of its batch's walk."""
+    session fields of them all, which the first run with cycles of its batch
+    walks. The handles are the registries' (`_handles`), and the detection
+    sampler plan is built once per process per handle pair
+    (`control.detection_plan`), so a later run only draws and counts.
+    `wall_clock_s` is the row's own detection and scoring time plus its
+    cycles' share of its batch's walk."""
     group = {"runs": [spec]} if group is None else group
     row = {field: None for field in REPORT_FIELDS}
     row.update(
@@ -259,10 +260,7 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
     )
     start = time.perf_counter()
     try:
-        eve, mode = _handles(spec)
-        if "plan" not in group:
-            group["plan"] = control_mode.detection_plan(eve, mode, spec.config)
-        detection = control_mode.empirical_pdet(eve, mode, spec.config, spec.trials, group["plan"])
+        detection = control_mode.empirical_pdet(*_handles(spec), spec.config, spec.trials)
         row.update(
             p_det_analytic=sig12(detection.p_analytic),
             p_det_empirical=sig12(detection.p_empirical),
@@ -288,8 +286,9 @@ def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     """Execute runs one after another; rows keep the spec order. Runs of one
     configuration (`_group_key`) share one group, which lists them and is
     dropped after their last: only groups with runs to come are held. Handles
-    come from the registries, which build each once per process, so a later
-    call builds none; groups with cycles walk in batches (`_walk_batch`)."""
+    come from the registries, which build each once per process, and each
+    Eve handle keeps its detection plans, so a later call builds neither;
+    groups with cycles walk in batches (`_walk_batch`)."""
     keys = [_group_key(spec) for spec in specs]
     last = {key: i for i, key in enumerate(keys)}
     groups, pending = {}, []

@@ -9,25 +9,27 @@ conventions for the singlet in the dual basis automatically.
 Detection uses one Born table P(alice, bob) per menu basis of the coupled
 state, built per branch by `protocol.pair_probs`, the table a session's
 control cycle reads: analytic p_det is the menu-weighted sum of the cells
-the mask fails, and the empirical estimate (Wilson interval) is
-seeded Monte Carlo over the same tables. A configuration's tables become
-one `SamplerPlan`, built once and shared by its runs: p_det, the menu's
-running-sum edges, and per table the edges of its failing runs in the
-running sum, merged where equal, split into those at 1.0 and the live ones
-in between. A run draws the uniforms per-trial `Generator.choice` would, in
-bounded chunks, and counts the hits below the live edges, so its failure
-count is choice's without materializing an outcome per trial. Uniforms that
-no count reads are skipped by Philox counter (`rand.skip`), not drawn, and
-the stream ends where choice would leave it: a one-basis menu's basis
-draws, the outcome draws of a table with no live edge (every table of an
-undetectable attack), and any menu's basis draws when no table has a live
-edge and every basis the menu can draw fails its trials alike. A plan that
-reads no uniform makes no stream. The coupled state is the ensemble Eve's
-forward leg leaves behind, walked branch by branch from the handle's edges
-(`coupled_branches`), so an attack that measures or draws needs no second
-description of its forward leg. A measurement that only Eve's later legs
-read is not branched on: averaged over, it leaves the (home, travel)
-marginal unchanged, so intercept-resend walks D branches, not D^2.
+the mask fails, and the empirical estimate (Wilson interval) is seeded
+Monte Carlo over the same tables. A configuration's tables become one
+`SamplerPlan`: p_det, the menu's running-sum edges, and per table the edges
+of its failing runs in the running sum, merged where equal, split into
+those at 1.0 and the live ones in between. It is built once per process per
+(Eve handle, control mode) pair and kept on Eve's handle, so a later run
+only draws and counts. A run draws the uniforms per-trial
+`Generator.choice` would, in bounded chunks, and counts the hits below the
+live edges, so its failure count is choice's without materializing an
+outcome per trial. Uniforms that no count reads are skipped by Philox
+counter (`rand.skip`), not drawn, and the stream ends where choice would
+leave it: a one-basis menu's basis draws, the outcome draws of a table with
+no live edge (every table of an undetectable attack), and any menu's basis
+draws when no table has a live edge and every basis the menu can draw fails
+its trials alike. A plan that reads no uniform makes no stream. The coupled
+state is the ensemble Eve's forward leg leaves behind, walked branch by
+branch from the handle's edges (`coupled_branches`), so an attack that
+measures or draws needs no second description of its forward leg. A
+measurement that only Eve's later legs read is not branched on: averaged
+over, it leaves the (home, travel) marginal unchanged, so intercept-resend
+walks D branches, not D^2.
 """
 
 from __future__ import annotations
@@ -182,8 +184,9 @@ def _failing_mass(tables: list[tuple[float, np.ndarray, np.ndarray]]) -> float:
 
 
 def analytic_pdet(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig) -> float:
-    """Menu-weighted Born probability of the failing outcome pairs."""
-    return _failing_mass(_born_tables(eve, control, cfg))
+    """Menu-weighted Born probability of the failing outcome pairs, read off
+    the configuration's plan (`detection_plan`)."""
+    return detection_plan(eve, control, cfg).p_analytic
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -225,8 +228,8 @@ def _net_edges(table: np.ndarray, fail: np.ndarray) -> dict[float, int]:
 
 @dataclass(frozen=True)
 class SamplerPlan:
-    """What the sampler reads of one configuration's Born tables, built once
-    per configuration (`detection_plan`); each run then only draws and counts.
+    """What the sampler reads of one configuration's Born tables, built once per
+    process per handle pair (`detection_plan`); a run only draws and counts.
 
     `rng.choice(n, size, p)` draws cell i exactly when cdf[i-1] <= u < cdf[i].
     With C(e) the number of uniforms below e, the failing count is
@@ -270,8 +273,15 @@ class SamplerPlan:
 
 
 def detection_plan(eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig) -> SamplerPlan:
-    """The sampler plan of the configuration's Born tables (`_born_tables`)."""
-    return SamplerPlan.from_tables(_born_tables(eve, control, cfg))
+    """The sampler plan of the configuration's Born tables (`_born_tables`),
+    built once per process per (Eve handle, control mode) pair, dim and kind,
+    and kept on Eve's handle (`detection_plans`) by the mode's identity; its
+    entry holds the mode, so a kept id is never reused. A build that raises
+    is not kept."""
+    plans, key = eve.detection_plans, (id(control), cfg.dim, cfg.initial_state_kind)
+    if key not in plans:
+        plans[key] = control, SamplerPlan.from_tables(_born_tables(eve, control, cfg))
+    return plans[key][1]
 
 
 def _sample_failures(rng: np.random.Generator, plan: SamplerPlan, trials: int) -> int:
@@ -290,27 +300,22 @@ def _sample_failures(rng: np.random.Generator, plan: SamplerPlan, trials: int) -
 
 
 def empirical_pdet(
-    eve: EavesdropperHandle,
-    control: ControlModeHandle,
-    cfg: ProtocolConfig,
-    trials: int,
-    plan: SamplerPlan | None = None,
+    eve: EavesdropperHandle, control: ControlModeHandle, cfg: ProtocolConfig, trials: int
 ) -> DetectionReport:
     """Seeded Monte Carlo over independent control cycles.
 
-    The plan of the per-basis Born tables is built once, or given as `plan`
-    (from `detection_plan` for the same handles and config); each trial
-    samples a basis and an outcome pair from the exact joint distribution,
-    and the analytic value is read off the same tables. The sampler draws
-    the uniforms per-trial `rng.choice` would, in bounded chunks, and counts
-    those that land in the failing cells' intervals of each table's running
-    sum, so the failure count is choice's with no outcome array. A plan that
-    reads no uniform makes no stream. Deterministic for a fixed cfg.seed.
+    The plan of the per-basis Born tables is built once per process per
+    handle pair (`detection_plan`); each trial samples a basis and an
+    outcome pair from the exact joint distribution, and the analytic value
+    is read off the same tables. The sampler draws the uniforms per-trial
+    `rng.choice` would, in bounded chunks, and counts those that land in the
+    failing cells' intervals of each table's running sum, so the failure
+    count is choice's with no outcome array. A plan that reads no uniform
+    makes no stream. Deterministic for a fixed cfg.seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if plan is None:
-        plan = detection_plan(eve, control, cfg)
+    plan = detection_plan(eve, control, cfg)
     if plan.reads:
         failures = _sample_failures(stream(cfg.seed, PDET_TAG), plan, trials)
     else:

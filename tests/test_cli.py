@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 import tracemalloc
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import qubit_cfg, rand_family
+from conftest import qubit_cfg, qudit_cfg, rand_family
 from pingpong import attacks, cli, protocol, rand
 from pingpong import control as control_mode
 from pingpong.cli import (
@@ -268,9 +269,12 @@ class TestConfigurationGroups:
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         keys = [cli._group_key(spec) for spec in specs]
         last = {key: i for i, key in enumerate(keys)}
-        groups = {}  # key -> weak reference to its group's sampler plan, which only the group holds
+        groups = {}  # key -> weak reference to a token that only its group holds
         trees = []  # (tree key, weak reference to the tree's root) per tree built
         walks = []  # the sessions' tree keys, per walk
+
+        class Token:
+            """Put in a group after its run, and held by nothing else."""
 
         class TrackedTree(protocol.SessionTree):
             def __init__(self, cfg, eve):
@@ -291,8 +295,7 @@ class TestConfigurationGroups:
             # no tree outlives its walk
             assert all(ref() is None for _, ref in trees)
             row = original(spec, group)
-            if "plan" in group:
-                groups.setdefault(keys[i], weakref.ref(group["plan"]))
+            groups.setdefault(keys[i], weakref.ref(group.setdefault("token", Token())))
             return row
 
         def tracking(cfgs, messages, eves, controls):
@@ -314,10 +317,10 @@ class TestConfigurationGroups:
         [walked] = walks
         assert len(set(walked)) == len(trees) == 5 and all(ref() is None for _, ref in trees)
 
-    def test_each_call_builds_its_groups_again(self, tmp_path, monkeypatch, builds):
+    def test_a_later_call_builds_no_handle_or_plan(self, tmp_path, monkeypatch, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         calls = {"attach": 0, "plans": 0, "walks": 0}
-        attach, plan, walk = attacks.EavesdropperHandle.attach, control_mode.detection_plan, cli.run_sessions
+        attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
 
         def counting(name, function):
             def counted(*args):
@@ -326,7 +329,7 @@ class TestConfigurationGroups:
             return counted
 
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
-        monkeypatch.setattr(control_mode, "detection_plan", counting("plans", plan))
+        monkeypatch.setattr(control_mode, "_born_tables", counting("plans", tables))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
         per_call, rows = [], []
         for _ in range(2):
@@ -334,16 +337,16 @@ class TestConfigurationGroups:
             builds.clear()
             rows.append(_stable(run_experiments(specs)))
             per_call.append(dict(calls, built=sorted(builds)))
-        # six groups of four attacks, each group's detection plan built once
-        # and attaching once; one walk takes every session through five
-        # trees, one per attack, dim and kind, each attached once. Only the
-        # first call builds handles: four attacks (all but the generic family
-        # at D=2) and four control modes, computational at (2, singlet),
-        # (3, beta00) and (2, beta00).
+        # one walk per call takes every session through five trees, one per
+        # attack, dim and kind, each attached once. Only the first call
+        # builds handles: four attacks (all but the generic family at D=2)
+        # and four control modes, computational at (2, singlet), (3, beta00)
+        # and (2, beta00). Only the first builds the six groups' detection
+        # plans from Born tables, each attaching once; the handles keep them.
         built = [("attack", "cnot"), ("attack", "generic"), ("attack", "intercept-resend"),
                  ("attack", "qudit-shift"), *[("control", "computational")] * 3, ("control", "two-basis")]
-        groups = {"attach": 11, "plans": 6, "walks": 1}
-        assert per_call == [dict(groups, built=built), dict(groups, built=[])]
+        assert per_call == [dict(attach=11, plans=6, walks=1, built=built),
+                            dict(attach=5, plans=0, walks=1, built=[])]
         assert rows[1] == rows[0]
 
     def test_a_rewritten_family_file_gives_the_new_familys_rows(self, tmp_path, builds):
@@ -373,16 +376,17 @@ class TestConfigurationGroups:
         ],
         ids=["cnot-two-basis", "intercept-resend-3", "qudit-shift-4"],
     )
-    def test_a_groups_runs_share_one_plan(self, config, monkeypatch):
+    def test_a_groups_runs_share_one_plan(self, config, monkeypatch, builds):
         """One configuration at several seeds and trial counts builds its
-        sampler plan once; each row's detection fields are a one-run call's."""
+        sampler plan's Born tables once per process, in its first one-run
+        call; each row's detection fields are a one-run call's."""
         runs = [(1, 500), (2, 20000), (3, 1), (2, 500), (4, 70000)]
         specs = [RunSpec.from_dict(dict(config, cycles=0, seed=seed, trials=trials)) for seed, trials in runs]
         fields = ("p_det_analytic", "p_det_empirical", "ci_low", "ci_high")
-        alone = [{k: execute_run(spec)[k] for k in fields} for spec in specs]
         built = []
-        plan = control_mode.detection_plan
-        monkeypatch.setattr(control_mode, "detection_plan", lambda *args: built.append(args) or plan(*args))
+        tables = control_mode._born_tables
+        monkeypatch.setattr(control_mode, "_born_tables", lambda *args: built.append(args) or tables(*args))
+        alone = [{k: execute_run(spec)[k] for k in fields} for spec in specs]
         rows = run_experiments(specs)
         assert len(built) == 1
         assert [{k: row[k] for k in fields} for row in rows] == alone
@@ -714,3 +718,77 @@ class TestMain:
         row = json.loads(out.read_text())[0]
         assert row["p_det_empirical"] == 0.0
         assert row["eve_mu_accuracy"] == 1.0
+
+
+class TestPlanStore:
+    """`control.detection_plan` keeps each plan on Eve's handle, by the
+    control mode's identity, dim and kind."""
+
+    def test_a_later_call_builds_no_born_table(self, monkeypatch, builds):
+        specs = [RunSpec.from_dict(spec_dict(attack=attack, control="computational", dim=dim, cycles=0,
+                                             trials=2000, seed=dim))
+                 for dim in (2, 3, 5) for attack in ("intercept-resend", "qudit-shift")]
+        specs.append(RunSpec.from_dict(spec_dict(cycles=40, seed=1)))
+        built = []
+        tables = control_mode._born_tables
+        monkeypatch.setattr(control_mode, "_born_tables", lambda *args: built.append(args) or tables(*args))
+        rows = []
+        for _ in range(2):
+            built.clear()
+            rows.append(_stable(run_experiments(specs)))
+            assert {row["status"] for row in rows[-1]} == {"ok"}
+            assert len(built) == (len(specs) if len(rows) == 1 else 0)
+        assert rows[1] == rows[0]
+
+    def test_a_hand_built_mode_gets_its_own_plan(self):
+        cfg = qudit_cfg(3)
+        eve, registry = attacks.from_name("intercept-resend", 3), control_mode.from_name("computational", cfg)
+        [entry] = registry.bases
+        other = control_mode.ControlModeHandle(
+            registry.name, registry.dim, (dataclasses.replace(entry, fail=~entry.fail),)
+        )
+        plan, own = control_mode.detection_plan(eve, registry, cfg), control_mode.detection_plan(eve, other, cfg)
+        assert own is not plan
+        assert control_mode.detection_plan(eve, registry, cfg) is plan
+        assert control_mode.detection_plan(eve, other, cfg) is own
+        assert plan.p_analytic == pytest.approx(2 / 3, abs=1e-12)
+        assert own.p_analytic == pytest.approx(1 / 3, abs=1e-12)
+        assert control_mode.analytic_pdet(eve, other, cfg) == own.p_analytic
+        assert control_mode.empirical_pdet(eve, other, cfg, 500).p_analytic == own.p_analytic
+
+    def test_each_kind_gets_its_own_plan(self):
+        eve, singlet, beta00 = attacks.no_attack(2), qubit_cfg(), qudit_cfg(2)
+        modes = [control_mode.from_name("computational", cfg) for cfg in (singlet, beta00)]
+        plans = [control_mode.detection_plan(eve, mode, cfg) for mode, cfg in zip(modes, (singlet, beta00))]
+        assert plans[0] is not plans[1] and len(eve.detection_plans) == 2
+        # one mode under both kinds: the singlet's mask fails every pair of the correlated state
+        mode = modes[0]
+        assert control_mode.detection_plan(eve, mode, beta00) is not plans[0]
+        p_det = [control_mode.detection_plan(eve, mode, cfg).p_analytic for cfg in (singlet, beta00)]
+        assert p_det == pytest.approx([0, 1]) and len(eve.detection_plans) == 3
+
+    def test_a_pushed_out_generic_handle_frees_its_plans(self, tmp_path, builds):
+        cfg = qudit_cfg(3)
+        mode = control_mode.from_name("computational", cfg)
+        attack = _family_file(tmp_path / "fam.json", 0)
+        plan = weakref.ref(control_mode.detection_plan(attacks.from_name(attack, 3), mode, cfg))
+        gc.collect()
+        assert plan() is not None  # its handle is kept
+        for seed in range(1, attacks.GENERIC_KEPT + 1):  # GENERIC_KEPT + 1 contents in all
+            control_mode.detection_plan(attacks.from_name(_family_file(tmp_path / "fam.json", seed), 3), mode, cfg)
+        gc.collect()
+        assert plan() is None
+
+    def test_a_dimension_mismatch_raises_on_every_call_and_keeps_nothing(self):
+        eve = attacks.qudit_shift_attack(3)
+        mode = control_mode.computational_control(qudit_cfg(3))
+        for control, cfg in ((control_mode.computational_control(qubit_cfg()), qudit_cfg(3)), (mode, qudit_cfg(2))):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    control_mode.detection_plan(eve, control, cfg)
+        assert eve.detection_plans == {}
+        plan = control_mode.detection_plan(eve, mode, qudit_cfg(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            control_mode.detection_plan(eve, mode, qudit_cfg(2))
+        [(kept, kept_plan)] = eve.detection_plans.values()
+        assert kept is mode and kept_plan is plan

@@ -244,6 +244,7 @@ class TestBornTableReference:
         cfg = qudit_cfg(32)
         eve, control = intercept_resend(32), computational_control(cfg)
         analytic_pdet(eve, control, cfg)  # build the cached 16 MiB swap operator first
+        eve.detection_plans.clear()  # so the traced call walks the ensemble again
         tracemalloc.start()
         try:
             analytic_pdet(eve, control, cfg)
@@ -422,13 +423,14 @@ class TestCountingSampler:
             assert counted.random() == chosen.random()
 
     @pytest.mark.parametrize("menu", SAMPLER_MENUS)
-    def test_empirical_counts_equal_choice_sampler(self, menu):
+    def test_empirical_counts_equal_choice_sampler(self, menu, monkeypatch):
         """A plan is all `empirical_pdet` reads; one that reads no uniform
         makes no stream and gives choice's count."""
         plan = plan_of(SAMPLER_MENUS[menu])
         assert plan.reads == (menu not in UNREAD_MENUS)
+        monkeypatch.setattr(control_module, "detection_plan", lambda eve, control, cfg: plan)
         for seed in (3, 19):
-            report = empirical_pdet(None, None, qubit_cfg(seed=seed), 5000, plan)
+            report = empirical_pdet(None, None, qubit_cfg(seed=seed), 5000)
             assert report.failures == oracles.choice_failures(stream(seed, PDET_TAG), SAMPLER_MENUS[menu], 5000)
             assert report.p_analytic == control_module._failing_mass(SAMPLER_MENUS[menu])
 

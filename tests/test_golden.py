@@ -2,7 +2,12 @@
 
 `run_session` transcripts and a reduced `scripts/run_matrix.py` report are
 compared field by field with the recorded files, so a rewrite that re-rolls
-any seeded number fails here even when it is reproducible run to run.
+any seeded number fails here even when it is reproducible run to run. The
+large-dimension transcripts (D = 16 and 32) pin the paths that only large D
+takes: stacks of one state, trailing-block products of a generic coupling
+with A = D, and the post-forward nodes of all-control intercept-resend.
+The stepwise reference in `test_engine.py` shares `apply` and the handles
+with the engine, so only these fixtures catch a fault there.
 `wall_clock_s` is the only field left out. After an intended change of
 output, record the fixtures again from the repository root with
 
@@ -44,6 +49,15 @@ SESSIONS = {
     "intercept-resend": ("intercept-resend", "two-basis", 2, "qubit_psi_minus", 1.0, 105),
 }
 
+LARGE_CYCLES = 40
+# As SESSIONS: qudit-shift, a generic family with A = D, and all-control
+# intercept-resend, at seed 5, the cases of test_engine.py's large-D check.
+LARGE_SESSIONS = {
+    f"{attack}-d{dim}": (attack, "computational", dim, "qudit_beta00", control_prob, 5)
+    for dim in (16, 32)
+    for attack, control_prob in (("qudit-shift", 0.25), ("generic", 0.25), ("intercept-resend", 1.0))
+}
+
 
 def matrix_report() -> list[dict]:
     """The 14-row sweep at reduced size, run in the current directory.
@@ -59,16 +73,17 @@ def matrix_report() -> list[dict]:
     return [{k: v for k, v in row.items() if k != "wall_clock_s"} for row in rows]
 
 
-def session_transcript(name: str) -> list[dict]:
-    attack, control, dim, kind, control_prob, seed = SESSIONS[name]
-    cfg = ProtocolConfig(dim=dim, control_prob=control_prob, n_cycles=SESSION_CYCLES,
+def session_transcript(name: str, sessions=SESSIONS, cycles=SESSION_CYCLES) -> list[dict]:
+    attack, control, dim, kind, control_prob, seed = sessions[name]
+    cfg = ProtocolConfig(dim=dim, control_prob=control_prob, n_cycles=cycles,
                          seed=seed, initial_state_kind=kind)
-    if attack == "generic":
+    if attack == "generic":  # a random family on max(4, D) ancilla levels
         rng = np.random.default_rng(seed)
-        eve = generic_coupling(dim, rand_family(rng, 4, dim), rand_family(rng, 4, dim))
+        anc = max(4, dim)
+        eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
     else:
         eve = attacks.from_name(attack, dim)
-    message = draw_message(dim, SESSION_CYCLES, seed)
+    message = draw_message(dim, cycles, seed)
     transcript = run_session(cfg, message, eve, control_mode.from_name(control, cfg))
     return json.loads(json.dumps(oracles.records(transcript)))
 
@@ -95,10 +110,23 @@ def test_session_transcripts_match_golden():
         assert session_transcript(name) == expected[name], name
 
 
+def large_transcript(name: str) -> list[dict]:
+    return session_transcript(name, LARGE_SESSIONS, LARGE_CYCLES)
+
+
+def test_large_dimension_transcripts_match_golden():
+    expected = json.loads((GOLDEN / "large_transcripts.json").read_text())
+    assert list(expected) == list(LARGE_SESSIONS)
+    for name in LARGE_SESSIONS:
+        assert large_transcript(name) == expected[name], name
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     transcripts = {name: session_transcript(name) for name in SESSIONS}
     (GOLDEN / "transcripts.json").write_text(_transcripts_json(transcripts))
+    large = {name: large_transcript(name) for name in LARGE_SESSIONS}
+    (GOLDEN / "large_transcripts.json").write_text(_transcripts_json(large))
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
