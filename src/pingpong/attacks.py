@@ -166,6 +166,11 @@ class EavesdropperHandle(ABC):
         """The sampler plans `control.detection_plan` keeps for this handle."""
         return {}
 
+    @cached_property
+    def session_trees(self) -> dict:
+        """The narrow session trees `protocol.run_sessions` keeps for this handle."""
+        return {}
+
     def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:
         """The post-forward ensemble of `init` as (probability, state) per
         branch, walked lazily and depth-first; exact for the (home, travel)

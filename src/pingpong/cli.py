@@ -286,9 +286,9 @@ def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     """Execute runs one after another; rows keep the spec order. Runs of one
     configuration (`_group_key`) share one group, which lists them and is
     dropped after their last: only groups with runs to come are held. Handles
-    come from the registries, which build each once per process, and each
-    Eve handle keeps its detection plans, so a later call builds neither;
-    groups with cycles walk in batches (`_walk_batch`)."""
+    come from the registries, which build each once per process; Eve's
+    handles keep their detection plans and narrow session trees, so a later
+    call builds none; groups with cycles walk in batches (`_walk_batch`)."""
     keys = [_group_key(spec) for spec in specs]
     last = {key: i for i, key in enumerate(keys)}
     groups, pending = {}, []

@@ -643,7 +643,8 @@ class SessionTree:
     Bob's outcomes, or per symbol pair the encoding, Eve's `returned` legs and
     Bob's decode. A readout of all of Eve's registers ending `returned` is
     taken as a `ReadoutEdge`. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
-    only, so the sessions of one attack share one tree under any control mode."""
+    only, so the sessions of one attack share one tree under any control mode,
+    and a narrow tree is kept on Eve's handle for later calls (`run_sessions`)."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
         self.state = eve.attach(make_initial_state(cfg))
@@ -662,7 +663,9 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
     pairs, consumed in order), eves[s] and controls[s], which must act on its
     dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. Sessions of one
-    Eve handle, dim and kind share a tree, dropped with their last session.
+    Eve handle, dim and kind share a tree. One whose attached state fits in
+    one stack (SLICE_AMPS) is kept in the handle's `session_trees` and taken
+    from there by a later call; a wider one is dropped with its last session.
     Their cycles, one session after another, go a chunk (`rand.CHUNK`) at a
     time: one `rand.CycleDraws`; per configuration (a tree and a control
     mode) its draws a tree level at a time; one ranking of the cycles by
@@ -671,8 +674,9 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     legs, walked together. A session fails at its first cycle that runs out
     of message or reaches a coherence break in Bob's decoder, and takes no
     cycles into later chunks; an error raised in a configuration's tree
-    build, draws or walk ends its sessions. The others go on. A session is
-    yielded once the chunk with its last cycle has been walked."""
+    build, draws or walk ends its sessions, and its tree is not kept. The
+    others go on. A session is yielded once the chunk with its last cycle
+    has been walked."""
     messages = list(messages)
     if len(messages) != len(cfgs):
         raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
@@ -690,6 +694,7 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
         try:
             return step(head, *args)
         except Exception as exc:  # noqa: BLE001 - the other configurations go on
+            eves[head].session_trees.pop(keys[head][1:], None)  # a tree that raised is not kept
             for s in np.flatnonzero(config == head).tolist():
                 errors[s] = errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
 
@@ -729,7 +734,12 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
         alice_u, bob_u = np.empty(n), np.empty(n)  # each control cycle's two uniforms
 
         def drawn(head: int, sub: np.ndarray) -> tuple:  # a configuration's cycles, forward and return draws
-            tree = trees.get(keys[head]) or trees.setdefault(keys[head], SessionTree(cfgs[head], eves[head]))
+            eve, key = eves[head], keys[head]
+            if key not in trees:  # a narrow tree is kept on Eve's handle for later calls
+                tree = trees[key] = eve.session_trees.get(key[1:]) or SessionTree(cfgs[head], eve)
+                if tree.state.layout.dim <= SLICE_AMPS:
+                    eve.session_trees[key[1:]] = tree
+            tree = trees[key]
             there = draw_leg(tree.forward, draws, sub)
             is_control[sub] = draws.random(sub) < prob[owner[sub]]
             ctrl, msg = sub[is_control[sub]], sub[~is_control[sub]]

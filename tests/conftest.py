@@ -108,3 +108,11 @@ def builds(monkeypatch):
         monkeypatch.setitem(control_mode.CONTROL_MODES, name, counted("control", name, build))
     monkeypatch.setattr(attacks, "family_from_json", counted("attack", "generic", attacks.family_from_json))
     return built
+
+
+@pytest.fixture
+def fresh_trees(monkeypatch):
+    """Each `protocol.run_sessions` call from here on builds its own session
+    trees and drops them after its last session: every Eve handle's tree
+    store reads as a new, empty one."""
+    monkeypatch.setattr(attacks.EavesdropperHandle, "session_trees", property(lambda eve: {}))

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import gc
 import json
@@ -8,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from conftest import qubit_cfg, qudit_cfg, rand_family
 from pingpong import attacks, cli, protocol, rand
 from pingpong import control as control_mode
@@ -265,7 +265,7 @@ class TestConfigurationGroups:
         shuffled = _stable(run_experiments([specs[i] for i in order]))
         assert [shuffled[list(order).index(i)] for i in range(len(specs))] == rows
 
-    def test_a_group_is_freed_after_its_last_run(self, tmp_path, monkeypatch):
+    def test_a_group_is_freed_after_its_last_run(self, tmp_path, monkeypatch, fresh_trees):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         keys = [cli._group_key(spec) for spec in specs]
         last = {key: i for i, key in enumerate(keys)}
@@ -319,8 +319,13 @@ class TestConfigurationGroups:
 
     def test_a_later_call_builds_no_handle_or_plan(self, tmp_path, monkeypatch, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "plans": 0, "walks": 0}
+        calls = {"attach": 0, "plans": 0, "trees": 0, "walks": 0}
         attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
+
+        class CountedTree(protocol.SessionTree):
+            def __init__(self, *args):
+                calls["trees"] += 1
+                super().__init__(*args)
 
         def counting(name, function):
             def counted(*args):
@@ -331,22 +336,23 @@ class TestConfigurationGroups:
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
         monkeypatch.setattr(control_mode, "_born_tables", counting("plans", tables))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
+        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
         per_call, rows = [], []
         for _ in range(2):
-            calls.update(attach=0, plans=0, walks=0)
+            calls.update(attach=0, plans=0, trees=0, walks=0)
             builds.clear()
             rows.append(_stable(run_experiments(specs)))
             per_call.append(dict(calls, built=sorted(builds)))
         # one walk per call takes every session through five trees, one per
-        # attack, dim and kind, each attached once. Only the first call
-        # builds handles: four attacks (all but the generic family at D=2)
-        # and four control modes, computational at (2, singlet), (3, beta00)
-        # and (2, beta00). Only the first builds the six groups' detection
-        # plans from Born tables, each attaching once; the handles keep them.
+        # attack, dim and kind. Only the first call builds handles: four
+        # attacks (all but the generic family at D=2) and four control modes,
+        # computational at (2, singlet), (3, beta00) and (2, beta00). Only the
+        # first builds the five trees and the six groups' detection plans
+        # from Born tables, each attaching once; the handles keep them all.
         built = [("attack", "cnot"), ("attack", "generic"), ("attack", "intercept-resend"),
                  ("attack", "qudit-shift"), *[("control", "computational")] * 3, ("control", "two-basis")]
-        assert per_call == [dict(attach=11, plans=6, walks=1, built=built),
-                            dict(attach=5, plans=0, walks=1, built=[])]
+        assert per_call == [dict(attach=11, plans=6, trees=5, walks=1, built=built),
+                            dict(attach=0, plans=0, trees=0, walks=1, built=[])]
         assert rows[1] == rows[0]
 
     def test_a_rewritten_family_file_gives_the_new_familys_rows(self, tmp_path, builds):
@@ -391,7 +397,7 @@ class TestConfigurationGroups:
         assert len(built) == 1
         assert [{k: row[k] for k in fields} for row in rows] == alone
 
-    def test_a_batch_gives_the_rows_of_one_call_per_configuration(self, tmp_path, monkeypatch):
+    def test_a_batch_gives_the_rows_of_one_call_per_configuration(self, tmp_path, monkeypatch, fresh_trees):
         """Sessions of six configurations share and straddle short chunks;
         rows equal one call per configuration, which builds one tree each,
         while the batch builds one per attack, dim and kind."""
@@ -455,7 +461,8 @@ class TestConfigurationGroups:
             if not name.startswith(attacks.GENERIC_PREFIX):
                 return build(name, dim)
             if (name, dim) not in broken_eves:  # one broken handle, as the registry keeps one
-                eve = broken_eves[name, dim] = copy.copy(build(name, dim))  # the registry's is shared: break a copy
+                # the registry's is shared: break a new handle of its fields, with stores of its own
+                eve = broken_eves[name, dim] = dataclasses.replace(build(name, dim))
                 object.__setattr__(eve, "backward_leg", (Unwalkable(),))  # in place of the cached leg
             return broken_eves[name, dim]
 
@@ -476,7 +483,7 @@ class TestConfigurationGroups:
         others = [spec for spec, bad in zip(specs, failed) if not bad]
         assert [row for row, bad in zip(rows, failed) if not bad] == _stable(run_experiments(others))
 
-    def test_wide_configurations_walk_one_at_a_time(self, tmp_path, monkeypatch):
+    def test_wide_configurations_walk_one_at_a_time(self, tmp_path, monkeypatch, fresh_trees):
         """Four D=16 qudit-shift configurations (one family, four files), each
         attaching a state of 16^3 = SLICE_AMPS amplitudes, walk in four
         batches: the call's peak stays within a few percent of the largest
@@ -792,3 +799,125 @@ class TestPlanStore:
             control_mode.detection_plan(eve, mode, qudit_cfg(2))
         [(kept, kept_plan)] = eve.detection_plans.values()
         assert kept is mode and kept_plan is plan
+
+
+class TestTreeStore:
+    """`protocol.run_sessions` keeps each session tree whose attached state
+    fits in one stack (`protocol.SLICE_AMPS`) on Eve's handle, by dim and
+    kind, and takes it from there in a later call."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Counts of the trees built, the states attached and the nodes grown
+        from here on."""
+        calls = {"trees": 0, "attach": 0, "nodes": 0}
+        attach = attacks.EavesdropperHandle.attach
+
+        class CountedTree(protocol.SessionTree):
+            def __init__(self, *args):
+                calls["trees"] += 1
+                super().__init__(*args)
+
+        class CountedNode(protocol._Node):
+            def __init__(self, *args):
+                calls["nodes"] += 1
+                super().__init__(*args)
+
+        def attaching(eve, state):
+            calls["attach"] += 1
+            return attach(eve, state)
+
+        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
+        monkeypatch.setattr(protocol, "_Node", CountedNode)
+        monkeypatch.setattr(attacks.EavesdropperHandle, "attach", attaching)
+        return calls
+
+    def test_a_later_call_builds_no_tree_and_grows_no_node(self, tmp_path, monkeypatch, builds):
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        calls, rows, per_call = self._counting(monkeypatch), [], []
+        for _ in range(2):
+            calls.update(trees=0, attach=0, nodes=0)
+            rows.append(_stable(run_experiments(specs)))
+            per_call.append(dict(calls))
+        assert per_call[0]["trees"] == 5 and per_call[0]["nodes"] > 100
+        assert per_call[1] == dict(trees=0, attach=0, nodes=0)
+        assert rows[1] == rows[0]
+        # other seeds walk the kept trees and give the rows of fresh trees
+        others = [dataclasses.replace(spec, seed=spec.seed + 100) for spec in specs]
+        kept = _stable(run_experiments(others))
+        assert calls["trees"] == 0
+        monkeypatch.setattr(attacks.EavesdropperHandle, "session_trees", property(lambda eve: {}))
+        assert _stable(run_experiments(others)) == kept
+        assert calls["trees"] == 5
+
+    def test_two_control_modes_of_one_attack_share_one_kept_tree(self, monkeypatch, builds):
+        specs = [RunSpec.from_dict(spec_dict(control=control, cycles=40, control_prob=0.5, seed=seed))
+                 for seed, control in enumerate(("computational", "two-basis"))]
+        calls = self._counting(monkeypatch)
+        rows = _stable(run_experiments(specs))
+        eve = attacks.from_name("cnot", 2)
+        [(key, tree)] = eve.session_trees.items()
+        assert key == (2, "qubit_psi_minus") and calls["trees"] == 1
+        [post_forward] = tree.root.next.values()
+        assert {"computational", "dual"} <= set(post_forward.next)
+        assert _stable(run_experiments(specs[::-1])) == rows[::-1]
+        assert calls["trees"] == 1 and eve.session_trees[key] is tree
+
+    def test_a_wide_tree_is_not_kept(self, monkeypatch, builds):
+        """qudit-shift at D=16 attaches 16^3 = SLICE_AMPS amplitudes and its
+        tree is kept; at D=17, 17^3 = 4913, it is freed after the call."""
+        trees = []
+
+        class TrackedTree(protocol.SessionTree):
+            def __init__(self, *args):
+                super().__init__(*args)
+                trees.append(weakref.ref(self))
+
+        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
+        for dim in (16, 17):
+            spec = RunSpec.from_dict(spec_dict(attack="qudit-shift", control="computational", dim=dim,
+                                               cycles=30, trials=100))
+            assert run_experiments([spec])[0]["status"] == "ok"
+        gc.collect()
+        narrow, wide = (attacks.from_name("qudit-shift", dim) for dim in (16, 17))
+        assert protocol.attached_width(16, narrow) == protocol.SLICE_AMPS < protocol.attached_width(17, wide)
+        assert [ref() for ref in trees] == [narrow.session_trees[16, "qudit_beta00"], None]
+        assert wide.session_trees == {}
+
+    def test_a_pushed_out_generic_handle_frees_its_trees(self, tmp_path, builds):
+        cfg = qudit_cfg(3, n_cycles=30)
+        mode = control_mode.from_name("computational", cfg)
+        attack = _family_file(tmp_path / "fam.json", 0)
+        protocol.run_session(cfg, cli.draw_message(3, 30, 7), attacks.from_name(attack, 3), mode)
+        [tree] = map(weakref.ref, attacks.from_name(attack, 3).session_trees.values())
+        gc.collect()
+        assert tree() is not None  # its handle is kept
+        for seed in range(1, attacks.GENERIC_KEPT + 1):  # GENERIC_KEPT + 1 contents in all
+            attacks.from_name(_family_file(tmp_path / "fam.json", seed), 3)
+        gc.collect()
+        assert tree() is None
+
+    @pytest.mark.parametrize("broken", ["SessionTree", "draw_leg", "follow"])
+    def test_a_tree_that_raises_is_not_kept(self, monkeypatch, broken):
+        """A build, draws or walk that raises leaves nothing in the store, a
+        tree kept by an earlier call included; the next call builds a tree
+        and gives the first call's transcript."""
+        eve, cfg = attacks.qudit_shift_attack(3), qudit_cfg(3, n_cycles=40, control_prob=0.25)
+        mode, message = control_mode.from_name("computational", cfg), cli.draw_message(3, 40, 7)
+        first = protocol.run_session(cfg, message, eve, mode)
+        [kept] = eve.session_trees.values()
+
+        def failing(*args):
+            raise RuntimeError("no tree for this walk")
+
+        with monkeypatch.context() as broken_call:
+            broken_call.setattr(protocol, broken, failing)
+            if broken == "SessionTree":
+                eve.session_trees.clear()
+            with pytest.raises(RuntimeError, match="no tree for this walk"):
+                protocol.run_session(cfg, message, eve, mode)
+            assert eve.session_trees == {}
+        again = protocol.run_session(cfg, message, eve, mode)
+        [rebuilt] = eve.session_trees.values()
+        assert rebuilt is not kept
+        assert oracles.records(again) == oracles.records(first)

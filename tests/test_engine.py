@@ -409,6 +409,7 @@ def test_long_session_memory_is_its_columns_and_one_chunk():
     assert peak < 100 * cycles  # a record object per cycle takes several times this
 
 
+@pytest.mark.usefixtures("fresh_trees")
 def test_session_holds_the_states_of_one_path_not_of_a_tree_level():
     """The walk takes each stack of at most `SLICE_AMPS` amplitudes to the
     end of the leg before building the next: a D=16 session whose message
@@ -461,6 +462,7 @@ def _nodes(node):
     return seen
 
 
+@pytest.mark.usefixtures("fresh_trees")
 def test_a_longer_session_grows_nodes_not_states(monkeypatch):
     """A D=16 generic session with a 16-level ancilla reaches more symbol
     pairs and readout outcomes at 300 cycles than at 50, and its peak grows
@@ -481,6 +483,7 @@ def test_a_longer_session_grows_nodes_not_states(monkeypatch):
     assert long_peak - short_peak < 1024 * (long_nodes - short_nodes)
 
 
+@pytest.mark.usefixtures("fresh_trees")
 def test_all_control_intercept_resend_peaks_near_detection(monkeypatch):
     """An all-control D=16 intercept-resend session reaches all D^2 = 256
     post-forward nodes, each with its own D^3-amplitude state, and peaks
@@ -554,6 +557,7 @@ def test_a_coherence_break_ends_only_its_own_session(monkeypatch):
     assert [len(together[i]) for i in (0, 2, 3)] == [cfgs[i].n_cycles for i in (0, 2, 3)]
 
 
+@pytest.mark.usefixtures("fresh_trees")
 def test_sessions_of_several_configurations_walked_together_match_stepper(monkeypatch):
     """Interleaved sessions of five configurations, two of them cnot under
     either control mode with one handle, share and straddle chunks: each
@@ -592,6 +596,7 @@ def test_a_message_that_runs_out_ends_only_its_own_session(monkeypatch):
     assert [len(together[i]) for i in (0, 1)] == [cfgs[i].n_cycles for i in (0, 1)]
 
 
+@pytest.mark.usefixtures("fresh_trees")
 @pytest.mark.parametrize(
     "case,control_prob,n_pairs,seed,error",
     [
@@ -632,6 +637,7 @@ def test_a_failed_session_grows_no_node_in_later_chunks(case, control_prob, n_pa
     assert grown[0] == grown[1]
 
 
+@pytest.mark.usefixtures("fresh_trees")
 @pytest.mark.parametrize("case", COUPLINGS + INTERCEPT_RESEND, ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}")
 def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeypatch):
     """A control cycle picks Alice's and Bob's outcomes from its post-forward
@@ -746,6 +752,7 @@ def test_the_readout_pair_is_the_factor_of_the_collapsed_state(case):
     assert np.min(np.abs(np.sum(pairs.amps.conj() * want.amps, axis=1))) >= 1 - 1e-12
 
 
+@pytest.mark.usefixtures("fresh_trees")
 @pytest.mark.parametrize("case", [COUPLINGS[0], COUPLINGS[2], COUPLINGS[4], COUPLINGS[9], COUPLINGS[-1], INTERCEPT_RESEND[2]],
                          ids=lambda c: f"{c[0]}-d{c[2]}")
 def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, monkeypatch):
@@ -795,6 +802,7 @@ def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(mo
         assert len(supports) > dim and max(supports) > 1
 
 
+@pytest.mark.usefixtures("fresh_trees")
 @pytest.mark.parametrize("case", [COUPLINGS[8], INTERCEPT_RESEND[2]], ids=lambda c: f"{c[0]}-d{c[2]}")
 def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeypatch):
     """2 x CHUNK cycles. A qudit-shift message of one pair for the first
@@ -828,6 +836,7 @@ def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeyp
         assert replays == [len(eve.forward_leg)]
 
 
+@pytest.mark.usefixtures("fresh_trees")
 def test_no_stack_holds_more_than_the_slice_bound(monkeypatch):
     """Every state a session's kernels take or give is one state, or a
     stack of at most SLICE_AMPS amplitudes; stacks of several states do
