@@ -215,7 +215,7 @@ def _walk_batch(group: dict) -> None:
         if batch and width + spec.dim ** 2 > SLICE_AMPS:  # no room for its pair alone: nothing is built
             break
         try:
-            wide = attached_width(spec.dim, attacks.from_name(spec.attack, spec.dim))
+            wide = attached_width(spec.dim, _handles(spec)[0])  # both: a control mode that fails ends the batch
         except Exception:  # noqa: BLE001 - its runs report it
             break
         if batch and width + wide > SLICE_AMPS:

@@ -6,22 +6,22 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_sessions` walks the sessions of several configurations together, a
-chunk of their cycles at a time, those of one attack through one branch tree
-(`SessionTree`): each tree level's draws come from the cycles' streams in one
-vectorized call (`rand.CycleDraws`), each node splits its cycles among its
-successors with array operations, and each session comes back as a columnar
-`Transcript`; `run_session` is the one-session call. `follow` walks a leg a
-tree level at a time: the nodes of a level with nothing built below them
-take its edge together, their states stacked, so the symbol pairs a
-post-forward node's cycles reach take their encoding, Eve's return legs,
-`factor` and Bob's decode in a few kernel calls; a return leg that ends in
-Eve's readout of all her registers (`ReadoutEdge`) hands Bob the (home,
-travel) pairs with no collapse. A control cycle reads
-the joint table P(alice, bob) of its post-forward node (`pair_probs`, the
-table detection sums), picks Alice's outcome from its marginal and Bob's
-from her row, and is judged by the menu basis's failing-pair mask; it
-collapses no state.
+`run_sessions` schedules the sessions of several configurations a chunk of
+their cycles at a time, and `SessionTree` takes a configuration's cycles of a
+chunk through the branch tree of its attack: each tree level's draws come
+from the cycles' streams in one vectorized call (`rand.CycleDraws`), each
+node splits its cycles among its successors with array operations, and each
+session comes back as a columnar `Transcript`; `run_session` is the
+one-session call. `follow` walks a leg a tree level at a time: the nodes of
+a level with nothing built below them take its edge together, their states
+stacked, so the symbol pairs a post-forward node's cycles reach take their
+encoding, Eve's return legs, `factor` and Bob's decode in a few kernel calls
+(`SessionTree.leaves`); a return leg that ends in Eve's readout of all her
+registers (`ReadoutEdge`) hands Bob the (home, travel) pairs with no
+collapse. A control cycle reads the joint table P(alice, bob) of its
+post-forward node (`pair_probs`, the table detection sums), picks Alice's
+outcome from its marginal and Bob's from her row, and is judged by the menu
+basis's failing-pair mask (`SessionTree.checks`); it collapses no state.
 """
 
 from __future__ import annotations
@@ -193,13 +193,13 @@ def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real.copy()
 
 
-def dense_encode(state: StateVector, mu, nu, alg: QuditAlgebra) -> StateVector:
-    """Alice's dense coding: X^mu Z^nu on the travel register only. Given
-    arrays of symbols, the stack of `state` encoded under each pair, from one
-    gather on a (lead, travel, trail) view of the amplitudes: each travel
-    level's amplitudes times its phase move to the level mu above it, the
-    values `apply` gives for the monomial encoding."""
-    dim = alg.dim
+def dense_encode(state: StateVector, mu, nu) -> StateVector:
+    """Alice's dense coding: X^mu Z^nu on the travel register only, at its
+    dimension in `state`. Given arrays of symbols, the stack of `state`
+    encoded under each pair, from one gather on a (lead, travel, trail) view
+    of the amplitudes: each travel level's amplitudes times its phase move to
+    the level mu above it, the values `apply` gives for the monomial encoding."""
+    dim = state.layout.dim_of(TRAVEL)
     mu, nu = np.asarray(mu), np.asarray(nu)
     if not ((0 <= mu) & (mu < dim) & (0 <= nu) & (nu < dim)).all():
         raise ValueError(f"symbols ({mu}, {nu}) out of range for dim {dim}")
@@ -292,11 +292,12 @@ class _Node:
     """A branch of a `SessionTree` and the nodes it leads to; no state.
 
     Each node is left by one edge only, except the post-forward node, whose
-    successors `run_session` keys by control basis and by symbol pair. A
-    control basis's node is an end node: its `leaf` is the joint table
-    P(alice, bob), and `probs` and `cum` are Alice's marginal and its
-    running sum. A message leaf's `leaf` is Bob's decoded pair and Eve's
-    guess. A node with successors or a leaf needs no state to walk.
+    successors `SessionTree.checks` keys by control basis and
+    `SessionTree.leaves` by symbol pair. A control basis's node is an end
+    node: its `leaf` is the joint table P(alice, bob), and `probs` and `cum`
+    are Alice's marginal and its running sum. A message leaf's `leaf` is
+    Bob's decoded pair and Eve's guess. A node with successors or a leaf
+    needs no state to walk.
     """
 
     __slots__ = ("notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
@@ -644,15 +645,98 @@ class SessionTree:
     Bob's decode. A readout of all of Eve's registers ending `returned` is
     taken as a `ReadoutEdge`. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
     only, so the sessions of one attack share one tree under any control mode,
-    and a narrow tree is kept on Eve's handle for later calls (`run_sessions`)."""
+    and Eve's handle keeps a narrow tree (`run_sessions`), which holds no
+    handle. A chunk's cycles of a configuration take their `draw` and `walk`."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
-        self.state = eve.attach(make_initial_state(cfg))
+        self.cfg, self.state = cfg, eve.attach(make_initial_state(cfg))  # Bob's decode reads cfg's dim and kind
         self.root = _Node({})
         self.forward, self.returned = eve.forward_leg, eve.backward_leg + eve.readout_leg
         last = self.returned[-1] if self.returned else None
         if isinstance(last, MeasureEdge) and set(last.labels) == set(self.state.layout.labels) - {HOME, TRAVEL}:
             self.returned = self.returned[:-1] + (ReadoutEdge(last.labels, last.basis, last.key),)
+
+    def draw(self, chunk: "_Chunk", control: "ControlModeHandle", draws, sub: np.ndarray, prob) -> tuple:
+        """(sub, forward draws, return draws) of a configuration's cycles `sub`, a tree level at a time."""
+        there = draw_leg(self.forward, draws, sub)
+        chunk.is_control[sub] = draws.random(sub) < prob[chunk.owner[sub]]
+        ctrl, msg = sub[chunk.is_control[sub]], sub[~chunk.is_control[sub]]
+        back = draw_leg(self.returned, draws, msg)
+        chunk.chosen[ctrl] = control.choose(draws.random(ctrl))
+        chunk.alice_u[ctrl], chunk.bob_u[ctrl] = draws.random(ctrl), draws.random(ctrl)
+        return sub, there, back
+
+    def walk(self, chunk: "_Chunk", control: "ControlModeHandle", guess: Callable, cycles, there, back) -> None:
+        """A configuration's `cycles` down the forward leg, then each post-forward node's `leaves` and `checks`."""
+        # the forward walk's one start is the attached pair: `take` stacks it once per index
+        for nodes, states in follow(self.forward, [(self.root, cycles)], there, self.state.take, self.state.layout.dim):
+            for i, (node, group) in enumerate(nodes):
+                group = group[group < chunk.limit[chunk.owner[group]]]
+                mode = chunk.is_control[group]  # the state goes to `checks` unnamed, so `del states` frees the stack
+                self.checks(chunk, control, node, group[mode], self.leaves(
+                    chunk, guess, node, group[~mode], back, None if states is None else states.take(i)))
+            del states  # not held while the walk builds the next stack
+
+    def replayed(self, node: _Node, state: Optional[StateVector]) -> StateVector:
+        """A post-forward node's `state`, or if None (the forward walk did not build it), its replayed state."""
+        return state if state is not None else _replay(self.forward, self.state.take([0]), [node]).take(0)
+
+    def leaves(self, chunk: "_Chunk", guess: Callable, node: _Node, cycles, back, state) -> Optional[StateVector]:
+        """A post-forward node's message `cycles` to Bob's decode and Eve's guess; returns the node's state, or None."""
+        by_pair = _split(cycles, chunk.message[chunk.at[cycles]])
+        mu, nu = np.divmod(np.array([code for code, _ in by_pair], dtype=np.int64), self.cfg.dim)
+        starts = [(node.child(divmod(code, self.cfg.dim)), sub) for code, sub in by_pair]
+        if not all(start.next for start, _ in starts):
+            state = self.replayed(node, state)
+        encoded = lambda rows: dense_encode(self.replayed(node, state), mu[rows], nu[rows])  # noqa: E731 - one gather
+        for ends, finals in follow(self.returned, starts, back, encoded, self.state.layout.dim):
+            if finals is not None:  # dropped before the walk builds the next stack
+                found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), self.cfg), None
+                for (leaf, reached), got in zip(ends, found):
+                    if isinstance(got, CoherenceBreakError):  # the pair was disturbed
+                        chunk.fail(reached, got)
+                        continue
+                    mu_hat = guess(leaf.notes)
+                    leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
+            for leaf, reached in ends:
+                if leaf.leaf is not None:
+                    at_rank = chunk.rank[reached]
+                    chunk.decoded[at_rank], chunk.guess[at_rank] = leaf.leaf
+        return state
+
+    def checks(self, chunk: "_Chunk", control: "ControlModeHandle", node: _Node, cycles, state) -> None:
+        """A post-forward node's control `cycles`: Alice's outcome from a menu basis's table, Bob's from her row."""
+        for b, sub in _split(cycles, chunk.chosen[cycles]):
+            entry = control.bases[b]
+            check = node.child(entry.basis_id)
+            if check.leaf is None:
+                state = self.replayed(node, state)
+                check.leaf = pair_probs(state, entry.basis)
+                check.probs = check.leaf.sum(axis=1)
+                check.cum = running_sum(check.probs)
+            for a, reached in _split(sub, pick(check.probs, check.cum, chunk.alice_u[sub])):
+                row = check.leaf[a]
+                bob = pick(row, running_sum(row), chunk.bob_u[reached])
+                at_rank = chunk.rank[reached]
+                chunk.basis[at_rank], chunk.outcomes[at_rank, 0], chunk.outcomes[at_rank, 1] = b, a, bob
+                chunk.passed[at_rank] = ~entry.fail[a, bob]
+
+
+class _Chunk:
+    """A chunk of a `run_sessions` call: per cycle its session, mode, menu index, uniforms, `rank` in its mode and
+    message code (`at`, into `message`); the transcript columns; per session its first failing cycle (`limit`)."""
+
+    def __init__(self, owner: np.ndarray, message: np.ndarray, errors: list):
+        self.owner, self.message, self.errors, self.limit = owner, message, errors, np.full(len(errors), len(owner))
+        self.is_control, self.chosen = np.zeros(len(owner), dtype=bool), np.empty(len(owner), dtype=np.int64)
+        self.alice_u, self.bob_u = np.empty(len(owner)), np.empty(len(owner))
+
+    def fail(self, reached: np.ndarray, error: Exception) -> None:
+        """A session fails with `error` at its first cycle in `reached`, unless at an earlier one already."""
+        hit, where = np.unique(self.owner[reached], return_index=True)
+        for s, k in zip(hit.tolist(), reached[where].tolist()):
+            if k < self.limit[s]:
+                self.limit[s], self.errors[s] = k, error
 
 
 def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["EavesdropperHandle"],
@@ -663,20 +747,17 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
     pairs, consumed in order), eves[s] and controls[s], which must act on its
     dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. Sessions of one
-    Eve handle, dim and kind share a tree. One whose attached state fits in
-    one stack (SLICE_AMPS) is kept in the handle's `session_trees` and taken
-    from there by a later call; a wider one is dropped with its last session.
-    Their cycles, one session after another, go a chunk (`rand.CHUNK`) at a
-    time: one `rand.CycleDraws`; per configuration (a tree and a control
-    mode) its draws a tree level at a time; one ranking of the cycles by
-    mode; per configuration the forward leg from its root (`follow`), then
-    per post-forward node its control checks and its symbol pairs' return
-    legs, walked together. A session fails at its first cycle that runs out
-    of message or reaches a coherence break in Bob's decoder, and takes no
-    cycles into later chunks; an error raised in a configuration's tree
-    build, draws or walk ends its sessions, and its tree is not kept. The
-    others go on. A session is yielded once the chunk with its last cycle
-    has been walked."""
+    Eve handle, dim and kind share a tree, kept in the handle's
+    `session_trees` for a later call if its attached state fits in one stack
+    (SLICE_AMPS), else dropped with its last session. Their cycles, one
+    session after another, go a chunk (`rand.CHUNK`) at a time: one
+    `rand.CycleDraws`, each configuration's (tree and control mode) `draw`,
+    one ranking of the cycles by mode, each configuration's `walk`. A session
+    fails at its first cycle that runs out of message or reaches a coherence
+    break in Bob's decoder (`_Chunk.fail`); an error raised in a
+    configuration's tree build, draws or walk ends its sessions, and its tree
+    is not kept. The others go on. A session is yielded once the chunk with
+    its last cycle has been walked."""
     messages = list(messages)
     if len(messages) != len(cfgs):
         raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
@@ -690,11 +771,16 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
 
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
 
-    def guarded(head: int, step: Callable, *args):  # an exception it raises ends configuration `head`'s sessions
+    def guarded(head: int, step: str, *args):  # a tree method for configuration `head`; if it raises, ends its sessions
+        eve, key = eves[head], keys[head]
         try:
-            return step(head, *args)
+            if key not in trees:  # a narrow tree is kept on Eve's handle for later calls
+                tree = trees[key] = eve.session_trees.get(key[1:]) or SessionTree(cfgs[head], eve)
+                if tree.state.layout.dim <= SLICE_AMPS:
+                    eve.session_trees[key[1:]] = tree
+            return getattr(trees[key], step)(chunk, controls[head], *args)
         except Exception as exc:  # noqa: BLE001 - the other configurations go on
-            eves[head].session_trees.pop(keys[head][1:], None)  # a tree that raised is not kept
+            eve.session_trees.pop(key[1:], None)  # a tree that raised is not kept
             for s in np.flatnonzero(config == head).tolist():
                 errors[s] = errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
 
@@ -705,7 +791,7 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
             pairs.append(np.zeros((0, 2), dtype=np.int64))
             errors[s] = exc.with_traceback(None)
     n_pairs = np.array([len(p) for p in pairs])
-    message, first_pair = np.concatenate(pairs), np.cumsum(n_pairs) - n_pairs
+    message = np.concatenate([p[:, 0] * cfg.dim + p[:, 1] for p, cfg in zip(pairs, cfgs)])  # pairs as mu * dim + nu
     seeds = np.array([cfg.seed for cfg in cfgs], dtype=object)
     seeds = seeds.astype(np.int64) if seeds.max() < 2**63 else seeds  # numeric unless a seed is wider
     prob = np.array([cfg.control_prob for cfg in cfgs])
@@ -730,112 +816,26 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
         if not (n := len(owner)):
             continue
         draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner])
-        is_control, chosen = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)  # chosen: a control cycle's menu index
-        alice_u, bob_u = np.empty(n), np.empty(n)  # each control cycle's two uniforms
-
-        def drawn(head: int, sub: np.ndarray) -> tuple:  # a configuration's cycles, forward and return draws
-            eve, key = eves[head], keys[head]
-            if key not in trees:  # a narrow tree is kept on Eve's handle for later calls
-                tree = trees[key] = eve.session_trees.get(key[1:]) or SessionTree(cfgs[head], eve)
-                if tree.state.layout.dim <= SLICE_AMPS:
-                    eve.session_trees[key[1:]] = tree
-            tree = trees[key]
-            there = draw_leg(tree.forward, draws, sub)
-            is_control[sub] = draws.random(sub) < prob[owner[sub]]
-            ctrl, msg = sub[is_control[sub]], sub[~is_control[sub]]
-            back = draw_leg(tree.returned, draws, msg)
-            chosen[ctrl] = controls[head].choose(draws.random(ctrl))
-            alice_u[ctrl], bob_u[ctrl] = draws.random(ctrl), draws.random(ctrl)
-            return sub, there, back
-
-        work = [(h, taken) for h, sub in _split(np.arange(n), config[owner]) if (taken := guarded(h, drawn, sub))]
+        chunk = _Chunk(owner, message, errors)
+        work = [(h, t) for h, sub in _split(np.arange(n), config[owner]) if (t := guarded(h, "draw", draws, sub, prob))]
         del draws  # the words are not held through the walk
-        ctrl, msg = np.flatnonzero(is_control), np.flatnonzero(~is_control)
-        rank = np.empty(n, dtype=np.int64)  # each cycle's place among the chunk's of its mode
-        rank[ctrl], rank[msg] = np.arange(len(ctrl)), np.arange(len(msg))
-        # A session's message cycles are consecutive in `msg`, from `first` on.
+        ctrl, msg = np.flatnonzero(chunk.is_control), np.flatnonzero(~chunk.is_control)
+        chunk.rank = np.where(chunk.is_control, np.cumsum(chunk.is_control), np.cumsum(~chunk.is_control)) - 1
         per = np.bincount(owner[msg], minlength=len(cfgs))
-        first = np.cumsum(per) - per
-        at = (first_pair + sent - first)[owner] + rank  # each message cycle's pair in `message`
-        decoded, guess, basis, outcomes, passed = _columns(len(msg), len(ctrl))
-        limit = np.full(len(cfgs), n)  # each session's first failing cycle in the chunk
-        for s in np.flatnonzero(live & (sent + per > n_pairs)).tolist():
-            limit[s] = msg[first[s] + n_pairs[s] - sent[s]]
-            errors[s] = errors[s] or ValueError("message exhausted before the session finished")
-
-        def walk(head: int, cycles, there, back) -> None:  # a configuration's cycles down its tree
-            tree, eve, control, cfg = trees[keys[head]], eves[head], controls[head], cfgs[head]
-            dim, alg, width = cfg.dim, algebra(cfg.dim), tree.state.layout.dim
-
-            def replayed(node):  # a post-forward node's state, replayed from the attached pair
-                return _replay(tree.forward, tree.state.take([0]), [node]).take(0)
-
-            def visit(node: _Node, group: np.ndarray, state: Optional[StateVector]) -> None:
-                """Take a post-forward node's cycles of this chunk through their
-                control checks and their symbol pairs' return walks; `state` is
-                the node's state, or None if the forward walk did not build it."""
-                group = group[group < limit[owner[group]]]
-                mode = is_control[group]
-                cycles = group[mode]
-                checks = [(b, sub, node.child(control.bases[b].basis_id)) for b, sub in _split(cycles, chosen[cycles])]
-                cycles = group[~mode]
-                codes = message[at[cycles]]
-                by_pair = _split(cycles, codes[:, 0] * dim + codes[:, 1])
-                mu, nu = np.divmod(np.array([code for code, _ in by_pair], dtype=np.int64), dim)
-                starts = [(node.child(divmod(code, dim)), sub) for code, sub in by_pair]
-                if state is None and (any(check.leaf is None for *_, check in checks)
-                                      or not all(pair_node.next for pair_node, _ in starts)):
-                    state = replayed(node)  # built in an earlier chunk, or by another configuration
-
-                def encoded(rows):
-                    """The listed pairs' encodings of the node's state, one gather."""
-                    return dense_encode(state if state is not None else replayed(node), mu[rows], nu[rows], alg)
-
-                for leaves, finals in follow(tree.returned, starts, back, encoded, width):
-                    if finals is not None:  # dropped before the walk builds the next stack
-                        found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), cfg), None
-                        for (leaf, reached), got in zip(leaves, found):
-                            if isinstance(got, CoherenceBreakError):  # each session's first cycle here fails
-                                hit, where = np.unique(owner[reached], return_index=True)
-                                for s, k in zip(hit.tolist(), reached[where].tolist()):
-                                    if k < limit[s]:
-                                        limit[s], errors[s] = k, got
-                                continue
-                            mu_hat = eve.guess(leaf.notes)
-                            leaf.leaf = (got, -1 if mu_hat is None else mu_hat)
-                    for leaf, reached in leaves:
-                        if leaf.leaf is not None:
-                            at_rank = rank[reached]
-                            decoded[at_rank], guess[at_rank] = leaf.leaf
-
-                for b, sub, check in checks:
-                    entry = control.bases[b]
-                    if check.leaf is None:
-                        check.leaf = pair_probs(state, entry.basis)
-                        check.probs = check.leaf.sum(axis=1)
-                        check.cum = running_sum(check.probs)
-                    for a, reached in _split(sub, pick(check.probs, check.cum, alice_u[sub])):
-                        row = check.leaf[a]
-                        bob = pick(row, running_sum(row), bob_u[reached])
-                        at_rank = rank[reached]
-                        basis[at_rank], outcomes[at_rank, 0], outcomes[at_rank, 1] = b, a, bob
-                        passed[at_rank] = ~entry.fail[a, bob]
-
-            # the forward walk's one start is the attached pair: `take` stacks it once per index
-            for nodes, states in follow(tree.forward, [(tree.root, cycles)], there, tree.state.take, width):
-                for i, (node, group) in enumerate(nodes):
-                    visit(node, group, None if states is None else states.take(i))
-                del states  # not held while the walk builds the next stack
-
+        first = np.cumsum(per) - per - sent  # a session's message cycles run in a row in `msg`, pair k's at first + k
+        chunk.at = (np.cumsum(n_pairs) - n_pairs - first)[owner] + chunk.rank  # each message cycle's code in `message`
+        columns = chunk.decoded, chunk.guess, chunk.basis, chunk.outcomes, chunk.passed = _columns(len(msg), len(ctrl))
+        for s in np.flatnonzero((sent + per > n_pairs) & [error is None for error in errors]).tolist():
+            chunk.fail(msg[[first[s] + n_pairs[s]]], ValueError("message exhausted before the session finished"))
         for head, taken in work:
-            guarded(head, walk, *taken)
+            guarded(head, "walk", eves[head].guess, *taken)
         del work  # not held while the next chunk's draws are computed
 
         present = np.flatnonzero(np.bincount(owner))  # each session's cycles are consecutive in every column
         bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]
         for i, s in enumerate(present.tolist()):
             c, m, k = (slice(b[i], b[i + 1]) for b in bounds)
-            chunks[s].append((is_control[c], decoded[m], guess[m], basis[k], outcomes[k], passed[k]))
+            chunks[s].append((chunk.is_control[c], *(col[m] for col in columns[:2]), *(col[k] for col in columns[2:])))
         sent += per
 
 

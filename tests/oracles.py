@@ -62,7 +62,6 @@ from pingpong.protocol import (
     ProtocolConfig,
     UnitaryEdge,
     _weyl_phases,
-    algebra,
     bob_decode,
     dense_encode,
     make_initial_state,
@@ -279,7 +278,6 @@ def stepwise_session(cfg, message, eve, control):
     for mu, nu in message:
         if not (0 <= mu < cfg.dim and 0 <= nu < cfg.dim):
             raise ValueError(f"message symbols ({mu}, {nu}) out of range for dim {cfg.dim}")
-    alg = algebra(cfg.dim)
     init = make_initial_state(cfg)
     records = []
     msg_idx = 0
@@ -299,7 +297,7 @@ def stepwise_session(cfg, message, eve, control):
                 raise ValueError("message exhausted before the session finished")
             mu, nu = message[msg_idx]
             msg_idx += 1
-            state = dense_encode(state, mu, nu, alg)
+            state = dense_encode(state, mu, nu)
             state = backward(eve, state, rng, notes)
             mu_hat, state = readout(eve, state, rng, notes)
             decoded = bob_decode(factor(state, (HOME, TRAVEL)), cfg)

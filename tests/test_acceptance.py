@@ -32,7 +32,7 @@ from pingpong.control import (
     empirical_pdet,
     two_basis_control,
 )
-from pingpong.protocol import algebra, dense_encode, make_initial_state, run_session
+from pingpong.protocol import dense_encode, make_initial_state, run_session
 from pingpong.qstate import (
     Basis,
     Operator,
@@ -168,9 +168,9 @@ def test_criterion_5_circuit_truth_tables():
         ("bit flip", (1, 0), chi1, 1),
     ):
         state = oracles.forward(eve, eve.attach(init), None, {})
-        state = dense_encode(state, mu, nu, algebra(2))
+        state = dense_encode(state, mu, nu)
         state = oracles.backward(eve, state, None, {})
-        expected = tensor(dense_encode(init, mu, nu, algebra(2)), target_anc)
+        expected = tensor(dense_encode(init, mu, nu), target_anc)
         residual = float(np.max(np.abs(state.amps - expected.amps)))
         mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         _check(
@@ -189,7 +189,7 @@ def test_criterion_6_circuit_and_gate_attacks_equivalent():
         reduced = []
         for eve in (pavicic_circuit(), cnot_attack()):
             state = oracles.forward(eve, eve.attach(init), None, {})
-            state = dense_encode(state, mu, nu, algebra(2))
+            state = dense_encode(state, mu, nu)
             state = oracles.backward(eve, state, None, {})
             reduced.append(oracles.partial_trace(state, ("h", "t")))
         worst = max(worst, oracles.trace_distance(reduced[0], reduced[1]))

@@ -64,7 +64,7 @@ def drive_message_cycle(eve, cfg, mu, nu, rng):
     notes = {}
     state = eve.attach(make_initial_state(cfg))
     state = oracles.forward(eve, state, rng, notes)
-    state = dense_encode(state, mu, nu, algebra(cfg.dim))
+    state = dense_encode(state, mu, nu)
     state = oracles.backward(eve, state, rng, notes)
     return state, notes
 
@@ -145,7 +145,7 @@ class TestPavicicCircuit:
         eve = pavicic_circuit()
         chi0, _ = chi_states()
         state, _ = drive_message_cycle(eve, cfg, 0, 1, None)
-        expected = tensor(dense_encode(make_initial_state(cfg), 0, 1, algebra(2)), chi0)
+        expected = tensor(dense_encode(make_initial_state(cfg), 0, 1), chi0)
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
         mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         assert mu_hat == 0
@@ -155,7 +155,7 @@ class TestPavicicCircuit:
         eve = pavicic_circuit()
         _, chi1 = chi_states()
         state, _ = drive_message_cycle(eve, cfg, 1, 0, None)
-        expected = tensor(dense_encode(make_initial_state(cfg), 1, 0, algebra(2)), chi1)
+        expected = tensor(dense_encode(make_initial_state(cfg), 1, 0), chi1)
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
         mu_hat, _ = oracles.readout(eve, state, np.random.default_rng(0), {})
         assert mu_hat == 1
@@ -184,7 +184,7 @@ class TestPavicicCircuit:
                 residual = np.linalg.norm(arr @ proj.T - arr)
                 assert residual < 1e-10
                 if stage == 0:
-                    state = dense_encode(state, mu, nu, algebra(2))
+                    state = dense_encode(state, mu, nu)
                     state = oracles.backward(eve, state, None, notes)
 
 
@@ -521,7 +521,7 @@ class TestHandleInvariants:
             for mu, nu in all_pairs(cfg.dim):
                 state, _ = drive_message_cycle(eve, cfg, mu, nu, None)
                 target = eve.detection.states[(-mu) % cfg.dim]
-                expected = tensor(dense_encode(make_initial_state(cfg), mu, nu, algebra(cfg.dim)), target)
+                expected = tensor(dense_encode(make_initial_state(cfg), mu, nu), target)
                 fidelity = abs(np.vdot(expected.amps, state.amps))
                 assert fidelity > 1 - 1e-10
 

@@ -265,6 +265,16 @@ class TestConfigurationGroups:
         shuffled = _stable(run_experiments([specs[i] for i in order]))
         assert [shuffled[list(order).index(i)] for i in range(len(specs))] == rows
 
+    def test_a_later_group_whose_control_mode_fails_leaves_the_batch(self):
+        """A group joins a walk batch only once both its handles build: the
+        two-basis control mode at D=3 fails, so the cnot run walks alone and
+        gives its one-run row, and the qudit-shift run reports the error."""
+        specs = [RunSpec.from_dict(spec_dict(control="computational", cycles=20, trials=100)),
+                 RunSpec.from_dict(spec_dict(attack="qudit-shift", dim=3, cycles=20, trials=100))]
+        rows = _stable(run_experiments(specs))
+        assert rows[0]["status"] == "ok" and rows[0] == _stable([execute_run(specs[0])])[0]
+        assert rows[1]["error"] == "ValueError: two-basis control is defined for the qubit singlet kind only"
+
     def test_a_group_is_freed_after_its_last_run(self, tmp_path, monkeypatch, fresh_trees):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
         keys = [cli._group_key(spec) for spec in specs]
@@ -897,11 +907,13 @@ class TestTreeStore:
         gc.collect()
         assert tree() is None
 
-    @pytest.mark.parametrize("broken", ["SessionTree", "draw_leg", "follow"])
+    @pytest.mark.parametrize("broken", ["SessionTree", "draw_leg", "follow", "pair_probs", "bob_decode"])
     def test_a_tree_that_raises_is_not_kept(self, monkeypatch, broken):
-        """A build, draws or walk that raises leaves nothing in the store, a
-        tree kept by an earlier call included; the next call builds a tree
-        and gives the first call's transcript."""
+        """A build, draws or walk that raises, a control check's table or
+        Bob's decode included, leaves nothing in the store, a tree kept by an
+        earlier call included; the next call builds a tree and gives the
+        first call's transcript. A kept tree has its tables and leaves built,
+        so the store is emptied first for a fault raised in building those."""
         eve, cfg = attacks.qudit_shift_attack(3), qudit_cfg(3, n_cycles=40, control_prob=0.25)
         mode, message = control_mode.from_name("computational", cfg), cli.draw_message(3, 40, 7)
         first = protocol.run_session(cfg, message, eve, mode)
@@ -912,7 +924,7 @@ class TestTreeStore:
 
         with monkeypatch.context() as broken_call:
             broken_call.setattr(protocol, broken, failing)
-            if broken == "SessionTree":
+            if broken in ("SessionTree", "pair_probs", "bob_decode"):
                 eve.session_trees.clear()
             with pytest.raises(RuntimeError, match="no tree for this walk"):
                 protocol.run_session(cfg, message, eve, mode)

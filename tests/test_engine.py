@@ -707,7 +707,7 @@ def _check_tree(tree, cfg, eve, mode):
                 entry = next(entry for entry in mode.bases if entry.basis_id == key)
                 assert np.array_equal(succ.leaf, protocol.pair_probs(state, entry.basis))
                 continue
-            encoded = protocol.dense_encode(state, *key, algebra(cfg.dim))
+            encoded = protocol.dense_encode(state, *key)
             ends = list(_reference_walk(succ, encoded, tree.returned))
             for leaf, final in ends:
                 if leaf.leaf is not None:
@@ -740,7 +740,7 @@ def test_the_readout_pair_is_the_factor_of_the_collapsed_state(case):
     assert type(readout) is ReadoutEdge and tree.returned[:-1] == eve.backward_leg
     assert (readout.labels, readout.basis, readout.key) == (eve.readout_leg[0].labels, eve.readout_leg[0].basis, "readout")
     mu, nu = np.divmod(np.arange(dim * dim), dim)
-    encoded = protocol.dense_encode(oracles.run_leg(tree.forward, tree.state, None, {}), mu, nu, algebra(dim))
+    encoded = protocol.dense_encode(oracles.run_leg(tree.forward, tree.state, None, {}), mu, nu)
     returned = oracles.run_leg(eve.backward_leg, encoded, None, {})
     states = StateVector(encoded.layout, np.concatenate([returned.amps, encoded.amps]))
     table = born_table(states, readout.labels, readout.basis)

@@ -9,7 +9,7 @@ import oracles
 from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family, rand_state, rand_unitary
 from pingpong.attacks import no_attack, validate_coupling
 from pingpong.control import computational_control
-from pingpong.protocol import algebra, bob_decode, dense_encode, make_initial_state, run_session
+from pingpong.protocol import bob_decode, dense_encode, make_initial_state, run_session
 from pingpong.qstate import (
     Basis,
     Operator,
@@ -63,7 +63,7 @@ def test_decode_ignores_global_phase(seed, theta):
     dim = int(rng.integers(2, 5))
     cfg = qudit_cfg(dim)
     mu, nu = int(rng.integers(dim)), int(rng.integers(dim))
-    state = dense_encode(make_initial_state(cfg), mu, nu, algebra(dim))
+    state = dense_encode(make_initial_state(cfg), mu, nu)
     rotated = StateVector(state.layout, np.exp(1j * theta) * state.amps)
     assert bob_decode(rotated, cfg) == (mu, nu)
 

@@ -122,6 +122,8 @@ class TestAlgebra:
     def test_symbol_range(self):
         with pytest.raises(ValueError):
             algebra(3).encoding(3, 0)
+        with pytest.raises(ValueError, match="out of range for dim 4"):  # dense_encode reads D off the state
+            dense_encode(make_initial_state(qudit_cfg(4)), 4, 0)
 
     @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
     def test_closed_form_encodings_match_matrix_power(self, dim):
@@ -142,18 +144,18 @@ class TestAlgebra:
 class TestDenseEncode:
     def test_identity_symbols(self):
         init = make_initial_state(qubit_cfg())
-        out = dense_encode(init, 0, 0, algebra(2))
+        out = dense_encode(init, 0, 0)
         assert np.allclose(out.amps, init.amps, atol=1e-15)
 
     def test_phase_flip_gives_minus_psi_plus(self):
         init = make_initial_state(qubit_cfg())
-        out = dense_encode(init, 0, 1, algebra(2))
+        out = dense_encode(init, 0, 1)
         minus_psi_plus = -np.array([0, 1, 1, 0]) / math.sqrt(2)
         assert np.max(np.abs(out.amps - minus_psi_plus)) < 1e-12
 
     def test_qutrit_encoding(self):
         init = make_initial_state(qudit_cfg(3))
-        out = dense_encode(init, 1, 2, algebra(3))
+        out = dense_encode(init, 1, 2)
         omega = np.exp(2j * np.pi / 3)
         expected = np.zeros(9, dtype=complex)
         for k in range(3):
@@ -166,7 +168,6 @@ class TestDenseEncode:
         """On the pair, the session layout (h, t, e) and the rail layout
         (t, x, y), for one symbol pair and for a stack of them."""
         rng = np.random.default_rng(dim)
-        alg = algebra(dim)
         layouts = (pair_layout(dim), SubsystemLayout.of((HOME, dim), (TRAVEL, dim), ("e", 3)),
                    SubsystemLayout.of((TRAVEL, dim), ("x", 3), ("y", 3)))
         for layout in layouts:
@@ -175,16 +176,15 @@ class TestDenseEncode:
             mu, nu = rng.integers(dim, size=(2, 5))
             for symbols in ((mu[0], nu[0]), (mu, nu)):
                 want = oracles.transpose_dense_encode(state, *symbols, dim).amps
-                assert np.array_equal(dense_encode(state, *symbols, alg).amps, want), layout.labels
+                assert np.array_equal(dense_encode(state, *symbols).amps, want), layout.labels
 
 class TestBobDecode:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16, MAX_DIM])
     def test_roundtrip_exhaustive(self, dim):
         cfg = qudit_cfg(dim)
         init = make_initial_state(cfg)
-        alg = algebra(dim)
         for mu, nu in all_pairs(dim):
-            assert bob_decode(dense_encode(init, mu, nu, alg), cfg) == (mu, nu)
+            assert bob_decode(dense_encode(init, mu, nu), cfg) == (mu, nu)
 
     def test_undisturbed_state_decodes_to_zero(self):
         cfg = qubit_cfg()
@@ -234,7 +234,7 @@ class TestBobDecode:
         dim, layout = cfg.dim, pair_layout(cfg.dim)
         rng = np.random.default_rng(6)
         codes = rng.integers(dim, size=(4, 2))
-        encoded = dense_encode(make_initial_state(cfg), codes[:, 0], codes[:, 1], algebra(dim)).amps
+        encoded = dense_encode(make_initial_state(cfg), codes[:, 0], codes[:, 1]).amps
         noise = rng.normal(size=(2, dim**2)) + 1j * rng.normal(size=(2, dim**2))
         noise /= np.linalg.norm(noise, axis=1, keepdims=True)
         stack = np.vstack([encoded[:2], noise[:1], encoded[2:], np.full((1, dim**2), np.nan), noise[1:]])
@@ -254,9 +254,9 @@ class TestBobDecode:
         # D^2 x D^2 decoder would be 16 MiB at D=32
         code = (
             "import tracemalloc\n"
-            "from pingpong.protocol import MAX_DIM, ProtocolConfig, algebra, bob_decode, dense_encode, make_initial_state\n"
+            "from pingpong.protocol import MAX_DIM, ProtocolConfig, bob_decode, dense_encode, make_initial_state\n"
             "cfg = ProtocolConfig(MAX_DIM, 0.0, 1, 0, 'qudit_beta00')\n"
-            "state = dense_encode(make_initial_state(cfg), 3, 5, algebra(MAX_DIM))\n"
+            "state = dense_encode(make_initial_state(cfg), 3, 5)\n"
             "tracemalloc.start()\n"
             "print(bob_decode(state, cfg), tracemalloc.get_traced_memory()[1])\n"
         )
@@ -274,7 +274,7 @@ class TestBobDecode:
 
     def test_global_phase_invariance(self):
         cfg = qudit_cfg(3)
-        state = dense_encode(make_initial_state(cfg), 2, 1, algebra(3))
+        state = dense_encode(make_initial_state(cfg), 2, 1)
         for theta in (0.3, 1.2, 4.4):
             rotated = StateVector(state.layout, np.exp(1j * theta) * state.amps)
             assert bob_decode(rotated, cfg) == (2, 1)
