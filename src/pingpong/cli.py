@@ -205,47 +205,55 @@ def _handles(spec: RunSpec) -> tuple:
     return attacks.from_name(spec.attack, spec.dim), control_mode.from_name(spec.control, spec.config)
 
 
-def _walk_batch(group: dict) -> None:
-    """One `run_sessions` walk for `group` and the groups after it in `pending`
-    (first appearances with cycles) while their attached states' widths sum to
-    at most SLICE_AMPS; a run is charged its scoring time and its cycles' share."""
-    start, pending, batch, width, fields = time.perf_counter(), group.get("pending", [group]), [], 0, {}
-    while pending and (batch or pending[0] is group):  # else it walks alone: a walk or a build before it failed
-        spec = pending[0]["runs"][0]
-        if batch and width + spec.dim ** 2 > SLICE_AMPS:  # no room for its pair alone: nothing is built
-            break
+def _batches(specs: Sequence[RunSpec]) -> dict:
+    """The call's walk plan: each distinct run with cycles mapped to its batch,
+    a dict of the batch's runs (None until walked). Runs are taken by
+    configuration (`_group_key`), in order of first appearance, while their
+    attached states' widths sum to at most SLICE_AMPS; a wider configuration
+    walks alone. One whose handles fail to build is left out: detection reports it."""
+    configs, plan, batch, width = {}, {}, {}, 0
+    for spec in dict.fromkeys(spec for spec in specs if spec.cycles):
+        configs.setdefault(_group_key(spec), []).append(spec)
+    for runs in configs.values():
         try:
-            wide = attached_width(spec.dim, _handles(spec)[0])  # both: a control mode that fails ends the batch
+            wide = attached_width(runs[0].dim, _handles(runs[0])[0])
         except Exception:  # noqa: BLE001 - its runs report it
-            break
+            continue
         if batch and width + wide > SLICE_AMPS:
-            break
-        batch.append(pending.pop(0))
+            batch, width = {}, 0
         width += wide
-    runs = [(member, run) for member in batch or [group] for run in dict.fromkeys(member["runs"]) if run.cycles]
-    eves, modes = zip(*(_handles(run) for _, run in runs))
-    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for _, s in runs)
-    for (_, spec), result in zip(runs, run_sessions([run.config for _, run in runs], messages, eves, modes)):
+        plan.update(dict.fromkeys(runs, batch))
+        batch.update(dict.fromkeys(runs))
+    return plan
+
+
+def _walk(runs) -> dict:
+    """Each run's session fields from one `run_sessions` walk, and the time
+    charged to it: its scoring time and its cycles' share of the walk."""
+    start, fields = time.perf_counter(), {}
+    eves, modes = zip(*(_handles(run) for run in runs))
+    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for s in runs)
+    for spec, result in zip(runs, run_sessions([run.config for run in runs], messages, eves, modes)):
         tick = time.perf_counter()
         done = (score_session(result, spec.dim, spec.seed) if isinstance(result, Transcript)
                 else {"status": "error", "error": f"{type(result).__name__}: {result}"})
         fields[spec] = [done, time.perf_counter() - tick]
     share = (time.perf_counter() - start - sum(t for _, t in fields.values())) / sum(s.cycles for s in fields)
-    for member, spec in runs:
-        fields[spec][1] += share * spec.cycles
-        member.setdefault("sessions", {})[spec] = fields[spec]
+    for spec, charged in fields.items():
+        charged[1] += share * spec.cycles
+    return fields
 
 
-def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
-    """Execute one run; errors are reported in the row, not raised. `group`
-    keeps what the runs of one configuration, `group["runs"]`, share: the
-    session fields of them all, which the first run with cycles of its batch
-    walks. The handles are the registries' (`_handles`), and the detection
+def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
+    """Execute one run; errors are reported in the row, not raised. `batch`
+    holds the session fields of the runs walked with this one (`_batches`),
+    which the first of them to need its own walks; without it the run walks
+    alone. The handles are the registries' (`_handles`), and the detection
     sampler plan is built once per process per handle pair
     (`control.detection_plan`), so a later run only draws and counts.
     `wall_clock_s` is the row's own detection and scoring time plus its
     cycles' share of its batch's walk."""
-    group = {"runs": [spec]} if group is None else group
+    batch = {spec: None} if batch is None else batch
     row = {field: None for field in REPORT_FIELDS}
     row.update(
         attack=spec.attack,
@@ -268,11 +276,11 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
             ci_high=sig12(detection.ci_high),
         )
         if spec.cycles > 0:
-            if "sessions" not in group:
+            if batch[spec] is None:
                 tick = time.perf_counter()
-                _walk_batch(group)
+                batch.update(_walk(batch))
                 start += time.perf_counter() - tick  # the walk is charged to its runs by their shares
-            fields, spent = group["sessions"][spec]
+            fields, spent = batch[spec]
             row.update(fields)
             start -= spent
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
@@ -283,26 +291,13 @@ def execute_run(spec: RunSpec, group: Optional[dict] = None) -> dict:
 
 
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
-    """Execute runs one after another; rows keep the spec order. Runs of one
-    configuration (`_group_key`) share one group, which lists them and is
-    dropped after their last: only groups with runs to come are held. Handles
-    come from the registries, which build each once per process; Eve's
-    handles keep their detection plans and narrow session trees, so a later
-    call builds none; groups with cycles walk in batches (`_walk_batch`)."""
-    keys = [_group_key(spec) for spec in specs]
-    last = {key: i for i, key in enumerate(keys)}
-    groups, pending = {}, []
-    for spec, key in zip(specs, keys):
-        groups.setdefault(key, {"runs": [], "pending": pending})["runs"].append(spec)
-    pending.extend(groups[key] for key in dict.fromkeys(k for s, k in zip(specs, keys) if s.cycles > 0))
-    rows = []
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        rows.append(execute_run(spec, groups[key]))
-        if spec.cycles:  # its group has walked, or failed before its walk
-            pending[:] = [group for group in pending if group is not groups[key]]
-        if last[key] == i:
-            del groups[key]
-    return rows
+    """Execute runs one after another; rows keep the spec order. The call
+    first plans its walk batches (`_batches`), which builds the handles of
+    its runs with cycles; the registries build each once per process, and
+    Eve's handles keep their detection plans and narrow session trees, so a
+    later call builds none. No batch outlives the call."""
+    plan = _batches(specs)
+    return [execute_run(spec, plan.get(spec)) for spec in specs]
 
 
 def emit(rows: list[dict], fmt: str, path: str | Path | None) -> str:

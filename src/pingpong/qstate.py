@@ -8,8 +8,8 @@ array; `apply`, `born_table`, `collapse` and `factor` act on every row in
 one call, and a single state is their one-row case. Each row's arithmetic
 does not depend on the rows beside it. `apply` acts on targets consecutive
 in layout order through a (lead, targets, trail) reshape view, moving no
-axis; other target orders, and the registers `born_table` and `factor`
-read, are first moved to the front.
+axis, and rejects other target orders; the registers `born_table` and
+`factor` read are first moved to the front.
 
 An operator keeps the structure it is built with. A monomial one (a
 permutation times phases: the Weyl encodings, the swap, and the block
@@ -354,9 +354,9 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
     """Apply `op` on the ordered target subsystems, identity elsewhere, to a
     state or to each row of a stack.
 
-    Targets consecutive in layout order are acted on in a (lead, targets,
-    trail) reshape view, with no axis moved; other orders are first moved to
-    the front. Application preserves the norm within 1e-12 (verified per
+    The targets must be consecutive in layout order (LayoutError names them
+    otherwise); they are acted on in a (lead, targets, trail) reshape view,
+    with no axis moved. Application preserves the norm within 1e-12 (verified per
     row). A monomial operator gathers each target row's amplitudes from its
     preimage row, times its phase; a block-diagonal one multiplies each
     block's rows by its block, for trailing targets one product per block
@@ -368,13 +368,11 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
         raise ValueError(f"operator dim {op.dim} does not match target dim {target_dim}")
     if op.kind != "unitary":
         raise ValueError("apply requires a unitary-tagged operator")
-    axes, order = [state.layout.position(lbl) for lbl in targets], None
-    if axes == list(range(axes[0], axes[0] + len(axes))):
-        lead = math.prod(state.layout.dims[:axes[0]])
-        mat = state.amps.reshape(state.amps.shape[:-1] + (lead, target_dim, -1))
-    else:
-        mat, order, _ = _to_front(state, targets)
-        mat = mat[..., None, :, :]
+    axes = [state.layout.position(lbl) for lbl in targets]
+    if axes != list(range(axes[0], axes[0] + len(axes))):
+        raise LayoutError(f"targets {targets} are not consecutive in layout order {state.layout.labels}")
+    lead = math.prod(state.layout.dims[:axes[0]])
+    mat = state.amps.reshape(state.amps.shape[:-1] + (lead, target_dim, -1))
     if op.rows is not None:
         back = op.inverse.rows  # the row whose amplitudes each row takes
         new = mat.take(back, axis=-2)
@@ -387,8 +385,7 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
                   out=new.reshape(-1, n, b).swapaxes(0, 1))
     else:
         new = np.matmul(op.blocks, mat.reshape(mat.shape[:-2] + op.blocks.shape[:2] + (-1,))).reshape(mat.shape)
-    amps = new.reshape(state.amps.shape) if order is None else _from_front(new[..., 0, :, :], state.layout, order)
-    out = StateVector(state.layout, amps)
+    out = StateVector(state.layout, new.reshape(state.amps.shape))
     drift = np.abs(out.norm - state.norm)
     if not np.all(drift <= ATOL_ALGEBRA):
         raise ArithmeticError(f"unitary application drifted the norm by {np.max(drift):.3e}")

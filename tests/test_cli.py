@@ -265,48 +265,50 @@ class TestConfigurationGroups:
         shuffled = _stable(run_experiments([specs[i] for i in order]))
         assert [shuffled[list(order).index(i)] for i in range(len(specs))] == rows
 
-    def test_a_later_group_whose_control_mode_fails_leaves_the_batch(self):
-        """A group joins a walk batch only once both its handles build: the
-        two-basis control mode at D=3 fails, so the cnot run walks alone and
-        gives its one-run row, and the qudit-shift run reports the error."""
+    def test_a_configuration_whose_control_mode_fails_leaves_the_batch(self, monkeypatch):
+        """A configuration joins a walk batch only once both its handles
+        build: the two-basis control mode at D=3 fails, so the qudit-shift
+        run reports the error, and the cnot and no-attack configurations on
+        either side of it walk together and give their one-run rows."""
         specs = [RunSpec.from_dict(spec_dict(control="computational", cycles=20, trials=100)),
-                 RunSpec.from_dict(spec_dict(attack="qudit-shift", dim=3, cycles=20, trials=100))]
+                 RunSpec.from_dict(spec_dict(attack="qudit-shift", dim=3, cycles=20, trials=100, seed=8)),
+                 RunSpec.from_dict(spec_dict(attack="none", control="computational", cycles=20, trials=100, seed=9))]
+        alone = _stable(execute_run(spec) for spec in specs)
+        walked, walk = [], cli.run_sessions
+        monkeypatch.setattr(cli, "run_sessions", lambda cfgs, *args: walked.append(len(cfgs)) or walk(cfgs, *args))
         rows = _stable(run_experiments(specs))
-        assert rows[0]["status"] == "ok" and rows[0] == _stable([execute_run(specs[0])])[0]
+        assert walked == [2]
+        assert rows == alone and rows[0]["status"] == rows[2]["status"] == "ok"
         assert rows[1]["error"] == "ValueError: two-basis control is defined for the qubit singlet kind only"
 
-    def test_a_group_is_freed_after_its_last_run(self, tmp_path, monkeypatch, fresh_trees):
+    def test_no_batch_outlives_the_call(self, tmp_path, monkeypatch, fresh_trees):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        keys = [cli._group_key(spec) for spec in specs]
-        last = {key: i for i, key in enumerate(keys)}
-        groups = {}  # key -> weak reference to a token that only its group holds
+        batches = []  # a weak reference to each batch of the call's plan
         trees = []  # (tree key, weak reference to the tree's root) per tree built
         walks = []  # the sessions' tree keys, per walk
 
-        class Token:
-            """Put in a group after its run, and held by nothing else."""
+        class Batch(dict):
+            """A plan's batch, which a weak reference can follow."""
 
         class TrackedTree(protocol.SessionTree):
             def __init__(self, cfg, eve):
                 super().__init__(cfg, eve)
                 trees.append(((id(eve), cfg.dim, cfg.initial_state_kind), weakref.ref(self.root)))
 
-        original, walk = cli.execute_run, cli.run_sessions
+        plan, original, walk = cli._batches, cli.execute_run, cli.run_sessions
 
-        def checking(spec, group):
-            i = specs.index(spec)
-            # at its start, a run sees the groups with runs to come only
-            alive = {key for key, ref in groups.items() if ref() is not None}
-            assert alive == {key for key in groups if last[key] >= i}
-            # a group holds its own runs' session fields, and no transcript or tree
-            assert spec in group["runs"] and "tree" not in group
-            assert all(isinstance(fields, dict) for fields, _ in group.get("sessions", {}).values())
-            assert set(group.get("sessions", ())) <= set(group["runs"])
+        def planning(specs):
+            tracked = {}
+            kept = {run: tracked.setdefault(id(batch), Batch(batch)) for run, batch in plan(specs).items()}
+            batches.extend(weakref.ref(batch) for batch in tracked.values())
+            return kept
+
+        def checking(spec, batch):
+            # a batch holds its runs' session fields, and no transcript or tree
+            assert batch is None or all(value is None or isinstance(value[0], dict) for value in batch.values())
             # no tree outlives its walk
             assert all(ref() is None for _, ref in trees)
-            row = original(spec, group)
-            groups.setdefault(keys[i], weakref.ref(group.setdefault("token", Token())))
-            return row
+            return original(spec, batch)
 
         def tracking(cfgs, messages, eves, controls):
             tree_keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]
@@ -317,11 +319,13 @@ class TestConfigurationGroups:
                 assert all(ref() is None for key, ref in trees if ends[key] <= s)
                 yield result
 
+        monkeypatch.setattr(cli, "_batches", planning)
         monkeypatch.setattr(cli, "execute_run", checking)
         monkeypatch.setattr(cli, "run_sessions", tracking)
         monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
         run_experiments(specs)
-        assert len(groups) == 6 and all(ref() is None for ref in groups.values())
+        gc.collect()
+        assert len(batches) == 1 and all(ref() is None for ref in batches)
         # one walk for the batch of all six configurations, whose two cnot
         # configurations share a tree; every tree is freed
         [walked] = walks

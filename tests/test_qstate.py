@@ -137,6 +137,14 @@ class TestApply:
         with pytest.raises(LayoutError):
             apply(singlet(), op, "z")
 
+    def test_targets_out_of_layout_order_rejected(self):
+        state = rand_state(np.random.default_rng(2), SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
+        op = Operator.unitary(np.eye(4))
+        for targets in (("c", "a"), ("a", "c")):
+            with pytest.raises(LayoutError, match="not consecutive in layout order") as raised:
+                apply(state, op, targets)
+            assert str(targets) in str(raised.value)
+
     def test_untagged_operator_rejected(self):
         op = Operator(2, blocks=[np.eye(2)])
         with pytest.raises(ValueError):
@@ -187,16 +195,19 @@ class TestMonomialForm:
         assert np.array_equal(inv.matrix, m.conj().T)
 
     def test_monomial_apply_on_inner_targets(self):
-        # the rows move on the target axes brought to the front, in target order
+        # the rows move on the target axes brought to the front, in target
+        # order; `apply` takes consecutive targets only, so the reordered
+        # ones read the transpose route
         rng = np.random.default_rng(21)
         state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
         perm, phases = rng.permutation(6), np.exp(2j * np.pi * rng.random(6))
         m = np.zeros((6, 6), dtype=complex)
         m[perm, np.arange(6)] = phases
         op = Operator.monomial(perm, phases)
-        for targets in (("c", "b"), ("b", "a"), ("a", "b")):
+        for targets, route in ((("c", "b"), oracles.transpose_apply), (("b", "a"), oracles.transpose_apply),
+                               (("a", "b"), apply)):
             want = oracles.dense_apply(state, m, targets).amps
-            assert np.max(np.abs(apply(state, op, targets).amps - want)) < 1e-15
+            assert np.max(np.abs(route(state, op, targets).amps - want)) < 1e-15
 
     def test_all_one_phases_are_dropped(self):
         assert Operator.monomial([1, 2, 0], np.ones(3)).phases is None
@@ -284,15 +295,17 @@ class TestBlockForm:
 
     @pytest.mark.parametrize("targets", [("b", "c"), ("c", "b"), ("b", "a")])
     def test_apply_and_inverse_equal_the_dense_matmul(self, targets):
+        # `apply` takes consecutive targets only; reordered ones read the transpose route
+        route = apply if targets == ("b", "c") else oracles.transpose_apply
         rng = np.random.default_rng(6)
         state = rand_state(rng, SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)))
         n = SubsystemLayout.of(("a", 2), ("b", 3), ("c", 2)).dim_of(targets[0])
         op = Operator.block_unitary(self._blocks(rng, n, 6 // n))
         for u in (op, op.inverse):
             want = oracles.dense_apply(state, u.matrix, targets).amps
-            assert np.max(np.abs(apply(state, u, targets).amps - want)) < 1e-14
+            assert np.max(np.abs(route(state, u, targets).amps - want)) < 1e-14
         assert np.array_equal(op.inverse.matrix, op.matrix.conj().T)
-        back = apply(apply(state, op, targets), op.inverse, targets)
+        back = route(route(state, op, targets), op.inverse, targets)
         assert np.max(np.abs(back.amps - state.amps)) < 1e-12
 
     def test_non_unitary_block_rejected(self):
