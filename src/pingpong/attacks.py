@@ -29,7 +29,7 @@ from .protocol import (
     DrawEdge,
     MeasureEdge,
     UnitaryEdge,
-    algebra,
+    _encoding_operator,
     deferred,
     walk_leg,
 )
@@ -257,7 +257,7 @@ class InterceptResendHandle(EavesdropperHandle):
 
     @property
     def forward_leg(self) -> tuple:
-        shifts = (None,) + tuple(algebra(self.dim).encoding(f, 0) for f in range(1, self.dim))
+        shifts = (None,) + tuple(_encoding_operator(self.dim, f, 0) for f in range(1, self.dim))
         return (
             self._swap,
             MeasureEdge(self.ancilla_labels[:1], Basis.computational(self.dim), "genuine"),

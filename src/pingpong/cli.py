@@ -36,7 +36,7 @@ from .protocol import (
     message_pairs,
     run_sessions,
 )
-from .rand import MESSAGE_TAG, SCORE_TAG, stream
+from .rand import CHUNK, MESSAGE_TAG, SCORE_TAG, run_integers
 
 REPORT_FIELDS = (
     "attack",
@@ -162,35 +162,56 @@ def load_spec(path: str | Path) -> list[RunSpec]:
 
 def draw_message(dim: int, length: int, seed: int) -> np.ndarray:
     """Uniform symbol pairs from the dedicated message stream, as a
-    (length, 2) integer array."""
-    return stream(seed, MESSAGE_TAG).integers(0, dim, size=(length, 2))
+    (length, 2) integer array: `draw_messages` for one run."""
+    return draw_messages([dim], [length], [seed])[0]
+
+
+def draw_messages(dims, lengths, seeds) -> list:
+    """Each run's message, `stream(seed, MESSAGE_TAG).integers(0, dim,
+    size=(length, 2))`, from one `rand.run_integers` call."""
+    sizes = 2 * np.asarray(lengths, dtype=np.int64)
+    return [pairs.reshape(-1, 2) for pairs in np.split(run_integers(seeds, MESSAGE_TAG, dims, sizes), np.cumsum(sizes)[:-1])]
 
 
 def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
-    """Per-symbol eavesdropper accuracy and message integrity of a transcript.
+    """Per-symbol eavesdropper accuracy and message integrity of a transcript:
+    `score_sessions` for one transcript."""
+    return score_sessions([transcript], [dim], [seed])[0]
+
+
+def score_sessions(transcripts: Sequence[Transcript], dims, seeds) -> list[dict]:
+    """Each transcript's per-symbol eavesdropper accuracy and message integrity.
 
     Abstaining readouts and the phase symbol are scored with uniform guesses
-    drawn from the scoring stream, one per guess in cycle order: a message
-    cycle takes the mu guess first when Eve abstains, then the nu guess.
+    drawn from each transcript's scoring stream, one per guess in cycle order:
+    a message cycle takes the mu guess first when Eve abstains, then the nu
+    guess. All transcripts' guesses come from one `rand.run_integers` call,
+    and their hits are counted by transcript in one pass over their columns,
+    which a lone transcript is scored off without a copy.
     """
-    n_msg = len(transcript.guess)
-    abstain = transcript.guess < 0
+    one = len(transcripts) == 1
+    join = (lambda cols: cols[0]) if one else np.concatenate
+    guess, sent, decoded = (join([getattr(t, name) for t in transcripts]) for name in ("guess", "symbols", "decoded"))
+    n_msg = np.array([len(t.guess) for t in transcripts], dtype=np.int64)
+    run = None if one else np.repeat(np.arange(len(transcripts)), n_msg)  # each message cycle's transcript
+    count = (lambda hit: [np.count_nonzero(hit)]) if one else (lambda hit: np.bincount(run[hit], minlength=len(transcripts)))
+    abstain = guess < 0
     takes = 1 + abstain  # scoring draws per message cycle
-    draws = stream(seed, SCORE_TAG).integers(dim, size=n_msg + int(abstain.sum()))
+    draws = run_integers(seeds, SCORE_TAG, dims, n_msg + count(abstain))
     first = np.cumsum(takes) - takes
-    mu_hat = np.where(abstain, draws[first], transcript.guess)
+    mu_hat = np.where(abstain, draws[first], guess)
     nu_hat = draws[first + abstain]
-    sent = transcript.symbols
-    mu_hits = int(np.count_nonzero(mu_hat == sent[:, 0]))
-    nu_hits = int(np.count_nonzero(nu_hat == sent[:, 1]))
-    intact = int(np.count_nonzero((transcript.decoded == sent).all(axis=1)))
-    return {
-        "n_message_cycles": n_msg,
-        "n_control_cycles": len(transcript) - n_msg,
-        "eve_mu_accuracy": sig12(mu_hits / n_msg) if n_msg else None,
-        "eve_nu_accuracy": sig12(nu_hits / n_msg) if n_msg else None,
-        "message_integrity": sig12(intact / n_msg) if n_msg else None,
-    }
+    hits = (count(mu_hat == sent[:, 0]), count(nu_hat == sent[:, 1]), count((decoded == sent).all(axis=1)))
+    return [
+        {
+            "n_message_cycles": n,
+            "n_control_cycles": len(t) - n,
+            "eve_mu_accuracy": sig12(mu_hits / n) if n else None,
+            "eve_nu_accuracy": sig12(nu_hits / n) if n else None,
+            "message_integrity": sig12(intact / n) if n else None,
+        }
+        for t, n, mu_hits, nu_hits, intact in zip(transcripts, n_msg.tolist(), *(np.asarray(h).tolist() for h in hits))
+    ]
 
 
 def _group_key(spec: RunSpec) -> tuple:
@@ -227,21 +248,38 @@ def _batches(specs: Sequence[RunSpec]) -> dict:
     return plan
 
 
+def _scored(group: dict) -> dict:
+    """The session fields of each run in `group`, a dict of runs to their
+    transcripts, from one `score_sessions` call."""
+    return dict(zip(group, score_sessions(list(group.values()), [s.dim for s in group], [s.seed for s in group])))
+
+
 def _walk(runs) -> dict:
     """Each run's session fields from one `run_sessions` walk, and the time
-    charged to it: its scoring time and its cycles' share of the walk."""
-    start, fields = time.perf_counter(), {}
+    charged to it: its cycles' share of the walk's, scoring included. The
+    runs' messages come from one `draw_messages` call, and their transcripts
+    are scored as they are yielded, in groups of at most `rand.CHUNK` cycles
+    (a longer one alone), with one `score_sessions` call a group."""
+    start, fields, group, held = time.perf_counter(), {}, {}, 0
     eves, modes = zip(*(_handles(run) for run in runs))
-    messages = (s.message if s.message is not None else draw_message(s.dim, s.cycles, s.seed) for s in runs)
-    for spec, result in zip(runs, run_sessions([run.config for run in runs], messages, eves, modes)):
-        tick = time.perf_counter()
-        done = (score_session(result, spec.dim, spec.seed) if isinstance(result, Transcript)
-                else {"status": "error", "error": f"{type(result).__name__}: {result}"})
-        fields[spec] = [done, time.perf_counter() - tick]
-    share = (time.perf_counter() - start - sum(t for _, t in fields.values())) / sum(s.cycles for s in fields)
-    for spec, charged in fields.items():
-        charged[1] += share * spec.cycles
-    return fields
+    fresh = [spec for spec in runs if spec.message is None]
+    drawn = iter(draw_messages([s.dim for s in fresh], [s.cycles for s in fresh], [s.seed for s in fresh]))
+    messages = [next(drawn) if s.message is None else s.message for s in runs]
+    results = run_sessions([run.config for run in runs], messages, eves, modes)
+    for spec, result in zip(runs, results):
+        if not isinstance(result, Transcript):
+            fields[spec] = {"status": "error", "error": f"{type(result).__name__}: {result}"}
+            continue
+        if group and held + len(result) > CHUNK:
+            fields.update(_scored(group))
+            group, held = {}, 0
+        group[spec], held = result, held + len(result)
+        if held >= CHUNK:  # a long transcript is not held while the walk goes on
+            fields.update(_scored(group))
+            group, held = {}, 0
+    fields.update(_scored(group) if group else {})
+    share = (time.perf_counter() - start) / sum(s.cycles for s in runs)
+    return {spec: [fields[spec], share * spec.cycles] for spec in runs}
 
 
 def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
@@ -251,8 +289,9 @@ def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
     alone. The handles are the registries' (`_handles`), and the detection
     sampler plan is built once per process per handle pair
     (`control.detection_plan`), so a later run only draws and counts.
-    `wall_clock_s` is the row's own detection and scoring time plus its
-    cycles' share of its batch's walk."""
+    `wall_clock_s` is the row's own detection time plus its cycles' share
+    of its batch's walk, which draws the batch's messages and scores its
+    transcripts (`_walk`)."""
     batch = {spec: None} if batch is None else batch
     row = {field: None for field in REPORT_FIELDS}
     row.update(

@@ -44,6 +44,7 @@ from .qstate import (
     collapse,
     factor,
     pick,
+    pick_rows,
     running_sum,
 )
 from . import rand
@@ -294,19 +295,26 @@ class _Node:
     Each node is left by one edge only, except the post-forward node, whose
     successors `SessionTree.checks` keys by control basis and
     `SessionTree.leaves` by symbol pair. A control basis's node is an end
-    node: its `leaf` is the joint table P(alice, bob), and `probs` and `cum`
-    are Alice's marginal and its running sum. A message leaf's `leaf` is
-    Bob's decoded pair and Eve's guess. A node with successors or a leaf
-    needs no state to walk.
+    node: its `leaf` is the joint table P(alice, bob), `probs` and `cum`
+    are Alice's marginal and its running sum, and `masses` holds each row's
+    sum, taken row by row, for Bob's picks (`pick_rows`). A message leaf's
+    `leaf` is Bob's decoded pair and Eve's guess. A node with successors or
+    a leaf needs no state to walk.
     """
 
-    __slots__ = ("notes", "prob", "next", "probs", "cum", "leaf", "__weakref__")
+    __slots__ = ("notes", "prob", "next", "probs", "cum", "masses", "leaf", "__weakref__")
 
     def __init__(self, notes: dict, prob: float = 1.0):
         self.notes = notes  # outcomes recorded on the path to this node
         self.prob = prob  # probability of the branch from the parent
         self.next: dict = {}
-        self.probs = self.cum = self.leaf = None
+        self.probs = self.cum = self.masses = self.leaf = None
+
+    def tabulate(self, table: np.ndarray) -> None:
+        """Make this a control basis's node of joint table `table`."""
+        self.leaf, self.probs = table, table.sum(axis=1)
+        self.cum = running_sum(self.probs)
+        self.masses = np.array([row.sum() for row in table])
 
     def child(self, key) -> "_Node":
         """The successor under `key`, made with this node's notes on first use."""
@@ -705,21 +713,19 @@ class SessionTree:
         return state
 
     def checks(self, chunk: "_Chunk", control: "ControlModeHandle", node: _Node, cycles, state) -> None:
-        """A post-forward node's control `cycles`: Alice's outcome from a menu basis's table, Bob's from her row."""
+        """A post-forward node's control `cycles`: Alice's outcome from a menu basis's table, then Bob's from her row,
+        for all of a basis's cycles at once."""
         for b, sub in _split(cycles, chunk.chosen[cycles]):
             entry = control.bases[b]
             check = node.child(entry.basis_id)
             if check.leaf is None:
                 state = self.replayed(node, state)
-                check.leaf = pair_probs(state, entry.basis)
-                check.probs = check.leaf.sum(axis=1)
-                check.cum = running_sum(check.probs)
-            for a, reached in _split(sub, pick(check.probs, check.cum, chunk.alice_u[sub])):
-                row = check.leaf[a]
-                bob = pick(row, running_sum(row), chunk.bob_u[reached])
-                at_rank = chunk.rank[reached]
-                chunk.basis[at_rank], chunk.outcomes[at_rank, 0], chunk.outcomes[at_rank, 1] = b, a, bob
-                chunk.passed[at_rank] = ~entry.fail[a, bob]
+                check.tabulate(pair_probs(state, entry.basis))
+            alice = pick(check.probs, check.cum, chunk.alice_u[sub])
+            bob = pick_rows(check.leaf, check.masses, alice, chunk.bob_u[sub])
+            at_rank = chunk.rank[sub]
+            chunk.basis[at_rank], chunk.outcomes[at_rank, 0], chunk.outcomes[at_rank, 1] = b, alice, bob
+            chunk.passed[at_rank] = ~entry.fail[alice, bob]
 
 
 class _Chunk:

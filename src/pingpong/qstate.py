@@ -443,6 +443,22 @@ def pick(probs: np.ndarray, cum: np.ndarray, u):
     return outcome
 
 
+def pick_rows(probs: np.ndarray, masses: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`pick` from row rows[i] of a table for each uniform u[i], in one pass.
+    `masses` holds each row's sum taken on its own, as `running_sum` takes it
+    (a sum over axis 1 can differ in the last bit), so each picked row's
+    running sum is `running_sum`'s; on such a nondecreasing row,
+    `searchsorted(cum, u, side="right")` is the count of sums at or below u."""
+    picked = probs[rows]
+    cum = np.cumsum(picked / masses[rows, None], axis=1)
+    outcome = (cum[:, :-1] <= u[:, None]).sum(axis=1)  # past the last sum is the last outcome
+    edge = picked[np.arange(len(rows)), outcome] <= 0.0
+    if edge.any():
+        # float-precision edge: land on the row's last outcome with support
+        outcome[edge] = probs.shape[1] - 1 - np.argmax(picked[edge, ::-1] > 0.0, axis=1)
+    return outcome
+
+
 def collapse(table: BornTable, outcome, rows=None) -> StateVector:
     """The renormalized post-measurement state for one outcome with support.
     For a stack's table, the stack of row rows[i]'s state for outcome[i]."""

@@ -21,6 +21,14 @@ halves, a fresh word's low half first and its high half kept for the next
 `integers` (`random()` skips that buffer). Because a word depends on the
 counter only, `skip` moves a `stream` generator past draws that nothing reads
 by advancing its counter.
+
+A run's message and scoring draws are one `stream(seed, tag).integers(n,
+size=m)` each; `run_integers` makes them for many runs at once. For the runs
+of few draws, the keys come from the same hash pass without the cycle word
+and the first blocks from one `philox` pass, decoded by the same Lemire rule.
+A run whose prefix holds too few kept halves, or that needs more draws than
+a prefix holds, draws all of them from its own `stream`, so a long run keeps
+numpy's speed and memory.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ _MASK32 = 0xFFFFFFFF
 
 # Cycles whose keys and words are computed in one pass.
 CHUNK = 4096
+
+# Philox blocks per run that `run_integers` computes in one pass at most: a
+# run of more draws than they hold (8 halves a block) draws from its own stream.
+PREFIX_BLOCKS = 16
 
 # Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter lanes 0 and
 # 2, and the key increments between rounds.
@@ -122,14 +134,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def cycle_keys(seeds, tag: int, ks) -> np.ndarray:
+def cycle_keys(seeds, tag: int, ks=None) -> np.ndarray:
     """The Philox keys of `stream(seed, tag, k)`, that is
     `SeedSequence((seed, tag, k)).generate_state(2, np.uint64)`, for each k in
     `ks` (below 2**32) and its seed in `seeds` (one int, or one per k; an
     integer array, or of object dtype for ints of any size), as a (len(ks), 2)
-    uint64 array. Seeds of as many 32-bit words hash together."""
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    seeds = np.broadcast_to(seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object), ks.shape)
+    uint64 array; without `ks`, those of `stream(seed, tag)`, one per seed.
+    Seeds of as many 32-bit words hash together."""
+    seeds = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
+    cycle = ks is not None  # a cycle word ends the entropy
+    ks = np.asarray(ks if cycle else np.zeros(seeds.size), dtype=np.int64).reshape(-1)
+    seeds = np.broadcast_to(seeds if cycle else seeds.reshape(-1), ks.shape)
     if tag < 0 or (ks.size and seeds.min() < 0):
         raise ValueError(f"stream key must be non-negative, got seed {seeds.min()} and tag {tag}")
     if ks.size and not (0 <= ks.min() and ks.max() <= _MASK32):
@@ -141,13 +156,14 @@ def cycle_keys(seeds, tag: int, ks) -> np.ndarray:
     keys = np.empty((ks.size, 2), dtype=np.uint64)
     for n_words in range(1, top + 1):  # a class may be empty
         cols = np.flatnonzero(width == n_words) if top > 1 else slice(None)
-        rest, n_entropy = seeds[cols], n_words + len(suffix) + 1
+        rest, n_entropy = seeds[cols], n_words + len(suffix) + cycle
         entropy = np.zeros((max(n_entropy, _POOL_SIZE), len(rest)), dtype=np.uint32)
         for row in range(n_words - 1):
             entropy[row], rest = rest & _MASK32, rest >> 32
         entropy[n_words - 1] = rest
-        entropy[n_words : n_entropy - 1] = np.array(suffix, dtype=np.uint32)[:, None]
-        entropy[n_entropy - 1] = ks[cols]
+        entropy[n_words : n_words + len(suffix)] = np.array(suffix, dtype=np.uint32)[:, None]
+        if cycle:
+            entropy[n_entropy - 1] = ks[cols]
         keys[cols] = _seed_sequence_keys(entropy, n_entropy)
     return keys
 
@@ -214,6 +230,46 @@ def philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
         np.bitwise_xor(even, key, out=even)
         odd[:] = lo[::-1]
     return np.stack((even, odd), axis=1).reshape(4, -1).T
+
+
+def run_integers(seeds, tag: int, n, sizes) -> np.ndarray:
+    """`stream(seed, tag).integers(n, size=m)` for each run's seed, bound n
+    (1 <= n < 2**32) and size m, concatenated in run order; `seeds` and `n`
+    are one for every run or one per run.
+
+    A run of m at most 8 * PREFIX_BLOCKS (8 halves a block) is short. The
+    short runs' keys come from one `cycle_keys` pass, and their first blocks
+    from one `philox` pass, read as numpy's Generator reads them, in 32-bit
+    halves, a word's low half first: a half h is kept iff
+    (h n mod 2**32) >= (2**32 - n) mod n, and then draws (h n) >> 32
+    (Lemire's rule), so a run's draws are its kept halves in order. A short
+    run with fewer kept halves than m, and a longer run, draw from their own
+    `stream`, whose one key costs less than a share of the passes.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    bound = np.broadcast_to(np.asarray(n, dtype=np.int64), sizes.shape)
+    if bound.size and not (1 <= bound.min() and bound.max() <= _MASK32):
+        raise ValueError(f"integers bound must be in [1, 2**32), got {n}")
+    seeds = np.broadcast_to(seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object), sizes.shape)
+    out, starts = np.zeros(int(sizes.sum()), dtype=np.int64), np.cumsum(sizes) - sizes
+    drawn = (sizes > 0) & (bound > 1)  # a one-value range draws nothing
+    short = np.flatnonzero(drawn & (sizes <= 8 * PREFIX_BLOCKS))
+    made = np.zeros(len(sizes), dtype=np.int64)
+    if short.size:
+        width = -(-int(sizes[short].max()) // 8)  # the prefix's blocks
+        keys = np.repeat(cycle_keys(seeds[short], tag), width, axis=0)
+        words = philox(keys, np.tile(np.arange(1, width + 1, dtype=np.uint64), len(short)))
+        halves = np.stack((words & _LOW, words >> _HALF), axis=-1).reshape(len(short), -1)
+        n_run = bound[short, None].astype(np.uint64)
+        product = halves * n_run
+        kept = (product & _LOW) >= (np.uint64(_MASK32 + 1) - n_run) % n_run
+        rank = np.cumsum(kept, axis=1)  # draws made up to each half
+        taken = kept & (rank <= sizes[short, None])
+        out[(starts[short, None] + rank - 1)[taken]] = (product >> _HALF)[taken]
+        made[short] = rank[:, -1]
+    for run in np.flatnonzero(drawn & (made < sizes)).tolist():
+        out[starts[run] : starts[run] + sizes[run]] = stream(int(seeds[run]), tag).integers(bound[run], size=sizes[run])
+    return out
 
 
 class CycleDraws:

@@ -573,6 +573,95 @@ class TestScoreSession:
         assert stats["n_message_cycles"] == 0
 
 
+def _scored_groups(monkeypatch):
+    """The cycle counts of the transcripts each `cli.score_sessions` call scores."""
+    groups, score = [], cli.score_sessions
+
+    def recording(transcripts, dims, seeds):
+        groups.append([len(t) for t in transcripts])
+        return score(transcripts, dims, seeds)
+
+    monkeypatch.setattr(cli, "score_sessions", recording)
+    return groups
+
+
+def _hand_made(rng, n_cycles, dim, control_share):
+    """A transcript of random columns, with abstaining and guessing message cycles."""
+    control = rng.random(n_cycles) < control_share
+    n_msg, n_ctrl = int((~control).sum()), int(control.sum())
+    return protocol.Transcript(
+        control=control,
+        symbols=rng.integers(0, dim, size=(n_msg, 2)),
+        decoded=rng.integers(0, dim, size=(n_msg, 2)),
+        guess=rng.integers(-1, dim, size=n_msg),
+        basis_ids=("computational",),
+        basis=np.zeros(n_ctrl, dtype=np.int64),
+        outcomes=rng.integers(0, dim, size=(n_ctrl, 2)),
+        passed=rng.random(n_ctrl) < 0.9,
+    )
+
+
+class TestGroupScoring:
+    def test_a_group_scores_each_transcript_like_the_record_scorer(self):
+        """Several dims and seeds (one wider than 64 bits), a transcript with
+        no message cycle and an empty one, in one call."""
+        rng = np.random.default_rng(3)
+        transcripts = [_hand_made(rng, 300, 3, 0.3), _hand_made(rng, 40, 2, 1.0), _hand_made(rng, 0, 5, 0.5),
+                       _hand_made(rng, 200, 5, 0.0), _hand_made(rng, 150, 2, 0.25)]
+        dims, seeds = [3, 2, 5, 5, 2], [6, 1, 2**64 + 1, 9, 2**33]
+        want = [oracles.score_records(oracles.records(t), d, s) for t, d, s in zip(transcripts, dims, seeds)]
+        assert cli.score_sessions(transcripts, dims, seeds) == want
+        assert [score_session(t, d, s) for t, d, s in zip(transcripts, dims, seeds)] == want
+
+    def test_a_walks_transcripts_are_scored_together_around_an_error(self, monkeypatch):
+        """One walk of abstaining readouts, an all-control session, a session
+        whose fixed message runs out and a coupling attack's session: the
+        three transcripts are scored in one group, each as the record scorer
+        scores it alone, and the error row keeps its error."""
+        specs = [
+            RunSpec.from_dict(spec_dict(attack="none", control="computational", cycles=60, seed=1, trials=100)),
+            RunSpec.from_dict(spec_dict(cycles=40, control_prob=1.0, seed=2, trials=100)),
+            RunSpec.from_dict(spec_dict(cycles=50, message=[[0, 1], [1, 1]], seed=3, trials=100)),
+            RunSpec.from_dict(spec_dict(attack="pavicic", cycles=30, seed=4, trials=100)),
+        ]
+        groups = _scored_groups(monkeypatch)
+        rows = run_experiments(specs)
+        assert groups == [[60, 40, 30]]
+        assert rows[2]["status"] == "error"
+        assert rows[2]["error"] == "ValueError: message exhausted before the session finished"
+        for spec, row in zip(specs, rows):
+            if spec.message is None:
+                eve, mode = attacks.from_name(spec.attack, 2), control_mode.from_name(spec.control, spec.config)
+                transcript = protocol.run_session(spec.config, cli.draw_message(2, spec.cycles, spec.seed), eve, mode)
+                want = oracles.score_records(oracles.records(transcript), 2, spec.seed)
+                assert {key: row[key] for key in want} == want and row["status"] == "ok"
+        assert rows[0]["n_message_cycles"] and rows[0]["eve_mu_accuracy"] is not None
+        assert rows[1]["n_message_cycles"] == 0 and rows[1]["eve_mu_accuracy"] is None
+
+    def test_a_long_session_among_short_ones_is_scored_alone(self, monkeypatch):
+        """Runs of 20 cycles around one of 5000 (more than `rand.CHUNK`), in one
+        walk: the long transcript is scored in a group of its own, and every
+        row equals its run's row alone."""
+        short = [spec_dict(attack=attack, control=control, cycles=20, seed=seed, trials=100)
+                 for seed, (attack, control) in enumerate([("cnot", "two-basis"), ("none", "computational"),
+                                                           ("pavicic", "two-basis")] * 2)]
+        raw = short[:3] + [spec_dict(cycles=5000, seed=50, trials=100)] + short[3:]
+        specs = [RunSpec.from_dict(row) for row in raw]
+        alone = [_stable(run_experiments([spec]))[0] for spec in specs]
+        groups = _scored_groups(monkeypatch)
+        assert _stable(run_experiments(specs)) == alone
+        # a batch walks its runs by configuration: the long run follows the first cnot run
+        assert groups == [[20], [5000], [20] * 5]
+
+
+    def test_short_sessions_are_scored_in_groups_of_at_most_a_chunk(self, monkeypatch):
+        specs = [RunSpec.from_dict(spec_dict(cycles=20, seed=seed, trials=10)) for seed in range(210)]
+        groups = _scored_groups(monkeypatch)
+        rows = run_experiments(specs)
+        assert groups == [[20] * (rand.CHUNK // 20), [20] * (210 - rand.CHUNK // 20)]
+        assert rows[-1] == execute_run(specs[-1]) | {"wall_clock_s": rows[-1]["wall_clock_s"]}
+
+
 class TestEmit:
     def test_empty_json(self):
         assert json.loads(emit([], "json", None)) == []

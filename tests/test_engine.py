@@ -353,6 +353,49 @@ def test_measure_follow_picks_from_the_full_born_table():
     )
 
 
+def _float_edge_row(dim):
+    """A row with no mass in its last cell whose running sum ends below 1."""
+    rng = np.random.default_rng(0)
+    while running_sum(row := np.append(rng.random(dim - 1), 0.0))[-1] >= 1.0:
+        pass
+    return row
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_nodes_pick_bob_as_pick_does_row_by_row():
+    """A check node picks Bob's outcomes for all of a basis's cycles at once,
+    from running sums normalized by the row masses it keeps: at every edge of
+    Alice's row's running sum and one ulp to either side, at 0 and at the
+    largest uniform, where the edge row's sum ends below 1 and lands on a
+    cell with no mass. A row with no mass is never picked."""
+    dim = 4
+    cfg = ProtocolConfig(dim=dim, control_prob=1.0, n_cycles=1, seed=1, initial_state_kind="qudit_beta00")
+    eve, mode = attacks.from_name("none", dim), control_mode.from_name("computational", cfg)
+    table = np.array([[0.1, 0.0, 0.2, 0.0], np.zeros(dim), _float_edge_row(dim), [0.0, 0.25, 0.0, 0.05]])
+    node = protocol._Node({})
+    check = node.child(mode.bases[0].basis_id)
+    check.tabulate(table)
+    assert check.masses.tolist() == [row.sum() for row in table] and check.masses[1] == 0.0
+    steps = np.concatenate([[0.0], check.cum])
+    cycles = [((steps[a] + steps[a + 1]) / 2, a, u)  # Alice's uniform lands inside row a's step
+              for a in np.flatnonzero(table.sum(axis=1) > 0).tolist()
+              for u in [0.0, np.nextafter(1.0, 0.0)] + [v for c in running_sum(table[a])
+                                                        for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if v < 1.0]]
+    alice_u, alice, bob_u = map(np.array, zip(*cycles))
+    n = len(cycles)
+    chunk = protocol._Chunk(np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), [None])
+    chunk.chosen[:], chunk.alice_u[:], chunk.bob_u[:], chunk.rank = 0, alice_u, bob_u, np.arange(n)
+    chunk.decoded, chunk.guess, chunk.basis, chunk.outcomes, chunk.passed = protocol._columns(0, n)
+    SessionTree(cfg, eve).checks(chunk, mode, node, np.arange(n), None)
+    assert chunk.outcomes[:, 0].tolist() == alice.tolist()
+    want = [int(pick(table[a], running_sum(table[a]), u)) for a, u in zip(alice.tolist(), bob_u)]
+    assert chunk.outcomes[:, 1].tolist() == want
+    assert chunk.passed.tolist() == (~mode.bases[0].fail[alice, want]).tolist()
+    # the float edge is reached: a uniform past a row's last sum lands on a cell with no mass
+    landed = [min(int(running_sum(table[a]).searchsorted(u, side="right")), dim - 1) for a, u in zip(alice, bob_u)]
+    assert any(table[a, b] <= 0.0 for a, b in zip(alice, landed))
+
+
 # Intercept-resend runs only all-control sessions: a message cycle breaks
 # Bob's decoder.
 SCORED = [(case, p) for case in COUPLINGS for p in (0.0, 0.25, 1.0)] + [(INTERCEPT_RESEND[0], 1.0)]

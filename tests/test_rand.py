@@ -6,17 +6,20 @@ import pytest
 import oracles
 from conftest import qubit_cfg
 from pingpong.attacks import cnot_attack
+from pingpong.cli import draw_message
 from pingpong.control import two_basis_control
 from pingpong.protocol import MAX_CYCLES, run_session
 from pingpong.rand import (
     CHUNK,
     MESSAGE_TAG,
     PDET_TAG,
+    PREFIX_BLOCKS,
     SCORE_TAG,
     SESSION_TAG,
     CycleDraws,
     cycle_keys,
     philox,
+    run_integers,
     skip,
     stream,
 )
@@ -227,3 +230,64 @@ def test_skip_keeps_the_half_word_integers_buffers():
 def test_skip_needs_a_philox_generator():
     with pytest.raises(TypeError, match="Philox"):
         skip(np.random.default_rng(0), 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", TAGS)
+def test_keys_without_a_cycle_word_are_those_of_stream(tag):
+    np.testing.assert_array_equal(
+        cycle_keys(list(MIXED_SEEDS), tag), [np.random.SeedSequence((s, tag)).generate_state(2, np.uint64) for s in MIXED_SEEDS]
+    )
+    np.testing.assert_array_equal(cycle_keys(7, tag), [stream(7, tag).bit_generator.state["state"]["key"]])
+
+
+# The prefix is 8 halves per block; sizes on both sides of it, and of one block.
+PREFIX_HALVES = 8 * PREFIX_BLOCKS
+SIZES = (0, 1, 7, 8, 9, 33, PREFIX_HALVES - 1, PREFIX_HALVES, PREFIX_HALVES + 1, 3 * PREFIX_HALVES + 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 2**31 + 1])
+@pytest.mark.parametrize("seed", [5, 2**32 + 5, 2**64 + 3])
+def test_run_integers_equal_the_generators(n, seed):
+    """Each size alone, and all of them in one call with a seed each, draw
+    what `stream(seed, tag).integers(n, size=m)` draws."""
+    for m in SIZES:
+        np.testing.assert_array_equal(run_integers([seed], SCORE_TAG, n, [m]), stream(seed, SCORE_TAG).integers(n, size=m))
+    seeds = [seed + i for i in range(len(SIZES))]
+    want = np.concatenate([stream(s, SCORE_TAG).integers(n, size=m) for s, m in zip(seeds, SIZES)])
+    got = run_integers(seeds, SCORE_TAG, n, SIZES)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_run_integers_take_a_bound_per_run():
+    seeds, bounds, sizes = [1, 2**40, 3, 2**70], [2, 2**31 + 1, 1, 17], [40, PREFIX_HALVES + 3, 9, 0]
+    want = [stream(s, MESSAGE_TAG).integers(n, size=m) for s, n, m in zip(seeds, bounds, sizes)]
+    np.testing.assert_array_equal(run_integers(np.array(seeds, dtype=object), MESSAGE_TAG, bounds, sizes), np.concatenate(want))
+    assert run_integers([], MESSAGE_TAG, [], []).shape == (0,)
+    for bad in (0, 2**32):
+        with pytest.raises(ValueError):
+            run_integers([1], MESSAGE_TAG, bad, [3])
+
+
+def test_run_integers_continue_past_a_prefix_that_ends_on_a_rejected_half():
+    """At n = 2**31 + 1 about half the halves are rejected. A prefix whose
+    last half is rejected ends on no draw: a run of more draws than it made
+    draws them all from its stream."""
+    n = 2**31 + 1
+    threshold = (2**32 - n) % n
+    for seed in range(100):
+        words = stream(seed, SCORE_TAG).bit_generator.random_raw(4 * PREFIX_BLOCKS)
+        halves = np.stack((words & 0xFFFFFFFF, words >> np.uint64(32)), axis=-1).reshape(-1).astype(object)
+        kept = [h * n % 2**32 >= threshold for h in halves]
+        if not kept[-1]:
+            break
+    assert not kept[-1] and kept.count(True) < PREFIX_HALVES
+    made = kept.count(True)  # the prefix's draws
+    for m in (made, made + 1, PREFIX_HALVES, 4 * PREFIX_HALVES):
+        np.testing.assert_array_equal(run_integers([seed], SCORE_TAG, n, [m]), stream(seed, SCORE_TAG).integers(n, size=m))
+
+
+@pytest.mark.parametrize("dim,length,seed", [(2, 0, 1), (2, 1, 7), (3, 63, 2**33), (32, 64, 5), (5, 1000, 2**64 + 1)])
+def test_draw_message_is_the_message_streams_pairs(dim, length, seed):
+    np.testing.assert_array_equal(draw_message(dim, length, seed), stream(seed, MESSAGE_TAG).integers(0, dim, size=(length, 2)))
