@@ -8,9 +8,13 @@ defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
 `run_sessions` schedules the sessions of several configurations a chunk of
 their cycles at a time, and `SessionTree` takes a configuration's cycles of a
-chunk through the branch tree of its attack: each tree level's draws come
-from the cycles' streams in one vectorized call (`rand.CycleDraws`), each
-node splits its cycles among its successors with array operations, and each
+chunk through the branch tree of its attack. A cycle's draws follow one
+program, derived once per tree from the edges' declared draws: the forward
+leg's, the mode uniform, then the return legs' or three control uniforms.
+So each cycle reserves the Philox blocks of the program's longer branch, the
+chunk's blocks are computed in one pass (`rand.CycleDraws`), and a tree
+reads its cycles' draws by position in a few vectorized reads. Each node
+splits its cycles among its successors with array operations, and each
 session comes back as a columnar `Transcript`; `run_session` is the
 one-session call. `follow` walks a leg a tree level at a time: the nodes of
 a level with nothing built below them take its edge together, their states
@@ -272,15 +276,16 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig):
 # over it: its table (the states with a unitary applied, or their Born table)
 # and the outcome probabilities, a row per state, and `post` gives listed
 # rows' post-states for listed outcomes from the table (for one state, rows
-# None and one outcome). `draw` takes the edge's draw for each of a group of
-# cycles from a `rand.CycleDraws` (None: the edge draws nothing and has one
-# outcome, None), and `outcomes` maps those draws to outcomes at one node;
-# `key` names the notes entry that records the outcome. `draw_leg` takes a
-# leg's draws a tree level at a time, and `follow` walks the leg's edges
-# through a configuration's branch tree with them; `walk_leg` gives the exact
-# ensemble a leg leaves behind (`deferred` first drops the measurements a
-# marginal does not need). The per-cycle stepwise reference is
-# `tests/oracles.py::step`.
+# None and one outcome). `draw` declares the edge's draw in a cycle's stream
+# in `rand.CycleDraws.read`'s terms: (None,) for `random()`, (n,) for
+# `integers(n)`, or () when the edge draws nothing and has one outcome,
+# None. `outcomes` maps those draws to outcomes at one node; `key` names the
+# notes entry that records the outcome. A `SessionTree` reads its legs'
+# draws from those declarations (`leg_columns` puts them in columns), and
+# `follow` walks the leg's edges through a configuration's branch tree with
+# them; `walk_leg` gives the exact ensemble a leg leaves behind (`deferred`
+# first drops the measurements a marginal does not need). The per-cycle
+# stepwise reference is `tests/oracles.py::step`.
 
 # Amplitudes a stack of states holds at most in `follow`; a stack holds at
 # least one state. The 25 symbol pairs of a qudit-shift post-forward node at
@@ -325,31 +330,31 @@ class _Node:
 
 
 def _split(cycles: np.ndarray, values: np.ndarray) -> list:
-    """(value, cycles) for each distinct value, smallest first, keeping the
-    cycles in order."""
+    """(value, cycles) for each distinct value of `values`, small
+    non-negative integers, smallest first, keeping the cycles in order."""
     if len(values) == 0:
         return []
-    if len(values) == 1 or values.min() == values.max():
-        return [(int(values[0]), cycles)]
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(cycles)]
-    return [(int(ranked[lo]), cycles[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+    counts = np.bincount(values)
+    present = np.flatnonzero(counts)
+    if len(present) == 1:
+        return [(int(present[0]), cycles)]
+    ranked = cycles[np.argsort(values, kind="stable")]
+    bounds = np.cumsum(counts[present]).tolist()
+    return [(value, ranked[lo:hi]) for value, lo, hi in zip(present.tolist(), [0, *bounds], bounds)]
 
 
-def draw_leg(leg: Sequence, draws, cycles: np.ndarray) -> list:
-    """Each edge's draw for every listed cycle, one call per edge in leg
-    order, as columns indexed by the chunk's cycles (None for an edge that
+def leg_columns(leg: Sequence, values: list, cycles: np.ndarray, size: int) -> list:
+    """`values`, the draws of `leg`'s edges for `cycles` in leg order, as a
+    column per edge indexed by a chunk's `size` cycles (None for an edge that
     draws nothing). Every cycle takes every edge of a leg, so its draws do
     not depend on the outcomes."""
-    taken = []
+    values, taken = iter(values), []
     for edge in leg:
-        if edge.draw is None:
-            taken.append(None)
-            continue
-        values = edge.draw(draws, cycles)
-        column = np.empty(len(draws), dtype=values.dtype)
-        column[cycles] = values
+        column = None
+        if edge.draw:
+            drawn = next(values)
+            column = np.empty(size, dtype=drawn.dtype)
+            column[cycles] = drawn
         taken.append(column)
     return taken
 
@@ -367,7 +372,7 @@ def _replay(leg: Sequence, states: StateVector, nodes: list) -> StateVector:
 
 def follow(leg: Sequence, starts: list, taken: list, source: Callable, width: int) -> Iterator:
     """Walk the cycles of each (node, cycles) in `starts` through `leg` a
-    tree level at a time, with the draws `draw_leg` took for them; yield the
+    tree level at a time, with their draws (`leg_columns`); yield the
     (node, cycles) ends they reach, a list at a time, with the stack of their
     states, or None where none was needed.
 
@@ -452,7 +457,7 @@ class UnitaryEdge:
 
     op: Operator
     targets: tuple[str, ...]
-    key = draw = None
+    key, draw = None, ()
 
     def branches(self, state: StateVector) -> tuple:
         """The states with the unitary applied; one outcome, None, each."""
@@ -464,12 +469,13 @@ class UnitaryEdge:
 
 @dataclass(frozen=True, eq=False)
 class MeasureEdge:
-    """A projective measurement of `labels` in `basis`; one uniform draw.
-    `key` records the outcome in the notes."""
+    """A projective measurement of `labels` in `basis`; one uniform draw,
+    `random()`. `key` records the outcome in the notes."""
 
     labels: tuple[str, ...]
     basis: Basis
     key: str
+    draw = (None,)
 
     def branches(self, state: StateVector) -> tuple:
         """The states' Born table, and its probabilities."""
@@ -479,10 +485,6 @@ class MeasureEdge:
     def post(self, table, rows, outcomes) -> StateVector:
         """Row rows[i]'s collapsed state for outcomes[i]."""
         return collapse(table, outcomes, rows)
-
-    def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
-        """One uniform per cycle."""
-        return draws.random(cycles)
 
     def outcomes(self, node: _Node, uniforms: np.ndarray) -> np.ndarray:
         """The outcome each uniform picks from the node's Born table. The
@@ -537,9 +539,10 @@ class DrawEdge:
         part, op = table if rows is None else table.take(rows), self.ops[fs[0]]
         return part if op is None else apply(part, op, self.targets)
 
-    def draw(self, draws, cycles: np.ndarray) -> np.ndarray:
-        """One `integers(len(ops))` per cycle."""
-        return draws.integers(cycles, len(self.ops))
+    @property
+    def draw(self) -> tuple:
+        """One `integers(len(ops))`."""
+        return (len(self.ops),)
 
     def outcomes(self, node: _Node, fs: np.ndarray) -> np.ndarray:
         """f itself; reads no table."""
@@ -663,16 +666,25 @@ class SessionTree:
         last = self.returned[-1] if self.returned else None
         if isinstance(last, MeasureEdge) and set(last.labels) == set(self.state.layout.labels) - {HOME, TRAVEL}:
             self.returned = self.returned[:-1] + (ReadoutEdge(last.labels, last.basis, last.key),)
+        # a cycle's draws: the forward edges', the mode uniform, then the return edges' or three control uniforms
+        self.ahead = sum((edge.draw for edge in self.forward), ()) + (None,)
+        self.back = sum((edge.draw for edge in self.returned), ())
+        self.blocks = max(rand.blocks(self.ahead + self.back), rand.blocks(self.ahead + (None,) * 3))
+
+    def reserve(self, chunk: "_Chunk", control: "ControlModeHandle", sub: np.ndarray) -> bool:
+        """Reserve the Philox blocks of a configuration's cycles `sub`, its longer branch's; True once done."""
+        chunk.blocks[sub] = self.blocks
+        return True
 
     def draw(self, chunk: "_Chunk", control: "ControlModeHandle", draws, sub: np.ndarray, prob) -> tuple:
-        """(sub, forward draws, return draws) of a configuration's cycles `sub`, a tree level at a time."""
-        there = draw_leg(self.forward, draws, sub)
-        chunk.is_control[sub] = draws.random(sub) < prob[chunk.owner[sub]]
+        """(sub, forward draws, return draws) of a configuration's cycles `sub`, as `follow` takes them."""
+        *there, mode = draws.read(self.ahead, sub)
+        chunk.is_control[sub] = mode < prob[chunk.owner[sub]]
         ctrl, msg = sub[chunk.is_control[sub]], sub[~chunk.is_control[sub]]
-        back = draw_leg(self.returned, draws, msg)
-        chunk.chosen[ctrl] = control.choose(draws.random(ctrl))
-        chunk.alice_u[ctrl], chunk.bob_u[ctrl] = draws.random(ctrl), draws.random(ctrl)
-        return sub, there, back
+        choice, chunk.alice_u[ctrl], chunk.bob_u[ctrl] = draws.read((None,) * 3, ctrl, self.ahead)
+        chunk.chosen[ctrl] = control.choose(choice)
+        back, n = draws.read(self.back, msg, self.ahead), len(chunk.owner)
+        return sub, leg_columns(self.forward, there, sub, n), leg_columns(self.returned, back, msg, n)
 
     def walk(self, chunk: "_Chunk", control: "ControlModeHandle", guess: Callable, cycles, there, back) -> None:
         """A configuration's `cycles` down the forward leg, then each post-forward node's `leaves` and `checks`."""
@@ -729,11 +741,13 @@ class SessionTree:
 
 
 class _Chunk:
-    """A chunk of a `run_sessions` call: per cycle its session, mode, menu index, uniforms, `rank` in its mode and
-    message code (`at`, into `message`); the transcript columns; per session its first failing cycle (`limit`)."""
+    """A chunk of a `run_sessions` call: per cycle its session, reserved Philox blocks, mode, menu index, uniforms,
+    `rank` in its mode and message code (`at`, into `message`); the transcript columns; per session its first
+    failing cycle (`limit`)."""
 
     def __init__(self, owner: np.ndarray, message: np.ndarray, errors: list):
         self.owner, self.message, self.errors, self.limit = owner, message, errors, np.full(len(errors), len(owner))
+        self.blocks = np.ones(len(owner), dtype=np.int64)  # Philox blocks reserved per cycle
         self.is_control, self.chosen = np.zeros(len(owner), dtype=bool), np.empty(len(owner), dtype=np.int64)
         self.alice_u, self.bob_u = np.empty(len(owner)), np.empty(len(owner))
 
@@ -756,9 +770,11 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     Eve handle, dim and kind share a tree, kept in the handle's
     `session_trees` for a later call if its attached state fits in one stack
     (SLICE_AMPS), else dropped with its last session. Their cycles, one
-    session after another, go a chunk (`rand.CHUNK`) at a time: one
-    `rand.CycleDraws`, each configuration's (tree and control mode) `draw`,
-    one ranking of the cycles by mode, each configuration's `walk`. A session
+    session after another, go a chunk (`rand.CHUNK`) at a time: each
+    configuration's (tree and control mode) `reserve` of Philox blocks,
+    one `rand.CycleDraws`, each configuration's `draw`, one ranking of the
+    cycles by mode, each configuration's `walk`. A session whose cycles lie
+    in one chunk comes back as slices of that chunk's columns. A session
     fails at its first cycle that runs out of message or reaches a coherence
     break in Bob's decoder (`_Chunk.fail`); an error raised in a
     configuration's tree build, draws or walk ends its sessions, and its tree
@@ -804,12 +820,14 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     counts = np.array([cfg.n_cycles for cfg in cfgs])
     ends = np.cumsum(counts)  # each session's cycles, one session after another, end here
     sent = np.zeros(len(cfgs), dtype=np.int64)  # message pairs consumed by earlier chunks
-    chunks = [[(np.zeros(0, dtype=bool), *_columns(0, 0))] for _ in cfgs]
+    chunks = [[] for _ in cfgs]  # each session's columns in each chunk that holds its cycles
     yielded = 0  # sessions yielded, each once the chunks before `start` hold all its cycles
     for start in range(0, int(ends[-1]) + rand.CHUNK, rand.CHUNK):
         while yielded < len(cfgs) and ends[yielded] <= start:
             s, yielded = yielded, yielded + 1
-            is_control, decoded, guess, basis, outcomes, passed = map(np.concatenate, zip(*chunks[s]))
+            pieces = chunks[s] or [(np.zeros(0, dtype=bool), *_columns(0, 0))]  # one chunk's: its slices, no copy
+            is_control, decoded, guess, basis, outcomes, passed = (
+                pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces)))
             chunks[s] = None
             if last[keys[s]] == s:
                 trees.pop(keys[s], None)
@@ -821,9 +839,10 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
         cycle, owner = cycle[live[owner]], owner[live[owner]]
         if not (n := len(owner)):
             continue
-        draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner])
         chunk = _Chunk(owner, message, errors)
-        work = [(h, t) for h, sub in _split(np.arange(n), config[owner]) if (t := guarded(h, "draw", draws, sub, prob))]
+        parts = [(h, sub) for h, sub in _split(np.arange(n), config[owner]) if guarded(h, "reserve", sub)]
+        draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner], chunk.blocks)
+        work = [(h, t) for h, sub in parts if (t := guarded(h, "draw", draws, sub, prob))]
         del draws  # the words are not held through the walk
         ctrl, msg = np.flatnonzero(chunk.is_control), np.flatnonzero(~chunk.is_control)
         chunk.rank = np.where(chunk.is_control, np.cumsum(chunk.is_control), np.cumsum(~chunk.is_control)) - 1

@@ -11,16 +11,19 @@ k)`; `CycleDraws` gives those draws for a chunk of (seed, k) cycles of one or
 many sessions at a time, with no generator per cycle. It computes the chunk's
 keys in one vectorized pass of the `SeedSequence` hash (a fixed mixing
 function of 32-bit words, with numpy's constants and pool size) per seed word
-count, and their Philox4x64-10 output words in another: Philox output is a
-pure function of key and counter (Salmon et al., SC'11), and a fresh
-generator's block j is the one at counter j + 1. Blocks past the first are
-computed only for the cycles that reach them. The draws are decoded as
-numpy's `Generator` decodes them: `random()` is one 64-bit word w as
-(w >> 11) * 2**-53, and `integers(n)` is Lemire's bounded draw on 32-bit
-halves, a fresh word's low half first and its high half kept for the next
-`integers` (`random()` skips that buffer). Because a word depends on the
-counter only, `skip` moves a `stream` generator past draws that nothing reads
-by advancing its counter.
+count, and every block each cycle reserves in one pass of Philox4x64-10:
+Philox output is a pure function of key and counter (Salmon et al., SC'11),
+and a fresh generator's block j is the one at counter j + 1. The blocks are
+a table read by position. numpy's `Generator` decodes `random()` from one
+64-bit word w as (w >> 11) * 2**-53, and `integers(n)` by Lemire's bounded
+draw on 32-bit halves, a fresh word's low half first and its high half kept
+for the next `integers` (`random()` skips that buffer). So when no half is
+rejected, the word and half each draw reads are fixed by the draws before
+it. A cycle whose draws meet a half Lemire's rule rejects (a half is, with
+probability at most 31 / 2**32 at bounds up to 32) is re-drawn in full from
+its own `stream`.
+Because a word depends on the counter only, `skip` moves a `stream`
+generator past draws that nothing reads by advancing its counter.
 
 A run's message and scoring draws are one `stream(seed, tag).integers(n,
 size=m)` each; `run_integers` makes them for many runs at once. For the runs
@@ -272,72 +275,103 @@ def run_integers(seeds, tag: int, n, sizes) -> np.ndarray:
     return out
 
 
-class CycleDraws:
-    """The draws of `stream(seed, tag, k)` for one chunk's cycles, k from `ks`
-    and its seed from `seeds` (one int for every cycle, or one per cycle).
+def blocks(calls) -> int:
+    """The Philox blocks a cycle stream's draws `calls` read when no half is
+    rejected: `random()` is None in `calls`, `integers(n)` an int n."""
+    return -(-_positions(tuple(calls))[1] // 4)
 
-    Cycles are named by their position in the chunk. Each call makes one draw
-    for every cycle it lists (each listed once), from wherever that cycle's
-    stream stands, and returns what the same call on each cycle's own
-    generator would.
+
+@lru_cache(maxsize=None)
+def _positions(calls: tuple) -> tuple:
+    """Where each draw of `calls`, made from a fresh cycle stream, reads when
+    no half is rejected, as (word, shift, n) per draw, and the words read in
+    all: `random()` reads word `word` whole (shift None); `integers(n)` the
+    half of word `word` at `shift` (None for n = 1, which reads nothing)."""
+    out, word, kept = [], 0, None  # kept: the word whose high half is kept
+    for n in calls:
+        if n is None:
+            out.append((word, None, None))
+            word += 1
+        elif not 1 <= n <= _MASK32:
+            raise ValueError(f"integers bound must be in [1, 2**32), got {n}")
+        elif n == 1:
+            out.append((None, None, n))
+        elif kept is not None:
+            out.append((kept, _HALF, n))
+            kept = None
+        else:
+            out.append((word, np.uint64(0), n))
+            kept, word = word, word + 1
+    return tuple(out), word
+
+
+class CycleDraws:
+    """A reserved table of the words of `stream(seed, tag, k)` for one
+    chunk's cycles, read by position: k from `ks`, the seed from `seeds` and
+    the Philox blocks reserved from `blocks` (each one for every cycle, or
+    one per cycle; `blocks(calls)` counts a call list's).
+
+    The keys take one `cycle_keys` pass and every reserved block one `philox`
+    pass, cycle c's blocks being the consecutive rows from `first[c]`. Cycles
+    are named by their position in the chunk. `read` takes each draw from the word and
+    half that the draws before it fix (`_positions`). A cycle whose draws,
+    or those made before them, meet a half Lemire's rule rejects is re-drawn
+    in full from its own `stream` (`_rejected` tells which), so every draw
+    is the generator's. Reading past a listed cycle's reserved words raises
+    a ValueError.
     """
 
-    def __init__(self, seeds, tag: int, ks):
-        self.keys = cycle_keys(seeds, tag, ks)
-        n = len(self.keys)
-        self.words = philox(self.keys, np.ones(n, dtype=np.uint64))
-        self.filled = np.full(n, 4)  # words computed per cycle
-        self.pos = np.zeros(n, dtype=np.int64)  # next word per cycle
-        self.half = np.zeros(n, dtype=np.uint64)  # a kept high half
-        self.has_half = np.zeros(n, dtype=bool)
+    def __init__(self, seeds, tag: int, ks, blocks):
+        self.tag, self.ks = tag, np.asarray(ks, dtype=np.int64).reshape(-1)
+        n = len(self.ks)
+        self.seeds = np.broadcast_to(seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object), n)
+        self.blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), n)
+        self.least = int(self.blocks.min(initial=_MASK32))  # every cycle holds the words below 4 * least
+        self.first = np.cumsum(self.blocks) - self.blocks  # each cycle's first row
+        counters = np.arange(int(self.blocks.sum())) - np.repeat(self.first, self.blocks) + 1
+        self.words = philox(np.repeat(cycle_keys(self.seeds, tag, self.ks), self.blocks, axis=0), counters.astype(np.uint64))
 
-    def __len__(self) -> int:
-        return len(self.pos)
-
-    def _next(self, cycles: np.ndarray) -> np.ndarray:
-        """Each listed cycle's next 64-bit word, computing its next block
-        when it has used up the ones it has."""
-        pos = self.pos[cycles]
-        self.pos[cycles] = pos + 1
-        late = pos >= self.filled[cycles]
-        if late.any():
-            rows = cycles[late]
-            block = self.filled[rows] // 4
-            short = 4 * (int(block.max()) + 1) - self.words.shape[1]
-            if short > 0:
-                self.words = np.pad(self.words, ((0, 0), (0, short)))
-            cols = 4 * block[:, None] + np.arange(4)
-            self.words[rows[:, None], cols] = philox(self.keys[rows], block + 1)
-            self.filled[rows] += 4
-        return self.words[cycles, pos]
-
-    def random(self, cycles: np.ndarray) -> np.ndarray:
-        """One `random()` per listed cycle."""
-        return (self._next(cycles) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-    def _uint32(self, cycles: np.ndarray) -> np.ndarray:
-        """One buffered 32-bit draw per listed cycle: a kept high half, or a
-        fresh word's low half, keeping its high half."""
-        out = self.half[cycles]
-        fresh = ~self.has_half[cycles]
-        self.has_half[cycles] = fresh
-        rows = cycles[fresh]
-        words = self._next(rows)
-        out[fresh] = words & _LOW
-        self.half[rows] = words >> _HALF
+    def read(self, calls: tuple, cycles: np.ndarray, after: tuple = ()) -> list:
+        """The draws `calls` of the listed cycles' streams (None: `random()`,
+        n: `integers(n)` for 1 <= n < 2**32), each made after the draws
+        `after`, as a column per call, in order."""
+        plan, used = _positions(after + calls)
+        if used > 4 * self.least and len(cycles) and used > 4 * self.blocks[cycles].min():
+            raise ValueError(f"the draws read {used} words, past a listed cycle's reserved blocks")
+        rows = self.first[cycles]
+        out, checked = [], []  # checked: (half times n, n) of each draw Lemire's rule may reject
+        for i, (word, shift, n) in enumerate(plan):
+            asked = i >= len(after)
+            if word is None:  # integers(1) reads nothing
+                if asked:
+                    out.append(np.zeros(len(cycles), dtype=np.int64))
+                continue
+            threshold = 0 if shift is None else (_MASK32 + 1 - n) % n
+            if not (asked or threshold):  # an earlier draw with nothing to check
+                continue
+            words = self.words[rows + word // 4, word % 4]
+            if shift is None:
+                out.append((words >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+                continue
+            product = (words >> shift & _LOW) * np.uint64(n)
+            if threshold:
+                checked.append((product, n))
+            if asked:
+                out.append((product >> _HALF).astype(np.int64))
+        for i in np.flatnonzero(self._rejected(cycles, checked)).tolist():
+            c = cycles[i]
+            gen = stream(int(self.seeds[c]), self.tag, int(self.ks[c]))
+            for n in after:
+                gen.random() if n is None else gen.integers(n)
+            for column, n in zip(out, calls):
+                column[i] = gen.random() if n is None else gen.integers(n)
         return out
 
-    def integers(self, cycles: np.ndarray, n: int) -> np.ndarray:
-        """One `integers(n)` per listed cycle, for 1 <= n < 2**32: Lemire's
-        multiply-shift of a 32-bit draw, drawing again while the product's
-        low half is under (2**32 - n) % n. A one-value range draws nothing."""
-        if not 1 <= n <= _MASK32:
-            raise ValueError(f"integers bound must be in [1, 2**32), got {n}")
-        out = np.zeros(len(cycles), dtype=np.int64)
-        threshold = (_MASK32 + 1 - n) % n
-        todo = np.arange(len(cycles) if n > 1 else 0)
-        while todo.size:
-            product = self._uint32(cycles[todo]) * np.uint64(n)
-            out[todo] = product >> _HALF
-            todo = todo[product & _LOW < threshold]
-        return out
+    def _rejected(self, cycles: np.ndarray, checked: list) -> np.ndarray:
+        """Which listed cycles meet a half that Lemire's rule rejects, given
+        each (product, n) of `checked`, an `integers(n)` draw's 32-bit half
+        times n per cycle: one whose low half is under (2**32 - n) % n."""
+        rejected = np.zeros(len(cycles), dtype=bool)
+        for product, n in checked:
+            rejected |= product & _LOW < np.uint64((_MASK32 + 1 - n) % n)
+        return rejected

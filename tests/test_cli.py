@@ -425,9 +425,9 @@ class TestConfigurationGroups:
                 super().__init__(*args)
                 built.append(self)
 
-        def recording(seeds, tag, ks):
+        def recording(seeds, tag, ks, blocks):
             chunks.append(seeds.tolist())
-            return draws(seeds, tag, ks)
+            return draws(seeds, tag, ks, blocks)
 
         monkeypatch.setattr(protocol, "SessionTree", CountedTree)
         monkeypatch.setattr(rand, "CycleDraws", recording)
@@ -451,23 +451,28 @@ class TestConfigurationGroups:
     @pytest.mark.parametrize("broken", ["branches", "draw"])
     def test_an_error_in_one_configurations_walk_ends_its_sessions_alone(self, tmp_path, monkeypatch, broken):
         """The generic handle's return leg cannot be walked, or cannot be drawn
-        (before any walk of the chunk): its runs report that error, and every
+        (in its draw step, once the chunk's words are computed and before any
+        walk of the chunk): its runs report that error, and every
         other row of the batch, whose walk the first intercept-resend run
         starts, is its own."""
         monkeypatch.setattr(rand, "CHUNK", 37)
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
 
         class Unwalkable:
-            key = None
+            key, draw = None, ()
 
             def branches(self, states):
                 raise RuntimeError("no table for this edge")
 
-            def draw(self, draws, cycles):
-                raise RuntimeError("no table for this edge")
+        columns = protocol.leg_columns
 
-        if broken == "branches":
-            Unwalkable.draw = None
+        def undrawable(leg, *args):  # fails the broken configuration's own draw step only
+            if any(isinstance(edge, Unwalkable) for edge in leg):
+                raise RuntimeError("no table for this edge")
+            return columns(leg, *args)
+
+        if broken == "draw":
+            monkeypatch.setattr(protocol, "leg_columns", undrawable)
 
         build, broken_eves, walk, trees = attacks.from_name, {}, cli.run_sessions, []
 
@@ -1000,7 +1005,7 @@ class TestTreeStore:
         gc.collect()
         assert tree() is None
 
-    @pytest.mark.parametrize("broken", ["SessionTree", "draw_leg", "follow", "pair_probs", "bob_decode"])
+    @pytest.mark.parametrize("broken", ["SessionTree", "leg_columns", "follow", "pair_probs", "bob_decode"])
     def test_a_tree_that_raises_is_not_kept(self, monkeypatch, broken):
         """A build, draws or walk that raises, a control check's table or
         Bob's decode included, leaves nothing in the store, a tree kept by an

@@ -33,8 +33,8 @@ from pingpong.protocol import (
     Transcript,
     UnitaryEdge,
     algebra,
-    draw_leg,
     follow,
+    leg_columns,
     run_session,
     run_sessions,
 )
@@ -276,19 +276,6 @@ def _edge_case(kind):
     return MeasureEdge(("t",), Basis.computational(12), "genuine"), _sparse_state()
 
 
-class _Uniforms:
-    """A stand-in for `CycleDraws` whose cycle k draws `us[k]` from `random`."""
-
-    def __init__(self, us):
-        self.us = np.asarray(us)
-
-    def __len__(self):
-        return len(self.us)
-
-    def random(self, cycles):
-        return self.us[cycles]
-
-
 def _followed(edge, node, state, cycles, taken):
     """`follow` over the one edge from `node`, whose state is `state`: each
     (successor, its state, its cycles)."""
@@ -305,18 +292,18 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     edge, state = _edge_case(kind)
     n = 20
     for k in range(n):
-        draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n)), stream(seed, SESSION_TAG, k)
+        draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), stream(seed, SESSION_TAG, k)
         node, cycles = protocol._Node({"earlier": 1}), np.array([k])
-        taken = draw_leg((edge,), draws, cycles)
+        taken = leg_columns((edge,), draws.read(edge.draw, cycles), cycles, n)
         [(succ, built, cycles)] = _followed(edge, node, state, cycles, taken)
         notes = {"earlier": 1}
         post = oracles.step(edge, state, rng_step, notes)
         assert np.array_equal(built.amps, post.amps)
         assert succ.notes == notes and cycles.tolist() == [k]
-        assert draws.random(cycles)[0] == rng_step.random()
+        assert draws.read((None,), cycles, edge.draw)[0][0] == rng_step.random()
     # all cycles from one fresh node at once: each goes where `step` takes it
-    draws, cycles = CycleDraws(seed, SESSION_TAG, np.arange(n)), np.arange(n)
-    taken = draw_leg((edge,), draws, cycles)
+    draws, cycles = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), np.arange(n)
+    taken = leg_columns((edge,), draws.read(edge.draw, cycles), cycles, n)
     reached = _followed(edge, protocol._Node({}), state, cycles, taken)
     assert sorted(k for _, _, cycles in reached for k in cycles.tolist()) == list(range(n))
     for succ, post, cycles in reached:
@@ -335,7 +322,7 @@ def test_measure_follow_picks_from_the_full_born_table():
     cum = running_sum(table.probs)
     uniforms = [u for c in cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
     cycles = np.arange(len(uniforms))
-    taken = draw_leg((edge,), _Uniforms(uniforms), cycles)
+    taken = leg_columns((edge,), [np.array(uniforms)], cycles, len(uniforms))  # cycle k draws uniforms[k]
     reached = _followed(edge, protocol._Node({}), state, cycles, taken)
     assert sum(len(cycles) for _, _, cycles in reached) == len(uniforms)
     for succ, post, cycles in reached:
@@ -625,6 +612,77 @@ def test_sessions_of_several_configurations_walked_together_match_stepper(monkey
     assert len(trees) == 4
 
 
+def _redraw_batch():
+    """Sessions of intercept-resend under two-basis control, all-control and
+    with message cycles (its forward leg draws integers(2) after a uniform,
+    so its cycles reserve two blocks), of cnot under two-basis control and
+    of a D=3 generic coupling, whose readout outcomes vary (one block)."""
+    ir, cnot, generic = _setup(INTERCEPT_RESEND[1], 1.0, 0), _setup(COUPLINGS[3], 0.25, 0), _setup(COUPLINGS[-1], 0.25, 0)
+    sessions = [(ir, 1, 60, 1.0), (cnot, 2, 80, 0.25), (ir, 3, 50, 0.5), (generic, 4, 70, 0.25), (cnot, 5, 30, 1.0)]
+    cfgs = [replace(setup[0], seed=seed, n_cycles=cycles, control_prob=p) for setup, seed, cycles, p in sessions]
+    messages = [draw_message(cfg.dim, cfg.n_cycles, cfg.seed) for cfg in cfgs]
+    return cfgs, messages, [setup[1] for setup, *_ in sessions], [setup[2] for setup, *_ in sessions]
+
+
+def _walked(cfgs, messages, eves, modes):
+    return [
+        oracles.records(result) if isinstance(result, Transcript) else (type(result), str(result))
+        for result in run_sessions(cfgs, messages, eves, modes)
+    ]
+
+
+@pytest.mark.usefixtures("fresh_trees")
+def test_cycles_redrawn_from_their_streams_give_the_unforced_transcripts(monkeypatch):
+    """Chosen cycles of a batch of intercept-resend and cnot sessions are
+    re-drawn from their own streams in every read, as a cycle that meets a
+    rejected half is: the walk gives the transcripts and errors of the
+    unforced walk and of the stepwise reference, and only chosen cycles make
+    a stream."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    batch = _redraw_batch()
+    unforced = _walked(*batch)
+    assert unforced == [_result(oracles.stepwise_session, *args) for args in zip(*batch)]
+    chosen, keyed = [0, 5, 36, 37, 59], []
+    rejected = rand.CycleDraws._rejected
+
+    def forcing(self, cycles, checked):
+        return rejected(self, cycles, checked) | np.isin(self.ks[cycles], chosen)
+
+    def recording(*key):
+        keyed.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(rand.CycleDraws, "_rejected", forcing)
+    monkeypatch.setattr(rand, "stream", recording)
+    assert _walked(*batch) == unforced
+    assert {k for _, _, k in keyed} == set(chosen)
+    for cfg, result in zip(batch[0], unforced):  # every chosen cycle of a session that runs to its end
+        if isinstance(result, list):
+            assert {k for k in chosen if k < cfg.n_cycles} <= {k for seed, _, k in keyed if seed == cfg.seed}
+
+
+@pytest.mark.usefixtures("fresh_trees")
+def test_a_chunk_computes_its_words_in_one_philox_pass(monkeypatch):
+    """A chunk of all-control intercept-resend sessions, whose control cycles
+    read six words, and cnot sessions, which read at most four, computes the
+    two blocks of each intercept-resend cycle and the one of each cnot cycle
+    in one `philox` call."""
+    cfgs, messages, eves, modes = _redraw_batch()
+    cfgs = [replace(cfg, control_prob=1.0) for cfg in cfgs]
+    blocks, philox = [], rand.philox
+
+    def counting(keys, counters):
+        blocks.append(len(keys))
+        return philox(keys, counters)
+
+    monkeypatch.setattr(rand, "philox", counting)
+    trees = _built_trees(monkeypatch)
+    walked = _walked(cfgs, messages, eves, modes)
+    assert walked == [_result(oracles.stepwise_session, *args) for args in zip(cfgs, messages, eves, modes)]
+    assert blocks == [sum(cfg.n_cycles * (2 if eve.name == "intercept-resend" else 1) for cfg, eve in zip(cfgs, eves))]
+    assert [tree.blocks for tree in trees] == [2, 1, 1]
+
+
 def test_a_message_that_runs_out_ends_only_its_own_session(monkeypatch):
     """An explicit message too short for its session, and one with a symbol
     out of range, end those sessions alone."""
@@ -661,9 +719,9 @@ def test_a_failed_session_grows_no_node_in_later_chunks(case, control_prob, n_pa
     keyed = []  # the seeds each chunk keys streams for
     original = rand.CycleDraws
 
-    def recording(seeds, tag, ks):
+    def recording(seeds, tag, ks, blocks):
         keyed.append(set(seeds.tolist()))
-        return original(seeds, tag, ks)
+        return original(seeds, tag, ks, blocks)
 
     monkeypatch.setattr(rand, "CycleDraws", recording)
     trees, grown = _built_trees(monkeypatch), []

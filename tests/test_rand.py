@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import qubit_cfg
+from pingpong import rand
 from pingpong.attacks import cnot_attack
 from pingpong.cli import draw_message
 from pingpong.control import two_basis_control
@@ -17,6 +18,7 @@ from pingpong.rand import (
     SCORE_TAG,
     SESSION_TAG,
     CycleDraws,
+    blocks,
     cycle_keys,
     philox,
     run_integers,
@@ -78,11 +80,12 @@ def _stream_draws(seed, start, stop, calls):
 
 
 def _chunk_draws(draws, cycles, calls):
-    """The same draws from a `CycleDraws`, all cycles per call."""
-    return np.array(
-        [draws.random(cycles) if n is None else draws.integers(cycles, n) for n in calls],
-        dtype=object,
-    ).T
+    """The same draws from a `CycleDraws`, all cycles per read: one read per
+    call, after the calls before it, and one read of them all."""
+    one_by_one = [draws.read(calls[i:i + 1], cycles, calls[:i])[0] for i in range(len(calls))]
+    at_once = draws.read(calls, cycles)
+    assert all(a.dtype == b.dtype and a.tolist() == b.tolist() for a, b in zip(one_by_one, at_once))
+    return np.array(at_once, dtype=object).T
 
 
 # None is a `random()` call, an int n an `integers(n)` call. 2**31 + 1 rejects
@@ -101,46 +104,87 @@ MIXED_CALLS = [
 @pytest.mark.parametrize("calls", MIXED_CALLS)
 def test_decoded_draws_equal_the_generators(seed, calls):
     start, stop = CHUNK - 40, CHUNK + 40
-    draws = CycleDraws(seed, SESSION_TAG, np.arange(start, stop))
+    draws = CycleDraws(seed, SESSION_TAG, np.arange(start, stop), blocks(calls))
     got = _chunk_draws(draws, np.arange(stop - start), calls)
     assert got.tolist() == _stream_draws(seed, start, stop, calls).tolist()
+    # cycles reserving more blocks than they read, one or two more, read the same words
+    extra = blocks(calls) + 1 + np.arange(stop - start) % 2
+    wide = _chunk_draws(CycleDraws(seed, SESSION_TAG, np.arange(start, stop), extra), np.arange(stop - start), calls)
+    assert wide.tolist() == got.tolist()
 
 
-def test_lemire_rejection_takes_a_second_block_only_where_reached():
-    """Under rejection cycles use different numbers of words: only those that
-    run past their first block compute a second, and each still equals its
-    generator."""
-    n = 64
-    draws = CycleDraws(5, SESSION_TAG, np.arange(n))
-    calls = (2**31 + 1,) * 4
-    got = _chunk_draws(draws, np.arange(n), calls)
+def _rejecting_cycles(seed, ks, n, halves):
+    """The cycles among `ks` whose first `halves` 32-bit halves hold one that
+    Lemire's rule rejects for integers(n)."""
+    threshold = (2**32 - n) % n
+    rejected = []
+    for k in ks:
+        words = stream(seed, SESSION_TAG, k).bit_generator.random_raw(-(-halves // 2)).tolist()
+        firsts = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)][:halves]
+        if any(h * n % 2**32 < threshold for h in firsts):
+            rejected.append(k)
+    return rejected
+
+
+def test_lemire_rejection_redraws_exactly_the_cycles_that_meet_it(monkeypatch):
+    """Under rejection a cycle's draws leave their fixed halves: exactly the
+    cycles whose draws meet a rejected half are re-drawn from their own
+    stream, some but not all of them, and each still equals its generator."""
+    n, bound = 64, 2**31 + 1
+    calls = (bound,) * 4
+    redrawn = []
+
+    def recording(*key):
+        redrawn.append(key[2])
+        return stream(*key)
+
+    monkeypatch.setattr(rand, "stream", recording)
+    draws = CycleDraws(5, SESSION_TAG, np.arange(n), blocks(calls))
+    got = np.array(draws.read(calls, np.arange(n)), dtype=object).T
     assert got.tolist() == _stream_draws(5, 0, n, calls).tolist()
-    words_used = draws.pos
-    assert words_used.min() <= 4 < words_used.max()
-    np.testing.assert_array_equal(draws.filled, 4 * -(-words_used // 4))
+    assert redrawn == _rejecting_cycles(5, range(n), bound, len(calls))
+    assert 0 < len(redrawn) < n
+    # a later read re-draws the same cycles: the rejection sits in its earlier draws
+    redrawn.clear()
+    [later] = draws.read((None,), np.arange(n), calls)
+    assert later.tolist() == [row[-1] for row in _stream_draws(5, 0, n, calls + (None,)).tolist()]
+    assert redrawn == _rejecting_cycles(5, range(n), bound, len(calls))
 
 
 def test_draws_for_subsets_advance_only_those_cycles():
-    """Each cycle's stream stands where its own calls left it."""
+    """Each cycle's stream stands where its own calls left it: a read gives
+    the draws made after the ones it names."""
     n = 30
-    draws = CycleDraws(9, SESSION_TAG, np.arange(n))
+    draws = CycleDraws(9, SESSION_TAG, np.arange(n), 1)
     evens, odds = np.arange(0, n, 2), np.arange(1, n, 2)
-    first = draws.integers(evens, 6)
-    second = draws.random(odds)
-    third = draws.integers(np.arange(n), 6)
+    [first] = draws.read((6,), evens)
+    [second] = draws.read((None,), odds)
+    [third_even] = draws.read((6,), evens, (6,))
+    [third_odd] = draws.read((6,), odds, (None,))
     for k in range(n):
         gen = stream(9, SESSION_TAG, k)
         if k % 2 == 0:
-            assert (first[k // 2], third[k]) == (gen.integers(6), gen.integers(6))
+            assert (first[k // 2], third_even[k // 2]) == (gen.integers(6), gen.integers(6))
         else:
-            assert (second[k // 2], third[k]) == (gen.random(), gen.integers(6))
+            assert (second[k // 2], third_odd[k // 2]) == (gen.random(), gen.integers(6))
 
 
 def test_integers_bound_is_checked():
-    draws = CycleDraws(1, SESSION_TAG, np.arange(2))
+    draws = CycleDraws(1, SESSION_TAG, np.arange(2), 1)
     for n in (0, 2**32):
         with pytest.raises(ValueError):
-            draws.integers(np.arange(2), n)
+            draws.read((n,), np.arange(2))
+
+
+def test_reads_stay_within_the_reserved_blocks():
+    """Draws past a listed cycle's reserved words are refused, not read from
+    its neighbour's; an unlisted cycle's reservation does not count."""
+    draws = CycleDraws(1, SESSION_TAG, np.arange(4), [1, 2, 1, 2])
+    assert blocks((None,) * 5) == 2
+    assert len(draws.read((None,) * 5, np.array([1, 3]))) == 5
+    with pytest.raises(ValueError, match="reserved"):
+        draws.read((None,), np.array([1, 2]), (None,) * 4)
+    assert blocks((3,) * 8) == 1 and blocks((3,) * 8 + (1, None)) == 2
 
 
 # Seeds of one, two and three 32-bit words, each side of a word boundary: the
@@ -176,9 +220,9 @@ def test_draws_over_mixed_seeds_equal_each_seeds_own(calls):
     lengths = (3, 40, 1, 25, 12)
     seeds = np.repeat(np.array(MIXED_SEEDS, dtype=object), lengths)
     ks = np.concatenate([np.arange(CHUNK - 20, CHUNK - 20 + n) for n in lengths])
-    mixed = _chunk_draws(CycleDraws(seeds, SESSION_TAG, ks), np.arange(len(ks)), calls)
+    mixed = _chunk_draws(CycleDraws(seeds, SESSION_TAG, ks, blocks(calls)), np.arange(len(ks)), calls)
     own = [
-        _chunk_draws(CycleDraws(seed, SESSION_TAG, np.arange(CHUNK - 20, CHUNK - 20 + n)), np.arange(n), calls)
+        _chunk_draws(CycleDraws(seed, SESSION_TAG, np.arange(CHUNK - 20, CHUNK - 20 + n), blocks(calls)), np.arange(n), calls)
         for seed, n in zip(MIXED_SEEDS, lengths)
     ]
     assert mixed.tolist() == np.concatenate(own).tolist()
