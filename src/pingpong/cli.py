@@ -28,11 +28,9 @@ from .protocol import (
     MAX_DIM,  # noqa: F401 - re-exported beside MAX_CYCLES and MAX_TRIALS
     QUBIT_SINGLET,
     QUDIT_CORRELATED,
-    SLICE_AMPS,
     ProtocolConfig,
     Transcript,
     as_integer,
-    attached_width,
     message_pairs,
     run_sessions,
 )
@@ -214,38 +212,9 @@ def score_sessions(transcripts: Sequence[Transcript], dims, seeds) -> list[dict]
     ]
 
 
-def _group_key(spec: RunSpec) -> tuple:
-    """A run's configuration: its attack name and dim, the control and kind.
-    Family files of equal contents at two paths are two configurations that
-    share Eve's handle (`attacks.from_name`)."""
-    return (spec.attack, spec.dim, spec.control, spec.resolved_kind)
-
-
 def _handles(spec: RunSpec) -> tuple:
     """The run's Eve handle and control mode, which their registries build once per process."""
     return attacks.from_name(spec.attack, spec.dim), control_mode.from_name(spec.control, spec.config)
-
-
-def _batches(specs: Sequence[RunSpec]) -> dict:
-    """The call's walk plan: each distinct run with cycles mapped to its batch,
-    a dict of the batch's runs (None until walked). Runs are taken by
-    configuration (`_group_key`), in order of first appearance, while their
-    attached states' widths sum to at most SLICE_AMPS; a wider configuration
-    walks alone. One whose handles fail to build is left out: detection reports it."""
-    configs, plan, batch, width = {}, {}, {}, 0
-    for spec in dict.fromkeys(spec for spec in specs if spec.cycles):
-        configs.setdefault(_group_key(spec), []).append(spec)
-    for runs in configs.values():
-        try:
-            wide = attached_width(runs[0].dim, _handles(runs[0])[0])
-        except Exception:  # noqa: BLE001 - its runs report it
-            continue
-        if batch and width + wide > SLICE_AMPS:
-            batch, width = {}, 0
-        width += wide
-        plan.update(dict.fromkeys(runs, batch))
-        batch.update(dict.fromkeys(runs))
-    return plan
 
 
 def _scored(group: dict) -> dict:
@@ -254,44 +223,51 @@ def _scored(group: dict) -> dict:
     return dict(zip(group, score_sessions(list(group.values()), [s.dim for s in group], [s.seed for s in group])))
 
 
-def _walk(runs) -> dict:
-    """Each run's session fields from one `run_sessions` walk, and the time
-    charged to it: its cycles' share of the walk's, scoring included. The
-    runs' messages come from one `draw_messages` call, and their transcripts
-    are scored as they are yielded, in groups of at most `rand.CHUNK` cycles
-    (a longer one alone), with one `score_sessions` call a group."""
-    start, fields, group, held = time.perf_counter(), {}, {}, 0
-    eves, modes = zip(*(_handles(run) for run in runs))
+def _walk(batch: dict) -> dict:
+    """Each run's session fields from one `run_sessions` walk of `batch`'s
+    runs, by session tree (Eve's handle, dim, kind) in order of first
+    appearance, and its time: its transcript's `walk_s` plus its cycles'
+    share of the rest. A run whose handles fail to build is left out: its
+    row reports the error from detection. The messages come from one
+    `draw_messages` call, and the transcripts are scored as they are
+    yielded, in groups of at most `rand.CHUNK` cycles (a longer one alone),
+    with one `score_sessions` call a group."""
+    start, fields, group, held, trees, spent = time.perf_counter(), {}, {}, 0, {}, {}
+    for spec in batch:
+        try:
+            eve, mode = _handles(spec)
+        except Exception:  # noqa: BLE001 - left out: detection reports it
+            continue
+        trees.setdefault((id(eve), spec.dim, spec.resolved_kind), []).append((spec, eve, mode))
+    runs, eves, modes = zip(*(run for tree in trees.values() for run in tree))  # holds at least the calling run
     fresh = [spec for spec in runs if spec.message is None]
     drawn = iter(draw_messages([s.dim for s in fresh], [s.cycles for s in fresh], [s.seed for s in fresh]))
     messages = [next(drawn) if s.message is None else s.message for s in runs]
-    results = run_sessions([run.config for run in runs], messages, eves, modes)
-    for spec, result in zip(runs, results):
+    for spec, result in zip(runs, run_sessions([run.config for run in runs], messages, eves, modes)):
         if not isinstance(result, Transcript):
             fields[spec] = {"status": "error", "error": f"{type(result).__name__}: {result}"}
             continue
         if group and held + len(result) > CHUNK:
             fields.update(_scored(group))
             group, held = {}, 0
-        group[spec], held = result, held + len(result)
+        group[spec], held, spent[spec] = result, held + len(result), result.walk_s
         if held >= CHUNK:  # a long transcript is not held while the walk goes on
             fields.update(_scored(group))
             group, held = {}, 0
     fields.update(_scored(group) if group else {})
-    share = (time.perf_counter() - start) / sum(s.cycles for s in runs)
-    return {spec: [fields[spec], share * spec.cycles] for spec in runs}
+    share = (time.perf_counter() - start - sum(spent.values())) / sum(s.cycles for s in runs)
+    return {spec: [fields[spec], spent.get(spec, 0.0) + share * spec.cycles] for spec in runs}
 
 
 def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
     """Execute one run; errors are reported in the row, not raised. `batch`
-    holds the session fields of the runs walked with this one (`_batches`),
-    which the first of them to need its own walks; without it the run walks
-    alone. The handles are the registries' (`_handles`), and the detection
-    sampler plan is built once per process per handle pair
-    (`control.detection_plan`), so a later run only draws and counts.
-    `wall_clock_s` is the row's own detection time plus its cycles' share
-    of its batch's walk, which draws the batch's messages and scores its
-    transcripts (`_walk`)."""
+    maps the call's distinct runs with cycles to their session fields and
+    times, None until the first of them to need its own walks them all
+    (`_walk`); without it the run walks alone. The handles are the
+    registries' (`_handles`), and the detection sampler plan is built once
+    per process per handle pair (`control.detection_plan`), so a later run
+    only draws and counts. `wall_clock_s` is the row's own detection time
+    plus the walk time `_walk` charges it."""
     batch = {spec: None} if batch is None else batch
     row = {field: None for field in REPORT_FIELDS}
     row.update(
@@ -330,13 +306,13 @@ def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
 
 
 def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
-    """Execute runs one after another; rows keep the spec order. The call
-    first plans its walk batches (`_batches`), which builds the handles of
-    its runs with cycles; the registries build each once per process, and
-    Eve's handles keep their detection plans and narrow session trees, so a
-    later call builds none. No batch outlives the call."""
-    plan = _batches(specs)
-    return [execute_run(spec, plan.get(spec)) for spec in specs]
+    """Execute runs one after another; rows keep the spec order. Each run
+    takes one dict of the call's distinct runs with cycles (`execute_run`),
+    which does not outlive the call. Each handle is built inside a run; the
+    registries build each once per process, and Eve's handles keep their
+    detection plans and narrow session trees, so a later call builds none."""
+    batch = dict.fromkeys(spec for spec in specs if spec.cycles)
+    return [execute_run(spec, batch) for spec in specs]
 
 
 def emit(rows: list[dict], fmt: str, path: str | Path | None) -> str:

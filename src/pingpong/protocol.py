@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
@@ -593,7 +594,7 @@ class Transcript:
     Alice's `symbols`, Bob's `decoded` pair and Eve's shift `guess` (-1:
     she abstains); control cycles, in order, have the menu index `basis`
     into `basis_ids`, Alice's and Bob's `outcomes` and whether they
-    `passed`.
+    `passed`. `walk_s` is the session's share of its walk's time.
     """
 
     control: np.ndarray
@@ -604,6 +605,7 @@ class Transcript:
     basis: np.ndarray
     outcomes: np.ndarray
     passed: np.ndarray
+    walk_s: float = 0.0
 
     def __len__(self) -> int:
         return len(self.control)
@@ -770,11 +772,14 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     Eve handle, dim and kind share a tree, kept in the handle's
     `session_trees` for a later call if its attached state fits in one stack
     (SLICE_AMPS), else dropped with its last session. Their cycles, one
-    session after another, go a chunk (`rand.CHUNK`) at a time: each
-    configuration's (tree and control mode) `reserve` of Philox blocks,
-    one `rand.CycleDraws`, each configuration's `draw`, one ranking of the
-    cycles by mode, each configuration's `walk`. A session whose cycles lie
-    in one chunk comes back as slices of that chunk's columns. A session
+    session after another, go a chunk at a time, cut at `rand.CHUNK` cycles
+    and before a tree that would take the chunk's trees past SLICE_AMPS
+    amplitudes: each configuration's (tree and control mode) `reserve` of
+    Philox blocks, one `rand.CycleDraws`, each configuration's `draw`, one
+    ranking of the cycles by mode, each configuration's `walk`. A session
+    whose cycles lie in one chunk comes back as slices of that chunk's
+    columns; its `walk_s` sums its cycles' shares of each chunk's work and
+    of its configuration's steps. A session
     fails at its first cycle that runs out of message or reaches a coherence
     break in Bob's decoder (`_Chunk.fail`); an error raised in a
     configuration's tree build, draws or walk ends its sessions, and its tree
@@ -788,23 +793,26 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     if not cfgs:
         return
     keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]  # each session's tree
+    wide = [attached_width(cfg.dim, eve) for cfg, eve in zip(cfgs, eves)]  # its tree's amplitudes
     last, heads, trees = {key: s for s, key in enumerate(keys)}, {}, {}  # each tree's last, each configuration's first
     config = np.array([heads.setdefault((key, id(c)), s) for s, (key, c) in enumerate(zip(keys, controls))])
 
     errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
 
-    def guarded(head: int, step: str, *args):  # a tree method for configuration `head`; if it raises, ends its sessions
-        eve, key = eves[head], keys[head]
+    def guarded(head: int, step: str, *args):  # configuration `head`'s tree step, timed; if it raises, ends its sessions
+        eve, key, tick = eves[head], keys[head], time.perf_counter()
         try:
             if key not in trees:  # a narrow tree is kept on Eve's handle for later calls
                 tree = trees[key] = eve.session_trees.get(key[1:]) or SessionTree(cfgs[head], eve)
-                if tree.state.layout.dim <= SLICE_AMPS:
+                if wide[head] <= SLICE_AMPS:
                     eve.session_trees[key[1:]] = tree
             return getattr(trees[key], step)(chunk, controls[head], *args)
         except Exception as exc:  # noqa: BLE001 - the other configurations go on
             eve.session_trees.pop(key[1:], None)  # a tree that raised is not kept
             for s in np.flatnonzero(config == head).tolist():
                 errors[s] = errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
+        finally:
+            took[head] += time.perf_counter() - tick
 
     for s, message in enumerate(messages):
         try:
@@ -819,10 +827,21 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
     prob = np.array([cfg.control_prob for cfg in cfgs])
     counts = np.array([cfg.n_cycles for cfg in cfgs])
     ends = np.cumsum(counts)  # each session's cycles, one session after another, end here
+    cuts, held = [0], {}  # each chunk's first cycle; the widths of the last chunk's trees
+    for s in np.flatnonzero(counts).tolist():
+        if held and keys[s] not in held and sum(held.values()) + wide[s] > SLICE_AMPS:
+            cuts.append(int(ends[s] - counts[s]))
+            held = {}
+        held[keys[s]] = wide[s]
+        while ends[s] - cuts[-1] > rand.CHUNK:
+            cuts.append(cuts[-1] + rand.CHUNK)
+            held = {keys[s]: wide[s]}
+    cuts.append(int(ends[-1]))
     sent = np.zeros(len(cfgs), dtype=np.int64)  # message pairs consumed by earlier chunks
+    spent = np.zeros(len(cfgs))  # each session's walk time so far
     chunks = [[] for _ in cfgs]  # each session's columns in each chunk that holds its cycles
     yielded = 0  # sessions yielded, each once the chunks before `start` hold all its cycles
-    for start in range(0, int(ends[-1]) + rand.CHUNK, rand.CHUNK):
+    for start, stop in zip(cuts, cuts[1:] + cuts[-1:]):  # the last yields the sessions left
         while yielded < len(cfgs) and ends[yielded] <= start:
             s, yielded = yielded, yielded + 1
             pieces = chunks[s] or [(np.zeros(0, dtype=bool), *_columns(0, 0))]  # one chunk's: its slices, no copy
@@ -832,9 +851,10 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
             if last[keys[s]] == s:
                 trees.pop(keys[s], None)
             symbols, basis_ids = pairs[s][: sent[s]], tuple(cb.basis_id for cb in controls[s].bases)
-            yield errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed)
+            yield errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed, spent[s])
+        tick, took = time.perf_counter(), np.zeros(len(cfgs))  # the chunk's start; each configuration's step time
         live = np.array([error is None for error in errors])
-        cycle = np.arange(start, min(start + rand.CHUNK, int(ends[-1])))
+        cycle = np.arange(start, stop)
         owner = np.searchsorted(ends, cycle, side="right")  # each cycle's session
         cycle, owner = cycle[live[owner]], owner[live[owner]]
         if not (n := len(owner)):
@@ -856,12 +876,15 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
             guarded(head, "walk", eves[head].guess, *taken)
         del work  # not held while the next chunk's draws are computed
 
-        present = np.flatnonzero(np.bincount(owner))  # each session's cycles are consecutive in every column
+        mine = np.bincount(owner, minlength=len(cfgs))  # each session's cycles, consecutive in every column
+        present = np.flatnonzero(mine)
         bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]
         for i, s in enumerate(present.tolist()):
             c, m, k = (slice(b[i], b[i + 1]) for b in bounds)
             chunks[s].append((chunk.is_control[c], *(col[m] for col in columns[:2]), *(col[k] for col in columns[2:])))
         sent += per
+        by_config = np.maximum(np.bincount(config[owner], minlength=len(cfgs)), 1)[config]  # cycles per configuration
+        spent += mine * ((time.perf_counter() - tick - took.sum()) / n + took[config] / by_config)  # by cycle share
 
 
 def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle",

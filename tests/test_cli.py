@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import time
 import tracemalloc
 import weakref
 
@@ -266,8 +267,8 @@ class TestConfigurationGroups:
         assert [shuffled[list(order).index(i)] for i in range(len(specs))] == rows
 
     def test_a_configuration_whose_control_mode_fails_leaves_the_batch(self, monkeypatch):
-        """A configuration joins a walk batch only once both its handles
-        build: the two-basis control mode at D=3 fails, so the qudit-shift
+        """A run joins the call's walk only once both its handles build:
+        the two-basis control mode at D=3 fails, so the qudit-shift
         run reports the error, and the cnot and no-attack configurations on
         either side of it walk together and give their one-run rows."""
         specs = [RunSpec.from_dict(spec_dict(control="computational", cycles=20, trials=100)),
@@ -283,32 +284,34 @@ class TestConfigurationGroups:
 
     def test_no_batch_outlives_the_call(self, tmp_path, monkeypatch, fresh_trees):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        batches = []  # a weak reference to each batch of the call's plan
+        batches = set()  # the id of each batch a run takes, while the call holds it
+        values = []  # a weak reference to each value the call's batch holds
         trees = []  # (tree key, weak reference to the tree's root) per tree built
         walks = []  # the sessions' tree keys, per walk
 
-        class Batch(dict):
-            """A plan's batch, which a weak reference can follow."""
+        class Value(list):
+            """A batch's value, a run's session fields and time, which a weak reference can follow."""
 
         class TrackedTree(protocol.SessionTree):
             def __init__(self, cfg, eve):
                 super().__init__(cfg, eve)
                 trees.append(((id(eve), cfg.dim, cfg.initial_state_kind), weakref.ref(self.root)))
 
-        plan, original, walk = cli._batches, cli.execute_run, cli.run_sessions
-
-        def planning(specs):
-            tracked = {}
-            kept = {run: tracked.setdefault(id(batch), Batch(batch)) for run, batch in plan(specs).items()}
-            batches.extend(weakref.ref(batch) for batch in tracked.values())
-            return kept
+        original, walk, walked = cli.execute_run, cli.run_sessions, cli._walk
 
         def checking(spec, batch):
-            # a batch holds its runs' session fields, and no transcript or tree
-            assert batch is None or all(value is None or isinstance(value[0], dict) for value in batch.values())
+            batches.add(id(batch))
+            # the batch holds the call's distinct runs with cycles, their session fields, and no transcript or tree
+            assert list(batch) == list(dict.fromkeys(spec for spec in specs if spec.cycles))
+            assert all(value is None or isinstance(value[0], dict) for value in batch.values())
             # no tree outlives its walk
             assert all(ref() is None for _, ref in trees)
             return original(spec, batch)
+
+        def tracked(batch):
+            kept = {run: Value(value) for run, value in walked(batch).items()}
+            values.extend(weakref.ref(value) for value in kept.values())
+            return kept
 
         def tracking(cfgs, messages, eves, controls):
             tree_keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]
@@ -319,17 +322,68 @@ class TestConfigurationGroups:
                 assert all(ref() is None for key, ref in trees if ends[key] <= s)
                 yield result
 
-        monkeypatch.setattr(cli, "_batches", planning)
         monkeypatch.setattr(cli, "execute_run", checking)
+        monkeypatch.setattr(cli, "_walk", tracked)
         monkeypatch.setattr(cli, "run_sessions", tracking)
         monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
         run_experiments(specs)
         gc.collect()
-        assert len(batches) == 1 and all(ref() is None for ref in batches)
-        # one walk for the batch of all six configurations, whose two cnot
+        # every run takes the call's one batch, which is freed with its values
+        assert len(batches) == 1 and len(values) == 11 and all(ref() is None for ref in values)
+        # one walk for all six configurations, whose two cnot
         # configurations share a tree; every tree is freed
         [walked] = walks
         assert len(set(walked)) == len(trees) == 5 and all(ref() is None for _, ref in trees)
+
+    def test_every_handle_is_looked_up_inside_a_run(self, tmp_path, monkeypatch):
+        """Each `attacks.from_name` and `control.from_name` call of a
+        `run_experiments` call happens inside one of its `execute_run` calls,
+        so none comes before the first row."""
+        specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
+        depth, lookups, run = [0], [], cli.execute_run
+
+        def running(*args):
+            depth[0] += 1
+            try:
+                return run(*args)
+            finally:
+                depth[0] -= 1
+
+        def watched(registry, lookup):
+            def looking_up(*args):
+                lookups.append((registry, depth[0]))
+                return lookup(*args)
+            return looking_up
+
+        monkeypatch.setattr(cli, "execute_run", running)
+        monkeypatch.setattr(attacks, "from_name", watched("attack", attacks.from_name))
+        monkeypatch.setattr(control_mode, "from_name", watched("control", control_mode.from_name))
+        run_experiments(specs)
+        assert {registry for registry, _ in lookups} == {"attack", "control"}
+        assert all(depth == 1 for _, depth in lookups)
+
+    def test_a_slow_configurations_walk_is_charged_to_its_own_row(self, monkeypatch):
+        """One configuration's walk sleeps 0.05 s a chunk, in a call with three
+        cheap runs of as many cycles: its row is charged at least the sleep,
+        and each cheap row less than half of it (a split of the walk by
+        cycles would charge the slow row a quarter)."""
+        specs = [RunSpec.from_dict(spec_dict(attack=attack, control="computational", dim=dim, cycles=40, seed=seed,
+                                             trials=100))
+                 for seed, (attack, dim) in enumerate([("cnot", 2), ("qudit-shift", 3), ("none", 2), ("cnot", 2)])]
+        run_experiments(specs)  # the handles, plans and trees are built before the timed call
+        slept, walk = [], protocol.SessionTree.walk
+
+        def slow(self, *args):
+            if self.cfg.dim == 3:
+                slept.append(0.05)
+                time.sleep(0.05)
+            return walk(self, *args)
+
+        monkeypatch.setattr(protocol.SessionTree, "walk", slow)
+        rows = run_experiments(specs)
+        assert slept and {row["status"] for row in rows} == {"ok"}
+        assert rows[1]["wall_clock_s"] >= sum(slept)
+        assert all(row["wall_clock_s"] < sum(slept) / 2 for row in rows[:1] + rows[2:])
 
     def test_a_later_call_builds_no_handle_or_plan(self, tmp_path, monkeypatch, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
@@ -417,7 +471,7 @@ class TestConfigurationGroups:
         while the batch builds one per attack, dim and kind."""
         monkeypatch.setattr(rand, "CHUNK", 37)
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        keys = [cli._group_key(spec) for spec in specs]
+        keys = [(spec.attack, spec.dim, spec.control, spec.resolved_kind) for spec in specs]
         built, chunks, draws = [], [], rand.CycleDraws
 
         class CountedTree(protocol.SessionTree):
@@ -504,10 +558,10 @@ class TestConfigurationGroups:
 
     def test_wide_configurations_walk_one_at_a_time(self, tmp_path, monkeypatch, fresh_trees):
         """Four D=16 qudit-shift configurations (one family, four files), each
-        attaching a state of 16^3 = SLICE_AMPS amplitudes, walk in four
-        batches: the call's peak stays within a few percent of the largest
+        attaching a state of 16^3 = SLICE_AMPS amplitudes, walk in chunks of
+        their own: the call's peak stays within a few percent of the largest
         one-configuration call's (2-6% above it at 100-600 cycles, against
-        2.4-2.8 times with the four walked in one batch)."""
+        2.4-2.8 times with the four walked in one chunk)."""
         states = np.eye(16).tolist()
         family = {key: [[[x, 0.0] for x in state] for state in states] for key in ("detection", "probes")}
         runs = []
@@ -516,7 +570,7 @@ class TestConfigurationGroups:
             path.write_text(json.dumps(family, indent=indent))
             runs.append(RunSpec.from_dict(dict(attack=f"generic:{path}", control="computational", dim=16,
                                                cycles=200, trials=100, seed=indent)))
-        assert len({cli._group_key(spec) for spec in runs}) == 4
+        assert len({(spec.attack, spec.dim, spec.control, spec.resolved_kind) for spec in runs}) == 4
         run_experiments(runs)  # build the cached operators first
 
         def peak(specs):
@@ -530,12 +584,40 @@ class TestConfigurationGroups:
         one = max(peak([spec]) for spec in runs)
         assert peak(runs) < 1.1 * one
         # after a narrow configuration, whose width leaves room for a D=16
-        # pair but not for its ancilla, each is still walked alone
-        walked, walk = [], cli.run_sessions
+        # pair but not for its ancilla, the five walk in one call, and no
+        # chunk holds cycles of two of the four D=16 trees
+        walked, walk, chunks, draws = [], cli.run_sessions, [], rand.CycleDraws
         monkeypatch.setattr(cli, "run_sessions", lambda cfgs, *args: walked.append(len(cfgs)) or walk(cfgs, *args))
-        run_experiments([RunSpec.from_dict(spec_dict(cycles=20, trials=100)), *runs])
-        assert walked == [1] * 5
+        monkeypatch.setattr(rand, "CycleDraws", lambda seeds, *args: chunks.append(seeds.tolist()) or draws(seeds, *args))
+        run_experiments([RunSpec.from_dict(spec_dict(cycles=20, trials=100, seed=99)), *runs])
+        assert walked == [5]
+        assert sorted(seed for chunk in chunks for seed in set(chunk)) == [0, 1, 2, 3, 99]
+        assert all(len(set(chunk) - {99}) <= 1 for chunk in chunks)
 
+    def test_wide_trees_are_alive_one_at_a_time(self, tmp_path, monkeypatch, fresh_trees):
+        """With SLICE_AMPS at 8 amplitudes no two trees share a chunk, so in a
+        shuffled call whose generic runs name one family file at two paths
+        (two configurations, one tree) each tree is dropped before the next
+        is built, and the rows are the unpatched call's."""
+        generic = _family_file(tmp_path / "fam.json", 3)
+        (tmp_path / "same.json").write_text((tmp_path / "fam.json").read_text())
+        specs = [dataclasses.replace(spec, attack=f"generic:{tmp_path / 'same.json'}") if spec.seed == 5 else spec
+                 for spec in _grouped_specs(generic)]
+        specs = [specs[i] for i in np.random.default_rng(1).permutation(len(specs))]
+        want = _stable(run_experiments(specs))
+        trees, walked, walk = [], [], cli.run_sessions
+
+        class TrackedTree(protocol.SessionTree):
+            def __init__(self, cfg, eve):
+                assert all(ref() is None for ref in trees)  # the last tree is gone
+                super().__init__(cfg, eve)
+                trees.append(weakref.ref(self.root))
+
+        monkeypatch.setattr(protocol, "SLICE_AMPS", 8)
+        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
+        monkeypatch.setattr(cli, "run_sessions", lambda cfgs, *args: walked.append(len(cfgs)) or walk(cfgs, *args))
+        assert _stable(run_experiments(specs)) == want
+        assert walked == [11] and len(trees) == 5
 
     def test_a_failing_build_fails_every_run_of_its_group_alone(self, tmp_path, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3, orthonormal=False))
@@ -655,7 +737,7 @@ class TestGroupScoring:
         alone = [_stable(run_experiments([spec]))[0] for spec in specs]
         groups = _scored_groups(monkeypatch)
         assert _stable(run_experiments(specs)) == alone
-        # a batch walks its runs by configuration: the long run follows the first cnot run
+        # the walk takes its runs by session tree: the long run follows the first cnot run
         assert groups == [[20], [5000], [20] * 5]
 
 

@@ -10,6 +10,7 @@ the node's state, and the columnar `cli.score_session` what the
 record-by-record `oracles.score_records` gives.
 """
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -610,6 +611,24 @@ def test_sessions_of_several_configurations_walked_together_match_stepper(monkey
     assert together == [_result(oracles.stepwise_session, *args) for args in zip(cfgs, messages, eves, modes)]
     assert [isinstance(result, tuple) for result in together] == [False] * 6 + [True, False]
     assert len(trees) == 4
+
+
+def test_each_session_is_charged_its_share_of_the_walk(monkeypatch):
+    """Sessions of three configurations, one of them with no cycles, share
+    and straddle chunks: each session with cycles gets a `walk_s` above 0,
+    the other none, and together they take at most the walk's wall time."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    setups = [_setup(case, 0.25, 0) for case in (COUPLINGS[3], COUPLINGS[8], COUPLINGS[-1])]
+    sessions = [(0, 1, 40), (1, 2, 0), (2, 3, 60), (0, 4, 30), (1, 5, 50)]  # (configuration, seed, cycles)
+    cfgs = [replace(setups[c][0], seed=seed, n_cycles=cycles) for c, seed, cycles in sessions]
+    messages = [draw_message(cfg.dim, cfg.n_cycles, cfg.seed) for cfg in cfgs]
+    eves, modes = [setups[c][1] for c, *_ in sessions], [setups[c][2] for c, *_ in sessions]
+    start = time.perf_counter()
+    results = list(run_sessions(cfgs, messages, eves, modes))
+    took = time.perf_counter() - start
+    assert all(isinstance(result, Transcript) for result in results)
+    assert [result.walk_s > 0 for result in results] == [cfg.n_cycles > 0 for cfg in cfgs]
+    assert results[1].walk_s == 0 and sum(result.walk_s for result in results) <= took
 
 
 def _redraw_batch():
