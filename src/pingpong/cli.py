@@ -158,23 +158,11 @@ def load_spec(path: str | Path) -> list[RunSpec]:
     return [RunSpec.from_dict(raw) for raw in runs]
 
 
-def draw_message(dim: int, length: int, seed: int) -> np.ndarray:
-    """Uniform symbol pairs from the dedicated message stream, as a
-    (length, 2) integer array: `draw_messages` for one run."""
-    return draw_messages([dim], [length], [seed])[0]
-
-
 def draw_messages(dims, lengths, seeds) -> list:
     """Each run's message, `stream(seed, MESSAGE_TAG).integers(0, dim,
     size=(length, 2))`, from one `rand.run_integers` call."""
     sizes = 2 * np.asarray(lengths, dtype=np.int64)
     return [pairs.reshape(-1, 2) for pairs in np.split(run_integers(seeds, MESSAGE_TAG, dims, sizes), np.cumsum(sizes)[:-1])]
-
-
-def score_session(transcript: Transcript, dim: int, seed: int) -> dict:
-    """Per-symbol eavesdropper accuracy and message integrity of a transcript:
-    `score_sessions` for one transcript."""
-    return score_sessions([transcript], [dim], [seed])[0]
 
 
 def score_sessions(transcripts: Sequence[Transcript], dims, seeds) -> list[dict]:

@@ -6,14 +6,15 @@ measures it for a correlation check (control mode). An eavesdropper handle
 acts on the travel leg in both directions, described as the branch edges
 defined here; `walk_leg` yields the exact ensemble a leg leaves behind.
 
-`run_sessions` schedules the sessions of several configurations a chunk of
-their cycles at a time, and `SessionTree` takes a configuration's cycles of a
-chunk through the branch tree of its attack. A cycle's draws follow one
-program, derived once per tree from the edges' declared draws: the forward
-leg's, the mode uniform, then the return legs' or three control uniforms.
-So each cycle reserves the Philox blocks of the program's longer branch, the
-chunk's blocks are computed in one pass (`rand.CycleDraws`), and a tree
-reads its cycles' draws by position in a few vectorized reads. Each node
+`run_sessions` walks the sessions of several configurations a chunk of their
+cycles at a time: `_cuts` plans the chunks, `_Call.walk` walks one, and
+`SessionTree` takes a configuration's cycles through its attack's branch
+tree. A cycle's draws follow one program, derived once per tree from the
+edges' declared draws: the forward leg's, the mode uniform, then the return
+legs' or three control uniforms. So each cycle reserves the Philox blocks of
+the program's longer branch, the chunk's blocks are computed in one pass
+(`rand.CycleDraws`), and a tree reads its cycles' draws by position in a
+few vectorized reads. Each node
 splits its cycles among its successors with array operations, and each
 session comes back as a columnar `Transcript`; `run_session` is the
 one-session call. `follow` walks a leg a tree level at a time: the nodes of
@@ -658,7 +659,7 @@ class SessionTree:
     Bob's decode. A readout of all of Eve's registers ending `returned` is
     taken as a `ReadoutEdge`. Nodes depend on Eve's handle, `dim`, `kind` and basis ids
     only, so the sessions of one attack share one tree under any control mode,
-    and Eve's handle keeps a narrow tree (`run_sessions`), which holds no
+    and Eve's handle keeps a narrow tree (`_Call.tree`), which holds no
     handle. A chunk's cycles of a configuration take their `draw` and `walk`."""
 
     def __init__(self, cfg: ProtocolConfig, eve: "EavesdropperHandle"):
@@ -672,11 +673,6 @@ class SessionTree:
         self.ahead = sum((edge.draw for edge in self.forward), ()) + (None,)
         self.back = sum((edge.draw for edge in self.returned), ())
         self.blocks = max(rand.blocks(self.ahead + self.back), rand.blocks(self.ahead + (None,) * 3))
-
-    def reserve(self, chunk: "_Chunk", control: "ControlModeHandle", sub: np.ndarray) -> bool:
-        """Reserve the Philox blocks of a configuration's cycles `sub`, its longer branch's; True once done."""
-        chunk.blocks[sub] = self.blocks
-        return True
 
     def draw(self, chunk: "_Chunk", control: "ControlModeHandle", draws, sub: np.ndarray, prob) -> tuple:
         """(sub, forward draws, return draws) of a configuration's cycles `sub`, as `follow` takes them."""
@@ -745,13 +741,13 @@ class SessionTree:
 class _Chunk:
     """A chunk of a `run_sessions` call: per cycle its session, reserved Philox blocks, mode, menu index, uniforms,
     `rank` in its mode and message code (`at`, into `message`); the transcript columns; per session its first
-    failing cycle (`limit`)."""
+    failing cycle (`limit`); per configuration the time its steps took (`took`, by its first session)."""
 
     def __init__(self, owner: np.ndarray, message: np.ndarray, errors: list):
         self.owner, self.message, self.errors, self.limit = owner, message, errors, np.full(len(errors), len(owner))
         self.blocks = np.ones(len(owner), dtype=np.int64)  # Philox blocks reserved per cycle
         self.is_control, self.chosen = np.zeros(len(owner), dtype=bool), np.empty(len(owner), dtype=np.int64)
-        self.alice_u, self.bob_u = np.empty(len(owner)), np.empty(len(owner))
+        self.alice_u, self.bob_u, self.took = np.empty(len(owner)), np.empty(len(owner)), np.zeros(len(errors))
 
     def fail(self, reached: np.ndarray, error: Exception) -> None:
         """A session fails with `error` at its first cycle in `reached`, unless at an earlier one already."""
@@ -761,73 +757,11 @@ class _Chunk:
                 self.limit[s], self.errors[s] = k, error
 
 
-def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["EavesdropperHandle"],
-                 controls: Sequence["ControlModeHandle"]) -> Iterator:
-    """Walk sessions of several configurations through one chunk sequence;
-    yield each session's `Transcript`, or the error that ends it, in order.
-
-    Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
-    pairs, consumed in order), eves[s] and controls[s], which must act on its
-    dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. Sessions of one
-    Eve handle, dim and kind share a tree, kept in the handle's
-    `session_trees` for a later call if its attached state fits in one stack
-    (SLICE_AMPS), else dropped with its last session. Their cycles, one
-    session after another, go a chunk at a time, cut at `rand.CHUNK` cycles
-    and before a tree that would take the chunk's trees past SLICE_AMPS
-    amplitudes: each configuration's (tree and control mode) `reserve` of
-    Philox blocks, one `rand.CycleDraws`, each configuration's `draw`, one
-    ranking of the cycles by mode, each configuration's `walk`. A session
-    whose cycles lie in one chunk comes back as slices of that chunk's
-    columns; its `walk_s` sums its cycles' shares of each chunk's work and
-    of its configuration's steps. A session
-    fails at its first cycle that runs out of message or reaches a coherence
-    break in Bob's decoder (`_Chunk.fail`); an error raised in a
-    configuration's tree build, draws or walk ends its sessions, and its tree
-    is not kept. The others go on. A session is yielded once the chunk with
-    its last cycle has been walked."""
-    messages = list(messages)
-    if len(messages) != len(cfgs):
-        raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
-    for cfg, eve, control in zip(cfgs, eves, controls, strict=True):
-        check_dims(eve, control, cfg.dim)
-    if not cfgs:
-        return
-    keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]  # each session's tree
-    wide = [attached_width(cfg.dim, eve) for cfg, eve in zip(cfgs, eves)]  # its tree's amplitudes
-    last, heads, trees = {key: s for s, key in enumerate(keys)}, {}, {}  # each tree's last, each configuration's first
-    config = np.array([heads.setdefault((key, id(c)), s) for s, (key, c) in enumerate(zip(keys, controls))])
-
-    errors, pairs = [None] * len(cfgs), []  # each session's error, and its message
-
-    def guarded(head: int, step: str, *args):  # configuration `head`'s tree step, timed; if it raises, ends its sessions
-        eve, key, tick = eves[head], keys[head], time.perf_counter()
-        try:
-            if key not in trees:  # a narrow tree is kept on Eve's handle for later calls
-                tree = trees[key] = eve.session_trees.get(key[1:]) or SessionTree(cfgs[head], eve)
-                if wide[head] <= SLICE_AMPS:
-                    eve.session_trees[key[1:]] = tree
-            return getattr(trees[key], step)(chunk, controls[head], *args)
-        except Exception as exc:  # noqa: BLE001 - the other configurations go on
-            eve.session_trees.pop(key[1:], None)  # a tree that raised is not kept
-            for s in np.flatnonzero(config == head).tolist():
-                errors[s] = errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
-        finally:
-            took[head] += time.perf_counter() - tick
-
-    for s, message in enumerate(messages):
-        try:
-            pairs.append(message_pairs(message, cfgs[s].dim))
-        except ValueError as exc:
-            pairs.append(np.zeros((0, 2), dtype=np.int64))
-            errors[s] = exc.with_traceback(None)
-    n_pairs = np.array([len(p) for p in pairs])
-    message = np.concatenate([p[:, 0] * cfg.dim + p[:, 1] for p, cfg in zip(pairs, cfgs)])  # pairs as mu * dim + nu
-    seeds = np.array([cfg.seed for cfg in cfgs], dtype=object)
-    seeds = seeds.astype(np.int64) if seeds.max() < 2**63 else seeds  # numeric unless a seed is wider
-    prob = np.array([cfg.control_prob for cfg in cfgs])
-    counts = np.array([cfg.n_cycles for cfg in cfgs])
-    ends = np.cumsum(counts)  # each session's cycles, one session after another, end here
-    cuts, held = [0], {}  # each chunk's first cycle; the widths of the last chunk's trees
+def _cuts(counts: np.ndarray, keys: list, wide: list) -> list:
+    """Each chunk's first cycle, then the last chunk's end, for sessions of `counts` cycles one after another. A
+    chunk holds at most `rand.CHUNK` cycles, and one starts before a session whose tree (`keys`, of `wide`
+    amplitudes) would take the distinct trees of the chunk past SLICE_AMPS amplitudes."""
+    ends, cuts, held = np.cumsum(counts), [0], {}  # held: the widths of the last chunk's trees
     for s in np.flatnonzero(counts).tolist():
         if held and keys[s] not in held and sum(held.values()) + wide[s] > SLICE_AMPS:
             cuts.append(int(ends[s] - counts[s]))
@@ -836,55 +770,134 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
         while ends[s] - cuts[-1] > rand.CHUNK:
             cuts.append(cuts[-1] + rand.CHUNK)
             held = {keys[s]: wide[s]}
-    cuts.append(int(ends[-1]))
-    sent = np.zeros(len(cfgs), dtype=np.int64)  # message pairs consumed by earlier chunks
-    spent = np.zeros(len(cfgs))  # each session's walk time so far
-    chunks = [[] for _ in cfgs]  # each session's columns in each chunk that holds its cycles
-    yielded = 0  # sessions yielded, each once the chunks before `start` hold all its cycles
-    for start, stop in zip(cuts, cuts[1:] + cuts[-1:]):  # the last yields the sessions left
-        while yielded < len(cfgs) and ends[yielded] <= start:
-            s, yielded = yielded, yielded + 1
-            pieces = chunks[s] or [(np.zeros(0, dtype=bool), *_columns(0, 0))]  # one chunk's: its slices, no copy
-            is_control, decoded, guess, basis, outcomes, passed = (
-                pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces)))
-            chunks[s] = None
-            if last[keys[s]] == s:
-                trees.pop(keys[s], None)
-            symbols, basis_ids = pairs[s][: sent[s]], tuple(cb.basis_id for cb in controls[s].bases)
-            yield errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed, spent[s])
-        tick, took = time.perf_counter(), np.zeros(len(cfgs))  # the chunk's start; each configuration's step time
-        live = np.array([error is None for error in errors])
-        cycle = np.arange(start, stop)
-        owner = np.searchsorted(ends, cycle, side="right")  # each cycle's session
+    return cuts + [int(ends[-1])]
+
+
+class _Call:
+    """The sessions of a `run_sessions` call, one after another. Per session: its tree's key and width, its
+    configuration (`config`, the index of the configuration's first session), message pairs and those `sent` so
+    far, error, columns in each chunk walked (`chunks`) and walk time (`spent`). `trees` holds the trees in use."""
+
+    def __init__(self, cfgs: Sequence[ProtocolConfig], messages: list, eves: Sequence, controls: Sequence):
+        self.cfgs, self.eves, self.controls, self.trees, self.chunks = cfgs, eves, controls, {}, [[] for _ in cfgs]
+        self.keys = [(id(eve), cfg.dim, cfg.initial_state_kind) for cfg, eve in zip(cfgs, eves)]
+        self.wide = [attached_width(cfg.dim, eve) for cfg, eve in zip(cfgs, eves)]
+        heads, self.errors, self.pairs = {}, [None] * len(cfgs), []
+        self.config = np.array([heads.setdefault((key, id(c)), s) for s, (key, c) in enumerate(zip(self.keys, controls))])
+        for s, message in enumerate(messages):
+            try:
+                self.pairs.append(message_pairs(message, cfgs[s].dim))
+            except ValueError as exc:
+                self.pairs.append(np.zeros((0, 2), dtype=np.int64))
+                self.errors[s] = exc.with_traceback(None)
+        self.n_pairs = np.array([len(p) for p in self.pairs])
+        self.message = np.concatenate([p[:, 0] * cfg.dim + p[:, 1] for p, cfg in zip(self.pairs, cfgs)])  # mu * dim + nu
+        self.seeds = np.array([c.seed for c in cfgs], dtype=np.int64 if max(c.seed for c in cfgs) < 2**63 else object)
+        self.prob, self.counts = np.array([cfg.control_prob for cfg in cfgs]), np.array([cfg.n_cycles for cfg in cfgs])
+        self.ends, self.sent, self.spent = np.cumsum(self.counts), np.zeros(len(cfgs), dtype=np.int64), np.zeros(len(cfgs))
+
+    def tree(self, head: int) -> SessionTree:
+        """Configuration `head`'s tree: the call's, else the one Eve's handle keeps, else a new one, which the
+        handle keeps if its attached state fits in one stack (SLICE_AMPS)."""
+        key, eve = self.keys[head], self.eves[head]
+        if key not in self.trees:
+            tree = self.trees[key] = eve.session_trees.get(key[1:]) or SessionTree(self.cfgs[head], eve)
+            if self.wide[head] <= SLICE_AMPS:
+                eve.session_trees[key[1:]] = tree
+        return self.trees[key]
+
+    def guarded(self, chunk: _Chunk, head: int, step: Callable, *args):
+        """`step(*args)` of configuration `head`, timed in `chunk.took`. If it raises, the configuration's sessions
+        end with its error, Eve's handle drops their tree, and the result is None."""
+        tick = time.perf_counter()
+        try:
+            return step(*args)
+        except Exception as exc:  # noqa: BLE001 - the other configurations go on
+            self.eves[head].session_trees.pop(self.keys[head][1:], None)
+            for s in np.flatnonzero(self.config == head).tolist():
+                self.errors[s] = self.errors[s] or exc.with_traceback(None)  # keeps no frame of the walk
+        finally:
+            chunk.took[head] += time.perf_counter() - tick
+
+    def walk(self, start: int, stop: int) -> None:
+        """The live sessions' cycles in [start, stop) as one chunk: each configuration's `tree` and its cycles'
+        Philox blocks, one `rand.CycleDraws`, each configuration's `draw`, one ranking of the cycles by mode, the
+        message check, each configuration's `walk`; then each session's column slices and share of the time."""
+        tick, live, cycle = time.perf_counter(), np.array([error is None for error in self.errors]), np.arange(start, stop)
+        owner = np.searchsorted(self.ends, cycle, side="right")  # each cycle's session
         cycle, owner = cycle[live[owner]], owner[live[owner]]
         if not (n := len(owner)):
-            continue
-        chunk = _Chunk(owner, message, errors)
-        parts = [(h, sub) for h, sub in _split(np.arange(n), config[owner]) if guarded(h, "reserve", sub)]
-        draws = rand.CycleDraws(seeds[owner], rand.SESSION_TAG, cycle - (ends - counts)[owner], chunk.blocks)
-        work = [(h, t) for h, sub in parts if (t := guarded(h, "draw", draws, sub, prob))]
+            return
+        chunk, config, n_pairs = _Chunk(owner, self.message, self.errors), self.config, self.n_pairs
+        parts = [(h, sub, tree) for h, sub in _split(np.arange(n), config[owner])
+                 if (tree := self.guarded(chunk, h, self.tree, h))]
+        for h, sub, tree in parts:
+            chunk.blocks[sub] = tree.blocks  # its cycles' Philox blocks
+        draws = rand.CycleDraws(self.seeds[owner], rand.SESSION_TAG, cycle - (self.ends - self.counts)[owner], chunk.blocks)
+        work = [(h, tree, taken) for h, sub, tree in parts
+                if (taken := self.guarded(chunk, h, tree.draw, chunk, self.controls[h], draws, sub, self.prob))]
         del draws  # the words are not held through the walk
         ctrl, msg = np.flatnonzero(chunk.is_control), np.flatnonzero(~chunk.is_control)
         chunk.rank = np.where(chunk.is_control, np.cumsum(chunk.is_control), np.cumsum(~chunk.is_control)) - 1
-        per = np.bincount(owner[msg], minlength=len(cfgs))
-        first = np.cumsum(per) - per - sent  # a session's message cycles run in a row in `msg`, pair k's at first + k
+        per = np.bincount(owner[msg], minlength=len(config))
+        first = np.cumsum(per) - per - self.sent  # a session's message cycles run in a row in `msg`, pair k's at first + k
         chunk.at = (np.cumsum(n_pairs) - n_pairs - first)[owner] + chunk.rank  # each message cycle's code in `message`
         columns = chunk.decoded, chunk.guess, chunk.basis, chunk.outcomes, chunk.passed = _columns(len(msg), len(ctrl))
-        for s in np.flatnonzero((sent + per > n_pairs) & [error is None for error in errors]).tolist():
+        for s in np.flatnonzero((self.sent + per > n_pairs) & [error is None for error in self.errors]).tolist():
             chunk.fail(msg[[first[s] + n_pairs[s]]], ValueError("message exhausted before the session finished"))
-        for head, taken in work:
-            guarded(head, "walk", eves[head].guess, *taken)
+        for h, tree, taken in work:
+            self.guarded(chunk, h, tree.walk, chunk, self.controls[h], self.eves[h].guess, *taken)
         del work  # not held while the next chunk's draws are computed
 
-        mine = np.bincount(owner, minlength=len(cfgs))  # each session's cycles, consecutive in every column
+        mine = np.bincount(owner, minlength=len(config))  # each session's cycles, consecutive in every column
         present = np.flatnonzero(mine)
         bounds = [np.searchsorted(key, present).tolist() + [len(key)] for key in (owner, owner[msg], owner[ctrl])]
         for i, s in enumerate(present.tolist()):
             c, m, k = (slice(b[i], b[i + 1]) for b in bounds)
-            chunks[s].append((chunk.is_control[c], *(col[m] for col in columns[:2]), *(col[k] for col in columns[2:])))
-        sent += per
-        by_config = np.maximum(np.bincount(config[owner], minlength=len(cfgs)), 1)[config]  # cycles per configuration
-        spent += mine * ((time.perf_counter() - tick - took.sum()) / n + took[config] / by_config)  # by cycle share
+            self.chunks[s].append((chunk.is_control[c], *(col[m] for col in columns[:2]), *(col[k] for col in columns[2:])))
+        self.sent += per
+        by_config = np.maximum(np.bincount(config[owner], minlength=len(config)), 1)[config]  # cycles per configuration
+        self.spent += mine * ((time.perf_counter() - tick - chunk.took.sum()) / n + chunk.took[config] / by_config)
+
+
+def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["EavesdropperHandle"],
+                 controls: Sequence["ControlModeHandle"]) -> Iterator:
+    """Walk sessions of several configurations through one chunk sequence;
+    yield each session's `Transcript`, or the error that ends it, in order,
+    once the chunk with its last cycle has been walked.
+
+    Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
+    pairs, consumed in order), eves[s] and controls[s], which must act on its
+    dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. The cycles, one
+    session after another, go a chunk at a time (`_cuts`, `_Call.walk`), and
+    the sessions of one Eve handle, dim and kind share a tree (`_Call.tree`).
+    A session whose cycles lie in one chunk comes back as slices of that
+    chunk's columns. A session fails at its first cycle that runs out of
+    message or reaches a coherence break in Bob's decoder (`_Chunk.fail`), or
+    when a step of its configuration raises (`_Call.guarded`); the others go
+    on."""
+    messages = list(messages)
+    if len(messages) != len(cfgs):
+        raise ValueError(f"need one message per session, got {len(messages)} for {len(cfgs)} sessions")
+    for cfg, eve, control in zip(cfgs, eves, controls, strict=True):
+        check_dims(eve, control, cfg.dim)
+    if not cfgs:
+        return
+    call, yielded = _Call(cfgs, messages, eves, controls), 0
+    last = {key: s for s, key in enumerate(call.keys)}  # each tree's last session
+    cuts = _cuts(call.counts, call.keys, call.wide)
+    for start, stop in zip(cuts, cuts[1:]):
+        call.walk(start, stop)
+        while yielded < len(cfgs) and call.ends[yielded] <= stop:
+            s, yielded = yielded, yielded + 1
+            pieces, call.chunks[s] = call.chunks[s] or [(np.zeros(0, dtype=bool), *_columns(0, 0))], None
+            is_control, decoded, guess, basis, outcomes, passed = (  # one chunk's are its slices, with no copy
+                pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces)))
+            if last[call.keys[s]] == s:
+                call.trees.pop(call.keys[s], None)
+            symbols, basis_ids = call.pairs[s][: call.sent[s]], tuple(cb.basis_id for cb in controls[s].bases)
+            yield call.errors[s] or Transcript(is_control, symbols, decoded, guess, basis_ids, basis, outcomes, passed,
+                                               call.spent[s])
 
 
 def run_session(cfg: ProtocolConfig, message, eve: "EavesdropperHandle",

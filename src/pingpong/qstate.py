@@ -205,11 +205,6 @@ class Operator:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def unitary(cls, matrix) -> "Operator":
-        """A dense unitary: the block form with one block."""
-        return cls.block_unitary(np.asarray(matrix)[None])
-
-    @classmethod
     def block_unitary(cls, blocks) -> "Operator":
         """sum_k |k><k| (x) blocks[k], checked one Gram product per block:
         the off-diagonal blocks of U^dag U are exactly zero."""

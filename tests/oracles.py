@@ -16,7 +16,10 @@ Alice and then Bob this way and is judged by the basis's failing-pair mask.
 Both give each cycle as a record, a plain dict in the shape of
 `tests/golden/transcripts.json`; `records` reads the same dicts off a
 `run_session` transcript's columns. `score_records` is the record-by-record
-scorer the columnar `cli.score_session` must equal.
+scorer the columnar `cli.score_sessions` must equal.
+`draw_message` and `score_session` are `cli.draw_messages` and
+`cli.score_sessions` for one run, and `unitary` is a dense unitary as an
+`Operator` of one block: the one-run and one-matrix forms the tests call.
 `partial_trace` and `trace_distance` compare reduced states as plain
 matrices. `fail_projector` is the projector onto a control basis's failing
 outcome pairs; its expectation on the reduced pair is the reference route
@@ -54,7 +57,7 @@ from itertools import product
 
 import numpy as np
 
-from pingpong.cli import sig12
+from pingpong.cli import draw_messages, score_sessions, sig12
 from pingpong.protocol import (
     HOME,
     TRAVEL,
@@ -86,6 +89,21 @@ from pingpong.qstate import (
     tensor,
 )
 from pingpong.rand import SCORE_TAG, SESSION_TAG, stream
+
+
+def unitary(matrix) -> Operator:
+    """A dense unitary: `Operator.block_unitary` with one block."""
+    return Operator.block_unitary(np.asarray(matrix)[None])
+
+
+def draw_message(dim, length, seed):
+    """One run's message, a (length, 2) integer array: `cli.draw_messages` for that run."""
+    return draw_messages([dim], [length], [seed])[0]
+
+
+def score_session(transcript, dim, seed):
+    """One transcript's scores: `cli.score_sessions` for that transcript."""
+    return score_sessions([transcript], [dim], [seed])[0]
 
 
 def _branches_after_interception(dim, kind):
@@ -336,7 +354,7 @@ def records(transcript):
 
 
 def score_records(records, dim, seed):
-    """Reference for `cli.score_session`: the record-by-record scorer. Each
+    """Reference for `cli.score_sessions`: the record-by-record scorer. Each
     message record takes a uniform mu guess from the scoring stream when Eve
     abstains, then a uniform nu guess, from one batched draw."""
     messages = [record for record in records if record["mode"] == "message"]
@@ -465,7 +483,7 @@ def complete_isometry(domain_basis, image_basis):
 
     dom = orthonormal_completion(stack(domain_basis), dim)
     img = orthonormal_completion(stack(image_basis), dim)
-    return Operator.unitary(img @ dom.conj().T)
+    return unitary(img @ dom.conj().T)
 
 
 def cpbs():

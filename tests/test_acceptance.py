@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import oracles
+from oracles import draw_message, score_session
 from conftest import SEEDS, all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_state, rand_unitary
 from pingpong.attacks import (
     H_POL,
@@ -25,7 +26,6 @@ from pingpong.attacks import (
     qudit_shift_attack,
     validate_coupling,
 )
-from pingpong.cli import draw_message, score_session
 from pingpong.control import (
     analytic_pdet,
     computational_control,
@@ -240,7 +240,7 @@ def test_criterion_8_property_suites_across_seeds():
         norm_ok = True
         for _ in range(25):
             state = rand_state(rng, layout)
-            u = Operator.unitary(rand_unitary(rng, 6))
+            u = oracles.unitary(rand_unitary(rng, 6))
             norm_ok &= abs(apply(state, u, ("a", "b")).norm - 1.0) < 1e-12
         _check(8, f"seed {seed}: norm preserved under unitary application", bool(norm_ok))
 

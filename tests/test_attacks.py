@@ -315,7 +315,7 @@ class TestValidateCoupling:
         dim, anc_dim = 3, 4
         family = rand_family(rng, anc_dim, dim)
         coupling = {
-            "one-dense-block": lambda: Operator.unitary(rand_unitary(rng, dim * anc_dim)),
+            "one-dense-block": lambda: oracles.unitary(rand_unitary(rng, dim * anc_dim)),
             "monomial": lambda: Operator.monomial(np.arange(dim * anc_dim)),
             "half-size-blocks": lambda: Operator.block_unitary([rand_unitary(rng, 2) for _ in range(2 * dim)]),
             "other-ancilla": lambda: qudit_shift_attack(dim).coupling,

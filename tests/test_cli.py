@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import score_session
 from conftest import qubit_cfg, qudit_cfg, rand_family
 from pingpong import attacks, cli, protocol, rand
 from pingpong import control as control_mode
@@ -24,7 +25,6 @@ from pingpong.cli import (
     load_spec,
     main,
     run_experiments,
-    score_session,
     sig12,
 )
 
@@ -719,7 +719,7 @@ class TestGroupScoring:
         for spec, row in zip(specs, rows):
             if spec.message is None:
                 eve, mode = attacks.from_name(spec.attack, 2), control_mode.from_name(spec.control, spec.config)
-                transcript = protocol.run_session(spec.config, cli.draw_message(2, spec.cycles, spec.seed), eve, mode)
+                transcript = protocol.run_session(spec.config, oracles.draw_message(2, spec.cycles, spec.seed), eve, mode)
                 want = oracles.score_records(oracles.records(transcript), 2, spec.seed)
                 assert {key: row[key] for key in want} == want and row["status"] == "ok"
         assert rows[0]["n_message_cycles"] and rows[0]["eve_mu_accuracy"] is not None
@@ -1078,7 +1078,7 @@ class TestTreeStore:
         cfg = qudit_cfg(3, n_cycles=30)
         mode = control_mode.from_name("computational", cfg)
         attack = _family_file(tmp_path / "fam.json", 0)
-        protocol.run_session(cfg, cli.draw_message(3, 30, 7), attacks.from_name(attack, 3), mode)
+        protocol.run_session(cfg, oracles.draw_message(3, 30, 7), attacks.from_name(attack, 3), mode)
         [tree] = map(weakref.ref, attacks.from_name(attack, 3).session_trees.values())
         gc.collect()
         assert tree() is not None  # its handle is kept
@@ -1095,7 +1095,7 @@ class TestTreeStore:
         first call's transcript. A kept tree has its tables and leaves built,
         so the store is emptied first for a fault raised in building those."""
         eve, cfg = attacks.qudit_shift_attack(3), qudit_cfg(3, n_cycles=40, control_prob=0.25)
-        mode, message = control_mode.from_name("computational", cfg), cli.draw_message(3, 40, 7)
+        mode, message = control_mode.from_name("computational", cfg), oracles.draw_message(3, 40, 7)
         first = protocol.run_session(cfg, message, eve, mode)
         [kept] = eve.session_trees.values()
 

@@ -6,7 +6,7 @@ evolves fresh state vectors on every cycle. Both draw from the same per-cycle
 streams, so the transcript's records (`oracles.records`) and the errors they
 raise, with the cycle that raises them, must be identical. Edge by edge,
 `protocol.follow` from a fresh node must give what `oracles.step` gives on
-the node's state, and the columnar `cli.score_session` what the
+the node's state, and the columnar `cli.score_sessions` what the
 record-by-record `oracles.score_records` gives.
 """
 
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import draw_message, score_session
 from conftest import FixedUniform, rand_family, rand_state, rand_unitary
 from pingpong import attacks
 from pingpong import control as control_mode
 from pingpong import protocol, rand
 from pingpong.attacks import generic_coupling
-from pingpong.cli import draw_message, score_session
 from pingpong.protocol import (
     CoherenceBreakError,
     DrawEdge,
@@ -39,7 +39,7 @@ from pingpong.protocol import (
     run_session,
     run_sessions,
 )
-from pingpong.qstate import Basis, Operator, StateVector, SubsystemLayout, born_table, factor, pick, running_sum
+from pingpong.qstate import Basis, StateVector, SubsystemLayout, born_table, factor, pick, running_sum
 from pingpong.rand import SESSION_TAG, CycleDraws, stream
 
 CYCLES = 100
@@ -268,7 +268,7 @@ def _edge_case(kind):
     layout = SubsystemLayout.of(("h", 3), ("t", 3), ("e", 2))
     state = rand_state(rng, layout)
     if kind == "unitary":
-        return UnitaryEdge(Operator.unitary(rand_unitary(rng, 6)), ("t", "e")), state
+        return UnitaryEdge(oracles.unitary(rand_unitary(rng, 6)), ("t", "e")), state
     if kind == "measure":
         return MeasureEdge(("t", "e"), Basis(rand_unitary(rng, 6)), "alice"), state
     if kind == "draw":
@@ -531,6 +531,31 @@ def test_all_control_intercept_resend_peaks_near_detection(monkeypatch):
     sent = [node for genuine in swapped.next.values() for node in genuine.next.values()]
     assert len(sent) == dim**2 and all("computational" in node.next for node in sent)
     assert session < detection + 32 * state_bytes
+
+
+# The chunk plan on small inputs, at rand.CHUNK = 4 and SLICE_AMPS = 8:
+# sessions of `counts` cycles, one after another, whose trees are `keys`,
+# of `wide` amplitudes each, and the cuts `protocol._cuts` gives.
+CHUNK_PLANS = {
+    "a chunk cut inside one session": ([3, 10], "ab", [1, 1], [0, 4, 8, 12, 13]),
+    "a width cut between narrow trees that do not fit together": ([3, 2], "ab", [5, 4], [0, 3, 5]),
+    "narrow trees that fit together share a chunk": ([1, 2], "ab", [4, 4], [0, 3]),
+    "a tree wider than the bound walks alone": ([2, 3, 2], "abc", [1, 9, 1], [0, 2, 5, 7]),
+    "a tree seen again in one chunk counts once": ([1, 1, 1], "aba", [4, 4, 4], [0, 3]),
+    "a chunk cut holds only the cut session's tree": ([1, 6, 2], "abc", [4, 4, 4], [0, 4, 8, 9]),
+    "zero-cycle sessions take no room": ([0, 2, 0, 1, 0], "abcde", [9, 4, 9, 4, 9], [0, 3]),
+    "sessions of zero cycles only": ([0, 0], "ab", [1, 9], [0, 0]),
+}
+
+
+@pytest.mark.parametrize("counts,keys,wide,cuts", CHUNK_PLANS.values(), ids=list(CHUNK_PLANS))
+def test_the_chunk_plan_cuts_at_chunk_and_at_the_slice_bound(counts, keys, wide, cuts, monkeypatch):
+    """Each chunk's first cycle, then the last chunk's end: a chunk holds at
+    most CHUNK cycles, and a session whose tree would take the chunk's
+    distinct trees past SLICE_AMPS amplitudes starts a new one."""
+    monkeypatch.setattr(rand, "CHUNK", 4)
+    monkeypatch.setattr(protocol, "SLICE_AMPS", 8)
+    assert protocol._cuts(np.array(counts), list(keys), wide) == cuts
 
 
 # Sessions of one configuration that differ in everything else: seed, cycle

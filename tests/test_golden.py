@@ -25,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from oracles import draw_message
 from conftest import rand_family
 from pingpong import attacks
 from pingpong import control as control_mode
 from pingpong.attacks import generic_coupling
-from pingpong.cli import draw_message, emit, run_experiments
+from pingpong.cli import emit, run_experiments
 from pingpong.protocol import ProtocolConfig, run_session
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

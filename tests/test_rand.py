@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import draw_message
 from conftest import qubit_cfg
 from pingpong import rand
 from pingpong.attacks import cnot_attack
-from pingpong.cli import draw_message
 from pingpong.control import two_basis_control
 from pingpong.protocol import MAX_CYCLES, run_session
 from pingpong.rand import (
