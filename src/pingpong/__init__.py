@@ -20,8 +20,8 @@ from .protocol import (
     bob_decode,
     dense_encode,
     make_initial_state,
-    run_session,
 )
+from .session import run_session
 from .attacks import (
     EavesdropperHandle,
     StateFamily,

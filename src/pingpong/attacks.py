@@ -129,7 +129,7 @@ class EavesdropperHandle(ABC):
     the way to Alice, `backward_leg` on the way back and `readout_leg`
     before Bob's decode. `guess(notes)` is Eve's shift-symbol guess from
     the outcomes the edges recorded (None: abstain). The session engine
-    walks these legs with `protocol.follow`, and detection reads the
+    walks these legs with `session.follow`, and detection reads the
     post-forward ensemble off the forward leg's edges (`coupled_branches`),
     without branching on a measurement that only the later legs read.
     Handles are immutable.
@@ -168,7 +168,7 @@ class EavesdropperHandle(ABC):
 
     @cached_property
     def session_trees(self) -> dict:
-        """The narrow session trees `protocol.run_sessions` keeps for this handle."""
+        """The narrow session trees `session.run_sessions` keeps for this handle."""
         return {}
 
     def coupled_branches(self, init: StateVector) -> Iterator[tuple[float, StateVector]]:

@@ -32,9 +32,9 @@ from .protocol import (
     Transcript,
     as_integer,
     message_pairs,
-    run_sessions,
 )
 from .rand import CHUNK, MESSAGE_TAG, SCORE_TAG, run_integers
+from .session import run_sessions
 
 REPORT_FIELDS = (
     "attack",

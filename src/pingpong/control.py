@@ -35,6 +35,7 @@ walks D branches, not D^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -200,16 +201,16 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> np.ndarray:
+def _hits(rng: np.random.Generator, n: int, edges: np.ndarray) -> list[int]:
     """Draw n uniforms, _CHUNK at a time; per edge, how many fall below it.
     With no edges nothing reads them, so they are skipped by counter."""
-    counts = np.zeros(len(edges), dtype=np.int64)
-    if not len(edges):
+    counts, edges = [0] * len(edges), edges.tolist()
+    if not edges:
         skip(rng, n)
         return counts
     for start in range(0, n, _CHUNK):
         u = rng.random(min(_CHUNK, n - start))
-        counts += np.array([np.count_nonzero(u < edge) for edge in edges], dtype=np.int64)
+        counts = [count + int(np.count_nonzero(u < edge)) for count, edge in zip(counts, edges)]
     return counts
 
 
@@ -291,11 +292,11 @@ def _sample_failures(rng: np.random.Generator, plan: SamplerPlan, trials: int) -
     `n_b` per basis drawn at least once. Those no count reads are skipped by
     counter, so `rng` ends where choice would leave it.
     """
-    below = np.append(_hits(rng, trials, plan.menu_edges), trials)
-    failures = 0
-    for n_b, (sure, live, steps) in zip(np.diff(below, prepend=0).tolist(), plan.bases):
+    failures = drawn = 0
+    for below, (sure, live, steps) in zip(_hits(rng, trials, plan.menu_edges) + [trials], plan.bases):
+        n_b, drawn = below - drawn, below
         if n_b:
-            failures += n_b * sure + int(steps @ _hits(rng, n_b, live))
+            failures += n_b * sure + sum(step * hit for step, hit in zip(steps.tolist(), _hits(rng, n_b, live)))
     return failures
 
 
@@ -311,8 +312,10 @@ def empirical_pdet(
     `rng.choice` would, in bounded chunks, and counts those that land in the
     failing cells' intervals of each table's running sum, so the failure
     count is choice's with no outcome array. A plan that reads no uniform
-    makes no stream. Deterministic for a fixed cfg.seed.
+    makes no stream. Deterministic for a fixed cfg.seed. A numpy integer
+    `trials` is taken as the int it equals.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plan = detection_plan(eve, control, cfg)

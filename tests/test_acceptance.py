@@ -32,7 +32,8 @@ from pingpong.control import (
     empirical_pdet,
     two_basis_control,
 )
-from pingpong.protocol import dense_encode, make_initial_state, run_session
+from pingpong.protocol import dense_encode, make_initial_state
+from pingpong.session import run_session
 from pingpong.qstate import (
     Basis,
     Operator,

@@ -44,9 +44,9 @@ from pingpong.protocol import (
     algebra,
     dense_encode,
     make_initial_state,
-    run_session,
     walk_leg,
 )
+from pingpong.session import run_session
 from pingpong.qstate import (
     BasisError,
     Operator,

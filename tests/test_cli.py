@@ -11,7 +11,7 @@ import pytest
 import oracles
 from oracles import score_session
 from conftest import qubit_cfg, qudit_cfg, rand_family
-from pingpong import attacks, cli, protocol, rand
+from pingpong import attacks, cli, protocol, rand, session
 from pingpong import control as control_mode
 from pingpong.cli import (
     MAX_CYCLES,
@@ -292,7 +292,7 @@ class TestConfigurationGroups:
         class Value(list):
             """A batch's value, a run's session fields and time, which a weak reference can follow."""
 
-        class TrackedTree(protocol.SessionTree):
+        class TrackedTree(session.SessionTree):
             def __init__(self, cfg, eve):
                 super().__init__(cfg, eve)
                 trees.append(((id(eve), cfg.dim, cfg.initial_state_kind), weakref.ref(self.root)))
@@ -325,7 +325,7 @@ class TestConfigurationGroups:
         monkeypatch.setattr(cli, "execute_run", checking)
         monkeypatch.setattr(cli, "_walk", tracked)
         monkeypatch.setattr(cli, "run_sessions", tracking)
-        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
+        monkeypatch.setattr(session, "SessionTree", TrackedTree)
         run_experiments(specs)
         gc.collect()
         # every run takes the call's one batch, which is freed with its values
@@ -371,7 +371,7 @@ class TestConfigurationGroups:
                                              trials=100))
                  for seed, (attack, dim) in enumerate([("cnot", 2), ("qudit-shift", 3), ("none", 2), ("cnot", 2)])]
         run_experiments(specs)  # the handles, plans and trees are built before the timed call
-        slept, walk = [], protocol.SessionTree.walk
+        slept, walk = [], session.SessionTree.walk
 
         def slow(self, *args):
             if self.cfg.dim == 3:
@@ -379,7 +379,7 @@ class TestConfigurationGroups:
                 time.sleep(0.05)
             return walk(self, *args)
 
-        monkeypatch.setattr(protocol.SessionTree, "walk", slow)
+        monkeypatch.setattr(session.SessionTree, "walk", slow)
         rows = run_experiments(specs)
         assert slept and {row["status"] for row in rows} == {"ok"}
         assert rows[1]["wall_clock_s"] >= sum(slept)
@@ -390,7 +390,7 @@ class TestConfigurationGroups:
         calls = {"attach": 0, "plans": 0, "trees": 0, "walks": 0}
         attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
 
-        class CountedTree(protocol.SessionTree):
+        class CountedTree(session.SessionTree):
             def __init__(self, *args):
                 calls["trees"] += 1
                 super().__init__(*args)
@@ -404,7 +404,7 @@ class TestConfigurationGroups:
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
         monkeypatch.setattr(control_mode, "_born_tables", counting("plans", tables))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
-        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
+        monkeypatch.setattr(session, "SessionTree", CountedTree)
         per_call, rows = [], []
         for _ in range(2):
             calls.update(attach=0, plans=0, trees=0, walks=0)
@@ -474,7 +474,7 @@ class TestConfigurationGroups:
         keys = [(spec.attack, spec.dim, spec.control, spec.resolved_kind) for spec in specs]
         built, chunks, draws = [], [], rand.CycleDraws
 
-        class CountedTree(protocol.SessionTree):
+        class CountedTree(session.SessionTree):
             def __init__(self, *args):
                 super().__init__(*args)
                 built.append(self)
@@ -483,7 +483,7 @@ class TestConfigurationGroups:
             chunks.append(seeds.tolist())
             return draws(seeds, tag, ks, blocks)
 
-        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
+        monkeypatch.setattr(session, "SessionTree", CountedTree)
         monkeypatch.setattr(rand, "CycleDraws", recording)
         rows = _stable(run_experiments(specs))
         assert len(built) == 5
@@ -518,7 +518,7 @@ class TestConfigurationGroups:
             def branches(self, states):
                 raise RuntimeError("no table for this edge")
 
-        columns = protocol.leg_columns
+        columns = session.leg_columns
 
         def undrawable(leg, *args):  # fails the broken configuration's own draw step only
             if any(isinstance(edge, Unwalkable) for edge in leg):
@@ -526,7 +526,7 @@ class TestConfigurationGroups:
             return columns(leg, *args)
 
         if broken == "draw":
-            monkeypatch.setattr(protocol, "leg_columns", undrawable)
+            monkeypatch.setattr(session, "leg_columns", undrawable)
 
         build, broken_eves, walk, trees = attacks.from_name, {}, cli.run_sessions, []
 
@@ -607,14 +607,14 @@ class TestConfigurationGroups:
         want = _stable(run_experiments(specs))
         trees, walked, walk = [], [], cli.run_sessions
 
-        class TrackedTree(protocol.SessionTree):
+        class TrackedTree(session.SessionTree):
             def __init__(self, cfg, eve):
                 assert all(ref() is None for ref in trees)  # the last tree is gone
                 super().__init__(cfg, eve)
                 trees.append(weakref.ref(self.root))
 
-        monkeypatch.setattr(protocol, "SLICE_AMPS", 8)
-        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
+        monkeypatch.setattr(session, "SLICE_AMPS", 8)
+        monkeypatch.setattr(session, "SessionTree", TrackedTree)
         monkeypatch.setattr(cli, "run_sessions", lambda cfgs, *args: walked.append(len(cfgs)) or walk(cfgs, *args))
         assert _stable(run_experiments(specs)) == want
         assert walked == [11] and len(trees) == 5
@@ -639,7 +639,8 @@ class TestScoreSession:
     def test_uniform_guess_for_abstaining_eve(self):
         from pingpong.attacks import no_attack
         from pingpong.control import computational_control
-        from pingpong.protocol import ProtocolConfig, run_session
+        from pingpong.protocol import ProtocolConfig
+        from pingpong.session import run_session
 
         cfg = ProtocolConfig(dim=2, control_prob=0.0, n_cycles=4000, seed=3)
         message = [(int(a), int(b)) for a, b in np.random.default_rng(0).integers(0, 2, (4000, 2))]
@@ -652,7 +653,8 @@ class TestScoreSession:
     def test_no_message_cycles(self):
         from pingpong.attacks import no_attack
         from pingpong.control import computational_control
-        from pingpong.protocol import ProtocolConfig, run_session
+        from pingpong.protocol import ProtocolConfig
+        from pingpong.session import run_session
 
         cfg = ProtocolConfig(dim=2, control_prob=0.25, n_cycles=0, seed=1)
         stats = score_session(run_session(cfg, [], no_attack(2), computational_control(cfg)), 2, seed=1)
@@ -719,7 +721,7 @@ class TestGroupScoring:
         for spec, row in zip(specs, rows):
             if spec.message is None:
                 eve, mode = attacks.from_name(spec.attack, 2), control_mode.from_name(spec.control, spec.config)
-                transcript = protocol.run_session(spec.config, oracles.draw_message(2, spec.cycles, spec.seed), eve, mode)
+                transcript = session.run_session(spec.config, oracles.draw_message(2, spec.cycles, spec.seed), eve, mode)
                 want = oracles.score_records(oracles.records(transcript), 2, spec.seed)
                 assert {key: row[key] for key in want} == want and row["status"] == "ok"
         assert rows[0]["n_message_cycles"] and rows[0]["eve_mu_accuracy"] is not None
@@ -992,8 +994,8 @@ class TestPlanStore:
 
 
 class TestTreeStore:
-    """`protocol.run_sessions` keeps each session tree whose attached state
-    fits in one stack (`protocol.SLICE_AMPS`) on Eve's handle, by dim and
+    """`session.run_sessions` keeps each session tree whose attached state
+    fits in one stack (`session.SLICE_AMPS`) on Eve's handle, by dim and
     kind, and takes it from there in a later call."""
 
     @staticmethod
@@ -1003,12 +1005,12 @@ class TestTreeStore:
         calls = {"trees": 0, "attach": 0, "nodes": 0}
         attach = attacks.EavesdropperHandle.attach
 
-        class CountedTree(protocol.SessionTree):
+        class CountedTree(session.SessionTree):
             def __init__(self, *args):
                 calls["trees"] += 1
                 super().__init__(*args)
 
-        class CountedNode(protocol._Node):
+        class CountedNode(session._Node):
             def __init__(self, *args):
                 calls["nodes"] += 1
                 super().__init__(*args)
@@ -1017,8 +1019,8 @@ class TestTreeStore:
             calls["attach"] += 1
             return attach(eve, state)
 
-        monkeypatch.setattr(protocol, "SessionTree", CountedTree)
-        monkeypatch.setattr(protocol, "_Node", CountedNode)
+        monkeypatch.setattr(session, "SessionTree", CountedTree)
+        monkeypatch.setattr(session, "_Node", CountedNode)
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", attaching)
         return calls
 
@@ -1058,19 +1060,19 @@ class TestTreeStore:
         tree is kept; at D=17, 17^3 = 4913, it is freed after the call."""
         trees = []
 
-        class TrackedTree(protocol.SessionTree):
+        class TrackedTree(session.SessionTree):
             def __init__(self, *args):
                 super().__init__(*args)
                 trees.append(weakref.ref(self))
 
-        monkeypatch.setattr(protocol, "SessionTree", TrackedTree)
+        monkeypatch.setattr(session, "SessionTree", TrackedTree)
         for dim in (16, 17):
             spec = RunSpec.from_dict(spec_dict(attack="qudit-shift", control="computational", dim=dim,
                                                cycles=30, trials=100))
             assert run_experiments([spec])[0]["status"] == "ok"
         gc.collect()
         narrow, wide = (attacks.from_name("qudit-shift", dim) for dim in (16, 17))
-        assert protocol.attached_width(16, narrow) == protocol.SLICE_AMPS < protocol.attached_width(17, wide)
+        assert protocol.attached_width(16, narrow) == session.SLICE_AMPS < protocol.attached_width(17, wide)
         assert [ref() for ref in trees] == [narrow.session_trees[16, "qudit_beta00"], None]
         assert wide.session_trees == {}
 
@@ -1078,7 +1080,7 @@ class TestTreeStore:
         cfg = qudit_cfg(3, n_cycles=30)
         mode = control_mode.from_name("computational", cfg)
         attack = _family_file(tmp_path / "fam.json", 0)
-        protocol.run_session(cfg, oracles.draw_message(3, 30, 7), attacks.from_name(attack, 3), mode)
+        session.run_session(cfg, oracles.draw_message(3, 30, 7), attacks.from_name(attack, 3), mode)
         [tree] = map(weakref.ref, attacks.from_name(attack, 3).session_trees.values())
         gc.collect()
         assert tree() is not None  # its handle is kept
@@ -1096,20 +1098,20 @@ class TestTreeStore:
         so the store is emptied first for a fault raised in building those."""
         eve, cfg = attacks.qudit_shift_attack(3), qudit_cfg(3, n_cycles=40, control_prob=0.25)
         mode, message = control_mode.from_name("computational", cfg), oracles.draw_message(3, 40, 7)
-        first = protocol.run_session(cfg, message, eve, mode)
+        first = session.run_session(cfg, message, eve, mode)
         [kept] = eve.session_trees.values()
 
         def failing(*args):
             raise RuntimeError("no tree for this walk")
 
         with monkeypatch.context() as broken_call:
-            broken_call.setattr(protocol, broken, failing)
+            broken_call.setattr(session, broken, failing)
             if broken in ("SessionTree", "pair_probs", "bob_decode"):
                 eve.session_trees.clear()
             with pytest.raises(RuntimeError, match="no tree for this walk"):
-                protocol.run_session(cfg, message, eve, mode)
+                session.run_session(cfg, message, eve, mode)
             assert eve.session_trees == {}
-        again = protocol.run_session(cfg, message, eve, mode)
+        again = session.run_session(cfg, message, eve, mode)
         [rebuilt] = eve.session_trees.values()
         assert rebuilt is not kept
         assert oracles.records(again) == oracles.records(first)

@@ -22,7 +22,8 @@ from pingpong.control import (
     wilson_interval,
 )
 from pingpong.cli import MAX_TRIALS, sig12
-from pingpong.protocol import HOME, TRAVEL, make_initial_state, pair_probs, run_session
+from pingpong.protocol import HOME, TRAVEL, make_initial_state, pair_probs
+from pingpong.session import run_session
 from pingpong.qstate import Basis, SubsystemLayout, born_table
 from pingpong.rand import PDET_TAG, stream
 
@@ -277,6 +278,17 @@ class TestEmpiricalPdet:
         first = empirical_pdet(cnot_attack(), two_basis_control(cfg), cfg, 5000)
         second = empirical_pdet(cnot_attack(), two_basis_control(cfg), cfg, 5000)
         assert first == second
+
+    @pytest.mark.parametrize("count", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_trials_give_the_int_report(self, count):
+        """Intercept-resend at D=3 under computational control skips the
+        uniforms no count reads by Philox counter, with a numpy integer count
+        as with an int one."""
+        cfg = qudit_cfg(3, seed=5)
+        eve, mode = intercept_resend(3), computational_control(cfg)
+        want = empirical_pdet(eve, mode, cfg, 1000)
+        assert want.failures == 661
+        assert empirical_pdet(eve, mode, cfg, count(1000)) == want
 
     def test_trials_validated(self):
         cfg = qubit_cfg()

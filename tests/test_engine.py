@@ -5,7 +5,7 @@ each chunk of cycles through it one level at a time; `oracles.stepwise_session`
 evolves fresh state vectors on every cycle. Both draw from the same per-cycle
 streams, so the transcript's records (`oracles.records`) and the errors they
 raise, with the cycle that raises them, must be identical. Edge by edge,
-`protocol.follow` from a fresh node must give what `oracles.step` gives on
+`session.follow` from a fresh node must give what `oracles.step` gives on
 the node's state, and the columnar `cli.score_sessions` what the
 record-by-record `oracles.score_records` gives.
 """
@@ -22,7 +22,7 @@ from oracles import draw_message, score_session
 from conftest import FixedUniform, rand_family, rand_state, rand_unitary
 from pingpong import attacks
 from pingpong import control as control_mode
-from pingpong import protocol, rand
+from pingpong import protocol, rand, session
 from pingpong.attacks import generic_coupling
 from pingpong.protocol import (
     CoherenceBreakError,
@@ -30,15 +30,11 @@ from pingpong.protocol import (
     MeasureEdge,
     ProtocolConfig,
     ReadoutEdge,
-    SessionTree,
     Transcript,
     UnitaryEdge,
     algebra,
-    follow,
-    leg_columns,
-    run_session,
-    run_sessions,
 )
+from pingpong.session import SessionTree, follow, leg_columns, run_session, run_sessions
 from pingpong.qstate import Basis, StateVector, SubsystemLayout, born_table, factor, pick, running_sum
 from pingpong.rand import SESSION_TAG, CycleDraws, stream
 
@@ -130,8 +126,8 @@ def test_a_d32_session_replays_across_chunks_with_the_shared_handle(monkeypatch)
     post-forward node the first built, and replays the path to it. Run twice,
     the second session gets the same handles and the same records."""
     monkeypatch.setattr(rand, "CHUNK", 4)
-    replays, original = [], protocol._replay
-    monkeypatch.setattr(protocol, "_replay", lambda leg, *args: replays.append(len(leg)) or original(leg, *args))
+    replays, original = [], session._replay
+    monkeypatch.setattr(session, "_replay", lambda leg, *args: replays.append(len(leg)) or original(leg, *args))
     runs = []
     for _ in range(2):
         cfg, eve, mode = _setup(("qudit-shift", "computational", 32, "qudit_beta00"), 0.25, 5, cycles=40)
@@ -294,7 +290,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     n = 20
     for k in range(n):
         draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), stream(seed, SESSION_TAG, k)
-        node, cycles = protocol._Node({"earlier": 1}), np.array([k])
+        node, cycles = session._Node({"earlier": 1}), np.array([k])
         taken = leg_columns((edge,), draws.read(edge.draw, cycles), cycles, n)
         [(succ, built, cycles)] = _followed(edge, node, state, cycles, taken)
         notes = {"earlier": 1}
@@ -305,7 +301,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     # all cycles from one fresh node at once: each goes where `step` takes it
     draws, cycles = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), np.arange(n)
     taken = leg_columns((edge,), draws.read(edge.draw, cycles), cycles, n)
-    reached = _followed(edge, protocol._Node({}), state, cycles, taken)
+    reached = _followed(edge, session._Node({}), state, cycles, taken)
     assert sorted(k for _, _, cycles in reached for k in cycles.tolist()) == list(range(n))
     for succ, post, cycles in reached:
         for k in cycles.tolist():
@@ -324,7 +320,7 @@ def test_measure_follow_picks_from_the_full_born_table():
     uniforms = [u for c in cum[:-1] for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
     cycles = np.arange(len(uniforms))
     taken = leg_columns((edge,), [np.array(uniforms)], cycles, len(uniforms))  # cycle k draws uniforms[k]
-    reached = _followed(edge, protocol._Node({}), state, cycles, taken)
+    reached = _followed(edge, session._Node({}), state, cycles, taken)
     assert sum(len(cycles) for _, _, cycles in reached) == len(uniforms)
     for succ, post, cycles in reached:
         for k in cycles.tolist():
@@ -360,7 +356,7 @@ def test_check_nodes_pick_bob_as_pick_does_row_by_row():
     cfg = ProtocolConfig(dim=dim, control_prob=1.0, n_cycles=1, seed=1, initial_state_kind="qudit_beta00")
     eve, mode = attacks.from_name("none", dim), control_mode.from_name("computational", cfg)
     table = np.array([[0.1, 0.0, 0.2, 0.0], np.zeros(dim), _float_edge_row(dim), [0.0, 0.25, 0.0, 0.05]])
-    node = protocol._Node({})
+    node = session._Node({})
     check = node.child(mode.bases[0].basis_id)
     check.tabulate(table)
     assert check.masses.tolist() == [row.sum() for row in table] and check.masses[1] == 0.0
@@ -371,7 +367,7 @@ def test_check_nodes_pick_bob_as_pick_does_row_by_row():
                                                         for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if v < 1.0]]
     alice_u, alice, bob_u = map(np.array, zip(*cycles))
     n = len(cycles)
-    chunk = protocol._Chunk(np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), [None])
+    chunk = session._Chunk(np.zeros(n, dtype=np.int64), np.zeros(0, dtype=np.int64), [None])
     chunk.chosen[:], chunk.alice_u[:], chunk.bob_u[:], chunk.rank = 0, alice_u, bob_u, np.arange(n)
     chunk.decoded, chunk.guess, chunk.basis, chunk.outcomes, chunk.passed = protocol._columns(0, n)
     SessionTree(cfg, eve).checks(chunk, mode, node, np.arange(n), None)
@@ -480,7 +476,7 @@ def _built_trees(monkeypatch):
             super().__init__(*args)
             trees.append(self)
 
-    monkeypatch.setattr(protocol, "SessionTree", Kept)
+    monkeypatch.setattr(session, "SessionTree", Kept)
     return trees
 
 
@@ -498,7 +494,9 @@ def test_a_longer_session_grows_nodes_not_states(monkeypatch):
     """A D=16 generic session with a 16-level ancilla reaches more symbol
     pairs and readout outcomes at 300 cycles than at 50, and its peak grows
     by those nodes' notes and tables only, under 1 KiB a node: no node keeps
-    one of its 64 KiB states."""
+    one of its 64 KiB states. Every node is one a cycle reached: a readout
+    keeps its Born row, so an end node with no decode (an outcome of float
+    leakage that no cycle picks) is never made."""
     dim = anc = 16
     rng = np.random.default_rng(0)
     eve = generic_coupling(dim, rand_family(rng, anc, dim), rand_family(rng, anc, dim))
@@ -510,7 +508,8 @@ def test_a_longer_session_grows_nodes_not_states(monkeypatch):
         run_session(replace(cfg, n_cycles=1), message, eve, mode)  # build the cached operators first
         grown.append((_traced_peak(lambda: run_session(cfg, message, eve, mode)), len(_nodes(trees[-1].root))))
     (short_peak, short_nodes), (long_peak, long_nodes) = grown
-    assert long_nodes > short_nodes + 1500
+    assert all(node.leaf is not None for node in _nodes(trees[-1].root) if not node.next)
+    assert long_nodes > short_nodes + 250
     assert long_peak - short_peak < 1024 * (long_nodes - short_nodes)
 
 
@@ -535,7 +534,7 @@ def test_all_control_intercept_resend_peaks_near_detection(monkeypatch):
 
 # The chunk plan on small inputs, at rand.CHUNK = 4 and SLICE_AMPS = 8:
 # sessions of `counts` cycles, one after another, whose trees are `keys`,
-# of `wide` amplitudes each, and the cuts `protocol._cuts` gives.
+# of `wide` amplitudes each, and the cuts `session._cuts` gives.
 CHUNK_PLANS = {
     "a chunk cut inside one session": ([3, 10], "ab", [1, 1], [0, 4, 8, 12, 13]),
     "a width cut between narrow trees that do not fit together": ([3, 2], "ab", [5, 4], [0, 3, 5]),
@@ -554,8 +553,8 @@ def test_the_chunk_plan_cuts_at_chunk_and_at_the_slice_bound(counts, keys, wide,
     most CHUNK cycles, and a session whose tree would take the chunk's
     distinct trees past SLICE_AMPS amplitudes starts a new one."""
     monkeypatch.setattr(rand, "CHUNK", 4)
-    monkeypatch.setattr(protocol, "SLICE_AMPS", 8)
-    assert protocol._cuts(np.array(counts), list(keys), wide) == cuts
+    monkeypatch.setattr(session, "SLICE_AMPS", 8)
+    assert session._cuts(np.array(counts), list(keys), wide) == cuts
 
 
 # Sessions of one configuration that differ in everything else: seed, cycle
@@ -805,7 +804,7 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
 
     # the stepper measures through qstate's own bindings
     monkeypatch.setattr(protocol, "collapse", counting_collapse)
-    monkeypatch.setattr(protocol, "pair_probs", counting_pair_probs)
+    monkeypatch.setattr(session, "pair_probs", counting_pair_probs)
     cfg, eve, mode = _setup(case, 1.0, 6)
     trees = _built_trees(monkeypatch)
     run_session(replace(cfg, n_cycles=5), [], eve, mode)
@@ -826,15 +825,23 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
 def _reference_walk(node, state, leg):
     """(node, state) at the end of `leg` for each grown path from `node`,
     whose state is `state`, by the single-state reference routes; each grown
-    node on the way is checked: its successors are its state's outcomes with
-    support, with their probabilities, each recording its outcome."""
+    node on the way is checked against its state's outcomes with support and
+    their probabilities. A node that keeps a Born row (a measurement with
+    several such outcomes) holds them there, zeros elsewhere, and its
+    successors are some of them, those cycles reached; any other node's
+    successors are exactly them. Each successor records its outcome."""
     if not leg:
         yield node, state
         return
-    if not node.next:
+    if not node.built:
         return
-    edge = leg[0]
-    assert {outcome: succ.prob for outcome, succ in node.next.items()} == oracles.branches(edge, state)
+    edge, want = leg[0], oracles.branches(leg[0], state)
+    grown = {outcome: succ.prob for outcome, succ in node.next.items()}
+    if node.cum is None:
+        assert grown == want
+    else:
+        assert len(want) > 1 and node.probs.tolist() == [want.get(k, 0.0) for k in range(len(node.probs))]
+        assert np.array_equal(node.cum, running_sum(node.probs)) and grown.items() <= want.items()
     for outcome, succ in node.next.items():
         assert succ.notes == (node.notes if edge.key is None else {**node.notes, edge.key: outcome})
         yield from _reference_walk(succ, oracles.take(edge, state, outcome), leg[1:])
@@ -843,8 +850,8 @@ def _reference_walk(node, state, leg):
 def _check_tree(tree, cfg, eve, mode):
     """Every node the walk grew, against the reference routes: branch
     probabilities and notes, each control node's joint table, and each
-    message leaf's decode and guess. Returns the message leaves' count of
-    readout outcomes with support."""
+    message leaf's decode and guess. Returns (outcomes with support,
+    successors grown) for each Born row kept below a symbol pair."""
     supports = []
     for post, state in _reference_walk(tree.root, tree.state, tree.forward):
         for key, succ in post.next.items():
@@ -858,7 +865,7 @@ def _check_tree(tree, cfg, eve, mode):
                 if leaf.leaf is not None:
                     guess = eve.guess(leaf.notes)
                     assert leaf.leaf == (protocol.bob_decode(factor(final, ("h", "t")), cfg), -1 if guess is None else guess)
-            supports.append(len(ends))
+            supports.extend((np.count_nonzero(n.probs), len(n.next)) for n in _nodes(succ) if n.cum is not None)
     return supports
 
 
@@ -907,7 +914,7 @@ def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, 
     in the swap) still factor the full state, and intercept-resend still
     collapses. Transcripts equal the stepper's either way."""
     collapsed, factored = [], []
-    original_collapse, original_factor = protocol.collapse, protocol.factor
+    original_collapse, original_factor = protocol.collapse, session.factor
 
     def counting_collapse(table, outcome, rows=None):
         collapsed.append(table.labels)
@@ -919,7 +926,7 @@ def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, 
         return got
 
     monkeypatch.setattr(protocol, "collapse", counting_collapse)
-    monkeypatch.setattr(protocol, "factor", counting_factor)
+    monkeypatch.setattr(session, "factor", counting_factor)
     cfg, eve, mode = _setup(case, 0.0, 4, cycles=30)
     _both(cfg, draw_message(cfg.dim, 30, 4), eve, mode)
     assert factored
@@ -933,8 +940,9 @@ def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, 
 def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(monkeypatch):
     """A random generic family: each readout leaves several outcomes with
     support (float leakage gives the unpicked ones tiny probabilities), so
-    stacked states grow different numbers of successors. Transcripts equal
-    the stepper's, and every grown node equals the single-state routes."""
+    stacked states keep Born rows of different supports and grow only the
+    successors their cycles reach. Transcripts equal the stepper's, and
+    every kept row and grown node equals the single-state routes."""
     monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
     trees = _built_trees(monkeypatch)
     for dim, anc in ((3, 4), (4, 7)):
@@ -944,7 +952,8 @@ def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(mo
         mode = control_mode.from_name("computational", cfg)
         assert len(_both(cfg, draw_message(dim, cfg.n_cycles, 3), eve, mode)) == cfg.n_cycles
         supports = _check_tree(trees[-1], cfg, eve, mode)
-        assert len(supports) > dim and max(supports) > 1
+        assert len(supports) > dim and max(supported for supported, _ in supports) > 1
+        assert sum(grown for _, grown in supports) < sum(supported for supported, _ in supports)
 
 
 @pytest.mark.usefixtures("fresh_trees")
@@ -962,13 +971,13 @@ def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeyp
     cfg, eve, mode = _setup(case, control_prob, 2, cycles=2 * chunk)
     pairs = [(mu, nu) for mu in range(cfg.dim) for nu in range(cfg.dim)]
     message = [(0, 0)] * chunk + pairs[::-1][:chunk]
-    replays, original = [], protocol._replay
+    replays, original = [], session._replay
 
     def recording(leg, states, nodes):
         replays.append((len(leg), len(nodes)))
         return original(leg, states, nodes)
 
-    monkeypatch.setattr(protocol, "_replay", recording)
+    monkeypatch.setattr(session, "_replay", recording)
     trees = _built_trees(monkeypatch)
     assert len(_both(cfg, message, eve, mode)) == cfg.n_cycles
     _check_tree(trees[-1], cfg, eve, mode)
@@ -988,8 +997,8 @@ def test_no_stack_holds_more_than_the_slice_bound(monkeypatch):
     occur."""
     stacks = []
 
-    def recording(name):
-        original = getattr(protocol, name)
+    def recording(module, name):
+        original = getattr(module, name)
 
         def kernel(*args):
             out = original(*args)
@@ -998,12 +1007,14 @@ def test_no_stack_holds_more_than_the_slice_bound(monkeypatch):
                     stacks.append(value.amps.shape)
             return out
 
-        monkeypatch.setattr(protocol, name, kernel)
+        monkeypatch.setattr(module, name, kernel)
 
-    for name in ("apply", "born_table", "collapse", "factor", "dense_encode", "bob_decode"):
-        recording(name)
+    for name in ("apply", "born_table", "collapse"):  # the edges' kernels
+        recording(protocol, name)
+    for name in ("factor", "dense_encode", "bob_decode"):  # the message leaves'
+        recording(session, name)
     for dim, cycles in ((7, 400), (16, 300)):
         cfg, eve, mode = _setup(("qudit-shift", "computational", dim, "qudit_beta00"), 0.1, 4, cycles=cycles)
         run_session(cfg, draw_message(dim, cycles, 4), eve, mode)
     assert max(rows for rows, _ in stacks) > 1
-    assert all(rows == 1 or rows * size <= protocol.SLICE_AMPS for rows, size in stacks)
+    assert all(rows == 1 or rows * size <= session.SLICE_AMPS for rows, size in stacks)

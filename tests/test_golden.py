@@ -31,7 +31,8 @@ from pingpong import attacks
 from pingpong import control as control_mode
 from pingpong.attacks import generic_coupling
 from pingpong.cli import emit, run_experiments
-from pingpong.protocol import ProtocolConfig, run_session
+from pingpong.protocol import ProtocolConfig
+from pingpong.session import run_session
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RUN_MATRIX = GOLDEN.parent.parent / "scripts" / "run_matrix.py"

@@ -9,7 +9,8 @@ import oracles
 from conftest import all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_family, rand_state, rand_unitary
 from pingpong.attacks import no_attack, validate_coupling
 from pingpong.control import computational_control
-from pingpong.protocol import bob_decode, dense_encode, make_initial_state, run_session
+from pingpong.protocol import bob_decode, dense_encode, make_initial_state
+from pingpong.session import run_session
 from pingpong.qstate import (
     Basis,
     StateVector,

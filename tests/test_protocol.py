@@ -32,9 +32,8 @@ from pingpong.protocol import (
     dense_encode,
     make_initial_state,
     pair_layout,
-    run_session,
-    run_sessions,
 )
+from pingpong.session import run_session, run_sessions
 from pingpong.qstate import Basis, StateVector, SubsystemLayout
 
 

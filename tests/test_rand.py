@@ -9,7 +9,8 @@ from conftest import qubit_cfg
 from pingpong import rand
 from pingpong.attacks import cnot_attack
 from pingpong.control import two_basis_control
-from pingpong.protocol import MAX_CYCLES, run_session
+from pingpong.protocol import MAX_CYCLES
+from pingpong.session import run_session
 from pingpong.rand import (
     CHUNK,
     MESSAGE_TAG,
