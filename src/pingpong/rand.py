@@ -7,21 +7,22 @@ what any other stream consumed.
 
 `stream(*key)` hashes its key with numpy's `SeedSequence` into the 128-bit
 Philox key. A session draws from one stream per cycle, `(seed, SESSION_TAG,
-k)`; `CycleDraws` gives those draws for a chunk of (seed, k) cycles of one or
-many sessions at a time, with no generator per cycle. It computes the chunk's
-keys in one vectorized pass of the `SeedSequence` hash (a fixed mixing
-function of 32-bit words, with numpy's constants and pool size) per seed word
-count, and every block each cycle reserves in one pass of Philox4x64-10:
-Philox output is a pure function of key and counter (Salmon et al., SC'11),
-and a fresh generator's block j is the one at counter j + 1. The blocks are
-a table read by position. numpy's `Generator` decodes `random()` from one
-64-bit word w as (w >> 11) * 2**-53, and `integers(n)` by Lemire's bounded
-draw on 32-bit halves, a fresh word's low half first and its high half kept
-for the next `integers` (`random()` skips that buffer). So when no half is
-rejected, the word and half each draw reads are fixed by the draws before
-it. A cycle whose draws meet a half Lemire's rule rejects (a half is, with
-probability at most 31 / 2**32 at bounds up to 32) is re-drawn in full from
-its own `stream`.
+k)`; `CycleDraws` gives those draws for a chunk of (seed, k) cycles of one
+or many sessions at a time, with no generator per cycle. It computes the
+chunk's keys in one vectorized pass of the `SeedSequence` hash (a fixed
+mixing function of 32-bit words, with numpy's constants and pool size) per
+seed word count, and every block each cycle reserves in one pass of
+Philox4x64-10: Philox output is a pure function of key and counter (Salmon
+et al., SC'11), and a fresh generator's block j is the one at counter j + 1.
+The blocks are a table read by position; the pass holds 176 bytes per row
+for the 32 it returns: 11 arrays of two words a row. numpy's `Generator`
+decodes `random()` from one 64-bit word w as (w >> 11) * 2**-53, and
+`integers(n)` by Lemire's bounded draw on 32-bit halves, a fresh word's low
+half first and its high half kept for the next `integers` (`random()` skips
+that buffer). So when no half is rejected, the word and half each draw reads
+are fixed by the draws before it. A cycle whose draws meet a half Lemire's
+rule rejects (a half is, with probability at most 31 / 2**32 at bounds up to
+32) is re-drawn in full from its own `stream`.
 Because a word depends on the counter only, `skip` moves a `stream`
 generator past draws that nothing reads by advancing its counter.
 
@@ -200,38 +201,38 @@ def philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     Block j of `stream(*key)`, that is words 4j .. 4j + 3 of
     `bit_generator.random_raw`, is the block at counter j + 1.
     """
-    key = np.array(keys, dtype=np.uint64).T  # (2, n), like each lane pair below
+    key = np.array(np.asarray(keys, dtype=np.uint64).T, order="C")  # (2, n), like each lane pair below
     shape = key.shape
-    # Constants at full shape and results into buffers made once: a ufunc on
-    # equal shapes is cheaper than one that broadcasts a column, and
-    # allocating ~190 results per call would cost as much as computing them.
+    # Lane constants at full shape, the key contiguous (a ufunc that broadcasts
+    # a column or mixes strides is slower, and may buffer) and ~190 results in
+    # four buffers made once: 11 (2, n) arrays in all, 176 bytes a row.
     bump = np.broadcast_to(_PHILOX_W, shape).copy()
     mult = np.broadcast_to(_PHILOX_M, shape).copy()
-    low, half = np.full(shape, _MASK32, dtype=np.uint64), np.full(shape, 32, dtype=np.uint64)
-    m_lo, m_hi = mult & low, mult >> half
+    m_lo, m_hi = mult & _LOW, mult >> _HALF
     even = np.zeros(shape, dtype=np.uint64)  # lanes 0 and 2
     even[0] = counters
     odd = np.zeros(shape, dtype=np.uint64)  # lanes 1 and 3
-    b_lo, b_hi, ll, hl, cross, hi, lo, tmp = np.empty((8, *shape), dtype=np.uint64)
+    a, b, hl, cross = np.empty((4, *shape), dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             np.add(key, bump, out=key)
         # hi and lo words of mult * even, from 32-bit limbs; cross < 2**64
-        np.bitwise_and(even, low, out=b_lo)
-        np.right_shift(even, half, out=b_hi)
-        np.multiply(m_lo, b_lo, out=ll)
-        np.multiply(m_hi, b_lo, out=hl)
-        np.right_shift(ll, half, out=cross)
-        np.add(cross, np.bitwise_and(hl, low, out=tmp), out=cross)
-        np.add(cross, np.multiply(m_lo, b_hi, out=tmp), out=cross)
-        np.multiply(m_hi, b_hi, out=hi)
-        np.add(hi, np.right_shift(hl, half, out=tmp), out=hi)
-        np.add(hi, np.right_shift(cross, half, out=tmp), out=hi)
-        np.multiply(mult, even, out=lo)  # wraps to the low word
+        np.bitwise_and(even, _LOW, out=a)  # a, b: even's limbs, then their products
+        np.right_shift(even, _HALF, out=b)
+        np.multiply(m_hi, a, out=hl)
+        np.multiply(m_lo, a, out=a)
+        np.right_shift(a, _HALF, out=cross)
+        np.add(cross, np.bitwise_and(hl, _LOW, out=a), out=cross)
+        np.add(cross, np.multiply(m_lo, b, out=a), out=cross)
+        np.multiply(m_hi, b, out=b)  # b: the hi word from here
+        np.add(b, np.right_shift(hl, _HALF, out=a), out=b)
+        np.add(b, np.right_shift(cross, _HALF, out=a), out=b)
+        np.multiply(mult, even, out=a)  # a: the lo word, wrapping
         # lane 0 takes lane 2's product and lane 2 lane 0's
-        np.bitwise_xor(hi[::-1], odd, out=even)
+        np.bitwise_xor(b, odd[::-1], out=even[::-1])
         np.bitwise_xor(even, key, out=even)
-        odd[:] = lo[::-1]
+        odd[:] = a[::-1]
+    del bump, mult, m_lo, m_hi, a, b, hl, cross  # freed before the (n, 4) table is made
     return np.stack((even, odd), axis=1).reshape(4, -1).T
 
 
@@ -328,8 +329,8 @@ class CycleDraws:
         self.blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), n)
         self.least = int(self.blocks.min(initial=_MASK32))  # every cycle holds the words below 4 * least
         self.first = np.cumsum(self.blocks) - self.blocks  # each cycle's first row
-        counters = np.arange(int(self.blocks.sum())) - np.repeat(self.first, self.blocks) + 1
-        self.words = philox(np.repeat(cycle_keys(self.seeds, tag, self.ks), self.blocks, axis=0), counters.astype(np.uint64))
+        counters = np.arange(1, self.blocks.sum() + 1, dtype=np.uint64) - np.repeat(self.first.astype(np.uint64), self.blocks)
+        self.words = philox(np.repeat(cycle_keys(self.seeds, tag, self.ks), self.blocks, axis=0), counters)
 
     def read(self, calls: tuple, cycles: np.ndarray, after: tuple = ()) -> list:
         """The draws `calls` of the listed cycles' streams (None: `random()`,

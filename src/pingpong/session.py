@@ -80,11 +80,10 @@ class _Node:
     a leaf needs no state to walk (`built`).
     """
 
-    __slots__ = ("notes", "prob", "next", "probs", "cum", "masses", "leaf", "__weakref__")
+    __slots__ = ("notes", "next", "probs", "cum", "masses", "leaf", "__weakref__")
 
-    def __init__(self, notes: dict, prob: float = 1.0):
+    def __init__(self, notes: dict):
         self.notes = notes  # outcomes recorded on the path to this node
-        self.prob = prob  # probability of the branch from the parent
         self.next: dict = {}
         self.probs = self.cum = self.masses = self.leaf = None
 
@@ -102,11 +101,11 @@ class _Node:
         return node
 
     def grown(self, key, outcome) -> "_Node":
-        """The successor under `outcome` of the edge that records it as `key`; made on first reach from the kept
-        Born row, as every other node's successors were made when it grew."""
+        """The successor under `outcome` of the edge that records it as `key`; made when a cycle first reaches
+        it, as every other node's successors were made when it grew."""
         node = self.next.get(outcome)
         if node is None:
-            node = self.next[outcome] = _Node({**self.notes, key: outcome}, self.probs[outcome].item())
+            node = self.next[outcome] = _Node({**self.notes, key: outcome})
         return node
 
     @property
@@ -221,9 +220,9 @@ class _Walk:
             node.probs = np.where(supported[row], probs[row], 0.0)
             node.cum = running_sum(node.probs)
         rows, cols = np.nonzero(supported & ~lazy[:, None])
-        for row, col, p in zip(rows.tolist(), cols.tolist(), probs[rows, cols].tolist()):
+        for row, col in zip(rows.tolist(), cols.tolist()):
             node, outcome = entries[row][0], None if edge.key is None else col
-            node.next[outcome] = _Node(node.notes if edge.key is None else {**node.notes, edge.key: col}, p)
+            node.next[outcome] = _Node(node.notes if edge.key is None else {**node.notes, edge.key: col})
         reached = [(row, outcome, (succ, sub, start)) for row, (node, cycles, start) in enumerate(entries)
                    for outcome, succ, sub in _route(edge, self.taken[level], node, cycles)]  # (row, outcome, successor entry)
         if edge.key is not None:  # a stack of one outcome takes a `DrawEdge` in one `apply`

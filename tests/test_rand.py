@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,47 @@ def test_philox_words_equal_random_raw(seed):
     words = np.hstack([philox(keys, np.full(len(ks), block, dtype=np.uint64)) for block in (1, 2)])
     expected = [stream(seed, SESSION_TAG, k).bit_generator.random_raw(8) for k in ks.tolist()]
     np.testing.assert_array_equal(words, expected)
+
+
+def test_philox_over_a_two_block_chunk_equals_random_raw():
+    """One pass over a full chunk's table of two blocks a cycle, laid out as
+    `CycleDraws` lays it: rows at the first and last cycles, on both sides of
+    the middle row and spread between, each cycle's two blocks together.
+    Thousands of rows in one pass catch a scratch buffer that one round
+    leaves holding what a later round still reads."""
+    ks = np.arange(CHUNK)
+    keys = np.repeat(cycle_keys(11, SESSION_TAG, ks), 2, axis=0)
+    words = philox(keys, np.tile(np.array([1, 2], dtype=np.uint64), CHUNK)).reshape(CHUNK, 8)
+    picked = [0, 1, CHUNK // 2 - 1, CHUNK // 2, *range(97, CHUNK, 331), CHUNK - 2, CHUNK - 1]
+    expected = [stream(11, SESSION_TAG, k).bit_generator.random_raw(8) for k in picked]
+    np.testing.assert_array_equal(words[picked], expected)
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of `run()` after one untraced call, in bytes."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_philox_peaks_under_200_bytes_a_row():
+    """It returns 32 bytes a row, and its rounds hold eleven (2, n) uint64
+    arrays, 176 bytes a row; seventeen such arrays took ~305."""
+    n = CHUNK
+    keys, counters = cycle_keys(3, SESSION_TAG, np.arange(n)), np.ones(n, dtype=np.uint64)
+    assert _traced_peak(lambda: philox(keys, counters)) < 200 * n
+
+
+def test_cycle_draws_build_peaks_under_240_bytes_a_cycle():
+    """A full chunk of one block a cycle: its keys, counters and `philox`
+    pass beside the table it keeps; ~350 bytes a cycle with seventeen arrays
+    in `philox` and an int64 copy of the counters."""
+    ks = np.arange(CHUNK)
+    assert _traced_peak(lambda: CycleDraws(3, SESSION_TAG, ks, 1)) < 240 * CHUNK
 
 
 def _stream_draws(seed, start, stop, calls):
