@@ -405,10 +405,15 @@ def validate_coupling(
     The coupling must be block-diagonal in the travel level, D blocks on the
     ancilla, as every coupling the paper defines is: Q = sum_k |k><k| (x) U_k.
     It then cannot leave a travel level's block, so each residual over the
-    whole travel (x) ancilla space is read off its block U_k.
+    whole travel (x) ancilla space is read off its block U_k. A monomial
+    coupling's blocks are scattered from its rows and phases for the check
+    and not kept.
     """
     anc_dim = detection.layout.dim
-    blocks = coupling.blocks
+    blocks, (level, col) = coupling.blocks, np.divmod(np.arange(coupling.dim), anc_dim)
+    if blocks is None and coupling.dim == dim * anc_dim and np.array_equal(coupling.rows // anc_dim, level):
+        blocks = np.zeros((dim, anc_dim, anc_dim), dtype=np.complex128)  # for the check only
+        blocks[level, coupling.rows % anc_dim, col] = 1.0 if coupling.phases is None else coupling.phases
     if blocks is None or blocks.shape != (dim, anc_dim, anc_dim):
         raise ValueError(f"coupling must be {dim} travel blocks of {anc_dim}x{anc_dim} on the ancilla")
     det = detection.columns

@@ -31,6 +31,7 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemLayout,
+    _out,
     apply,
     born_table,
     collapse,
@@ -182,12 +183,13 @@ def pair_probs(state: StateVector, basis: Basis) -> np.ndarray:
     return np.einsum("ijr,ijr->ji", coeffs, coeffs.conj()).real.copy()
 
 
-def dense_encode(state: StateVector, mu, nu) -> StateVector:
+def dense_encode(state: StateVector, mu, nu, out=None) -> StateVector:
     """Alice's dense coding: X^mu Z^nu on the travel register only, at its
     dimension in `state`. Given arrays of symbols, the stack of `state`
     encoded under each pair, from one gather on a (lead, travel, trail) view
     of the amplitudes: each travel level's amplitudes times its phase move to
-    the level mu above it, the values `apply` gives for the monomial encoding."""
+    the level mu above it, the values `apply` gives for the monomial encoding.
+    Given `out` (`qstate._out`), the states are written in its part 0."""
     dim = state.layout.dim_of(TRAVEL)
     mu, nu = np.asarray(mu), np.asarray(nu)
     if not ((0 <= mu) & (mu < dim) & (0 <= nu) & (nu < dim)).all():
@@ -196,8 +198,11 @@ def dense_encode(state: StateVector, mu, nu) -> StateVector:
     mat = state.amps.reshape(math.prod(state.layout.dims[:at]), dim, -1)
     source = (np.arange(dim) - mu[..., None]) % dim  # the level each level's amplitudes come from
     phases = np.take_along_axis(_weyl_phases(dim, nu), source, axis=-1)
-    moved = mat[np.arange(len(mat))[:, None], source[..., None, :]]  # [..., lead, travel, trail]
-    return StateVector(state.layout, (phases[..., None, :, None] * moved).reshape(source.shape[:-1] + (-1,)))
+    index = np.arange(len(mat))[:, None] * dim + source[..., None, :]  # [..., lead, travel], into (lead * travel, trail)
+    moved = _out(out, index.shape + mat.shape[-1:])
+    np.take(mat.reshape(-1, mat.shape[-1]), index, axis=0, out=moved, mode="wrap")  # in the default mode numpy copies `out`
+    np.multiply(phases[..., None, :, None], moved, out=moved)
+    return StateVector(state.layout, moved.reshape(source.shape[:-1] + (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +265,8 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig):
 # over it: its table (the states with a unitary applied, or their Born table)
 # and the outcome probabilities, a row per state, and `post` gives listed
 # rows' post-states for listed outcomes from the table (for one state, rows
-# None and one outcome). `draw` declares the edge's draw in a cycle's stream
+# None and one outcome). Each may be lent memory `out` for the full-width
+# arrays it writes (`qstate._out`). `draw` declares the edge's draw in a cycle's stream
 # in `rand.CycleDraws.read`'s terms: (None,) for `random()`, (n,) for
 # `integers(n)`, or () when the edge draws nothing and has one outcome,
 # None. `outcomes` maps those draws to outcomes at one node; `key` names the
@@ -280,11 +286,11 @@ class UnitaryEdge:
     targets: tuple[str, ...]
     key, draw = None, ()
 
-    def branches(self, state: StateVector) -> tuple:
+    def branches(self, state: StateVector, out=None) -> tuple:
         """The states with the unitary applied; one outcome, None, each."""
-        return apply(state, self.op, self.targets), np.ones(state.amps.shape[:-1] + (1,))
+        return apply(state, self.op, self.targets, out), np.ones(state.amps.shape[:-1] + (1,))
 
-    def post(self, table: StateVector, rows, outcomes) -> StateVector:
+    def post(self, table: StateVector, rows, outcomes, out=None) -> StateVector:
         return table if rows is None else table.take(rows)
 
 
@@ -298,14 +304,14 @@ class MeasureEdge:
     key: str
     draw = (None,)
 
-    def branches(self, state: StateVector) -> tuple:
+    def branches(self, state: StateVector, out=None) -> tuple:
         """The states' Born table, and its probabilities."""
-        table = born_table(state, self.labels, self.basis)
+        table = born_table(state, self.labels, self.basis, out)
         return table, table.probs
 
-    def post(self, table, rows, outcomes) -> StateVector:
+    def post(self, table, rows, outcomes, out=None) -> StateVector:
         """Row rows[i]'s collapsed state for outcomes[i]."""
-        return collapse(table, outcomes, rows)
+        return collapse(table, outcomes, rows, out)
 
     def outcomes(self, node, uniforms: np.ndarray) -> np.ndarray:
         """The outcome each uniform picks from the Born row a session node
@@ -321,7 +327,7 @@ class ReadoutEdge(MeasureEdge):
     pair alone: its outcome's coefficient row, normalized. `factor` would
     give the same pair, up to a global phase, from `collapse`'s state."""
 
-    def post(self, table, rows, outcomes) -> StateVector:
+    def post(self, table, rows, outcomes, out=None) -> StateVector:
         index = (outcomes,) if rows is None else (rows, outcomes)
         pair = table.coeffs[index] / np.sqrt(table.probs[index])[..., None]
         return StateVector(pair_layout(table.layout.dim_of(HOME)), pair)
@@ -338,21 +344,21 @@ class DrawEdge:
     ops: tuple[Optional[Operator], ...]
     targets: tuple[str, ...]
 
-    def branches(self, state: StateVector) -> tuple:
+    def branches(self, state: StateVector, out=None) -> tuple:
         """The states themselves; each f with probability 1 / len(ops)."""
         return state, np.full(state.amps.shape[:-1] + (len(self.ops),), 1.0 / len(self.ops))
 
-    def post(self, table: StateVector, rows, outcomes) -> StateVector:
+    def post(self, table: StateVector, rows, outcomes, out=None) -> StateVector:
         """Row rows[i] with ops[outcomes[i]] applied, one `apply` per
         distinct f."""
         fs = [outcomes] if rows is None else sorted(set(outcomes.tolist()))  # np.unique would import numpy.ma
         if len(fs) > 1:
-            amps = np.empty((len(rows), table.layout.dim), dtype=np.complex128)
+            amps = _out(out, (len(rows), table.layout.dim))
             for f in fs:
                 amps[outcomes == f] = self.post(table, rows[outcomes == f], outcomes[outcomes == f]).amps
             return StateVector(table.layout, amps)
         part, op = table if rows is None else table.take(rows), self.ops[fs[0]]
-        return part if op is None else apply(part, op, self.targets)
+        return part if op is None else apply(part, op, self.targets, out)
 
     @property
     def draw(self) -> tuple:

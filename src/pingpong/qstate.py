@@ -9,16 +9,19 @@ one call, and a single state is their one-row case. Each row's arithmetic
 does not depend on the rows beside it. `apply` acts on targets consecutive
 in layout order through a (lead, targets, trail) reshape view, moving no
 axis, and rejects other target orders; the registers `born_table` and
-`factor` read are first moved to the front.
+`factor` read are first moved to the front. `apply`, `born_table` and
+`collapse` write their full-width arrays into memory a caller lends them
+(`out`, see `_out`), so a caller that walks many states reuses its memory
+instead of allocating it per state.
 
-An operator keeps the structure it is built with. A monomial one (a
-permutation times phases: the Weyl encodings, the swap, and the block
-couplings whose blocks are monomial, CNOT and the controlled shift) is
-applied by moving amplitudes to their rows, O(N) where a dense matmul is
-O(N*d). A block-diagonal one (a generic coupling, one ancilla block per
-travel level) is applied one block at a time, d/b times fewer flops than
-its dense matrix; a dense unitary is the block form with one block. An
-operator builds its dense matrix only when asked.
+An operator keeps one form. A monomial one (a permutation times phases:
+the Weyl encodings, the swap, and the block couplings whose blocks are
+monomial, CNOT and the controlled shift) keeps its rows and phases alone,
+O(d) memory, and is applied by moving amplitudes to their rows, O(N) where
+a dense matmul is O(N*d). A block-diagonal one (a generic coupling, one
+ancilla block per travel level) is applied one block at a time, d/b times
+fewer flops than its dense matrix; a dense unitary is the block form with
+one block. An operator builds its dense matrix only when asked.
 
 Tolerances are fixed globally: 1e-12 for algebraic identities, 1e-10 for
 orthonormality of user-supplied bases and state families, 1e-9 for a
@@ -169,8 +172,8 @@ class Operator:
       the operator is sum_k |k><k| (x) blocks[k];
     - monomial: column j holds one entry, in row `rows[j]`, the rows a
       permutation, and the entry is `phases[j]` (None when every entry is
-      exactly 1). A block-diagonal operator whose blocks are monomial keeps
-      this form beside its blocks.
+      exactly 1), and `blocks` is None. Blocks that are monomial are kept
+      in this form only.
 
     `matrix` is built from either form only on request. The `kind`
     tag records what the constructor verified: `unitary` operators satisfy
@@ -198,6 +201,7 @@ class Operator:
                 local = nonzero.argmax(axis=1)
                 rows = (local + b * np.arange(len(blocks))[:, None]).ravel()
                 phases = np.take_along_axis(blocks, local[:, None], axis=1).ravel()
+                blocks = None
         if rows is not None:
             rows = _frozen(rows, (dim,), np.intp)
             phases = None if phases is None or np.all(np.equal(phases, 1)) else _frozen(phases, (dim,))
@@ -244,7 +248,7 @@ class Operator:
     def inverse(self) -> "Operator":
         """U^dagger in the form of U, built once per operator: the blocks'
         conjugate transposes, or the inverse permutation with conjugated
-        phases."""
+        phases and no blocks."""
         if self.kind != "unitary":
             raise ValueError("inverse is defined for unitary operators only")
         if self.blocks is not None:
@@ -319,9 +323,25 @@ def _normalize_labels(labels) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _to_front(state: StateVector, labels: tuple[str, ...]) -> tuple[np.ndarray, list[int], int]:
+def _out(out, shape, part: int = 0) -> np.ndarray:
+    """A complex array of `shape` to write into: a new one when `out` is None,
+    else `out(shape, part)`, memory the caller owns and reuses. A kernel
+    given `out` writes its full-width result in part 0 and may use part 1 as
+    scratch."""
+    return np.empty(shape, dtype=np.complex128) if out is None else out(shape, part)
+
+
+def _copy(psi: np.ndarray, out) -> np.ndarray:
+    """A contiguous copy of `psi`, in `out`'s part 0 if given (`_out`)."""
+    copy = _out(out, psi.shape)
+    np.copyto(copy, psi)
+    return copy
+
+
+def _to_front(state: StateVector, labels: tuple[str, ...], out=None, copy=False) -> tuple[np.ndarray, list[int], int]:
     """Reshape amplitudes with the target axes moved to the front, in order,
-    behind a stack's row axis: (front, rest), or (k, front, rest).
+    behind a stack's row axis: (front, rest), or (k, front, rest); with
+    `copy`, a copy of them (`_copy`).
 
     The returned axis order is the target axes, then the rest in layout
     order; `_from_front` undoes it."""
@@ -330,14 +350,16 @@ def _to_front(state: StateVector, labels: tuple[str, ...]) -> tuple[np.ndarray, 
     n = state.amps.ndim - 1  # 1 for a stack's row axis
     psi = state.reshaped().transpose(list(range(n)) + [n + a for a in order])
     front = math.prod(state.layout.dim_of(lbl) for lbl in labels)
-    return psi.reshape(state.amps.shape[:-1] + (front, -1)), order, front
+    return (_copy(psi, out) if copy else psi).reshape(state.amps.shape[:-1] + (front, -1)), order, front
 
 
-def _from_front(mat: np.ndarray, layout: SubsystemLayout, order: list[int]) -> np.ndarray:
+def _from_front(mat: np.ndarray, layout: SubsystemLayout, order: list[int], out=None) -> np.ndarray:
+    """`_to_front` undone; given `out`, a copy in its part 0 (`_copy`)."""
     dims, lead = layout.dims, mat.shape[:-2]
     inverse = sorted(range(len(order)), key=order.__getitem__)
     psi = mat.reshape(lead + tuple(dims[a] for a in order))
-    return psi.transpose(list(range(len(lead))) + [len(lead) + a for a in inverse]).reshape(lead + (-1,))
+    psi = psi.transpose(list(range(len(lead))) + [len(lead) + a for a in inverse])
+    return (psi if out is None else _copy(psi, out)).reshape(lead + (-1,))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -345,7 +367,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.layout.concat(b.layout), np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
-def apply(state: StateVector, op: Operator, targets) -> StateVector:
+def apply(state: StateVector, op: Operator, targets, out=None) -> StateVector:
     """Apply `op` on the ordered target subsystems, identity elsewhere, to a
     state or to each row of a stack.
 
@@ -368,18 +390,19 @@ def apply(state: StateVector, op: Operator, targets) -> StateVector:
         raise LayoutError(f"targets {targets} are not consecutive in layout order {state.layout.labels}")
     lead = math.prod(state.layout.dims[:axes[0]])
     mat = state.amps.reshape(state.amps.shape[:-1] + (lead, target_dim, -1))
+    new = _out(out, mat.shape)
     if op.rows is not None:
         back = op.inverse.rows  # the row whose amplitudes each row takes
-        new = mat.take(back, axis=-2)
+        np.take(mat, back, axis=-2, out=new, mode="wrap")  # in the default mode numpy copies `out`
         if op.phases is not None:
             np.multiply(op.phases[back, None], new, out=new)
     elif mat.shape[-1] == 1:  # as (block, rows, level), each block's rows a strided view
         n, b, _ = op.blocks.shape
-        new = np.empty_like(mat)
         np.matmul(mat.reshape(-1, n, b).swapaxes(0, 1), op.blocks.transpose(0, 2, 1),
                   out=new.reshape(-1, n, b).swapaxes(0, 1))
     else:
-        new = np.matmul(op.blocks, mat.reshape(mat.shape[:-2] + op.blocks.shape[:2] + (-1,))).reshape(mat.shape)
+        shape = mat.shape[:-2] + op.blocks.shape[:2] + (-1,)
+        np.matmul(op.blocks, mat.reshape(shape), out=new.reshape(shape))
     out = StateVector(state.layout, new.reshape(state.amps.shape))
     drift = np.abs(out.norm - state.norm)
     if not np.all(drift <= ATOL_ALGEBRA):
@@ -406,16 +429,18 @@ class BornTable:
     probs: np.ndarray
 
 
-def born_table(state: StateVector, labels, basis: Basis) -> BornTable:
+def born_table(state: StateVector, labels, basis: Basis, out=None) -> BornTable:
     """Born probabilities for measuring `labels` of `state` in `basis`. In an
     identity basis the coefficients are a copy of the amplitudes, with no
-    matrix product."""
+    matrix product. Given `out` (`_out`), the coefficients are written in
+    its part 0 and their conjugates, which the probabilities read, in its
+    part 1."""
     labels = _normalize_labels(labels)
-    mat, order, front = _to_front(state, labels)
+    mat, order, front = _to_front(state, labels, out, copy=basis.is_identity)
     if basis.dim != front:
         raise ValueError(f"basis dim {basis.dim} does not match measured dim {front}")
-    coeffs = mat.copy() if basis.is_identity else basis.matrix.conj().T @ mat
-    probs = np.einsum("...ij,...ij->...i", coeffs, coeffs.conj()).real
+    coeffs = mat if basis.is_identity else np.matmul(basis.matrix.conj().T, mat, out=_out(out, mat.shape))
+    probs = np.einsum("...ij,...ij->...i", coeffs, np.conjugate(coeffs, out=_out(out, coeffs.shape, 1))).real
     probs = np.clip(probs, 0.0, None)
     return BornTable(state.layout, labels, basis, order, coeffs, probs)
 
@@ -454,13 +479,16 @@ def pick_rows(probs: np.ndarray, masses: np.ndarray, rows: np.ndarray, u: np.nda
     return outcome
 
 
-def collapse(table: BornTable, outcome, rows=None) -> StateVector:
+def collapse(table: BornTable, outcome, rows=None, out=None) -> StateVector:
     """The renormalized post-measurement state for one outcome with support.
-    For a stack's table, the stack of row rows[i]'s state for outcome[i]."""
+    For a stack's table, the stack of row rows[i]'s state for outcome[i].
+    Given `out` (`_out`), the states are written in its part 0, from the
+    product in the measured order written in its part 1."""
     index = (outcome,) if rows is None else (rows, outcome)
     amps = table.coeffs[index] / np.sqrt(table.probs[index])[..., None]
-    post = table.basis.matrix[:, outcome].T[..., :, None] * amps[..., None, :]
-    return StateVector(table.layout, _from_front(post, table.layout, table.order))
+    column = table.basis.matrix[:, outcome].T[..., :, None]
+    post = np.multiply(column, amps[..., None, :], out=_out(out, column.shape[:-1] + amps.shape[-1:], 1))
+    return StateVector(table.layout, _from_front(post, table.layout, table.order, out))
 
 
 def factor(state: StateVector, keep) -> StateVector:

@@ -27,8 +27,10 @@ failing-pair mask (`SessionTree.checks`); it collapses no state.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -143,14 +145,14 @@ def leg_columns(leg: Sequence, values: list, cycles: np.ndarray, size: int) -> l
     return taken
 
 
-def _replay(leg: Sequence, states: StateVector, nodes: list) -> StateVector:
+def _replay(leg: Sequence, states: StateVector, nodes: list, out=lambda level, post=False: None) -> StateVector:
     """The stack of the states of `nodes`, each at the end of `leg` from its
     row of `states`: every edge is taken with the outcome the node's notes
-    record."""
+    record, writing where `out` says (`_Walk.out`)."""
     rows = np.arange(len(nodes))
-    for edge in leg:
+    for level, edge in enumerate(leg):
         outcomes = None if edge.key is None else np.array([node.notes[edge.key] for node in nodes])
-        states = edge.post(edge.branches(states)[0], rows, outcomes)
+        states = edge.post(edge.branches(states, out(level))[0], rows, outcomes, out(level, True))
     return states
 
 
@@ -167,12 +169,12 @@ def follow(leg: Sequence, starts: list, taken: list, source: Callable, width: in
     state's Born row on its node; any other edge makes a successor of each
     outcome with support. The successors the cycles reach, made on first
     reach from a kept row, go down with their post-states. A node reached
-    without its
-    parent's state (an earlier walk built the parent) has its path replayed
-    from its start state, which `source(indices)` stacks for indices into
-    `starts`. A stack holds at most SLICE_AMPS amplitudes of states of
+    without its parent's state (an earlier walk built the parent) has its
+    path replayed from its start state, which `source(indices, out)` stacks
+    for indices into `starts`, in the memory `out` if it writes a new array
+    (`_Walk.out`). A stack holds at most SLICE_AMPS amplitudes of states of
     `width` amplitudes, or one state, and reaches the end of the leg before
-    the next is built.
+    the next is built; a yielded stack is not used once the walk goes on.
     """
     walk = _Walk(leg, taken, source, max(1, SLICE_AMPS // width))
     return walk.descend(0, [(node, cycles, i) for i, (node, cycles) in enumerate(starts)])
@@ -188,6 +190,23 @@ class _Walk:
     taken: list
     source: Callable
     per: int
+    rooms: dict = field(default_factory=dict)
+
+    def out(self, level: int, post: bool = False) -> Optional[Callable]:
+        """The memory `level`'s table or post-states are written in
+        (`qstate._out`), level -1's post-states being the stacks `source`
+        makes; None for stacks of several states. A walk whose stacks hold
+        one state keeps an array per level for the table and one for the
+        post-states, and one for scratch (a Born table's conjugates, a
+        collapse's product), made on first use and written again by every
+        stack, so their pages are faulted once per walk."""
+        return None if self.per > 1 else partial(self.room, (level, post))
+
+    def room(self, key: tuple, shape: tuple, part: int = 0) -> np.ndarray:
+        key, n = "scratch" if part else key, math.prod(shape)
+        if len(self.rooms.get(key, ())) < n:
+            self.rooms[key] = np.empty(n, dtype=np.complex128)
+        return self.rooms[key][:n].reshape(shape)
 
     def slices(self, entries: list) -> list:
         return [entries[lo:lo + self.per] for lo in range(0, len(entries), self.per)]
@@ -201,8 +220,8 @@ class _Walk:
             yield from self.descend(level + 1, [(succ, sub, start) for node, cycles, start in built
                                                 for _, succ, sub in _route(self.leg[level], self.taken[level], node, cycles)])
         for part in self.slices([entry for entry in bare if not entry[0].built]):
-            nodes = [node for node, *_ in part]
-            yield from self.grow(level, part, _replay(self.leg[:level], self.source([s for *_, s in part]), nodes))
+            nodes, starts = [node for node, *_ in part], self.source([s for *_, s in part], self.out(-1, True))
+            yield from self.grow(level, part, _replay(self.leg[:level], starts, nodes, self.out))
 
     def grow(self, level: int, entries: list, states: StateVector) -> Iterator:
         """Grow the entries' successors from their stacked states and take
@@ -211,7 +230,7 @@ class _Walk:
             yield [entry[:2] for entry in entries], states
             return
         edge = self.leg[level]
-        table, probs = edge.branches(states)
+        table, probs = edge.branches(states, self.out(level))
         del states  # only the table is read from here on
         supported = probs > 0.0
         lazy = (supported.sum(axis=1) > 1) & isinstance(edge, MeasureEdge)  # rows that keep their Born row
@@ -230,7 +249,8 @@ class _Walk:
         parts = self.slices(reached)
         for i, part in enumerate(parts):
             rows, outcomes, succ = zip(*part)
-            below = self.grow(level + 1, list(succ), edge.post(table, np.array(rows), np.array(outcomes)))
+            below = self.grow(level + 1, list(succ), edge.post(table, np.array(rows), np.array(outcomes),
+                                                             self.out(level, True)))
             if i == len(parts) - 1:
                 del table  # not held while the last stack goes down
             yield from below
@@ -279,8 +299,9 @@ class SessionTree:
 
     def walk(self, chunk: "_Chunk", control: "ControlModeHandle", guess: Callable, cycles, there, back) -> None:
         """A configuration's `cycles` down the forward leg, then each post-forward node's `leaves` and `checks`."""
-        # the forward walk's one start is the attached pair: `take` stacks it once per index
-        for nodes, states in follow(self.forward, [(self.root, cycles)], there, self.state.take, self.state.layout.dim):
+        # the forward walk's one start is the attached pair: `take` stacks it once per index, writing nothing
+        start = lambda rows, out: self.state.take(rows)  # noqa: E731
+        for nodes, states in follow(self.forward, [(self.root, cycles)], there, start, self.state.layout.dim):
             for i, (node, group) in enumerate(nodes):
                 group = group[group < chunk.limit[chunk.owner[group]]]
                 mode = chunk.is_control[group]  # the state goes to `checks` unnamed, so `del states` frees the stack
@@ -299,7 +320,7 @@ class SessionTree:
         starts = [(node.child(divmod(code, self.cfg.dim)), sub) for code, sub in by_pair]
         if not all(start.built for start, _ in starts):
             state = self.replayed(node, state)
-        encoded = lambda rows: dense_encode(self.replayed(node, state), mu[rows], nu[rows])  # noqa: E731 - one gather
+        encoded = lambda rows, out: dense_encode(self.replayed(node, state), mu[rows], nu[rows], out)  # noqa: E731
         for ends, finals in follow(self.returned, starts, back, encoded, self.state.layout.dim):
             if finals is not None:  # dropped before the walk builds the next stack
                 found, finals = bob_decode(factor(finals, (HOME, TRAVEL)), self.cfg), None

@@ -309,6 +309,16 @@ class TestValidateCoupling:
         assert np.max(np.abs(np.array(report.rows) - np.array(reference))) < 1e-12
         assert report.passed == (case == "generic")
 
+    @pytest.mark.parametrize("attack, dim", [("cnot", 2)] + [("qudit-shift", d) for d in (2, 3, 4, 5, 16)])
+    def test_monomial_rows_match_per_pair_reference(self, attack, dim):
+        # the residuals are read off the rows and phases; the coupling keeps
+        # no dense copy, until the reference asks for its matrix
+        eve = cnot_attack() if attack == "cnot" else qudit_shift_attack(dim)
+        report = validate_coupling(eve.coupling, eve.detection, eve.detection, dim)
+        assert eve.coupling.blocks is None and "matrix" not in eve.coupling.__dict__
+        assert list(report.rows) == oracles.coupling_residual_rows(eve.coupling.matrix, eve.detection, eve.detection, dim)
+        assert report.passed
+
     @pytest.mark.parametrize("case", ["one-dense-block", "monomial", "half-size-blocks", "other-ancilla"])
     def test_a_coupling_that_is_not_travel_blocks_is_rejected(self, case):
         rng = np.random.default_rng(9)
@@ -316,7 +326,8 @@ class TestValidateCoupling:
         family = rand_family(rng, anc_dim, dim)
         coupling = {
             "one-dense-block": lambda: oracles.unitary(rand_unitary(rng, dim * anc_dim)),
-            "monomial": lambda: Operator.monomial(np.arange(dim * anc_dim)),
+            # each column moves to the next travel level's rows
+            "monomial": lambda: Operator.monomial(np.roll(np.arange(dim * anc_dim), anc_dim)),
             "half-size-blocks": lambda: Operator.block_unitary([rand_unitary(rng, 2) for _ in range(2 * dim)]),
             "other-ancilla": lambda: qudit_shift_attack(dim).coupling,
         }[case]()
@@ -657,6 +668,20 @@ def _arrays(value, seen):
     elif hasattr(value, "__dict__"):
         for item in vars(value).values():
             yield from _arrays(item, seen)
+
+
+def test_a_qudit_shift_handle_holds_order_d_times_a_amplitudes():
+    """A built D=16 qudit-shift handle (legs, Q^-1, readout basis) holds no
+    D x A x A blocks: its coupling and Q^-1 are rows alone, and everything
+    it holds is a few arrays of D*A entries (the readout basis is A x A,
+    with A = D). Keeping the blocks beside the rows, and a dense Q^-1, held
+    2 x 16 D^3 bytes more."""
+    dim = anc = 16
+    eve = qudit_shift_attack(dim)
+    eve.forward_leg, eve.backward_leg, eve.readout_leg  # build the lazy parts
+    assert eve.backward_leg[0].op is eve.coupling.inverse
+    held = sum(a.nbytes for a in _arrays(eve, set()))
+    assert held <= 8 * dim * anc * np.dtype(complex).itemsize
 
 
 class TestSharedHandles:

@@ -515,7 +515,7 @@ class TestConfigurationGroups:
         class Unwalkable:
             key, draw = None, ()
 
-            def branches(self, states):
+            def branches(self, states, out=None):
                 raise RuntimeError("no table for this edge")
 
         columns = session.leg_columns

@@ -10,8 +10,10 @@ the node's state, and the columnar `cli.score_sessions` what the
 record-by-record `oracles.score_records` gives.
 """
 
+import gc
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +121,41 @@ def test_large_dimension_transcripts_match_stepper(case):
     all-control intercept-resend."""
     cfg, eve, mode = _setup(case, 1.0 if case[0] == "intercept-resend" else 0.25, 5, cycles=40)
     assert len(_both(cfg, draw_message(cfg.dim, 40, 5), eve, mode)) == 40
+
+
+@pytest.mark.usefixtures("fresh_trees")
+@pytest.mark.parametrize("attack", ("qudit-shift", "generic"))
+def test_one_state_stacks_reuse_their_walks_memory(attack, monkeypatch):
+    """At D=16 a stack holds one state (D^2 A = SLICE_AMPS amplitudes).
+    Every full-width array the kernels write in a session (Q, and per symbol
+    pair its encoding, Q^-1, the readout's Born table and its conjugates) is
+    one of the five arrays its two walks own, written again for each pair;
+    none is alive once the session is over, and the transcript equals the
+    stepper's."""
+    made, writes, room = [], [], session._Walk.room
+
+    def recording(walk, *args):
+        view = room(walk, *args)
+        writes.append(view.size)
+        made.extend(weakref.ref(a) for a in walk.rooms.values() if not any(ref() is a for ref in made))
+        return view
+
+    monkeypatch.setattr(session._Walk, "room", recording)
+    cfg, eve, mode = _setup((attack, "computational", 16, "qudit_beta00"), 0.0, 5, cycles=200)
+    records = _both(cfg, draw_message(16, 200, 5), eve, mode)
+    pairs = len({record["alice_symbols"] for record in records})
+    assert len(made) == 5 and set(writes) == {16**3}
+    assert len(writes) == 1 + 4 * pairs and pairs > 100
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+
+def test_intercept_resend_message_cycles_at_d16_match_stepper():
+    """Intercept-resend's return leg at D=16, where a stack holds one state:
+    a measurement of travel, its collapse and the swap, written into memory
+    the walk owns, then Bob's pair factored out, which finds the break."""
+    cfg, eve, mode = _setup(("intercept-resend", "computational", 16, "qudit_beta00"), 0.25, 5, cycles=40)
+    assert _both(cfg, draw_message(16, 40, 5), eve, mode)[0] is CoherenceBreakError
 
 
 def test_a_d32_session_replays_across_chunks_with_the_shared_handle(monkeypatch):
@@ -276,7 +313,7 @@ def _edge_case(kind):
 def _followed(edge, node, state, cycles, taken):
     """`follow` over the one edge from `node`, whose state is `state`: each
     (successor, its state, its cycles)."""
-    def source(starts):
+    def source(starts, out):
         return state.take(np.zeros(len(starts), dtype=np.intp))
 
     walk = follow((edge,), [(node, cycles)], taken, source, state.layout.dim)
@@ -794,9 +831,9 @@ def test_control_cycles_read_one_joint_table_and_collapse_no_state(case, monkeyp
     collapsed, tabled = [], []
     original_collapse, original_pair_probs = protocol.collapse, protocol.pair_probs
 
-    def counting_collapse(table, outcome, rows=None):
+    def counting_collapse(table, outcome, rows=None, out=None):
         collapsed.extend([table.labels] * np.size(outcome))  # one entry per collapsed state
-        return original_collapse(table, outcome, rows)
+        return original_collapse(table, outcome, rows, out)
 
     def counting_pair_probs(state, basis):
         tabled.append(basis)
@@ -915,9 +952,9 @@ def test_coupling_message_leaves_collapse_nothing_and_factor_does_no_work(case, 
     collapsed, factored = [], []
     original_collapse, original_factor = protocol.collapse, session.factor
 
-    def counting_collapse(table, outcome, rows=None):
+    def counting_collapse(table, outcome, rows=None, out=None):
         collapsed.append(table.labels)
-        return original_collapse(table, outcome, rows)
+        return original_collapse(table, outcome, rows, out)
 
     def counting_factor(state, keep):
         got = original_factor(state, keep)
@@ -972,9 +1009,9 @@ def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeyp
     message = [(0, 0)] * chunk + pairs[::-1][:chunk]
     replays, original = [], session._replay
 
-    def recording(leg, states, nodes):
+    def recording(leg, states, nodes, *out):
         replays.append((len(leg), len(nodes)))
-        return original(leg, states, nodes)
+        return original(leg, states, nodes, *out)
 
     monkeypatch.setattr(session, "_replay", recording)
     trees = _built_trees(monkeypatch)

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import rand_state, rand_unitary
-from pingpong.protocol import algebra
+from pingpong.protocol import algebra, dense_encode
 from pingpong.qstate import (
     Basis,
     BasisError,
@@ -221,6 +221,27 @@ class TestMonomialForm:
         with pytest.raises(ValueError):
             Operator.monomial(rows, phases)
 
+    @pytest.mark.parametrize("case", ["cnot", "controlled-shift", "quarter-phases"])
+    def test_monomial_blocks_keep_one_form(self, case):
+        # entries 0, +-1 and +-i, which the dense matmul multiplies and sums
+        # exactly, so `apply` equals it bit for bit
+        shift = np.roll(np.eye(3), 1, axis=0)
+        blocks = np.array({
+            "cnot": [np.eye(2), [[0, 1], [1, 0]]],
+            "controlled-shift": [np.linalg.matrix_power(shift, k) for k in range(3)],
+            "quarter-phases": [[[0, 1j], [-1, 0]], [[-1j, 0], [0, 1]]],
+        }[case], dtype=complex)
+        n, b, _ = blocks.shape
+        op = Operator.block_unitary(blocks)
+        inv = op.inverse
+        assert op.blocks is None and op.rows is not None
+        assert inv.blocks is None and inv.rows is not None
+        dense = sum(np.kron(np.diag(np.eye(n)[k]), blocks[k]) for k in range(n))
+        assert np.array_equal(op.matrix, dense) and np.array_equal(inv.matrix, dense.conj().T)
+        state = rand_state(np.random.default_rng(n * b), SubsystemLayout.of(("a", 2), ("b", n), ("c", b), ("d", 3)))
+        for u, m in ((op, dense), (inv, dense.conj().T)):
+            assert np.array_equal(apply(state, u, ("b", "c")).amps, oracles.dense_apply(state, m, ("b", "c")).amps)
+
 
 def _runs(labels):
     """Every set of consecutive labels, in order."""
@@ -271,6 +292,73 @@ class TestViewRoute:
                     for u in (op, op.inverse):
                         want = oracles.transpose_apply(state, u, targets).amps
                         assert np.max(np.abs(apply(state, u, targets).amps - want)) < 1e-14, (layout.labels, targets)
+
+
+def _lender():
+    """Memory to lend kernels as `out`: one array per part, reused by every
+    call and filled with NaN first, so a value not written shows."""
+    parts = {}
+
+    def out(shape, part=0):
+        array = parts.setdefault(part, np.full(2**10, np.nan, dtype=complex))
+        return array[:math.prod(shape)].reshape(shape)
+
+    return out, parts
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestLentMemory:
+    """Lent memory (`out`), `apply`, `born_table`, `collapse` and
+    `dense_encode` write their full-width arrays in it and give the values
+    they give without it, bit for bit, for single states and stacks."""
+
+    LAYOUT = SubsystemLayout.of(("h", 3), ("t", 3), ("e", 4))
+
+    def _states(self):
+        rng = np.random.default_rng(12)
+        return rand_state(rng, self.LAYOUT), StateVector(self.LAYOUT, [rand_state(rng, self.LAYOUT).amps for _ in range(3)])
+
+    def test_apply(self):
+        rng = np.random.default_rng(13)
+        ops = [  # monomial with and without phases, blocks with trailing and with leading levels
+            (Operator.monomial(rng.permutation(12), np.exp(2j * np.pi * rng.random(12))), ("t", "e")),
+            (Operator.monomial(rng.permutation(9)), ("h", "t")),
+            (Operator.block_unitary([rand_unitary(rng, 4) for _ in range(3)]), ("t", "e")),
+            (Operator.block_unitary([rand_unitary(rng, 3) for _ in range(3)]), ("h", "t")),
+        ]
+        for state in self._states():
+            for op, targets in ops:
+                out, parts = _lender()
+                got = apply(state, op, targets, out)
+                assert np.shares_memory(got.amps, parts[0])
+                assert _same_bits(got.amps, apply(state, op, targets).amps)
+
+    def test_born_table_and_collapse(self):
+        measured = [(("e",), Basis(rand_unitary(np.random.default_rng(14), 4))),  # the coefficients a view's product
+                    (("e",), Basis.computational(4)), (("t",), Basis.computational(3))]  # a view's copy, a transpose's
+        for state in self._states():
+            for labels, basis in measured:
+                out, parts = _lender()
+                table, want = born_table(state, labels, basis, out), born_table(state, labels, basis)
+                assert np.shares_memory(table.coeffs, parts[0])
+                assert _same_bits(table.coeffs, want.coeffs) and _same_bits(table.probs, want.probs)
+                outcome = want.probs.argmax(axis=-1)
+                rows = None if state.amps.ndim == 1 else np.arange(len(outcome))
+                post_out, post_parts = _lender()  # the table stays in the first memory
+                got = collapse(table, outcome, rows, post_out)
+                assert np.shares_memory(got.amps, post_parts[0])
+                assert _same_bits(got.amps, collapse(want, outcome, rows).amps)
+
+    def test_dense_encode(self):
+        state, _ = self._states()
+        for mu, nu in (([2], [1]), ([0, 1, 2], [2, 2, 0])):
+            out, parts = _lender()
+            got = dense_encode(state, np.array(mu), np.array(nu), out)
+            assert np.shares_memory(got.amps, parts[0])
+            assert _same_bits(got.amps, dense_encode(state, np.array(mu), np.array(nu)).amps)
 
 
 class TestBlockForm:
