@@ -163,7 +163,7 @@ class EavesdropperHandle(ABC):
 
     @cached_property
     def detection_plans(self) -> dict:
-        """The sampler plans `control.detection_plan` keeps for this handle."""
+        """The exact p_det `control.analytic_pdet` keeps for this handle."""
         return {}
 
     @cached_property

@@ -59,15 +59,9 @@ REPORT_FIELDS = (
     "error",
 )
 
-# Upper bound on a run's detection trials. The sampler draws its uniforms in
-# fixed-size chunks, so memory stays bounded while time grows with the count
-# of uniforms it reads: a CLI run at the bound of cnot under two-basis
-# control (10^7 basis uniforms and ~5 x 10^6 dual-basis outcome uniforms
-# drawn; the computational table's failing cells carry no mass) takes
-# ~0.5 s on a 2-core machine. Qudit-shift at D=32 under computational
-# control reads no uniform, so its run makes no detection stream, and
-# takes ~0.3-0.45 s, nearly all of it starting Python. MAX_DIM and
-# MAX_CYCLES come from `protocol`.
+# Upper bound on a run's detection trials. The failure count is one binomial
+# draw, so neither time nor memory grows with it. MAX_DIM and MAX_CYCLES come
+# from `protocol`.
 MAX_TRIALS = 10**7
 
 
@@ -252,10 +246,10 @@ def execute_run(spec: RunSpec, batch: Optional[dict] = None) -> dict:
     maps the call's distinct runs with cycles to their session fields and
     times, None until the first of them to need its own walks them all
     (`_walk`); without it the run walks alone. The handles are the
-    registries' (`_handles`), and the detection sampler plan is built once
-    per process per handle pair (`control.detection_plan`), so a later run
-    only draws and counts. `wall_clock_s` is the row's own detection time
-    plus the walk time `_walk` charges it."""
+    registries' (`_handles`), and p_det is computed once per process per
+    handle pair (`control.analytic_pdet`), so a later run makes only its
+    binomial draw. `wall_clock_s` is the row's own detection time plus the
+    walk time `_walk` charges it."""
     batch = {spec: None} if batch is None else batch
     row = {field: None for field in REPORT_FIELDS}
     row.update(
@@ -298,7 +292,7 @@ def run_experiments(specs: Sequence[RunSpec]) -> list[dict]:
     takes one dict of the call's distinct runs with cycles (`execute_run`),
     which does not outlive the call. Each handle is built inside a run; the
     registries build each once per process, and Eve's handles keep their
-    detection plans and narrow session trees, so a later call builds none."""
+    p_det values and narrow session trees, so a later call builds none."""
     batch = dict.fromkeys(spec for spec in specs if spec.cycles)
     return [execute_run(spec, batch) for spec in specs]
 

@@ -23,8 +23,6 @@ that buffer). So when no half is rejected, the word and half each draw reads
 are fixed by the draws before it. A cycle whose draws meet a half Lemire's
 rule rejects (a half is, with probability at most 31 / 2**32 at bounds up to
 32) is re-drawn in full from its own `stream`.
-Because a word depends on the counter only, `skip` moves a `stream`
-generator past draws that nothing reads by advancing its counter.
 
 A run's message and scoring draws are one `stream(seed, tag).integers(n,
 size=m)` each; `run_integers` makes them for many runs at once. For the runs
@@ -79,30 +77,6 @@ def stream(*key: int) -> np.random.Generator:
     if any(k < 0 for k in key):
         raise ValueError(f"stream key must be non-negative, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
-def skip(rng: np.random.Generator, n: int) -> None:
-    """Move a `stream` generator past n `random()` draws without making them.
-
-    Each draw is one 64-bit Philox word. The words left in the generator's
-    4-word buffer are drawn, whole blocks are skipped by advancing the
-    counter, and the last (n - head) % 4 words are drawn, so the generator
-    ends where n draws would leave it; the half word `integers` keeps, which
-    `advance` clears and `random()` never touches, is put back.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.Philox):
-        raise TypeError(f"skip needs a Philox generator, got {type(bitgen).__name__}")
-    state = bitgen.state
-    head = min(n, 4 - state["buffer_pos"])
-    bitgen.random_raw(head)
-    blocks, tail = divmod(n - head, 4)
-    if blocks:
-        bitgen.advance(blocks)
-        after = bitgen.state
-        after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
-        bitgen.state = after
-    bitgen.random_raw(tail)
 
 
 def _words(n: int) -> list[int]:

@@ -1,6 +1,8 @@
 """Shared fixtures and builders for the test suite."""
 
+import importlib.util
 from functools import cache, lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from pingpong.attacks import (
 )
 from pingpong.protocol import ProtocolConfig
 from pingpong.qstate import StateVector, SubsystemLayout
+
+RUN_MATRIX = Path(__file__).resolve().parent.parent / "scripts" / "run_matrix.py"
 
 # The seeded property suites run under each of these.
 SEEDS = (11, 23, 47)
@@ -48,6 +52,15 @@ def qudit_cfg(dim: int, **overrides) -> ProtocolConfig:
     params = dict(dim=dim, control_prob=0.0, n_cycles=1, seed=7, initial_state_kind="qudit_beta00")
     params.update(overrides)
     return ProtocolConfig(**params)
+
+
+def paper_matrix(out_dir: Path, cycles: int, trials: int, seed: int) -> list:
+    """The RunSpecs of `scripts/run_matrix.py`'s 14-row sweep; the generic
+    row's family file is written under `out_dir`."""
+    spec = importlib.util.spec_from_file_location("run_matrix", RUN_MATRIX)
+    run_matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_matrix)
+    return run_matrix.build_specs(out_dir, cycles, trials, seed)
 
 
 def all_pairs(dim: int) -> list[tuple[int, int]]:

@@ -27,13 +27,12 @@ outcome pairs; its expectation on the reduced pair is the reference route
 `complete_isometry` extends a partial isometry to a unitary. `cpbs`, the
 controlled polarization beam splitter of Pavicic's explicit circuit, is
 built with it from its truth table.
-`einsum_joint_probs` and `choice_failures` are the detection path's earlier
-formulas, kept as references the matmul tables and the counting sampler
-must equal exactly. `matmul_pair_probs` and `matmul_born_table` are the
-joint table's and the Born table's matrix-product routes, which the
-identity-basis path that reads the amplitudes directly must equal bit for
-bit. `exact_born_tables` is the detection tables' earlier
-route: a sum over every branch of Eve's forward leg as written, her
+`einsum_joint_probs` is the detection path's earlier formula, kept as a
+reference the matmul tables must equal exactly. `matmul_pair_probs` and
+`matmul_born_table` are the joint table's and the Born table's
+matrix-product routes, which the identity-basis path that reads the
+amplitudes directly must equal bit for bit. `exact_born_tables` is the
+detection tables' earlier route: a sum over every branch of Eve's forward leg as written, her
 measurements that only her later legs read included, which the tables
 walked over the deferred leg must agree with.
 `shift_permutation`, `full_space_coupling` and `coupling_residual_rows` are
@@ -417,23 +416,6 @@ def exact_born_tables(eve, control, cfg):
         for table, entry in zip(sums, control.bases):
             table += prob * einsum_joint_probs(state, entry.basis, dim)
     return [(entry.weight, np.clip(table, 0.0, None), entry.fail) for table, entry in zip(sums, control.bases)]
-
-
-def choice_failures(rng, tables, trials):
-    """Failing outcomes among `trials` control cycles, each drawn with
-    `Generator.choice`: a basis per trial by weight, then an outcome pair per
-    trial from that basis's (weight, P(alice, bob), failing mask) table."""
-    weights = np.array([weight for weight, _, _ in tables])
-    chosen = rng.choice(len(tables), size=trials, p=weights / weights.sum())
-    failures = 0
-    for b_idx, (_, table, fail) in enumerate(tables):
-        n_b = int(np.sum(chosen == b_idx))
-        if n_b == 0:
-            continue
-        flat = table.reshape(-1)
-        outcomes = rng.choice(flat.size, size=n_b, p=flat / flat.sum())
-        failures += int(np.sum(fail.reshape(-1)[outcomes]))
-    return failures
 
 
 def shift_permutation(dim):

@@ -12,7 +12,7 @@ import numpy as np
 
 import oracles
 from oracles import draw_message, score_session
-from conftest import SEEDS, all_pairs, coupling_zoo, qubit_cfg, qudit_cfg, rand_state, rand_unitary
+from conftest import SEEDS, all_pairs, coupling_zoo, paper_matrix, qubit_cfg, qudit_cfg, rand_state, rand_unitary
 from pingpong.attacks import (
     H_POL,
     V_POL,
@@ -26,12 +26,14 @@ from pingpong.attacks import (
     qudit_shift_attack,
     validate_coupling,
 )
+from pingpong.attacks import from_name as attack_from_name
 from pingpong.control import (
     analytic_pdet,
     computational_control,
     empirical_pdet,
     two_basis_control,
 )
+from pingpong.control import from_name as control_from_name
 from pingpong.protocol import dense_encode, make_initial_state
 from pingpong.session import run_session
 from pingpong.qstate import (
@@ -283,3 +285,22 @@ def test_criterion_8_property_suites_across_seeds():
         wrong = Operator.block_unitary([np.eye(3)] * 3)
         _check(8, f"seed {seed}: validator flags a non-shifting coupling",
                not validate_coupling(wrong, family, family, 3).passed)
+
+
+def test_criterion_9_sessions_fail_control_at_the_analytic_rate(tmp_path):
+    # every paper-matrix row as an all-control session: the failing fraction
+    # of Transcript.passed lies within 5 binomial SE of p_det_analytic
+    cycles = 2000
+    for spec in paper_matrix(tmp_path, cycles, 1, 909):
+        cfg = replace(spec.config, control_prob=1.0, n_cycles=cycles)  # intercept-resend rows have none
+        eve, control = attack_from_name(spec.attack, cfg.dim), control_from_name(spec.control, cfg)
+        analytic = analytic_pdet(eve, control, cfg)
+        transcript = run_session(cfg, [], eve, control)
+        failing = 1.0 - float(np.mean(transcript.passed))
+        band = 5 * math.sqrt(analytic * (1 - analytic) / cycles)
+        _check(
+            9,
+            f"{eve.name} under {control.name} (D={cfg.dim}) fails sessions at p_det",
+            len(transcript.passed) == cycles and abs(failing - analytic) <= band + 1e-12,
+            f"failing={failing:.4f}, analytic={analytic:.6f}, 5 SE={band:.4f}",
+        )

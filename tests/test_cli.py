@@ -370,7 +370,7 @@ class TestConfigurationGroups:
         specs = [RunSpec.from_dict(spec_dict(attack=attack, control="computational", dim=dim, cycles=40, seed=seed,
                                              trials=100))
                  for seed, (attack, dim) in enumerate([("cnot", 2), ("qudit-shift", 3), ("none", 2), ("cnot", 2)])]
-        run_experiments(specs)  # the handles, plans and trees are built before the timed call
+        run_experiments(specs)  # the handles, p_det values and trees are built before the timed call
         slept, walk = [], session.SessionTree.walk
 
         def slow(self, *args):
@@ -385,9 +385,9 @@ class TestConfigurationGroups:
         assert rows[1]["wall_clock_s"] >= sum(slept)
         assert all(row["wall_clock_s"] < sum(slept) / 2 for row in rows[:1] + rows[2:])
 
-    def test_a_later_call_builds_no_handle_or_plan(self, tmp_path, monkeypatch, builds):
+    def test_a_later_call_builds_no_handle_or_born_table(self, tmp_path, monkeypatch, builds):
         specs = _grouped_specs(_family_file(tmp_path / "fam.json", 3))
-        calls = {"attach": 0, "plans": 0, "trees": 0, "walks": 0}
+        calls = {"attach": 0, "tables": 0, "trees": 0, "walks": 0}
         attach, tables, walk = attacks.EavesdropperHandle.attach, control_mode._born_tables, cli.run_sessions
 
         class CountedTree(session.SessionTree):
@@ -402,12 +402,12 @@ class TestConfigurationGroups:
             return counted
 
         monkeypatch.setattr(attacks.EavesdropperHandle, "attach", counting("attach", attach))
-        monkeypatch.setattr(control_mode, "_born_tables", counting("plans", tables))
+        monkeypatch.setattr(control_mode, "_born_tables", counting("tables", tables))
         monkeypatch.setattr(cli, "run_sessions", counting("walks", walk))
         monkeypatch.setattr(session, "SessionTree", CountedTree)
         per_call, rows = [], []
         for _ in range(2):
-            calls.update(attach=0, plans=0, trees=0, walks=0)
+            calls.update(attach=0, tables=0, trees=0, walks=0)
             builds.clear()
             rows.append(_stable(run_experiments(specs)))
             per_call.append(dict(calls, built=sorted(builds)))
@@ -415,12 +415,12 @@ class TestConfigurationGroups:
         # attack, dim and kind. Only the first call builds handles: four
         # attacks (all but the generic family at D=2) and four control modes,
         # computational at (2, singlet), (3, beta00) and (2, beta00). Only the
-        # first builds the five trees and the six groups' detection plans
-        # from Born tables, each attaching once; the handles keep them all.
+        # first builds the five trees and the six groups' Born tables, each
+        # attaching once; the handles keep the trees and p_det values.
         built = [("attack", "cnot"), ("attack", "generic"), ("attack", "intercept-resend"),
                  ("attack", "qudit-shift"), *[("control", "computational")] * 3, ("control", "two-basis")]
-        assert per_call == [dict(attach=11, plans=6, trees=5, walks=1, built=built),
-                            dict(attach=0, plans=0, trees=0, walks=1, built=[])]
+        assert per_call == [dict(attach=11, tables=6, trees=5, walks=1, built=built),
+                            dict(attach=0, tables=0, trees=0, walks=1, built=[])]
         assert rows[1] == rows[0]
 
     def test_a_rewritten_family_file_gives_the_new_familys_rows(self, tmp_path, builds):
@@ -446,14 +446,14 @@ class TestConfigurationGroups:
         [
             dict(attack="cnot", control="two-basis", dim=2),
             dict(attack="intercept-resend", control="computational", dim=3),
-            dict(attack="qudit-shift", control="computational", dim=4),  # a plan that reads no uniform
+            dict(attack="qudit-shift", control="computational", dim=4),  # undetectable
         ],
         ids=["cnot-two-basis", "intercept-resend-3", "qudit-shift-4"],
     )
-    def test_a_groups_runs_share_one_plan(self, config, monkeypatch, builds):
+    def test_a_groups_runs_share_one_p_det(self, config, monkeypatch, builds):
         """One configuration at several seeds and trial counts builds its
-        sampler plan's Born tables once per process, in its first one-run
-        call; each row's detection fields are a one-run call's."""
+        Born tables once per process, in its first one-run call; each row's
+        detection fields are a one-run call's."""
         runs = [(1, 500), (2, 20000), (3, 1), (2, 500), (4, 70000)]
         specs = [RunSpec.from_dict(dict(config, cycles=0, seed=seed, trials=trials)) for seed, trials in runs]
         fields = ("p_det_analytic", "p_det_empirical", "ci_low", "ci_high")
@@ -919,8 +919,8 @@ class TestMain:
         assert row["eve_mu_accuracy"] == 1.0
 
 
-class TestPlanStore:
-    """`control.detection_plan` keeps each plan on Eve's handle, by the
+class TestPdetStore:
+    """`control.analytic_pdet` keeps each p_det on Eve's handle, by the
     control mode's identity, dim and kind."""
 
     def test_a_later_call_builds_no_born_table(self, monkeypatch, builds):
@@ -939,44 +939,45 @@ class TestPlanStore:
             assert len(built) == (len(specs) if len(rows) == 1 else 0)
         assert rows[1] == rows[0]
 
-    def test_a_hand_built_mode_gets_its_own_plan(self):
+    def test_a_hand_built_mode_gets_its_own_p_det(self):
         cfg = qudit_cfg(3)
         eve, registry = attacks.from_name("intercept-resend", 3), control_mode.from_name("computational", cfg)
         [entry] = registry.bases
         other = control_mode.ControlModeHandle(
             registry.name, registry.dim, (dataclasses.replace(entry, fail=~entry.fail),)
         )
-        plan, own = control_mode.detection_plan(eve, registry, cfg), control_mode.detection_plan(eve, other, cfg)
-        assert own is not plan
-        assert control_mode.detection_plan(eve, registry, cfg) is plan
-        assert control_mode.detection_plan(eve, other, cfg) is own
-        assert plan.p_analytic == pytest.approx(2 / 3, abs=1e-12)
-        assert own.p_analytic == pytest.approx(1 / 3, abs=1e-12)
-        assert control_mode.analytic_pdet(eve, other, cfg) == own.p_analytic
-        assert control_mode.empirical_pdet(eve, other, cfg, 500).p_analytic == own.p_analytic
+        p_det, own = control_mode.analytic_pdet(eve, registry, cfg), control_mode.analytic_pdet(eve, other, cfg)
+        kind = cfg.initial_state_kind
+        assert eve.detection_plans[id(registry), 3, kind] == (registry, p_det)
+        assert eve.detection_plans[id(other), 3, kind] == (other, own)
+        assert p_det == pytest.approx(2 / 3, abs=1e-12)
+        assert own == pytest.approx(1 / 3, abs=1e-12)
+        assert control_mode.empirical_pdet(eve, other, cfg, 500).p_analytic == own
 
-    def test_each_kind_gets_its_own_plan(self):
+    def test_each_kind_gets_its_own_p_det(self):
         eve, singlet, beta00 = attacks.no_attack(2), qubit_cfg(), qudit_cfg(2)
         modes = [control_mode.from_name("computational", cfg) for cfg in (singlet, beta00)]
-        plans = [control_mode.detection_plan(eve, mode, cfg) for mode, cfg in zip(modes, (singlet, beta00))]
-        assert plans[0] is not plans[1] and len(eve.detection_plans) == 2
+        p_det = [control_mode.analytic_pdet(eve, mode, cfg) for mode, cfg in zip(modes, (singlet, beta00))]
+        assert p_det == pytest.approx([0, 0]) and len(eve.detection_plans) == 2
         # one mode under both kinds: the singlet's mask fails every pair of the correlated state
-        mode = modes[0]
-        assert control_mode.detection_plan(eve, mode, beta00) is not plans[0]
-        p_det = [control_mode.detection_plan(eve, mode, cfg).p_analytic for cfg in (singlet, beta00)]
-        assert p_det == pytest.approx([0, 1]) and len(eve.detection_plans) == 3
+        assert control_mode.analytic_pdet(eve, modes[0], beta00) == pytest.approx(1, abs=1e-12)
+        assert len(eve.detection_plans) == 3
 
-    def test_a_pushed_out_generic_handle_frees_its_plans(self, tmp_path, builds):
+    def test_a_pushed_out_generic_handle_frees_its_modes(self, tmp_path, builds):
+        """A kept p_det holds its control mode, so a hand-built mode lives as
+        long as the handle that keeps it."""
         cfg = qudit_cfg(3)
-        mode = control_mode.from_name("computational", cfg)
+        [entry] = control_mode.from_name("computational", cfg).bases
+        mode = control_mode.ControlModeHandle("hand-built", 3, (entry,))
         attack = _family_file(tmp_path / "fam.json", 0)
-        plan = weakref.ref(control_mode.detection_plan(attacks.from_name(attack, 3), mode, cfg))
+        control_mode.analytic_pdet(attacks.from_name(attack, 3), mode, cfg)
+        mode = weakref.ref(mode)
         gc.collect()
-        assert plan() is not None  # its handle is kept
+        assert mode() is not None  # its handle is kept
         for seed in range(1, attacks.GENERIC_KEPT + 1):  # GENERIC_KEPT + 1 contents in all
-            control_mode.detection_plan(attacks.from_name(_family_file(tmp_path / "fam.json", seed), 3), mode, cfg)
+            attacks.from_name(_family_file(tmp_path / "fam.json", seed), 3)
         gc.collect()
-        assert plan() is None
+        assert mode() is None
 
     def test_a_dimension_mismatch_raises_on_every_call_and_keeps_nothing(self):
         eve = attacks.qudit_shift_attack(3)
@@ -984,13 +985,12 @@ class TestPlanStore:
         for control, cfg in ((control_mode.computational_control(qubit_cfg()), qudit_cfg(3)), (mode, qudit_cfg(2))):
             for _ in range(2):
                 with pytest.raises(ValueError, match="dimension mismatch"):
-                    control_mode.detection_plan(eve, control, cfg)
+                    control_mode.analytic_pdet(eve, control, cfg)
         assert eve.detection_plans == {}
-        plan = control_mode.detection_plan(eve, mode, qudit_cfg(3))
+        p_det = control_mode.analytic_pdet(eve, mode, qudit_cfg(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            control_mode.detection_plan(eve, mode, qudit_cfg(2))
-        [(kept, kept_plan)] = eve.detection_plans.values()
-        assert kept is mode and kept_plan is plan
+            control_mode.analytic_pdet(eve, mode, qudit_cfg(2))
+        assert list(eve.detection_plans.values()) == [(mode, p_det)]
 
 
 class TestTreeStore:

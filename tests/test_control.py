@@ -281,13 +281,12 @@ class TestEmpiricalPdet:
 
     @pytest.mark.parametrize("count", [np.int64, np.int32, np.uint16])
     def test_numpy_integer_trials_give_the_int_report(self, count):
-        """Intercept-resend at D=3 under computational control skips the
-        uniforms no count reads by Philox counter, with a numpy integer count
-        as with an int one."""
+        """Intercept-resend at D=3 under computational control, with a numpy
+        integer count as with an int one."""
         cfg = qudit_cfg(3, seed=5)
         eve, mode = intercept_resend(3), computational_control(cfg)
         want = empirical_pdet(eve, mode, cfg, 1000)
-        assert want.failures == 661
+        assert want.failures == stream(5, PDET_TAG).binomial(1000, want.p_analytic) == 661
         assert empirical_pdet(eve, mode, cfg, count(1000)) == want
 
     def test_trials_validated(self):
@@ -376,16 +375,12 @@ def _table(flat, fail):
     return (1.0, np.array(flat, dtype=float).reshape(dim, dim), np.array(fail, dtype=bool).reshape(dim, dim))
 
 
-# Zero-probability cells open, close and sit inside failing runs; one run
-# starts at the first cell and one ends at the last.
+# Synthetic Born tables: zero-probability cells inside and around failing
+# runs, faint cells, and menus with a weight of 0.
 _RAGGED = _table(
     [0.1, 0.0, 0.2, 0.0, 0.15, 0.0, 0.05, 0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.1, 0.1, 0.05],
     [1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1],
 )
-# The failing run at the first cell carries 1e-300, so its edge is above 0.0
-# and is read; the failing runs at cells 2-3 (no mass) and 5 (less than the
-# running sum resolves) close at the edge they open at; one run ends at the
-# last cell.
 _FAINT = _table(
     [1e-300, 0.3, 0.0, 0.0, 0.2, 1e-20, 0.25, 0.1, 0.15],
     [1, 0, 1, 1, 0, 1, 0, 1, 1],
@@ -401,125 +396,72 @@ SAMPLER_MENUS = {
     "three-bases": [(0.2, *_RAGGED[1:]), (0.5, *_ALL_FAIL[1:]), (0.3, *_NO_FAIL[1:])],
     "first-basis-unchosen": [(0.0, *_ALL_FAIL[1:]), (1.0, *_RAGGED[1:])],
     "last-basis-unchosen": [(1.0, *_RAGGED[1:]), (0.0, *_ALL_FAIL[1:])],
-    # every trial fails whichever basis it draws
     "all-fail-twice": [(0.4, *_ALL_FAIL[1:]), (0.6, *_ALL_FAIL[1:])],
+    # failing masses a float sum can round to just outside [0, 1], where
+    # Generator.binomial raises
+    "mass-above-one": [_table([0.5, 0.5 + 2**-52, 0.0, 0.0], [1, 1, 0, 0])],
+    "mass-below-zero": [_table([-1e-18, 0.5, 0.5, 0.0], [1, 0, 0, 0])],
 }
-# The menus whose plans read no uniform: each basis a trial can draw fails
-# it, or passes it, for sure.
-UNREAD_MENUS = ("all-fail", "no-fail", "all-fail-twice")
-SAMPLER_TRIALS = (1, 17, control_module._CHUNK, 3 * control_module._CHUNK + 17)
+SAMPLER_TRIALS = (1, 17, 3 * 2**16 + 17)
 
 
-def philox_rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+class _TablesEve:
+    """An Eve handle's p_det store alone, for Born tables patched in."""
+
+    def __init__(self):
+        self.detection_plans = {}
 
 
-def plan_of(menu):
-    return control_module.SamplerPlan.from_tables(menu)
+def _exact_mass(tables) -> float:
+    """The menu-weighted mass of the failing cells, clipped to [0, 1]."""
+    mass = sum(weight * float(np.sum(np.where(fail, table, 0.0))) for weight, table, fail in tables)
+    return min(max(mass, 0.0), 1.0)
 
 
-class TestCountingSampler:
-    """The counting sampler against per-trial `Generator.choice`."""
+class TestBinomialCount:
+    """The failure count is one binomial draw at the exact p_det."""
 
+    @pytest.mark.parametrize("count", [int, np.int64, np.uint32])
     @pytest.mark.parametrize("trials", SAMPLER_TRIALS)
     @pytest.mark.parametrize("menu", SAMPLER_MENUS)
-    def test_failures_equal_choice_sampler(self, menu, trials):
-        plan = plan_of(SAMPLER_MENUS[menu])
-        for seed in (1, 7, 2**32 + 5):
-            # Philox, the generator `rand.stream` returns: unread uniforms are
-            # skipped by its counter
-            counted, chosen = philox_rng(seed), philox_rng(seed)
-            failures = control_module._sample_failures(counted, plan, trials)
-            assert failures == oracles.choice_failures(chosen, SAMPLER_MENUS[menu], trials)
-            # the same number of uniforms was drawn
-            assert counted.random() == chosen.random()
+    def test_failures_are_one_binomial_draw(self, menu, trials, count, monkeypatch):
+        tables = SAMPLER_MENUS[menu]
+        monkeypatch.setattr(control_module, "_born_tables", lambda eve, control, cfg: tables)
+        p_det = _exact_mass(tables)
+        for seed in (3, 2**32 + 5):
+            report = empirical_pdet(_TablesEve(), None, qubit_cfg(seed=seed), count(trials))
+            assert report.failures == stream(seed, PDET_TAG).binomial(trials, p_det)
+            assert type(report.trials) is int and report.trials == trials
+            assert report.p_empirical == report.failures / trials
 
-    @pytest.mark.parametrize("menu", SAMPLER_MENUS)
-    def test_empirical_counts_equal_choice_sampler(self, menu, monkeypatch):
-        """A plan is all `empirical_pdet` reads; one that reads no uniform
-        makes no stream and gives choice's count."""
-        plan = plan_of(SAMPLER_MENUS[menu])
-        assert plan.reads == (menu not in UNREAD_MENUS)
-        monkeypatch.setattr(control_module, "detection_plan", lambda eve, control, cfg: plan)
-        for seed in (3, 19):
-            report = empirical_pdet(None, None, qubit_cfg(seed=seed), 5000)
-            assert report.failures == oracles.choice_failures(stream(seed, PDET_TAG), SAMPLER_MENUS[menu], 5000)
-            assert report.p_analytic == control_module._failing_mass(SAMPLER_MENUS[menu])
+    def test_a_mass_rounded_above_one_fails_every_trial(self, monkeypatch):
+        tables = SAMPLER_MENUS["mass-above-one"]
+        monkeypatch.setattr(control_module, "_born_tables", lambda eve, control, cfg: tables)
+        report = empirical_pdet(_TablesEve(), None, qubit_cfg(), MAX_TRIALS)
+        assert report.p_analytic == 1 + 2**-52
+        assert report.failures == MAX_TRIALS
+
+    def test_the_all_fail_configuration_gives_a_report(self):
+        """The singlet's computational mask fails every pair of the
+        correlated state, a mass the float sum rounds below 1."""
+        singlet, beta00 = qubit_cfg(), qudit_cfg(2, seed=3)
+        report = empirical_pdet(no_attack(2), computational_control(singlet), beta00, MAX_TRIALS)
+        assert report.p_analytic == pytest.approx(1.0, abs=1e-12)
+        assert report.failures == stream(3, PDET_TAG).binomial(MAX_TRIALS, report.p_analytic) == MAX_TRIALS
 
     @pytest.mark.parametrize(
         "case",
         [("qudit-shift", "computational", qudit_cfg(dim)) for dim in range(2, 17)]
         + [("generic", "computational", qudit_cfg(3))]
-        # two bases, but no failing mass: no count reads the basis draws either
+        + [(attack, "computational", qubit_cfg()) for attack in ("none", "cnot", "pavicic")]
         + [("none", "two-basis", qubit_cfg())],
         ids=_case_id,
     )
-    def test_undetectable_tables_draw_no_uniform(self, case, monkeypatch):
+    def test_undetectable_rows_never_fail(self, case):
         eve, control, cfg = _build(case)
-        made = []
-        monkeypatch.setattr(control_module, "stream", lambda *key: made.append(key))
-        trials = 3 * control_module._CHUNK + 17
-        report = empirical_pdet(eve, control, cfg, trials)
-        tables = control_module._born_tables(eve, control, cfg)
-        assert report.failures == oracles.choice_failures(stream(cfg.seed, PDET_TAG), tables, trials) == 0
-        assert not plan_of(tables).reads
-        assert made == []  # no PDET stream is made
-
-        class CountingGenerator:
-            """A caller's Philox generator that counts the `random()` calls made on it."""
-
-            def __init__(self, rng):
-                self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
-
-            def random(self, *args):
-                self.calls += 1
-                return self.rng.random(*args)
-
-        counted, chosen = CountingGenerator(philox_rng(cfg.seed)), philox_rng(cfg.seed)
-        assert control_module._sample_failures(counted, plan_of(tables), trials) == 0
-        assert oracles.choice_failures(chosen, tables, trials) == 0
-        assert counted.calls == 0
-        # the caller's generator was moved past every uniform choice drew
-        assert counted.rng.random() == chosen.random()
-
-    def test_a_faint_first_cell_takes_a_zero_uniform(self):
-        # random() returns 0.0 with probability 2^-53, and choice then draws
-        # the first cell of mass above 0, here the failing 1e-300 one
-        class ZeroUniforms:
-            bit_generator = np.random.Philox(0)
-
-            def random(self, size):
-                return np.zeros(size)
-
-        assert control_module._sample_failures(ZeroUniforms(), plan_of(SAMPLER_MENUS["faint"]), 100) == 100
-
-    def test_edge_menus_give_their_trivial_counts(self):
-        rng = philox_rng(3)
-        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["all-fail"]), 1000) == 1000
-        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["no-fail"]), 1000) == 0
-        assert control_module._sample_failures(rng, plan_of(SAMPLER_MENUS["first-basis-unchosen"]), 1000) < 1000
-
-    @pytest.mark.parametrize(
-        "menu,message",
-        [
-            ([(1.0, np.full((2, 2), np.nan), np.ones((2, 2), dtype=bool))], "contain NaN"),
-            ([(-0.5, *_ALL_FAIL[1:]), (1.5, *_NO_FAIL[1:])], "not non-negative"),
-        ],
-        ids=["nan-table", "negative-weight"],
-    )
-    def test_rejects_what_choice_rejects(self, menu, message):
-        with pytest.raises(ValueError, match=message):
-            oracles.choice_failures(np.random.default_rng(0), menu, 100)
-        with pytest.raises(ValueError, match=message):
-            plan_of(menu)
-
-    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
-    def test_empirical_failures_equal_choice_sampler(self, case):
-        eve, control, cfg = _build(case)
-        tables = control_module._born_tables(eve, control, cfg)
-        for seed in (3, 19):
-            report = empirical_pdet(eve, control, replace(cfg, seed=seed), 20_000)
-            assert report.failures == oracles.choice_failures(stream(seed, PDET_TAG), tables, 20_000)
+        report = empirical_pdet(eve, control, cfg, MAX_TRIALS)
+        assert abs(report.p_analytic) < 1e-12
+        assert report.failures == 0 and report.p_empirical == 0.0
 
     def test_memory_bounded_at_max_trials(self):
         # per-trial outcome arrays took ~190 MiB here

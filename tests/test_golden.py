@@ -16,7 +16,6 @@ output, record the fixtures again from the repository root with
 and explain every changed value in the change's description.
 """
 
-import importlib.util
 import json
 import os
 import tempfile
@@ -26,7 +25,7 @@ import numpy as np
 
 import oracles
 from oracles import draw_message
-from conftest import rand_family
+from conftest import paper_matrix, rand_family
 from pingpong import attacks
 from pingpong import control as control_mode
 from pingpong.attacks import generic_coupling
@@ -35,7 +34,6 @@ from pingpong.protocol import ProtocolConfig
 from pingpong.session import run_session
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-RUN_MATRIX = GOLDEN.parent.parent / "scripts" / "run_matrix.py"
 
 MATRIX_CYCLES = 200
 MATRIX_TRIALS = 20_000
@@ -67,11 +65,7 @@ def matrix_report() -> list[dict]:
     The generic row's family file is written to a relative path, so its
     attack name does not depend on where the sweep runs.
     """
-    spec = importlib.util.spec_from_file_location("run_matrix", RUN_MATRIX)
-    run_matrix = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_matrix)
-    specs = run_matrix.build_specs(Path("."), MATRIX_CYCLES, MATRIX_TRIALS, MATRIX_SEED)
-    rows = run_experiments(specs)
+    rows = run_experiments(paper_matrix(Path("."), MATRIX_CYCLES, MATRIX_TRIALS, MATRIX_SEED))
     return [{k: v for k, v in row.items() if k != "wall_clock_s"} for row in rows]
 
 

@@ -24,7 +24,6 @@ from pingpong.rand import (
     cycle_keys,
     philox,
     run_integers,
-    skip,
     stream,
 )
 
@@ -291,32 +290,6 @@ def test_run_session_makes_no_stream_call(monkeypatch):
     # the counter sees the reference's one stream per cycle
     assert oracles.stepwise_session(cfg, message, eve, control) == oracles.records(transcript)
     assert calls == [(5, SESSION_TAG, k) for k in range(200)]
-
-
-@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 2**16 + 7])
-@pytest.mark.parametrize("consumed", range(4))
-def test_skip_equals_drawing(n, consumed):
-    # from each position in the 4-word buffer, skipping n draws leaves the
-    # generator where drawing them does
-    skipped, drawn = stream(11, PDET_TAG), stream(11, PDET_TAG)
-    skipped.random(consumed)
-    drawn.random(consumed)
-    skip(skipped, n)
-    drawn.random(n)
-    assert np.array_equal(skipped.random(8), drawn.random(8))
-
-
-def test_skip_keeps_the_half_word_integers_buffers():
-    skipped, drawn = stream(12, 0), stream(12, 0)
-    assert skipped.integers(100) == drawn.integers(100)  # keeps a high half
-    skip(skipped, 9)
-    drawn.random(9)
-    assert skipped.integers(100, size=6).tolist() == drawn.integers(100, size=6).tolist()
-
-
-def test_skip_needs_a_philox_generator():
-    with pytest.raises(TypeError, match="Philox"):
-        skip(np.random.default_rng(0), 4)
 
 
 @pytest.mark.filterwarnings("error")
