@@ -33,7 +33,7 @@ from .protocol import (
     as_integer,
     message_pairs,
 )
-from .rand import CHUNK, MESSAGE_TAG, SCORE_TAG, run_integers
+from .rand import CHUNK, MESSAGE_TAG, SCORE_TAG, below, words
 from .session import run_sessions
 
 REPORT_FIELDS = (
@@ -153,21 +153,20 @@ def load_spec(path: str | Path) -> list[RunSpec]:
 
 
 def draw_messages(dims, lengths, seeds) -> list:
-    """Each run's message, `stream(seed, MESSAGE_TAG).integers(0, dim,
-    size=(length, 2))`, from one `rand.run_integers` call."""
-    sizes = 2 * np.asarray(lengths, dtype=np.int64)
-    return [pairs.reshape(-1, 2) for pairs in np.split(run_integers(seeds, MESSAGE_TAG, dims, sizes), np.cumsum(sizes)[:-1])]
+    """Each run's message, a (length, 2) array: the first 2 * length words
+    of its message stream, decoded below dim, in pair order."""
+    return [below(words(seed, MESSAGE_TAG, 0, 2 * length), dim).reshape(-1, 2)
+            for dim, length, seed in zip(dims, lengths, seeds)]
 
 
 def score_sessions(transcripts: Sequence[Transcript], dims, seeds) -> list[dict]:
     """Each transcript's per-symbol eavesdropper accuracy and message integrity.
 
     Abstaining readouts and the phase symbol are scored with uniform guesses
-    drawn from each transcript's scoring stream, one per guess in cycle order:
+    below dim, the words of each transcript's score stream in cycle order:
     a message cycle takes the mu guess first when Eve abstains, then the nu
-    guess. All transcripts' guesses come from one `rand.run_integers` call,
-    and their hits are counted by transcript in one pass over their columns,
-    which a lone transcript is scored off without a copy.
+    guess. The hits are counted by transcript in one pass over their
+    columns, which a lone transcript is scored off without a copy.
     """
     one = len(transcripts) == 1
     join = (lambda cols: cols[0]) if one else np.concatenate
@@ -177,7 +176,7 @@ def score_sessions(transcripts: Sequence[Transcript], dims, seeds) -> list[dict]
     count = (lambda hit: [np.count_nonzero(hit)]) if one else (lambda hit: np.bincount(run[hit], minlength=len(transcripts)))
     abstain = guess < 0
     takes = 1 + abstain  # scoring draws per message cycle
-    draws = run_integers(seeds, SCORE_TAG, dims, n_msg + count(abstain))
+    draws = join([below(words(seed, SCORE_TAG, 0, m), dim) for seed, dim, m in zip(seeds, dims, n_msg + count(abstain))])
     first = np.cumsum(takes) - takes
     mu_hat = np.where(abstain, draws[first], guess)
     nu_hat = draws[first + abstain]

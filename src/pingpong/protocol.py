@@ -37,6 +37,7 @@ from .qstate import (
     collapse,
     pick,
 )
+from .rand import SEED_BOUND
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import EavesdropperHandle
@@ -55,8 +56,9 @@ DECODE_ATOL = 1e-9
 # Upper bounds on a session's size. MAX_DIM also bounds the length of a generic
 # family's ancilla states, so a coupling on travel (x) ancilla is at most D
 # blocks of 32x32, 512 KiB (its dense matrix, built only on request, would be
-# 16 MiB). The cycle bound keeps each cycle index within the one 32-bit word
-# `rand.cycle_keys` hashes.
+# 16 MiB). The cycle bound keeps a session's time and memory in hand; the
+# block a cycle reads from, its index times its blocks, stays far below the
+# 2**64 of the counter word it fills (`rand`).
 MAX_DIM = 32
 MAX_CYCLES = 10**6
 
@@ -88,6 +90,10 @@ def as_real(field: str, value) -> float:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """One session's configuration. `seed` keys every stream of its run
+    (`rand`): a non-negative integer below 2**192, the three 64-bit counter
+    words it fills."""
+
     dim: int
     control_prob: float
     n_cycles: int
@@ -110,6 +116,8 @@ class ProtocolConfig:
             raise ValueError(f"n_cycles must be <= {MAX_CYCLES}, got {self.n_cycles}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.seed >= SEED_BOUND:
+            raise ValueError(f"seed must be < 2**192, the three 64-bit counter words it fills, got {self.seed}")
         if self.initial_state_kind not in KINDS:
             raise ValueError(f"unknown initial state kind {self.initial_state_kind!r}")
         if self.initial_state_kind == QUBIT_SINGLET and self.dim != 2:
@@ -266,10 +274,10 @@ def bob_decode(state: StateVector, cfg: ProtocolConfig):
 # and the outcome probabilities, a row per state, and `post` gives listed
 # rows' post-states for listed outcomes from the table (for one state, rows
 # None and one outcome). Each may be lent memory `out` for the full-width
-# arrays it writes (`qstate._out`). `draw` declares the edge's draw in a cycle's stream
-# in `rand.CycleDraws.read`'s terms: (None,) for `random()`, (n,) for
-# `integers(n)`, or () when the edge draws nothing and has one outcome,
-# None. `outcomes` maps those draws to outcomes at one node; `key` names the
+# arrays it writes (`qstate._out`). `draw` declares the edge's draws in a cycle's stream
+# in `rand.CycleDraws.read`'s terms, one word each: (None,) for a uniform,
+# (n,) for an integer below n, or () when the edge draws nothing and has one
+# outcome, None. `outcomes` maps those draws to outcomes at one node; `key` names the
 # notes entry that records the outcome. The session engine (`session`) reads
 # a tree's draws from those declarations and walks the legs' edges through a
 # configuration's branch tree with them; `walk_leg` gives the exact ensemble
@@ -296,8 +304,8 @@ class UnitaryEdge:
 
 @dataclass(frozen=True, eq=False)
 class MeasureEdge:
-    """A projective measurement of `labels` in `basis`; one uniform draw,
-    `random()`. `key` records the outcome in the notes."""
+    """A projective measurement of `labels` in `basis`; one uniform draw.
+    `key` records the outcome in the notes."""
 
     labels: tuple[str, ...]
     basis: Basis
@@ -335,7 +343,7 @@ class ReadoutEdge(MeasureEdge):
 
 @dataclass(frozen=True, eq=False)
 class DrawEdge:
-    """One uniform draw f of `integers(len(ops))`, then ops[f] on the targets.
+    """One uniform draw f below len(ops), then ops[f] on the targets.
 
     None in `ops` applies nothing. `key` records f in the notes.
     """
@@ -362,7 +370,7 @@ class DrawEdge:
 
     @property
     def draw(self) -> tuple:
-        """One `integers(len(ops))`."""
+        """One integer below len(ops)."""
         return (len(self.ops),)
 
     def outcomes(self, node, fs: np.ndarray) -> np.ndarray:

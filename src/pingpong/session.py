@@ -7,10 +7,11 @@ cycles at a time: `_cuts` plans the chunks, `_Call.walk` walks one, and
 `SessionTree` takes a configuration's cycles through its attack's branch
 tree. A cycle's draws follow one program, derived once per tree from the
 edges' declared draws: the forward leg's, the mode uniform, then the return
-legs' or three control uniforms. So each cycle reserves the Philox blocks of
-the program's longer branch, the chunk's blocks are computed in one pass
-(`rand.CycleDraws`), and a tree reads its cycles' draws by position in a
-few vectorized reads (`leg_columns` puts a leg's in columns). Each node
+legs' or three control uniforms, a word each. So each cycle reserves the
+Philox blocks of the program's longer branch, a chunk reads its sessions'
+words with one `rand.words` call per session (`rand.CycleDraws`), and a
+tree reads its cycles' draws by position in a few vectorized reads
+(`leg_columns` puts a leg's in columns). Each node
 splits its cycles among its successors with array operations, and each
 session comes back as a columnar `protocol.Transcript`; `run_session` is
 the one-session call. `follow` walks a leg a tree level at a time: the
@@ -482,7 +483,8 @@ def run_sessions(cfgs: Sequence[ProtocolConfig], messages, eves: Sequence["Eaves
 
     Session s takes cfgs[s], messages[s] (an (m, 2) array or sequence of
     pairs, consumed in order), eves[s] and controls[s], which must act on its
-    dim; cycle k draws from `stream(seed, SESSION_TAG, k)`. The cycles, one
+    dim; cycle k of a session whose tree reserves B blocks a cycle reads its
+    draws from block k * B of stream (seed, SESSION_TAG). The cycles, one
     session after another, go a chunk at a time (`_cuts`, `_Call.walk`), and
     the sessions of one Eve handle, dim and kind share a tree (`_Call.tree`).
     A session whose cycles lie in one chunk comes back as slices of that

@@ -8,7 +8,8 @@ state-vector loop that `run_session`'s transcripts are compared with. It takes
 a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
 `protocol.follow` must agree with draw for draw, and the menu loop
-`draw_basis`. `branches` and `take` give one edge's outcomes and one
+`draw_basis`. A cycle draws from its `CycleStream`, which decodes its
+words one at a time in plain Python. `branches` and `take` give one edge's outcomes and one
 outcome's state from one state, the reference a grown tree node is checked
 against. `measure` is its one measurement on one uniform, built from
 `born_table`, `running_sum`, `pick` and `collapse`; a control cycle measures
@@ -87,7 +88,7 @@ from pingpong.qstate import (
     running_sum,
     tensor,
 )
-from pingpong.rand import SCORE_TAG, SESSION_TAG, stream
+from pingpong.rand import SCORE_TAG, SESSION_TAG, words
 
 
 def unitary(matrix) -> Operator:
@@ -284,13 +285,43 @@ def draw_basis(control, rng):
     return control.bases[-1]
 
 
+class CycleStream:
+    """Session cycle k's draws: the 4 * blocks words of stream (seed,
+    SESSION_TAG) from block k * blocks on, one a draw in order, decoded in
+    plain Python. A uniform is (w >> 11) * 2**-53 and an integer below n
+    (w >> 32) * n >> 32; a draw past the cycle's words raises ValueError."""
+
+    def __init__(self, seed, k, blocks):
+        self.words, self.used = words(seed, SESSION_TAG, k * blocks, 4 * blocks).tolist(), 0
+
+    def _next(self):
+        if self.used == len(self.words):
+            raise ValueError("a draw past the cycle's reserved words")
+        self.used += 1
+        return self.words[self.used - 1]
+
+    def random(self):
+        return (self._next() >> 11) * 2.0**-53
+
+    def integers(self, n):
+        return (self._next() >> 32) * n >> 32
+
+
+def reserved_blocks(eve):
+    """The Philox blocks a session cycle reserves under Eve's handle: a word
+    for each draw of the longer branch, forward draws and the mode uniform
+    then the return legs' draws or three control uniforms."""
+    drawn = lambda leg: sum(len(edge.draw) for edge in leg)  # noqa: E731
+    return -(-(drawn(eve.forward_leg) + 1 + max(drawn(eve.backward_leg + eve.readout_leg), 3)) // 4)
+
+
 def stepwise_session(cfg, message, eve, control):
     """Reference for `run_session`: every cycle evolves fresh state vectors.
 
-    Each cycle draws from its own `stream(seed, SESSION_TAG, k)` and takes
-    the handle's legs, Alice's and Bob's measurements, the encoding and Bob's
-    decode on new states, so the engine's branch tree must give the same
-    transcript and raise the same errors.
+    Each cycle draws from its own `CycleStream` and takes the handle's legs,
+    Alice's and Bob's measurements, the encoding and Bob's decode on new
+    states, so the engine's branch tree must give the same transcript and
+    raise the same errors.
     """
     for mu, nu in message:
         if not (0 <= mu < cfg.dim and 0 <= nu < cfg.dim):
@@ -298,8 +329,9 @@ def stepwise_session(cfg, message, eve, control):
     init = make_initial_state(cfg)
     records = []
     msg_idx = 0
+    blocks = reserved_blocks(eve)
     for k in range(cfg.n_cycles):
-        rng = stream(cfg.seed, SESSION_TAG, k)
+        rng = CycleStream(cfg.seed, k, blocks)
         notes = {}
         state = eve.attach(init)
         state = forward(eve, state, rng, notes)
@@ -354,12 +386,13 @@ def records(transcript):
 
 def score_records(records, dim, seed):
     """Reference for `cli.score_sessions`: the record-by-record scorer. Each
-    message record takes a uniform mu guess from the scoring stream when Eve
-    abstains, then a uniform nu guess, from one batched draw."""
+    message record takes a uniform mu guess from the score stream's words
+    when Eve abstains, then a uniform nu guess, each word w decoded in plain
+    Python as (w >> 32) * dim >> 32."""
     messages = [record for record in records if record["mode"] == "message"]
     n_msg, n_ctrl = len(messages), len(records) - len(messages)
     n_draws = n_msg + sum(record["eve_guess"] is None for record in messages)
-    guesses = iter(stream(seed, SCORE_TAG).integers(dim, size=n_draws).tolist())
+    guesses = iter((w >> 32) * dim >> 32 for w in words(seed, SCORE_TAG, 0, n_draws).tolist())
     mu_hits = nu_hits = intact = 0
     for record in messages:
         mu, nu = record["alice_symbols"]

@@ -56,7 +56,6 @@ from pingpong.qstate import (
     factor,
     tensor,
 )
-from pingpong.rand import stream
 
 
 def drive_message_cycle(eve, cfg, mu, nu, rng):
@@ -382,7 +381,7 @@ class TestInterceptResend:
         mu_acc, nu_acc = oracles.intercept_resend_symbol_stats(dim, kind)
         assert mu_acc == 1 and nu_acc == oracles.Fraction(1, dim)
         for trial in range(40):
-            rng = stream(91, trial)
+            rng = np.random.default_rng((91, trial))
             mu, nu = int(rng.integers(dim)), int(rng.integers(dim))
             state, notes = drive_message_cycle(eve, cfg, mu, nu, rng)
             mu_hat, _ = oracles.readout(eve, state, rng, notes)

@@ -55,6 +55,11 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="unknown"):
             RunSpec.from_dict(spec_dict(bogus=1))
 
+    def test_seed_bound(self):
+        assert RunSpec.from_dict(spec_dict(seed=2**192 - 1)).config.seed == 2**192 - 1
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*192"):
+            RunSpec.from_dict(spec_dict(seed=2**192))
+
     @pytest.mark.parametrize("field, value", [
         ("dim", 2.7), ("dim", "2"), ("dim", True),
         ("cycles", True), ("cycles", "10"), ("cycles", 10.5),
@@ -847,6 +852,8 @@ class TestMain:
          "unknown control mode 'bogus'; choose from " + " | ".join(control_mode.CONTROL_MODES)),
         (["--dim", "3", "--kind", "qubit_psi_minus"], "qubit_psi_minus requires dim = 2"),
         (["--dim", "2", "--output", "no-such-dir/report.json"], "no directory 'no-such-dir' for --output"),
+        (["--dim", "2", "--seed", str(2**192)],
+         f"seed must be < 2**192, the three 64-bit counter words it fills, got {2**192}"),
     ])
     def test_bad_single_run_input_is_a_usage_error(self, flags, message, capsys):
         code = main(["--attack", "cnot", "--control", "two-basis", "--seed", "1", *flags])
@@ -870,6 +877,13 @@ class TestMain:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_the_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "report.json"
+        flags = ["--attack", "cnot", "--control", "two-basis", "--dim", "2", "--cycles", "20", "--trials", "100"]
+        assert main([*flags, "--seed", str(2**192 - 1), "--output", str(out)]) == 0
+        [row] = json.loads(out.read_text())
+        assert row["seed"] == 2**192 - 1 and row["status"] == "ok"
 
     def test_missing_spec_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["--spec", str(tmp_path / "absent.json")]) == 2
@@ -1031,7 +1045,13 @@ class TestTreeStore:
             calls.update(trees=0, attach=0, nodes=0)
             rows.append(_stable(run_experiments(specs)))
             per_call.append(dict(calls))
-        assert per_call[0]["trees"] == 5 and per_call[0]["nodes"] > 100
+        kept = {id(tree): tree for spec in specs for tree in attacks.from_name(spec.attack, spec.dim).session_trees.values()}
+        grown = 0  # the kept trees' nodes, each tree's root included
+        for tree in kept.values():
+            todo = [tree.root]
+            while todo:
+                grown, todo = grown + 1, todo[:-1] + list(todo[-1].next.values())
+        assert per_call[0]["trees"] == len(kept) == 5 and per_call[0]["nodes"] == grown
         assert per_call[1] == dict(trees=0, attach=0, nodes=0)
         assert rows[1] == rows[0]
         # other seeds walk the kept trees and give the rows of fresh trees

@@ -2,8 +2,8 @@
 
 `run_session` builds each node of a configuration's branch tree once and walks
 each chunk of cycles through it one level at a time; `oracles.stepwise_session`
-evolves fresh state vectors on every cycle. Both draw from the same per-cycle
-streams, so the transcript's records (`oracles.records`) and the errors they
+evolves fresh state vectors on every cycle. Both read each cycle's draws at
+the same words of its session stream, so the transcript's records (`oracles.records`) and the errors they
 raise, with the cycle that raises them, must be identical. Edge by edge,
 `session.follow` from a fresh node must give what `oracles.step` gives on
 the node's state, and the columnar `cli.score_sessions` what the
@@ -38,7 +38,7 @@ from pingpong.protocol import (
 )
 from pingpong.session import SessionTree, follow, leg_columns, run_session, run_sessions
 from pingpong.qstate import Basis, StateVector, SubsystemLayout, born_table, factor, pick, running_sum
-from pingpong.rand import SESSION_TAG, CycleDraws, stream
+from pingpong.rand import SESSION_TAG, CycleDraws
 
 CYCLES = 100
 SEEDS = (1, 2, 99)
@@ -326,7 +326,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     edge, state = _edge_case(kind)
     n = 20
     for k in range(n):
-        draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), stream(seed, SESSION_TAG, k)
+        draws, rng_step = CycleDraws(seed, SESSION_TAG, np.arange(n), 1), oracles.CycleStream(seed, k, 1)
         node, cycles = session._Node({"earlier": 1}), np.array([k])
         taken = leg_columns((edge,), draws.read(edge.draw, cycles), cycles, n)
         [(succ, built, cycles)] = _followed(edge, node, state, cycles, taken)
@@ -343,7 +343,7 @@ def test_follow_from_a_fresh_node_matches_step(kind, seed):
     for succ, post, cycles in reached:
         for k in cycles.tolist():
             notes = {}
-            stepped = oracles.step(edge, state, stream(seed, SESSION_TAG, k), notes)
+            stepped = oracles.step(edge, state, oracles.CycleStream(seed, k, 1), notes)
             assert succ.notes == notes
             assert np.array_equal(post.amps, stepped.amps)
 
@@ -692,10 +692,10 @@ def test_each_session_is_charged_its_share_of_the_walk(monkeypatch):
     assert results[1].walk_s == 0 and sum(result.walk_s for result in results) <= took
 
 
-def _redraw_batch():
+def _batch():
     """Sessions of intercept-resend under two-basis control, all-control and
-    with message cycles (its forward leg draws integers(2) after a uniform,
-    so its cycles reserve two blocks), of cnot under two-basis control and
+    with message cycles (its forward leg draws an integer below 2 after a
+    uniform, so its cycles reserve two blocks), of cnot under two-basis control and
     of a D=3 generic coupling, whose readout outcomes vary (one block)."""
     ir, cnot, generic = _setup(INTERCEPT_RESEND[1], 1.0, 0), _setup(COUPLINGS[3], 0.25, 0), _setup(COUPLINGS[-1], 0.25, 0)
     sessions = [(ir, 1, 60, 1.0), (cnot, 2, 80, 0.25), (ir, 3, 50, 0.5), (generic, 4, 70, 0.25), (cnot, 5, 30, 1.0)]
@@ -712,55 +712,47 @@ def _walked(cfgs, messages, eves, modes):
 
 
 @pytest.mark.usefixtures("fresh_trees")
-def test_cycles_redrawn_from_their_streams_give_the_unforced_transcripts(monkeypatch):
-    """Chosen cycles of a batch of intercept-resend and cnot sessions are
-    re-drawn from their own streams in every read, as a cycle that meets a
-    rejected half is: the walk gives the transcripts and errors of the
-    unforced walk and of the stepwise reference, and only chosen cycles make
-    a stream."""
-    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
-    batch = _redraw_batch()
-    unforced = _walked(*batch)
-    assert unforced == [_result(oracles.stepwise_session, *args) for args in zip(*batch)]
-    chosen, keyed = [0, 5, 36, 37, 59], []
-    rejected = rand.CycleDraws._rejected
-
-    def forcing(self, cycles, checked):
-        return rejected(self, cycles, checked) | np.isin(self.ks[cycles], chosen)
-
-    def recording(*key):
-        keyed.append(key)
-        return stream(*key)
-
-    monkeypatch.setattr(rand.CycleDraws, "_rejected", forcing)
-    monkeypatch.setattr(rand, "stream", recording)
-    assert _walked(*batch) == unforced
-    assert {k for _, _, k in keyed} == set(chosen)
-    for cfg, result in zip(batch[0], unforced):  # every chosen cycle of a session that runs to its end
-        if isinstance(result, list):
-            assert {k for k in chosen if k < cfg.n_cycles} <= {k for seed, _, k in keyed if seed == cfg.seed}
-
-
-@pytest.mark.usefixtures("fresh_trees")
-def test_a_chunk_computes_its_words_in_one_philox_pass(monkeypatch):
+def test_a_chunk_reads_each_sessions_words_in_one_call(monkeypatch):
     """A chunk of all-control intercept-resend sessions, whose control cycles
-    read six words, and cnot sessions, which read at most four, computes the
-    two blocks of each intercept-resend cycle and the one of each cnot cycle
-    in one `philox` call."""
-    cfgs, messages, eves, modes = _redraw_batch()
+    read six words, and cnot and generic sessions, which read at most four,
+    reads each session's words with one `words` call from its first cycle's
+    block: two blocks for each intercept-resend cycle and one for each
+    other cycle."""
+    cfgs, messages, eves, modes = _batch()
     cfgs = [replace(cfg, control_prob=1.0) for cfg in cfgs]
-    blocks, philox = [], rand.philox
+    calls, words = [], rand.words
 
-    def counting(keys, counters):
-        blocks.append(len(keys))
-        return philox(keys, counters)
+    def recording(seed, tag, start, n):
+        calls.append((seed, tag, start, n))
+        return words(seed, tag, start, n)
 
-    monkeypatch.setattr(rand, "philox", counting)
+    monkeypatch.setattr(rand, "words", recording)
     trees = _built_trees(monkeypatch)
     walked = _walked(cfgs, messages, eves, modes)
     assert walked == [_result(oracles.stepwise_session, *args) for args in zip(cfgs, messages, eves, modes)]
-    assert blocks == [sum(cfg.n_cycles * (2 if eve.name == "intercept-resend" else 1) for cfg, eve in zip(cfgs, eves))]
+    width = [8 if eve.name == "intercept-resend" else 4 for eve in eves]
+    assert calls == [(cfg.seed, SESSION_TAG, 0, w * cfg.n_cycles) for cfg, w in zip(cfgs, width)]
     assert [tree.blocks for tree in trees] == [2, 1, 1]
+
+
+@pytest.mark.usefixtures("fresh_trees")
+@pytest.mark.parametrize("case,control_prob", [(COUPLINGS[1], 0.5), (COUPLINGS[3], 0.5), (COUPLINGS[-1], 0.5),
+                                               (INTERCEPT_RESEND[1], 1.0)], ids=lambda c: str(c[0]) if isinstance(c, tuple) else None)
+def test_cycle_k_reads_block_k_times_its_reserved_blocks(case, control_prob, monkeypatch):
+    """Read off a transcript, across chunk edges: cycle k of a configuration
+    whose cycles reserve B blocks (`oracles.reserved_blocks`: one, or two
+    for intercept-resend's six control draws) takes its words from block
+    k * B of stream (seed, SESSION_TAG). After the forward leg's f draws,
+    word f is the mode uniform and word f + 1 a control cycle's menu
+    uniform."""
+    monkeypatch.setattr(rand, "CHUNK", SMALL_CHUNK)
+    cfg, eve, mode = _setup(case, control_prob, 11)
+    width, f = 4 * oracles.reserved_blocks(eve), sum(len(edge.draw) for edge in eve.forward_leg)
+    assert width == (8 if case in INTERCEPT_RESEND else 4)
+    transcript = run_session(cfg, draw_message(cfg.dim, cfg.n_cycles, cfg.seed), eve, mode)
+    raw = rand.words(cfg.seed, SESSION_TAG, 0, width * cfg.n_cycles).reshape(cfg.n_cycles, width)
+    assert transcript.control.tolist() == (rand.uniform(raw[:, f]) < control_prob).tolist()
+    assert transcript.basis.tolist() == mode.choose(rand.uniform(raw[transcript.control, f + 1])).tolist()
 
 
 def test_a_message_that_runs_out_ends_only_its_own_session(monkeypatch):
@@ -993,18 +985,18 @@ def test_stacked_readouts_with_several_supported_outcomes_match_the_reference(mo
 
 
 @pytest.mark.usefixtures("fresh_trees")
-@pytest.mark.parametrize("case", [COUPLINGS[8], INTERCEPT_RESEND[2]], ids=lambda c: f"{c[0]}-d{c[2]}")
-def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, monkeypatch):
+@pytest.mark.parametrize("case,seed", [(COUPLINGS[8], 2), (INTERCEPT_RESEND[2], 5)], ids=("qudit-shift-d4", "intercept-resend-d3"))
+def test_a_later_chunk_replays_the_path_to_a_node_it_first_reaches(case, seed, monkeypatch):
     """2 x CHUNK cycles. A qudit-shift message of one pair for the first
     chunk, then every pair: the second chunk reaches new symbol pairs of a
     post-forward node the first chunk built. All-control intercept-resend
-    with a first chunk of few cycles: the second chunk reaches `genuine`
-    outcomes the first only grew. Either replays a path from its start
-    state; transcripts and nodes equal the references."""
+    with a first chunk of few cycles, at a seed whose second chunk reaches
+    `genuine` outcomes the first only grew. Either replays a path from its
+    start state; transcripts and nodes equal the references."""
     chunk = 4
     monkeypatch.setattr(rand, "CHUNK", chunk)
     control_prob = 1.0 if case in INTERCEPT_RESEND else 0.0
-    cfg, eve, mode = _setup(case, control_prob, 2, cycles=2 * chunk)
+    cfg, eve, mode = _setup(case, control_prob, seed, cycles=2 * chunk)
     pairs = [(mu, nu) for mu in range(cfg.dim) for nu in range(cfg.dim)]
     message = [(0, 0)] * chunk + pairs[::-1][:chunk]
     replays, original = [], session._replay

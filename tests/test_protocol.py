@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(**params)
 
+    @pytest.mark.parametrize("seed", [2**64 + 1, 2**70 + 3, 2**128, 2**192 - 1])
+    def test_seeds_of_up_to_three_counter_words_are_taken(self, seed):
+        assert ProtocolConfig(dim=2, control_prob=0.5, n_cycles=1, seed=seed).seed == seed
+
+    @pytest.mark.parametrize("seed", [2**192, 2**200 + 1])
+    def test_seeds_past_three_counter_words_are_refused(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be < 2\*\*192, the three 64-bit counter words it fills, got {seed}$"):
+            ProtocolConfig(dim=2, control_prob=0.5, n_cycles=1, seed=seed)
+
     @pytest.mark.parametrize("field, bound", [("dim", MAX_DIM), ("n_cycles", MAX_CYCLES)])
     def test_size_bounds(self, field, bound):
         params = dict(dim=3, control_prob=0.5, n_cycles=1, seed=0,
