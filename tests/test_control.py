@@ -286,7 +286,7 @@ class TestEmpiricalPdet:
         cfg = qudit_cfg(3, seed=5)
         eve, mode = intercept_resend(3), computational_control(cfg)
         want = empirical_pdet(eve, mode, cfg, 1000)
-        assert want.failures == stream(5, PDET_TAG).binomial(1000, want.p_analytic) == 663
+        assert want.failures == stream(5, PDET_TAG).binomial(1000, want.p_analytic) == 669
         assert empirical_pdet(eve, mode, cfg, count(1000)) == want
 
     def test_trials_validated(self):
