@@ -4,8 +4,8 @@ Every seeded draw in the package reads numpy's own Philox4x64-10 (Salmon et
 al., SC'11), whose output is a pure function of a 128-bit key and a 256-bit
 counter, and whose raw words numpy's RNG policy (NEP 19) keeps fixed across
 versions. Stream (seed, tag) is the Philox under the tag's key,
-`SeedSequence((tag,)).generate_state(2, np.uint64)`, made once per tag at
-import, with the seed (below 2**192) in counter words 1-3. Counter word 0
+`SeedSequence((tag,)).generate_state(2, np.uint64)`, made once per process,
+with the seed (below 2**192) in counter words 1-3. Counter word 0
 is the position in the stream, in blocks of four 64-bit words, so distinct
 (seed, tag) pairs are disjoint streams, none needs a hash of its own, and
 any stretch of a stream is read where it lies.
@@ -24,6 +24,9 @@ message and score streams.
 
 from __future__ import annotations
 
+import threading
+from functools import cache
+
 import numpy as np
 
 # Fixed purpose tags for derived streams; part of the reproducibility contract.
@@ -31,10 +34,6 @@ SESSION_TAG = 1
 PDET_TAG = 2
 SCORE_TAG = 3
 MESSAGE_TAG = 4
-
-# Each tag's Philox key.
-_KEYS = {tag: np.random.SeedSequence((tag,)).generate_state(2, np.uint64)
-         for tag in (SESSION_TAG, PDET_TAG, SCORE_TAG, MESSAGE_TAG)}
 
 # Seeds fill the three 64-bit counter words above the position.
 SEED_BOUND = 2**192
@@ -44,7 +43,17 @@ CHUNK = 4096
 
 _MASK64 = 2**64 - 1
 _EMPTY = np.zeros(4, dtype=np.uint64)
-_BITS = np.random.Philox(key=_KEYS[SESSION_TAG])  # `words` sets its state on each call
+_LOCK = threading.Lock()  # held by `words` from setting the state until its words are read
+
+
+@cache
+def _philox() -> tuple:
+    """Each tag's Philox key, and the bit generator whose state `words`
+    sets on each call, made on first use: importing numpy.random takes
+    ~12 ms, which a process that draws nothing need not pay."""
+    keys = {tag: np.random.SeedSequence((tag,)).generate_state(2, np.uint64)
+            for tag in (SESSION_TAG, PDET_TAG, SCORE_TAG, MESSAGE_TAG)}
+    return keys, np.random.Philox(key=keys[SESSION_TAG])
 
 
 def _counter(seed: int, start: int) -> np.ndarray:
@@ -60,14 +69,17 @@ def _counter(seed: int, start: int) -> np.ndarray:
 def words(seed: int, tag: int, start: int, n: int) -> np.ndarray:
     """Words 4 * start .. 4 * start + n - 1 of stream (seed, tag), as a new
     uint64 array: `random_raw(n)` from counter word 0 = `start`."""
-    _BITS.state = {"bit_generator": "Philox", "state": {"counter": _counter(seed, start), "key": _KEYS[tag]},
-                   "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _BITS.random_raw(n)
+    keys, bits = _philox()
+    state = {"bit_generator": "Philox", "state": {"counter": _counter(seed, start), "key": keys[tag]},
+             "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    with _LOCK:
+        bits.state = state
+        return bits.random_raw(n)
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
     """A generator of its own over stream (seed, tag) from its start."""
-    return np.random.Generator(np.random.Philox(key=_KEYS[tag], counter=_counter(seed, 0)))
+    return np.random.Generator(np.random.Philox(key=_philox()[0][tag], counter=_counter(seed, 0)))
 
 
 def uniform(w: np.ndarray) -> np.ndarray:

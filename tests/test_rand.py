@@ -1,5 +1,9 @@
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,40 @@ def test_uniforms_lie_in_the_unit_interval():
 def test_integer_seeds_of_any_type_read_the_same_words(dtype):
     for seed in (0, 5, np.iinfo(dtype).max):
         np.testing.assert_array_equal(words(dtype(seed), MESSAGE_TAG, 2, 8), words(int(seed), MESSAGE_TAG, 2, 8))
+
+
+def test_words_read_from_threads_are_each_streams_own():
+    """`words` shares one bit generator, so threads that read at once, with
+    the interpreter switching threads every microsecond, must still each
+    get their own stream's words."""
+    want = {seed: words(seed, SESSION_TAG, seed, 12).tolist() for seed in range(6)}
+    got, interval = {seed: [] for seed in want}, sys.getswitchinterval()
+
+    def read(seed):
+        for _ in range(300):
+            got[seed].append(words(seed, SESSION_TAG, seed, 12).tolist())
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in want]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(got[seed] == [want[seed]] * 300 for seed in want)
+
+
+def test_importing_the_package_does_not_import_numpy_random():
+    """numpy.random takes ~12 ms to import, paid by the first draw and not
+    by a process that only imports the package or builds handles."""
+    code = "import sys, pingpong.cli, pingpong.session; print('numpy.random' in sys.modules)"
+    src = str(Path(rand.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["False"]
 
 
 def test_each_stream_generator_is_its_own():
