@@ -9,9 +9,9 @@ a handle's legs with `step`, which applies or measures one edge on one state
 (`run_leg`, `forward`, `backward` and `readout` take whole legs), the route
 `protocol.follow` must agree with draw for draw, and the menu loop
 `draw_basis`. A cycle draws from its `CycleStream`, which decodes its
-words one at a time in plain Python. `branches` and `take` give one edge's outcomes and one
-outcome's state from one state, the reference a grown tree node is checked
-against. `measure` is its one measurement on one uniform, built from
+words one at a time in plain Python. `branches` and `take` give one edge's
+outcomes and one outcome's state from one state, the reference a grown tree
+node is checked against. `measure` is its one measurement on one uniform, built from
 `born_table`, `running_sum`, `pick` and `collapse`; a control cycle measures
 Alice and then Bob this way and is judged by the basis's failing-pair mask.
 Both give each cycle as a record, a plain dict in the shape of

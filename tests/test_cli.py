@@ -1046,11 +1046,10 @@ class TestTreeStore:
             rows.append(_stable(run_experiments(specs)))
             per_call.append(dict(calls))
         kept = {id(tree): tree for spec in specs for tree in attacks.from_name(spec.attack, spec.dim).session_trees.values()}
-        grown = 0  # the kept trees' nodes, each tree's root included
-        for tree in kept.values():
-            todo = [tree.root]
-            while todo:
-                grown, todo = grown + 1, todo[:-1] + list(todo[-1].next.values())
+        todo, grown = [tree.root for tree in kept.values()], 0  # the kept trees' nodes, roots included
+        while todo:
+            todo.extend(todo.pop().next.values())
+            grown += 1
         assert per_call[0]["trees"] == len(kept) == 5 and per_call[0]["nodes"] == grown
         assert per_call[1] == dict(trees=0, attach=0, nodes=0)
         assert rows[1] == rows[0]

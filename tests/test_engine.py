@@ -3,8 +3,9 @@
 `run_session` builds each node of a configuration's branch tree once and walks
 each chunk of cycles through it one level at a time; `oracles.stepwise_session`
 evolves fresh state vectors on every cycle. Both read each cycle's draws at
-the same words of its session stream, so the transcript's records (`oracles.records`) and the errors they
-raise, with the cycle that raises them, must be identical. Edge by edge,
+the same words of its session stream, so the transcript's records
+(`oracles.records`) and the errors they raise, with the cycle that raises
+them, must be identical. Edge by edge,
 `session.follow` from a fresh node must give what `oracles.step` gives on
 the node's state, and the columnar `cli.score_sessions` what the
 record-by-record `oracles.score_records` gives.
@@ -695,8 +696,9 @@ def test_each_session_is_charged_its_share_of_the_walk(monkeypatch):
 def _batch():
     """Sessions of intercept-resend under two-basis control, all-control and
     with message cycles (its forward leg draws an integer below 2 after a
-    uniform, so its cycles reserve two blocks), of cnot under two-basis control and
-    of a D=3 generic coupling, whose readout outcomes vary (one block)."""
+    uniform, so its cycles reserve two blocks), of cnot under two-basis
+    control and of a D=3 generic coupling, whose readout outcomes vary (one
+    block)."""
     ir, cnot, generic = _setup(INTERCEPT_RESEND[1], 1.0, 0), _setup(COUPLINGS[3], 0.25, 0), _setup(COUPLINGS[-1], 0.25, 0)
     sessions = [(ir, 1, 60, 1.0), (cnot, 2, 80, 0.25), (ir, 3, 50, 0.5), (generic, 4, 70, 0.25), (cnot, 5, 30, 1.0)]
     cfgs = [replace(setup[0], seed=seed, n_cycles=cycles, control_prob=p) for setup, seed, cycles, p in sessions]
